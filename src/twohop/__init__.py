@@ -46,20 +46,15 @@ from .worldgen import (
     HOLDOUT_KINDS,
     Profile,
     QAItem,
-    Query,
     QuestionKind,
     SplitSet,
-    Vocab,
     World,
     WorldConfig,
     build_splits,
-    build_vocab,
-    detokenize,
     generate_world,
     load_dataset,
     persist_dataset,
     render_question,
-    tokenize,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

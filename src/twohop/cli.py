@@ -69,7 +69,7 @@ def _read_run_meta(losses: Path) -> dict:
 
 
 def _two_hop_predicate(rec) -> bool:
-    return rec.kind in ("two_hop", "two_hop_cot")
+    return rec.kind in worldgen.TWO_HOP_KINDS
 
 
 def _emit(payload: dict) -> None:
@@ -344,7 +344,6 @@ def main(argv=None) -> int:
     except (
         worldgen.ConfigError,
         worldgen.DatasetIOError,
-        worldgen.VocabError,
         estimator.EstimatorError,
         generalization.EvaluationError,
         simulate.CoverageError,

@@ -67,13 +67,12 @@ class TrainIndex:
         self.second_hop_pairs: set[tuple[int, str]] = set()
         self.full_questions: set[tuple[int, str, str]] = set()
         for item in split_set.train:
-            q = item.query
-            if q.kind is QuestionKind.ONE_HOP:
-                self.one_hop_facts.add((q.e1, q.a))
+            if item.kind is QuestionKind.ONE_HOP:
+                self.one_hop_facts.add((item.e1, item.a))
             else:
-                self.first_hop_pairs.add((q.e1, q.r))
-                self.second_hop_pairs.add((item.e2, q.a))
-                self.full_questions.add((q.e1, q.r, q.a))
+                self.first_hop_pairs.add((item.e1, item.r))
+                self.second_hop_pairs.add((item.e2, item.a))
+                self.full_questions.add((item.e1, item.r, item.a))
 
 
 def presence_flags(index: TrainIndex, e1: int, r: str, a: str) -> PresenceFlags:
@@ -118,7 +117,7 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
         # log(1/pool), not -log(pool): bitwise identical to a simulated
         # uniform guess, so chance-level deltas cancel exactly
         uniform = [
-            LossRecord(it.qid, kind, it.query.kind.value, math.log(1.0 / config.pool_size(it.query.a)))
+            LossRecord(it.qid, kind, it.kind.value, math.log(1.0 / config.pool_size(it.a)))
             for it in items
         ]
         baselines[kind] = aggregate_losses(uniform).mean_loss_bits

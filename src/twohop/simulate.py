@@ -122,24 +122,24 @@ class ReliabilityProfile:
         cfg = world.config
         if model_kind is ModelKind.RECURRENT:
             facts = {
-                (item.query.e1, item.query.a): learned
+                (item.e1, item.a): learned
                 for item in split_set.train
-                if item.query.kind is QuestionKind.ONE_HOP
+                if item.kind is QuestionKind.ONE_HOP
             }
             return cls(model_kind, facts=facts, unlearned_uniform=True)
         if model_kind is ModelKind.TWO_FUNCTION:
             hop1: dict[FactKey, float] = {}
             hop2: dict[FactKey, float] = {}
             for item in split_set.train:
-                if item.query.kind is QuestionKind.ONE_HOP:
+                if item.kind is QuestionKind.ONE_HOP:
                     continue
-                hop1[(item.query.e1, item.query.r)] = learned
-                hop2[(item.e2, item.query.a)] = learned
+                hop1[(item.e1, item.r)] = learned
+                hop2[(item.e2, item.a)] = learned
             return cls(model_kind, hop1=hop1, hop2=hop2, unlearned_uniform=True)
         memo = {
-            (item.query.e1, item.query.r, item.query.a): learned
+            (item.e1, item.r, item.a): learned
             for item in split_set.train
-            if item.query.kind is not QuestionKind.ONE_HOP
+            if item.kind is not QuestionKind.ONE_HOP
         }
         return cls(model_kind, memo=memo, unlearned_uniform=True)
 
@@ -210,14 +210,13 @@ def generate_loss_log(
     """One record per QA item with logprob = ln q of the simulated answer."""
     records = []
     for item in split_set.all_items():
-        q = item.query
-        if q.kind is QuestionKind.ONE_HOP:
-            prob = simulate_one_hop_prob(world, profile, q.e1, q.a)
+        if item.kind is QuestionKind.ONE_HOP:
+            prob = simulate_one_hop_prob(world, profile, item.e1, item.a)
         else:
             prob = simulate_two_hop_prob(
-                world, profile, q.e1, q.r, q.a, strict_property_fallback
+                world, profile, item.e1, item.r, item.a, strict_property_fallback
             )
-        records.append(LossRecord(item.qid, item.split, q.kind.value, math.log(prob)))
+        records.append(LossRecord(item.qid, item.split, item.kind.value, math.log(prob)))
     return records
 
 

@@ -14,11 +14,10 @@ import hashlib
 import json
 import math
 import random
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 HOLDOUT_KINDS = (
     "heldout_e1",
@@ -60,11 +59,6 @@ DEFAULT_PROPERTIES = (
 # 8000 * 5000 * 10000 = 4e11 possible name combinations
 DEFAULT_NAME_POOLS = (8000, 5000, 10000)
 
-DEFAULT_VOCAB_LIMIT = 3000
-
-PAD_TOKEN = "<pad>"
-EOA_TOKEN = "<eoa>"
-
 
 class ConfigError(ValueError):
     """The world configuration is internally inconsistent."""
@@ -76,10 +70,6 @@ class DatasetIOError(RuntimeError):
 
 class HashMismatchError(DatasetIOError):
     """A dataset file does not match the hash recorded in its manifest."""
-
-
-class VocabError(ValueError):
-    """Text cannot be covered by the vocabulary, or the vocabulary is too large."""
 
 
 class QuestionKind(str, Enum):
@@ -161,15 +151,18 @@ class WorldConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorldConfig":
-        return cls(
-            n_profiles=data["n_profiles"],
-            first_names=data["first_names"],
-            middle_names=data["middle_names"],
-            last_names=data["last_names"],
-            relations=tuple(data["relations"]),
-            properties=tuple((name, size) for name, size in data["properties"]),
-            seed=data["seed"],
-        )
+        try:
+            return cls(
+                n_profiles=data["n_profiles"],
+                first_names=data["first_names"],
+                middle_names=data["middle_names"],
+                last_names=data["last_names"],
+                relations=tuple(data["relations"]),
+                properties=tuple((name, size) for name, size in data["properties"]),
+                seed=data["seed"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed config: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -214,28 +207,25 @@ class World:
 
 
 @dataclass(frozen=True)
-class Query:
+class QAItem:
+    """One question (e1, r, a) rendered over a world; one-hop items have no r and no e2."""
+
+    qid: str
+    kind: QuestionKind
     e1: int
     r: str | None
     a: str
-    kind: QuestionKind
-
-    def __post_init__(self):
-        if self.kind is QuestionKind.ONE_HOP:
-            if self.r is not None:
-                raise ValueError("one-hop queries have no first relation")
-        elif self.r is None:
-            raise ValueError("two-hop queries require a first relation")
-
-
-@dataclass(frozen=True)
-class QAItem:
-    qid: str
-    query: Query
     e2: int | None
     answer: str
     text: str
     split: str
+
+    def __post_init__(self):
+        if self.kind is QuestionKind.ONE_HOP:
+            if self.r is not None:
+                raise ValueError("one-hop questions have no first relation")
+        elif self.r is None:
+            raise ValueError("two-hop questions require a first relation")
 
 
 @dataclass
@@ -277,34 +267,35 @@ def two_hop_qid(e1: int, r: str, a: str) -> str:
     return f"2h:{e1}:{r}:{a}"
 
 
-def render_question(world: World, query: Query) -> QAItem:
+def render_question(
+    world: World, kind: QuestionKind, e1: int, r: str | None, a: str, split: str = "train"
+) -> QAItem:
     """Render a question from its template; the answer is taken from the world."""
     cfg = world.config
-    if query.a not in cfg.attributes:
-        raise ValueError(f"unknown attribute: {query.a!r}")
-    if not 0 <= query.e1 < cfg.n_profiles:
-        raise ValueError(f"unknown entity: {query.e1}")
-    name = world.entity_name(query.e1)
+    if a not in cfg.attributes:
+        raise ValueError(f"unknown attribute: {a!r}")
+    if not 0 <= e1 < cfg.n_profiles:
+        raise ValueError(f"unknown entity: {e1}")
+    name = world.entity_name(e1)
 
-    if query.kind is QuestionKind.ONE_HOP:
-        answer = world.answer_string(query.e1, query.a)
-        text = f"What was {name}'s {query.a}? {answer}"
-        return QAItem(one_hop_qid(query.e1, query.a), query, None, answer, text, "train")
+    if kind is QuestionKind.ONE_HOP:
+        answer = world.answer_string(e1, a)
+        text = f"What was {name}'s {a}? {answer}"
+        return QAItem(one_hop_qid(e1, a), kind, e1, r, a, None, answer, text, split)
 
-    if not cfg.is_relation(query.r):
-        raise ValueError(f"first hop must be a relation, got {query.r!r}")
-    e2 = world.relation_target(query.e1, query.r)
-    answer = world.answer_string(e2, query.a)
-    qid = two_hop_qid(query.e1, query.r, query.a)
-    if query.kind is QuestionKind.TWO_HOP:
-        text = f"What was {name}'s {query.r}'s {query.a}? {answer}"
+    if not cfg.is_relation(r):
+        raise ValueError(f"first hop must be a relation, got {r!r}")
+    e2 = world.relation_target(e1, r)
+    answer = world.answer_string(e2, a)
+    if kind is QuestionKind.TWO_HOP:
+        text = f"What was {name}'s {r}'s {a}? {answer}"
     else:
         e2_name = world.entity_name(e2)
         text = (
-            f"What was {name}'s {query.r}'s {query.a}? "
-            f"{name}'s {query.r} was {e2_name}. {e2_name}'s {query.a} was {answer}."
+            f"What was {name}'s {r}'s {a}? "
+            f"{name}'s {r} was {e2_name}. {e2_name}'s {a} was {answer}."
         )
-    return QAItem(qid, query, e2, answer, text, "train")
+    return QAItem(two_hop_qid(e1, r, a), kind, e1, r, a, e2, answer, text, split)
 
 
 def _sample_components(world: World, fractions: Mapping[str, float], rng: random.Random) -> dict:
@@ -363,7 +354,6 @@ def build_splits(
         for r in cfg.relations:
             e2 = world.relation_target(e1, r)
             for a in cfg.attributes:
-                item = render_question(world, Query(e1, r, a, two_hop_kind))
                 if e1 in components["heldout_e1"]:
                     dest = "heldout_e1"
                 elif r in components["heldout_r"]:
@@ -379,12 +369,12 @@ def build_splits(
                 elif (e1, r, a) in components["heldout_full"]:
                     dest = "heldout_full"
                 else:
-                    train_two_hop.append(item)
+                    train_two_hop.append(render_question(world, two_hop_kind, e1, r, a))
                     continue
-                heldout[dest].append(replace(item, split=dest))
+                heldout[dest].append(render_question(world, two_hop_kind, e1, r, a, dest))
 
     one_hop = [
-        render_question(world, Query(e1, None, a, QuestionKind.ONE_HOP))
+        render_question(world, QuestionKind.ONE_HOP, e1, None, a)
         for e1 in range(cfg.n_profiles)
         for a in cfg.attributes
     ]
@@ -439,22 +429,12 @@ def _profile_to_json(p: Profile) -> dict:
 
 
 def _item_to_json(item: QAItem) -> dict:
-    return {
-        "qid": item.qid,
-        "kind": item.query.kind.value,
-        "e1": item.query.e1,
-        "r": item.query.r,
-        "a": item.query.a,
-        "e2": item.e2,
-        "answer": item.answer,
-        "text": item.text,
-        "split": item.split,
-    }
+    return {**vars(item), "kind": item.kind.value}
 
 
-def _item_from_json(data: Mapping) -> QAItem:
-    query = Query(data["e1"], data["r"], data["a"], QuestionKind(data["kind"]))
-    return QAItem(data["qid"], query, data["e2"], data["answer"], data["text"], data["split"])
+def _item_from_json(d: Mapping) -> QAItem:
+    return QAItem(d["qid"], QuestionKind(d["kind"]), d["e1"], d["r"], d["a"],
+                  d["e2"], d["answer"], d["text"], d["split"])
 
 
 def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
@@ -500,9 +480,16 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
 def load_manifest(path: Path) -> dict:
     try:
         with open(Path(path) / "manifest.json", encoding="utf-8") as f:
-            return json.load(f)
+            manifest = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetIOError(f"cannot read manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetIOError("manifest is not a JSON object")
+    keys_read = ("config", "files", "holdout_components", "split_params")
+    missing = [key for key in keys_read if key not in manifest]
+    if missing:
+        raise DatasetIOError(f"manifest lacks {', '.join(missing)}")
+    return manifest
 
 
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
@@ -526,78 +513,18 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
 
     train: list[QAItem] = []
     heldout: dict[str, list[QAItem]] = {kind: [] for kind in HOLDOUT_KINDS}
-    with open(path / "qa.jsonl", encoding="utf-8") as f:
-        for line in f:
-            item = _item_from_json(json.loads(line))
-            if item.split == "train":
-                train.append(item)
-            else:
-                heldout[item.split].append(item)
+    qa_path = path / "qa.jsonl"
+    with open(qa_path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                item = _item_from_json(json.loads(line))
+                if item.split == "train":
+                    train.append(item)
+                else:
+                    heldout[item.split].append(item)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DatasetIOError(
+                    f"{qa_path}:{lineno}: malformed question row ({exc!r})"
+                ) from None
     split_set = SplitSet(train, heldout, manifest["holdout_components"], manifest["split_params"])
     return split_set, world
-
-
-# --- tokenizer -----------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"'s|\w+|\?|\.")
-_NO_SPACE = {"'s", "?", "."}
-
-
-def _split_tokens(text: str) -> list[str]:
-    tokens = _TOKEN_RE.findall(text)
-    if _join_tokens(tokens) != text:
-        raise VocabError(f"text contains symbols outside the token alphabet: {text!r}")
-    return tokens
-
-
-def _join_tokens(tokens: Sequence[str]) -> str:
-    parts: list[str] = []
-    for tok in tokens:
-        if parts and tok not in _NO_SPACE:
-            parts.append(" ")
-        parts.append(tok)
-    return "".join(parts)
-
-
-@dataclass
-class Vocab:
-    """Whole-word vocabulary with reserved padding and end-of-answer ids."""
-
-    token_to_id: dict[str, int]
-    id_to_token: list[str]
-
-    @property
-    def size(self) -> int:
-        return len(self.id_to_token)
-
-    @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def end_of_answer_id(self) -> int:
-        return 1
-
-
-def build_vocab(items: Iterable[QAItem], max_size: int = DEFAULT_VOCAB_LIMIT) -> Vocab:
-    """Collect all tokens appearing in the rendered items into a vocabulary."""
-    tokens: set[str] = set()
-    for item in items:
-        tokens.update(_split_tokens(item.text))
-    id_to_token = [PAD_TOKEN, EOA_TOKEN] + sorted(tokens)
-    if len(id_to_token) > max_size:
-        raise VocabError(f"corpus needs {len(id_to_token)} tokens, limit is {max_size}")
-    return Vocab({tok: i for i, tok in enumerate(id_to_token)}, id_to_token)
-
-
-def tokenize(vocab: Vocab, text: str) -> list[int]:
-    ids = []
-    for tok in _split_tokens(text):
-        if tok not in vocab.token_to_id:
-            raise VocabError(f"token not in vocabulary: {tok!r}")
-        ids.append(vocab.token_to_id[tok])
-    return ids
-
-
-def detokenize(vocab: Vocab, ids: Sequence[int]) -> str:
-    return _join_tokens([vocab.id_to_token[i] for i in ids])

@@ -259,19 +259,18 @@ def test_criterion_9_dataset_contracts(tmp_path):
         violations = 0
         one_hop = 0
         for item in split_set.train:
-            q = item.query
-            if q.kind is QuestionKind.ONE_HOP:
+            if item.kind is QuestionKind.ONE_HOP:
                 one_hop += 1
                 continue
             e2 = item.e2
             if (
-                (q.e1,) in comp["heldout_e1"]
-                or (q.r,) in comp["heldout_r"]
+                (item.e1,) in comp["heldout_e1"]
+                or (item.r,) in comp["heldout_r"]
                 or (e2,) in comp["heldout_e2"]
-                or (q.a,) in comp["heldout_a"]
-                or (q.e1, q.r) in comp["heldout_e1r"]
-                or (e2, q.a) in comp["heldout_e2a"]
-                or (q.e1, q.r, q.a) in comp["heldout_full"]
+                or (item.a,) in comp["heldout_a"]
+                or (item.e1, item.r) in comp["heldout_e1r"]
+                or (e2, item.a) in comp["heldout_e2a"]
+                or (item.e1, item.r, item.a) in comp["heldout_full"]
             ):
                 violations += 1
         assert violations == 0

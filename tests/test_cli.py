@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -155,3 +157,119 @@ def test_data_errors_exit_1(tmp_path, capsys):
     missing = tmp_path / "missing"
     assert main(["estimate", "--dataset", str(missing), "--losses", "x.jsonl", "--model", "2f"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Bytes of a small world's dataset and trained loss logs; each value was
+# measured on the code that first produced the file and must never change.
+GOLDEN_GEN_ARGS = [
+    "gen",
+    "--profiles", "60",
+    "--relations", "3",
+    "--properties", "2",
+    "--holdout-frac", "0.05",
+    "--mix-ratio", "4",
+    "--seed", "3",
+]
+GOLDEN_DATASETS = {
+    # --cot: (dataset_sha256, sha256 of manifest.json)
+    "none": (
+        "f083b05a2c8f55891d103aeabfaee8082d76de76ce13f66fc0b613f6fc342bf6",
+        "5e7858be7f074f24aea739523d238f7ac3436c8e1f331ab63886f43367b43a0d",
+    ),
+    "answers": (
+        "9b8af3e081b15fac022a0d78194a5e355e55038ef9e1e9716e869f3d525e9ad1",
+        "930fe905443b10f040a30b978c616badcdebe349a3ed7261bfca08dc374005cd",
+    ),
+}
+GOLDEN_TRAINED_LOGS = {
+    "recurrent": "c4548061f58c729def92da0a244771b486c8a43d9055ad59bb3dcbec2adf31a5",
+    "2f": "ee8d69c3a39ccbc154306000280204480ad173dfacab2689881f3fb83ebbc902",
+    "independent": "4f43033d4e5b45a316fe9bba44861e55bb80ef60d0100f11493a58ee34d060e9",
+}
+
+
+def test_golden_bytes(tmp_path, capsys):
+    for cot, (dataset_sha, manifest_sha) in GOLDEN_DATASETS.items():
+        out = tmp_path / cot
+        assert main(GOLDEN_GEN_ARGS + ["--cot", cot, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["dataset_sha256"] == dataset_sha, cot
+        assert _sha256(out / "manifest.json") == manifest_sha, cot
+    for model, log_sha in GOLDEN_TRAINED_LOGS.items():
+        log = tmp_path / f"{model}.jsonl"
+        args = ["simulate", "--dataset", str(tmp_path / "none"), "--model", model,
+                "--reliability", "trained", "--out", str(log)]
+        assert main(args) == 0
+        assert _sha256(log) == log_sha, model
+
+
+def _assert_clean_error(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def _edited_copy(dataset_dir, tmp_path, edit_manifest):
+    out = tmp_path / "edited"
+    shutil.copytree(dataset_dir, out)
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit_manifest(manifest, out)
+    manifest_path.write_text(json.dumps(manifest))
+    return out
+
+
+def _drop_files(manifest, out):
+    del manifest["files"]
+
+
+def _drop_first_names(manifest, out):
+    del manifest["config"]["first_names"]
+
+
+@pytest.mark.parametrize(
+    "command, edit, needle",
+    [
+        ("classify", _drop_files, "files"),
+        ("estimate", _drop_first_names, "first_names"),
+        ("simulate", _drop_first_names, "first_names"),
+    ],
+)
+def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, command, edit, needle):
+    edited = _edited_copy(dataset_dir, tmp_path, edit)
+    args = {
+        "classify": ["--losses", str(run_log), "--force"],
+        "estimate": ["--losses", str(run_log), "--model", "2f", "--force"],
+        "simulate": ["--model", "2f", "--out", str(tmp_path / "run.jsonl")],
+    }[command]
+    _assert_clean_error(main([command, "--dataset", str(edited)] + args), capsys, needle)
+
+
+def test_entropy_config_missing_key_exits_1(dataset_dir, tmp_path, capsys):
+    config = json.loads((dataset_dir / "manifest.json").read_text())["config"]
+    del config["first_names"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["entropy", "--config", str(cfg_path), "--task", "one-hop"])
+    _assert_clean_error(code, capsys, "first_names")
+
+
+def test_malformed_question_row_exits_1(dataset_dir, tmp_path, capsys):
+    def break_third_row(manifest, out):
+        qa = out / "qa.jsonl"
+        lines = qa.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        row["kind"] = "three_hop"
+        lines[2] = json.dumps(row) + "\n"
+        qa.write_text("".join(lines))
+        manifest["files"]["qa.jsonl"] = _sha256(qa)
+
+    edited = _edited_copy(dataset_dir, tmp_path, break_third_row)
+    code = main(["simulate", "--dataset", str(edited), "--model", "2f",
+                 "--out", str(tmp_path / "run.jsonl")])
+    _assert_clean_error(code, capsys, "qa.jsonl:3:")

@@ -67,9 +67,9 @@ class TestPresenceScan:
     def test_train_items_fully_present(self, setup):
         ss, index = setup
         for item in ss.train[:200]:
-            if item.query.kind is QuestionKind.ONE_HOP:
+            if item.kind is QuestionKind.ONE_HOP:
                 continue
-            flags = presence_flags(index, item.query.e1, item.query.r, item.query.a)
+            flags = presence_flags(index, item.e1, item.r, item.a)
             assert flags.full_question_present
             assert flags.both_pairs_present
             assert flags.facts_one_hop_present
@@ -77,14 +77,14 @@ class TestPresenceScan:
     def test_full_holdout_lacks_exact_question(self, setup):
         ss, index = setup
         for item in ss.heldout["heldout_full"]:
-            flags = presence_flags(index, item.query.e1, item.query.r, item.query.a)
+            flags = presence_flags(index, item.e1, item.r, item.a)
             assert not flags.full_question_present
             assert flags.facts_one_hop_present  # one-hop facts are never excluded
 
     def test_pair_holdout_lacks_first_pair(self, setup):
         ss, index = setup
         for item in ss.heldout["heldout_e1r"]:
-            flags = presence_flags(index, item.query.e1, item.query.r, item.query.a)
+            flags = presence_flags(index, item.e1, item.r, item.a)
             assert not flags.first_hop_pair_present
             assert not flags.full_question_present
 
@@ -154,7 +154,7 @@ class TestBaselines:
         baselines = uniform_baselines(ss, micro_world.config)
         items = ss.heldout["heldout_e1"]
         expected = sum(
-            math.log2(micro_world.config.pool_size(i.query.a)) for i in items
+            math.log2(micro_world.config.pool_size(i.a)) for i in items
         ) / len(items)
         assert baselines["heldout_e1"] == pytest.approx(expected, rel=1e-12)
         assert set(baselines) == {"heldout_e1"}

@@ -97,7 +97,7 @@ class TestTrainedProfiles:
     def test_recurrent_answers_everything(self, micro_world, holdout_setup):
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.RECURRENT)
         item = holdout_setup.heldout["heldout_full"][0]
-        q = simulate_two_hop_prob(micro_world, profile, item.query.e1, item.query.r, item.query.a)
+        q = simulate_two_hop_prob(micro_world, profile, item.e1, item.r, item.a)
         assert q == 1.0
 
     def test_two_function_matches_pair_presence(self, micro_world, holdout_setup):
@@ -107,29 +107,29 @@ class TestTrainedProfiles:
         index = TrainIndex(micro_world, holdout_setup)
         # per item: perfect iff both hop pairs still occur in train two-hops
         for item in holdout_setup.heldout["heldout_full"]:
-            flags = presence_flags(index, item.query.e1, item.query.r, item.query.a)
+            flags = presence_flags(index, item.e1, item.r, item.a)
             q = simulate_two_hop_prob(
-                micro_world, profile, item.query.e1, item.query.r, item.query.a
+                micro_world, profile, item.e1, item.r, item.a
             )
             if flags.both_pairs_present:
                 assert q == 1.0
             else:
                 assert q < 1.0
         rel = holdout_setup.heldout["heldout_r"][0]
-        q = simulate_two_hop_prob(micro_world, profile, rel.query.e1, rel.query.r, rel.query.a)
-        assert q == 1.0 / micro_world.config.pool_size(rel.query.a)
+        q = simulate_two_hop_prob(micro_world, profile, rel.e1, rel.r, rel.a)
+        assert q == 1.0 / micro_world.config.pool_size(rel.a)
 
     def test_independent_answers_train_only(self, micro_world, holdout_setup):
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.INDEPENDENT)
         full = holdout_setup.heldout["heldout_full"][0]
-        q = simulate_two_hop_prob(micro_world, profile, full.query.e1, full.query.r, full.query.a)
-        assert q == 1.0 / micro_world.config.pool_size(full.query.a)
+        q = simulate_two_hop_prob(micro_world, profile, full.e1, full.r, full.a)
+        assert q == 1.0 / micro_world.config.pool_size(full.a)
         trained_item = next(
-            i for i in holdout_setup.train if i.query.kind is QuestionKind.TWO_HOP
+            i for i in holdout_setup.train if i.kind is QuestionKind.TWO_HOP
         )
         assert (
             simulate_two_hop_prob(
-                micro_world, profile, trained_item.query.e1, trained_item.query.r, trained_item.query.a
+                micro_world, profile, trained_item.e1, trained_item.r, trained_item.a
             )
             == 1.0
         )

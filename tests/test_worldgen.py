@@ -5,22 +5,18 @@ import math
 import pytest
 
 from twohop import (
-    Query,
+    QAItem,
     WorldConfig,
     build_splits,
-    build_vocab,
-    detokenize,
     generate_world,
     load_dataset,
     persist_dataset,
     render_question,
-    tokenize,
 )
 from twohop.worldgen import (
     ConfigError,
     HashMismatchError,
     QuestionKind,
-    VocabError,
     _item_to_json,
 )
 
@@ -80,14 +76,14 @@ class TestWorldGeneration:
 
 class TestRendering:
     def test_one_hop_template(self, micro_world):
-        item = render_question(micro_world, Query(0, None, "birth city", QuestionKind.ONE_HOP))
+        item = render_question(micro_world, QuestionKind.ONE_HOP, 0, None, "birth city")
         name = micro_world.entity_name(0)
         assert item.text == f"What was {name}'s birth city? {item.answer}"
         assert item.qid == "1h:0:birth city"
         assert item.e2 is None
 
     def test_two_hop_template(self, micro_world):
-        item = render_question(micro_world, Query(0, "mother", "birth city", QuestionKind.TWO_HOP))
+        item = render_question(micro_world, QuestionKind.TWO_HOP, 0, "mother", "birth city")
         name = micro_world.entity_name(0)
         assert item.text == f"What was {name}'s mother's birth city? {item.answer}"
         assert item.e2 == micro_world.relation_target(0, "mother")
@@ -95,7 +91,7 @@ class TestRendering:
 
     def test_cot_template(self, micro_world):
         item = render_question(
-            micro_world, Query(0, "boss", "birth city", QuestionKind.TWO_HOP_COT)
+            micro_world, QuestionKind.TWO_HOP_COT, 0, "boss", "birth city"
         )
         name = micro_world.entity_name(0)
         e2_name = micro_world.entity_name(item.e2)
@@ -108,25 +104,29 @@ class TestRendering:
         # an entity may be its own relation target; the trace then names it twice
         micro_world.profiles[5].relation_values["father"] = 5
         item = render_question(
-            micro_world, Query(5, "father", "birth city", QuestionKind.TWO_HOP_COT)
+            micro_world, QuestionKind.TWO_HOP_COT, 5, "father", "birth city"
         )
         name = micro_world.entity_name(5)
         assert f"{name}'s father was {name}." in item.text
 
     def test_relation_answer_is_a_name(self, micro_world):
-        item = render_question(micro_world, Query(1, None, "mother", QuestionKind.ONE_HOP))
+        item = render_question(micro_world, QuestionKind.ONE_HOP, 1, None, "mother")
         target = micro_world.relation_target(1, "mother")
         assert item.answer == micro_world.entity_name(target)
 
     def test_bad_queries(self, micro_world):
         with pytest.raises(ValueError):
-            render_question(micro_world, Query(0, None, "nope", QuestionKind.ONE_HOP))
+            render_question(micro_world, QuestionKind.ONE_HOP, 0, None, "nope")
         with pytest.raises(ValueError):
-            render_question(micro_world, Query(10**6, None, "mother", QuestionKind.ONE_HOP))
+            render_question(micro_world, QuestionKind.ONE_HOP, 10**6, None, "mother")
         with pytest.raises(ValueError):
-            Query(0, "mother", "birth city", QuestionKind.ONE_HOP)
+            render_question(micro_world, QuestionKind.ONE_HOP, 0, "mother", "birth city")
         with pytest.raises(ValueError):
-            Query(0, None, "birth city", QuestionKind.TWO_HOP)
+            render_question(micro_world, QuestionKind.TWO_HOP, 0, None, "birth city")
+        with pytest.raises(ValueError):
+            QAItem("1h:0:mother", QuestionKind.ONE_HOP, 0, "mother", "mother", None, "", "", "train")
+        with pytest.raises(ValueError):
+            QAItem("2h:0:x:mother", QuestionKind.TWO_HOP, 0, None, "mother", 1, "", "", "train")
 
 
 class TestSplits:
@@ -134,26 +134,26 @@ class TestSplits:
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1)
         cfg = micro_world.config
         one_hop = {
-            (i.query.e1, i.query.a)
+            (i.e1, i.a)
             for i in ss.train
-            if i.query.kind is QuestionKind.ONE_HOP
+            if i.kind is QuestionKind.ONE_HOP
         }
         assert len(one_hop) == cfg.n_profiles * len(cfg.attributes)
 
     def test_no_holdouts_means_all_two_hops_in_train(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1)
         cfg = micro_world.config
-        two_hop = [i for i in ss.train if i.query.kind is QuestionKind.TWO_HOP]
+        two_hop = [i for i in ss.train if i.kind is QuestionKind.TWO_HOP]
         assert len(two_hop) == cfg.n_profiles * len(cfg.relations) * len(cfg.attributes)
         assert all(not v for v in ss.heldout.values())
 
     def test_mix_ratio_zero_keeps_one_hop_only(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=0, seed=1)
-        assert all(i.query.kind is QuestionKind.ONE_HOP for i in ss.train)
+        assert all(i.kind is QuestionKind.ONE_HOP for i in ss.train)
 
     def test_interleaving_cadence(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1)
-        kinds = [i.query.kind for i in ss.train]
+        kinds = [i.kind for i in ss.train]
         # the first 11 items follow the 10:1 cadence exactly
         assert kinds[:11] == [QuestionKind.TWO_HOP] * 10 + [QuestionKind.ONE_HOP]
 
@@ -162,11 +162,11 @@ class TestSplits:
         held = {r for (r,) in map(tuple, ss.holdout_manifest["heldout_r"])}
         assert len(held) == math.ceil(0.34 * 3)
         for item in ss.train:
-            if item.query.kind is QuestionKind.TWO_HOP:
-                assert item.query.r not in held
+            if item.kind is QuestionKind.TWO_HOP:
+                assert item.r not in held
         # the underlying facts stay present as one-hop questions
         one_hop_attrs = {
-            i.query.a for i in ss.train if i.query.kind is QuestionKind.ONE_HOP
+            i.a for i in ss.train if i.kind is QuestionKind.ONE_HOP
         }
         assert held <= one_hop_attrs
 
@@ -180,16 +180,16 @@ class TestSplits:
         )
         held_e1 = {e for (e,) in map(tuple, ss.holdout_manifest["heldout_e1"])}
         for item in ss.heldout["heldout_full"]:
-            assert item.query.e1 not in held_e1
+            assert item.e1 not in held_e1
 
     def test_two_hop_answer_consistency(self, micro_world):
         ss = build_splits(micro_world, {"heldout_full": 0.01}, mix_ratio=10, seed=2)
         for item in list(ss.all_items())[:500]:
-            if item.query.kind is QuestionKind.ONE_HOP:
+            if item.kind is QuestionKind.ONE_HOP:
                 continue
-            e2 = micro_world.relation_target(item.query.e1, item.query.r)
+            e2 = micro_world.relation_target(item.e1, item.r)
             assert item.e2 == e2
-            assert item.answer == micro_world.answer_string(e2, item.query.a)
+            assert item.answer == micro_world.answer_string(e2, item.a)
 
     def test_exhausting_fraction_rejected(self, micro_world):
         with pytest.raises(ConfigError):
@@ -201,7 +201,7 @@ class TestSplits:
 
     def test_cot_flag(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1, cot=True)
-        kinds = {i.query.kind for i in ss.train}
+        kinds = {i.kind for i in ss.train}
         assert kinds == {QuestionKind.ONE_HOP, QuestionKind.TWO_HOP_COT}
 
 
@@ -224,37 +224,3 @@ class TestPersistence:
         qa.write_text(qa.read_text().replace("birth_city", "birth_town"))
         with pytest.raises(HashMismatchError):
             load_dataset(tmp_path)
-
-
-class TestVocab:
-    def test_round_trip_over_corpus(self, micro_world):
-        ss = build_splits(micro_world, {}, mix_ratio=10, seed=4, cot=True)
-        vocab = build_vocab(ss.all_items())
-        for item in list(ss.all_items())[:300]:
-            assert detokenize(vocab, tokenize(vocab, item.text)) == item.text
-
-    def test_reserved_ids(self, micro_world):
-        ss = build_splits(micro_world, {}, mix_ratio=0, seed=4)
-        vocab = build_vocab(ss.train)
-        assert vocab.pad_id == 0 and vocab.end_of_answer_id == 1
-        assert vocab.id_to_token[0] == "<pad>"
-        assert vocab.size <= 3000
-
-    def test_limit_enforced(self, micro_world):
-        ss = build_splits(micro_world, {}, mix_ratio=0, seed=4)
-        with pytest.raises(VocabError):
-            build_vocab(ss.train, max_size=10)
-
-    def test_unknown_token(self, micro_world):
-        ss = build_splits(micro_world, {}, mix_ratio=0, seed=4)
-        vocab = build_vocab(ss.train)
-        with pytest.raises(VocabError):
-            tokenize(vocab, "What was Zorblax's quest?")
-
-    def test_possessive_and_punctuation_spacing(self, micro_world):
-        ss = build_splits(micro_world, {}, mix_ratio=0, seed=4)
-        vocab = build_vocab(ss.train)
-        text = ss.train[0].text
-        ids = tokenize(vocab, text)
-        assert detokenize(vocab, ids) == text
-        assert "'s" in {vocab.id_to_token[i] for i in ids}
