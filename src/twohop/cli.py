@@ -49,9 +49,7 @@ def _check_binding(dataset_dir: Path, losses: Path, force: bool) -> None:
         raise worldgen.DatasetIOError(
             f"no run manifest at {run_meta_path}; pass --force to skip the dataset binding check"
         )
-    with open(run_meta_path, encoding="utf-8") as f:
-        run_meta = json.load(f)
-    recorded = run_meta.get("dataset_manifest_sha256")
+    recorded = _read_run_meta(losses).get("dataset_manifest_sha256")
     actual = _manifest_sha256(dataset_dir)
     if recorded != actual and not force:
         raise worldgen.DatasetIOError(
@@ -61,11 +59,18 @@ def _check_binding(dataset_dir: Path, losses: Path, force: bool) -> None:
 
 
 def _read_run_meta(losses: Path) -> dict:
+    """The run manifest next to a loss log, or {} when there is none."""
     run_meta_path = Path(losses).with_suffix(".json")
-    if run_meta_path.exists():
+    if not run_meta_path.exists():
+        return {}
+    try:
         with open(run_meta_path, encoding="utf-8") as f:
-            return json.load(f)
-    return {}
+            run_meta = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise worldgen.DatasetIOError(f"cannot read run manifest {run_meta_path}: {exc}") from exc
+    if not isinstance(run_meta, dict):
+        raise worldgen.DatasetIOError(f"run manifest {run_meta_path} is not a JSON object")
+    return run_meta
 
 
 def _two_hop_predicate(rec) -> bool:

@@ -7,14 +7,21 @@ the producer). Records join back to the dataset through qids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .worldgen import DatasetIOError, HOLDOUT_KINDS, load_manifest
+from .worldgen import (
+    DatasetIOError,
+    HOLDOUT_KINDS,
+    _decode_row,
+    _read_rows,
+    _verify_files,
+    _write_rows,
+    load_manifest,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossRecord:
     qid: str
     split: str
@@ -23,20 +30,13 @@ class LossRecord:
 
 
 def write_loss_log(records, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(
-                json.dumps(
-                    {
-                        "qid": rec.qid,
-                        "split": rec.split,
-                        "kind": rec.kind,
-                        "logprob_nats": rec.logprob_nats,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write_rows(
+        path,
+        (
+            {"qid": rec.qid, "split": rec.split, "kind": rec.kind, "logprob_nats": rec.logprob_nats}
+            for rec in records
+        ),
+    )
 
 
 def read_loss_log(path: Path) -> list[LossRecord]:
@@ -47,11 +47,11 @@ def read_loss_log(path: Path) -> list[LossRecord]:
                 if not line.strip():
                     continue
                 try:
-                    d = json.loads(line)
+                    d = _decode_row(line)
                     records.append(
                         LossRecord(d["qid"], d["split"], d["kind"], float(d["logprob_nats"]))
                     )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetIOError(f"{path}:{lineno}: malformed record: {exc}") from exc
     except OSError as exc:
         raise DatasetIOError(f"cannot read loss log: {exc}") from exc
@@ -91,18 +91,20 @@ def dataset_qids_by_split(dataset_dir: Path) -> dict[str, set[str]]:
     """Qid sets per split, read straight from qa.jsonl."""
     qids: dict[str, set[str]] = {}
     try:
-        with open(Path(dataset_dir) / "qa.jsonl", encoding="utf-8") as f:
-            for line in f:
-                d = json.loads(line)
-                qids.setdefault(d["split"], set()).add(d["qid"])
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        _read_rows(
+            Path(dataset_dir) / "qa.jsonl",
+            "question",
+            lambda d: qids.setdefault(d["split"], set()).add(d["qid"]),
+        )
+    except OSError as exc:
         raise DatasetIOError(f"cannot read qa.jsonl: {exc}") from exc
     return qids
 
 
 def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     """Report unknown/duplicate qids, positive logprobs, and per-split coverage."""
-    load_manifest(dataset_dir)  # fail early on a missing/corrupt dataset
+    # fail early on a missing or corrupt dataset, as load_dataset does
+    _verify_files(dataset_dir, load_manifest(dataset_dir))
     by_split = dataset_qids_by_split(dataset_dir)
     qid_to_split = {qid: split for split, qids in by_split.items() for qid in qids}
 
@@ -114,10 +116,10 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
             if not line.strip():
                 continue
             try:
-                d = json.loads(line)
+                d = _decode_row(line)
                 qid = d["qid"]
                 logprob = float(d["logprob_nats"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetIOError(f"{log_path}:{lineno}: malformed record: {exc}") from exc
             diag.n_records += 1
             if qid in seen:

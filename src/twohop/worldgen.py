@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -79,6 +80,7 @@ class QuestionKind(str, Enum):
 
 
 TWO_HOP_KINDS = (QuestionKind.TWO_HOP, QuestionKind.TWO_HOP_COT)
+_KIND_BY_VALUE = {kind.value: kind for kind in QuestionKind}
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,11 @@ class WorldConfig:
     def name_space_size(self) -> int:
         return self.first_names * self.middle_names * self.last_names
 
-    @property
+    @cached_property
     def property_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.properties)
 
-    @property
+    @cached_property
     def attributes(self) -> tuple[str, ...]:
         """All attributes: relations first, then properties."""
         return tuple(self.relations) + self.property_names
@@ -206,7 +208,7 @@ class World:
         return self.value_string(attribute, self.profiles[entity].property_values[attribute])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAItem:
     """One question (e1, r, a) rendered over a world; one-hop items have no r and no e2."""
 
@@ -408,6 +410,51 @@ def build_splits(
 
 # --- persistence ---------------------------------------------------------
 
+# Every JSONL row of a dataset or loss log is written and read through the
+# codec below. The encoder has json.dumps(row, sort_keys=True)'s settings, so
+# rows keep their bytes; one instance saves building an encoder per row.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _write_rows(path: Path, rows: Iterable[Mapping]) -> None:
+    """Write each row as one sorted-key JSON object per line."""
+    encode = _ROW_ENCODER.encode
+    with open(path, "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(encode(row) + "\n")
+
+
+def _decode_row(line: str):
+    """Decode one JSONL line to the value json.loads(line) gives, or raise its error."""
+    # The C scanner parses one value at index 0 and reports where it ended,
+    # skipping no whitespace and ignoring what follows. Its value is
+    # json.loads's only when it ends exactly at the line's end (before the
+    # newline). Any other line (padding, \r\n, extra data, no value at 0)
+    # goes to json.loads, so every line decodes to the same value, or fails
+    # with the same error, as json.loads(line).
+    end = len(line) - 1 if line.endswith("\n") else len(line)
+    try:
+        value, stop = _scan_value(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    return value if stop == end else json.loads(line)
+
+
+def _read_rows(path: Path, what: str, take) -> None:
+    """Pass each decoded line of a dataset file to ``take``.
+
+    A line that is not JSON (a blank line included), or whose value ``take``
+    rejects with KeyError, TypeError or ValueError, raises DatasetIOError
+    naming ``path:line``.
+    """
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                take(_decode_row(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DatasetIOError(f"{path}:{lineno}: malformed {what} row ({exc!r})") from None
+
 
 def sha256_file(path: Path, chunk_size: int = 1 << 20) -> str:
     hasher = hashlib.sha256()
@@ -428,12 +475,26 @@ def _profile_to_json(p: Profile) -> dict:
     }
 
 
+def _profile_from_json(d: Mapping) -> Profile:
+    return Profile(d["id"], d["first"], d["middle"], d["last"], d["relations"], d["properties"])
+
+
 def _item_to_json(item: QAItem) -> dict:
-    return {**vars(item), "kind": item.kind.value}
+    return {
+        "qid": item.qid,
+        "kind": item.kind.value,
+        "e1": item.e1,
+        "r": item.r,
+        "a": item.a,
+        "e2": item.e2,
+        "answer": item.answer,
+        "text": item.text,
+        "split": item.split,
+    }
 
 
 def _item_from_json(d: Mapping) -> QAItem:
-    return QAItem(d["qid"], QuestionKind(d["kind"]), d["e1"], d["r"], d["a"],
+    return QAItem(d["qid"], _KIND_BY_VALUE[d["kind"]], d["e1"], d["r"], d["a"],
                   d["e2"], d["answer"], d["text"], d["split"])
 
 
@@ -443,14 +504,9 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     path.mkdir(parents=True, exist_ok=True)
 
     profiles_path = path / "profiles.jsonl"
-    with open(profiles_path, "w", encoding="utf-8") as f:
-        for p in world.profiles:
-            f.write(json.dumps(_profile_to_json(p), sort_keys=True) + "\n")
-
+    _write_rows(profiles_path, map(_profile_to_json, world.profiles))
     qa_path = path / "qa.jsonl"
-    with open(qa_path, "w", encoding="utf-8") as f:
-        for item in split_set.all_items():
-            f.write(json.dumps(_item_to_json(item), sort_keys=True) + "\n")
+    _write_rows(qa_path, map(_item_to_json, split_set.all_items()))
 
     counts = {"train": len(split_set.train)}
     for kind in HOLDOUT_KINDS:
@@ -492,39 +548,33 @@ def load_manifest(path: Path) -> dict:
     return manifest
 
 
+def _verify_files(path: Path, manifest: Mapping) -> None:
+    """Check each dataset file against the sha256 its manifest records."""
+    for name, expected in manifest["files"].items():
+        actual = sha256_file(Path(path) / name)
+        if actual != expected:
+            raise HashMismatchError(f"{name}: expected {expected}, got {actual}")
+
+
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
     """Load a persisted dataset, verifying file hashes against the manifest."""
     path = Path(path)
     manifest = load_manifest(path)
-    for name, expected in manifest["files"].items():
-        actual = sha256_file(path / name)
-        if actual != expected:
-            raise HashMismatchError(f"{name}: expected {expected}, got {actual}")
+    _verify_files(path, manifest)
 
     config = WorldConfig.from_dict(manifest["config"])
-    profiles = []
-    with open(path / "profiles.jsonl", encoding="utf-8") as f:
-        for line in f:
-            d = json.loads(line)
-            profiles.append(
-                Profile(d["id"], d["first"], d["middle"], d["last"], d["relations"], d["properties"])
-            )
+    profiles: list[Profile] = []
+    _read_rows(path / "profiles.jsonl", "profile", lambda d: profiles.append(_profile_from_json(d)))
     world = World(config, profiles)
 
     train: list[QAItem] = []
     heldout: dict[str, list[QAItem]] = {kind: [] for kind in HOLDOUT_KINDS}
-    qa_path = path / "qa.jsonl"
-    with open(qa_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            try:
-                item = _item_from_json(json.loads(line))
-                if item.split == "train":
-                    train.append(item)
-                else:
-                    heldout[item.split].append(item)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetIOError(
-                    f"{qa_path}:{lineno}: malformed question row ({exc!r})"
-                ) from None
+    by_split = {"train": train, **heldout}
+
+    def take_item(d: Mapping) -> None:
+        item = _item_from_json(d)
+        by_split[item.split].append(item)
+
+    _read_rows(path / "qa.jsonl", "question", take_item)
     split_set = SplitSet(train, heldout, manifest["holdout_components"], manifest["split_params"])
     return split_set, world

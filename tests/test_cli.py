@@ -232,12 +232,23 @@ def _drop_first_names(manifest, out):
     del manifest["config"]["first_names"]
 
 
+def _drop_second_profile_first(manifest, out):
+    profiles = out / "profiles.jsonl"
+    lines = profiles.read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    del row["first"]
+    lines[1] = json.dumps(row) + "\n"
+    profiles.write_text("".join(lines))
+    manifest["files"]["profiles.jsonl"] = _sha256(profiles)
+
+
 @pytest.mark.parametrize(
     "command, edit, needle",
     [
         ("classify", _drop_files, "files"),
         ("estimate", _drop_first_names, "first_names"),
         ("simulate", _drop_first_names, "first_names"),
+        ("simulate", _drop_second_profile_first, "profiles.jsonl:2:"),
     ],
 )
 def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, command, edit, needle):
@@ -273,3 +284,21 @@ def test_malformed_question_row_exits_1(dataset_dir, tmp_path, capsys):
     code = main(["simulate", "--dataset", str(edited), "--model", "2f",
                  "--out", str(tmp_path / "run.jsonl")])
     _assert_clean_error(code, capsys, "qa.jsonl:3:")
+
+
+def test_validate_tampered_dataset_exits_1(dataset_dir, run_log, tmp_path, capsys):
+    def tamper_qa(manifest, out):
+        qa = out / "qa.jsonl"
+        qa.write_text(qa.read_text().replace("birth_city", "birth_town"))
+
+    edited = _edited_copy(dataset_dir, tmp_path, tamper_qa)
+    code = main(["validate", "--dataset", str(edited), "--losses", str(run_log)])
+    _assert_clean_error(code, capsys, "qa.jsonl")
+
+
+def test_run_manifest_not_object_exits_1(dataset_dir, run_log, tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    shutil.copy(run_log, log)
+    log.with_suffix(".json").write_text("[]\n")
+    code = main(["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f"])
+    _assert_clean_error(code, capsys, "not a JSON object")

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohop import (
     QAItem,
@@ -17,6 +19,7 @@ from twohop.worldgen import (
     ConfigError,
     HashMismatchError,
     QuestionKind,
+    _decode_row,
     _item_to_json,
 )
 
@@ -224,3 +227,40 @@ class TestPersistence:
         qa.write_text(qa.read_text().replace("birth_city", "birth_town"))
         with pytest.raises(HashMismatchError):
             load_dataset(tmp_path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """A json.dumps value with optional padding, trailing data and line ending."""
+    body = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()))
+    lead = draw(st.sampled_from(["", " ", "\t", "\ufeff"]))
+    tail = draw(st.sampled_from(["", " ", "\r", "x", ",", " {}", ", {\"b\": 2}", "]"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return lead + body + tail + ending
+
+
+BAD_LINES = ["{} {}\n", '{"a": 1}, {"b": 2}\n', "\n", "", " \t\n", '{"x": [1\n', "2]}\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=jsonl_lines() | st.sampled_from(BAD_LINES) | st.text(max_size=20))
+def test_decode_row_matches_json_loads(line):
+    # json.loads is the reference: same value (compared through its exact
+    # serialization, so NaN, -0.0, int/float and key order all count) or the
+    # same JSONDecodeError.
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as got:
+            _decode_row(line)
+        assert str(got.value) == str(exc)
+        return
+    assert json.dumps(_decode_row(line)) == json.dumps(expected)
