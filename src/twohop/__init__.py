@@ -28,7 +28,6 @@ from .generalization import (
     TrainIndex,
     classify_algorithm,
     evaluate_holdouts,
-    generalization_gap,
     predict_generalization,
     presence_flags,
     uniform_baselines,

@@ -147,9 +147,7 @@ def _cmd_simulate(args) -> int:
         profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
     else:
         profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
-    records = simulate.generate_loss_log(
-        world, profile, split_set, strict_property_fallback=args.strict_fallback
-    )
+    records = simulate.generate_loss_log(world, profile, split_set)
     out = Path(args.out)
     logs.write_loss_log(records, out)
     run_meta = {
@@ -166,7 +164,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_for(dataset_dir: Path, losses: Path, model: str, variance_correction: str):
+def _estimate_for(dataset_dir: Path, losses: Path, model: str):
     manifest = worldgen.load_manifest(dataset_dir)
     config = worldgen.WorldConfig.from_dict(manifest["config"])
     task, kind = _task_and_kind(model)
@@ -177,15 +175,13 @@ def _estimate_for(dataset_dir: Path, losses: Path, model: str, variance_correcti
         agg = estimator.aggregate_losses(records, predicate=_two_hop_predicate)
     rep = entropy_mod.dataset_entropy(config, task, kind)
     counts = estimator.FactCounts.from_config(config)
-    est = estimator.content_estimate(task, kind, rep, agg, counts, variance_correction)
+    est = estimator.content_estimate(task, kind, rep, agg, counts)
     return est, config, agg
 
 
 def _cmd_estimate(args) -> int:
     _check_binding(Path(args.dataset), Path(args.losses), args.force)
-    est, config, agg = _estimate_for(
-        Path(args.dataset), Path(args.losses), args.model, args.variance_correction
-    )
+    est, config, agg = _estimate_for(Path(args.dataset), Path(args.losses), args.model)
     task, kind = _task_and_kind(args.model)
     payload = est.to_dict()
     payload["baseline_bits"] = entropy_mod.baseline_content(config, task, kind)
@@ -207,7 +203,7 @@ def _cmd_classify(args) -> int:
         aggregates[kind] = estimator.aggregate_losses(
             records, split=kind, predicate=_two_hop_predicate
         )
-    signature = generalization.evaluate_holdouts(aggregates, baselines, args.threshold)
+    signature = generalization.evaluate_holdouts(aggregates, baselines)
     generalization.classify_algorithm(signature)
     _emit(signature.to_dict())
     return 0
@@ -228,7 +224,7 @@ def _cmd_report(args) -> int:
     points = []
     for losses in args.losses:
         _check_binding(dataset_dir, Path(losses), args.force)
-        est, _, _ = _estimate_for(dataset_dir, Path(losses), args.model, args.variance_correction)
+        est, _, _ = _estimate_for(dataset_dir, Path(losses), args.model)
         run_meta = _read_run_meta(Path(losses))
         params = run_meta.get("param_count") or 0
         if params <= 0:
@@ -296,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reliability", default="trained",
                    help="trained | chance | VALUE | budget:BITS | two-point:LO,HI,FRAC")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict-fallback", action="store_true",
-                   help="first-hop misses fall back over the answer pool, not |N|")
     p.add_argument("--label", default="run")
     p.add_argument("--param-count", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -307,14 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", required=True)
     p.add_argument("--model", choices=MODEL_CHOICES, required=True)
-    p.add_argument("--variance-correction", choices=("2f-only", "both"), default="2f-only")
     p.add_argument("--force", action="store_true", help="skip the dataset binding check")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("classify", help="holdout generalization signature and algorithm")
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", required=True)
-    p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--force", action="store_true", help="skip the dataset binding check")
     p.set_defaults(func=_cmd_classify)
 
@@ -327,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", nargs="+", required=True)
     p.add_argument("--model", choices=MODEL_CHOICES, required=True)
-    p.add_argument("--variance-correction", choices=("2f-only", "both"), default="2f-only")
     p.add_argument("--slope", type=float, action="append", default=None,
                    help="capacity reference slope(s); default 2.0, repeatable "
                    "(e.g. add 1.6 for the observed line)")

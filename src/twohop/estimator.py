@@ -29,8 +29,6 @@ class AggregateLoss:
     mean_loss_nats: float
     var_loss_nats: float
     count: int
-    split: str | None = None
-    kind: str | None = None
 
     @property
     def mean_loss_bits(self) -> float:
@@ -67,7 +65,7 @@ def aggregate_losses(
         m2 += delta * (loss - mean)
     if count == 0:
         raise EstimatorError("no records match the selection")
-    return AggregateLoss(mean, m2 / count, count, split, kind)
+    return AggregateLoss(mean, m2 / count, count)
 
 
 def merge_aggregates(a: AggregateLoss, b: AggregateLoss) -> AggregateLoss:
@@ -80,7 +78,7 @@ def merge_aggregates(a: AggregateLoss, b: AggregateLoss) -> AggregateLoss:
         + b.var_loss_nats * b.count
         + delta * delta * a.count * b.count / count
     )
-    return AggregateLoss(mean, m2 / count, count, a.split, a.kind)
+    return AggregateLoss(mean, m2 / count, count)
 
 
 class Branch(str, Enum):
@@ -97,19 +95,17 @@ class EffectiveLoss:
     summed_loss_nats: float | None
     branch: Branch
     u: float
-    epsilon: float | None
     q_tilde: float
 
 
-def _q_tilde(mean_loss_nats: float, var_loss_nats: float, n: int, correct: bool) -> tuple[float, bool]:
+def _q_tilde(mean_loss_nats: float, var_loss_nats: float, n: int) -> tuple[float, bool]:
+    """Two-hop probability exp(-mean) * (1 + Var/2), clamped to [1/n, 1]."""
     if mean_loss_nats < -1e-12:
         raise EstimatorError("mean loss must be >= 0")
     mean_loss_nats = max(0.0, mean_loss_nats)
     if var_loss_nats < 0:
         raise EstimatorError("loss variance must be >= 0")
-    q = math.exp(-mean_loss_nats)
-    if correct:
-        q *= 1.0 + var_loss_nats / 2.0
+    q = math.exp(-mean_loss_nats) * (1.0 + var_loss_nats / 2.0)
     clamped = not (1.0 / n <= q <= 1.0)
     return min(1.0, max(1.0 / n, q)), clamped
 
@@ -119,33 +115,28 @@ def two_function_threshold(n: int) -> float:
     return 2.0 / n - 1.0 / (n * n)
 
 
-def effective_loss_recurrent(
-    mean_loss_nats: float,
-    var_loss_nats: float = 0.0,
-    n: int = 2,
-    variance_correction: bool = False,
-) -> EffectiveLoss:
+def effective_loss_recurrent(mean_loss_nats: float, n: int) -> EffectiveLoss:
     """Invert q = u^2 + (1-u)/n for the per-hop probability of a reused fact map.
 
     Takes the root that maps q=1 to u=1 and fixes the chance level q=1/n at
-    u=1/n. The variance correction is off by default, matching the
-    two-hop-loss treatment that only applies it in the two-function case.
+    u=1/n. q is exp(-mean) with no variance factor: only the two-function
+    inversion applies one.
     """
     if n < 2:
         raise EstimatorError("n must be >= 2")
-    q, clamped = _q_tilde(mean_loss_nats, var_loss_nats, n, variance_correction)
+    q, clamped = _q_tilde(mean_loss_nats, 0.0, n)
     disc = 1.0 - 4.0 * n * (1.0 - n * q)
     u = (1.0 + math.sqrt(disc)) / (2.0 * n)
     u = min(1.0, max(1.0 / n, u))
     branch = Branch.CLAMPED if clamped else (
         Branch.ABOVE_THRESHOLD if q > two_function_threshold(n) else Branch.BELOW_THRESHOLD
     )
+    # 0.0 - log(1.0) is 0.0 where -log(1.0) is -0.0
     return EffectiveLoss(
-        per_hop_loss_nats=-math.log(u),
+        per_hop_loss_nats=0.0 - math.log(u),
         summed_loss_nats=None,
         branch=branch,
         u=u,
-        epsilon=None,
         q_tilde=q,
     )
 
@@ -154,17 +145,17 @@ def effective_loss_two_function(
     mean_loss_nats: float,
     var_loss_nats: float = 0.0,
     n: int = 2,
-    variance_correction: bool = True,
 ) -> EffectiveLoss:
     """Summed hop loss for a pair of hop functions with a shared budget.
 
     The conservative feasible split minimizes the joint hop probability:
     above the threshold q* = 2/n - 1/n^2 the second hop saturates at 1,
-    below it the first hop is pinned at the chance floor 1/n.
+    below it the first hop is pinned at the chance floor 1/n. q carries the
+    second-order factor (1 + Var/2).
     """
     if n < 2:
         raise EstimatorError("n must be >= 2")
-    q, clamped = _q_tilde(mean_loss_nats, var_loss_nats, n, variance_correction)
+    q, clamped = _q_tilde(mean_loss_nats, var_loss_nats, n)
     inv_n = 1.0 / n
     if q > two_function_threshold(n):
         p1 = (q - inv_n) / (1.0 - inv_n)
@@ -179,10 +170,9 @@ def effective_loss_two_function(
     product = p1 * p2
     return EffectiveLoss(
         per_hop_loss_nats=None,
-        summed_loss_nats=-math.log(product),
+        summed_loss_nats=0.0 - math.log(product),
         branch=branch,
         u=math.sqrt(product),
-        epsilon=math.sqrt(p1 / p2),
         q_tilde=q,
     )
 
@@ -304,15 +294,8 @@ def content_estimate(
     entropy: EntropyReport,
     aggregate: AggregateLoss,
     counts: FactCounts,
-    variance_correction: str = "2f-only",
 ) -> ContentEstimate:
-    """Lower-bound content: dataset entropy minus total (effective) loss in bits.
-
-    variance_correction "2f-only" applies the (1 + Var/2) factor only in the
-    two-function inversion; "both" applies it in both inversions.
-    """
-    if variance_correction not in ("2f-only", "both"):
-        raise EstimatorError(f"unknown variance correction mode: {variance_correction}")
+    """Lower-bound content: dataset entropy minus total (effective) loss in bits."""
     if task is Task.ONE_HOP:
         if entropy.task is not Task.ONE_HOP:
             raise EstimatorError("one-hop estimate requires one-hop entropy")
@@ -325,21 +308,13 @@ def content_estimate(
         loss_bits = fact_count * aggregate.mean_loss_bits
         branch = None
     elif model_kind is ModelKind.RECURRENT:
-        eff = effective_loss_recurrent(
-            aggregate.mean_loss_nats,
-            aggregate.var_loss_nats,
-            counts.n_profiles,
-            variance_correction=(variance_correction == "both"),
-        )
+        eff = effective_loss_recurrent(aggregate.mean_loss_nats, counts.n_profiles)
         fact_count = counts.n_profiles * counts.n_attributes
         loss_bits = fact_count * eff.per_hop_loss_nats / LN2
         branch = eff.branch
     elif model_kind is ModelKind.TWO_FUNCTION:
         eff = effective_loss_two_function(
-            aggregate.mean_loss_nats,
-            aggregate.var_loss_nats,
-            counts.n_profiles,
-            variance_correction=True,
+            aggregate.mean_loss_nats, aggregate.var_loss_nats, counts.n_profiles
         )
         fact_count = counts.n_profiles * counts.n_attributes
         loss_bits = fact_count * eff.summed_loss_nats / LN2

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .entropy import LN2, ModelKind
+from .entropy import ModelKind
 from .estimator import AggregateLoss, aggregate_losses
 from .logs import LossRecord
 from .worldgen import HOLDOUT_KINDS, QuestionKind, SplitSet, World, WorldConfig
@@ -127,9 +127,11 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
 def evaluate_holdouts(
     aggregates: dict[str, AggregateLoss],
     baselines: dict[str, float],
-    threshold: float = 0.0,
 ) -> GeneralizationSignature:
-    """Per-holdout deltas (baseline minus observed loss, bits) and booleans."""
+    """Per-holdout deltas (baseline minus observed loss, bits) and booleans.
+
+    A holdout set generalizes when its delta is positive.
+    """
     missing = [k for k in HOLDOUT_KINDS if k in baselines and k not in aggregates]
     if missing:
         raise EvaluationError(f"no aggregates for holdout sets: {missing}")
@@ -140,7 +142,7 @@ def evaluate_holdouts(
             continue
         delta = baselines[kind] - aggregates[kind].mean_loss_bits
         deltas[kind] = delta
-        generalizes[kind] = delta > threshold
+        generalizes[kind] = delta > 0.0
     return GeneralizationSignature(generalizes, deltas)
 
 
@@ -161,11 +163,3 @@ def classify_algorithm(signature: GeneralizationSignature) -> Inferred:
     signature.inferred = inferred
     return inferred
 
-
-def generalization_gap(train: AggregateLoss, heldout: AggregateLoss) -> float:
-    """Held-out mean loss minus train mean loss, in bits."""
-    if train.kind != heldout.kind:
-        raise EvaluationError(
-            f"kind mismatch: train={train.kind!r} vs heldout={heldout.kind!r}"
-        )
-    return (heldout.mean_loss_nats - train.mean_loss_nats) / LN2

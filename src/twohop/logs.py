@@ -39,8 +39,11 @@ def write_loss_log(records, path: Path) -> None:
     )
 
 
-def read_loss_log(path: Path) -> list[LossRecord]:
-    records = []
+def _loss_rows(path: Path):
+    """Yield (line number, LossRecord) for each non-blank line of a loss log.
+
+    A line that is not a record raises DatasetIOError naming ``path:line``.
+    """
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -48,14 +51,16 @@ def read_loss_log(path: Path) -> list[LossRecord]:
                     continue
                 try:
                     d = _decode_row(line)
-                    records.append(
-                        LossRecord(d["qid"], d["split"], d["kind"], float(d["logprob_nats"]))
-                    )
+                    rec = LossRecord(d["qid"], d["split"], d["kind"], float(d["logprob_nats"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetIOError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                yield lineno, rec
     except OSError as exc:
         raise DatasetIOError(f"cannot read loss log: {exc}") from exc
-    return records
+
+
+def read_loss_log(path: Path) -> list[LossRecord]:
+    return [rec for _, rec in _loss_rows(path)]
 
 
 @dataclass
@@ -111,27 +116,19 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     diag = LogDiagnostics(n_records=0)
     seen: set[str] = set()
     covered: dict[str, set[str]] = {split: set() for split in by_split}
-    with open(log_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                d = _decode_row(line)
-                qid = d["qid"]
-                logprob = float(d["logprob_nats"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetIOError(f"{log_path}:{lineno}: malformed record: {exc}") from exc
-            diag.n_records += 1
-            if qid in seen:
-                diag.duplicate_qids.append(qid)
-            seen.add(qid)
-            if logprob > 0:
-                diag.positive_logprobs.append((lineno, qid))
-            split = qid_to_split.get(qid)
-            if split is None:
-                diag.unknown_qids.append(qid)
-            else:
-                covered[split].add(qid)
+    for lineno, rec in _loss_rows(log_path):
+        qid = rec.qid
+        diag.n_records += 1
+        if qid in seen:
+            diag.duplicate_qids.append(qid)
+        seen.add(qid)
+        if rec.logprob_nats > 0:
+            diag.positive_logprobs.append((lineno, qid))
+        split = qid_to_split.get(qid)
+        if split is None:
+            diag.unknown_qids.append(qid)
+        else:
+            covered[split].add(qid)
 
     for split in ["train"] + [k for k in HOLDOUT_KINDS if k in by_split]:
         if split not in by_split:

@@ -95,7 +95,8 @@ def scaling_plot(
     X is log-scaled parameter count, Y is content in bits. References:
     dataset entropy (horizontal), uniform-guessing baseline (horizontal),
     and one capacity line content = slope * params per requested slope.
-    Output is byte-identical for identical input.
+    Output is byte-identical for identical input. The reference levels are
+    shared, so every row must carry the same entropy and baseline.
     """
     points = parse_capacity_table(csv_text)
     if not points:
@@ -103,6 +104,8 @@ def scaling_plot(
 
     entropy = points[0].entropy_bits
     baseline = points[0].baseline_bits
+    if any(p.entropy_bits != entropy or p.baseline_bits != baseline for p in points):
+        raise ValueError("capacity table rows disagree on entropy_bits or baseline_bits")
     xs = [p.param_count for p in points]
     x_lo = math.log10(min(xs)) - 0.2
     x_hi = math.log10(max(xs)) + 0.2
@@ -152,7 +155,8 @@ def scaling_plot(
             f'<text x="{width - margin - 4}" y="{y - 4:.2f}" text-anchor="end" '
             f'font-size="11" fill="#777777">{name}</text>'
         )
-    for slope in capacity_slopes:
+    # left-hand labels stack 14px apart: the slopes, then (after a gap) the series
+    for si, slope in enumerate(capacity_slopes):
         coords = []
         steps = 50
         for i in range(steps + 1):
@@ -166,13 +170,14 @@ def scaling_plot(
             f'stroke-dasharray="3 3" fill="none"/>'
         )
         lines.append(
-            f'<text x="{margin + 6}" y="{margin + 14}" font-size="11" '
+            f'<text x="{margin + 6}" y="{margin + 14 + 14 * si}" font-size="11" '
             f'fill="#222222">{slope:g} bits/param</text>'
         )
 
     groups: dict[str, list[CapacityPoint]] = {}
     for p in points:
         groups.setdefault(p.model_kind, []).append(p)
+    series_y = margin + 16 + 14 * len(capacity_slopes)
     for gi, (kind, group) in enumerate(sorted(groups.items())):
         color = _SERIES_COLORS[gi % len(_SERIES_COLORS)]
         coords = [(sx(p.param_count), sy(p.content_bits)) for p in group]
@@ -186,7 +191,7 @@ def scaling_plot(
                 f"<title>{p.label}</title></circle>"
             )
         lines.append(
-            f'<text x="{margin + 6}" y="{margin + 30 + 14 * gi}" font-size="11" '
+            f'<text x="{margin + 6}" y="{series_y + 14 * gi}" font-size="11" '
             f'fill="{color}">{kind}</text>'
         )
 

@@ -110,19 +110,18 @@ class ReliabilityProfile:
         world: World,
         split_set: SplitSet,
         model_kind: ModelKind,
-        learned: float = 1.0,
     ) -> "ReliabilityProfile":
         """Mark as learned exactly the facts occurring in the train split.
 
         Recurrent learns from one-hop facts (always all present); two-function
         learns first-hop pairs and second-hop pairs only from their in-role
         occurrences in train two-hop questions; independent memorizes the
-        train two-hop questions. Everything else answers uniformly.
+        train two-hop questions. A learned fact has reliability 1; everything
+        else answers uniformly.
         """
-        cfg = world.config
         if model_kind is ModelKind.RECURRENT:
             facts = {
-                (item.e1, item.a): learned
+                (item.e1, item.a): 1.0
                 for item in split_set.train
                 if item.kind is QuestionKind.ONE_HOP
             }
@@ -133,11 +132,11 @@ class ReliabilityProfile:
             for item in split_set.train:
                 if item.kind is QuestionKind.ONE_HOP:
                     continue
-                hop1[(item.e1, item.r)] = learned
-                hop2[(item.e2, item.a)] = learned
+                hop1[(item.e1, item.r)] = 1.0
+                hop2[(item.e2, item.a)] = 1.0
             return cls(model_kind, hop1=hop1, hop2=hop2, unlearned_uniform=True)
         memo = {
-            (item.e1, item.r, item.a): learned
+            (item.e1, item.r, item.a): 1.0
             for item in split_set.train
             if item.kind is not QuestionKind.ONE_HOP
         }
@@ -175,12 +174,11 @@ def simulate_two_hop_prob(
     e1: int,
     r: str,
     a: str,
-    strict_property_fallback: bool = False,
 ) -> float:
     """Probability of the correct two-hop answer.
 
     For composing models, a first-hop miss falls back to a uniform guess
-    over |N| entities; strict mode uses the final attribute's pool instead.
+    over |N| entities, the fallback both inversions assume.
     """
     cfg = world.config
     if not cfg.is_relation(r):
@@ -197,15 +195,13 @@ def simulate_two_hop_prob(
         p2 = _lookup(profile.hop2, (e2, a), profile)
     if p1 is None or p2 is None:
         return _chance(cfg, a)
-    fallback_pool = cfg.pool_size(a) if strict_property_fallback else cfg.n_profiles
-    return p1 * p2 + (1.0 - p1) / fallback_pool
+    return p1 * p2 + (1.0 - p1) / cfg.n_profiles
 
 
 def generate_loss_log(
     world: World,
     profile: ReliabilityProfile,
     split_set: SplitSet,
-    strict_property_fallback: bool = False,
 ) -> list[LossRecord]:
     """One record per QA item with logprob = ln q of the simulated answer."""
     records = []
@@ -213,9 +209,7 @@ def generate_loss_log(
         if item.kind is QuestionKind.ONE_HOP:
             prob = simulate_one_hop_prob(world, profile, item.e1, item.a)
         else:
-            prob = simulate_two_hop_prob(
-                world, profile, item.e1, item.r, item.a, strict_property_fallback
-            )
+            prob = simulate_two_hop_prob(world, profile, item.e1, item.r, item.a)
         records.append(LossRecord(item.qid, item.split, item.kind.value, math.log(prob)))
     return records
 

@@ -153,18 +153,35 @@ class WorldConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorldConfig":
+        """Rebuild a config from ``to_dict``'s JSON form.
+
+        A missing key or a value of the wrong type raises ConfigError.
+        """
         try:
-            return cls(
-                n_profiles=data["n_profiles"],
-                first_names=data["first_names"],
-                middle_names=data["middle_names"],
-                last_names=data["last_names"],
-                relations=tuple(data["relations"]),
-                properties=tuple((name, size) for name, size in data["properties"]),
-                seed=data["seed"],
-            )
+            ints = {key: data[key] for key in _CONFIG_INT_KEYS}
+            relations = data["relations"]
+            properties = data["properties"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config: {exc!r}") from None
+        # type(), not isinstance(): a JSON true must not pass as the integer 1
+        for key, value in ints.items():
+            if type(value) is not int:
+                raise ConfigError(f"malformed config: {key} must be an integer, got {value!r}")
+        if type(relations) is not list or any(type(r) is not str for r in relations):
+            raise ConfigError("malformed config: relations must be a list of strings")
+        if type(properties) is not list or any(
+            type(p) is not list or len(p) != 2 or type(p[0]) is not str or type(p[1]) is not int
+            for p in properties
+        ):
+            raise ConfigError("malformed config: properties must be a list of [name, size] pairs")
+        return cls(
+            relations=tuple(relations),
+            properties=tuple((name, size) for name, size in properties),
+            **ints,
+        )
+
+
+_CONFIG_INT_KEYS = ("n_profiles", "first_names", "middle_names", "last_names", "seed")
 
 
 @dataclass(frozen=True)
@@ -545,6 +562,9 @@ def load_manifest(path: Path) -> dict:
     missing = [key for key in keys_read if key not in manifest]
     if missing:
         raise DatasetIOError(f"manifest lacks {', '.join(missing)}")
+    files = manifest["files"]
+    if not isinstance(files, dict) or any(type(sha) is not str for sha in files.values()):
+        raise DatasetIOError("manifest files must map file names to sha256 strings")
     return manifest
 
 

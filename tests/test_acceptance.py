@@ -96,7 +96,7 @@ def test_criterion_2_recurrent_inversion_round_trip():
                 if u < 1.0 / n:
                     continue  # below the chance floor: not producible by the model
                 q = u * u + (1.0 - u) / n
-                eff = effective_loss_recurrent(-math.log(q), 0.0, n)
+                eff = effective_loss_recurrent(-math.log(q), n)
                 worst = max(worst, abs(eff.u - u))
                 assert abs(oracle_invert_recurrent(q, n) - u) <= 1e-9
         assert worst <= 1e-9, worst
@@ -125,7 +125,7 @@ def test_criterion_4_chance_fixed_points():
     """Chance-level two-hop loss maps to chance-level hop losses."""
     with criterion(4, "chance fixed points"):
         for n in (10, 100, 1000, 10_000):
-            rec = effective_loss_recurrent(math.log(n), 0.0, n)
+            rec = effective_loss_recurrent(math.log(n), n)
             two = effective_loss_two_function(math.log(n), 0.0, n)
             assert abs(rec.per_hop_loss_nats - math.log(n)) <= 1e-12 * math.log(n)
             assert abs(two.summed_loss_nats - 2 * math.log(n)) <= 1e-12 * math.log(n)

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 import shutil
 
 import pytest
 
-from twohop.cli import main
+from twohop.cli import build_parser, main
 
 GEN_ARGS = [
     "gen",
@@ -122,6 +123,15 @@ def test_validate_flags_bad_log(dataset_dir, tmp_path, capsys):
     assert payload["has_violations"] is True
 
 
+def test_validate_row_without_split_exits_1(dataset_dir, tmp_path, capsys):
+    # validate parses rows as estimate does, so both reject the same log
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"qid": "q", "kind": "one_hop", "logprob_nats": -0.5}\n')
+    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
+        _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record: 'split'")
+
+
 def test_report(dataset_dir, run_log, tmp_path, capsys):
     csv_path = tmp_path / "capacity.csv"
     svg_path = tmp_path / "capacity.svg"
@@ -142,6 +152,31 @@ def test_report(dataset_dir, run_log, tmp_path, capsys):
     svg = svg_path.read_text()
     assert svg.count('class="reference"') == 3
     assert svg.count('class="series"') == 1
+
+
+# Every option each subcommand takes, so that adding or removing one is a
+# deliberate edit here. A setting with one value in use is a constant in the
+# code, not an option.
+SUBCOMMAND_OPTIONS = {
+    "gen": {"--profiles", "--relations", "--properties", "--name-pools", "--mix-ratio",
+            "--holdout-frac", "--cot", "--seed", "--out"},
+    "entropy": {"--config", "--task", "--model"},
+    "simulate": {"--dataset", "--model", "--reliability", "--seed", "--label", "--param-count",
+                 "--out"},
+    "estimate": {"--dataset", "--losses", "--model", "--force"},
+    "classify": {"--dataset", "--losses", "--force"},
+    "validate": {"--dataset", "--losses"},
+    "report": {"--dataset", "--losses", "--model", "--slope", "--out-csv", "--out-svg", "--force"},
+}
+
+
+def test_subcommand_options_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
 
 
 def test_usage_errors():
@@ -228,8 +263,16 @@ def _drop_files(manifest, out):
     del manifest["files"]
 
 
+def _files_as_list(manifest, out):
+    manifest["files"] = []
+
+
 def _drop_first_names(manifest, out):
     del manifest["config"]["first_names"]
+
+
+def _string_n_profiles(manifest, out):
+    manifest["config"]["n_profiles"] = "30"
 
 
 def _drop_second_profile_first(manifest, out):
@@ -246,7 +289,9 @@ def _drop_second_profile_first(manifest, out):
     "command, edit, needle",
     [
         ("classify", _drop_files, "files"),
+        ("validate", _files_as_list, "files"),
         ("estimate", _drop_first_names, "first_names"),
+        ("estimate", _string_n_profiles, "n_profiles"),
         ("simulate", _drop_first_names, "first_names"),
         ("simulate", _drop_second_profile_first, "profiles.jsonl:2:"),
     ],
@@ -257,6 +302,7 @@ def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, comm
         "classify": ["--losses", str(run_log), "--force"],
         "estimate": ["--losses", str(run_log), "--model", "2f", "--force"],
         "simulate": ["--model", "2f", "--out", str(tmp_path / "run.jsonl")],
+        "validate": ["--losses", str(run_log)],
     }[command]
     _assert_clean_error(main([command, "--dataset", str(edited)] + args), capsys, needle)
 

@@ -75,13 +75,13 @@ class TestAggregation:
 
 class TestRecurrentInversion:
     def test_perfect_answers(self):
-        eff = effective_loss_recurrent(0.0, 0.0, 1000)
+        eff = effective_loss_recurrent(0.0, 1000)
         assert eff.u == 1.0
         assert eff.per_hop_loss_nats == 0.0
 
     def test_chance_fixed_point(self):
         n = 1000
-        eff = effective_loss_recurrent(math.log(n), 0.0, n)
+        eff = effective_loss_recurrent(math.log(n), n)
         assert eff.per_hop_loss_nats == pytest.approx(math.log(n), rel=1e-12)
 
     def test_round_trip_against_oracle(self):
@@ -90,19 +90,14 @@ class TestRecurrentInversion:
                 if u < 1 / n:
                     continue
                 q = u * u + (1 - u) / n
-                eff = effective_loss_recurrent(-math.log(q), 0.0, n)
+                eff = effective_loss_recurrent(-math.log(q), n)
                 assert eff.u == pytest.approx(u, abs=1e-9)
                 assert oracle_invert_recurrent(q, n) == pytest.approx(u, abs=1e-9)
 
     def test_clamps_sub_chance_loss(self):
-        eff = effective_loss_recurrent(math.log(10_000), 0.0, 100)
+        eff = effective_loss_recurrent(math.log(10_000), 100)
         assert eff.branch is Branch.CLAMPED
         assert eff.q_tilde == pytest.approx(0.01)
-
-    def test_variance_correction_reduces_loss(self):
-        lossy = effective_loss_recurrent(2.0, 0.5, 1000, variance_correction=False)
-        corrected = effective_loss_recurrent(2.0, 0.5, 1000, variance_correction=True)
-        assert corrected.per_hop_loss_nats < lossy.per_hop_loss_nats
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -110,8 +105,8 @@ class TestRecurrentInversion:
         n=st.integers(2, 10_000),
     )
     def test_loss_monotone_in_mean(self, mean, n):
-        lo = effective_loss_recurrent(mean, 0.0, n)
-        hi = effective_loss_recurrent(mean + 0.1, 0.0, n)
+        lo = effective_loss_recurrent(mean, n)
+        hi = effective_loss_recurrent(mean + 0.1, n)
         assert hi.per_hop_loss_nats >= lo.per_hop_loss_nats - 1e-12
         assert 0.0 <= lo.per_hop_loss_nats <= math.log(n) + 1e-12
 
@@ -160,7 +155,7 @@ class TestTwoFunctionInversion:
     @settings(max_examples=60, deadline=None)
     @given(mean=st.floats(0.0, 6.0), n=st.integers(2, 10_000))
     def test_summed_loss_bounds(self, mean, n):
-        eff = effective_loss_two_function(mean, 0.0, n, variance_correction=False)
+        eff = effective_loss_two_function(mean, 0.0, n)
         assert -1e-12 <= eff.summed_loss_nats <= 2 * math.log(n) + 1e-9
 
 
@@ -184,6 +179,17 @@ class TestContentEstimate:
             est = content_estimate(Task.TWO_HOP, kind, rep, agg, counts)
             assert est.content_bits == pytest.approx(rep.total_bits, rel=1e-12)
 
+    def test_zero_loss_is_positive_zero(self, micro_cfg):
+        # a perfect model's loss prints as 0.0, not -0.0
+        assert math.copysign(1.0, effective_loss_recurrent(0.0, 100).per_hop_loss_nats) == 1.0
+        assert math.copysign(1.0, effective_loss_two_function(0.0, 0.0, 100).summed_loss_nats) == 1.0
+        counts = FactCounts.from_config(micro_cfg)
+        agg = aggregate_losses(_records([0.0] * 5))
+        for kind in ModelKind:
+            rep = dataset_entropy(micro_cfg, Task.TWO_HOP, kind)
+            est = content_estimate(Task.TWO_HOP, kind, rep, agg, counts)
+            assert math.copysign(1.0, est.total_loss_bits) == 1.0, kind
+
     def test_mismatched_entropy_report_rejected(self, micro_cfg):
         counts = FactCounts.from_config(micro_cfg)
         agg = aggregate_losses(_records([1.0]))
@@ -192,13 +198,6 @@ class TestContentEstimate:
             content_estimate(Task.TWO_HOP, ModelKind.INDEPENDENT, rep, agg, counts)
         with pytest.raises(EstimatorError):
             content_estimate(Task.ONE_HOP, None, rep, agg, counts)
-
-    def test_unknown_variance_mode_rejected(self, micro_cfg):
-        counts = FactCounts.from_config(micro_cfg)
-        agg = aggregate_losses(_records([1.0]))
-        rep = dataset_entropy(micro_cfg, Task.ONE_HOP)
-        with pytest.raises(EstimatorError):
-            content_estimate(Task.ONE_HOP, None, rep, agg, counts, "bogus")
 
     def test_bits_per_parameter_guards(self):
         assert bits_per_parameter(0.0, 10) == 0.0

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 
 from twohop.report import (
@@ -77,3 +80,20 @@ class TestPlot:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             scaling_plot(",".join(CSV_COLUMNS) + "\n")
+
+    def test_left_labels_stack(self):
+        def left_label_ys(svg):
+            return re.findall(r'<text x="66.0" y="([0-9.]+)"', svg)
+
+        points = [_point("a", 10**4), _point("c", 10**5, kind="recurrent")]
+        csv_text = capacity_table(points)
+        # one slope keeps the original positions
+        assert left_label_ys(scaling_plot(csv_text)) == ["74.0", "90.0", "104.0"]
+        ys = left_label_ys(scaling_plot(csv_text, capacity_slopes=(2.0, 1.6)))
+        assert ys == ["74.0", "88.0", "104.0", "118.0"]
+
+    @pytest.mark.parametrize("field", ["entropy_bits", "baseline_bits"])
+    def test_mixed_reference_levels_rejected(self, field):
+        odd = dataclasses.replace(_point("b", 10**5, kind="recurrent"), **{field: 1.0})
+        with pytest.raises(ValueError, match="disagree"):
+            scaling_plot(capacity_table([_point("a", 10**4), odd]))

@@ -57,13 +57,6 @@ class TestMixture:
         n = tiny_world.config.n_profiles
         assert q == pytest.approx((1 / n) ** 2 + (1 - 1 / n) / n, rel=1e-12)
 
-    def test_strict_fallback_uses_answer_pool(self, tiny_world):
-        profile = _flat_profile(tiny_world, ModelKind.TWO_FUNCTION, 0.8, 0.5)
-        q = simulate_two_hop_prob(
-            tiny_world, profile, 0, "mother", "birth city", strict_property_fallback=True
-        )
-        assert q == pytest.approx(0.8 * 0.5 + 0.2 / 10, rel=1e-12)
-
     def test_independent_reads_the_memo(self, tiny_world):
         profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.INDEPENDENT, 0.7)
         assert simulate_two_hop_prob(tiny_world, profile, 0, "mother", "mother") == 0.7

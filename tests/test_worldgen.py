@@ -53,6 +53,24 @@ class TestWorldGeneration:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_profiles", True),
+            ("seed", 1.5),
+            ("relations", "mother"),
+            ("relations", ["mother", 1]),
+            ("properties", [["birth city", "10"]]),
+            ("properties", [["birth city"]]),
+            ("properties", {"birth city": 10}),
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, micro_cfg, key, value):
+        data = micro_cfg.to_dict()
+        assert WorldConfig.from_dict(data) == micro_cfg
+        with pytest.raises(ConfigError, match=key):
+            WorldConfig.from_dict({**data, key: value})
+
     def test_pool_sizes(self, micro_cfg):
         assert micro_cfg.pool_size("mother") == micro_cfg.n_profiles
         assert micro_cfg.pool_size("birth city") == 10
