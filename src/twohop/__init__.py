@@ -52,6 +52,7 @@ from .worldgen import (
     build_splits,
     generate_world,
     load_dataset,
+    make_question,
     persist_dataset,
     render_question,
 )

@@ -226,9 +226,10 @@ def _cmd_report(args) -> int:
         _check_binding(dataset_dir, Path(losses), args.force)
         est, _, _ = _estimate_for(dataset_dir, Path(losses), args.model)
         run_meta = _read_run_meta(Path(losses))
-        params = run_meta.get("param_count") or 0
-        if params <= 0:
-            print(f"error: {losses}: run manifest lacks a positive param_count", file=sys.stderr)
+        params = run_meta.get("param_count")
+        # type(), not isinstance(): a JSON true must not pass as the integer 1
+        if type(params) is not int or params <= 0:
+            print(f"error: {losses}: run manifest needs an integer param_count > 0", file=sys.stderr)
             return 1
         points.append(
             report.CapacityPoint(

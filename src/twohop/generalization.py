@@ -71,7 +71,7 @@ class TrainIndex:
                 self.one_hop_facts.add((item.e1, item.a))
             else:
                 self.first_hop_pairs.add((item.e1, item.r))
-                self.second_hop_pairs.add((item.e2, item.a))
+                self.second_hop_pairs.add((world.relation_target(item.e1, item.r), item.a))
                 self.full_questions.add((item.e1, item.r, item.a))
 
 

@@ -51,7 +51,11 @@ def _loss_rows(path: Path):
                     continue
                 try:
                     d = _decode_row(line)
-                    rec = LossRecord(d["qid"], d["split"], d["kind"], float(d["logprob_nats"]))
+                    qid, split, kind = d["qid"], d["split"], d["kind"]
+                    # readers hash and compare these as strings
+                    if type(qid) is not str or type(split) is not str or type(kind) is not str:
+                        raise TypeError("qid, split and kind must be strings")
+                    rec = LossRecord(qid, split, kind, float(d["logprob_nats"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetIOError(f"{path}:{lineno}: malformed record: {exc}") from exc
                 yield lineno, rec

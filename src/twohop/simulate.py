@@ -51,15 +51,15 @@ class ReliabilityProfile:
     ) -> "ReliabilityProfile":
         """Uniform reliability for every fact, floored at each fact's chance rate.
 
-        ``reliability=None`` means chance everywhere.
+        ``reliability=None`` means chance everywhere; otherwise it must be in [0, 1].
         """
+        if reliability is not None and not 0.0 <= reliability <= 1.0:
+            raise ValueError(f"reliability must be in [0, 1], got {reliability}")
 
         def level(pool: int) -> float:
             chance = 1.0 / pool
             if reliability is None:
                 return chance
-            if reliability > 1.0:
-                raise ValueError("reliability must be <= 1")
             return max(chance, reliability)
 
         return cls._from_level_fn(config, model_kind, lambda e, a, pool: level(pool))
@@ -74,12 +74,18 @@ class ReliabilityProfile:
         frac_high: float,
         seed: int,
     ) -> "ReliabilityProfile":
-        """Seeded mixture: each fact gets p_high with probability frac_high."""
+        """Seeded mixture: each fact gets p_high with probability frac_high.
+
+        Each of p_low, p_high and frac_high must be in [0, 1].
+        """
+        for name, value in (("p_low", p_low), ("p_high", p_high), ("frac_high", frac_high)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         rng = random.Random(seed)
 
         def level(e, a, pool):
             p = p_high if rng.random() < frac_high else p_low
-            return min(1.0, max(1.0 / pool, p))
+            return max(1.0 / pool, p)
 
         return cls._from_level_fn(config, model_kind, level)
 
@@ -133,7 +139,7 @@ class ReliabilityProfile:
                 if item.kind is QuestionKind.ONE_HOP:
                     continue
                 hop1[(item.e1, item.r)] = 1.0
-                hop2[(item.e2, item.a)] = 1.0
+                hop2[(world.relation_target(item.e1, item.r), item.a)] = 1.0
             return cls(model_kind, hop1=hop1, hop2=hop2, unlearned_uniform=True)
         memo = {
             (item.e1, item.r, item.a): 1.0
@@ -263,8 +269,8 @@ def allocate_budget(
     max(0, b - budget/units); its reliability is 2^(-loss). This yields the
     predicted loss of a capacity-limited model for curve overlays.
     """
-    if budget_bits < 0:
-        raise ValueError("budget must be >= 0")
+    if not budget_bits >= 0:  # also rejects NaN
+        raise ValueError(f"budget must be >= 0, got {budget_bits}")
     n = config.n_profiles
     n_attrs = len(config.attributes)
     if model_kind is ModelKind.RECURRENT:

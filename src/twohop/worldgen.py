@@ -227,16 +227,13 @@ class World:
 
 @dataclass(frozen=True, slots=True)
 class QAItem:
-    """One question (e1, r, a) rendered over a world; one-hop items have no r and no e2."""
+    """The key of one question (e1, r, a) over a world; one-hop items have no r."""
 
     qid: str
     kind: QuestionKind
     e1: int
     r: str | None
     a: str
-    e2: int | None
-    answer: str
-    text: str
     split: str
 
     def __post_init__(self):
@@ -286,35 +283,43 @@ def two_hop_qid(e1: int, r: str, a: str) -> str:
     return f"2h:{e1}:{r}:{a}"
 
 
-def render_question(
+def make_question(
     world: World, kind: QuestionKind, e1: int, r: str | None, a: str, split: str = "train"
 ) -> QAItem:
-    """Render a question from its template; the answer is taken from the world."""
+    """The question (e1, r, a) of ``kind``, checked against the world."""
     cfg = world.config
     if a not in cfg.attributes:
         raise ValueError(f"unknown attribute: {a!r}")
     if not 0 <= e1 < cfg.n_profiles:
         raise ValueError(f"unknown entity: {e1}")
-    name = world.entity_name(e1)
-
     if kind is QuestionKind.ONE_HOP:
-        answer = world.answer_string(e1, a)
-        text = f"What was {name}'s {a}? {answer}"
-        return QAItem(one_hop_qid(e1, a), kind, e1, r, a, None, answer, text, split)
-
+        return QAItem(one_hop_qid(e1, a), kind, e1, r, a, split)
     if not cfg.is_relation(r):
         raise ValueError(f"first hop must be a relation, got {r!r}")
-    e2 = world.relation_target(e1, r)
-    answer = world.answer_string(e2, a)
-    if kind is QuestionKind.TWO_HOP:
-        text = f"What was {name}'s {r}'s {a}? {answer}"
+    return QAItem(two_hop_qid(e1, r, a), kind, e1, r, a, split)
+
+
+def render_question(world: World, item: QAItem) -> dict:
+    """The qa.jsonl row of a question: its key plus e2, answer and text from the templates."""
+    e1, r, a = item.e1, item.r, item.a
+    name = world.entity_name(e1)
+    if item.kind is QuestionKind.ONE_HOP:
+        e2 = None
+        answer = world.answer_string(e1, a)
+        text = f"What was {name}'s {a}? {answer}"
     else:
-        e2_name = world.entity_name(e2)
-        text = (
-            f"What was {name}'s {r}'s {a}? "
-            f"{name}'s {r} was {e2_name}. {e2_name}'s {a} was {answer}."
-        )
-    return QAItem(two_hop_qid(e1, r, a), kind, e1, r, a, e2, answer, text, split)
+        e2 = world.relation_target(e1, r)
+        answer = world.answer_string(e2, a)
+        if item.kind is QuestionKind.TWO_HOP:
+            text = f"What was {name}'s {r}'s {a}? {answer}"
+        else:
+            e2_name = world.entity_name(e2)
+            text = (
+                f"What was {name}'s {r}'s {a}? "
+                f"{name}'s {r} was {e2_name}. {e2_name}'s {a} was {answer}."
+            )
+    return {"qid": item.qid, "kind": item.kind.value, "e1": e1, "r": r, "a": a, "e2": e2,
+            "answer": answer, "text": text, "split": item.split}
 
 
 def _sample_components(world: World, fractions: Mapping[str, float], rng: random.Random) -> dict:
@@ -388,12 +393,12 @@ def build_splits(
                 elif (e1, r, a) in components["heldout_full"]:
                     dest = "heldout_full"
                 else:
-                    train_two_hop.append(render_question(world, two_hop_kind, e1, r, a))
+                    train_two_hop.append(make_question(world, two_hop_kind, e1, r, a))
                     continue
-                heldout[dest].append(render_question(world, two_hop_kind, e1, r, a, dest))
+                heldout[dest].append(make_question(world, two_hop_kind, e1, r, a, dest))
 
     one_hop = [
-        render_question(world, QuestionKind.ONE_HOP, e1, None, a)
+        make_question(world, QuestionKind.ONE_HOP, e1, None, a)
         for e1 in range(cfg.n_profiles)
         for a in cfg.attributes
     ]
@@ -496,23 +501,15 @@ def _profile_from_json(d: Mapping) -> Profile:
     return Profile(d["id"], d["first"], d["middle"], d["last"], d["relations"], d["properties"])
 
 
-def _item_to_json(item: QAItem) -> dict:
-    return {
-        "qid": item.qid,
-        "kind": item.kind.value,
-        "e1": item.e1,
-        "r": item.r,
-        "a": item.a,
-        "e2": item.e2,
-        "answer": item.answer,
-        "text": item.text,
-        "split": item.split,
-    }
+# Every qa.jsonl row has these keys; a reader takes only QAItem's six.
+_ROW_KEYS = frozenset(("qid", "kind", "e1", "r", "a", "e2", "answer", "text", "split"))
 
 
 def _item_from_json(d: Mapping) -> QAItem:
-    return QAItem(d["qid"], _KIND_BY_VALUE[d["kind"]], d["e1"], d["r"], d["a"],
-                  d["e2"], d["answer"], d["text"], d["split"])
+    missing = _ROW_KEYS.difference(d)  # a row that is not an object fails here or below
+    if missing:
+        raise KeyError(", ".join(sorted(missing)))
+    return QAItem(d["qid"], _KIND_BY_VALUE[d["kind"]], d["e1"], d["r"], d["a"], d["split"])
 
 
 def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
@@ -523,7 +520,7 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     profiles_path = path / "profiles.jsonl"
     _write_rows(profiles_path, map(_profile_to_json, world.profiles))
     qa_path = path / "qa.jsonl"
-    _write_rows(qa_path, map(_item_to_json, split_set.all_items()))
+    _write_rows(qa_path, (render_question(world, item) for item in split_set.all_items()))
 
     counts = {"train": len(split_set.train)}
     for kind in HOLDOUT_KINDS:

@@ -262,7 +262,7 @@ def test_criterion_9_dataset_contracts(tmp_path):
             if item.kind is QuestionKind.ONE_HOP:
                 one_hop += 1
                 continue
-            e2 = item.e2
+            e2 = world.relation_target(item.e1, item.r)
             if (
                 (item.e1,) in comp["heldout_e1"]
                 or (item.r,) in comp["heldout_r"]

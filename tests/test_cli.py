@@ -132,6 +132,28 @@ def test_validate_row_without_split_exits_1(dataset_dir, tmp_path, capsys):
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record: 'split'")
 
 
+@pytest.mark.parametrize("field", ["qid", "split", "kind"])
+def test_loss_row_non_string_key_exits_1(dataset_dir, tmp_path, capsys, field):
+    row = {"qid": "1h:0:mother", "split": "train", "kind": "one_hop", "logprob_nats": -0.5}
+    row[field] = [1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(row) + "\n")
+    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
+        _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["nan", "-3", "budget:nan", "two-point:0.1,7,0.5", "two-point:-0.1,0.5,0.5",
+     "two-point:0.1,0.5,nan"],
+)
+def test_simulate_invalid_reliability_exits_1(dataset_dir, tmp_path, capsys, spec):
+    code = main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                 "--reliability", spec, "--out", str(tmp_path / "run.jsonl")])
+    _assert_clean_error(code, capsys, "must be")
+
+
 def test_report(dataset_dir, run_log, tmp_path, capsys):
     csv_path = tmp_path / "capacity.csv"
     svg_path = tmp_path / "capacity.svg"
@@ -152,6 +174,17 @@ def test_report(dataset_dir, run_log, tmp_path, capsys):
     svg = svg_path.read_text()
     assert svg.count('class="reference"') == 3
     assert svg.count('class="series"') == 1
+
+
+def test_report_param_count_not_integer_exits_1(dataset_dir, run_log, tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    shutil.copy(run_log, log)
+    meta = json.loads(run_log.with_suffix(".json").read_text())
+    for bad in ("1000", True):
+        log.with_suffix(".json").write_text(json.dumps({**meta, "param_count": bad}))
+        code = main(["report", "--dataset", str(dataset_dir), "--losses", str(log),
+                     "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")])
+        _assert_clean_error(code, capsys, "param_count")
 
 
 # Every option each subcommand takes, so that adding or removing one is a
@@ -285,6 +318,26 @@ def _drop_second_profile_first(manifest, out):
     manifest["files"]["profiles.jsonl"] = _sha256(profiles)
 
 
+def _replace_third_question(out, manifest, row):
+    qa = out / "qa.jsonl"
+    lines = qa.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps(row) + "\n"
+    qa.write_text("".join(lines))
+    manifest["files"]["qa.jsonl"] = _sha256(qa)
+
+
+def _drop_third_question_text(manifest, out):
+    # loaders read six keys of a question row, but the row still needs all nine
+    row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
+    del row["text"]
+    _replace_third_question(out, manifest, row)
+
+
+def _third_question_as_list(manifest, out):
+    row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
+    _replace_third_question(out, manifest, list(row))
+
+
 @pytest.mark.parametrize(
     "command, edit, needle",
     [
@@ -294,6 +347,8 @@ def _drop_second_profile_first(manifest, out):
         ("estimate", _string_n_profiles, "n_profiles"),
         ("simulate", _drop_first_names, "first_names"),
         ("simulate", _drop_second_profile_first, "profiles.jsonl:2:"),
+        ("simulate", _drop_third_question_text, "qa.jsonl:3:"),
+        ("simulate", _third_question_as_list, "qa.jsonl:3:"),
     ],
 )
 def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, command, edit, needle):

@@ -12,6 +12,7 @@ from twohop import (
     build_splits,
     generate_world,
     load_dataset,
+    make_question,
     persist_dataset,
     render_question,
 )
@@ -20,7 +21,6 @@ from twohop.worldgen import (
     HashMismatchError,
     QuestionKind,
     _decode_row,
-    _item_to_json,
 )
 
 
@@ -97,57 +97,65 @@ class TestWorldGeneration:
 
 class TestRendering:
     def test_one_hop_template(self, micro_world):
-        item = render_question(micro_world, QuestionKind.ONE_HOP, 0, None, "birth city")
+        item = make_question(micro_world, QuestionKind.ONE_HOP, 0, None, "birth city")
+        row = render_question(micro_world, item)
         name = micro_world.entity_name(0)
-        assert item.text == f"What was {name}'s birth city? {item.answer}"
+        assert row["text"] == f"What was {name}'s birth city? {row['answer']}"
         assert item.qid == "1h:0:birth city"
-        assert item.e2 is None
+        assert row["e2"] is None
 
     def test_two_hop_template(self, micro_world):
-        item = render_question(micro_world, QuestionKind.TWO_HOP, 0, "mother", "birth city")
+        item = make_question(micro_world, QuestionKind.TWO_HOP, 0, "mother", "birth city")
+        row = render_question(micro_world, item)
         name = micro_world.entity_name(0)
-        assert item.text == f"What was {name}'s mother's birth city? {item.answer}"
-        assert item.e2 == micro_world.relation_target(0, "mother")
-        assert item.answer == micro_world.answer_string(item.e2, "birth city")
+        assert row["text"] == f"What was {name}'s mother's birth city? {row['answer']}"
+        assert row["e2"] == micro_world.relation_target(0, "mother")
+        assert row["answer"] == micro_world.answer_string(row["e2"], "birth city")
 
     def test_cot_template(self, micro_world):
-        item = render_question(
+        item = make_question(
             micro_world, QuestionKind.TWO_HOP_COT, 0, "boss", "birth city"
         )
+        row = render_question(micro_world, item)
         name = micro_world.entity_name(0)
-        e2_name = micro_world.entity_name(item.e2)
-        assert item.text == (
+        e2_name = micro_world.entity_name(row["e2"])
+        assert row["text"] == (
             f"What was {name}'s boss's birth city? "
-            f"{name}'s boss was {e2_name}. {e2_name}'s birth city was {item.answer}."
+            f"{name}'s boss was {e2_name}. {e2_name}'s birth city was {row['answer']}."
         )
 
     def test_cot_self_loop(self, micro_world):
         # an entity may be its own relation target; the trace then names it twice
         micro_world.profiles[5].relation_values["father"] = 5
-        item = render_question(
+        item = make_question(
             micro_world, QuestionKind.TWO_HOP_COT, 5, "father", "birth city"
         )
         name = micro_world.entity_name(5)
-        assert f"{name}'s father was {name}." in item.text
+        assert f"{name}'s father was {name}." in render_question(micro_world, item)["text"]
 
     def test_relation_answer_is_a_name(self, micro_world):
-        item = render_question(micro_world, QuestionKind.ONE_HOP, 1, None, "mother")
+        item = make_question(micro_world, QuestionKind.ONE_HOP, 1, None, "mother")
         target = micro_world.relation_target(1, "mother")
-        assert item.answer == micro_world.entity_name(target)
+        assert render_question(micro_world, item)["answer"] == micro_world.entity_name(target)
 
     def test_bad_queries(self, micro_world):
         with pytest.raises(ValueError):
-            render_question(micro_world, QuestionKind.ONE_HOP, 0, None, "nope")
+            make_question(micro_world, QuestionKind.ONE_HOP, 0, None, "nope")
         with pytest.raises(ValueError):
-            render_question(micro_world, QuestionKind.ONE_HOP, 10**6, None, "mother")
+            make_question(micro_world, QuestionKind.ONE_HOP, 10**6, None, "mother")
         with pytest.raises(ValueError):
-            render_question(micro_world, QuestionKind.ONE_HOP, 0, "mother", "birth city")
+            make_question(micro_world, QuestionKind.ONE_HOP, 0, "mother", "birth city")
         with pytest.raises(ValueError):
-            render_question(micro_world, QuestionKind.TWO_HOP, 0, None, "birth city")
+            make_question(micro_world, QuestionKind.TWO_HOP, 0, None, "birth city")
         with pytest.raises(ValueError):
-            QAItem("1h:0:mother", QuestionKind.ONE_HOP, 0, "mother", "mother", None, "", "", "train")
+            QAItem("1h:0:mother", QuestionKind.ONE_HOP, 0, "mother", "mother", "train")
         with pytest.raises(ValueError):
-            QAItem("2h:0:x:mother", QuestionKind.TWO_HOP, 0, None, "mother", 1, "", "", "train")
+            QAItem("2h:0:x:mother", QuestionKind.TWO_HOP, 0, None, "mother", "train")
+
+    def test_item_is_its_key(self):
+        # a question stores only its key; e2, answer and text are rendered
+        names = [f.name for f in dataclasses.fields(QAItem)]
+        assert names == ["qid", "kind", "e1", "r", "a", "split"]
 
 
 class TestSplits:
@@ -209,8 +217,9 @@ class TestSplits:
             if item.kind is QuestionKind.ONE_HOP:
                 continue
             e2 = micro_world.relation_target(item.e1, item.r)
-            assert item.e2 == e2
-            assert item.answer == micro_world.answer_string(e2, item.a)
+            row = render_question(micro_world, item)
+            assert row["e2"] == e2
+            assert row["answer"] == micro_world.answer_string(e2, item.a)
 
     def test_exhausting_fraction_rejected(self, micro_world):
         with pytest.raises(ConfigError):
@@ -232,8 +241,8 @@ class TestPersistence:
         manifest = persist_dataset(ss, micro_world, tmp_path)
         loaded_ss, loaded_world = load_dataset(tmp_path)
         assert _world_bytes(loaded_world) == _world_bytes(micro_world)
-        assert [_item_to_json(i) for i in loaded_ss.all_items()] == [
-            _item_to_json(i) for i in ss.all_items()
+        assert [render_question(loaded_world, i) for i in loaded_ss.all_items()] == [
+            render_question(micro_world, i) for i in ss.all_items()
         ]
         assert manifest["counts"]["train"] == len(ss.train)
         assert loaded_ss.params["mix_ratio"] == 10
