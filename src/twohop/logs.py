@@ -10,15 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .worldgen import (
-    DatasetIOError,
-    HOLDOUT_KINDS,
-    _decode_row,
-    _read_rows,
-    _verify_files,
-    _write_rows,
-    load_manifest,
-)
+from .worldgen import DatasetIOError, _decode_row, _write_rows, load_dataset
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,50 +88,33 @@ class LogDiagnostics:
         }
 
 
-def dataset_qids_by_split(dataset_dir: Path) -> dict[str, set[str]]:
-    """Qid sets per split, read straight from qa.jsonl."""
-    qids: dict[str, set[str]] = {}
-    try:
-        _read_rows(
-            Path(dataset_dir) / "qa.jsonl",
-            "question",
-            lambda d: qids.setdefault(d["split"], set()).add(d["qid"]),
-        )
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read qa.jsonl: {exc}") from exc
-    return qids
-
-
 def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     """Report unknown/duplicate qids, positive logprobs, and per-split coverage."""
-    # fail early on a missing or corrupt dataset, as load_dataset does
-    _verify_files(dataset_dir, load_manifest(dataset_dir))
-    by_split = dataset_qids_by_split(dataset_dir)
-    qid_to_split = {qid: split for split, qids in by_split.items() for qid in qids}
+    split_set, _ = load_dataset(dataset_dir)
+    totals = split_set.counts()
+    qid_to_split = {item.qid: item.split for item in split_set.all_items()}
+    del split_set  # the join needs only the map; free the items before reading the log
 
     diag = LogDiagnostics(n_records=0)
     seen: set[str] = set()
-    covered: dict[str, set[str]] = {split: set() for split in by_split}
+    covered = dict.fromkeys(totals, 0)
     for lineno, rec in _loss_rows(log_path):
         qid = rec.qid
         diag.n_records += 1
-        if qid in seen:
-            diag.duplicate_qids.append(qid)
-        seen.add(qid)
         if rec.logprob_nats > 0:
             diag.positive_logprobs.append((lineno, qid))
         split = qid_to_split.get(qid)
         if split is None:
             diag.unknown_qids.append(qid)
-        else:
-            covered[split].add(qid)
+        if qid in seen:
+            diag.duplicate_qids.append(qid)
+        elif split is not None:
+            covered[split] += 1
+        seen.add(qid)
 
-    for split in ["train"] + [k for k in HOLDOUT_KINDS if k in by_split]:
-        if split not in by_split:
-            continue
-        total = len(by_split[split])
-        frac = len(covered[split]) / total if total else 1.0
-        diag.coverage[split] = frac
-        if total and frac == 0.0:
-            diag.missing_splits.append(split)
+    for split, total in totals.items():
+        if total:  # an empty split has no coverage to report
+            diag.coverage[split] = covered[split] / total
+            if not covered[split]:
+                diag.missing_splits.append(split)
     return diag

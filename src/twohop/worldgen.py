@@ -258,6 +258,10 @@ class SplitSet:
         for kind in HOLDOUT_KINDS:
             yield from self.heldout.get(kind, [])
 
+    def counts(self) -> dict[str, int]:
+        """Items per split: train, then the holdout sets in HOLDOUT_KINDS order."""
+        return {"train": len(self.train)} | {k: len(self.heldout.get(k, [])) for k in HOLDOUT_KINDS}
+
 
 def generate_world(config: WorldConfig) -> World:
     """Deterministically generate a world from its config and seed."""
@@ -497,19 +501,31 @@ def _profile_to_json(p: Profile) -> dict:
     }
 
 
-def _profile_from_json(d: Mapping) -> Profile:
-    return Profile(d["id"], d["first"], d["middle"], d["last"], d["relations"], d["properties"])
+def _profile_from_json(d: Mapping, pid: int, config: WorldConfig) -> Profile:
+    """Row ``pid`` of profiles.jsonl; a row that does not fit ``config`` raises ValueError."""
+    if pid >= config.n_profiles:
+        raise ValueError(f"more rows than n_profiles = {config.n_profiles}")
+    if type(d["id"]) is not int or d["id"] != pid:
+        raise ValueError(f"id {d['id']!r} is not the row index {pid}")
+    relations = _pool_values(d, "relations", dict.fromkeys(config.relations, config.n_profiles))
+    properties = _pool_values(d, "properties", dict(config.properties))
+    return Profile(pid, d["first"], d["middle"], d["last"], relations, properties)
+
+
+def _pool_values(d: Mapping, key: str, pools: dict[str, int]) -> dict[str, int]:
+    """``d[key]`` keyed by ``pools``' names; each value must be an int in [0, pool)."""
+    values = d[key]
+    if type(values) is not dict or values.keys() != pools.keys():
+        raise ValueError(f"{key} must map exactly {list(pools)}")
+    for name, pool in pools.items():
+        value = values[name]
+        if type(value) is not int or not 0 <= value < pool:
+            raise ValueError(f"{key}[{name!r}] = {value!r} is not an integer in [0, {pool})")
+    return {name: values[name] for name in pools}
 
 
 # Every qa.jsonl row has these keys; a reader takes only QAItem's six.
 _ROW_KEYS = frozenset(("qid", "kind", "e1", "r", "a", "e2", "answer", "text", "split"))
-
-
-def _item_from_json(d: Mapping) -> QAItem:
-    missing = _ROW_KEYS.difference(d)  # a row that is not an object fails here or below
-    if missing:
-        raise KeyError(", ".join(sorted(missing)))
-    return QAItem(d["qid"], _KIND_BY_VALUE[d["kind"]], d["e1"], d["r"], d["a"], d["split"])
 
 
 def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
@@ -522,15 +538,11 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     qa_path = path / "qa.jsonl"
     _write_rows(qa_path, (render_question(world, item) for item in split_set.all_items()))
 
-    counts = {"train": len(split_set.train)}
-    for kind in HOLDOUT_KINDS:
-        counts[kind] = len(split_set.heldout.get(kind, []))
-
     manifest = {
         "config": world.config.to_dict(),
         "seed": world.config.seed,
         "split_params": split_set.params,
-        "counts": counts,
+        "counts": split_set.counts(),
         "holdout_components": split_set.holdout_manifest,
         "files": {
             "profiles.jsonl": sha256_file(profiles_path),
@@ -574,23 +586,57 @@ def _verify_files(path: Path, manifest: Mapping) -> None:
 
 
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
-    """Load a persisted dataset, verifying file hashes against the manifest."""
+    """Load a persisted dataset, verifying file hashes against the manifest.
+
+    A row that does not fit the config (unknown entity, relation, attribute or
+    split, a qid that is not its key's) raises DatasetIOError naming ``path:line``.
+    """
     path = Path(path)
     manifest = load_manifest(path)
     _verify_files(path, manifest)
 
     config = WorldConfig.from_dict(manifest["config"])
+    n = config.n_profiles
     profiles: list[Profile] = []
-    _read_rows(path / "profiles.jsonl", "profile", lambda d: profiles.append(_profile_from_json(d)))
+    profiles_path = path / "profiles.jsonl"
+    _read_rows(
+        profiles_path,
+        "profile",
+        lambda d: profiles.append(_profile_from_json(d, len(profiles), config)),
+    )
+    if len(profiles) < n:
+        lineno = len(profiles) + 1
+        raise DatasetIOError(f"{profiles_path}:{lineno}: missing profile row ({n} expected)")
     world = World(config, profiles)
 
     train: list[QAItem] = []
     heldout: dict[str, list[QAItem]] = {kind: [] for kind in HOLDOUT_KINDS}
     by_split = {"train": train, **heldout}
+    # The decoder gives every row its own copy of r, a and split. Looking them
+    # up in these dicts makes items share the config's and the split names'
+    # objects, and an unknown name fails the row. The checks are inline because
+    # a make_question call per row made loading about a quarter slower.
+    relations = {r: r for r in config.relations}
+    attributes = {a: a for a in config.attributes}
+    splits = {s: s for s in by_split}
 
     def take_item(d: Mapping) -> None:
-        item = _item_from_json(d)
-        by_split[item.split].append(item)
+        missing = _ROW_KEYS.difference(d)  # a row that is not an object fails here or below
+        if missing:
+            raise KeyError(", ".join(sorted(missing)))
+        kind = _KIND_BY_VALUE[d["kind"]]
+        e1, r, a = d["e1"], d["r"], attributes[d["a"]]
+        if type(e1) is not int or not 0 <= e1 < n:
+            raise ValueError(f"unknown entity: {e1!r}")
+        if kind is QuestionKind.ONE_HOP:
+            qid = one_hop_qid(e1, a)
+        else:
+            r = relations[r]
+            qid = two_hop_qid(e1, r, a)
+        if d["qid"] != qid:
+            raise ValueError(f"qid {d['qid']!r} does not match its key {qid!r}")
+        split = splits[d["split"]]
+        by_split[split].append(QAItem(qid, kind, e1, r, a, split))
 
     _read_rows(path / "qa.jsonl", "question", take_item)
     split_set = SplitSet(train, heldout, manifest["holdout_components"], manifest["split_params"])

@@ -338,6 +338,64 @@ def _third_question_as_list(manifest, out):
     _replace_third_question(out, manifest, list(row))
 
 
+def _third_question_three_hop(manifest, out):
+    row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
+    row["kind"] = "three_hop"
+    _replace_third_question(out, manifest, row)
+
+
+def _third_question_rekeyed(name, **changes):
+    """An edit that sets ``changes`` on the third (two-hop) question, with its new key's qid."""
+
+    def edit(manifest, out):
+        row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
+        assert row["kind"] == "two_hop"  # else the new qid alone would fail the row
+        row.update(changes)
+        row["qid"] = f"2h:{row['e1']}:{row['r']}:{row['a']}"
+        _replace_third_question(out, manifest, row)
+
+    edit.__name__ = f"_third_question_{name}"
+    return edit
+
+
+def _third_question_wrong_qid(manifest, out):
+    row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
+    row["qid"] = f"2h:{row['e1'] + 1}:{row['r']}:{row['a']}"
+    _replace_third_question(out, manifest, row)
+
+
+def _edit_profile_lines(manifest, out, change):
+    profiles = out / "profiles.jsonl"
+    lines = profiles.read_text().splitlines(keepends=True)
+    change(lines)
+    profiles.write_text("".join(lines))
+    manifest["files"]["profiles.jsonl"] = _sha256(profiles)
+
+
+def _second_profile_with(name, **changes):
+    """An edit that sets ``changes`` on the second profiles.jsonl row."""
+
+    def edit(manifest, out):
+        def change(lines):
+            lines[1] = json.dumps({**json.loads(lines[1]), **changes}) + "\n"
+
+        _edit_profile_lines(manifest, out, change)
+
+    edit.__name__ = f"_second_profile_{name}"
+    return edit
+
+
+def _drop_last_profile(manifest, out):
+    _edit_profile_lines(manifest, out, lambda lines: lines.pop())
+
+
+def _extra_profile(manifest, out):
+    def change(lines):
+        lines.append(json.dumps({**json.loads(lines[-1]), "id": len(lines)}) + "\n")
+
+    _edit_profile_lines(manifest, out, change)
+
+
 @pytest.mark.parametrize(
     "command, edit, needle",
     [
@@ -349,6 +407,34 @@ def _third_question_as_list(manifest, out):
         ("simulate", _drop_second_profile_first, "profiles.jsonl:2:"),
         ("simulate", _drop_third_question_text, "qa.jsonl:3:"),
         ("simulate", _third_question_as_list, "qa.jsonl:3:"),
+        ("validate", _third_question_three_hop, "qa.jsonl:3:"),
+        ("validate", _drop_third_question_text, "qa.jsonl:3:"),
+        ("simulate", _third_question_rekeyed("e1_negative", e1=-1), "qa.jsonl:3:"),
+        ("simulate", _third_question_rekeyed("e1_too_large", e1=1000000), "qa.jsonl:3:"),
+        ("simulate", _third_question_rekeyed("e1_string", e1="3"), "qa.jsonl:3:"),
+        ("simulate", _third_question_rekeyed("unknown_attribute", a="zodiac"), "qa.jsonl:3:"),
+        ("simulate", _third_question_rekeyed("property_as_relation", r="birth city"),
+         "qa.jsonl:3:"),
+        ("simulate", _third_question_rekeyed("unknown_split", split="heldout_x"), "qa.jsonl:3:"),
+        ("simulate", _third_question_wrong_qid, "qa.jsonl:3:"),
+        ("validate", _third_question_wrong_qid, "qa.jsonl:3:"),
+        ("simulate", _drop_last_profile, "profiles.jsonl:100:"),
+        ("simulate", _extra_profile, "profiles.jsonl:101:"),
+        ("simulate", _second_profile_with("id_not_index", id=5), "profiles.jsonl:2:"),
+        ("simulate", _second_profile_with("relations_as_list", relations=[0, 0, 0]),
+         "profiles.jsonl:2:"),
+        ("simulate", _second_profile_with("relation_missing", relations={"mother": 0, "father": 0}),
+         "profiles.jsonl:2:"),
+        ("simulate", _second_profile_with(
+            "relation_target_too_large", relations={"mother": 1000000, "father": 0, "sibling": 0}
+        ), "profiles.jsonl:2:"),
+        ("simulate", _second_profile_with(
+            "relation_target_negative", relations={"mother": -1, "father": 0, "sibling": 0}
+        ), "profiles.jsonl:2:"),
+        ("simulate", _second_profile_with("property_extra", properties={"birth city": 0, "x": 0}),
+         "profiles.jsonl:2:"),
+        ("simulate", _second_profile_with("property_out_of_pool", properties={"birth city": 1000}),
+         "profiles.jsonl:2:"),
     ],
 )
 def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, command, edit, needle):

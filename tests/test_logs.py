@@ -56,6 +56,7 @@ def test_clean_log_validates(dataset, tmp_path):
     assert diag.coverage["train"] == 1.0
     assert diag.coverage["heldout_full"] == 1.0
     assert diag.missing_splits == []
+    assert list(diag.coverage) == ["train", "heldout_full"]
 
 
 def test_violations_reported(dataset, tmp_path):

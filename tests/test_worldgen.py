@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twohop import (
+    HOLDOUT_KINDS,
     QAItem,
     WorldConfig,
     build_splits,
@@ -246,6 +247,18 @@ class TestPersistence:
         ]
         assert manifest["counts"]["train"] == len(ss.train)
         assert loaded_ss.params["mix_ratio"] == 10
+
+    def test_loaded_items_share_names(self, micro_world, tmp_path):
+        # every item holds the config's own name objects, not one decoded copy each
+        ss = build_splits(micro_world, {"heldout_full": 0.02}, mix_ratio=10, seed=4)
+        persist_dataset(ss, micro_world, tmp_path)
+        loaded_ss, world = load_dataset(tmp_path)
+        relations, attributes = world.config.relations, world.config.attributes
+        split_names = ("train", *HOLDOUT_KINDS)
+        for item in loaded_ss.all_items():
+            assert any(item.a is a for a in attributes), item
+            assert item.r is None or any(item.r is r for r in relations), item
+            assert any(item.split is s for s in split_names), item
 
     def test_tamper_detection(self, micro_world, tmp_path):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=4)
