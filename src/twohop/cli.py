@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from . import entropy as entropy_mod
@@ -73,8 +74,10 @@ def _read_run_meta(losses: Path) -> dict:
     return run_meta
 
 
-def _two_hop_predicate(rec) -> bool:
-    return rec.kind in worldgen.TWO_HOP_KINDS
+def _log_aggregates(losses: Path, group, groups) -> dict:
+    """``estimator.aggregate_groups`` over a loss log, read record by record."""
+    records = (rec for _, rec in logs._loss_rows(losses))
+    return estimator.aggregate_groups(records, group, groups)
 
 
 def _emit(payload: dict) -> None:
@@ -147,9 +150,8 @@ def _cmd_simulate(args) -> int:
         profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
     else:
         profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
-    records = simulate.generate_loss_log(world, profile, split_set)
     out = Path(args.out)
-    logs.write_loss_log(records, out)
+    count = logs.stream_loss_log(simulate.loss_records(world, profile, split_set), out)
     run_meta = {
         "label": args.label,
         "param_count": args.param_count,
@@ -160,7 +162,7 @@ def _cmd_simulate(args) -> int:
     with open(out.with_suffix(".json"), "w", encoding="utf-8") as f:
         json.dump(run_meta, f, indent=2, sort_keys=True)
         f.write("\n")
-    _emit({"records": len(records), "out": str(out)})
+    _emit({"records": count, "out": str(out)})
     return 0
 
 
@@ -168,11 +170,9 @@ def _estimate_for(dataset_dir: Path, losses: Path, model: str):
     manifest = worldgen.load_manifest(dataset_dir)
     config = worldgen.WorldConfig.from_dict(manifest["config"])
     task, kind = _task_and_kind(model)
-    records = logs.read_loss_log(losses)
-    if task is Task.ONE_HOP:
-        agg = estimator.aggregate_losses(records, kind="one_hop")
-    else:
-        agg = estimator.aggregate_losses(records, predicate=_two_hop_predicate)
+    # the kind that task's questions have; a two_hop_cot record stops the pass
+    selected = "one_hop" if task is Task.ONE_HOP else "two_hop"
+    (agg,) = _log_aggregates(losses, attrgetter("kind"), [selected]).values()
     rep = entropy_mod.dataset_entropy(config, task, kind)
     counts = estimator.FactCounts.from_config(config)
     est = estimator.content_estimate(task, kind, rep, agg, counts)
@@ -194,15 +194,13 @@ def _cmd_estimate(args) -> int:
 def _cmd_classify(args) -> int:
     _check_binding(Path(args.dataset), Path(args.losses), args.force)
     split_set, world = worldgen.load_dataset(Path(args.dataset))
-    records = logs.read_loss_log(Path(args.losses))
     baselines = generalization.uniform_baselines(split_set, world.config)
-    aggregates = {}
-    for kind in worldgen.HOLDOUT_KINDS:
-        if kind not in baselines:
-            continue
-        aggregates[kind] = estimator.aggregate_losses(
-            records, split=kind, predicate=_two_hop_predicate
-        )
+    del split_set  # the log pass needs only the baselines
+    aggregates = _log_aggregates(
+        Path(args.losses),
+        lambda rec: rec.split if rec.kind == "two_hop" else None,
+        [kind for kind in worldgen.HOLDOUT_KINDS if kind in baselines],
+    )
     signature = generalization.evaluate_holdouts(aggregates, baselines)
     generalization.classify_algorithm(signature)
     _emit(signature.to_dict())

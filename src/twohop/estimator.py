@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .entropy import LN2, EntropyReport, ModelKind, Task
-from .worldgen import WorldConfig
+from .worldgen import QuestionKind, WorldConfig
 
 
 class EstimatorError(ValueError):
@@ -39,6 +39,31 @@ class AggregateLoss:
         return self.count * self.mean_loss_nats / LN2
 
 
+class LossAccumulator:
+    """Welford mean/variance of loss = -logprob over the records added, one at a time."""
+
+    __slots__ = ("count", "mean", "m2")
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, rec) -> None:
+        if rec.logprob_nats > 0:
+            raise EstimatorError(f"positive logprob for {rec.qid}: {rec.logprob_nats}")
+        loss = -rec.logprob_nats
+        self.count += 1
+        delta = loss - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (loss - self.mean)
+
+    def result(self) -> AggregateLoss:
+        if self.count == 0:
+            raise EstimatorError("no records match the selection")
+        return AggregateLoss(self.mean, self.m2 / self.count, self.count)
+
+
 def aggregate_losses(
     records: Iterable,
     split: str | None = None,
@@ -46,9 +71,7 @@ def aggregate_losses(
     predicate: Optional[Callable] = None,
 ) -> AggregateLoss:
     """Single-pass Welford mean/variance of loss = -logprob over matching records."""
-    count = 0
-    mean = 0.0
-    m2 = 0.0
+    acc = LossAccumulator()
     for rec in records:
         if split is not None and rec.split != split:
             continue
@@ -56,16 +79,31 @@ def aggregate_losses(
             continue
         if predicate is not None and not predicate(rec):
             continue
-        if rec.logprob_nats > 0:
-            raise EstimatorError(f"positive logprob for {rec.qid}: {rec.logprob_nats}")
-        loss = -rec.logprob_nats
-        count += 1
-        delta = loss - mean
-        mean += delta / count
-        m2 += delta * (loss - mean)
-    if count == 0:
-        raise EstimatorError("no records match the selection")
-    return AggregateLoss(mean, m2 / count, count)
+        acc.add(rec)
+    return acc.result()
+
+
+def aggregate_groups(
+    records: Iterable, group: Callable[[Any], str | None], groups: Iterable[str]
+) -> dict[str, AggregateLoss]:
+    """``aggregate_losses`` for several selections in one pass over ``records``.
+
+    Each record joins the accumulator of ``group(rec)`` if that is one of
+    ``groups``, so a group sees its records in their order in ``records``.
+    A ``two_hop_cot`` record raises EstimatorError: no estimator inverts
+    chain-of-thought losses yet, and the latent-model inversion does not
+    describe them.
+    """
+    accumulators = {name: LossAccumulator() for name in groups}
+    for rec in records:
+        if rec.kind == QuestionKind.TWO_HOP_COT:
+            raise EstimatorError(
+                f"{rec.qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
+            )
+        acc = accumulators.get(group(rec))
+        if acc is not None:
+            acc.add(rec)
+    return {name: acc.result() for name, acc in accumulators.items()}
 
 
 def merge_aggregates(a: AggregateLoss, b: AggregateLoss) -> AggregateLoss:

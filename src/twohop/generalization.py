@@ -110,16 +110,20 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
     accumulation matches the observed aggregates bit for bit.
     """
     baselines = {}
+    space = split_set.space
     for kind in HOLDOUT_KINDS:
-        items = split_set.heldout.get(kind, [])
-        if not items:
+        questions = split_set.heldout[kind]
+        if not questions:
             continue
         # log(1/pool), not -log(pool): bitwise identical to a simulated
-        # uniform guess, so chance-level deltas cancel exactly
-        uniform = [
-            LossRecord(it.qid, kind, it.kind.value, math.log(1.0 / config.pool_size(it.a)))
-            for it in items
+        # uniform guess, so chance-level deltas cancel exactly. Questions
+        # share their attribute's record; key % |A| is a key's attribute index.
+        by_attribute = [
+            LossRecord(f"uniform:{a}", kind, space.two_hop_kind.value,
+                       math.log(1.0 / config.pool_size(a)))
+            for a in space.attributes
         ]
+        uniform = [by_attribute[key % space.n_attributes] for key in questions.keys]
         baselines[kind] = aggregate_losses(uniform).mean_loss_bits
     return baselines
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
-from .worldgen import DatasetIOError, _decode_row, _write_rows, load_dataset
+from .worldgen import SPLITS, DatasetIOError, _decode_row, _write_rows, load_dataset
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,14 +22,19 @@ class LossRecord:
     logprob_nats: float
 
 
-def write_loss_log(records, path: Path) -> None:
-    _write_rows(
+def stream_loss_log(records: Iterable[LossRecord], path: Path) -> int:
+    """Write each record as it arrives; return how many were written."""
+    return _write_rows(
         path,
         (
             {"qid": rec.qid, "split": rec.split, "kind": rec.kind, "logprob_nats": rec.logprob_nats}
             for rec in records
         ),
     )
+
+
+def write_loss_log(records, path: Path) -> None:
+    stream_loss_log(records, path)
 
 
 def _loss_rows(path: Path):
@@ -89,28 +95,37 @@ class LogDiagnostics:
 
 
 def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
-    """Report unknown/duplicate qids, positive logprobs, and per-split coverage."""
+    """Report unknown/duplicate qids, positive logprobs, and per-split coverage.
+
+    A record joins its question through the key its qid names and the
+    dataset's split table.
+    """
     split_set, _ = load_dataset(dataset_dir)
     totals = split_set.counts()
-    qid_to_split = {item.qid: item.split for item in split_set.all_items()}
-    del split_set  # the join needs only the map; free the items before reading the log
+    key_of_qid, table = split_set.space.key_of_qid, split_set.table
 
     diag = LogDiagnostics(n_records=0)
-    seen: set[str] = set()
+    seen = bytearray(len(table))  # 1 where a known question's record was read
+    unknown_seen: set[str] = set()
     covered = dict.fromkeys(totals, 0)
     for lineno, rec in _loss_rows(log_path):
         qid = rec.qid
         diag.n_records += 1
         if rec.logprob_nats > 0:
             diag.positive_logprobs.append((lineno, qid))
-        split = qid_to_split.get(qid)
-        if split is None:
+        key = key_of_qid(qid)
+        code = 0 if key is None else table[key]
+        if not code:
             diag.unknown_qids.append(qid)
-        if qid in seen:
+            repeat = qid in unknown_seen
+            unknown_seen.add(qid)
+        else:
+            repeat = seen[key]
+            seen[key] = 1
+        if repeat:
             diag.duplicate_qids.append(qid)
-        elif split is not None:
-            covered[split] += 1
-        seen.add(qid)
+        elif code:
+            covered[SPLITS[code - 1]] += 1
 
     for split, total in totals.items():
         if total:  # an empty split has no coverage to report

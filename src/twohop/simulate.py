@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .entropy import ModelKind, Task, dataset_entropy
 from .logs import LossRecord
-from .worldgen import QuestionKind, SplitSet, World, WorldConfig
+from .worldgen import QuestionKind, SplitSet, World, WorldConfig, one_hop_qid, two_hop_qid
 
 
 class CoverageError(KeyError):
@@ -125,26 +126,24 @@ class ReliabilityProfile:
         train two-hop questions. A learned fact has reliability 1; everything
         else answers uniformly.
         """
+        space = split_set.space
+        relations, attributes = space.relations, space.attributes
+        one_hop = space.n_relations
+        train = map(space.unpack, split_set.train.keys)  # (e1, r, a) indices, read once
         if model_kind is ModelKind.RECURRENT:
-            facts = {
-                (item.e1, item.a): 1.0
-                for item in split_set.train
-                if item.kind is QuestionKind.ONE_HOP
-            }
+            facts = {(e1, attributes[a]): 1.0 for e1, r, a in train if r == one_hop}
             return cls(model_kind, facts=facts, unlearned_uniform=True)
         if model_kind is ModelKind.TWO_FUNCTION:
             hop1: dict[FactKey, float] = {}
             hop2: dict[FactKey, float] = {}
-            for item in split_set.train:
-                if item.kind is QuestionKind.ONE_HOP:
+            for e1, r, a in train:
+                if r == one_hop:
                     continue
-                hop1[(item.e1, item.r)] = 1.0
-                hop2[(world.relation_target(item.e1, item.r), item.a)] = 1.0
+                hop1[(e1, relations[r])] = 1.0
+                hop2[(world.relation_target(e1, relations[r]), attributes[a])] = 1.0
             return cls(model_kind, hop1=hop1, hop2=hop2, unlearned_uniform=True)
         memo = {
-            (item.e1, item.r, item.a): 1.0
-            for item in split_set.train
-            if item.kind is not QuestionKind.ONE_HOP
+            (e1, relations[r], attributes[a]): 1.0 for e1, r, a in train if r != one_hop
         }
         return cls(model_kind, memo=memo, unlearned_uniform=True)
 
@@ -204,20 +203,36 @@ def simulate_two_hop_prob(
     return p1 * p2 + (1.0 - p1) / cfg.n_profiles
 
 
+def loss_records(
+    world: World,
+    profile: ReliabilityProfile,
+    split_set: SplitSet,
+) -> Iterator[LossRecord]:
+    """Yield one record per question, in file order, with logprob = ln q of the simulated answer."""
+    space = split_set.space
+    relations, attributes = space.relations, space.attributes
+    one_hop, two_hop = QuestionKind.ONE_HOP.value, space.two_hop_kind.value
+    for questions in split_set.splits():
+        split = questions.split
+        for key in questions.keys:
+            e1, r, a = space.unpack(key)
+            a = attributes[a]
+            if r == space.n_relations:
+                prob = simulate_one_hop_prob(world, profile, e1, a)
+                yield LossRecord(one_hop_qid(e1, a), split, one_hop, math.log(prob))
+            else:
+                r = relations[r]
+                prob = simulate_two_hop_prob(world, profile, e1, r, a)
+                yield LossRecord(two_hop_qid(e1, r, a), split, two_hop, math.log(prob))
+
+
 def generate_loss_log(
     world: World,
     profile: ReliabilityProfile,
     split_set: SplitSet,
 ) -> list[LossRecord]:
     """One record per QA item with logprob = ln q of the simulated answer."""
-    records = []
-    for item in split_set.all_items():
-        if item.kind is QuestionKind.ONE_HOP:
-            prob = simulate_one_hop_prob(world, profile, item.e1, item.a)
-        else:
-            prob = simulate_two_hop_prob(world, profile, item.e1, item.r, item.a)
-        records.append(LossRecord(item.qid, item.split, item.kind.value, math.log(prob)))
-    return records
+    return list(loss_records(world, profile, split_set))
 
 
 def ground_truth_content(world: World, profile: ReliabilityProfile) -> float:

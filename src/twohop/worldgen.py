@@ -14,11 +14,13 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 HOLDOUT_KINDS = (
     "heldout_e1",
@@ -79,7 +81,6 @@ class QuestionKind(str, Enum):
     TWO_HOP_COT = "two_hop_cot"
 
 
-TWO_HOP_KINDS = (QuestionKind.TWO_HOP, QuestionKind.TWO_HOP_COT)
 _KIND_BY_VALUE = {kind.value: kind for kind in QuestionKind}
 
 
@@ -244,23 +245,144 @@ class QAItem:
             raise ValueError("two-hop questions require a first relation")
 
 
-@dataclass
+class KeySpace:
+    """Packs each question (e1, r, a) of a world into one int, its key.
+
+    ``key = (e1 * (|R| + 1) + r_index) * |A| + a_index``, where ``r_index``
+    is the relation's place in the config and a one-hop question takes
+    ``r_index = |R|``. Keys run over ``range(size)`` in (e1, r, a) order,
+    the order in which ``build_splits`` visits questions. A key holds no
+    kind: every two-hop question of a dataset has ``two_hop_kind``.
+    """
+
+    def __init__(self, config: WorldConfig, cot: bool):
+        self.n_profiles = config.n_profiles
+        self.relations = config.relations
+        self.attributes = config.attributes
+        self.n_relations = len(self.relations)
+        self.n_attributes = len(self.attributes)
+        self.per_entity = (self.n_relations + 1) * self.n_attributes
+        self.size = self.n_profiles * self.per_entity
+        self.two_hop_kind = QuestionKind.TWO_HOP_COT if cot else QuestionKind.TWO_HOP
+        self.relation_index = {r: i for i, r in enumerate(self.relations)}
+        self.attribute_index = {a: i for i, a in enumerate(self.attributes)}
+        # the narrowest array type that holds every key
+        self.typecode = "I" if self.size <= 1 << (8 * array("I").itemsize) else "Q"
+
+    def pack(self, e1: int, r_index: int, a_index: int) -> int:
+        return (e1 * (self.n_relations + 1) + r_index) * self.n_attributes + a_index
+
+    def unpack(self, key: int) -> tuple[int, int, int]:
+        """``(e1, r_index, a_index)`` of a key; ``r_index == n_relations`` for one-hop."""
+        e1, rest = divmod(key, self.per_entity)
+        r_index, a_index = divmod(rest, self.n_attributes)
+        return e1, r_index, a_index
+
+    def item(self, key: int, split: str) -> QAItem:
+        e1, r_index, a_index = self.unpack(key)
+        a = self.attributes[a_index]
+        if r_index == self.n_relations:
+            return QAItem(one_hop_qid(e1, a), QuestionKind.ONE_HOP, e1, None, a, split)
+        r = self.relations[r_index]
+        return QAItem(two_hop_qid(e1, r, a), self.two_hop_kind, e1, r, a, split)
+
+    def key_of_qid(self, qid: str) -> int | None:
+        """The key whose qid is exactly ``qid``, or None.
+
+        Attribute names hold no ':' (``WorldConfig.validate``), so splitting
+        on it recovers the fields of any qid of this space. The names must
+        match exactly, so the qid rebuilt from the key equals ``qid`` only
+        when the entity field is ``str(e1)``: a field that ``int()`` reads
+        but that is not the canonical decimal (``007``, ``+7``, ``1_0``,
+        `` 7``) matches nothing.
+        """
+        fields = qid.split(":")
+        if len(fields) == 3 and fields[0] == "1h":
+            r_index = self.n_relations
+        elif len(fields) == 4 and fields[0] == "2h":
+            r_index = self.relation_index.get(fields[2])
+        else:
+            return None
+        a_index = self.attribute_index.get(fields[-1])
+        if r_index is None or a_index is None:
+            return None
+        try:
+            e1 = int(fields[1])
+        except ValueError:
+            return None
+        if not 0 <= e1 < self.n_profiles or str(e1) != fields[1]:
+            return None
+        return self.pack(e1, r_index, a_index)
+
+
+class Questions(Sequence):
+    """One split's questions in file order, stored as packed keys.
+
+    Reading an element builds its QAItem; a slice is a Questions over the
+    sliced keys.
+    """
+
+    __slots__ = ("space", "split", "keys")
+
+    def __init__(self, space: KeySpace, split: str, keys: array):
+        self.space = space
+        self.split = split
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Questions(self.space, self.split, self.keys[index])
+        return self.space.item(self.keys[index], self.split)
+
+    def __iter__(self) -> Iterator[QAItem]:
+        item, split = self.space.item, self.split
+        return (item(key, split) for key in self.keys)
+
+
+# Split names in file order; a split table stores 1 + a split's index here.
+SPLITS = ("train",) + HOLDOUT_KINDS
+_TRAIN = 1
+
+
 class SplitSet:
-    """Train stream plus the seven holdout sets and the components that define them."""
+    """Train stream plus the seven holdout sets and the components that define them.
 
-    train: list[QAItem]
-    heldout: dict[str, list[QAItem]]
-    holdout_manifest: dict[str, list]
-    params: dict = field(default_factory=dict)
+    Each split is a ``Questions`` sequence over packed keys. ``table`` has
+    one byte per key of ``space``: 1 + the index in ``SPLITS`` of the split
+    holding that question, or 0 when the dataset has no such question.
+    """
 
-    def all_items(self) -> Iterable[QAItem]:
-        yield from self.train
+    def __init__(
+        self,
+        space: KeySpace,
+        keys: Mapping[str, array],
+        table: bytearray,
+        holdout_manifest: dict[str, list],
+        params: dict,
+    ):
+        self.space = space
+        self.table = table
+        self.train = Questions(space, "train", keys["train"])
+        self.heldout = {kind: Questions(space, kind, keys[kind]) for kind in HOLDOUT_KINDS}
+        self.holdout_manifest = holdout_manifest
+        self.params = params
+
+    def splits(self) -> Iterator[Questions]:
+        """Every split in file order: train, then the holdout sets in HOLDOUT_KINDS order."""
+        yield self.train
         for kind in HOLDOUT_KINDS:
-            yield from self.heldout.get(kind, [])
+            yield self.heldout[kind]
+
+    def all_items(self) -> Iterator[QAItem]:
+        for questions in self.splits():
+            yield from questions
 
     def counts(self) -> dict[str, int]:
         """Items per split: train, then the holdout sets in HOLDOUT_KINDS order."""
-        return {"train": len(self.train)} | {k: len(self.heldout.get(k, [])) for k in HOLDOUT_KINDS}
+        return {questions.split: len(questions) for questions in self.splits()}
 
 
 def generate_world(config: WorldConfig) -> World:
@@ -326,19 +448,41 @@ def render_question(world: World, item: QAItem) -> dict:
             "answer": answer, "text": text, "split": item.split}
 
 
+class _Product(Sequence):
+    """The tuples of ``itertools.product(*pools)``, built only when indexed.
+
+    ``random.sample`` draws the same elements from it as from the list of
+    those tuples, since it reads a population only through len() and indexing.
+    """
+
+    def __init__(self, *pools: Sequence):
+        self.pools = pools
+        self.size = math.prod(map(len, pools))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: int) -> tuple:
+        if not 0 <= index < self.size:
+            raise IndexError(index)
+        values = []
+        for pool in reversed(self.pools):
+            index, i = divmod(index, len(pool))
+            values.append(pool[i])
+        return tuple(reversed(values))
+
+
 def _sample_components(world: World, fractions: Mapping[str, float], rng: random.Random) -> dict:
     cfg = world.config
-    n = cfg.n_profiles
+    entities = range(cfg.n_profiles)
     populations = {
-        "heldout_e1": list(range(n)),
-        "heldout_r": list(cfg.relations),
-        "heldout_e2": list(range(n)),
-        "heldout_a": list(cfg.attributes),
-        "heldout_e1r": [(e, r) for e in range(n) for r in cfg.relations],
-        "heldout_e2a": [(e, a) for e in range(n) for a in cfg.attributes],
-        "heldout_full": [
-            (e, r, a) for e in range(n) for r in cfg.relations for a in cfg.attributes
-        ],
+        "heldout_e1": entities,
+        "heldout_r": cfg.relations,
+        "heldout_e2": entities,
+        "heldout_a": cfg.attributes,
+        "heldout_e1r": _Product(entities, cfg.relations),
+        "heldout_e2a": _Product(entities, cfg.attributes),
+        "heldout_full": _Product(entities, cfg.relations, cfg.attributes),
     }
     components: dict[str, set] = {}
     for kind in HOLDOUT_KINDS:
@@ -351,6 +495,114 @@ def _sample_components(world: World, fractions: Mapping[str, float], rng: random
             raise ConfigError(f"holdout fraction for {kind} would exhaust its population")
         components[kind] = set(rng.sample(pop, k))
     return components
+
+
+# The fields of each holdout kind's components: an entity (e), a relation
+# (r) or an attribute (a).
+_COMPONENT_FIELDS = {
+    "heldout_e1": "e",
+    "heldout_r": "r",
+    "heldout_e2": "e",
+    "heldout_a": "a",
+    "heldout_e1r": "er",
+    "heldout_e2a": "ea",
+    "heldout_full": "era",
+}
+_SPLIT_CODE = {split: code for code, split in enumerate(SPLITS, 1)}
+
+
+def _component_sets(space: KeySpace, components) -> dict[str, set[tuple]]:
+    """Each holdout kind's components as tuples of entity, relation-index and attribute-index."""
+    if not isinstance(components, dict) or components.keys() != set(HOLDOUT_KINDS):
+        raise ValueError(f"must map exactly {list(HOLDOUT_KINDS)} to lists")
+    index = {"r": space.relation_index, "a": space.attribute_index}
+    sets = {}
+    for kind, fields in _COMPONENT_FIELDS.items():
+        if type(components[kind]) is not list:
+            raise ValueError(f"{kind} must be a list")
+        sets[kind] = parsed = set()
+        for comp in components[kind]:
+            if type(comp) is not list or len(comp) != len(fields):
+                raise ValueError(f"{kind} component {comp!r} is not a list of {len(fields)}")
+            values = []
+            for field_, value in zip(fields, comp):
+                if field_ == "e":
+                    if type(value) is not int or not 0 <= value < space.n_profiles:
+                        raise ValueError(f"{kind} component {comp!r}: unknown entity {value!r}")
+                elif type(value) is not str or value not in index[field_]:
+                    raise ValueError(f"{kind} component {comp!r}: unknown name {value!r}")
+                else:
+                    value = index[field_][value]
+                values.append(value)
+            parsed.add(tuple(values))
+    return sets
+
+
+def split_table(
+    world: World, space: KeySpace, components: Mapping[str, list], mix_ratio: int
+) -> bytearray:
+    """The split of every question of ``world``, as a split table over ``space``.
+
+    The holdout cascade: a two-hop question (e1, r, a), with e2 the target
+    of (e1, r), goes to the first holdout set in HOLDOUT_KINDS order whose
+    components hold e1, r, e2, a, (e1, r), (e2, a) or (e1, r, a). Any other
+    two-hop question is train, or absent (0) when ``mix_ratio`` is 0. Every
+    one-hop question is train. ``components`` takes the manifest's form,
+    each component a list; a malformed one raises ValueError.
+    """
+    sets = _component_sets(space, components)
+    e1s, rs, e2s, held_a = (
+        {value for (value,) in sets[kind]}
+        for kind in ("heldout_e1", "heldout_r", "heldout_e2", "heldout_a")
+    )
+    e1r = sets["heldout_e1r"]
+    e2a: dict[int, list[int]] = {}
+    for e2, a in sets["heldout_e2a"]:
+        e2a.setdefault(e2, []).append(a)
+    full: dict[tuple[int, int], list[int]] = {}
+    for e1, r_index, a in sets["heldout_full"]:
+        full.setdefault((e1, r_index), []).append(a)
+    code = _SPLIT_CODE
+
+    n_attrs = space.n_attributes
+    train = _TRAIN if mix_ratio else 0
+
+    def row(fill: int) -> bytes:
+        return bytes(code["heldout_a"] if a in held_a else fill for a in range(n_attrs))
+
+    whole = {
+        kind: bytes([code[kind]]) * n_attrs for kind in ("heldout_e1", "heldout_r", "heldout_e2")
+    }
+    plain_row, e1r_row = row(train), row(code["heldout_e1r"])
+    one_hop_row = bytes([_TRAIN]) * n_attrs
+    table = bytearray(space.size)
+    for e1 in range(space.n_profiles):
+        targets = world.profiles[e1].relation_values
+        start = e1 * space.per_entity
+        for r_index, r in enumerate(space.relations):
+            e2 = targets[r]
+            if e1 in e1s:
+                block = whole["heldout_e1"]
+            elif r_index in rs:
+                block = whole["heldout_r"]
+            elif e2 in e2s:
+                block = whole["heldout_e2"]
+            elif (e1, r_index) in e1r:
+                block = e1r_row
+            else:
+                block = plain_row
+                if e2 in e2a or (e1, r_index) in full:
+                    block = bytearray(block)
+                    # (e2, a) before (e1, r, a); heldout_a already took its attributes
+                    for kind, attrs in (("heldout_e2a", e2a.get(e2, ())),
+                                        ("heldout_full", full.get((e1, r_index), ()))):
+                        for a in attrs:
+                            if block[a] == train:
+                                block[a] = code[kind]
+            table[start : start + n_attrs] = block
+            start += n_attrs
+        table[start : start + n_attrs] = one_hop_row
+    return table
 
 
 def build_splits(
@@ -374,64 +626,52 @@ def build_splits(
         raise ConfigError(f"unknown holdout kinds: {sorted(unknown)}")
     rng = random.Random(seed)
     components = _sample_components(world, holdout_fractions, rng)
-
-    two_hop_kind = QuestionKind.TWO_HOP_COT if cot else QuestionKind.TWO_HOP
-    heldout: dict[str, list[QAItem]] = {kind: [] for kind in HOLDOUT_KINDS}
-    train_two_hop: list[QAItem] = []
-    for e1 in range(cfg.n_profiles):
-        for r in cfg.relations:
-            e2 = world.relation_target(e1, r)
-            for a in cfg.attributes:
-                if e1 in components["heldout_e1"]:
-                    dest = "heldout_e1"
-                elif r in components["heldout_r"]:
-                    dest = "heldout_r"
-                elif e2 in components["heldout_e2"]:
-                    dest = "heldout_e2"
-                elif a in components["heldout_a"]:
-                    dest = "heldout_a"
-                elif (e1, r) in components["heldout_e1r"]:
-                    dest = "heldout_e1r"
-                elif (e2, a) in components["heldout_e2a"]:
-                    dest = "heldout_e2a"
-                elif (e1, r, a) in components["heldout_full"]:
-                    dest = "heldout_full"
-                else:
-                    train_two_hop.append(make_question(world, two_hop_kind, e1, r, a))
-                    continue
-                heldout[dest].append(make_question(world, two_hop_kind, e1, r, a, dest))
-
-    one_hop = [
-        make_question(world, QuestionKind.ONE_HOP, e1, None, a)
-        for e1 in range(cfg.n_profiles)
-        for a in cfg.attributes
-    ]
-
-    if mix_ratio == 0:
-        train = one_hop
-    else:
-        rng.shuffle(train_two_hop)
-        rng.shuffle(one_hop)
-        train = []
-        taken = 0
-        for i, item in enumerate(train_two_hop):
-            train.append(item)
-            if (i + 1) % mix_ratio == 0 and taken < len(one_hop):
-                train.append(one_hop[taken])
-                taken += 1
-        train.extend(one_hop[taken:])
-
     manifest = {
         kind: sorted(list(c) if isinstance(c, tuple) else [c] for c in components[kind])
         for kind in HOLDOUT_KINDS
     }
+
+    space = KeySpace(cfg, cot)
+    table = split_table(world, space, manifest, mix_ratio)
+    keys = {split: array(space.typecode) for split in SPLITS}
+    train_two_hop = array(space.typecode)
+    two_hop_keys = space.n_relations * space.n_attributes
+    for start in range(0, space.size, space.per_entity):
+        for key in range(start, start + two_hop_keys):
+            code = table[key]
+            if code == _TRAIN:
+                train_two_hop.append(key)
+            elif code:
+                keys[SPLITS[code - 1]].append(key)
+
+    one_hop = array(space.typecode, (
+        space.pack(e1, space.n_relations, a)
+        for e1 in range(cfg.n_profiles)
+        for a in range(space.n_attributes)
+    ))
+    if mix_ratio == 0:
+        train = one_hop
+    else:
+        # shuffle draws depend only on the length, so arrays shuffle as lists do
+        rng.shuffle(train_two_hop)
+        rng.shuffle(one_hop)
+        train = array(space.typecode)
+        taken = 0
+        for i, key in enumerate(train_two_hop):
+            train.append(key)
+            if (i + 1) % mix_ratio == 0 and taken < len(one_hop):
+                train.append(one_hop[taken])
+                taken += 1
+        train.extend(one_hop[taken:])
+    keys["train"] = train
+
     params = {
         "seed": seed,
         "mix_ratio": mix_ratio,
         "holdout_fractions": {k: holdout_fractions.get(k, 0.0) for k in HOLDOUT_KINDS},
         "cot": cot,
     }
-    return SplitSet(train, heldout, manifest, params)
+    return SplitSet(space, keys, table, manifest, params)
 
 
 # --- persistence ---------------------------------------------------------
@@ -443,12 +683,15 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 _scan_value = json.JSONDecoder().scan_once
 
 
-def _write_rows(path: Path, rows: Iterable[Mapping]) -> None:
-    """Write each row as one sorted-key JSON object per line."""
+def _write_rows(path: Path, rows: Iterable[Mapping]) -> int:
+    """Write each row as one sorted-key JSON object per line, as it arrives; return the count."""
     encode = _ROW_ENCODER.encode
+    count = 0
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(encode(row) + "\n")
+            count += 1
+    return count
 
 
 def _decode_row(line: str):
@@ -482,7 +725,7 @@ def _read_rows(path: Path, what: str, take) -> None:
                 raise DatasetIOError(f"{path}:{lineno}: malformed {what} row ({exc!r})") from None
 
 
-def sha256_file(path: Path, chunk_size: int = 1 << 20) -> str:
+def sha256_file(path: Path, chunk_size: int = 1 << 16) -> str:
     hasher = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(chunk_size), b""):
@@ -585,17 +828,37 @@ def _verify_files(path: Path, manifest: Mapping) -> None:
             raise HashMismatchError(f"{name}: expected {expected}, got {actual}")
 
 
+def _split_params(manifest: Mapping) -> tuple[bool, int]:
+    """The manifest's ``cot`` flag and ``mix_ratio``, which decide each row's kind and split."""
+    params = manifest["split_params"]
+    if not isinstance(params, dict):
+        raise DatasetIOError("manifest split_params is not a JSON object")
+    cot, mix_ratio = params.get("cot"), params.get("mix_ratio")
+    if type(cot) is not bool:
+        raise DatasetIOError(f"manifest split_params cot must be true or false, got {cot!r}")
+    if type(mix_ratio) is not int or mix_ratio < 0:
+        raise DatasetIOError(
+            f"manifest split_params mix_ratio must be an integer >= 0, got {mix_ratio!r}"
+        )
+    return cot, mix_ratio
+
+
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
     """Load a persisted dataset, verifying file hashes against the manifest.
 
     A row that does not fit the config (unknown entity, relation, attribute or
-    split, a qid that is not its key's) raises DatasetIOError naming ``path:line``.
+    split, a qid that is not its key's), whose kind does not fit the manifest's
+    ``cot``, whose split is not the one the holdout cascade gives its key, or
+    that repeats a question raises DatasetIOError naming ``path:line``, as
+    does a file that lacks a question.
     """
     path = Path(path)
     manifest = load_manifest(path)
     _verify_files(path, manifest)
 
     config = WorldConfig.from_dict(manifest["config"])
+    config.validate()
+    cot, mix_ratio = _split_params(manifest)
     n = config.n_profiles
     profiles: list[Profile] = []
     profiles_path = path / "profiles.jsonl"
@@ -609,35 +872,55 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
         raise DatasetIOError(f"{profiles_path}:{lineno}: missing profile row ({n} expected)")
     world = World(config, profiles)
 
-    train: list[QAItem] = []
-    heldout: dict[str, list[QAItem]] = {kind: [] for kind in HOLDOUT_KINDS}
-    by_split = {"train": train, **heldout}
-    # The decoder gives every row its own copy of r, a and split. Looking them
-    # up in these dicts makes items share the config's and the split names'
-    # objects, and an unknown name fails the row. The checks are inline because
-    # a make_question call per row made loading about a quarter slower.
-    relations = {r: r for r in config.relations}
-    attributes = {a: a for a in config.attributes}
-    splits = {s: s for s in by_split}
+    space = KeySpace(config, cot)
+    try:
+        table = split_table(world, space, manifest["holdout_components"], mix_ratio)
+    except (TypeError, ValueError) as exc:
+        raise DatasetIOError(f"manifest holdout_components: {exc}") from None
+    keys = {split: array(space.typecode) for split in SPLITS}
+    appends = [None] + [keys[split].append for split in SPLITS]
+    seen = bytearray(space.size)
+    one_hop, two_hop = QuestionKind.ONE_HOP, space.two_hop_kind
+    relations, attributes = space.relation_index, space.attribute_index
+    pack, n_relations = space.pack, space.n_relations
 
+    # The checks are inline because a make_question call per row made
+    # loading about a quarter slower.
     def take_item(d: Mapping) -> None:
         missing = _ROW_KEYS.difference(d)  # a row that is not an object fails here or below
         if missing:
             raise KeyError(", ".join(sorted(missing)))
         kind = _KIND_BY_VALUE[d["kind"]]
-        e1, r, a = d["e1"], d["r"], attributes[d["a"]]
+        e1, a = d["e1"], d["a"]
+        a_index = attributes[a]
         if type(e1) is not int or not 0 <= e1 < n:
             raise ValueError(f"unknown entity: {e1!r}")
-        if kind is QuestionKind.ONE_HOP:
+        if kind is one_hop:
+            if d["r"] is not None:
+                raise ValueError("one-hop questions have no first relation")
+            r_index = n_relations
             qid = one_hop_qid(e1, a)
+        elif kind is two_hop:
+            r_index = relations[d["r"]]
+            qid = two_hop_qid(e1, d["r"], a)
         else:
-            r = relations[r]
-            qid = two_hop_qid(e1, r, a)
+            raise ValueError(f"kind {kind.value!r} in a dataset with cot {cot}")
         if d["qid"] != qid:
             raise ValueError(f"qid {d['qid']!r} does not match its key {qid!r}")
-        split = splits[d["split"]]
-        by_split[split].append(QAItem(qid, kind, e1, r, a, split))
+        code = _SPLIT_CODE[d["split"]]
+        key = pack(e1, r_index, a_index)
+        if table[key] != code:
+            derived = SPLITS[table[key] - 1] if table[key] else "none (mix_ratio 0)"
+            raise ValueError(f"split {d['split']!r} is not {qid!r}'s split, {derived}")
+        if seen[key]:
+            raise ValueError(f"repeats question {qid!r}")
+        seen[key] = 1
+        appends[code](key)
 
-    _read_rows(path / "qa.jsonl", "question", take_item)
-    split_set = SplitSet(train, heldout, manifest["holdout_components"], manifest["split_params"])
-    return split_set, world
+    qa_path = path / "qa.jsonl"
+    _read_rows(qa_path, "question", take_item)
+    rows, expected = sum(map(len, keys.values())), space.size - table.count(0)
+    if rows < expected:
+        raise DatasetIOError(f"{qa_path}:{rows + 1}: missing question row ({expected} expected)")
+    holdout_manifest, params = manifest["holdout_components"], manifest["split_params"]
+    return SplitSet(space, keys, table, holdout_manifest, params), world

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -364,6 +365,39 @@ def _third_question_wrong_qid(manifest, out):
     _replace_third_question(out, manifest, row)
 
 
+def _third_question_repeats_second(manifest, out):
+    row = json.loads((out / "qa.jsonl").read_text().splitlines()[1])
+    _replace_third_question(out, manifest, row)
+
+
+def _drop_last_question(manifest, out):
+    qa = out / "qa.jsonl"
+    qa.write_text("".join(qa.read_text().splitlines(keepends=True)[:-1]))
+    manifest["files"]["qa.jsonl"] = _sha256(qa)
+
+
+def _third_question_moved(manifest, out):
+    row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
+    assert row["split"] == "train"
+    row["split"] = "heldout_full"
+    _replace_third_question(out, manifest, row)
+
+
+def _third_question_cot(manifest, out):
+    row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
+    assert row["kind"] == "two_hop"  # a CoT row keeps its qid
+    row["kind"] = "two_hop_cot"
+    _replace_third_question(out, manifest, row)
+
+
+def _holdout_components_as_list(manifest, out):
+    manifest["holdout_components"] = []
+
+
+def _cot_as_string(manifest, out):
+    manifest["split_params"]["cot"] = "yes"
+
+
 def _edit_profile_lines(manifest, out, change):
     profiles = out / "profiles.jsonl"
     lines = profiles.read_text().splitlines(keepends=True)
@@ -418,6 +452,13 @@ def _extra_profile(manifest, out):
         ("simulate", _third_question_rekeyed("unknown_split", split="heldout_x"), "qa.jsonl:3:"),
         ("simulate", _third_question_wrong_qid, "qa.jsonl:3:"),
         ("validate", _third_question_wrong_qid, "qa.jsonl:3:"),
+        ("simulate", _third_question_repeats_second, "qa.jsonl:3:"),
+        ("validate", _third_question_repeats_second, "qa.jsonl:3:"),
+        ("simulate", _drop_last_question, "qa.jsonl:1600: missing question row"),
+        ("simulate", _third_question_moved, "qa.jsonl:3:"),
+        ("simulate", _third_question_cot, "qa.jsonl:3:"),
+        ("simulate", _holdout_components_as_list, "holdout_components"),
+        ("simulate", _cot_as_string, "cot"),
         ("simulate", _drop_last_profile, "profiles.jsonl:100:"),
         ("simulate", _extra_profile, "profiles.jsonl:101:"),
         ("simulate", _second_profile_with("id_not_index", id=5), "profiles.jsonl:2:"),
@@ -489,3 +530,94 @@ def test_run_manifest_not_object_exits_1(dataset_dir, run_log, tmp_path, capsys)
     log.with_suffix(".json").write_text("[]\n")
     code = main(["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f"])
     _assert_clean_error(code, capsys, "not a JSON object")
+
+
+def test_validate_qid_join(dataset_dir, tmp_path, capsys):
+    # A qid matches a question only if it is that question's qid character
+    # for character: int() reads 007, +7, 1_0, " 7" and "٧", but none names e1 7.
+    qids = [
+        "1h:7:mother",
+        "2h:7:mother:birth city",
+        "2h:007:mother:birth city",
+        "2h:+7:mother:birth city",
+        "2h:1_0:mother:birth city",
+        "2h: 7:mother:birth city",
+        "2h:\u0667:mother:birth city",
+        "2h:7:mother:birth city:x",
+        "2h:7:birth city:mother",
+        "1h:7:zodiac",
+        "1h:100:mother",
+        "2h:7:mother",
+        "nope",
+        "nope",
+        "1h:7:mother",
+    ]
+    log = tmp_path / "join.jsonl"
+    log.write_text("".join(
+        json.dumps({"qid": q, "split": "train", "kind": "two_hop", "logprob_nats": -1.0}) + "\n"
+        for q in qids
+    ))
+    assert main(["validate", "--dataset", str(dataset_dir), "--losses", str(log)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["unknown_qids"] == qids[2:14]
+    assert payload["duplicate_qids"] == ["nope", "1h:7:mother"]
+    # 1h:7:mother is one of 953 train questions and 2h:7:mother:birth city
+    # one of 13 in heldout_e2a
+    zero = dict.fromkeys(["heldout_e1", "heldout_r", "heldout_e2", "heldout_a", "heldout_e1r",
+                          "heldout_full"], 0.0)
+    assert payload["coverage"] == {"train": 1 / 953, "heldout_e2a": 1 / 13, **zero}
+
+
+def test_cot_log_refused_by_estimators(tmp_path, capsys):
+    # simulate and validate take a CoT dataset; the latent-model inversion
+    # does not describe its losses, so the estimating commands refuse it
+    ds = tmp_path / "cot"
+    assert main(GEN_ARGS + ["--cot", "answers", "--out", str(ds)]) == 0
+    log = tmp_path / "cot.jsonl"
+    args = ["--dataset", str(ds), "--losses", str(log)]
+    assert main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "5000",
+                 "--out", str(log)]) == 0
+    assert main(["validate"] + args) == 0
+    capsys.readouterr()
+    for command in (
+        ["estimate", "--model", "2f"],
+        ["classify"],
+        ["report", "--model", "2f", "--out-csv", str(tmp_path / "cot.csv")],
+    ):
+        _assert_clean_error(main(command + args), capsys, "two_hop_cot")
+
+
+# Traced peak growth per added question of simulate, estimate, classify and
+# validate, in bytes: at most 15 B measured on the packed-key store, with 2x
+# headroom. Holding an object per question costs hundreds.
+BYTES_PER_QUESTION = 30
+
+
+def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
+    peaks, questions = {}, {}
+    for relations in (2, 8):
+        ds = tmp_path / f"r{relations}"
+        assert main(["gen", "--profiles", "40", "--relations", str(relations), "--properties", "2",
+                     "--name-pools", "100", "100", "100", "--holdout-frac", "0.05", "--seed", "2",
+                     "--out", str(ds)]) == 0
+        questions[relations] = sum(json.loads(capsys.readouterr().out)["counts"].values())
+        log = tmp_path / f"r{relations}.jsonl"
+        data = ["--dataset", str(ds)]
+        commands = {
+            "simulate": ["simulate", *data, "--model", "2f", "--out", str(log)],
+            "estimate": ["estimate", *data, "--losses", str(log), "--model", "2f"],
+            "classify": ["classify", *data, "--losses", str(log)],
+            "validate": ["validate", *data, "--losses", str(log)],
+        }
+        for name, argv in commands.items():
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0, name
+                peaks[name, relations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+    added = questions[8] - questions[2]
+    assert added > 3000
+    growth = {name: (peaks[name, 8] - peaks[name, 2]) / added for name in commands}
+    assert max(growth.values()) <= BYTES_PER_QUESTION, growth
