@@ -54,7 +54,7 @@ from .worldgen import (
     load_dataset,
     make_question,
     persist_dataset,
-    render_question,
+    question_lines,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

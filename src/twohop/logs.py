@@ -8,10 +8,12 @@ the producer). Records join back to the dataset through qids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from pathlib import Path
 from typing import Iterable
 
-from .worldgen import SPLITS, DatasetIOError, _decode_row, _write_rows, load_dataset
+from .worldgen import SPLITS, _ROW_ENCODER, DatasetIOError, _decode_row, load_dataset
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,14 +25,23 @@ class LossRecord:
 
 
 def stream_loss_log(records: Iterable[LossRecord], path: Path) -> int:
-    """Write each record as it arrives; return how many were written."""
-    return _write_rows(
-        path,
-        (
-            {"qid": rec.qid, "split": rec.split, "kind": rec.kind, "logprob_nats": rec.logprob_nats}
-            for rec in records
-        ),
-    )
+    """Write each record as it arrives; return how many were written.
+
+    A row is the line ``json.dumps(row, sort_keys=True)`` writes, built as
+    one f-string: a finite float's JSON is its repr, and any other number
+    goes through the encoder (``NaN``, ``Infinity``).
+    """
+    count, encode = 0, _ROW_ENCODER.encode
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            x = rec.logprob_nats
+            number = repr(x) if type(x) is float and isfinite(x) else encode(x)
+            f.write(
+                f'{{"kind": {_json_str(rec.kind)}, "logprob_nats": {number}, '
+                f'"qid": {_json_str(rec.qid)}, "split": {_json_str(rec.split)}}}\n'
+            )
+            count += 1
+    return count
 
 
 def write_loss_log(records, path: Path) -> None:
@@ -73,12 +84,17 @@ class LogDiagnostics:
     unknown_qids: list[str] = field(default_factory=list)
     duplicate_qids: list[str] = field(default_factory=list)
     positive_logprobs: list[tuple[int, str]] = field(default_factory=list)
+    # (line, qid, split, kind) of each record whose split or kind is not its
+    # question's, with the question's split and kind
+    mislabeled: list[tuple[int, str, str, str]] = field(default_factory=list)
     missing_splits: list[str] = field(default_factory=list)
     coverage: dict[str, float] = field(default_factory=dict)
 
     @property
     def has_violations(self) -> bool:
-        return bool(self.unknown_qids or self.duplicate_qids or self.positive_logprobs)
+        return bool(
+            self.unknown_qids or self.duplicate_qids or self.positive_logprobs or self.mislabeled
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -88,6 +104,10 @@ class LogDiagnostics:
             "positive_logprobs": [
                 {"line": line, "qid": qid} for line, qid in self.positive_logprobs
             ],
+            "mislabeled": [
+                {"line": line, "qid": qid, "expected_split": split, "expected_kind": kind}
+                for line, qid, split, kind in self.mislabeled
+            ],
             "missing_splits": self.missing_splits,
             "coverage": self.coverage,
             "has_violations": self.has_violations,
@@ -95,14 +115,16 @@ class LogDiagnostics:
 
 
 def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
-    """Report unknown/duplicate qids, positive logprobs, and per-split coverage.
+    """Report unknown/duplicate qids, positive logprobs, mislabeled records and per-split coverage.
 
     A record joins its question through the key its qid names and the
-    dataset's split table.
+    dataset's split table. A record is mislabeled when its split or kind is
+    not its question's.
     """
     split_set, _ = load_dataset(dataset_dir)
     totals = split_set.counts()
-    key_of_qid, table = split_set.space.key_of_qid, split_set.table
+    space, table = split_set.space, split_set.table
+    kinds = [space.two_hop_kind.value] * space.n_relations + ["one_hop"]  # by relation index
 
     diag = LogDiagnostics(n_records=0)
     seen = bytearray(len(table))  # 1 where a known question's record was read
@@ -113,7 +135,7 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
         diag.n_records += 1
         if rec.logprob_nats > 0:
             diag.positive_logprobs.append((lineno, qid))
-        key = key_of_qid(qid)
+        key = space.key_of_qid(qid)
         code = 0 if key is None else table[key]
         if not code:
             diag.unknown_qids.append(qid)
@@ -122,10 +144,13 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
         else:
             repeat = seen[key]
             seen[key] = 1
+            split, kind = SPLITS[code - 1], kinds[space.unpack(key)[1]]
+            if rec.split != split or rec.kind != kind:
+                diag.mislabeled.append((lineno, qid, split, kind))
         if repeat:
             diag.duplicate_qids.append(qid)
         elif code:
-            covered[SPLITS[code - 1]] += 1
+            covered[split] += 1
 
     for split, total in totals.items():
         if total:  # an empty split has no coverage to report

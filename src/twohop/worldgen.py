@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -79,9 +80,6 @@ class QuestionKind(str, Enum):
     ONE_HOP = "one_hop"
     TWO_HOP = "two_hop"
     TWO_HOP_COT = "two_hop_cot"
-
-
-_KIND_BY_VALUE = {kind.value: kind for kind in QuestionKind}
 
 
 @dataclass(frozen=True)
@@ -218,12 +216,6 @@ class World:
     def value_string(self, prop: str, value: int) -> str:
         slug = prop.replace(" ", "_")
         return f"{slug}_{value}"
-
-    def answer_string(self, entity: int, attribute: str) -> str:
-        """Rendered answer for the one-hop fact (entity, attribute)."""
-        if self.config.is_relation(attribute):
-            return self.entity_name(self.relation_target(entity, attribute))
-        return self.value_string(attribute, self.profiles[entity].property_values[attribute])
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,27 +417,60 @@ def make_question(
     return QAItem(two_hop_qid(e1, r, a), kind, e1, r, a, split)
 
 
-def render_question(world: World, item: QAItem) -> dict:
-    """The qa.jsonl row of a question: its key plus e2, answer and text from the templates."""
-    e1, r, a = item.e1, item.r, item.a
-    name = world.entity_name(e1)
-    if item.kind is QuestionKind.ONE_HOP:
-        e2 = None
-        answer = world.answer_string(e1, a)
-        text = f"What was {name}'s {a}? {answer}"
-    else:
-        e2 = world.relation_target(e1, r)
-        answer = world.answer_string(e2, a)
-        if item.kind is QuestionKind.TWO_HOP:
-            text = f"What was {name}'s {r}'s {a}? {answer}"
-        else:
-            e2_name = world.entity_name(e2)
-            text = (
-                f"What was {name}'s {r}'s {a}? "
-                f"{name}'s {r} was {e2_name}. {e2_name}'s {a} was {answer}."
+def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
+    """Each qa.jsonl line of ``split_set``, in file order.
+
+    A line is ``json.dumps(row, sort_keys=True) + "\\n"`` for the question's
+    row: its key (qid, kind, e1, r, a, split) plus e2, answer and text from
+    the templates. It is one f-string over names JSON-escaped once per call.
+    """
+    cfg, space = world.config, split_set.space
+    n_rel, n_attrs, per_entity = space.n_relations, space.n_attributes, space.per_entity
+    # ensure_ascii escapes each character on its own, so escaped pieces splice
+    # into one escaped string; entity names are ASCII letters, digits and spaces
+    rels = [json.dumps(r)[1:-1] for r in cfg.relations]
+    attrs = [json.dumps(a)[1:-1] for a in cfg.attributes]
+    # a property's answer is its escaped prefix and the value index
+    prefixes = [""] * n_rel
+    prefixes += (json.dumps(world.value_string(p, ""))[1:-1] for p in cfg.property_names)
+    names = [world.entity_name(e) for e in range(cfg.n_profiles)]
+    # facts[e * n_attrs + a] is entity e's value of attribute a: an entity id
+    # for a relation, a value index for a property
+    facts = []
+    for p in world.profiles:
+        facts += map(p.relation_values.__getitem__, cfg.relations)
+        facts += map(p.property_values.__getitem__, cfg.property_names)
+    kind = space.two_hop_kind.value
+    cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
+    for questions in split_set.splits():
+        split = questions.split
+        for key in questions.keys:
+            e1, rest = divmod(key, per_entity)
+            r, a = divmod(rest, n_attrs)
+            name, a_name = names[e1], attrs[a]
+            if r == n_rel:
+                value = facts[e1 * n_attrs + a]
+                answer = names[value] if a < n_rel else f"{prefixes[a]}{value}"
+                yield (
+                    f'{{"a": "{a_name}", "answer": "{answer}", "e1": {e1}, "e2": null, '
+                    f'"kind": "one_hop", "qid": "1h:{e1}:{a_name}", "r": null, '
+                    f'"split": "{split}", "text": "What was {name}\'s {a_name}? {answer}"}}\n'
+                )
+                continue
+            r_name, e2 = rels[r], facts[e1 * n_attrs + r]
+            value = facts[e2 * n_attrs + a]
+            answer = names[value] if a < n_rel else f"{prefixes[a]}{value}"
+            text = f"What was {name}'s {r_name}'s {a_name}? "
+            if cot:
+                e2_name = names[e2]
+                text += f"{name}'s {r_name} was {e2_name}. {e2_name}'s {a_name} was {answer}."
+            else:
+                text += answer
+            yield (
+                f'{{"a": "{a_name}", "answer": "{answer}", "e1": {e1}, "e2": {e2}, '
+                f'"kind": "{kind}", "qid": "2h:{e1}:{r_name}:{a_name}", "r": "{r_name}", '
+                f'"split": "{split}", "text": "{text}"}}\n'
             )
-    return {"qid": item.qid, "kind": item.kind.value, "e1": e1, "r": r, "a": a, "e2": e2,
-            "answer": answer, "text": text, "split": item.split}
 
 
 class _Product(Sequence):
@@ -472,31 +497,6 @@ class _Product(Sequence):
         return tuple(reversed(values))
 
 
-def _sample_components(world: World, fractions: Mapping[str, float], rng: random.Random) -> dict:
-    cfg = world.config
-    entities = range(cfg.n_profiles)
-    populations = {
-        "heldout_e1": entities,
-        "heldout_r": cfg.relations,
-        "heldout_e2": entities,
-        "heldout_a": cfg.attributes,
-        "heldout_e1r": _Product(entities, cfg.relations),
-        "heldout_e2a": _Product(entities, cfg.attributes),
-        "heldout_full": _Product(entities, cfg.relations, cfg.attributes),
-    }
-    components: dict[str, set] = {}
-    for kind in HOLDOUT_KINDS:
-        frac = fractions.get(kind, 0.0)
-        if not 0.0 <= frac < 1.0:
-            raise ConfigError(f"holdout fraction for {kind} must be in [0, 1)")
-        pop = populations[kind]
-        k = math.ceil(frac * len(pop)) if frac > 0 else 0
-        if k >= len(pop):
-            raise ConfigError(f"holdout fraction for {kind} would exhaust its population")
-        components[kind] = set(rng.sample(pop, k))
-    return components
-
-
 # The fields of each holdout kind's components: an entity (e), a relation
 # (r) or an attribute (a).
 _COMPONENT_FIELDS = {
@@ -511,35 +511,27 @@ _COMPONENT_FIELDS = {
 _SPLIT_CODE = {split: code for code, split in enumerate(SPLITS, 1)}
 
 
-def _component_sets(space: KeySpace, components) -> dict[str, set[tuple]]:
-    """Each holdout kind's components as tuples of entity, relation-index and attribute-index."""
-    if not isinstance(components, dict) or components.keys() != set(HOLDOUT_KINDS):
-        raise ValueError(f"must map exactly {list(HOLDOUT_KINDS)} to lists")
-    index = {"r": space.relation_index, "a": space.attribute_index}
-    sets = {}
-    for kind, fields in _COMPONENT_FIELDS.items():
-        if type(components[kind]) is not list:
-            raise ValueError(f"{kind} must be a list")
-        sets[kind] = parsed = set()
-        for comp in components[kind]:
-            if type(comp) is not list or len(comp) != len(fields):
-                raise ValueError(f"{kind} component {comp!r} is not a list of {len(fields)}")
-            values = []
-            for field_, value in zip(fields, comp):
-                if field_ == "e":
-                    if type(value) is not int or not 0 <= value < space.n_profiles:
-                        raise ValueError(f"{kind} component {comp!r}: unknown entity {value!r}")
-                elif type(value) is not str or value not in index[field_]:
-                    raise ValueError(f"{kind} component {comp!r}: unknown name {value!r}")
-                else:
-                    value = index[field_][value]
-                values.append(value)
-            parsed.add(tuple(values))
-    return sets
+def _sample_components(
+    world: World, fractions: Mapping[str, float], rng: random.Random
+) -> dict[str, set[tuple]]:
+    """Each holdout kind's components, as tuples of entity, relation-index and attribute-index."""
+    cfg = world.config
+    sizes = {"e": cfg.n_profiles, "r": len(cfg.relations), "a": len(cfg.attributes)}
+    components = {}
+    for kind in HOLDOUT_KINDS:
+        frac = fractions.get(kind, 0.0)
+        if not 0.0 <= frac < 1.0:
+            raise ConfigError(f"holdout fraction for {kind} must be in [0, 1)")
+        pop = _Product(*(range(sizes[field_]) for field_ in _COMPONENT_FIELDS[kind]))
+        k = math.ceil(frac * len(pop)) if frac > 0 else 0
+        if k >= len(pop):
+            raise ConfigError(f"holdout fraction for {kind} would exhaust its population")
+        components[kind] = set(rng.sample(pop, k))
+    return components
 
 
 def split_table(
-    world: World, space: KeySpace, components: Mapping[str, list], mix_ratio: int
+    world: World, space: KeySpace, sets: Mapping[str, set[tuple]], mix_ratio: int
 ) -> bytearray:
     """The split of every question of ``world``, as a split table over ``space``.
 
@@ -547,10 +539,8 @@ def split_table(
     of (e1, r), goes to the first holdout set in HOLDOUT_KINDS order whose
     components hold e1, r, e2, a, (e1, r), (e2, a) or (e1, r, a). Any other
     two-hop question is train, or absent (0) when ``mix_ratio`` is 0. Every
-    one-hop question is train. ``components`` takes the manifest's form,
-    each component a list; a malformed one raises ValueError.
+    one-hop question is train. ``sets`` takes ``_sample_components``' form.
     """
-    sets = _component_sets(space, components)
     e1s, rs, e2s, held_a = (
         {value for (value,) in sets[kind]}
         for kind in ("heldout_e1", "heldout_r", "heldout_e2", "heldout_a")
@@ -626,13 +616,17 @@ def build_splits(
         raise ConfigError(f"unknown holdout kinds: {sorted(unknown)}")
     rng = random.Random(seed)
     components = _sample_components(world, holdout_fractions, rng)
+    names = {"e": range(cfg.n_profiles), "r": cfg.relations, "a": cfg.attributes}
     manifest = {
-        kind: sorted(list(c) if isinstance(c, tuple) else [c] for c in components[kind])
+        kind: sorted(
+            [names[field_][value] for field_, value in zip(_COMPONENT_FIELDS[kind], comp)]
+            for comp in components[kind]
+        )
         for kind in HOLDOUT_KINDS
     }
 
     space = KeySpace(cfg, cot)
-    table = split_table(world, space, manifest, mix_ratio)
+    table = split_table(world, space, components, mix_ratio)
     keys = {split: array(space.typecode) for split in SPLITS}
     train_two_hop = array(space.typecode)
     two_hop_keys = space.n_relations * space.n_attributes
@@ -655,14 +649,23 @@ def build_splits(
         # shuffle draws depend only on the length, so arrays shuffle as lists do
         rng.shuffle(train_two_hop)
         rng.shuffle(one_hop)
-        train = array(space.typecode)
-        taken = 0
-        for i, key in enumerate(train_two_hop):
-            train.append(key)
-            if (i + 1) % mix_ratio == 0 and taken < len(one_hop):
-                train.append(one_hop[taken])
-                taken += 1
-        train.extend(one_hop[taken:])
+        # One one-hop key after each run of mix_ratio two-hop keys while both
+        # last, then the rest of each. The keys are moved in place, back to
+        # front, so no second copy of the train stream is held.
+        train, n_two = train_two_hop, len(train_two_hop)
+        taken = min(n_two // mix_ratio, len(one_hop))
+        train.extend(one_hop)  # one_hop[taken:] is now in place
+        # the two-hop keys after the last run move taken places right, back
+        # to front in runs of at most taken keys: each run's copy stays small
+        # and no run lands on a key not yet moved
+        tail = mix_ratio * taken
+        for end in range(n_two, tail, -taken) if taken else ():
+            start = max(end - taken, tail)
+            train[start + taken : end + taken] = train[start:end]
+        for i in reversed(range(taken)):
+            start = i * (mix_ratio + 1)
+            train[start : start + mix_ratio] = train[i * mix_ratio : (i + 1) * mix_ratio]
+            train[start + mix_ratio] = one_hop[i]
     keys["train"] = train
 
     params = {
@@ -676,22 +679,21 @@ def build_splits(
 
 # --- persistence ---------------------------------------------------------
 
-# Every JSONL row of a dataset or loss log is written and read through the
-# codec below. The encoder has json.dumps(row, sort_keys=True)'s settings, so
-# rows keep their bytes; one instance saves building an encoder per row.
+# Every JSONL row of a dataset or loss log is read through the codec below,
+# and is written as its encoder writes it. The encoder has json.dumps(row,
+# sort_keys=True)'s settings, so rows keep their bytes; one instance saves
+# building an encoder per row. Question and loss-log rows are f-strings
+# that give the same bytes.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 _scan_value = json.JSONDecoder().scan_once
 
 
-def _write_rows(path: Path, rows: Iterable[Mapping]) -> int:
-    """Write each row as one sorted-key JSON object per line, as it arrives; return the count."""
+def _write_rows(path: Path, rows: Iterable[Mapping]) -> None:
+    """Write each row as one sorted-key JSON object per line, as it arrives."""
     encode = _ROW_ENCODER.encode
-    count = 0
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(encode(row) + "\n")
-            count += 1
-    return count
 
 
 def _decode_row(line: str):
@@ -767,10 +769,6 @@ def _pool_values(d: Mapping, key: str, pools: dict[str, int]) -> dict[str, int]:
     return {name: values[name] for name in pools}
 
 
-# Every qa.jsonl row has these keys; a reader takes only QAItem's six.
-_ROW_KEYS = frozenset(("qid", "kind", "e1", "r", "a", "e2", "answer", "text", "split"))
-
-
 def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     """Write profiles.jsonl, qa.jsonl, and manifest.json; return the manifest."""
     path = Path(path)
@@ -779,7 +777,8 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     profiles_path = path / "profiles.jsonl"
     _write_rows(profiles_path, map(_profile_to_json, world.profiles))
     qa_path = path / "qa.jsonl"
-    _write_rows(qa_path, (render_question(world, item) for item in split_set.all_items()))
+    with open(qa_path, "w", encoding="utf-8") as f:
+        f.writelines(question_lines(world, split_set))
 
     manifest = {
         "config": world.config.to_dict(),
@@ -828,29 +827,42 @@ def _verify_files(path: Path, manifest: Mapping) -> None:
             raise HashMismatchError(f"{name}: expected {expected}, got {actual}")
 
 
-def _split_params(manifest: Mapping) -> tuple[bool, int]:
-    """The manifest's ``cot`` flag and ``mix_ratio``, which decide each row's kind and split."""
+def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
+    """The manifest's ``split_params``, checked: ``build_splits``' arguments after the world."""
     params = manifest["split_params"]
     if not isinstance(params, dict):
         raise DatasetIOError("manifest split_params is not a JSON object")
-    cot, mix_ratio = params.get("cot"), params.get("mix_ratio")
+    fractions, mix_ratio, seed, cot = (
+        params.get(key) for key in ("holdout_fractions", "mix_ratio", "seed", "cot")
+    )
     if type(cot) is not bool:
         raise DatasetIOError(f"manifest split_params cot must be true or false, got {cot!r}")
     if type(mix_ratio) is not int or mix_ratio < 0:
         raise DatasetIOError(
             f"manifest split_params mix_ratio must be an integer >= 0, got {mix_ratio!r}"
         )
-    return cot, mix_ratio
+    # type(), not isinstance(): a JSON true must not pass as the integer 1
+    if type(seed) is not int:
+        raise DatasetIOError(f"manifest split_params seed must be an integer, got {seed!r}")
+    if (
+        type(fractions) is not dict
+        or fractions.keys() != set(HOLDOUT_KINDS)
+        or any(type(f) not in (int, float) or not 0 <= f < 1 for f in fractions.values())
+    ):
+        raise DatasetIOError(
+            f"manifest split_params holdout_fractions must map exactly {list(HOLDOUT_KINDS)} "
+            f"to numbers in [0, 1), got {fractions!r}"
+        )
+    return fractions, mix_ratio, seed, cot
 
 
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
     """Load a persisted dataset, verifying file hashes against the manifest.
 
-    A row that does not fit the config (unknown entity, relation, attribute or
-    split, a qid that is not its key's), whose kind does not fit the manifest's
-    ``cot``, whose split is not the one the holdout cascade gives its key, or
-    that repeats a question raises DatasetIOError naming ``path:line``, as
-    does a file that lacks a question.
+    The splits are replayed from the manifest's ``split_params``, and must
+    give its ``holdout_components``. Each qa.jsonl line must then be the one
+    ``question_lines`` writes: the first that differs, a missing line or an
+    extra one raises DatasetIOError naming ``path:line``.
     """
     path = Path(path)
     manifest = load_manifest(path)
@@ -858,7 +870,7 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
 
     config = WorldConfig.from_dict(manifest["config"])
     config.validate()
-    cot, mix_ratio = _split_params(manifest)
+    fractions, mix_ratio, seed, cot = _split_params(manifest)
     n = config.n_profiles
     profiles: list[Profile] = []
     profiles_path = path / "profiles.jsonl"
@@ -872,55 +884,30 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
         raise DatasetIOError(f"{profiles_path}:{lineno}: missing profile row ({n} expected)")
     world = World(config, profiles)
 
-    space = KeySpace(config, cot)
+    # held as text during the replay, so that two copies of the components
+    # are not held at once
+    components = json.dumps(manifest.pop("holdout_components"), sort_keys=True)
     try:
-        table = split_table(world, space, manifest["holdout_components"], mix_ratio)
-    except (TypeError, ValueError) as exc:
-        raise DatasetIOError(f"manifest holdout_components: {exc}") from None
-    keys = {split: array(space.typecode) for split in SPLITS}
-    appends = [None] + [keys[split].append for split in SPLITS]
-    seen = bytearray(space.size)
-    one_hop, two_hop = QuestionKind.ONE_HOP, space.two_hop_kind
-    relations, attributes = space.relation_index, space.attribute_index
-    pack, n_relations = space.pack, space.n_relations
-
-    # The checks are inline because a make_question call per row made
-    # loading about a quarter slower.
-    def take_item(d: Mapping) -> None:
-        missing = _ROW_KEYS.difference(d)  # a row that is not an object fails here or below
-        if missing:
-            raise KeyError(", ".join(sorted(missing)))
-        kind = _KIND_BY_VALUE[d["kind"]]
-        e1, a = d["e1"], d["a"]
-        a_index = attributes[a]
-        if type(e1) is not int or not 0 <= e1 < n:
-            raise ValueError(f"unknown entity: {e1!r}")
-        if kind is one_hop:
-            if d["r"] is not None:
-                raise ValueError("one-hop questions have no first relation")
-            r_index = n_relations
-            qid = one_hop_qid(e1, a)
-        elif kind is two_hop:
-            r_index = relations[d["r"]]
-            qid = two_hop_qid(e1, d["r"], a)
-        else:
-            raise ValueError(f"kind {kind.value!r} in a dataset with cot {cot}")
-        if d["qid"] != qid:
-            raise ValueError(f"qid {d['qid']!r} does not match its key {qid!r}")
-        code = _SPLIT_CODE[d["split"]]
-        key = pack(e1, r_index, a_index)
-        if table[key] != code:
-            derived = SPLITS[table[key] - 1] if table[key] else "none (mix_ratio 0)"
-            raise ValueError(f"split {d['split']!r} is not {qid!r}'s split, {derived}")
-        if seen[key]:
-            raise ValueError(f"repeats question {qid!r}")
-        seen[key] = 1
-        appends[code](key)
-
+        split_set = build_splits(world, fractions, mix_ratio, seed, cot)
+    except ConfigError as exc:
+        raise DatasetIOError(f"manifest split_params: {exc}") from None
+    if json.dumps(split_set.holdout_manifest, sort_keys=True) != components:
+        raise DatasetIOError("manifest holdout_components differ from those its split_params give")
     qa_path = path / "qa.jsonl"
-    _read_rows(qa_path, "question", take_item)
-    rows, expected = sum(map(len, keys.values())), space.size - table.count(0)
-    if rows < expected:
-        raise DatasetIOError(f"{qa_path}:{rows + 1}: missing question row ({expected} expected)")
-    holdout_manifest, params = manifest["holdout_components"], manifest["split_params"]
-    return SplitSet(space, keys, table, holdout_manifest, params), world
+    # line ends are kept as written and undecodable bytes become U+FFFD, so a
+    # \r\n or a bad byte differs from the expected line instead of passing or
+    # failing unnamed
+    with open(qa_path, encoding="utf-8", errors="replace", newline="") as f:
+        lines = zip_longest(f, question_lines(world, split_set))
+        for lineno, (line, expected) in enumerate(lines, 1):
+            if line != expected:
+                if line is None:
+                    total = sum(split_set.counts().values())
+                    raise DatasetIOError(
+                        f"{qa_path}:{lineno}: missing question row ({total} expected)"
+                    )
+                if expected is None:
+                    raise DatasetIOError(f"{qa_path}:{lineno}: extra row")
+                qid = json.loads(expected)["qid"]
+                raise DatasetIOError(f"{qa_path}:{lineno}: not the canonical row of {qid!r}")
+    return split_set, world

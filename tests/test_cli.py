@@ -124,6 +124,28 @@ def test_validate_flags_bad_log(dataset_dir, tmp_path, capsys):
     assert payload["has_violations"] is True
 
 
+def test_validate_flags_mislabeled_records(dataset_dir, run_log, tmp_path, capsys):
+    # classify groups records by the split they carry, so a relabelled record
+    # moves between holdout sets unless validate catches it
+    rows = [json.loads(line) for line in run_log.read_text().splitlines()]
+    relabelled = [row for row in rows if row["split"] == "heldout_full"][::2]
+    for row in relabelled:
+        row["split"] = "heldout_r"
+    one_hop = next(row for row in rows if row["kind"] == "one_hop")
+    one_hop["kind"] = "two_hop"
+    log = tmp_path / "relabelled.jsonl"
+    log.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["validate", "--dataset", str(dataset_dir), "--losses", str(log)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    mislabeled = {entry["qid"]: entry for entry in payload["mislabeled"]}
+    assert len(mislabeled) == len(relabelled) + 1
+    for row in relabelled:
+        assert mislabeled[row["qid"]]["expected_split"] == "heldout_full"
+    assert mislabeled[one_hop["qid"]]["expected_kind"] == "one_hop"
+    assert payload["has_violations"] is True
+    assert payload["coverage"]["heldout_full"] == 1.0
+
+
 def test_validate_row_without_split_exits_1(dataset_dir, tmp_path, capsys):
     # validate parses rows as estimate does, so both reject the same log
     bad = tmp_path / "bad.jsonl"
@@ -398,6 +420,21 @@ def _cot_as_string(manifest, out):
     manifest["split_params"]["cot"] = "yes"
 
 
+def _split_params_with(name, key, value):
+    """An edit that sets ``split_params[key]`` to ``value``."""
+
+    def edit(manifest, out):
+        manifest["split_params"][key] = value(manifest["split_params"][key])
+
+    edit.__name__ = f"_split_params_{name}"
+    return edit
+
+
+def _holdout_components_not_replayed(manifest, out):
+    # a component the split_params replay does not draw
+    manifest["holdout_components"]["heldout_full"].pop()
+
+
 def _edit_profile_lines(manifest, out, change):
     profiles = out / "profiles.jsonl"
     lines = profiles.read_text().splitlines(keepends=True)
@@ -459,6 +496,18 @@ def _extra_profile(manifest, out):
         ("simulate", _third_question_cot, "qa.jsonl:3:"),
         ("simulate", _holdout_components_as_list, "holdout_components"),
         ("simulate", _cot_as_string, "cot"),
+        ("simulate", _split_params_with("seed_string", "seed", lambda seed: str(seed)), "seed"),
+        ("validate", _split_params_with("seed_true", "seed", lambda seed: True), "seed"),
+        ("simulate", _split_params_with("fractions_list", "holdout_fractions", lambda f: []),
+         "holdout_fractions"),
+        ("simulate", _split_params_with(
+            "fraction_missing", "holdout_fractions",
+            lambda f: {k: v for k, v in f.items() if k != "heldout_r"}
+        ), "holdout_fractions"),
+        ("classify", _split_params_with(
+            "fraction_too_large", "holdout_fractions", lambda f: {**f, "heldout_e1": 1.5}
+        ), "holdout_fractions"),
+        ("simulate", _holdout_components_not_replayed, "holdout_components"),
         ("simulate", _drop_last_profile, "profiles.jsonl:100:"),
         ("simulate", _extra_profile, "profiles.jsonl:101:"),
         ("simulate", _second_profile_with("id_not_index", id=5), "profiles.jsonl:2:"),

@@ -1,4 +1,11 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohop import (
     LossRecord,
@@ -11,7 +18,8 @@ from twohop import (
     validate_loss_log,
     write_loss_log,
 )
-from twohop.worldgen import DatasetIOError
+from twohop.logs import stream_loss_log
+from twohop.worldgen import SPLITS, DatasetIOError
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +96,25 @@ def test_partial_coverage(dataset, tmp_path):
     assert diag.coverage["heldout_full"] == pytest.approx(len(kept) / len(heldout))
     assert "train" in diag.missing_splits
     assert not diag.has_violations  # coverage gaps are reported, not violations
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
+               1.7976931348623157e308, -1e16, 0.1, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.builds(
+    LossRecord,
+    qid=st.text(),
+    split=st.sampled_from(SPLITS) | st.text(),
+    kind=st.sampled_from(["one_hop", "two_hop", "two_hop_cot"]) | st.text(),
+    logprob_nats=st.sampled_from(EDGE_FLOATS) | st.floats(),
+), max_size=20))
+def test_loss_log_lines_are_encoder_bytes(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "run.jsonl"
+        assert stream_loss_log(records, log) == len(records)
+        text = log.read_text(encoding="utf-8")
+    rows = ({"qid": r.qid, "split": r.split, "kind": r.kind, "logprob_nats": r.logprob_nats}
+            for r in records)
+    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,14 @@ from twohop import (
     load_dataset,
     make_question,
     persist_dataset,
-    render_question,
+    question_lines,
 )
 from twohop.worldgen import (
     ConfigError,
     HashMismatchError,
     QuestionKind,
     _decode_row,
+    _sample_components,
 )
 
 
@@ -96,10 +99,16 @@ class TestWorldGeneration:
         assert hits <= 7
 
 
+def _rows(world, cot=False):
+    """Every question's qa.jsonl row, decoded, by qid."""
+    ss = build_splits(world, {}, mix_ratio=10, seed=1, cot=cot)
+    return {row["qid"]: row for row in map(json.loads, question_lines(world, ss))}
+
+
 class TestRendering:
     def test_one_hop_template(self, micro_world):
         item = make_question(micro_world, QuestionKind.ONE_HOP, 0, None, "birth city")
-        row = render_question(micro_world, item)
+        row = _rows(micro_world)[item.qid]
         name = micro_world.entity_name(0)
         assert row["text"] == f"What was {name}'s birth city? {row['answer']}"
         assert item.qid == "1h:0:birth city"
@@ -107,17 +116,17 @@ class TestRendering:
 
     def test_two_hop_template(self, micro_world):
         item = make_question(micro_world, QuestionKind.TWO_HOP, 0, "mother", "birth city")
-        row = render_question(micro_world, item)
+        row = _rows(micro_world)[item.qid]
         name = micro_world.entity_name(0)
         assert row["text"] == f"What was {name}'s mother's birth city? {row['answer']}"
         assert row["e2"] == micro_world.relation_target(0, "mother")
-        assert row["answer"] == micro_world.answer_string(row["e2"], "birth city")
+        assert row["answer"] == _answer(micro_world, row["e2"], "birth city")
 
     def test_cot_template(self, micro_world):
         item = make_question(
             micro_world, QuestionKind.TWO_HOP_COT, 0, "boss", "birth city"
         )
-        row = render_question(micro_world, item)
+        row = _rows(micro_world, cot=True)[item.qid]
         name = micro_world.entity_name(0)
         e2_name = micro_world.entity_name(row["e2"])
         assert row["text"] == (
@@ -132,12 +141,12 @@ class TestRendering:
             micro_world, QuestionKind.TWO_HOP_COT, 5, "father", "birth city"
         )
         name = micro_world.entity_name(5)
-        assert f"{name}'s father was {name}." in render_question(micro_world, item)["text"]
+        assert f"{name}'s father was {name}." in _rows(micro_world, cot=True)[item.qid]["text"]
 
     def test_relation_answer_is_a_name(self, micro_world):
         item = make_question(micro_world, QuestionKind.ONE_HOP, 1, None, "mother")
         target = micro_world.relation_target(1, "mother")
-        assert render_question(micro_world, item)["answer"] == micro_world.entity_name(target)
+        assert _rows(micro_world)[item.qid]["answer"] == micro_world.entity_name(target)
 
     def test_bad_queries(self, micro_world):
         with pytest.raises(ValueError):
@@ -187,6 +196,30 @@ class TestSplits:
         # the first 11 items follow the 10:1 cadence exactly
         assert kinds[:11] == [QuestionKind.TWO_HOP] * 10 + [QuestionKind.ONE_HOP]
 
+    @pytest.mark.parametrize("mix_ratio", [1, 2, 3, 10, 2000])
+    def test_interleave_matches_reference(self, micro_world, mix_ratio):
+        # the append loop below is the reference for the in-place interleave:
+        # one-hop keys run out first at mix_ratio 1 and 2, two-hop at 3 and
+        # 10, and no one-hop key fits between two-hop runs at 2000
+        fractions = {"heldout_full": 0.1}
+        ss = build_splits(micro_world, fractions, mix_ratio=mix_ratio, seed=3)
+        space = ss.space
+        rng = random.Random(3)
+        _sample_components(micro_world, fractions, rng)
+        one_hop_key = lambda key: space.unpack(key)[1] == space.n_relations
+        two = [k for k in range(space.size) if ss.table[k] == 1 and not one_hop_key(k)]
+        one = [k for k in range(space.size) if one_hop_key(k)]
+        rng.shuffle(two)
+        rng.shuffle(one)
+        expected, taken = [], 0
+        for i, key in enumerate(two):
+            expected.append(key)
+            if (i + 1) % mix_ratio == 0 and taken < len(one):
+                expected.append(one[taken])
+                taken += 1
+        expected.extend(one[taken:])
+        assert list(ss.train.keys) == expected
+
     def test_heldout_relation_removes_it_from_train_two_hops(self, micro_world):
         ss = build_splits(micro_world, {"heldout_r": 0.34}, mix_ratio=10, seed=2)
         held = {r for (r,) in map(tuple, ss.holdout_manifest["heldout_r"])}
@@ -214,13 +247,13 @@ class TestSplits:
 
     def test_two_hop_answer_consistency(self, micro_world):
         ss = build_splits(micro_world, {"heldout_full": 0.01}, mix_ratio=10, seed=2)
-        for item in list(ss.all_items())[:500]:
+        for item, line in zip(list(ss.all_items())[:500], question_lines(micro_world, ss)):
             if item.kind is QuestionKind.ONE_HOP:
                 continue
             e2 = micro_world.relation_target(item.e1, item.r)
-            row = render_question(micro_world, item)
+            row = json.loads(line)
             assert row["e2"] == e2
-            assert row["answer"] == micro_world.answer_string(e2, item.a)
+            assert row["answer"] == _answer(micro_world, e2, item.a)
 
     def test_exhausting_fraction_rejected(self, micro_world):
         with pytest.raises(ConfigError):
@@ -242,9 +275,9 @@ class TestPersistence:
         manifest = persist_dataset(ss, micro_world, tmp_path)
         loaded_ss, loaded_world = load_dataset(tmp_path)
         assert _world_bytes(loaded_world) == _world_bytes(micro_world)
-        assert [render_question(loaded_world, i) for i in loaded_ss.all_items()] == [
-            render_question(micro_world, i) for i in ss.all_items()
-        ]
+        lines = list(question_lines(micro_world, ss))
+        assert list(question_lines(loaded_world, loaded_ss)) == lines
+        assert (tmp_path / "qa.jsonl").read_text().splitlines(keepends=True) == lines
         assert manifest["counts"]["train"] == len(ss.train)
         assert loaded_ss.params["mix_ratio"] == 10
 
@@ -267,6 +300,73 @@ class TestPersistence:
         qa.write_text(qa.read_text().replace("birth_city", "birth_town"))
         with pytest.raises(HashMismatchError):
             load_dataset(tmp_path)
+
+
+def _answer(world, entity, attribute):
+    """The rendered answer of the one-hop fact (entity, attribute)."""
+    if world.config.is_relation(attribute):
+        return world.entity_name(world.relation_target(entity, attribute))
+    return world.value_string(attribute, world.profiles[entity].property_values[attribute])
+
+
+def _reference_row(world, item):
+    """A question's qa.jsonl row as a dict, rendered from the templates."""
+    e1, r, a = item.e1, item.r, item.a
+    name = world.entity_name(e1)
+    if item.kind is QuestionKind.ONE_HOP:
+        e2 = None
+        answer = _answer(world, e1, a)
+        text = f"What was {name}'s {a}? {answer}"
+    else:
+        e2 = world.relation_target(e1, r)
+        answer = _answer(world, e2, a)
+        text = f"What was {name}'s {r}'s {a}? "
+        if item.kind is QuestionKind.TWO_HOP:
+            text += answer
+        else:
+            e2_name = world.entity_name(e2)
+            text += f"{name}'s {r} was {e2_name}. {e2_name}'s {a} was {answer}."
+    return {"qid": item.qid, "kind": item.kind.value, "e1": e1, "r": r, "a": a, "e2": e2,
+            "answer": answer, "text": text, "split": item.split}
+
+
+# Attribute names with what JSON must escape or may pass through: quotes,
+# backslashes, control characters, spaces and non-ASCII text. ':' separates
+# qid fields, so no name holds one.
+name_chars = st.sampled_from('"\\ \n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+name_chars |= st.characters(blacklist_characters=":")
+
+
+@st.composite
+def named_worlds(draw):
+    names = draw(st.lists(st.text(name_chars, max_size=5), min_size=2, max_size=5, unique=True))
+    n_relations = draw(st.integers(1, len(names) - 1))
+    properties = tuple((name, draw(st.integers(1, 4))) for name in names[n_relations:])
+    cfg = WorldConfig(n_profiles=6, first_names=3, middle_names=3, last_names=3,
+                      relations=tuple(names[:n_relations]), properties=properties,
+                      seed=draw(st.integers(0, 5)))
+    return generate_world(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=named_worlds(), cot=st.booleans())
+def test_question_lines_are_encoder_bytes(world, cot):
+    # a line is the encoder's bytes for the row the templates give, and gen
+    # then load gives the same questions back
+    fractions = dict.fromkeys(HOLDOUT_KINDS, 0.2)
+    if len(world.config.relations) == 1:
+        del fractions["heldout_r"]  # one relation cannot be held out
+    ss = build_splits(world, fractions, mix_ratio=3, seed=1, cot=cot)
+    lines = list(question_lines(world, ss))
+    assert len(lines) == sum(ss.counts().values())
+    for item, line in zip(ss.all_items(), lines):
+        assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+        assert line == json.dumps(_reference_row(world, item), sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        persist_dataset(ss, world, tmp)
+        loaded_ss, loaded_world = load_dataset(tmp)
+    assert _world_bytes(loaded_world) == _world_bytes(world)
+    assert list(question_lines(loaded_world, loaded_ss)) == lines
 
 
 json_values = st.recursive(
