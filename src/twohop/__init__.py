@@ -54,6 +54,7 @@ from .worldgen import (
     load_dataset,
     make_question,
     persist_dataset,
+    profile_lines,
     question_lines,
 )
 

@@ -154,7 +154,8 @@ class WorldConfig:
     def from_dict(cls, data: Mapping) -> "WorldConfig":
         """Rebuild a config from ``to_dict``'s JSON form.
 
-        A missing key or a value of the wrong type raises ConfigError.
+        A missing key, a value of the wrong type or a config that
+        ``validate`` rejects raises ConfigError.
         """
         try:
             ints = {key: data[key] for key in _CONFIG_INT_KEYS}
@@ -173,11 +174,13 @@ class WorldConfig:
             for p in properties
         ):
             raise ConfigError("malformed config: properties must be a list of [name, size] pairs")
-        return cls(
+        config = cls(
             relations=tuple(relations),
             properties=tuple((name, size) for name, size in properties),
             **ints,
         )
+        config.validate()
+        return config
 
 
 _CONFIG_INT_KEYS = ("n_profiles", "first_names", "middle_names", "last_names", "seed")
@@ -415,6 +418,27 @@ def make_question(
     if not cfg.is_relation(r):
         raise ValueError(f"first hop must be a relation, got {r!r}")
     return QAItem(two_hop_qid(e1, r, a), kind, e1, r, a, split)
+
+
+def profile_lines(world: World) -> Iterator[str]:
+    """Each profiles.jsonl line of ``world``, in id order.
+
+    A line is ``json.dumps(row, sort_keys=True) + "\\n"`` for the profile's
+    row: its id, its name indices, and its relation targets and property
+    values keyed by name. It is one f-string over names JSON-escaped once
+    per call, in the sorted order the encoder writes keys in.
+    """
+    cfg = world.config
+    relations = [(r, json.dumps(r)) for r in sorted(cfg.relations)]
+    properties = [(p, json.dumps(p)) for p in sorted(cfg.property_names)]
+    for p in world.profiles:
+        targets, values = p.relation_values, p.property_values
+        rels = ", ".join([f"{name}: {targets[r]}" for r, name in relations])
+        props = ", ".join([f"{name}: {values[v]}" for v, name in properties])
+        yield (
+            f'{{"first": {p.first}, "id": {p.id}, "last": {p.last}, "middle": {p.middle}, '
+            f'"properties": {{{props}}}, "relations": {{{rels}}}}}\n'
+        )
 
 
 def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
@@ -679,21 +703,13 @@ def build_splits(
 
 # --- persistence ---------------------------------------------------------
 
-# Every JSONL row of a dataset or loss log is read through the codec below,
-# and is written as its encoder writes it. The encoder has json.dumps(row,
-# sort_keys=True)'s settings, so rows keep their bytes; one instance saves
-# building an encoder per row. Question and loss-log rows are f-strings
-# that give the same bytes.
+# Every JSONL row of a dataset or loss log has the bytes that json.dumps(row,
+# sort_keys=True) gives it. Rows are written as f-strings that give those
+# bytes; the encoder below, which has the same settings, writes the numbers
+# an f-string cannot. Loss-log rows are read through the codec. Dataset files
+# are never decoded, only compared with the lines their manifest gives.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 _scan_value = json.JSONDecoder().scan_once
-
-
-def _write_rows(path: Path, rows: Iterable[Mapping]) -> None:
-    """Write each row as one sorted-key JSON object per line, as it arrives."""
-    encode = _ROW_ENCODER.encode
-    with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(encode(row) + "\n")
 
 
 def _decode_row(line: str):
@@ -712,21 +728,6 @@ def _decode_row(line: str):
     return value if stop == end else json.loads(line)
 
 
-def _read_rows(path: Path, what: str, take) -> None:
-    """Pass each decoded line of a dataset file to ``take``.
-
-    A line that is not JSON (a blank line included), or whose value ``take``
-    rejects with KeyError, TypeError or ValueError, raises DatasetIOError
-    naming ``path:line``.
-    """
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            try:
-                take(_decode_row(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetIOError(f"{path}:{lineno}: malformed {what} row ({exc!r})") from None
-
-
 def sha256_file(path: Path, chunk_size: int = 1 << 16) -> str:
     hasher = hashlib.sha256()
     with open(path, "rb") as f:
@@ -735,47 +736,19 @@ def sha256_file(path: Path, chunk_size: int = 1 << 16) -> str:
     return hasher.hexdigest()
 
 
-def _profile_to_json(p: Profile) -> dict:
-    return {
-        "id": p.id,
-        "first": p.first,
-        "middle": p.middle,
-        "last": p.last,
-        "relations": p.relation_values,
-        "properties": p.property_values,
-    }
-
-
-def _profile_from_json(d: Mapping, pid: int, config: WorldConfig) -> Profile:
-    """Row ``pid`` of profiles.jsonl; a row that does not fit ``config`` raises ValueError."""
-    if pid >= config.n_profiles:
-        raise ValueError(f"more rows than n_profiles = {config.n_profiles}")
-    if type(d["id"]) is not int or d["id"] != pid:
-        raise ValueError(f"id {d['id']!r} is not the row index {pid}")
-    relations = _pool_values(d, "relations", dict.fromkeys(config.relations, config.n_profiles))
-    properties = _pool_values(d, "properties", dict(config.properties))
-    return Profile(pid, d["first"], d["middle"], d["last"], relations, properties)
-
-
-def _pool_values(d: Mapping, key: str, pools: dict[str, int]) -> dict[str, int]:
-    """``d[key]`` keyed by ``pools``' names; each value must be an int in [0, pool)."""
-    values = d[key]
-    if type(values) is not dict or values.keys() != pools.keys():
-        raise ValueError(f"{key} must map exactly {list(pools)}")
-    for name, pool in pools.items():
-        value = values[name]
-        if type(value) is not int or not 0 <= value < pool:
-            raise ValueError(f"{key}[{name!r}] = {value!r} is not an integer in [0, {pool})")
-    return {name: values[name] for name in pools}
-
-
 def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
-    """Write profiles.jsonl, qa.jsonl, and manifest.json; return the manifest."""
+    """Write profiles.jsonl, qa.jsonl, and manifest.json; return the manifest.
+
+    ``load_dataset`` derives both data files from the manifest alone, so a
+    world that is not ``generate_world(world.config)`` writes a dataset that
+    will not load.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
     profiles_path = path / "profiles.jsonl"
-    _write_rows(profiles_path, map(_profile_to_json, world.profiles))
+    with open(profiles_path, "w", encoding="utf-8") as f:
+        f.writelines(profile_lines(world))
     qa_path = path / "qa.jsonl"
     with open(qa_path, "w", encoding="utf-8") as f:
         f.writelines(question_lines(world, split_set))
@@ -856,33 +829,63 @@ def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
     return fractions, mix_ratio, seed, cot
 
 
+def _require_lines(path: Path, expected: Iterable[str], row: str, name_row) -> None:
+    """Require the file at ``path`` to be exactly the ``expected`` lines, in order.
+
+    The first line that differs raises DatasetIOError naming ``path:line``
+    and ``name_row(expected line)``, as does a missing line (with the number
+    of ``row`` rows expected) or an extra one.
+    """
+    # line ends are kept as written and undecodable bytes become U+FFFD, so a
+    # \r\n or a bad byte differs from the expected line instead of passing or
+    # failing unnamed
+    with open(path, encoding="utf-8", errors="replace", newline="") as f:
+        pairs = enumerate(zip_longest(f, expected), 1)
+        for lineno, (line, want) in pairs:
+            if line == want:
+                continue
+            if line is None:
+                total = lineno + sum(1 for _ in pairs)
+                raise DatasetIOError(f"{path}:{lineno}: missing {row} row ({total} expected)")
+            if want is None:
+                raise DatasetIOError(f"{path}:{lineno}: extra row")
+            raise DatasetIOError(f"{path}:{lineno}: not the canonical row of {name_row(want)}")
+
+
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
     """Load a persisted dataset, verifying file hashes against the manifest.
 
-    The splits are replayed from the manifest's ``split_params``, and must
-    give its ``holdout_components``. Each qa.jsonl line must then be the one
-    ``question_lines`` writes: the first that differs, a missing line or an
-    extra one raises DatasetIOError naming ``path:line``.
+    Both data files are derived from the manifest, not decoded. The world is
+    ``generate_world`` of its config, and each profiles.jsonl line must be
+    the one ``profile_lines`` writes. The splits are replayed from its
+    ``split_params`` and must give its ``holdout_components``; each qa.jsonl
+    line must then be the one ``question_lines`` writes. The first line that
+    differs, a missing line or an extra one raises DatasetIOError naming
+    ``path:line``.
     """
     path = Path(path)
     manifest = load_manifest(path)
     _verify_files(path, manifest)
 
     config = WorldConfig.from_dict(manifest["config"])
-    config.validate()
     fractions, mix_ratio, seed, cot = _split_params(manifest)
-    n = config.n_profiles
-    profiles: list[Profile] = []
+    # the world is built before its lines are compared, so a config that
+    # claims more profiles than the file has lines is refused first: a load
+    # never builds more profiles than its hashed file holds
     profiles_path = path / "profiles.jsonl"
-    _read_rows(
+    with open(profiles_path, "rb") as f:
+        rows = sum(1 for _ in f)
+    if rows < config.n_profiles:
+        raise DatasetIOError(
+            f"{profiles_path}:{rows + 1}: missing profile row ({config.n_profiles} expected)"
+        )
+    world = generate_world(config)
+    _require_lines(
         profiles_path,
+        profile_lines(world),
         "profile",
-        lambda d: profiles.append(_profile_from_json(d, len(profiles), config)),
+        lambda want: f"profile {json.loads(want)['id']}",
     )
-    if len(profiles) < n:
-        lineno = len(profiles) + 1
-        raise DatasetIOError(f"{profiles_path}:{lineno}: missing profile row ({n} expected)")
-    world = World(config, profiles)
 
     # held as text during the replay, so that two copies of the components
     # are not held at once
@@ -893,21 +896,10 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
         raise DatasetIOError(f"manifest split_params: {exc}") from None
     if json.dumps(split_set.holdout_manifest, sort_keys=True) != components:
         raise DatasetIOError("manifest holdout_components differ from those its split_params give")
-    qa_path = path / "qa.jsonl"
-    # line ends are kept as written and undecodable bytes become U+FFFD, so a
-    # \r\n or a bad byte differs from the expected line instead of passing or
-    # failing unnamed
-    with open(qa_path, encoding="utf-8", errors="replace", newline="") as f:
-        lines = zip_longest(f, question_lines(world, split_set))
-        for lineno, (line, expected) in enumerate(lines, 1):
-            if line != expected:
-                if line is None:
-                    total = sum(split_set.counts().values())
-                    raise DatasetIOError(
-                        f"{qa_path}:{lineno}: missing question row ({total} expected)"
-                    )
-                if expected is None:
-                    raise DatasetIOError(f"{qa_path}:{lineno}: extra row")
-                qid = json.loads(expected)["qid"]
-                raise DatasetIOError(f"{qa_path}:{lineno}: not the canonical row of {qid!r}")
+    _require_lines(
+        path / "qa.jsonl",
+        question_lines(world, split_set),
+        "question",
+        lambda want: repr(json.loads(want)["qid"]),
+    )
     return split_set, world

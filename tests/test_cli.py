@@ -456,6 +456,20 @@ def _second_profile_with(name, **changes):
     return edit
 
 
+def _fourth_profile_bad_byte(manifest, out):
+    # a byte that is not UTF-8, in a row that is otherwise well formed
+    profiles = out / "profiles.jsonl"
+    lines = profiles.read_bytes().splitlines(keepends=True)
+    lines[3] = b'{"x": "\xff", ' + lines[3][1:]
+    profiles.write_bytes(b"".join(lines))
+    manifest["files"]["profiles.jsonl"] = _sha256(profiles)
+
+
+def _more_profiles_than_rows(manifest, out):
+    # the file holds 100 rows: the world is refused before it is built
+    manifest["config"]["n_profiles"] = 1000
+
+
 def _drop_last_profile(manifest, out):
     _edit_profile_lines(manifest, out, lambda lines: lines.pop())
 
@@ -508,6 +522,8 @@ def _extra_profile(manifest, out):
             "fraction_too_large", "holdout_fractions", lambda f: {**f, "heldout_e1": 1.5}
         ), "holdout_fractions"),
         ("simulate", _holdout_components_not_replayed, "holdout_components"),
+        ("simulate", _fourth_profile_bad_byte, "profiles.jsonl:4:"),
+        ("simulate", _more_profiles_than_rows, "profiles.jsonl:101: missing profile row"),
         ("simulate", _drop_last_profile, "profiles.jsonl:100:"),
         ("simulate", _extra_profile, "profiles.jsonl:101:"),
         ("simulate", _second_profile_with("id_not_index", id=5), "profiles.jsonl:2:"),
@@ -545,6 +561,22 @@ def test_entropy_config_missing_key_exits_1(dataset_dir, tmp_path, capsys):
     cfg_path.write_text(json.dumps(config))
     code = main(["entropy", "--config", str(cfg_path), "--task", "one-hop"])
     _assert_clean_error(code, capsys, "first_names")
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [
+        ({"relations": ["boss", "boss"]}, "unique"),
+        ({"properties": [["a:b", 3]]}, "a:b"),
+    ],
+)
+def test_entropy_invalid_config_exits_1(dataset_dir, tmp_path, capsys, change, needle):
+    # a config that WorldConfig.validate rejects is refused, not estimated
+    config = json.loads((dataset_dir / "manifest.json").read_text())["config"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**config, **change}))
+    code = main(["entropy", "--config", str(cfg_path), "--task", "one-hop"])
+    _assert_clean_error(code, capsys, needle)
 
 
 def test_malformed_question_row_exits_1(dataset_dir, tmp_path, capsys):

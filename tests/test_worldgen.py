@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tempfile
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,12 @@ from twohop import (
     load_dataset,
     make_question,
     persist_dataset,
+    profile_lines,
     question_lines,
 )
 from twohop.worldgen import (
     ConfigError,
+    DatasetIOError,
     HashMismatchError,
     QuestionKind,
     _decode_row,
@@ -134,14 +137,17 @@ class TestRendering:
             f"{name}'s boss was {e2_name}. {e2_name}'s birth city was {row['answer']}."
         )
 
-    def test_cot_self_loop(self, micro_world):
-        # an entity may be its own relation target; the trace then names it twice
-        micro_world.profiles[5].relation_values["father"] = 5
+    def test_cot_self_loop(self, micro_cfg):
+        # an entity may be its own relation target; the trace then names it twice.
+        # The edit goes to a world of its own: the shared one must stay the
+        # config's, or persisting it writes a dataset that does not load.
+        world = generate_world(micro_cfg)
+        world.profiles[5].relation_values["father"] = 5
         item = make_question(
-            micro_world, QuestionKind.TWO_HOP_COT, 5, "father", "birth city"
+            world, QuestionKind.TWO_HOP_COT, 5, "father", "birth city"
         )
-        name = micro_world.entity_name(5)
-        assert f"{name}'s father was {name}." in _rows(micro_world, cot=True)[item.qid]["text"]
+        name = world.entity_name(5)
+        assert f"{name}'s father was {name}." in _rows(world, cot=True)[item.qid]["text"]
 
     def test_relation_answer_is_a_name(self, micro_world):
         item = make_question(micro_world, QuestionKind.ONE_HOP, 1, None, "mother")
@@ -293,6 +299,17 @@ class TestPersistence:
             assert item.r is None or any(item.r is r for r in relations), item
             assert any(item.split is s for s in split_names), item
 
+    def test_world_not_from_config_rejected(self, micro_cfg, tmp_path):
+        # one in-range relation target changed: the dataset is not the one its
+        # config describes, and the first profile row that differs is named
+        world = generate_world(micro_cfg)
+        targets = world.profiles[3].relation_values
+        targets["mother"] = (targets["mother"] + 1) % micro_cfg.n_profiles
+        ss = build_splits(world, {}, mix_ratio=10, seed=4)
+        persist_dataset(ss, world, tmp_path)
+        with pytest.raises(DatasetIOError, match=r"profiles\.jsonl:4:"):
+            load_dataset(tmp_path)
+
     def test_tamper_detection(self, micro_world, tmp_path):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=4)
         persist_dataset(ss, micro_world, tmp_path)
@@ -351,8 +368,13 @@ def named_worlds(draw):
 @settings(max_examples=60, deadline=None)
 @given(world=named_worlds(), cot=st.booleans())
 def test_question_lines_are_encoder_bytes(world, cot):
-    # a line is the encoder's bytes for the row the templates give, and gen
-    # then load gives the same questions back
+    # a line is the encoder's bytes for the row the templates give, a profile
+    # line the encoder's bytes for the profile's row, and gen then load gives
+    # the same world and questions back
+    for p, line in zip_longest(world.profiles, profile_lines(world)):
+        row = {"id": p.id, "first": p.first, "middle": p.middle, "last": p.last,
+               "relations": p.relation_values, "properties": p.property_values}
+        assert line == json.dumps(row, sort_keys=True) + "\n"
     fractions = dict.fromkeys(HOLDOUT_KINDS, 0.2)
     if len(world.config.relations) == 1:
         del fractions["heldout_r"]  # one relation cannot be held out
