@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 from . import entropy as entropy_mod
@@ -151,6 +150,7 @@ def _cmd_simulate(args) -> int:
     else:
         profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     count = logs.stream_loss_log(simulate.loss_records(world, profile, split_set), out)
     run_meta = {
         "label": args.label,
@@ -172,7 +172,7 @@ def _estimate_for(dataset_dir: Path, losses: Path, model: str):
     task, kind = _task_and_kind(model)
     # the kind that task's questions have; a two_hop_cot record stops the pass
     selected = "one_hop" if task is Task.ONE_HOP else "two_hop"
-    (agg,) = _log_aggregates(losses, attrgetter("kind"), [selected]).values()
+    (agg,) = _log_aggregates(losses, lambda split, kind: kind, [selected]).values()
     rep = entropy_mod.dataset_entropy(config, task, kind)
     counts = estimator.FactCounts.from_config(config)
     est = estimator.content_estimate(task, kind, rep, agg, counts)
@@ -198,7 +198,7 @@ def _cmd_classify(args) -> int:
     del split_set  # the log pass needs only the baselines
     aggregates = _log_aggregates(
         Path(args.losses),
-        lambda rec: rec.split if rec.kind == "two_hop" else None,
+        lambda split, kind: split if kind == "two_hop" else None,
         [kind for kind in worldgen.HOLDOUT_KINDS if kind in baselines],
     )
     signature = generalization.evaluate_holdouts(aggregates, baselines)
@@ -243,10 +243,12 @@ def _cmd_report(args) -> int:
             )
         )
     csv_text = report.capacity_table(points)
+    Path(args.out_csv).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out_csv).write_text(csv_text, encoding="utf-8")
     outputs = {"csv": str(args.out_csv)}
     if args.out_svg:
         svg = report.scaling_plot(csv_text, capacity_slopes=tuple(args.slope))
+        Path(args.out_svg).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out_svg).write_text(svg, encoding="utf-8")
         outputs["svg"] = str(args.out_svg)
     _emit({"points": len(points), "outputs": outputs})

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .entropy import LN2, EntropyReport, ModelKind, Task
 from .worldgen import QuestionKind, WorldConfig
@@ -49,10 +49,10 @@ class LossAccumulator:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add(self, rec) -> None:
-        if rec.logprob_nats > 0:
-            raise EstimatorError(f"positive logprob for {rec.qid}: {rec.logprob_nats}")
-        loss = -rec.logprob_nats
+    def add(self, qid: str, logprob_nats: float) -> None:
+        if logprob_nats > 0:
+            raise EstimatorError(f"positive logprob for {qid}: {logprob_nats}")
+        loss = -logprob_nats
         self.count += 1
         delta = loss - self.mean
         self.mean += delta / self.count
@@ -70,39 +70,45 @@ def aggregate_losses(
     kind: str | None = None,
     predicate: Optional[Callable] = None,
 ) -> AggregateLoss:
-    """Single-pass Welford mean/variance of loss = -logprob over matching records."""
+    """Single-pass Welford mean/variance of loss = -logprob over matching records.
+
+    A record is any ``(qid, split, kind, logprob_nats)`` tuple; ``predicate`` gets it whole.
+    """
     acc = LossAccumulator()
     for rec in records:
-        if split is not None and rec.split != split:
+        qid, rec_split, rec_kind, x = rec
+        if split is not None and rec_split != split:
             continue
-        if kind is not None and rec.kind != kind:
+        if kind is not None and rec_kind != kind:
             continue
         if predicate is not None and not predicate(rec):
             continue
-        acc.add(rec)
+        acc.add(qid, x)
     return acc.result()
 
 
 def aggregate_groups(
-    records: Iterable, group: Callable[[Any], str | None], groups: Iterable[str]
+    records: Iterable, group: Callable[[str, str], str | None], groups: Iterable[str]
 ) -> dict[str, AggregateLoss]:
     """``aggregate_losses`` for several selections in one pass over ``records``.
 
-    Each record joins the accumulator of ``group(rec)`` if that is one of
-    ``groups``, so a group sees its records in their order in ``records``.
+    Each ``(qid, split, kind, logprob_nats)`` record joins the accumulator of
+    ``group(split, kind)`` if that is one of ``groups``, so a group sees its
+    records in their order in ``records``.
     A ``two_hop_cot`` record raises EstimatorError: no estimator inverts
     chain-of-thought losses yet, and the latent-model inversion does not
     describe them.
     """
     accumulators = {name: LossAccumulator() for name in groups}
-    for rec in records:
-        if rec.kind == QuestionKind.TWO_HOP_COT:
+    cot = QuestionKind.TWO_HOP_COT.value
+    for qid, split, kind, x in records:
+        if kind == cot:
             raise EstimatorError(
-                f"{rec.qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
+                f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
             )
-        acc = accumulators.get(group(rec))
+        acc = accumulators.get(group(split, kind))
         if acc is not None:
-            acc.add(rec)
+            acc.add(qid, x)
     return {name: acc.result() for name, acc in accumulators.items()}
 
 

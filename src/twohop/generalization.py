@@ -14,7 +14,6 @@ from enum import Enum
 
 from .entropy import ModelKind
 from .estimator import AggregateLoss, aggregate_losses
-from .logs import LossRecord
 from .worldgen import HOLDOUT_KINDS, QuestionKind, SplitSet, World, WorldConfig
 
 
@@ -119,8 +118,7 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
         # uniform guess, so chance-level deltas cancel exactly. Questions
         # share their attribute's record; key % |A| is a key's attribute index.
         by_attribute = [
-            LossRecord(f"uniform:{a}", kind, space.two_hop_kind.value,
-                       math.log(1.0 / config.pool_size(a)))
+            (f"uniform:{a}", kind, space.two_hop_kind.value, math.log(1.0 / config.pool_size(a)))
             for a in space.attributes
         ]
         uniform = [by_attribute[key % space.n_attributes] for key in questions.keys]

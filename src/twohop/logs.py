@@ -11,20 +11,19 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .worldgen import SPLITS, _ROW_ENCODER, DatasetIOError, _decode_row, load_dataset
 
 
-@dataclass(frozen=True, slots=True)
-class LossRecord:
+class LossRecord(NamedTuple):
     qid: str
     split: str
     kind: str
     logprob_nats: float
 
 
-def stream_loss_log(records: Iterable[LossRecord], path: Path) -> int:
+def stream_loss_log(records: Iterable[tuple[str, str, str, float]], path: Path) -> int:
     """Write each record as it arrives; return how many were written.
 
     A row is the line ``json.dumps(row, sort_keys=True)`` writes, built as
@@ -33,12 +32,11 @@ def stream_loss_log(records: Iterable[LossRecord], path: Path) -> int:
     """
     count, encode = 0, _ROW_ENCODER.encode
     with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            x = rec.logprob_nats
+        for qid, split, kind, x in records:
             number = repr(x) if type(x) is float and isfinite(x) else encode(x)
             f.write(
-                f'{{"kind": {_json_str(rec.kind)}, "logprob_nats": {number}, '
-                f'"qid": {_json_str(rec.qid)}, "split": {_json_str(rec.split)}}}\n'
+                f'{{"kind": {_json_str(kind)}, "logprob_nats": {number}, '
+                f'"qid": {_json_str(qid)}, "split": {_json_str(split)}}}\n'
             )
             count += 1
     return count
@@ -49,7 +47,7 @@ def write_loss_log(records, path: Path) -> None:
 
 
 def _loss_rows(path: Path):
-    """Yield (line number, LossRecord) for each non-blank line of a loss log.
+    """Yield (line number, (qid, split, kind, logprob_nats)) for each non-blank line of a loss log.
 
     A line that is not a record raises DatasetIOError naming ``path:line``.
     """
@@ -60,20 +58,24 @@ def _loss_rows(path: Path):
                     continue
                 try:
                     d = _decode_row(line)
-                    qid, split, kind = d["qid"], d["split"], d["kind"]
+                    qid, split, kind, x = d["qid"], d["split"], d["kind"], d["logprob_nats"]
                     # readers hash and compare these as strings
                     if type(qid) is not str or type(split) is not str or type(kind) is not str:
                         raise TypeError("qid, split and kind must be strings")
-                    rec = LossRecord(qid, split, kind, float(d["logprob_nats"]))
-                except (KeyError, TypeError, ValueError) as exc:
+                    if type(x) is not float:
+                        # a JSON number: not a string, and not true, which float() reads as 1.0
+                        if type(x) is not int:
+                            raise TypeError("logprob_nats must be a JSON number")
+                        x = float(x)  # OverflowError past the float range
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DatasetIOError(f"{path}:{lineno}: malformed record: {exc}") from exc
-                yield lineno, rec
+                yield lineno, (qid, split, kind, x)
     except OSError as exc:
         raise DatasetIOError(f"cannot read loss log: {exc}") from exc
 
 
 def read_loss_log(path: Path) -> list[LossRecord]:
-    return [rec for _, rec in _loss_rows(path)]
+    return [LossRecord._make(rec) for _, rec in _loss_rows(path)]
 
 
 @dataclass
@@ -130,10 +132,9 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     seen = bytearray(len(table))  # 1 where a known question's record was read
     unknown_seen: set[str] = set()
     covered = dict.fromkeys(totals, 0)
-    for lineno, rec in _loss_rows(log_path):
-        qid = rec.qid
+    for lineno, (qid, rec_split, rec_kind, x) in _loss_rows(log_path):
         diag.n_records += 1
-        if rec.logprob_nats > 0:
+        if x > 0:
             diag.positive_logprobs.append((lineno, qid))
         key = space.key_of_qid(qid)
         code = 0 if key is None else table[key]
@@ -145,7 +146,7 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
             repeat = seen[key]
             seen[key] = 1
             split, kind = SPLITS[code - 1], kinds[space.unpack(key)[1]]
-            if rec.split != split or rec.kind != kind:
+            if rec_split != split or rec_kind != kind:
                 diag.mislabeled.append((lineno, qid, split, kind))
         if repeat:
             diag.duplicate_qids.append(qid)

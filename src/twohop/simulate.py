@@ -207,8 +207,8 @@ def loss_records(
     world: World,
     profile: ReliabilityProfile,
     split_set: SplitSet,
-) -> Iterator[LossRecord]:
-    """Yield one record per question, in file order, with logprob = ln q of the simulated answer."""
+) -> Iterator[tuple[str, str, str, float]]:
+    """Yield (qid, split, kind, ln q of the simulated answer) per question, in file order."""
     space = split_set.space
     relations, attributes = space.relations, space.attributes
     one_hop, two_hop = QuestionKind.ONE_HOP.value, space.two_hop_kind.value
@@ -219,11 +219,11 @@ def loss_records(
             a = attributes[a]
             if r == space.n_relations:
                 prob = simulate_one_hop_prob(world, profile, e1, a)
-                yield LossRecord(one_hop_qid(e1, a), split, one_hop, math.log(prob))
+                yield one_hop_qid(e1, a), split, one_hop, math.log(prob)
             else:
                 r = relations[r]
                 prob = simulate_two_hop_prob(world, profile, e1, r, a)
-                yield LossRecord(two_hop_qid(e1, r, a), split, two_hop, math.log(prob))
+                yield two_hop_qid(e1, r, a), split, two_hop, math.log(prob)
 
 
 def generate_loss_log(
@@ -232,7 +232,7 @@ def generate_loss_log(
     split_set: SplitSet,
 ) -> list[LossRecord]:
     """One record per QA item with logprob = ln q of the simulated answer."""
-    return list(loss_records(world, profile, split_set))
+    return list(map(LossRecord._make, loss_records(world, profile, split_set)))
 
 
 def ground_truth_content(world: World, profile: ReliabilityProfile) -> float:

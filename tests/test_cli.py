@@ -166,6 +166,17 @@ def test_loss_row_non_string_key_exits_1(dataset_dir, tmp_path, capsys, field):
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
 
 
+# a JSON number that a float holds: not past its range, not a string, not true
+@pytest.mark.parametrize("value", [-(10**400), "-0.5", True], ids=["401_digits", "string", "true"])
+def test_loss_row_logprob_not_a_float_exits_1(dataset_dir, tmp_path, capsys, value):
+    row = {"qid": "1h:0:mother", "split": "train", "kind": "one_hop", "logprob_nats": value}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(row) + "\n")
+    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
+        _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
+
+
 @pytest.mark.parametrize(
     "spec",
     ["nan", "-3", "budget:nan", "two-point:0.1,7,0.5", "two-point:-0.1,0.5,0.5",
@@ -208,6 +219,18 @@ def test_report_param_count_not_integer_exits_1(dataset_dir, run_log, tmp_path, 
         code = main(["report", "--dataset", str(dataset_dir), "--losses", str(log),
                      "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")])
         _assert_clean_error(code, capsys, "param_count")
+
+
+def test_outputs_create_missing_directories(dataset_dir, tmp_path, capsys):
+    log = tmp_path / "runs" / "run.jsonl"
+    csv_path, svg_path = tmp_path / "csv" / "capacity.csv", tmp_path / "svg" / "capacity.svg"
+    assert main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                 "--param-count", "5000", "--out", str(log)]) == 0
+    assert main(["report", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f",
+                 "--out-csv", str(csv_path), "--out-svg", str(svg_path)]) == 0
+    assert log.with_suffix(".json").exists()
+    assert len(csv_path.read_text().splitlines()) == 2
+    assert svg_path.read_text().startswith("<svg")
 
 
 # Every option each subcommand takes, so that adding or removing one is a

@@ -21,6 +21,7 @@ from twohop.estimator import (
     Branch,
     EstimatorError,
     FactCounts,
+    aggregate_groups,
     merge_aggregates,
     oracle_invert_recurrent,
     oracle_two_function_loss,
@@ -61,6 +62,27 @@ class TestAggregation:
     def test_positive_logprob_rejected(self):
         with pytest.raises(EstimatorError):
             aggregate_losses([LossRecord("q", "train", "one_hop", 0.5)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from(["train", "heldout_r", "heldout_full"]),
+        st.sampled_from(["one_hop", "two_hop"]),
+        # bounded so that Welford's squares stay finite and a NaN cannot break ==
+        st.sampled_from([-0.0, -5e-324]) | st.floats(-1e150, 0.0),
+    ), max_size=40))
+    def test_groups_equal_single_selections(self, rows):
+        records = [(f"q{i}", split, kind, x) for i, (split, kind, x) in enumerate(rows)]
+        groups = sorted({split for split, kind, _ in rows if kind == "two_hop"})
+
+        def group(split, kind):
+            return split if kind == "two_hop" else None
+
+        expected = {g: aggregate_losses(records, split=g, kind="two_hop") for g in groups}
+        assert aggregate_groups(records, group, groups) == expected
+        assert aggregate_groups(map(LossRecord._make, records), group, groups) == expected
+        cot = ("c", "train", "two_hop_cot", -1.0)
+        with pytest.raises(EstimatorError, match="two_hop_cot"):
+            aggregate_groups(records + [cot], group, groups)
 
     def test_merge_equals_single_pass(self):
         rng = random.Random(1)
