@@ -277,7 +277,7 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# Bytes of a small world's dataset and trained loss logs; each value was
+# Bytes of a small world's dataset and loss logs; each value was
 # measured on the code that first produced the file and must never change.
 GOLDEN_GEN_ARGS = [
     "gen",
@@ -304,6 +304,25 @@ GOLDEN_TRAINED_LOGS = {
     "2f": "ee8d69c3a39ccbc154306000280204480ad173dfacab2689881f3fb83ebbc902",
     "independent": "4f43033d4e5b45a316fe9bba44861e55bb80ef60d0100f11493a58ee34d060e9",
 }
+# (model, --reliability) with --seed 1: sha256 of the loss log
+GOLDEN_SPEC_LOGS = {
+    ("recurrent", "chance"): "485e2b35e0b2ef12192d7128fd3a1e1a4287a34b9838951fbc95411be82aa292",
+    ("recurrent", "0.9"): "c87885cb60c626295cdc2550245389f28eba3d42597eb0ac19d2a74a11869164",
+    ("recurrent", "budget:1000"): "1a20f6c82fc62d705fc27233d0992b4ffa4c3512f073f4fbbf46fa88c10bc7fc",
+    ("recurrent", "two-point:0.01,0.99,0.5"):
+        "3630af3af2d7531b36c5968d9d6b17ce0f428e4c7eae94c99306c37ab8c151b8",
+    ("2f", "chance"): "485e2b35e0b2ef12192d7128fd3a1e1a4287a34b9838951fbc95411be82aa292",
+    ("2f", "0.9"): "c87885cb60c626295cdc2550245389f28eba3d42597eb0ac19d2a74a11869164",
+    ("2f", "budget:1000"): "544e2335647e96d4af2bb55e2910c0be2ce874432e71af620d840c801db30601",
+    ("2f", "two-point:0.01,0.99,0.5"):
+        "ba4f8276993bf1b7f13148f50b9bb15c729e9fac74ed8c1a3d87a8a99e1e92c0",
+    ("independent", "chance"): "eeae5033f35183cffa9fca929d5a73b94ba48dd5b5aa43ad231fdc21e75a2e48",
+    ("independent", "0.9"): "62713eefc791c6efc0a8b8b43cb0086fbb392be740dd14bc50ea49fafbcba6af",
+    ("independent", "budget:1000"):
+        "868fc9265ca97d1c0a9dc9ed07afc6c9912df1dd6ea41cdf88e37413b5f82501",
+    ("independent", "two-point:0.01,0.99,0.5"):
+        "2d47d0e37912a56df31c6659c04fe7e31e0c925f62efa4e8c402ae11669b2786",
+}
 
 
 def test_golden_bytes(tmp_path, capsys):
@@ -318,6 +337,12 @@ def test_golden_bytes(tmp_path, capsys):
                 "--reliability", "trained", "--out", str(log)]
         assert main(args) == 0
         assert _sha256(log) == log_sha, model
+    for (model, spec), log_sha in GOLDEN_SPEC_LOGS.items():
+        log = tmp_path / "spec.jsonl"
+        args = ["simulate", "--dataset", str(tmp_path / "none"), "--model", model,
+                "--reliability", spec, "--seed", "1", "--out", str(log)]
+        assert main(args) == 0
+        assert _sha256(log) == log_sha, (model, spec)
 
 
 def _assert_clean_error(code, capsys, needle):
