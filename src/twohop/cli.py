@@ -343,7 +343,6 @@ def main(argv=None) -> int:
         worldgen.DatasetIOError,
         estimator.EstimatorError,
         generalization.EvaluationError,
-        simulate.CoverageError,
         OSError,
         ValueError,
     ) as exc:

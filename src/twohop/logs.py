@@ -67,6 +67,8 @@ def _loss_rows(path: Path):
                         if type(x) is not int:
                             raise TypeError("logprob_nats must be a JSON number")
                         x = float(x)  # OverflowError past the float range
+                    if not isfinite(x):  # the decoder reads NaN, Infinity and -Infinity
+                        raise ValueError(f"logprob_nats must be finite, got {x}")
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DatasetIOError(f"{path}:{lineno}: malformed record: {exc}") from exc
                 yield lineno, (qid, split, kind, x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .entropy import ModelKind, Task, dataset_entropy
@@ -19,32 +19,49 @@ from .logs import LossRecord
 from .worldgen import QuestionKind, SplitSet, World, WorldConfig, one_hop_qid, two_hop_qid
 
 
-class CoverageError(KeyError):
-    """A reliability profile is missing an entry the simulation needs."""
+@dataclass(slots=True)
+class ReliabilityTable:
+    """One role's reliabilities: two levels per attribute and one flag per unit.
 
+    A unit's attribute index is ``unit % len(low)``; a set flag picks its
+    ``high`` level, a clear one its ``low`` level. A level of None marks the
+    unit unlearned: a question that needs it is answered at chance.
+    """
 
-FactKey = tuple[int, str]
-MemoKey = tuple[int, str, str]
+    low: tuple[float | None, ...]
+    high: tuple[float | None, ...]
+    flags: bytearray
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def __getitem__(self, unit: int) -> float | None:
+        return (self.high if self.flags[unit] else self.low)[unit % len(self.low)]
 
 
 @dataclass
 class ReliabilityProfile:
-    """Per-fact retrieval probabilities for one computational model.
+    """Per-unit retrieval probabilities for one computational model.
 
-    Recurrent uses a single fact map applied to both hops; two-function
-    keeps separate first-hop and second-hop maps (each spanning all
-    attributes, since each fact is stored once per pass); independent keeps
-    one memo per complete two-hop question. When ``unlearned_uniform`` is
-    set, a missing entry means the model answers uniformly at random, which
-    is how holdout generalization rules emerge from trained profiles.
+    Recurrent stores one table, ``facts``, applied to both hops; two-function
+    stores ``hop1`` and ``hop2`` (each spanning all attributes, since each
+    fact is stored once per pass); independent stores ``memo``, one unit per
+    two-hop question. A fact's unit is ``e·|A| + a`` and a memo's
+    ``(e·|R| + r)·|A| + a``, with relation and attribute indices in config
+    order. A role the model lacks is None.
     """
 
     model_kind: ModelKind
-    facts: dict[FactKey, float] | None = None
-    hop1: dict[FactKey, float] | None = None
-    hop2: dict[FactKey, float] | None = None
-    memo: dict[MemoKey, float] | None = None
-    unlearned_uniform: bool = False
+    config: WorldConfig
+    facts: ReliabilityTable | None = None
+    hop1: ReliabilityTable | None = None
+    hop2: ReliabilityTable | None = None
+    memo: ReliabilityTable | None = None
+    # 1/|V_a| per attribute index: the answer to a question at chance
+    chance: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.chance = tuple(1.0 / self.config.pool_size(a) for a in self.config.attributes)
 
     @classmethod
     def homogeneous(
@@ -56,14 +73,9 @@ class ReliabilityProfile:
         """
         if reliability is not None and not 0.0 <= reliability <= 1.0:
             raise ValueError(f"reliability must be in [0, 1], got {reliability}")
-
-        def level(pool: int) -> float:
-            chance = 1.0 / pool
-            if reliability is None:
-                return chance
-            return max(chance, reliability)
-
-        return cls._from_level_fn(config, model_kind, lambda e, a, pool: level(pool))
+        floor = 0.0 if reliability is None else reliability
+        levels = tuple(max(1.0 / config.pool_size(a), floor) for a in config.attributes)
+        return cls._build(config, model_kind, levels, levels)
 
     @classmethod
     def two_point(
@@ -83,33 +95,25 @@ class ReliabilityProfile:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         rng = random.Random(seed)
-
-        def level(e, a, pool):
-            p = p_high if rng.random() < frac_high else p_low
-            return max(1.0 / pool, p)
-
-        return cls._from_level_fn(config, model_kind, level)
+        pools = [config.pool_size(a) for a in config.attributes]
+        low = tuple(max(1.0 / pool, p_low) for pool in pools)
+        high = tuple(max(1.0 / pool, p_high) for pool in pools)
+        return cls._build(config, model_kind, low, high, lambda: rng.random() < frac_high)
 
     @classmethod
-    def _from_level_fn(cls, config: WorldConfig, model_kind: ModelKind, level) -> "ReliabilityProfile":
-        n = config.n_profiles
-        attrs = config.attributes
+    def _build(cls, config: WorldConfig, model_kind: ModelKind, low, high, flag=None):
+        """One table per role of ``model_kind``, drawing ``flag()`` per unit in unit order."""
+        units = _role_units(config, model_kind)
+
+        def table() -> ReliabilityTable:
+            flags = bytearray(units) if flag is None else bytearray(flag() for _ in range(units))
+            return ReliabilityTable(low, high, flags)
+
         if model_kind is ModelKind.RECURRENT:
-            facts = {
-                (e, a): level(e, a, config.pool_size(a)) for e in range(n) for a in attrs
-            }
-            return cls(model_kind, facts=facts)
+            return cls(model_kind, config, facts=table())
         if model_kind is ModelKind.TWO_FUNCTION:
-            hop1 = {(e, a): level(e, a, config.pool_size(a)) for e in range(n) for a in attrs}
-            hop2 = {(e, a): level(e, a, config.pool_size(a)) for e in range(n) for a in attrs}
-            return cls(model_kind, hop1=hop1, hop2=hop2)
-        memo = {
-            (e, r, a): level(e, a, config.pool_size(a))
-            for e in range(n)
-            for r in config.relations
-            for a in attrs
-        }
-        return cls(model_kind, memo=memo)
+            return cls(model_kind, config, hop1=table(), hop2=table())
+        return cls(model_kind, config, memo=table())
 
     @classmethod
     def trained(
@@ -126,51 +130,62 @@ class ReliabilityProfile:
         train two-hop questions. A learned fact has reliability 1; everything
         else answers uniformly.
         """
-        space = split_set.space
-        relations, attributes = space.relations, space.attributes
-        one_hop = space.n_relations
-        train = map(space.unpack, split_set.train.keys)  # (e1, r, a) indices, read once
-        if model_kind is ModelKind.RECURRENT:
-            facts = {(e1, attributes[a]): 1.0 for e1, r, a in train if r == one_hop}
-            return cls(model_kind, facts=facts, unlearned_uniform=True)
-        if model_kind is ModelKind.TWO_FUNCTION:
-            hop1: dict[FactKey, float] = {}
-            hop2: dict[FactKey, float] = {}
-            for e1, r, a in train:
-                if r == one_hop:
-                    continue
-                hop1[(e1, relations[r])] = 1.0
-                hop2[(world.relation_target(e1, relations[r]), attributes[a])] = 1.0
-            return cls(model_kind, hop1=hop1, hop2=hop2, unlearned_uniform=True)
-        memo = {
-            (e1, relations[r], attributes[a]): 1.0 for e1, r, a in train if r != one_hop
-        }
-        return cls(model_kind, memo=memo, unlearned_uniform=True)
+        cfg = world.config
+        n_attrs, one_hop = len(cfg.attributes), len(cfg.relations)
+        profile = cls._build(cfg, model_kind, (None,) * n_attrs, (1.0,) * n_attrs)
+        facts, hop1, hop2, memo = profile.facts, profile.hop1, profile.hop2, profile.memo
+        targets = _targets(world)
+        for key in split_set.train.keys:
+            head, a = divmod(key, n_attrs)  # head = e1·(|R|+1) + r
+            e1, r = divmod(head, one_hop + 1)
+            if r == one_hop:
+                if facts is not None:
+                    facts.flags[e1 * n_attrs + a] = 1
+            elif hop1 is not None:
+                hop1.flags[e1 * n_attrs + r] = 1
+                hop2.flags[targets[head] * n_attrs + a] = 1
+            elif memo is not None:
+                memo.flags[(e1 * one_hop + r) * n_attrs + a] = 1
+        return profile
+
+    def answer_prob(self, e1: int, r: int, a: int, e2: int) -> float:
+        """Probability of the correct answer to question (e1, r, a), on config indices.
+
+        ``r = |R|`` is the one-hop question, with ``e2 = e1``; otherwise e2 is
+        relation r's target of e1. For composing models, a first-hop miss
+        falls back to a uniform guess over |N| entities, the fallback both
+        inversions assume. A question that needs an unlearned unit is
+        answered at chance 1/|V_a|.
+        """
+        n_relations, n_attrs = len(self.config.relations), len(self.chance)
+        if self.memo is not None:  # the memo model stores two-hop answers only
+            p1 = 1.0
+            p2 = None if r == n_relations else self.memo[(e1 * n_relations + r) * n_attrs + a]
+        else:
+            first, second = (self.hop1, self.hop2) if self.facts is None else (self.facts,) * 2
+            p1 = 1.0 if r == n_relations else first[e1 * n_attrs + r]
+            p2 = second[e2 * n_attrs + a]
+        if p1 is None or p2 is None:
+            return self.chance[a]
+        return p1 * p2 + (1.0 - p1) / self.config.n_profiles
 
 
-def _chance(config: WorldConfig, attribute: str) -> float:
-    return 1.0 / config.pool_size(attribute)
+def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
+    """Units in one table of the model: facts for composing models, questions for the memo."""
+    units = config.n_profiles * len(config.attributes)
+    return units * len(config.relations) if model_kind is ModelKind.INDEPENDENT else units
 
 
-def _lookup(table: dict | None, key, profile: ReliabilityProfile) -> float | None:
-    """Fetch a reliability; None signals an unlearned fact under uniform fallback."""
-    if table is None:
-        raise CoverageError(f"profile has no table for {key}")
-    p = table.get(key)
-    if p is None and not profile.unlearned_uniform:
-        raise CoverageError(f"missing reliability entry for {key}")
-    return p
+def _targets(world: World) -> list[int]:
+    """``targets[e1·(|R|+1) + r]``: relation r's target of e1, and e1 itself at r = |R|."""
+    relations = world.config.relations
+    return [e for p in world.profiles for e in (*map(p.relation_values.get, relations), p.id)]
 
 
 def simulate_one_hop_prob(world: World, profile: ReliabilityProfile, e1: int, a: str) -> float:
     """Probability of the correct one-hop answer under the profile's model."""
     cfg = world.config
-    if profile.model_kind is ModelKind.INDEPENDENT:
-        # the memo model stores two-hop answers only
-        return _chance(cfg, a)
-    table = profile.facts if profile.model_kind is ModelKind.RECURRENT else profile.hop2
-    p = _lookup(table, (e1, a), profile)
-    return _chance(cfg, a) if p is None else p
+    return profile.answer_prob(e1, len(cfg.relations), cfg.attributes.index(a), e1)
 
 
 def simulate_two_hop_prob(
@@ -180,27 +195,12 @@ def simulate_two_hop_prob(
     r: str,
     a: str,
 ) -> float:
-    """Probability of the correct two-hop answer.
-
-    For composing models, a first-hop miss falls back to a uniform guess
-    over |N| entities, the fallback both inversions assume.
-    """
+    """Probability of the correct two-hop answer."""
     cfg = world.config
     if not cfg.is_relation(r):
         raise ValueError(f"first hop must be a relation, got {r!r}")
-    if profile.model_kind is ModelKind.INDEPENDENT:
-        p = _lookup(profile.memo, (e1, r, a), profile)
-        return _chance(cfg, a) if p is None else p
     e2 = world.relation_target(e1, r)
-    if profile.model_kind is ModelKind.RECURRENT:
-        p1 = _lookup(profile.facts, (e1, r), profile)
-        p2 = _lookup(profile.facts, (e2, a), profile)
-    else:
-        p1 = _lookup(profile.hop1, (e1, r), profile)
-        p2 = _lookup(profile.hop2, (e2, a), profile)
-    if p1 is None or p2 is None:
-        return _chance(cfg, a)
-    return p1 * p2 + (1.0 - p1) / cfg.n_profiles
+    return profile.answer_prob(e1, cfg.relations.index(r), cfg.attributes.index(a), e2)
 
 
 def loss_records(
@@ -211,19 +211,19 @@ def loss_records(
     """Yield (qid, split, kind, ln q of the simulated answer) per question, in file order."""
     space = split_set.space
     relations, attributes = space.relations, space.attributes
-    one_hop, two_hop = QuestionKind.ONE_HOP.value, space.two_hop_kind.value
+    n_attrs, one_hop = space.n_attributes, space.n_relations
+    one_hop_kind, two_hop_kind = QuestionKind.ONE_HOP.value, space.two_hop_kind.value
+    prob, targets = profile.answer_prob, _targets(world)
     for questions in split_set.splits():
         split = questions.split
         for key in questions.keys:
-            e1, r, a = space.unpack(key)
-            a = attributes[a]
-            if r == space.n_relations:
-                prob = simulate_one_hop_prob(world, profile, e1, a)
-                yield one_hop_qid(e1, a), split, one_hop, math.log(prob)
+            head, a = divmod(key, n_attrs)  # key = (e1·(|R|+1) + r)·|A| + a
+            e1, r = divmod(head, one_hop + 1)
+            x = math.log(prob(e1, r, a, targets[head]))
+            if r == one_hop:
+                yield one_hop_qid(e1, attributes[a]), split, one_hop_kind, x
             else:
-                r = relations[r]
-                prob = simulate_two_hop_prob(world, profile, e1, r, a)
-                yield two_hop_qid(e1, r, a), split, two_hop, math.log(prob)
+                yield two_hop_qid(e1, relations[r], attributes[a]), split, two_hop_kind, x
 
 
 def generate_loss_log(
@@ -236,43 +236,19 @@ def generate_loss_log(
 
 
 def ground_truth_content(world: World, profile: ReliabilityProfile) -> float:
-    """Exact content in bits: model-kind entropy minus the per-fact loss sum."""
+    """Exact content in bits: model-kind entropy minus the loss of every stored unit."""
     cfg = world.config
-    n = cfg.n_profiles
-    attrs = cfg.attributes
-
-    def fact_loss(table: dict | None, key, pool: int) -> float:
-        p = None if table is None else table.get(key)
-        if p is None:
-            if not profile.unlearned_uniform:
-                raise CoverageError(f"missing reliability entry for {key}")
-            p = 1.0 / pool
-        return -math.log2(p)
-
-    if profile.model_kind is ModelKind.RECURRENT:
-        entropy = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.RECURRENT)
-        loss = sum(
-            fact_loss(profile.facts, (e, a), cfg.pool_size(a))
-            for e in range(n)
-            for a in attrs
-        )
-    elif profile.model_kind is ModelKind.TWO_FUNCTION:
-        entropy = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.TWO_FUNCTION)
-        loss = sum(
-            fact_loss(table, (e, a), cfg.pool_size(a))
-            for table in (profile.hop1, profile.hop2)
-            for e in range(n)
-            for a in attrs
-        )
-    else:
-        entropy = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.INDEPENDENT)
-        loss = sum(
-            fact_loss(profile.memo, (e, r, a), cfg.pool_size(a))
-            for e in range(n)
-            for r in cfg.relations
-            for a in attrs
-        )
-    return entropy.total_bits - loss
+    n_attrs = len(cfg.attributes)
+    loss = 0.0
+    for table in (profile.facts, profile.hop1, profile.hop2, profile.memo):
+        if table is None:
+            continue
+        for a, chance in enumerate(profile.chance):
+            flags = table.flags[a::n_attrs]
+            high = flags.count(1)
+            for count, p in ((high, table.high[a]), (len(flags) - high, table.low[a])):
+                loss -= count * math.log2(chance if p is None else p)
+    return dataset_entropy(cfg, Task.TWO_HOP, profile.model_kind).total_bits - loss
 
 
 def allocate_budget(
@@ -286,21 +262,12 @@ def allocate_budget(
     """
     if not budget_bits >= 0:  # also rejects NaN
         raise ValueError(f"budget must be >= 0, got {budget_bits}")
-    n = config.n_profiles
-    n_attrs = len(config.attributes)
-    if model_kind is ModelKind.RECURRENT:
-        units = n * n_attrs
-    elif model_kind is ModelKind.TWO_FUNCTION:
-        units = 2 * n * n_attrs
-    else:
-        units = n * len(config.relations) * n_attrs
-    share = budget_bits / units
-
-    def level(e, a, pool):
-        b = math.log2(pool)
-        return 2.0 ** -max(0.0, b - share)
-
-    return ReliabilityProfile._from_level_fn(config, model_kind, level)
+    roles = 2 if model_kind is ModelKind.TWO_FUNCTION else 1
+    share = budget_bits / (roles * _role_units(config, model_kind))
+    levels = tuple(
+        2.0 ** -max(0.0, math.log2(config.pool_size(a)) - share) for a in config.attributes
+    )
+    return ReliabilityProfile._build(config, model_kind, levels, levels)
 
 
 def loss_impact_ratio(mix_ratio: float, n_relations: int) -> float:

@@ -166,13 +166,23 @@ def test_loss_row_non_string_key_exits_1(dataset_dir, tmp_path, capsys, field):
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
 
 
-# a JSON number that a float holds: not past its range, not a string, not true
-@pytest.mark.parametrize("value", [-(10**400), "-0.5", True], ids=["401_digits", "string", "true"])
+# a finite JSON number that a float holds: not past its range, not NaN or
+# Infinity, not a string, not true
+@pytest.mark.parametrize(
+    "value",
+    [-(10**400), float("nan"), float("inf"), float("-inf"), "-0.5", True],
+    ids=["401_digits", "nan", "infinity", "minus_infinity", "string", "true"],
+)
 def test_loss_row_logprob_not_a_float_exits_1(dataset_dir, tmp_path, capsys, value):
     row = {"qid": "1h:0:mother", "split": "train", "kind": "one_hop", "logprob_nats": value}
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(row) + "\n")
-    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+    for args in (
+        ["validate"],
+        ["estimate", "--model", "2f", "--force"],
+        ["classify", "--force"],
+        ["report", "--model", "2f", "--force", "--out-csv", str(tmp_path / "c.csv")],
+    ):
         code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
 
@@ -716,9 +726,10 @@ def test_cot_log_refused_by_estimators(tmp_path, capsys):
         _assert_clean_error(main(command + args), capsys, "two_hop_cot")
 
 
-# Traced peak growth per added question of simulate, estimate, classify and
-# validate, in bytes: at most 15 B measured on the packed-key store, with 2x
-# headroom. Holding an object per question costs hundreds.
+# Traced peak growth per added question of simulate and estimate (each model,
+# trained and two-point), classify and validate, in bytes: at most 15 B
+# measured on the packed-key store, with 2x headroom. Holding an object per
+# question costs hundreds.
 BYTES_PER_QUESTION = 30
 
 
@@ -730,14 +741,18 @@ def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
                      "--name-pools", "100", "100", "100", "--holdout-frac", "0.05", "--seed", "2",
                      "--out", str(ds)]) == 0
         questions[relations] = sum(json.loads(capsys.readouterr().out)["counts"].values())
-        log = tmp_path / f"r{relations}.jsonl"
         data = ["--dataset", str(ds)]
-        commands = {
-            "simulate": ["simulate", *data, "--model", "2f", "--out", str(log)],
-            "estimate": ["estimate", *data, "--losses", str(log), "--model", "2f"],
-            "classify": ["classify", *data, "--losses", str(log)],
-            "validate": ["validate", *data, "--losses", str(log)],
-        }
+        commands = {}
+        for model in ("recurrent", "2f", "independent"):
+            for spec in ("trained", "two-point:0.01,0.99,0.5"):
+                log = tmp_path / f"r{relations}-{model}-{spec.split(':')[0]}.jsonl"
+                commands["simulate", model, spec] = [
+                    "simulate", *data, "--model", model, "--reliability", spec, "--out", str(log)]
+                commands["estimate", model, spec] = [
+                    "estimate", *data, "--losses", str(log), "--model", model]
+        log = tmp_path / f"r{relations}-2f-trained.jsonl"
+        commands["classify"] = ["classify", *data, "--losses", str(log)]
+        commands["validate"] = ["validate", *data, "--losses", str(log)]
         for name, argv in commands.items():
             tracemalloc.start()
             try:

@@ -15,7 +15,7 @@ from twohop import (
     name_selection_entropy,
     simulate_two_hop_prob,
 )
-from twohop.simulate import CoverageError, simulate_one_hop_prob
+from twohop.simulate import simulate_one_hop_prob
 from twohop.worldgen import QuestionKind
 
 
@@ -34,8 +34,9 @@ def _flat_profile(world, kind, p1, p2):
     """Two-function profile with distinct flat hop reliabilities."""
     base = ReliabilityProfile.homogeneous(world.config, kind, 1.0)
     if kind is ModelKind.TWO_FUNCTION:
-        base.hop1 = {k: p1 for k in base.hop1}
-        base.hop2 = {k: p2 for k in base.hop2}
+        n_attrs = len(world.config.attributes)
+        base.hop1.low = base.hop1.high = (p1,) * n_attrs
+        base.hop2.low = base.hop2.high = (p2,) * n_attrs
     return base
 
 
@@ -68,16 +69,12 @@ class TestMixture:
         with pytest.raises(ValueError):
             simulate_two_hop_prob(tiny_world, profile, 0, "birth city", "mother")
 
-    def test_missing_entry_without_fallback(self, tiny_world):
-        profile = ReliabilityProfile(ModelKind.RECURRENT, facts={})
-        with pytest.raises(CoverageError):
-            simulate_two_hop_prob(tiny_world, profile, 0, "mother", "mother")
-
     def test_homogeneous_floors_at_chance(self, tiny_world):
         profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.RECURRENT, 0.0001)
-        # relations have a 1/1000 chance floor, the 10-value property 1/10
-        assert profile.facts[(0, "mother")] == 0.001
-        assert profile.facts[(0, "birth city")] == 0.1
+        # relations have a 1/1000 chance floor, the 10-value property 1/10;
+        # unit e·|A| + a of attributes (mother, birth city)
+        assert profile.facts[0] == 0.001
+        assert profile.facts[1] == 0.1
 
 
 @pytest.fixture(scope="module")
@@ -179,13 +176,16 @@ class TestBudget:
         )
         # 20 storable facts, 100 bits: each unit gets 5 bits of its answer
         profile = allocate_budget(ModelKind.RECURRENT, 100.0, cfg)
-        assert profile.facts[(0, "birth city")] == pytest.approx(2.0**-5)
+        assert profile.facts[1] == pytest.approx(2.0**-5)  # (0, "birth city")
         # the 10-entity relation needs only log2(10) < 5 bits: fully reliable
-        assert profile.facts[(0, "mother")] == 1.0
+        assert profile.facts[0] == 1.0  # (0, "mother")
 
     def test_zero_budget_is_chance(self, micro_cfg):
         profile = allocate_budget(ModelKind.INDEPENDENT, 0.0, micro_cfg)
-        assert profile.memo[(0, "mother", "birth city")] == pytest.approx(0.1)
+        # unit (e·|R| + r)·|A| + a of (0, "mother", "birth city")
+        attributes = micro_cfg.attributes
+        r, a = micro_cfg.relations.index("mother"), attributes.index("birth city")
+        assert profile.memo[r * len(attributes) + a] == pytest.approx(0.1)
 
     def test_content_monotone_in_budget(self, micro_world):
         entropy = dataset_entropy(micro_world.config, Task.TWO_HOP, ModelKind.TWO_FUNCTION).total_bits
