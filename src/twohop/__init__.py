@@ -43,8 +43,6 @@ from .simulate import (
 )
 from .worldgen import (
     HOLDOUT_KINDS,
-    Profile,
-    QAItem,
     QuestionKind,
     SplitSet,
     World,
@@ -52,7 +50,6 @@ from .worldgen import (
     build_splits,
     generate_world,
     load_dataset,
-    make_question,
     persist_dataset,
     profile_lines,
     question_lines,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -73,6 +74,25 @@ def _read_run_meta(losses: Path) -> dict:
     return run_meta
 
 
+def _point_meta(losses: Path) -> tuple[str, int]:
+    """A report point's label and parameter count, from the log's run manifest.
+
+    ``label`` must be a string or absent (the log's stem then, as for an
+    empty one); ``param_count`` a positive integer that a float holds.
+    """
+    run_meta = _read_run_meta(losses)
+    label, params = run_meta.get("label"), run_meta.get("param_count")
+    where = f"run manifest {losses.with_suffix('.json')}"
+    if "label" in run_meta and type(label) is not str:
+        raise worldgen.DatasetIOError(f"{where}: label must be a string, got {label!r}")
+    # type(), not isinstance(): a JSON true must not pass as the integer 1
+    if type(params) is not int or params <= 0 or params > sys.float_info.max:
+        raise worldgen.DatasetIOError(
+            f"{where}: param_count must be an integer > 0 that a float holds"
+        )
+    return label or losses.stem, params
+
+
 def _log_aggregates(losses: Path, group, groups) -> dict:
     """``estimator.aggregate_groups`` over a loss log, read record by record."""
     records = (rec for _, rec in logs._loss_rows(losses))
@@ -134,7 +154,10 @@ def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
     if spec.startswith("budget:"):
         return simulate.allocate_budget(kind, float(spec.split(":", 1)[1]), config)
     if spec.startswith("two-point:"):
-        p_low, p_high, frac_high = (float(x) for x in spec.split(":", 1)[1].split(","))
+        try:
+            p_low, p_high, frac_high = (float(x) for x in spec.split(":", 1)[1].split(","))
+        except ValueError:
+            raise ValueError(f"reliability {spec!r} must be two-point:LO,HI,FRAC") from None
         return simulate.ReliabilityProfile.two_point(config, kind, p_low, p_high, frac_high, seed)
     return simulate.ReliabilityProfile.homogeneous(config, kind, float(spec))
 
@@ -223,15 +246,10 @@ def _cmd_report(args) -> int:
     for losses in args.losses:
         _check_binding(dataset_dir, Path(losses), args.force)
         est, _, _ = _estimate_for(dataset_dir, Path(losses), args.model)
-        run_meta = _read_run_meta(Path(losses))
-        params = run_meta.get("param_count")
-        # type(), not isinstance(): a JSON true must not pass as the integer 1
-        if type(params) is not int or params <= 0:
-            print(f"error: {losses}: run manifest needs an integer param_count > 0", file=sys.stderr)
-            return 1
+        label, params = _point_meta(Path(losses))
         points.append(
             report.CapacityPoint(
-                label=run_meta.get("label") or Path(losses).stem,
+                label=label,
                 param_count=params,
                 model_kind=(kind.value if kind else "one-hop"),
                 task=task.value,
@@ -256,6 +274,17 @@ def _cmd_report(args) -> int:
 
 
 # --- parser ---------------------------------------------------------------
+
+
+def _slope(text: str) -> float:
+    """A capacity slope: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"slope must be a finite number > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", nargs="+", required=True)
     p.add_argument("--model", choices=MODEL_CHOICES, required=True)
-    p.add_argument("--slope", type=float, action="append", default=None,
+    p.add_argument("--slope", type=_slope, action="append", default=None,
                    help="capacity reference slope(s); default 2.0, repeatable "
                    "(e.g. add 1.6 for the observed line)")
     p.add_argument("--out-csv", required=True)

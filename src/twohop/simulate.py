@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .entropy import ModelKind, Task, dataset_entropy
+from .generalization import TrainIndex, train_two_hops
 from .logs import LossRecord
 from .worldgen import QuestionKind, SplitSet, World, WorldConfig, one_hop_qid, two_hop_qid
 
@@ -128,25 +129,18 @@ class ReliabilityProfile:
         learns first-hop pairs and second-hop pairs only from their in-role
         occurrences in train two-hop questions; independent memorizes the
         train two-hop questions. A learned fact has reliability 1; everything
-        else answers uniformly.
+        else answers uniformly. The composing models' flags are
+        ``TrainIndex``'s; the memo's are the split table's train two-hops.
         """
         cfg = world.config
-        n_attrs, one_hop = len(cfg.attributes), len(cfg.relations)
-        profile = cls._build(cfg, model_kind, (None,) * n_attrs, (1.0,) * n_attrs)
-        facts, hop1, hop2, memo = profile.facts, profile.hop1, profile.hop2, profile.memo
-        targets = _targets(world)
-        for key in split_set.train.keys:
-            head, a = divmod(key, n_attrs)  # head = e1·(|R|+1) + r
-            e1, r = divmod(head, one_hop + 1)
-            if r == one_hop:
-                if facts is not None:
-                    facts.flags[e1 * n_attrs + a] = 1
-            elif hop1 is not None:
-                hop1.flags[e1 * n_attrs + r] = 1
-                hop2.flags[targets[head] * n_attrs + a] = 1
-            elif memo is not None:
-                memo.flags[(e1 * one_hop + r) * n_attrs + a] = 1
-        return profile
+        levels = (None,) * len(cfg.attributes), (1.0,) * len(cfg.attributes)
+        if model_kind is ModelKind.INDEPENDENT:
+            return cls(model_kind, cfg, memo=ReliabilityTable(*levels, train_two_hops(split_set)))
+        index = TrainIndex(world, split_set)
+        if model_kind is ModelKind.RECURRENT:
+            return cls(model_kind, cfg, facts=ReliabilityTable(*levels, index.one_hop))
+        hop1, hop2 = ReliabilityTable(*levels, index.hop1), ReliabilityTable(*levels, index.hop2)
+        return cls(model_kind, cfg, hop1=hop1, hop2=hop2)
 
     def answer_prob(self, e1: int, r: int, a: int, e2: int) -> float:
         """Probability of the correct answer to question (e1, r, a), on config indices.
@@ -178,8 +172,9 @@ def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
 
 def _targets(world: World) -> list[int]:
     """``targets[e1·(|R|+1) + r]``: relation r's target of e1, and e1 itself at r = |R|."""
-    relations = world.config.relations
-    return [e for p in world.profiles for e in (*map(p.relation_values.get, relations), p.id)]
+    n_relations, facts = len(world.config.relations), world.facts.tolist()
+    rows = enumerate(range(0, len(facts), len(world.config.attributes)))
+    return [e for e1, start in rows for e in (*facts[start : start + n_relations], e1)]
 
 
 def simulate_one_hop_prob(world: World, profile: ReliabilityProfile, e1: int, a: str) -> float:
@@ -197,9 +192,7 @@ def simulate_two_hop_prob(
 ) -> float:
     """Probability of the correct two-hop answer."""
     cfg = world.config
-    if not cfg.is_relation(r):
-        raise ValueError(f"first hop must be a relation, got {r!r}")
-    e2 = world.relation_target(e1, r)
+    e2 = world.relation_target(e1, r)  # ConfigError, a ValueError, for a non-relation
     return profile.answer_prob(e1, cfg.relations.index(r), cfg.attributes.index(a), e2)
 
 
@@ -214,9 +207,8 @@ def loss_records(
     n_attrs, one_hop = space.n_attributes, space.n_relations
     one_hop_kind, two_hop_kind = QuestionKind.ONE_HOP.value, space.two_hop_kind.value
     prob, targets = profile.answer_prob, _targets(world)
-    for questions in split_set.splits():
-        split = questions.split
-        for key in questions.keys:
+    for split, keys in split_set.splits():
+        for key in keys:
             head, a = divmod(key, n_attrs)  # key = (e1·(|R|+1) + r)·|A| + a
             e1, r = divmod(head, one_hop + 1)
             x = math.log(prob(e1, r, a, targets[head]))

@@ -107,9 +107,6 @@ class WorldConfig:
         """All attributes: relations first, then properties."""
         return tuple(self.relations) + self.property_names
 
-    def is_relation(self, attribute: str) -> bool:
-        return attribute in self.relations
-
     def pool_size(self, attribute: str) -> int:
         """Answer-pool size of an attribute: |N| for relations, |V_a| for properties."""
         if attribute in self.relations:
@@ -132,9 +129,12 @@ class WorldConfig:
         names = list(self.relations) + list(self.property_names)
         if len(set(names)) != len(names):
             raise ConfigError("relation and property names must be unique and disjoint")
+        # every name index and value then fits a "Q" array
+        if self.name_space_size > 1 << 64:
+            raise ConfigError(f"name space {self.name_space_size} larger than 2**64")
         for name, size in self.properties:
-            if size < 1:
-                raise ConfigError(f"value pool for {name!r} must be >= 1")
+            if not 1 <= size <= 1 << 64:
+                raise ConfigError(f"value pool for {name!r} must be in [1, 2**64]")
         for name in names:
             if ":" in name:
                 raise ConfigError(f"attribute name {name!r} may not contain ':'")
@@ -186,58 +186,42 @@ class WorldConfig:
 _CONFIG_INT_KEYS = ("n_profiles", "first_names", "middle_names", "last_names", "seed")
 
 
-@dataclass(frozen=True)
-class Profile:
-    id: int
-    first: int
-    middle: int
-    last: int
-    relation_values: dict[str, int]
-    property_values: dict[str, int]
+def typecode(bound: int) -> str:
+    """The narrowest unsigned array typecode that holds every integer below ``bound``."""
+    return "I" if bound <= 1 << (8 * array("I").itemsize) else "Q"
 
 
 @dataclass
 class World:
-    """Ground-truth universe: profiles plus the (entity, relation) -> entity map."""
+    """Ground truth: each entity's name and its value of each attribute.
+
+    ``profiles[e]`` is entity e's packed name index, ``(first·|M| + middle)·|L|
+    + last``. ``facts[e·|A| + a]`` is its value of attribute a, in config
+    order: an entity id for a relation, a value index for a property.
+    """
 
     config: WorldConfig
-    profiles: list[Profile]
+    profiles: array
+    facts: array
 
-    def profile(self, pid: int) -> Profile:
-        return self.profiles[pid]
+    def name_indices(self, e: int) -> tuple[int, int, int]:
+        """Entity e's (first, middle, last) name indices."""
+        cfg = self.config
+        first, rest = divmod(self.profiles[e], cfg.middle_names * cfg.last_names)
+        return (first, *divmod(rest, cfg.last_names))
 
-    def entity_name(self, pid: int) -> str:
-        p = self.profiles[pid]
-        return f"F{p.first} M{p.middle} L{p.last}"
+    def entity_name(self, e: int) -> str:
+        return "F{} M{} L{}".format(*self.name_indices(e))
 
     def relation_target(self, e1: int, relation: str) -> int:
-        try:
-            return self.profiles[e1].relation_values[relation]
-        except KeyError:
-            raise ConfigError(f"unknown relation: {relation!r}") from None
+        relations = self.config.relations
+        if relation not in relations:
+            raise ConfigError(f"unknown relation: {relation!r}")
+        return self.facts[e1 * len(self.config.attributes) + relations.index(relation)]
 
     def value_string(self, prop: str, value: int) -> str:
         slug = prop.replace(" ", "_")
         return f"{slug}_{value}"
-
-
-@dataclass(frozen=True, slots=True)
-class QAItem:
-    """The key of one question (e1, r, a) over a world; one-hop items have no r."""
-
-    qid: str
-    kind: QuestionKind
-    e1: int
-    r: str | None
-    a: str
-    split: str
-
-    def __post_init__(self):
-        if self.kind is QuestionKind.ONE_HOP:
-            if self.r is not None:
-                raise ValueError("one-hop questions have no first relation")
-        elif self.r is None:
-            raise ValueError("two-hop questions require a first relation")
 
 
 class KeySpace:
@@ -261,8 +245,7 @@ class KeySpace:
         self.two_hop_kind = QuestionKind.TWO_HOP_COT if cot else QuestionKind.TWO_HOP
         self.relation_index = {r: i for i, r in enumerate(self.relations)}
         self.attribute_index = {a: i for i, a in enumerate(self.attributes)}
-        # the narrowest array type that holds every key
-        self.typecode = "I" if self.size <= 1 << (8 * array("I").itemsize) else "Q"
+        self.typecode = typecode(self.size)
 
     def pack(self, e1: int, r_index: int, a_index: int) -> int:
         return (e1 * (self.n_relations + 1) + r_index) * self.n_attributes + a_index
@@ -272,14 +255,6 @@ class KeySpace:
         e1, rest = divmod(key, self.per_entity)
         r_index, a_index = divmod(rest, self.n_attributes)
         return e1, r_index, a_index
-
-    def item(self, key: int, split: str) -> QAItem:
-        e1, r_index, a_index = self.unpack(key)
-        a = self.attributes[a_index]
-        if r_index == self.n_relations:
-            return QAItem(one_hop_qid(e1, a), QuestionKind.ONE_HOP, e1, None, a, split)
-        r = self.relations[r_index]
-        return QAItem(two_hop_qid(e1, r, a), self.two_hop_kind, e1, r, a, split)
 
     def key_of_qid(self, qid: str) -> int | None:
         """The key whose qid is exactly ``qid``, or None.
@@ -310,33 +285,6 @@ class KeySpace:
         return self.pack(e1, r_index, a_index)
 
 
-class Questions(Sequence):
-    """One split's questions in file order, stored as packed keys.
-
-    Reading an element builds its QAItem; a slice is a Questions over the
-    sliced keys.
-    """
-
-    __slots__ = ("space", "split", "keys")
-
-    def __init__(self, space: KeySpace, split: str, keys: array):
-        self.space = space
-        self.split = split
-        self.keys = keys
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Questions(self.space, self.split, self.keys[index])
-        return self.space.item(self.keys[index], self.split)
-
-    def __iter__(self) -> Iterator[QAItem]:
-        item, split = self.space.item, self.split
-        return (item(key, split) for key in self.keys)
-
-
 # Split names in file order; a split table stores 1 + a split's index here.
 SPLITS = ("train",) + HOLDOUT_KINDS
 _TRAIN = 1
@@ -345,9 +293,10 @@ _TRAIN = 1
 class SplitSet:
     """Train stream plus the seven holdout sets and the components that define them.
 
-    Each split is a ``Questions`` sequence over packed keys. ``table`` has
-    one byte per key of ``space``: 1 + the index in ``SPLITS`` of the split
-    holding that question, or 0 when the dataset has no such question.
+    Each split is an ``array`` of packed keys in file order: ``train`` and
+    ``heldout[kind]``. ``table`` has one byte per key of ``space``: 1 + the
+    index in ``SPLITS`` of the split holding that question, or 0 when the
+    dataset has no such question.
     """
 
     def __init__(
@@ -360,40 +309,35 @@ class SplitSet:
     ):
         self.space = space
         self.table = table
-        self.train = Questions(space, "train", keys["train"])
-        self.heldout = {kind: Questions(space, kind, keys[kind]) for kind in HOLDOUT_KINDS}
+        self.train = keys["train"]
+        self.heldout = {kind: keys[kind] for kind in HOLDOUT_KINDS}
         self.holdout_manifest = holdout_manifest
         self.params = params
 
-    def splits(self) -> Iterator[Questions]:
-        """Every split in file order: train, then the holdout sets in HOLDOUT_KINDS order."""
-        yield self.train
+    def splits(self) -> Iterator[tuple[str, array]]:
+        """Every split's (name, keys) in file order: train, then HOLDOUT_KINDS order."""
+        yield "train", self.train
         for kind in HOLDOUT_KINDS:
-            yield self.heldout[kind]
-
-    def all_items(self) -> Iterator[QAItem]:
-        for questions in self.splits():
-            yield from questions
+            yield kind, self.heldout[kind]
 
     def counts(self) -> dict[str, int]:
         """Items per split: train, then the holdout sets in HOLDOUT_KINDS order."""
-        return {questions.split: len(questions) for questions in self.splits()}
+        return {split: len(keys) for split, keys in self.splits()}
 
 
 def generate_world(config: WorldConfig) -> World:
     """Deterministically generate a world from its config and seed."""
     config.validate()
     rng = random.Random(config.seed)
-    triples = rng.sample(range(config.name_space_size), config.n_profiles)
-    ml = config.middle_names * config.last_names
-    profiles = []
-    for pid, t in enumerate(triples):
-        first, rem = divmod(t, ml)
-        middle, last = divmod(rem, config.last_names)
-        relation_values = {r: rng.randrange(config.n_profiles) for r in config.relations}
-        property_values = {name: rng.randrange(size) for name, size in config.properties}
-        profiles.append(Profile(pid, first, middle, last, relation_values, property_values))
-    return World(config, profiles)
+    names = config.name_space_size
+    # the names without replacement, then the values in fact order
+    profiles = array(typecode(names), rng.sample(range(names), config.n_profiles))
+    pools = [config.n_profiles] * len(config.relations) + [size for _, size in config.properties]
+    facts = array(
+        typecode(max(pools, default=0)),
+        (rng.randrange(pool) for _ in range(config.n_profiles) for pool in pools),
+    )
+    return World(config, profiles, facts)
 
 
 def one_hop_qid(e1: int, a: str) -> str:
@@ -402,22 +346,6 @@ def one_hop_qid(e1: int, a: str) -> str:
 
 def two_hop_qid(e1: int, r: str, a: str) -> str:
     return f"2h:{e1}:{r}:{a}"
-
-
-def make_question(
-    world: World, kind: QuestionKind, e1: int, r: str | None, a: str, split: str = "train"
-) -> QAItem:
-    """The question (e1, r, a) of ``kind``, checked against the world."""
-    cfg = world.config
-    if a not in cfg.attributes:
-        raise ValueError(f"unknown attribute: {a!r}")
-    if not 0 <= e1 < cfg.n_profiles:
-        raise ValueError(f"unknown entity: {e1}")
-    if kind is QuestionKind.ONE_HOP:
-        return QAItem(one_hop_qid(e1, a), kind, e1, r, a, split)
-    if not cfg.is_relation(r):
-        raise ValueError(f"first hop must be a relation, got {r!r}")
-    return QAItem(two_hop_qid(e1, r, a), kind, e1, r, a, split)
 
 
 def profile_lines(world: World) -> Iterator[str]:
@@ -429,14 +357,21 @@ def profile_lines(world: World) -> Iterator[str]:
     per call, in the sorted order the encoder writes keys in.
     """
     cfg = world.config
-    relations = [(r, json.dumps(r)) for r in sorted(cfg.relations)]
-    properties = [(p, json.dumps(p)) for p in sorted(cfg.property_names)]
-    for p in world.profiles:
-        targets, values = p.relation_values, p.property_values
-        rels = ", ".join([f"{name}: {targets[r]}" for r, name in relations])
-        props = ", ".join([f"{name}: {values[v]}" for v, name in properties])
+    n_attrs = len(cfg.attributes)
+    # (attribute index, escaped name) of the relations, then of the properties,
+    # each in the sorted order the encoder writes keys in
+    relations, properties = (
+        [(cfg.attributes.index(name), json.dumps(name)) for name in sorted(names)]
+        for names in (cfg.relations, cfg.property_names)
+    )
+    facts = world.facts.tolist()
+    for e in range(cfg.n_profiles):
+        first, middle, last = world.name_indices(e)
+        start = e * n_attrs
+        rels = ", ".join([f"{name}: {facts[start + a]}" for a, name in relations])
+        props = ", ".join([f"{name}: {facts[start + a]}" for a, name in properties])
         yield (
-            f'{{"first": {p.first}, "id": {p.id}, "last": {p.last}, "middle": {p.middle}, '
+            f'{{"first": {first}, "id": {e}, "last": {last}, "middle": {middle}, '
             f'"properties": {{{props}}}, "relations": {{{rels}}}}}\n'
         )
 
@@ -458,17 +393,11 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
     prefixes = [""] * n_rel
     prefixes += (json.dumps(world.value_string(p, ""))[1:-1] for p in cfg.property_names)
     names = [world.entity_name(e) for e in range(cfg.n_profiles)]
-    # facts[e * n_attrs + a] is entity e's value of attribute a: an entity id
-    # for a relation, a value index for a property
-    facts = []
-    for p in world.profiles:
-        facts += map(p.relation_values.__getitem__, cfg.relations)
-        facts += map(p.property_values.__getitem__, cfg.property_names)
+    facts = world.facts.tolist()
     kind = space.two_hop_kind.value
     cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
-    for questions in split_set.splits():
-        split = questions.split
-        for key in questions.keys:
+    for split, keys in split_set.splits():
+        for key in keys:
             e1, rest = divmod(key, per_entity)
             r, a = divmod(rest, n_attrs)
             name, a_name = names[e1], attrs[a]
@@ -590,11 +519,11 @@ def split_table(
     plain_row, e1r_row = row(train), row(code["heldout_e1r"])
     one_hop_row = bytes([_TRAIN]) * n_attrs
     table = bytearray(space.size)
+    facts = world.facts
     for e1 in range(space.n_profiles):
-        targets = world.profiles[e1].relation_values
         start = e1 * space.per_entity
-        for r_index, r in enumerate(space.relations):
-            e2 = targets[r]
+        for r_index in range(space.n_relations):
+            e2 = facts[e1 * n_attrs + r_index]
             if e1 in e1s:
                 block = whole["heldout_e1"]
             elif r_index in rs:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import shutil
 import tracemalloc
+import xml.dom.minidom
 
 import pytest
 
@@ -224,11 +225,55 @@ def test_report_param_count_not_integer_exits_1(dataset_dir, run_log, tmp_path, 
     log = tmp_path / "run.jsonl"
     shutil.copy(run_log, log)
     meta = json.loads(run_log.with_suffix(".json").read_text())
-    for bad in ("1000", True):
+    # 10**400 is an integer that no float holds
+    for bad in ("1000", True, 0, 10**400):
         log.with_suffix(".json").write_text(json.dumps({**meta, "param_count": bad}))
         code = main(["report", "--dataset", str(dataset_dir), "--losses", str(log),
                      "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")])
-        _assert_clean_error(code, capsys, "param_count")
+        _assert_clean_error(code, capsys, f"run manifest {log.with_suffix('.json')}: param_count")
+
+
+@pytest.mark.parametrize("label", [7, None, ["run"]], ids=["number", "null", "list"])
+def test_report_label_not_a_string_exits_1(dataset_dir, run_log, tmp_path, capsys, label):
+    # next to a string label with the same param_count, so that sorting the
+    # points would compare the two labels
+    logs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    meta = json.loads(run_log.with_suffix(".json").read_text())
+    for log, value in zip(logs, ("run", label)):
+        shutil.copy(run_log, log)
+        log.with_suffix(".json").write_text(json.dumps({**meta, "label": value}))
+    code = main(["report", "--dataset", str(dataset_dir), "--losses", *map(str, logs),
+                 "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")])
+    _assert_clean_error(code, capsys, f"run manifest {logs[1].with_suffix('.json')}: label")
+
+
+def test_report_svg_escapes_labels(dataset_dir, tmp_path, capsys):
+    log, svg_path = tmp_path / "run.jsonl", tmp_path / "capacity.svg"
+    assert main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                 "--label", "a<b & c", "--param-count", "5000", "--out", str(log)]) == 0
+    assert main(["report", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f",
+                 "--out-csv", str(tmp_path / "capacity.csv"), "--out-svg", str(svg_path)]) == 0
+    (title,) = xml.dom.minidom.parse(str(svg_path)).getElementsByTagName("title")
+    assert title.firstChild.data == "a<b & c"
+
+
+@pytest.mark.parametrize("slope", ["nan", "inf", "-inf", "0", "-1", "two"])
+def test_report_slope_not_finite_positive_is_usage_error(dataset_dir, run_log, tmp_path, capsys,
+                                                         slope):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--dataset", str(dataset_dir), "--losses", str(run_log), "--model", "2f",
+              f"--slope={slope}", "--out-csv", str(tmp_path / "capacity.csv")])
+    assert exc.value.code == 2
+    assert f"slope must be a finite number > 0, got {slope!r}" in capsys.readouterr().err
+    assert not (tmp_path / "capacity.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["two-point:0.1,0.9", "two-point:0.1,0.9,0.5,0.5",
+                                  "two-point:", "two-point:low,0.9,0.5"])
+def test_simulate_two_point_spec_form_exits_1(dataset_dir, tmp_path, capsys, spec):
+    code = main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                 "--reliability", spec, "--out", str(tmp_path / "run.jsonl")])
+    _assert_clean_error(code, capsys, f"reliability {spec!r} must be two-point:LO,HI,FRAC")
 
 
 def test_outputs_create_missing_directories(dataset_dir, tmp_path, capsys):

@@ -19,7 +19,6 @@ from twohop import (
 )
 from twohop.entropy import LN2
 from twohop.generalization import EvaluationError, GeneralizationSignature
-from twohop.worldgen import QuestionKind
 
 
 def _flags(pairs: bool, full: bool) -> PresenceFlags:
@@ -62,28 +61,35 @@ def setup(micro_world):
     return ss, TrainIndex(micro_world, ss)
 
 
+def _two_hop_questions(split_set, keys):
+    """(e1, r, a) of each two-hop key, with r and a as names."""
+    space = split_set.space
+    for key in keys:
+        e1, r, a = space.unpack(key)
+        if r < space.n_relations:
+            yield e1, space.relations[r], space.attributes[a]
+
+
 class TestPresenceScan:
     def test_train_items_fully_present(self, setup):
         ss, index = setup
-        for item in ss.train[:200]:
-            if item.kind is QuestionKind.ONE_HOP:
-                continue
-            flags = presence_flags(index, item.e1, item.r, item.a)
+        for e1, r, a in _two_hop_questions(ss, ss.train[:200]):
+            flags = presence_flags(index, e1, r, a)
             assert flags.full_question_present
             assert flags.both_pairs_present
             assert flags.facts_one_hop_present
 
     def test_full_holdout_lacks_exact_question(self, setup):
         ss, index = setup
-        for item in ss.heldout["heldout_full"]:
-            flags = presence_flags(index, item.e1, item.r, item.a)
+        for e1, r, a in _two_hop_questions(ss, ss.heldout["heldout_full"]):
+            flags = presence_flags(index, e1, r, a)
             assert not flags.full_question_present
             assert flags.facts_one_hop_present  # one-hop facts are never excluded
 
     def test_pair_holdout_lacks_first_pair(self, setup):
         ss, index = setup
-        for item in ss.heldout["heldout_e1r"]:
-            flags = presence_flags(index, item.e1, item.r, item.a)
+        for e1, r, a in _two_hop_questions(ss, ss.heldout["heldout_e1r"]):
+            flags = presence_flags(index, e1, r, a)
             assert not flags.first_hop_pair_present
             assert not flags.full_question_present
 
@@ -143,10 +149,12 @@ class TestBaselines:
     def test_uniform_baseline_mixes_pools(self, micro_world):
         ss = build_splits(micro_world, {"heldout_e1": 0.02}, mix_ratio=10, seed=8)
         baselines = uniform_baselines(ss, micro_world.config)
-        items = ss.heldout["heldout_e1"]
+        keys = ss.heldout["heldout_e1"]
+        attributes = micro_world.config.attributes
         expected = sum(
-            math.log2(micro_world.config.pool_size(i.a)) for i in items
-        ) / len(items)
+            math.log2(micro_world.config.pool_size(attributes[ss.space.unpack(key)[2]]))
+            for key in keys
+        ) / len(keys)
         assert baselines["heldout_e1"] == pytest.approx(expected, rel=1e-12)
         assert set(baselines) == {"heldout_e1"}
 

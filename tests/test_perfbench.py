@@ -16,7 +16,9 @@ from twohop import (
     ModelKind,
     ReliabilityProfile,
     build_splits,
+    generate_world,
     ground_truth_content,
+    load_dataset,
     persist_dataset,
 )
 
@@ -76,3 +78,18 @@ def test_bound_excess_on_a_persisted_dataset(micro_world, micro_splits, tmp_path
     assert bound_excess(tmp_path, 1, estimates) == 0.0
     kind, spec, (_, truth) = estimates[-1]
     assert bound_excess(tmp_path, 1, [[kind, spec, [1.25 * truth]]]) == pytest.approx(0.25)
+
+
+def test_item_counters_read_real_results(micro_world, micro_splits, tmp_path, monkeypatch):
+    # the launcher counts a world's profiles and a split set's keys through
+    # the result's own attributes; each counter must read the real shape
+    spans = _harness("launcher", monkeypatch).SPANS["worldgen"]
+    items = {name: spans[name][0] for name in ("generate_world", "build_splits", "load_dataset")}
+    cfg = micro_world.config
+    assert items["generate_world"]({"config": cfg}, generate_world(cfg)) == cfg.n_profiles
+    # every question is in one split: none is absent at mix_ratio 10
+    questions = micro_splits.space.size
+    assert sum(micro_splits.counts().values()) == questions
+    assert items["build_splits"]({"world": micro_world}, micro_splits) == questions
+    persist_dataset(micro_splits, micro_world, tmp_path)
+    assert items["load_dataset"]({"path": tmp_path}, load_dataset(tmp_path)) == questions

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from twohop import (
@@ -16,7 +18,15 @@ from twohop import (
     simulate_two_hop_prob,
 )
 from twohop.simulate import simulate_one_hop_prob
-from twohop.worldgen import QuestionKind
+from twohop.worldgen import question_lines
+
+
+def _question(split_set, key):
+    """(e1, r, a) of a two-hop key, with r and a as names."""
+    space = split_set.space
+    e1, r, a = space.unpack(key)
+    assert r < space.n_relations
+    return e1, space.relations[r], space.attributes[a]
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +96,8 @@ def holdout_setup(micro_world):
 class TestTrainedProfiles:
     def test_recurrent_answers_everything(self, micro_world, holdout_setup):
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.RECURRENT)
-        item = holdout_setup.heldout["heldout_full"][0]
-        q = simulate_two_hop_prob(micro_world, profile, item.e1, item.r, item.a)
+        e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_full"][0])
+        q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
         assert q == 1.0
 
     def test_two_function_matches_pair_presence(self, micro_world, holdout_setup):
@@ -96,33 +106,27 @@ class TestTrainedProfiles:
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.TWO_FUNCTION)
         index = TrainIndex(micro_world, holdout_setup)
         # per item: perfect iff both hop pairs still occur in train two-hops
-        for item in holdout_setup.heldout["heldout_full"]:
-            flags = presence_flags(index, item.e1, item.r, item.a)
-            q = simulate_two_hop_prob(
-                micro_world, profile, item.e1, item.r, item.a
-            )
+        for key in holdout_setup.heldout["heldout_full"]:
+            e1, r, a = _question(holdout_setup, key)
+            flags = presence_flags(index, e1, r, a)
+            q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
             if flags.both_pairs_present:
                 assert q == 1.0
             else:
                 assert q < 1.0
-        rel = holdout_setup.heldout["heldout_r"][0]
-        q = simulate_two_hop_prob(micro_world, profile, rel.e1, rel.r, rel.a)
-        assert q == 1.0 / micro_world.config.pool_size(rel.a)
+        e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_r"][0])
+        q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
+        assert q == 1.0 / micro_world.config.pool_size(a)
 
     def test_independent_answers_train_only(self, micro_world, holdout_setup):
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.INDEPENDENT)
-        full = holdout_setup.heldout["heldout_full"][0]
-        q = simulate_two_hop_prob(micro_world, profile, full.e1, full.r, full.a)
-        assert q == 1.0 / micro_world.config.pool_size(full.a)
-        trained_item = next(
-            i for i in holdout_setup.train if i.kind is QuestionKind.TWO_HOP
-        )
-        assert (
-            simulate_two_hop_prob(
-                micro_world, profile, trained_item.e1, trained_item.r, trained_item.a
-            )
-            == 1.0
-        )
+        e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_full"][0])
+        q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
+        assert q == 1.0 / micro_world.config.pool_size(a)
+        space = holdout_setup.space
+        trained_key = next(k for k in holdout_setup.train if space.unpack(k)[1] < space.n_relations)
+        e1, r, a = _question(holdout_setup, trained_key)
+        assert simulate_two_hop_prob(micro_world, profile, e1, r, a) == 1.0
 
 
 class TestGroundTruth:
@@ -151,9 +155,9 @@ class TestLossLog:
         ss = build_splits(micro_world, {"heldout_full": 0.02}, mix_ratio=10, seed=6)
         profile = ReliabilityProfile.homogeneous(micro_world.config, ModelKind.RECURRENT, 0.9)
         records = generate_loss_log(micro_world, profile, ss)
-        items = list(ss.all_items())
-        assert len(records) == len(items)
-        assert [r.qid for r in records] == [i.qid for i in items]
+        qids = [json.loads(line)["qid"] for line in question_lines(micro_world, ss)]
+        assert len(records) == len(qids) == sum(ss.counts().values())
+        assert [r.qid for r in records] == qids
         assert all(r.logprob_nats <= 0 for r in records)
 
     def test_deterministic(self, micro_world):

@@ -3,6 +3,8 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
+from array import array
 from itertools import zip_longest
 
 import pytest
@@ -11,30 +13,54 @@ from hypothesis import strategies as st
 
 from twohop import (
     HOLDOUT_KINDS,
-    QAItem,
     WorldConfig,
     build_splits,
     generate_world,
     load_dataset,
-    make_question,
     persist_dataset,
     profile_lines,
     question_lines,
 )
 from twohop.worldgen import (
+    DEFAULT_PROPERTIES,
+    DEFAULT_RELATIONS,
     ConfigError,
     DatasetIOError,
     HashMismatchError,
+    KeySpace,
     QuestionKind,
     _decode_row,
     _sample_components,
+    one_hop_qid,
+    two_hop_qid,
 )
 
 
 def _world_bytes(world):
-    return json.dumps(
-        [dataclasses.asdict(p) for p in world.profiles], sort_keys=True
-    ).encode()
+    return world.profiles.tobytes() + world.facts.tobytes()
+
+
+def _fact(world, entity, attribute):
+    """Entity's value of an attribute: an entity id or a value index."""
+    attributes = world.config.attributes
+    return world.facts[entity * len(attributes) + attributes.index(attribute)]
+
+
+def _questions(split_set, keys):
+    """(e1, r, a) of each key, with r and a as names and r None for one-hop."""
+    space = split_set.space
+    for key in keys:
+        e1, r, a = space.unpack(key)
+        yield e1, space.relations[r] if r < space.n_relations else None, space.attributes[a]
+
+
+def _all_keys(split_set):
+    return [key for _, keys in split_set.splits() for key in keys]
+
+
+# Traced memory a world keeps per fact: 4 B for its value plus a share of
+# its entity's 8 B name, 6 B in all at 4 attributes, with headroom
+BYTES_PER_FACT = 16
 
 
 class TestWorldGeneration:
@@ -47,8 +73,8 @@ class TestWorldGeneration:
         assert _world_bytes(other) != _world_bytes(micro_world)
 
     def test_names_unique(self, micro_world):
-        names = {(p.first, p.middle, p.last) for p in micro_world.profiles}
-        assert len(names) == len(micro_world.profiles)
+        names = {micro_world.name_indices(e) for e in range(micro_world.config.n_profiles)}
+        assert len(names) == len(micro_world.profiles) == micro_world.config.n_profiles
 
     def test_name_space_too_small(self):
         cfg = WorldConfig(n_profiles=100, first_names=4, middle_names=5, last_names=4)
@@ -84,6 +110,24 @@ class TestWorldGeneration:
         with pytest.raises(ConfigError):
             micro_cfg.pool_size("shoe size")
 
+    def test_world_is_fact_sized(self):
+        # what a world keeps is a few bytes per (entity, attribute) fact: its
+        # values in one array and each entity's packed name. At this shape
+        # (2 relations, 2 properties) an object per profile with a dict per
+        # role cost 182 B per fact.
+        for n_profiles in (2000, 8000):
+            cfg = WorldConfig(n_profiles=n_profiles, relations=DEFAULT_RELATIONS[:2],
+                              properties=DEFAULT_PROPERTIES[:2], seed=1)
+            tracemalloc.start()
+            try:
+                world = generate_world(cfg)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            facts = n_profiles * len(cfg.attributes)
+            assert len(world.facts) == facts
+            assert kept / facts <= BYTES_PER_FACT, (n_profiles, kept / facts)
+
     def test_no_systematic_inverse_relations(self):
         # parent-of composed with child-of should invert only by chance (~1/|N|)
         cfg = WorldConfig(
@@ -110,26 +154,23 @@ def _rows(world, cot=False):
 
 class TestRendering:
     def test_one_hop_template(self, micro_world):
-        item = make_question(micro_world, QuestionKind.ONE_HOP, 0, None, "birth city")
-        row = _rows(micro_world)[item.qid]
+        qid = one_hop_qid(0, "birth city")
+        row = _rows(micro_world)[qid]
         name = micro_world.entity_name(0)
         assert row["text"] == f"What was {name}'s birth city? {row['answer']}"
-        assert item.qid == "1h:0:birth city"
+        assert qid == "1h:0:birth city"
         assert row["e2"] is None
 
     def test_two_hop_template(self, micro_world):
-        item = make_question(micro_world, QuestionKind.TWO_HOP, 0, "mother", "birth city")
-        row = _rows(micro_world)[item.qid]
+        row = _rows(micro_world)[two_hop_qid(0, "mother", "birth city")]
         name = micro_world.entity_name(0)
         assert row["text"] == f"What was {name}'s mother's birth city? {row['answer']}"
         assert row["e2"] == micro_world.relation_target(0, "mother")
         assert row["answer"] == _answer(micro_world, row["e2"], "birth city")
 
     def test_cot_template(self, micro_world):
-        item = make_question(
-            micro_world, QuestionKind.TWO_HOP_COT, 0, "boss", "birth city"
-        )
-        row = _rows(micro_world, cot=True)[item.qid]
+        row = _rows(micro_world, cot=True)[two_hop_qid(0, "boss", "birth city")]
+        assert row["kind"] == QuestionKind.TWO_HOP_COT.value
         name = micro_world.entity_name(0)
         e2_name = micro_world.entity_name(row["e2"])
         assert row["text"] == (
@@ -142,65 +183,65 @@ class TestRendering:
         # The edit goes to a world of its own: the shared one must stay the
         # config's, or persisting it writes a dataset that does not load.
         world = generate_world(micro_cfg)
-        world.profiles[5].relation_values["father"] = 5
-        item = make_question(
-            world, QuestionKind.TWO_HOP_COT, 5, "father", "birth city"
-        )
+        father = micro_cfg.attributes.index("father")
+        world.facts[5 * len(micro_cfg.attributes) + father] = 5
         name = world.entity_name(5)
-        assert f"{name}'s father was {name}." in _rows(world, cot=True)[item.qid]["text"]
+        qid = two_hop_qid(5, "father", "birth city")
+        assert f"{name}'s father was {name}." in _rows(world, cot=True)[qid]["text"]
 
     def test_relation_answer_is_a_name(self, micro_world):
-        item = make_question(micro_world, QuestionKind.ONE_HOP, 1, None, "mother")
         target = micro_world.relation_target(1, "mother")
-        assert _rows(micro_world)[item.qid]["answer"] == micro_world.entity_name(target)
+        answer = _rows(micro_world)[one_hop_qid(1, "mother")]["answer"]
+        assert answer == micro_world.entity_name(target)
 
     def test_bad_queries(self, micro_world):
+        # a question is a key of the world's key space; a qid that names an
+        # unknown attribute or entity, or a one-hop question with a first
+        # relation or a two-hop one without, has no key
+        space = KeySpace(micro_world.config, cot=False)
+        for qid in ("1h:0:nope", "1h:1000000:mother", "1h:0:mother:birth city",
+                    "2h:0:birth city", "2h:0:birth city:mother"):
+            assert space.key_of_qid(qid) is None, qid
         with pytest.raises(ValueError):
-            make_question(micro_world, QuestionKind.ONE_HOP, 0, None, "nope")
-        with pytest.raises(ValueError):
-            make_question(micro_world, QuestionKind.ONE_HOP, 10**6, None, "mother")
-        with pytest.raises(ValueError):
-            make_question(micro_world, QuestionKind.ONE_HOP, 0, "mother", "birth city")
-        with pytest.raises(ValueError):
-            make_question(micro_world, QuestionKind.TWO_HOP, 0, None, "birth city")
-        with pytest.raises(ValueError):
-            QAItem("1h:0:mother", QuestionKind.ONE_HOP, 0, "mother", "mother", "train")
-        with pytest.raises(ValueError):
-            QAItem("2h:0:x:mother", QuestionKind.TWO_HOP, 0, None, "mother", "train")
+            micro_world.relation_target(0, "birth city")
 
-    def test_item_is_its_key(self):
-        # a question stores only its key; e2, answer and text are rendered
-        names = [f.name for f in dataclasses.fields(QAItem)]
-        assert names == ["qid", "kind", "e1", "r", "a", "split"]
+    def test_item_is_its_key(self, micro_world):
+        # a question stores only its key; e2, answer and text are rendered.
+        # Every split is an array of packed keys, and a key is its (e1, r, a)
+        ss = build_splits(micro_world, {"heldout_full": 0.05}, mix_ratio=10, seed=1)
+        space = ss.space
+        for _, keys in ss.splits():
+            assert type(keys) is array and keys.typecode == space.typecode
+        for key in _all_keys(ss):
+            assert space.pack(*space.unpack(key)) == key
+            ((e1, r, a),) = _questions(ss, [key])
+            qid = one_hop_qid(e1, a) if r is None else two_hop_qid(e1, r, a)
+            assert space.key_of_qid(qid) == key
 
 
 class TestSplits:
     def test_one_hop_complete(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1)
         cfg = micro_world.config
-        one_hop = {
-            (i.e1, i.a)
-            for i in ss.train
-            if i.kind is QuestionKind.ONE_HOP
-        }
+        one_hop = {(e1, a) for e1, r, a in _questions(ss, ss.train) if r is None}
         assert len(one_hop) == cfg.n_profiles * len(cfg.attributes)
 
     def test_no_holdouts_means_all_two_hops_in_train(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1)
         cfg = micro_world.config
-        two_hop = [i for i in ss.train if i.kind is QuestionKind.TWO_HOP]
+        two_hop = [q for q in _questions(ss, ss.train) if q[1] is not None]
         assert len(two_hop) == cfg.n_profiles * len(cfg.relations) * len(cfg.attributes)
         assert all(not v for v in ss.heldout.values())
 
     def test_mix_ratio_zero_keeps_one_hop_only(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=0, seed=1)
-        assert all(i.kind is QuestionKind.ONE_HOP for i in ss.train)
+        assert all(r is None for _, r, _ in _questions(ss, ss.train))
 
     def test_interleaving_cadence(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1)
-        kinds = [i.kind for i in ss.train]
+        one_hop = [r is None for _, r, _ in _questions(ss, ss.train)]
         # the first 11 items follow the 10:1 cadence exactly
-        assert kinds[:11] == [QuestionKind.TWO_HOP] * 10 + [QuestionKind.ONE_HOP]
+        assert one_hop[:11] == [False] * 10 + [True]
 
     @pytest.mark.parametrize("mix_ratio", [1, 2, 3, 10, 2000])
     def test_interleave_matches_reference(self, micro_world, mix_ratio):
@@ -224,19 +265,16 @@ class TestSplits:
                 expected.append(one[taken])
                 taken += 1
         expected.extend(one[taken:])
-        assert list(ss.train.keys) == expected
+        assert list(ss.train) == expected
 
     def test_heldout_relation_removes_it_from_train_two_hops(self, micro_world):
         ss = build_splits(micro_world, {"heldout_r": 0.34}, mix_ratio=10, seed=2)
         held = {r for (r,) in map(tuple, ss.holdout_manifest["heldout_r"])}
         assert len(held) == math.ceil(0.34 * 3)
-        for item in ss.train:
-            if item.kind is QuestionKind.TWO_HOP:
-                assert item.r not in held
+        for _, r, _ in _questions(ss, ss.train):
+            assert r not in held
         # the underlying facts stay present as one-hop questions
-        one_hop_attrs = {
-            i.a for i in ss.train if i.kind is QuestionKind.ONE_HOP
-        }
+        one_hop_attrs = {a for _, r, a in _questions(ss, ss.train) if r is None}
         assert held <= one_hop_attrs
 
     def test_holdout_priority_order(self, micro_world):
@@ -248,18 +286,19 @@ class TestSplits:
             seed=2,
         )
         held_e1 = {e for (e,) in map(tuple, ss.holdout_manifest["heldout_e1"])}
-        for item in ss.heldout["heldout_full"]:
-            assert item.e1 not in held_e1
+        for e1, _, _ in _questions(ss, ss.heldout["heldout_full"]):
+            assert e1 not in held_e1
 
     def test_two_hop_answer_consistency(self, micro_world):
         ss = build_splits(micro_world, {"heldout_full": 0.01}, mix_ratio=10, seed=2)
-        for item, line in zip(list(ss.all_items())[:500], question_lines(micro_world, ss)):
-            if item.kind is QuestionKind.ONE_HOP:
+        questions = _questions(ss, _all_keys(ss)[:500])
+        for (e1, r, a), line in zip(questions, question_lines(micro_world, ss)):
+            if r is None:
                 continue
-            e2 = micro_world.relation_target(item.e1, item.r)
+            e2 = micro_world.relation_target(e1, r)
             row = json.loads(line)
             assert row["e2"] == e2
-            assert row["answer"] == _answer(micro_world, e2, item.a)
+            assert row["answer"] == _answer(micro_world, e2, a)
 
     def test_exhausting_fraction_rejected(self, micro_world):
         with pytest.raises(ConfigError):
@@ -271,8 +310,9 @@ class TestSplits:
 
     def test_cot_flag(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1, cot=True)
-        kinds = {i.kind for i in ss.train}
-        assert kinds == {QuestionKind.ONE_HOP, QuestionKind.TWO_HOP_COT}
+        assert ss.space.two_hop_kind is QuestionKind.TWO_HOP_COT
+        kinds = {json.loads(line)["kind"] for line in question_lines(micro_world, ss)}
+        assert kinds == {QuestionKind.ONE_HOP.value, QuestionKind.TWO_HOP_COT.value}
 
 
 class TestPersistence:
@@ -288,23 +328,24 @@ class TestPersistence:
         assert loaded_ss.params["mix_ratio"] == 10
 
     def test_loaded_items_share_names(self, micro_world, tmp_path):
-        # every item holds the config's own name objects, not one decoded copy each
+        # a loaded split holds packed keys, no decoded object per question:
+        # names come from the config alone, through the key space
         ss = build_splits(micro_world, {"heldout_full": 0.02}, mix_ratio=10, seed=4)
         persist_dataset(ss, micro_world, tmp_path)
         loaded_ss, world = load_dataset(tmp_path)
-        relations, attributes = world.config.relations, world.config.attributes
-        split_names = ("train", *HOLDOUT_KINDS)
-        for item in loaded_ss.all_items():
-            assert any(item.a is a for a in attributes), item
-            assert item.r is None or any(item.r is r for r in relations), item
-            assert any(item.split is s for s in split_names), item
+        space = loaded_ss.space
+        assert space.relations is world.config.relations
+        assert space.attributes is world.config.attributes
+        for (split, keys), (_, built) in zip(loaded_ss.splits(), ss.splits(), strict=True):
+            assert type(keys) is array and keys.typecode == space.typecode, split
+            assert keys == built, split
 
     def test_world_not_from_config_rejected(self, micro_cfg, tmp_path):
         # one in-range relation target changed: the dataset is not the one its
         # config describes, and the first profile row that differs is named
         world = generate_world(micro_cfg)
-        targets = world.profiles[3].relation_values
-        targets["mother"] = (targets["mother"] + 1) % micro_cfg.n_profiles
+        mother = 3 * len(micro_cfg.attributes) + micro_cfg.attributes.index("mother")
+        world.facts[mother] = (world.facts[mother] + 1) % micro_cfg.n_profiles
         ss = build_splits(world, {}, mix_ratio=10, seed=4)
         persist_dataset(ss, world, tmp_path)
         with pytest.raises(DatasetIOError, match=r"profiles\.jsonl:4:"):
@@ -321,30 +362,33 @@ class TestPersistence:
 
 def _answer(world, entity, attribute):
     """The rendered answer of the one-hop fact (entity, attribute)."""
-    if world.config.is_relation(attribute):
+    if attribute in world.config.relations:
         return world.entity_name(world.relation_target(entity, attribute))
-    return world.value_string(attribute, world.profiles[entity].property_values[attribute])
+    return world.value_string(attribute, _fact(world, entity, attribute))
 
 
-def _reference_row(world, item):
+def _reference_row(world, split_set, split, key):
     """A question's qa.jsonl row as a dict, rendered from the templates."""
-    e1, r, a = item.e1, item.r, item.a
+    ((e1, r, a),) = _questions(split_set, [key])
+    kind = QuestionKind.ONE_HOP if r is None else split_set.space.two_hop_kind
     name = world.entity_name(e1)
-    if item.kind is QuestionKind.ONE_HOP:
+    if r is None:
+        qid = one_hop_qid(e1, a)
         e2 = None
         answer = _answer(world, e1, a)
         text = f"What was {name}'s {a}? {answer}"
     else:
+        qid = two_hop_qid(e1, r, a)
         e2 = world.relation_target(e1, r)
         answer = _answer(world, e2, a)
         text = f"What was {name}'s {r}'s {a}? "
-        if item.kind is QuestionKind.TWO_HOP:
+        if kind is QuestionKind.TWO_HOP:
             text += answer
         else:
             e2_name = world.entity_name(e2)
             text += f"{name}'s {r} was {e2_name}. {e2_name}'s {a} was {answer}."
-    return {"qid": item.qid, "kind": item.kind.value, "e1": e1, "r": r, "a": a, "e2": e2,
-            "answer": answer, "text": text, "split": item.split}
+    return {"qid": qid, "kind": kind.value, "e1": e1, "r": r, "a": a, "e2": e2,
+            "answer": answer, "text": text, "split": split}
 
 
 # Attribute names with what JSON must escape or may pass through: quotes,
@@ -371,9 +415,13 @@ def test_question_lines_are_encoder_bytes(world, cot):
     # a line is the encoder's bytes for the row the templates give, a profile
     # line the encoder's bytes for the profile's row, and gen then load gives
     # the same world and questions back
-    for p, line in zip_longest(world.profiles, profile_lines(world)):
-        row = {"id": p.id, "first": p.first, "middle": p.middle, "last": p.last,
-               "relations": p.relation_values, "properties": p.property_values}
+    cfg = world.config
+    for e, line in zip_longest(range(cfg.n_profiles), profile_lines(world)):
+        first, rest = divmod(world.profiles[e], cfg.middle_names * cfg.last_names)
+        middle, last = divmod(rest, cfg.last_names)
+        row = {"id": e, "first": first, "middle": middle, "last": last,
+               "relations": {r: _fact(world, e, r) for r in cfg.relations},
+               "properties": {p: _fact(world, e, p) for p in cfg.property_names}}
         assert line == json.dumps(row, sort_keys=True) + "\n"
     fractions = dict.fromkeys(HOLDOUT_KINDS, 0.2)
     if len(world.config.relations) == 1:
@@ -381,9 +429,10 @@ def test_question_lines_are_encoder_bytes(world, cot):
     ss = build_splits(world, fractions, mix_ratio=3, seed=1, cot=cot)
     lines = list(question_lines(world, ss))
     assert len(lines) == sum(ss.counts().values())
-    for item, line in zip(ss.all_items(), lines):
+    questions = ((split, key) for split, keys in ss.splits() for key in keys)
+    for (split, key), line in zip(questions, lines):
         assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
-        assert line == json.dumps(_reference_row(world, item), sort_keys=True) + "\n"
+        assert line == json.dumps(_reference_row(world, ss, split, key), sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         persist_dataset(ss, world, tmp)
         loaded_ss, loaded_world = load_dataset(tmp)
