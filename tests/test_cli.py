@@ -378,6 +378,29 @@ GOLDEN_SPEC_LOGS = {
     ("independent", "two-point:0.01,0.99,0.5"):
         "2d47d0e37912a56df31c6659c04fe7e31e0c925f62efa4e8c402ae11669b2786",
 }
+# (command, model): sha256 of the command's stdout, or of report's CSV and SVG;
+# built by _golden_outputs
+GOLDEN_OUTPUTS = {
+    ("entropy", "one-hop"): "37c711d7aad8846fe3ed8e9910eb036f456f8b75f2f64e18d2ebdaf261bd343d",
+    ("entropy", "recurrent"): "46a156dce299e29cf050fa1b0d237f07399cd65f6c2fe7457619739fd7d4b84e",
+    ("entropy", "2f"): "963be95f337b0457f064247d0b681ed5b64465603f242e122ba52665c0874be2",
+    ("entropy", "independent"): "f7d9174c25426b6bd2cac9ae15a2a2515ac782db3ff669a67b800036c472364a",
+    ("estimate", "one-hop"): "cc338ade0bee663775fb8387e7a7be53688aabd966ce5be7aebee5dfac64a838",
+    ("estimate", "recurrent"): "e0496df1636e613ad9aa32d71e8cad27ac3b35308522da19ae63b191f84f6f37",
+    ("estimate", "2f"): "a32494fec387b8c9e2cad82664cc9417103af2ad13c86b442ee14f2437ce8546",
+    ("estimate", "independent"): "e0446ceaf242e056ad8e85b3b18a9bf2eb270645469016fc594b58db4e68d006",
+    ("classify", "recurrent"): "385f05e8dee294db591ec8ca3f4749c788f7189a84479c36de45024d68451569",
+    ("classify", "2f"): "52242a9e4e157707ccf8bca4663237435a21120b194c61bab7114dfb74422703",
+    ("classify", "independent"): "8bef80d8233923c8c82edbda51ba8e976bd97a0f232517b72f0c37e49561ebe6",
+    ("report.csv", "recurrent"): "9c4379b38a0a33654709cd6d8308dd47f1521ebaf7236587007b3102bb9fed0a",
+    ("report.csv", "2f"): "371fbce80f2b1d1867067360dd09079d414390de41171f0707eaed97a1054423",
+    ("report.csv", "independent"):
+        "6f82713ce0743da453b8fe7f8961b1812f2f3bfb7ded6777317d66da938f1364",
+    ("report.svg", "recurrent"): "3827bc33d47942dadca8c36c7388adc0e8539a49a4220ac1ce6eab37031984f8",
+    ("report.svg", "2f"): "97a3e7c538e07dce23a2b68425221e1cddf8557346aae44c413f26965ba68d39",
+    ("report.svg", "independent"):
+        "7060d7bd094cbaf26bd9243e2ac25a35d9774685ff35e832a1ca187803e3a01d",
+}
 
 
 def test_golden_bytes(tmp_path, capsys):
@@ -398,6 +421,45 @@ def test_golden_bytes(tmp_path, capsys):
                 "--reliability", spec, "--seed", "1", "--out", str(log)]
         assert main(args) == 0
         assert _sha256(log) == log_sha, (model, spec)
+
+
+def _golden_outputs(tmp_path, capsys) -> dict:
+    """sha256 of each analysis command's output on GOLDEN_GEN_ARGS' dataset and trained logs.
+
+    Keyed like GOLDEN_OUTPUTS: ``(command, model)``, where ``estimate``,
+    ``classify`` and ``report`` read the trained log of ``model`` (the 2f
+    log for ``--model one-hop``).
+    """
+    def stdout_sha(args):
+        assert main(args) == 0, args
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    ds = tmp_path / "ds"
+    stdout_sha(GOLDEN_GEN_ARGS + ["--out", str(ds)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads((ds / "manifest.json").read_text())["config"]))
+    shas = {("entropy", "one-hop"): stdout_sha(["entropy", "--config", str(config),
+                                                "--task", "one-hop"])}
+    for model in GOLDEN_TRAINED_LOGS:
+        log = tmp_path / f"{model}.jsonl"
+        stdout_sha(["simulate", "--dataset", str(ds), "--model", model, "--label",
+                    f"trained-{model}", "--param-count", "5000", "--out", str(log)])
+        shas["entropy", model] = stdout_sha(["entropy", "--config", str(config),
+                                             "--task", "two-hop", "--model", model])
+        on_log = ["--dataset", str(ds), "--losses", str(log)]
+        shas["estimate", model] = stdout_sha(["estimate", *on_log, "--model", model])
+        shas["classify", model] = stdout_sha(["classify", *on_log])
+        csv_path, svg_path = tmp_path / f"{model}.csv", tmp_path / f"{model}.svg"
+        stdout_sha(["report", *on_log, "--model", model,
+                    "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+        shas["report.csv", model], shas["report.svg", model] = _sha256(csv_path), _sha256(svg_path)
+    shas["estimate", "one-hop"] = stdout_sha(["estimate", "--dataset", str(ds), "--losses",
+                                              str(tmp_path / "2f.jsonl"), "--model", "one-hop"])
+    return shas
+
+
+def test_golden_outputs(tmp_path, capsys):
+    assert _golden_outputs(tmp_path, capsys) == GOLDEN_OUTPUTS
 
 
 def _assert_clean_error(code, capsys, needle):
