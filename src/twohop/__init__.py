@@ -3,7 +3,6 @@
 from .entropy import (
     EntropyReport,
     ModelKind,
-    Task,
     attribute_entropy,
     baseline_content,
     dataset_entropy,
@@ -14,7 +13,6 @@ from .estimator import (
     Branch,
     ContentEstimate,
     EffectiveLoss,
-    FactCounts,
     aggregate_losses,
     bits_per_parameter,
     content_estimate,
@@ -23,7 +21,6 @@ from .estimator import (
 )
 from .generalization import (
     GeneralizationSignature,
-    Inferred,
     PresenceFlags,
     TrainIndex,
     classify_algorithm,

@@ -15,15 +15,10 @@ from pathlib import Path
 
 from . import entropy as entropy_mod
 from . import estimator, generalization, logs, report, simulate, worldgen
-from .entropy import ModelKind, Task
+from .entropy import ModelKind
 
-MODEL_CHOICES = ("one-hop", "recurrent", "2f", "independent")
-
-
-def _task_and_kind(model: str) -> tuple[Task, ModelKind | None]:
-    if model == "one-hop":
-        return Task.ONE_HOP, None
-    return Task.TWO_HOP, ModelKind(model)
+# --model's values for estimate and report: one-hop is the task without a model kind
+MODELS = {"one-hop": None, **{kind.value: kind for kind in ModelKind}}
 
 
 def _relation_names(count: int) -> tuple[str, ...]:
@@ -134,16 +129,14 @@ def _cmd_gen(args) -> int:
 def _cmd_entropy(args) -> int:
     with open(args.config, encoding="utf-8") as f:
         config = worldgen.WorldConfig.from_dict(json.load(f))
+    kind = None
     if args.task == "two-hop":
         if not args.model:
             print("error: two-hop entropy requires --model", file=sys.stderr)
             return 2
-        task, kind = Task.TWO_HOP, ModelKind(args.model)
-    else:
-        task, kind = Task.ONE_HOP, None
-    rep = entropy_mod.dataset_entropy(config, task, kind)
-    payload = rep.to_dict()
-    payload["baseline_bits"] = entropy_mod.baseline_content(config, task, kind)
+        kind = ModelKind(args.model)
+    payload = entropy_mod.dataset_entropy(config, kind).to_dict()
+    payload["baseline_bits"] = entropy_mod.baseline_content(config, kind)
     _emit(payload)
     return 0
 
@@ -164,10 +157,7 @@ def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
 
 def _cmd_simulate(args) -> int:
     split_set, world = worldgen.load_dataset(Path(args.dataset))
-    _, kind = _task_and_kind(args.model)
-    if kind is None:
-        print("error: simulate needs a two-hop model kind", file=sys.stderr)
-        return 2
+    kind = ModelKind(args.model)
     if args.reliability == "trained":
         profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
     else:
@@ -189,25 +179,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_for(dataset_dir: Path, losses: Path, model: str):
-    manifest = worldgen.load_manifest(dataset_dir)
-    config = worldgen.WorldConfig.from_dict(manifest["config"])
-    task, kind = _task_and_kind(model)
-    # the kind that task's questions have; a two_hop_cot record stops the pass
-    selected = "one_hop" if task is Task.ONE_HOP else "two_hop"
+def _estimate_for(config, losses: Path, kind: ModelKind | None):
+    # the kind of the task's questions; a two_hop_cot record stops the pass
+    selected = "one_hop" if kind is None else "two_hop"
     (agg,) = _log_aggregates(losses, lambda split, kind: kind, [selected]).values()
-    rep = entropy_mod.dataset_entropy(config, task, kind)
-    counts = estimator.FactCounts.from_config(config)
-    est = estimator.content_estimate(task, kind, rep, agg, counts)
-    return est, config, agg
+    return estimator.content_estimate(config, kind, agg), agg
+
+
+def _manifest_config(dataset_dir: Path):
+    return worldgen.WorldConfig.from_dict(worldgen.load_manifest(dataset_dir)["config"])
 
 
 def _cmd_estimate(args) -> int:
     _check_binding(Path(args.dataset), Path(args.losses), args.force)
-    est, config, agg = _estimate_for(Path(args.dataset), Path(args.losses), args.model)
-    task, kind = _task_and_kind(args.model)
+    config, kind = _manifest_config(Path(args.dataset)), MODELS[args.model]
+    est, agg = _estimate_for(config, Path(args.losses), kind)
     payload = est.to_dict()
-    payload["baseline_bits"] = entropy_mod.baseline_content(config, task, kind)
+    payload["baseline_bits"] = entropy_mod.baseline_content(config, kind)
     payload["mean_loss_bits"] = agg.mean_loss_bits
     payload["question_count"] = agg.count
     _emit(payload)
@@ -225,8 +213,8 @@ def _cmd_classify(args) -> int:
         [kind for kind in worldgen.HOLDOUT_KINDS if kind in baselines],
     )
     signature = generalization.evaluate_holdouts(aggregates, baselines)
-    generalization.classify_algorithm(signature)
-    _emit(signature.to_dict())
+    kind = generalization.classify_algorithm(signature)
+    _emit({**signature.to_dict(), "inferred": kind.value if kind else "inconsistent"})
     return 0
 
 
@@ -238,21 +226,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     dataset_dir = Path(args.dataset)
-    task, kind = _task_and_kind(args.model)
-    manifest = worldgen.load_manifest(dataset_dir)
-    config = worldgen.WorldConfig.from_dict(manifest["config"])
-    baseline = entropy_mod.baseline_content(config, task, kind)
+    config, kind = _manifest_config(dataset_dir), MODELS[args.model]
+    baseline = entropy_mod.baseline_content(config, kind)
     points = []
     for losses in args.losses:
         _check_binding(dataset_dir, Path(losses), args.force)
-        est, _, _ = _estimate_for(dataset_dir, Path(losses), args.model)
+        est, _ = _estimate_for(config, Path(losses), kind)
         label, params = _point_meta(Path(losses))
         points.append(
             report.CapacityPoint(
                 label=label,
                 param_count=params,
-                model_kind=(kind.value if kind else "one-hop"),
-                task=task.value,
+                model_kind=args.model,
+                task=entropy_mod.task_name(kind),
                 entropy_bits=est.entropy_bits,
                 total_loss_bits=est.total_loss_bits,
                 content_bits=est.content_bits,
@@ -330,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="information-content lower bound from a loss log")
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", required=True)
-    p.add_argument("--model", choices=MODEL_CHOICES, required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--force", action="store_true", help="skip the dataset binding check")
     p.set_defaults(func=_cmd_estimate)
 
@@ -348,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="capacity table (CSV) and scaling plot (SVG)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", nargs="+", required=True)
-    p.add_argument("--model", choices=MODEL_CHOICES, required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--slope", type=_slope, action="append", default=None,
                    help="capacity reference slope(s); default 2.0, repeatable "
                    "(e.g. add 1.6 for the observed line)")

@@ -23,15 +23,17 @@ LN2 = math.log(2.0)
 NAME_APPROX_OCCUPANCY = 1e-3
 
 
-class Task(str, Enum):
-    ONE_HOP = "one-hop"
-    TWO_HOP = "two-hop"
-
-
 class ModelKind(str, Enum):
+    """How a model answers two-hop questions; None in its place is the one-hop task."""
+
     RECURRENT = "recurrent"
     TWO_FUNCTION = "2f"
     INDEPENDENT = "independent"
+
+
+def task_name(model_kind: ModelKind | None) -> str:
+    """The task a model argument selects, as outputs print it."""
+    return "one-hop" if model_kind is None else "two-hop"
 
 
 class NameEntropyApproximationWarning(UserWarning):
@@ -44,7 +46,6 @@ class EntropyReport:
     fact_bits_per_pass: float
     multiplier: int
     total_bits: float
-    task: Task
     model_kind: ModelKind | None
 
     def to_dict(self) -> dict:
@@ -53,7 +54,7 @@ class EntropyReport:
             "fact_bits_per_pass": self.fact_bits_per_pass,
             "multiplier": self.multiplier,
             "total_bits": self.total_bits,
-            "task": self.task.value,
+            "task": task_name(self.model_kind),
             "model_kind": self.model_kind.value if self.model_kind else None,
         }
 
@@ -100,33 +101,27 @@ def _fact_bits_per_pass(config: WorldConfig) -> float:
     return config.n_profiles * per_entity
 
 
-def _multiplier(config: WorldConfig, task: Task, model_kind: ModelKind | None) -> int:
-    if task is Task.ONE_HOP:
-        return 1
-    if model_kind is None:
-        raise ValueError("two-hop entropy requires a model kind")
-    if model_kind is ModelKind.RECURRENT:
+def _multiplier(config: WorldConfig, model_kind: ModelKind | None) -> int:
+    if model_kind is None or model_kind is ModelKind.RECURRENT:
         return 1
     if model_kind is ModelKind.TWO_FUNCTION:
         return 2
     return len(config.relations)
 
 
-def dataset_entropy(
-    config: WorldConfig, task: Task, model_kind: ModelKind | None = None
-) -> EntropyReport:
-    """Total dataset entropy: name selection plus the model's passes over facts."""
-    if task is Task.ONE_HOP:
-        model_kind = None
+def dataset_entropy(config: WorldConfig, model_kind: ModelKind | None) -> EntropyReport:
+    """Total dataset entropy: name selection plus the model's passes over facts.
+
+    ``model_kind`` None is the one-hop dataset, one pass over facts.
+    """
     name_bits = name_selection_entropy(config.n_profiles, config.name_space_size)
     fact_bits = _fact_bits_per_pass(config)
-    multiplier = _multiplier(config, task, model_kind)
+    multiplier = _multiplier(config, model_kind)
     return EntropyReport(
         name_bits=name_bits,
         fact_bits_per_pass=fact_bits,
         multiplier=multiplier,
         total_bits=name_bits + multiplier * fact_bits,
-        task=task,
         model_kind=model_kind,
     )
 
@@ -144,9 +139,7 @@ def strict_two_function_total_bits(config: WorldConfig) -> float:
     return name_bits + relation_bits + _fact_bits_per_pass(config)
 
 
-def uniform_guess_loss_bits(
-    config: WorldConfig, task: Task, model_kind: ModelKind | None = None
-) -> float:
+def uniform_guess_loss_bits(config: WorldConfig, model_kind: ModelKind | None) -> float:
     """Total loss of guessing uniformly over each answer pool, in bits.
 
     Summed over the same fact passes the matching entropy counts: one pass
@@ -157,18 +150,14 @@ def uniform_guess_loss_bits(
         for _ in range(config.n_profiles)
         for a in config.attributes
     )
-    if task is Task.ONE_HOP:
-        model_kind = None
-    return _multiplier(config, task, model_kind) * per_pass
+    return _multiplier(config, model_kind) * per_pass
 
 
-def baseline_content(
-    config: WorldConfig, task: Task, model_kind: ModelKind | None = None
-) -> float:
+def baseline_content(config: WorldConfig, model_kind: ModelKind | None) -> float:
     """Information content at uniform-guessing loss: entropy minus uniform loss.
 
     The fact terms cancel analytically, leaving the name-selection entropy;
     the value is still computed as the difference.
     """
-    report = dataset_entropy(config, task, model_kind)
-    return report.total_bits - uniform_guess_loss_bits(config, task, model_kind)
+    report = dataset_entropy(config, model_kind)
+    return report.total_bits - uniform_guess_loss_bits(config, model_kind)

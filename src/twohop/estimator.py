@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .entropy import LN2, EntropyReport, ModelKind, Task
+from .entropy import LN2, ModelKind, dataset_entropy, task_name
 from .worldgen import QuestionKind, WorldConfig
 
 
@@ -298,24 +298,10 @@ def oracle_two_function_loss(q: float, n: int) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class FactCounts:
-    """Dataset cardinalities used as loss multipliers, taken from the manifest."""
-
-    n_profiles: int
-    n_relations: int
-    n_attributes: int
-
-    @classmethod
-    def from_config(cls, config: WorldConfig) -> "FactCounts":
-        return cls(config.n_profiles, len(config.relations), len(config.attributes))
-
-
-@dataclass(frozen=True)
 class ContentEstimate:
     entropy_bits: float
     total_loss_bits: float
     content_bits: float
-    task: Task
     model_kind: ModelKind | None
     fact_count: int
     branch: Branch | None = None
@@ -325,7 +311,7 @@ class ContentEstimate:
             "entropy_bits": self.entropy_bits,
             "total_loss_bits": self.total_loss_bits,
             "content_bits": self.content_bits,
-            "task": self.task.value,
+            "task": task_name(self.model_kind),
             "model_kind": self.model_kind.value if self.model_kind else None,
             "fact_count": self.fact_count,
             "branch": self.branch.value if self.branch else None,
@@ -333,45 +319,33 @@ class ContentEstimate:
 
 
 def content_estimate(
-    task: Task,
-    model_kind: ModelKind | None,
-    entropy: EntropyReport,
-    aggregate: AggregateLoss,
-    counts: FactCounts,
+    config: WorldConfig, model_kind: ModelKind | None, aggregate: AggregateLoss
 ) -> ContentEstimate:
-    """Lower-bound content: dataset entropy minus total (effective) loss in bits."""
-    if task is Task.ONE_HOP:
-        if entropy.task is not Task.ONE_HOP:
-            raise EstimatorError("one-hop estimate requires one-hop entropy")
-        fact_count = counts.n_profiles * counts.n_attributes
-        loss_bits = fact_count * aggregate.mean_loss_bits
-        branch = None
-        model_kind = None
-    elif model_kind is ModelKind.INDEPENDENT:
-        fact_count = counts.n_profiles * counts.n_relations * counts.n_attributes
-        loss_bits = fact_count * aggregate.mean_loss_bits
-        branch = None
-    elif model_kind is ModelKind.RECURRENT:
-        eff = effective_loss_recurrent(aggregate.mean_loss_nats, counts.n_profiles)
-        fact_count = counts.n_profiles * counts.n_attributes
+    """Lower-bound content: dataset entropy minus total (effective) loss in bits.
+
+    ``aggregate`` summarizes the one-hop losses when ``model_kind`` is None,
+    the two-hop losses otherwise.
+    """
+    n = config.n_profiles
+    fact_count = n * len(config.attributes)
+    branch = None
+    if model_kind is ModelKind.RECURRENT:
+        eff = effective_loss_recurrent(aggregate.mean_loss_nats, n)
         loss_bits = fact_count * eff.per_hop_loss_nats / LN2
         branch = eff.branch
     elif model_kind is ModelKind.TWO_FUNCTION:
-        eff = effective_loss_two_function(
-            aggregate.mean_loss_nats, aggregate.var_loss_nats, counts.n_profiles
-        )
-        fact_count = counts.n_profiles * counts.n_attributes
+        eff = effective_loss_two_function(aggregate.mean_loss_nats, aggregate.var_loss_nats, n)
         loss_bits = fact_count * eff.summed_loss_nats / LN2
         branch = eff.branch
     else:
-        raise EstimatorError("two-hop estimate requires a model kind")
-    if task is Task.TWO_HOP and entropy.model_kind is not model_kind:
-        raise EstimatorError("entropy report does not match the requested model kind")
+        if model_kind is ModelKind.INDEPENDENT:  # one unit per two-hop question
+            fact_count *= len(config.relations)
+        loss_bits = fact_count * aggregate.mean_loss_bits
+    entropy_bits = dataset_entropy(config, model_kind).total_bits
     return ContentEstimate(
-        entropy_bits=entropy.total_bits,
+        entropy_bits=entropy_bits,
         total_loss_bits=loss_bits,
-        content_bits=entropy.total_bits - loss_bits,
-        task=task,
+        content_bits=entropy_bits - loss_bits,
         model_kind=model_kind,
         fact_count=fact_count,
         branch=branch,

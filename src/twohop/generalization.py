@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .entropy import ModelKind
 from .estimator import AggregateLoss, aggregate_losses
@@ -35,25 +34,13 @@ class PresenceFlags:
         return self.first_hop_pair_present and self.second_hop_pair_present
 
 
-class Inferred(str, Enum):
-    INDEPENDENT = "independent"
-    TWO_FUNCTION = "2f"
-    RECURRENT = "recurrent"
-    INCONSISTENT = "inconsistent"
-
-
-@dataclass
+@dataclass(frozen=True)
 class GeneralizationSignature:
     generalizes: dict[str, bool]
     deltas: dict[str, float]
-    inferred: Inferred | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "generalizes": self.generalizes,
-            "deltas_bits": self.deltas,
-            "inferred": self.inferred.value if self.inferred else None,
-        }
+        return {"generalizes": self.generalizes, "deltas_bits": self.deltas}
 
 
 class TrainIndex:
@@ -173,20 +160,17 @@ def evaluate_holdouts(
     return GeneralizationSignature(generalizes, deltas)
 
 
-def classify_algorithm(signature: GeneralizationSignature) -> Inferred:
-    """Map an exact holdout signature to its algorithm; partial matches stay raw."""
+def classify_algorithm(signature: GeneralizationSignature) -> ModelKind | None:
+    """The model whose exact holdout signature this is; None for a partial match."""
     missing = [k for k in HOLDOUT_KINDS if k not in signature.generalizes]
     if missing:
         raise EvaluationError(f"signature incomplete, missing: {missing}")
     flags = signature.generalizes
     if not any(flags.values()):
-        inferred = Inferred.INDEPENDENT
-    elif all(flags.values()):
-        inferred = Inferred.RECURRENT
-    elif flags["heldout_full"] and not any(v for k, v in flags.items() if k != "heldout_full"):
-        inferred = Inferred.TWO_FUNCTION
-    else:
-        inferred = Inferred.INCONSISTENT
-    signature.inferred = inferred
-    return inferred
+        return ModelKind.INDEPENDENT
+    if all(flags.values()):
+        return ModelKind.RECURRENT
+    if flags["heldout_full"] and not any(v for k, v in flags.items() if k != "heldout_full"):
+        return ModelKind.TWO_FUNCTION
+    return None
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .entropy import ModelKind, Task, dataset_entropy
+from .entropy import ModelKind, dataset_entropy
 from .generalization import TrainIndex, train_two_hops
 from .logs import LossRecord
 from .worldgen import QuestionKind, SplitSet, World, WorldConfig, one_hop_qid, two_hop_qid
@@ -240,7 +240,7 @@ def ground_truth_content(world: World, profile: ReliabilityProfile) -> float:
             high = flags.count(1)
             for count, p in ((high, table.high[a]), (len(flags) - high, table.low[a])):
                 loss -= count * math.log2(chance if p is None else p)
-    return dataset_entropy(cfg, Task.TWO_HOP, profile.model_kind).total_bits - loss
+    return dataset_entropy(cfg, profile.model_kind).total_bits - loss
 
 
 def allocate_budget(

@@ -14,7 +14,6 @@ from twohop import (
     ModelKind,
     PresenceFlags,
     ReliabilityProfile,
-    Task,
     WorldConfig,
     aggregate_losses,
     allocate_budget,
@@ -36,7 +35,7 @@ from twohop import (
     predict_generalization,
     uniform_baselines,
 )
-from twohop.estimator import FactCounts, oracle_invert_recurrent, oracle_two_function_loss
+from twohop.estimator import oracle_invert_recurrent, oracle_two_function_loss
 from twohop.report import CapacityPoint, capacity_table, scaling_plot
 from twohop.worldgen import sha256_file
 
@@ -58,9 +57,7 @@ def _two_hop(rec) -> bool:
 def _estimate_bits(world, split_set, kind, profile) -> float:
     records = generate_loss_log(world, profile, split_set)
     agg = aggregate_losses(records, predicate=_two_hop)
-    rep = dataset_entropy(world.config, Task.TWO_HOP, kind)
-    counts = FactCounts.from_config(world.config)
-    return content_estimate(Task.TWO_HOP, kind, rep, agg, counts).content_bits
+    return content_estimate(world.config, kind, agg).content_bits
 
 
 def test_criterion_1_signature_table():
@@ -152,19 +149,14 @@ def test_criterion_5_entropy_ordering_and_baseline():
                 properties=props,
                 seed=0,
             )
-            e1 = dataset_entropy(cfg, Task.ONE_HOP).total_bits
-            rec = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.RECURRENT).total_bits
-            two = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.TWO_FUNCTION).total_bits
-            ind = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.INDEPENDENT).total_bits
+            e1 = dataset_entropy(cfg, None).total_bits
+            rec = dataset_entropy(cfg, ModelKind.RECURRENT).total_bits
+            two = dataset_entropy(cfg, ModelKind.TWO_FUNCTION).total_bits
+            ind = dataset_entropy(cfg, ModelKind.INDEPENDENT).total_bits
             assert e1 == rec <= two <= ind
             name = name_selection_entropy(cfg.n_profiles, cfg.name_space_size)
-            for task, kind in [
-                (Task.ONE_HOP, None),
-                (Task.TWO_HOP, ModelKind.RECURRENT),
-                (Task.TWO_HOP, ModelKind.TWO_FUNCTION),
-                (Task.TWO_HOP, ModelKind.INDEPENDENT),
-            ]:
-                assert abs(baseline_content(cfg, task, kind) - name) <= 1e-6
+            for kind in (None, *ModelKind):
+                assert abs(baseline_content(cfg, kind) - name) <= 1e-6
 
 
 def test_criterion_6_closed_loop_capacity(desk_world, desk_splits):
@@ -183,7 +175,7 @@ def test_criterion_6_closed_loop_capacity(desk_world, desk_splits):
             )
             est = _estimate_bits(desk_world, desk_splits, kind, profile)
             truth = ground_truth_content(desk_world, profile)
-            entropy = dataset_entropy(desk_world.config, Task.TWO_HOP, kind).total_bits
+            entropy = dataset_entropy(desk_world.config, kind).total_bits
             assert abs(est - truth) <= 0.10 * max(1.0, abs(truth)), kind
             assert est <= entropy + 1e-6
 
@@ -219,7 +211,7 @@ def test_criterion_8_trap_regime(trap_cfg):
         world = generate_world(trap_cfg)
         split_set = build_splits(world, {}, mix_ratio=10, seed=3)
         kind = ModelKind.INDEPENDENT
-        entropy = dataset_entropy(trap_cfg, Task.TWO_HOP, kind).total_bits
+        entropy = dataset_entropy(trap_cfg, kind).total_bits
         name = name_selection_entropy(trap_cfg.n_profiles, trap_cfg.name_space_size)
         fact_bits = entropy - name
         contents = []

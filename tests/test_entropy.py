@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from twohop import (
     ModelKind,
-    Task,
     WorldConfig,
     attribute_entropy,
     baseline_content,
@@ -20,12 +19,7 @@ from twohop.entropy import (
     uniform_guess_loss_bits,
 )
 
-ALL_CASES = [
-    (Task.ONE_HOP, None),
-    (Task.TWO_HOP, ModelKind.RECURRENT),
-    (Task.TWO_HOP, ModelKind.TWO_FUNCTION),
-    (Task.TWO_HOP, ModelKind.INDEPENDENT),
-]
+ALL_CASES = [None, *ModelKind]
 
 
 def small_configs():
@@ -91,13 +85,13 @@ class TestDatasetEntropy:
         # 10-value property: hand-computable totals
         name = 100 * math.log2(1000)
         fact = 100 * (3 * math.log2(100) + math.log2(10))
-        e1 = dataset_entropy(micro_cfg, Task.ONE_HOP)
+        e1 = dataset_entropy(micro_cfg, None)
         assert e1.total_bits == pytest.approx(name + fact, rel=1e-12)
         assert e1.total_bits == pytest.approx(3321.928094887362, abs=1e-6)
 
-        rec = dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.RECURRENT)
-        two = dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.TWO_FUNCTION)
-        ind = dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.INDEPENDENT)
+        rec = dataset_entropy(micro_cfg, ModelKind.RECURRENT)
+        two = dataset_entropy(micro_cfg, ModelKind.TWO_FUNCTION)
+        ind = dataset_entropy(micro_cfg, ModelKind.INDEPENDENT)
         assert rec.total_bits == e1.total_bits
         assert two.total_bits == pytest.approx(name + 2 * fact, rel=1e-12)
         assert two.total_bits == pytest.approx(5647.277761308515, abs=1e-6)
@@ -105,19 +99,15 @@ class TestDatasetEntropy:
         assert ind.total_bits == pytest.approx(7972.627427729669, abs=1e-6)
 
     def test_multipliers(self, micro_cfg):
-        assert dataset_entropy(micro_cfg, Task.ONE_HOP).multiplier == 1
-        assert dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.RECURRENT).multiplier == 1
-        assert dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.TWO_FUNCTION).multiplier == 2
-        assert dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.INDEPENDENT).multiplier == len(
+        assert dataset_entropy(micro_cfg, None).multiplier == 1
+        assert dataset_entropy(micro_cfg, ModelKind.RECURRENT).multiplier == 1
+        assert dataset_entropy(micro_cfg, ModelKind.TWO_FUNCTION).multiplier == 2
+        assert dataset_entropy(micro_cfg, ModelKind.INDEPENDENT).multiplier == len(
             micro_cfg.relations
         )
 
-    def test_two_hop_requires_model_kind(self, micro_cfg):
-        with pytest.raises(ValueError):
-            dataset_entropy(micro_cfg, Task.TWO_HOP)
-
     def test_strict_two_function_variant_is_smaller(self, micro_cfg):
-        two = dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.TWO_FUNCTION)
+        two = dataset_entropy(micro_cfg, ModelKind.TWO_FUNCTION)
         strict = strict_two_function_total_bits(micro_cfg)
         assert strict < two.total_bits
         # the difference is exactly one pass over the property values
@@ -129,10 +119,10 @@ class TestDatasetEntropy:
     @settings(max_examples=40, deadline=None)
     @given(cfg=small_configs())
     def test_ordering_and_additivity(self, cfg):
-        e1 = dataset_entropy(cfg, Task.ONE_HOP)
-        rec = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.RECURRENT)
-        two = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.TWO_FUNCTION)
-        ind = dataset_entropy(cfg, Task.TWO_HOP, ModelKind.INDEPENDENT)
+        e1 = dataset_entropy(cfg, None)
+        rec = dataset_entropy(cfg, ModelKind.RECURRENT)
+        two = dataset_entropy(cfg, ModelKind.TWO_FUNCTION)
+        ind = dataset_entropy(cfg, ModelKind.INDEPENDENT)
         assert e1.total_bits == rec.total_bits <= two.total_bits <= ind.total_bits
         for rep in (e1, rec, two, ind):
             assert rep.total_bits == pytest.approx(
@@ -145,10 +135,10 @@ class TestBaseline:
     @given(cfg=small_configs())
     def test_baseline_is_name_bits(self, cfg):
         name = name_selection_entropy(cfg.n_profiles, cfg.name_space_size)
-        for task, kind in ALL_CASES:
-            assert baseline_content(cfg, task, kind) == pytest.approx(name, abs=1e-6)
+        for kind in ALL_CASES:
+            assert baseline_content(cfg, kind) == pytest.approx(name, abs=1e-6)
 
     def test_uniform_loss_scales_with_multiplier(self, micro_cfg):
-        one = uniform_guess_loss_bits(micro_cfg, Task.ONE_HOP)
-        ind = uniform_guess_loss_bits(micro_cfg, Task.TWO_HOP, ModelKind.INDEPENDENT)
+        one = uniform_guess_loss_bits(micro_cfg, None)
+        ind = uniform_guess_loss_bits(micro_cfg, ModelKind.INDEPENDENT)
         assert ind == pytest.approx(len(micro_cfg.relations) * one, rel=1e-12)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from twohop import (
     LossRecord,
     ModelKind,
-    Task,
     aggregate_losses,
     bits_per_parameter,
     content_estimate,
@@ -20,7 +19,6 @@ from twohop.entropy import LN2
 from twohop.estimator import (
     Branch,
     EstimatorError,
-    FactCounts,
     aggregate_groups,
     merge_aggregates,
     oracle_invert_recurrent,
@@ -184,42 +182,28 @@ class TestTwoFunctionInversion:
 class TestContentEstimate:
     def test_one_hop_worked_example(self, micro_cfg):
         # 400 facts at a flat 3-bit loss against the 3321.93-bit dataset
-        rep = dataset_entropy(micro_cfg, Task.ONE_HOP)
         recs = _records([3.0 * LN2] * 10)
         agg = aggregate_losses(recs)
-        counts = FactCounts.from_config(micro_cfg)
-        est = content_estimate(Task.ONE_HOP, None, rep, agg, counts)
+        est = content_estimate(micro_cfg, None, agg)
         assert est.fact_count == 400
         assert est.content_bits == pytest.approx(3321.928094887362 - 1200.0, abs=1e-6)
         assert bits_per_parameter(est.content_bits, 1500) == pytest.approx(1.4146, abs=1e-4)
 
     def test_zero_loss_recovers_entropy(self, micro_cfg):
-        counts = FactCounts.from_config(micro_cfg)
         agg = aggregate_losses(_records([0.0] * 5))
         for kind in ModelKind:
-            rep = dataset_entropy(micro_cfg, Task.TWO_HOP, kind)
-            est = content_estimate(Task.TWO_HOP, kind, rep, agg, counts)
+            rep = dataset_entropy(micro_cfg, kind)
+            est = content_estimate(micro_cfg, kind, agg)
             assert est.content_bits == pytest.approx(rep.total_bits, rel=1e-12)
 
     def test_zero_loss_is_positive_zero(self, micro_cfg):
         # a perfect model's loss prints as 0.0, not -0.0
         assert math.copysign(1.0, effective_loss_recurrent(0.0, 100).per_hop_loss_nats) == 1.0
         assert math.copysign(1.0, effective_loss_two_function(0.0, 0.0, 100).summed_loss_nats) == 1.0
-        counts = FactCounts.from_config(micro_cfg)
         agg = aggregate_losses(_records([0.0] * 5))
         for kind in ModelKind:
-            rep = dataset_entropy(micro_cfg, Task.TWO_HOP, kind)
-            est = content_estimate(Task.TWO_HOP, kind, rep, agg, counts)
+            est = content_estimate(micro_cfg, kind, agg)
             assert math.copysign(1.0, est.total_loss_bits) == 1.0, kind
-
-    def test_mismatched_entropy_report_rejected(self, micro_cfg):
-        counts = FactCounts.from_config(micro_cfg)
-        agg = aggregate_losses(_records([1.0]))
-        rep = dataset_entropy(micro_cfg, Task.TWO_HOP, ModelKind.RECURRENT)
-        with pytest.raises(EstimatorError):
-            content_estimate(Task.TWO_HOP, ModelKind.INDEPENDENT, rep, agg, counts)
-        with pytest.raises(EstimatorError):
-            content_estimate(Task.ONE_HOP, None, rep, agg, counts)
 
     def test_bits_per_parameter_guards(self):
         assert bits_per_parameter(0.0, 10) == 0.0

@@ -4,7 +4,6 @@ import pytest
 
 from twohop import (
     HOLDOUT_KINDS,
-    Inferred,
     LossRecord,
     ModelKind,
     PresenceFlags,
@@ -110,7 +109,7 @@ class TestEvaluation:
         sig = evaluate_holdouts(aggregates, baselines)
         assert all(not v for v in sig.generalizes.values())
         assert all(abs(d) < 1e-12 for d in sig.deltas.values())
-        assert classify_algorithm(sig) is Inferred.INDEPENDENT
+        assert classify_algorithm(sig) is ModelKind.INDEPENDENT
 
     def test_full_only_signature(self):
         baselines = {k: 9.0 for k in HOLDOUT_KINDS}
@@ -119,20 +118,20 @@ class TestEvaluation:
         sig = evaluate_holdouts(aggregates, baselines)
         assert sig.generalizes == {k: k == "heldout_full" for k in HOLDOUT_KINDS}
         assert sig.deltas["heldout_full"] == pytest.approx(9.0)
-        assert classify_algorithm(sig) is Inferred.TWO_FUNCTION
+        assert classify_algorithm(sig) is ModelKind.TWO_FUNCTION
 
     def test_all_generalize(self):
         baselines = {k: 9.0 for k in HOLDOUT_KINDS}
         aggregates = {k: _agg(1.0) for k in HOLDOUT_KINDS}
         sig = evaluate_holdouts(aggregates, baselines)
-        assert classify_algorithm(sig) is Inferred.RECURRENT
+        assert classify_algorithm(sig) is ModelKind.RECURRENT
 
     def test_partial_pattern_is_inconsistent(self):
         baselines = {k: 9.0 for k in HOLDOUT_KINDS}
         aggregates = {k: _agg(9.0) for k in HOLDOUT_KINDS}
         aggregates["heldout_r"] = _agg(1.0)
         sig = evaluate_holdouts(aggregates, baselines)
-        assert classify_algorithm(sig) is Inferred.INCONSISTENT
+        assert classify_algorithm(sig) is None
 
     def test_missing_aggregate_rejected(self):
         baselines = {k: 9.0 for k in HOLDOUT_KINDS}

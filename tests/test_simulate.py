@@ -5,7 +5,6 @@ import pytest
 from twohop import (
     ModelKind,
     ReliabilityProfile,
-    Task,
     WorldConfig,
     allocate_budget,
     build_splits,
@@ -133,7 +132,7 @@ class TestGroundTruth:
     def test_perfect_recall_is_entropy(self, micro_world):
         for kind in ModelKind:
             profile = ReliabilityProfile.homogeneous(micro_world.config, kind, 1.0)
-            entropy = dataset_entropy(micro_world.config, Task.TWO_HOP, kind).total_bits
+            entropy = dataset_entropy(micro_world.config, kind).total_bits
             assert ground_truth_content(micro_world, profile) == pytest.approx(entropy, rel=1e-12)
 
     def test_chance_is_name_bits(self, micro_world):
@@ -146,7 +145,7 @@ class TestGroundTruth:
     def test_homogeneous_half_reliability(self, micro_world):
         # 400 facts remembered at p=0.5 cost one bit each below full entropy
         profile = ReliabilityProfile.homogeneous(micro_world.config, ModelKind.RECURRENT, 0.5)
-        entropy = dataset_entropy(micro_world.config, Task.TWO_HOP, ModelKind.RECURRENT).total_bits
+        entropy = dataset_entropy(micro_world.config, ModelKind.RECURRENT).total_bits
         assert ground_truth_content(micro_world, profile) == pytest.approx(entropy - 400, rel=1e-12)
 
 
@@ -192,7 +191,7 @@ class TestBudget:
         assert profile.memo[r * len(attributes) + a] == pytest.approx(0.1)
 
     def test_content_monotone_in_budget(self, micro_world):
-        entropy = dataset_entropy(micro_world.config, Task.TWO_HOP, ModelKind.TWO_FUNCTION).total_bits
+        entropy = dataset_entropy(micro_world.config, ModelKind.TWO_FUNCTION).total_bits
         contents = [
             ground_truth_content(
                 micro_world, allocate_budget(ModelKind.TWO_FUNCTION, b, micro_world.config)
