@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .entropy import ModelKind
 
 # --model's values for estimate and report: one-hop is the task without a model kind
 MODELS = {"one-hop": None, **{kind.value: kind for kind in ModelKind}}
+RELIABILITY_FORMS = "trained | chance | VALUE | budget:BITS | two-point:LO,HI,FRAC"
 
 
 def _relation_names(count: int) -> tuple[str, ...]:
@@ -144,15 +144,19 @@ def _cmd_entropy(args) -> int:
 def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
     if spec == "chance":
         return simulate.ReliabilityProfile.homogeneous(config, kind, None)
-    if spec.startswith("budget:"):
-        return simulate.allocate_budget(kind, float(spec.split(":", 1)[1]), config)
     if spec.startswith("two-point:"):
         try:
             p_low, p_high, frac_high = (float(x) for x in spec.split(":", 1)[1].split(","))
         except ValueError:
             raise ValueError(f"reliability {spec!r} must be two-point:LO,HI,FRAC") from None
         return simulate.ReliabilityProfile.two_point(config, kind, p_low, p_high, frac_high, seed)
-    return simulate.ReliabilityProfile.homogeneous(config, kind, float(spec))
+    try:
+        value = float(spec.removeprefix("budget:"))
+    except ValueError:
+        raise ValueError(f"reliability {spec!r} must be {RELIABILITY_FORMS}") from None
+    if spec.startswith("budget:"):
+        return simulate.allocate_budget(kind, value, config)
+    return simulate.ReliabilityProfile.homogeneous(config, kind, value)
 
 
 def _cmd_simulate(args) -> int:
@@ -262,6 +266,17 @@ def _cmd_report(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A number of relations or properties: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _slope(text: str) -> float:
     """A capacity slope: a finite number > 0."""
     try:
@@ -280,12 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
         "information-content estimation from loss logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_out = os.environ.get("TWOHOP_OUT", ".")
 
     p = sub.add_parser("gen", help="generate a world and its train/holdout dataset")
     p.add_argument("--profiles", type=int, required=True)
-    p.add_argument("--relations", type=int, default=len(worldgen.DEFAULT_RELATIONS))
-    p.add_argument("--properties", type=int, default=len(worldgen.DEFAULT_PROPERTIES))
+    p.add_argument("--relations", type=_count, default=len(worldgen.DEFAULT_RELATIONS))
+    p.add_argument("--properties", type=_count, default=len(worldgen.DEFAULT_PROPERTIES))
     p.add_argument("--name-pools", type=int, nargs=3, default=list(worldgen.DEFAULT_NAME_POOLS),
                    metavar=("FIRST", "MIDDLE", "LAST"))
     p.add_argument("--mix-ratio", type=int, default=10,
@@ -293,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout-frac", type=float, default=0.01)
     p.add_argument("--cot", choices=("none", "answers"), default="none")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=default_out)
+    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("entropy", help="closed-form dataset entropy for a config")
@@ -305,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="produce a loss log from an exact model simulator")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", choices=("recurrent", "2f", "independent"), required=True)
-    p.add_argument("--reliability", default="trained",
-                   help="trained | chance | VALUE | budget:BITS | two-point:LO,HI,FRAC")
+    p.add_argument("--reliability", default="trained", help=RELIABILITY_FORMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default="run")
     p.add_argument("--param-count", type=int, default=None)

@@ -44,30 +44,28 @@ class GeneralizationSignature:
 
 
 class TrainIndex:
-    """What the train split contains, from one scan of its keys.
+    """What the train split's two-hop questions contain, from one scan of its keys.
 
-    ``one_hop``, ``hop1`` and ``hop2`` hold one flag per fact unit ``e·|A|
-    + a``: a set flag marks a fact asked as a train one-hop question, as
-    the first hop of a train two-hop question, or as the second hop of one.
-    Whether a whole question is in train is its byte in the split table.
+    ``hop1`` and ``hop2`` hold one flag per fact unit ``e·|A| + a``: a set
+    flag marks a fact asked as the first hop of a train two-hop question, or
+    as the second hop of one. Whether a whole question is in train is its
+    byte in the split table; every one-hop question is in train.
     """
 
     def __init__(self, world: World, split_set: SplitSet):
         self.space, self.table, self.facts = split_set.space, split_set.table, world.facts
         n_rel, n_attrs = self.space.n_relations, self.space.n_attributes
         units = self.space.n_profiles * n_attrs
-        one_hop, hop1, hop2 = bytearray(units), bytearray(units), bytearray(units)
+        hop1, hop2 = bytearray(units), bytearray(units)
         facts = world.facts.tolist()
         for key in split_set.train:
             head, a = divmod(key, n_attrs)  # head = e1·(|R|+1) + r
             e1, r = divmod(head, n_rel + 1)
-            if r == n_rel:
-                one_hop[e1 * n_attrs + a] = 1
-            else:
+            if r != n_rel:
                 first = e1 * n_attrs + r
                 hop1[first] = 1
                 hop2[facts[first] * n_attrs + a] = 1
-        self.one_hop, self.hop1, self.hop2 = one_hop, hop1, hop2
+        self.hop1, self.hop2 = hop1, hop2
 
 
 def train_two_hops(split_set: SplitSet) -> bytearray:
@@ -93,7 +91,7 @@ def presence_flags(index: TrainIndex, e1: int, r: str, a: str) -> PresenceFlags:
     first = e1 * space.n_attributes + r_index
     second = index.facts[first] * space.n_attributes + a_index
     return PresenceFlags(
-        facts_one_hop_present=bool(index.one_hop[first] and index.one_hop[second]),
+        facts_one_hop_present=True,  # split_table puts every one-hop question in train
         first_hop_pair_present=bool(index.hop1[first]),
         second_hop_pair_present=bool(index.hop2[second]),
         full_question_present=index.table[space.pack(e1, r_index, a_index)] == _TRAIN,

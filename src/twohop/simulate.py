@@ -125,20 +125,21 @@ class ReliabilityProfile:
     ) -> "ReliabilityProfile":
         """Mark as learned exactly the facts occurring in the train split.
 
-        Recurrent learns from one-hop facts (always all present); two-function
-        learns first-hop pairs and second-hop pairs only from their in-role
-        occurrences in train two-hop questions; independent memorizes the
-        train two-hop questions. A learned fact has reliability 1; everything
-        else answers uniformly. The composing models' flags are
-        ``TrainIndex``'s; the memo's are the split table's train two-hops.
+        Recurrent learns from one-hop facts, which train holds all of, so it
+        learns every fact; two-function learns first-hop pairs and second-hop
+        pairs only from their in-role occurrences in train two-hop questions;
+        independent memorizes the train two-hop questions. A learned fact has
+        reliability 1; everything else answers uniformly. Two-function's flags
+        are ``TrainIndex``'s; the memo's are the split table's train two-hops.
         """
         cfg = world.config
         levels = (None,) * len(cfg.attributes), (1.0,) * len(cfg.attributes)
+        if model_kind is ModelKind.RECURRENT:
+            learned = bytearray(b"\x01") * _role_units(cfg, model_kind)
+            return cls(model_kind, cfg, facts=ReliabilityTable(*levels, learned))
         if model_kind is ModelKind.INDEPENDENT:
             return cls(model_kind, cfg, memo=ReliabilityTable(*levels, train_two_hops(split_set)))
         index = TrainIndex(world, split_set)
-        if model_kind is ModelKind.RECURRENT:
-            return cls(model_kind, cfg, facts=ReliabilityTable(*levels, index.one_hop))
         hop1, hop2 = ReliabilityTable(*levels, index.hop1), ReliabilityTable(*levels, index.hop2)
         return cls(model_kind, cfg, hop1=hop1, hop2=hop2)
 

@@ -191,12 +191,32 @@ def test_loss_row_logprob_not_a_float_exits_1(dataset_dir, tmp_path, capsys, val
 @pytest.mark.parametrize(
     "spec",
     ["nan", "-3", "budget:nan", "two-point:0.1,7,0.5", "two-point:-0.1,0.5,0.5",
-     "two-point:0.1,0.5,nan"],
+     "two-point:0.1,0.5,nan", "abc", "budget:abc", "budget:", "0.5x"],
 )
 def test_simulate_invalid_reliability_exits_1(dataset_dir, tmp_path, capsys, spec):
     code = main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
                  "--reliability", spec, "--out", str(tmp_path / "run.jsonl")])
     _assert_clean_error(code, capsys, "must be")
+
+
+@pytest.mark.parametrize("spec", ["abc", "budget:abc", "budget:", "0.5x"])
+def test_simulate_reliability_spec_form_exits_1(dataset_dir, tmp_path, capsys, spec):
+    code = main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                 "--reliability", spec, "--out", str(tmp_path / "run.jsonl")])
+    forms = "trained | chance | VALUE | budget:BITS | two-point:LO,HI,FRAC"
+    _assert_clean_error(code, capsys, f"reliability {spec!r} must be {forms}")
+
+
+@pytest.mark.parametrize(("option", "count"), [("--relations", "-1"), ("--properties", "-2")])
+def test_gen_negative_count_is_usage_error(tmp_path, capsys, option, count):
+    out = tmp_path / "ds"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--profiles", "20", option, count, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {option}: count must be an integer >= 0, got {count!r}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_report(dataset_dir, run_log, tmp_path, capsys):
