@@ -33,32 +33,22 @@ def _property_specs(count: int) -> tuple[tuple[str, int], ...]:
     return tuple(props)
 
 
+def _sha256(path: Path, what: str) -> str:
+    try:
+        return worldgen.sha256_file(path)
+    except OSError as exc:
+        raise worldgen.DatasetIOError(f"cannot read {what}: {exc}") from exc
+
+
 def _manifest_sha256(dataset_dir: Path) -> str:
-    return worldgen.sha256_file(Path(dataset_dir) / "manifest.json")
+    return _sha256(Path(dataset_dir) / "manifest.json", "manifest")
 
 
-def _check_binding(dataset_dir: Path, losses: Path, force: bool) -> None:
+def _read_run_meta(losses: Path) -> dict | None:
+    """The run manifest next to a loss log, or None when there is none."""
     run_meta_path = Path(losses).with_suffix(".json")
     if not run_meta_path.exists():
-        if force:
-            return
-        raise worldgen.DatasetIOError(
-            f"no run manifest at {run_meta_path}; pass --force to skip the dataset binding check"
-        )
-    recorded = _read_run_meta(losses).get("dataset_manifest_sha256")
-    actual = _manifest_sha256(dataset_dir)
-    if recorded != actual and not force:
-        raise worldgen.DatasetIOError(
-            f"loss log was produced against a different dataset "
-            f"(manifest sha256 {recorded} != {actual}); pass --force to override"
-        )
-
-
-def _read_run_meta(losses: Path) -> dict:
-    """The run manifest next to a loss log, or {} when there is none."""
-    run_meta_path = Path(losses).with_suffix(".json")
-    if not run_meta_path.exists():
-        return {}
+        return None
     try:
         with open(run_meta_path, encoding="utf-8") as f:
             run_meta = json.load(f)
@@ -69,13 +59,46 @@ def _read_run_meta(losses: Path) -> dict:
     return run_meta
 
 
-def _point_meta(losses: Path) -> tuple[str, int]:
+def _check_binding(dataset_sha: str, losses: Path, run_meta: dict | None, force: bool) -> None:
+    if run_meta is None:
+        if force:
+            return
+        raise worldgen.DatasetIOError(
+            f"no run manifest at {Path(losses).with_suffix('.json')}; "
+            f"pass --force to skip the dataset binding check"
+        )
+    recorded = run_meta.get("dataset_manifest_sha256")
+    if recorded != dataset_sha and not force:
+        raise worldgen.DatasetIOError(
+            f"loss log was produced against a different dataset "
+            f"(manifest sha256 {recorded} != {dataset_sha}); pass --force to override"
+        )
+
+
+def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
+    """A loss log's run manifest ({} when there is none) and its SUMMARY_GROUPS accumulators.
+
+    The run manifest must pass the dataset binding check first. The
+    accumulators come from its ``summary`` when that records the log's
+    sha256, and from one pass over the log otherwise.
+    """
+    run_meta = _read_run_meta(losses)
+    _check_binding(dataset_sha, losses, run_meta, force)
+    run_meta = run_meta or {}
+    if "summary" in run_meta:
+        where = f"run manifest {losses.with_suffix('.json')}"
+        log_sha, groups = logs.summary_from_json(run_meta["summary"], where)
+        if log_sha == _sha256(losses, "loss log"):
+            return run_meta, groups
+    return run_meta, logs.summarize(rec for _, rec in logs._loss_rows(losses))
+
+
+def _point_meta(losses: Path, run_meta: dict) -> tuple[str, int]:
     """A report point's label and parameter count, from the log's run manifest.
 
     ``label`` must be a string or absent (the log's stem then, as for an
     empty one); ``param_count`` a positive integer that a float holds.
     """
-    run_meta = _read_run_meta(losses)
     label, params = run_meta.get("label"), run_meta.get("param_count")
     where = f"run manifest {losses.with_suffix('.json')}"
     if "label" in run_meta and type(label) is not str:
@@ -86,12 +109,6 @@ def _point_meta(losses: Path) -> tuple[str, int]:
             f"{where}: param_count must be an integer > 0 that a float holds"
         )
     return label or losses.stem, params
-
-
-def _log_aggregates(losses: Path, group, groups) -> dict:
-    """``estimator.aggregate_groups`` over a loss log, read record by record."""
-    records = (rec for _, rec in logs._loss_rows(losses))
-    return estimator.aggregate_groups(records, group, groups)
 
 
 def _emit(payload: dict) -> None:
@@ -126,9 +143,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _read_config(path: str) -> worldgen.WorldConfig:
+    """The config in a JSON file; any fault raises ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError("must be a JSON object")
+        return worldgen.WorldConfig.from_dict(data)
+    except (OSError, ValueError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
+        raise worldgen.ConfigError(f"config {path}: {exc}") from None
+
+
 def _cmd_entropy(args) -> int:
-    with open(args.config, encoding="utf-8") as f:
-        config = worldgen.WorldConfig.from_dict(json.load(f))
+    config = _read_config(args.config)
     kind = None
     if args.task == "two-hop":
         if not args.model:
@@ -168,7 +196,11 @@ def _cmd_simulate(args) -> int:
         profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    count = logs.stream_loss_log(simulate.loss_records(world, profile, split_set), out)
+    records = simulate.loss_records(world, profile, split_set)
+    # a chain-of-thought log gets no summary: no estimator reads its losses
+    cot = split_set.space.two_hop_kind is worldgen.QuestionKind.TWO_HOP_COT
+    groups = None if cot else logs.new_groups()
+    count = logs.stream_loss_log(records if cot else logs.folded(records, groups), out)
     run_meta = {
         "label": args.label,
         "param_count": args.param_count,
@@ -176,6 +208,8 @@ def _cmd_simulate(args) -> int:
         "reliability": args.reliability,
         "dataset_manifest_sha256": _manifest_sha256(Path(args.dataset)),
     }
+    if groups is not None:
+        run_meta["summary"] = logs.summary_to_json(groups, worldgen.sha256_file(out))
     with open(out.with_suffix(".json"), "w", encoding="utf-8") as f:
         json.dump(run_meta, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -183,10 +217,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_for(config, losses: Path, kind: ModelKind | None):
-    # the kind of the task's questions; a two_hop_cot record stops the pass
-    selected = "one_hop" if kind is None else "two_hop"
-    (agg,) = _log_aggregates(losses, lambda split, kind: kind, [selected]).values()
+def _estimate_for(config, groups: dict, kind: ModelKind | None):
+    # the kind of the task's questions
+    agg = groups["one_hop" if kind is None else "two_hop"].result()
     return estimator.content_estimate(config, kind, agg), agg
 
 
@@ -195,9 +228,10 @@ def _manifest_config(dataset_dir: Path):
 
 
 def _cmd_estimate(args) -> int:
-    _check_binding(Path(args.dataset), Path(args.losses), args.force)
-    config, kind = _manifest_config(Path(args.dataset)), MODELS[args.model]
-    est, agg = _estimate_for(config, Path(args.losses), kind)
+    dataset_dir = Path(args.dataset)
+    _, groups = _read_log(_manifest_sha256(dataset_dir), Path(args.losses), args.force)
+    config, kind = _manifest_config(dataset_dir), MODELS[args.model]
+    est, agg = _estimate_for(config, groups, kind)
     payload = est.to_dict()
     payload["baseline_bits"] = entropy_mod.baseline_content(config, kind)
     payload["mean_loss_bits"] = agg.mean_loss_bits
@@ -207,15 +241,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _check_binding(Path(args.dataset), Path(args.losses), args.force)
-    split_set, world = worldgen.load_dataset(Path(args.dataset))
+    dataset_dir = Path(args.dataset)
+    _, groups = _read_log(_manifest_sha256(dataset_dir), Path(args.losses), args.force)
+    split_set, world = worldgen.load_dataset(dataset_dir)
     baselines = generalization.uniform_baselines(split_set, world.config)
-    del split_set  # the log pass needs only the baselines
-    aggregates = _log_aggregates(
-        Path(args.losses),
-        lambda split, kind: split if kind == "two_hop" else None,
-        [kind for kind in worldgen.HOLDOUT_KINDS if kind in baselines],
-    )
+    aggregates = {
+        kind: groups[f"two_hop/{kind}"].result()
+        for kind in worldgen.HOLDOUT_KINDS
+        if kind in baselines
+    }
     signature = generalization.evaluate_holdouts(aggregates, baselines)
     kind = generalization.classify_algorithm(signature)
     _emit({**signature.to_dict(), "inferred": kind.value if kind else "inconsistent"})
@@ -232,11 +266,12 @@ def _cmd_report(args) -> int:
     dataset_dir = Path(args.dataset)
     config, kind = _manifest_config(dataset_dir), MODELS[args.model]
     baseline = entropy_mod.baseline_content(config, kind)
+    dataset_sha = _manifest_sha256(dataset_dir)
     points = []
-    for losses in args.losses:
-        _check_binding(dataset_dir, Path(losses), args.force)
-        est, _ = _estimate_for(config, Path(losses), kind)
-        label, params = _point_meta(Path(losses))
+    for losses in map(Path, args.losses):
+        run_meta, groups = _read_log(dataset_sha, losses, args.force)
+        est, _ = _estimate_for(config, groups, kind)
+        label, params = _point_meta(losses, run_meta)
         points.append(
             report.CapacityPoint(
                 label=label,

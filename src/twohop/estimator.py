@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .entropy import LN2, ModelKind, dataset_entropy, task_name
-from .worldgen import QuestionKind, WorldConfig
+from .worldgen import WorldConfig
 
 
 class EstimatorError(ValueError):
@@ -85,31 +85,6 @@ def aggregate_losses(
             continue
         acc.add(qid, x)
     return acc.result()
-
-
-def aggregate_groups(
-    records: Iterable, group: Callable[[str, str], str | None], groups: Iterable[str]
-) -> dict[str, AggregateLoss]:
-    """``aggregate_losses`` for several selections in one pass over ``records``.
-
-    Each ``(qid, split, kind, logprob_nats)`` record joins the accumulator of
-    ``group(split, kind)`` if that is one of ``groups``, so a group sees its
-    records in their order in ``records``.
-    A ``two_hop_cot`` record raises EstimatorError: no estimator inverts
-    chain-of-thought losses yet, and the latent-model inversion does not
-    describe them.
-    """
-    accumulators = {name: LossAccumulator() for name in groups}
-    cot = QuestionKind.TWO_HOP_COT.value
-    for qid, split, kind, x in records:
-        if kind == cot:
-            raise EstimatorError(
-                f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
-            )
-        acc = accumulators.get(group(split, kind))
-        if acc is not None:
-            acc.add(qid, x)
-    return {name: acc.result() for name, acc in accumulators.items()}
 
 
 def merge_aggregates(a: AggregateLoss, b: AggregateLoss) -> AggregateLoss:

@@ -11,9 +11,17 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .worldgen import SPLITS, _ROW_ENCODER, DatasetIOError, _decode_row, load_dataset
+from .estimator import EstimatorError, LossAccumulator
+from .worldgen import (
+    SPLITS,
+    _ROW_ENCODER,
+    DatasetIOError,
+    QuestionKind,
+    _decode_row,
+    load_dataset,
+)
 
 
 class LossRecord(NamedTuple):
@@ -78,6 +86,106 @@ def _loss_rows(path: Path):
 
 def read_loss_log(path: Path) -> list[LossRecord]:
     return [LossRecord._make(rec) for _, rec in _loss_rows(path)]
+
+
+# The accumulators a loss log folds into: one per kind, and one per split of
+# the two-hop records
+SUMMARY_GROUPS = ("one_hop", "two_hop", *(f"two_hop/{split}" for split in SPLITS))
+
+
+def folded(
+    rows: Iterable[tuple[str, str, str, float]], groups: dict[str, LossAccumulator]
+) -> Iterator[tuple[str, str, str, float]]:
+    """Yield each ``(qid, split, kind, logprob_nats)`` row after adding it to ``groups``.
+
+    ``groups`` maps each name in SUMMARY_GROUPS to its accumulator. A
+    one_hop row joins ``one_hop``; a two_hop row joins ``two_hop`` and, when
+    its split is one of SPLITS, ``two_hop/SPLIT``; a row of another kind
+    joins none. A group sees its rows in their order in ``rows``. A
+    positive logprob in a row that joins a group raises EstimatorError, and
+    so does a ``two_hop_cot`` row: no estimator inverts chain-of-thought
+    losses yet, and the latent-model inversion does not describe them.
+    """
+    one_hop, two_hop = groups["one_hop"], groups["two_hop"]
+    by_split = {split: groups[f"two_hop/{split}"] for split in SPLITS}
+    cot = QuestionKind.TWO_HOP_COT.value
+    for row in rows:
+        qid, split, kind, x = row
+        if kind == "two_hop":
+            two_hop.add(qid, x)
+            acc = by_split.get(split)
+            if acc is not None:
+                acc.add(qid, x)
+        elif kind == "one_hop":
+            one_hop.add(qid, x)
+        elif kind == cot:
+            raise EstimatorError(
+                f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
+            )
+        yield row
+
+
+def new_groups() -> dict[str, LossAccumulator]:
+    return {name: LossAccumulator() for name in SUMMARY_GROUPS}
+
+
+def summarize(rows: Iterable[tuple[str, str, str, float]]) -> dict[str, LossAccumulator]:
+    """Fold every row into SUMMARY_GROUPS' accumulators in one pass (see ``folded``)."""
+    groups = new_groups()
+    for _ in folded(rows, groups):
+        pass
+    return groups
+
+
+def summary_to_json(groups: dict[str, LossAccumulator], log_sha256: str) -> dict:
+    """A run manifest's ``summary``: the log's sha256 and each group's raw Welford state."""
+    return {
+        "log_sha256": log_sha256,
+        "groups": {
+            name: {"count": acc.count, "mean": acc.mean, "m2": acc.m2}
+            for name, acc in groups.items()
+        },
+    }
+
+
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def summary_from_json(summary, where: str) -> tuple[str, dict[str, LossAccumulator]]:
+    """The log sha256 and accumulators that ``summary_to_json`` wrote.
+
+    ``summary`` is outside input: anything but an object holding a string
+    ``log_sha256`` and every group of SUMMARY_GROUPS, each with an integer
+    ``count`` >= 0 and a finite ``mean`` and ``m2``, raises DatasetIOError
+    naming ``where``.
+    """
+    if type(summary) is not dict:
+        raise DatasetIOError(f"{where}: summary must be a JSON object")
+    log_sha256, recorded = summary.get("log_sha256"), summary.get("groups")
+    if type(log_sha256) is not str:
+        raise DatasetIOError(f"{where}: summary log_sha256 must be a string")
+    if type(recorded) is not dict:
+        raise DatasetIOError(f"{where}: summary groups must be a JSON object")
+    groups = {}
+    for name in SUMMARY_GROUPS:
+        if name not in recorded:
+            raise DatasetIOError(f"{where}: summary lacks group {name!r}")
+        state = recorded[name]
+        if type(state) is not dict:
+            raise DatasetIOError(f"{where}: summary group {name!r} must be a JSON object")
+        count, mean, m2 = state.get("count"), state.get("mean"), state.get("m2")
+        # type(), not isinstance(): a JSON true must not pass as the integer 1
+        if type(count) is not int or count < 0:
+            raise DatasetIOError(f"{where}: summary group {name!r}: count must be an integer >= 0")
+        if not (_finite_number(mean) and _finite_number(m2)):
+            raise DatasetIOError(f"{where}: summary group {name!r}: mean and m2 must be finite")
+        acc = groups[name] = LossAccumulator()
+        acc.count, acc.mean, acc.m2 = count, float(mean), float(m2)
+    return log_sha256, groups
 
 
 @dataclass

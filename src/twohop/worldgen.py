@@ -121,6 +121,8 @@ class WorldConfig:
             raise ConfigError("n_profiles must be positive")
         if min(self.first_names, self.middle_names, self.last_names) < 1:
             raise ConfigError("name pools must be positive")
+        if not self.relations:
+            raise ConfigError("relations must not be empty: a world needs one for two-hop questions")
         if self.name_space_size < self.n_profiles:
             raise ConfigError(
                 f"name space {self.name_space_size} smaller than "

@@ -7,7 +7,9 @@ import xml.dom.minidom
 
 import pytest
 
+from twohop import cli
 from twohop.cli import build_parser, main
+from twohop.logs import SUMMARY_GROUPS
 
 GEN_ARGS = [
     "gen",
@@ -78,6 +80,14 @@ def test_simulate_writes_run_metadata(run_log):
     assert meta["param_count"] == 5000
     assert meta["model_kind"] == "2f"
     assert len(meta["dataset_manifest_sha256"]) == 64
+    summary = meta["summary"]
+    assert summary["log_sha256"] == _sha256(run_log)
+    groups = summary["groups"]
+    assert set(groups) == set(SUMMARY_GROUPS)
+    rows = [json.loads(line) for line in run_log.read_text().splitlines()]
+    assert groups["one_hop"]["count"] + groups["two_hop"]["count"] == len(rows)
+    assert groups["two_hop/heldout_full"]["count"] == sum(
+        row["split"] == "heldout_full" and row["kind"] == "two_hop" for row in rows)
 
 
 def test_estimate(dataset_dir, run_log, capsys):
@@ -739,6 +749,24 @@ def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, comm
     _assert_clean_error(main([command, "--dataset", str(edited)] + args), capsys, needle)
 
 
+@pytest.mark.parametrize(
+    "text, needle",
+    [("not json", "Expecting value"), ("[1, 2]", "must be a JSON object"),
+     ('"config"', "must be a JSON object")],
+)
+def test_entropy_config_not_an_object_exits_1(tmp_path, capsys, text, needle):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    code = main(["entropy", "--config", str(cfg_path), "--task", "one-hop"])
+    _assert_clean_error(code, capsys, f"config {cfg_path}: {needle}")
+
+
+def test_gen_without_relations_exits_1(tmp_path, capsys):
+    code = main(["gen", "--profiles", "20", "--relations", "0", "--holdout-frac", "0",
+                 "--out", str(tmp_path / "ds")])
+    _assert_clean_error(code, capsys, "relations must not be empty")
+
+
 def test_entropy_config_missing_key_exits_1(dataset_dir, tmp_path, capsys):
     config = json.loads((dataset_dir / "manifest.json").read_text())["config"]
     del config["first_names"]
@@ -798,6 +826,146 @@ def test_run_manifest_not_object_exits_1(dataset_dir, run_log, tmp_path, capsys)
     _assert_clean_error(code, capsys, "not a JSON object")
 
 
+def _summary_with(change):
+    def edit(summary):
+        change(summary)
+        return summary
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda summary: [summary], "summary must be a JSON object"),
+        (lambda summary: None, "summary must be a JSON object"),
+        (_summary_with(lambda s: s.pop("log_sha256")), "summary log_sha256 must be a string"),
+        (_summary_with(lambda s: s.update(log_sha256=7)), "summary log_sha256 must be a string"),
+        (_summary_with(lambda s: s.update(groups=[])), "summary groups must be a JSON object"),
+        (_summary_with(lambda s: s["groups"].pop("two_hop/heldout_r")),
+         "summary lacks group 'two_hop/heldout_r'"),
+        (_summary_with(lambda s: s["groups"].update(one_hop=[1, 0.0, 0.0])),
+         "summary group 'one_hop' must be a JSON object"),
+        *[(_summary_with(lambda s, v=v: s["groups"]["two_hop"].update(count=v)),
+           "summary group 'two_hop': count must be an integer >= 0")
+          for v in (-1, 1.5, True, "3", None)],
+        *[(_summary_with(lambda s, k=k, v=v: s["groups"]["two_hop"].update({k: v})),
+           "summary group 'two_hop': mean and m2 must be finite")
+          for k in ("mean", "m2") for v in (float("nan"), float("inf"), "0.5", None, 10**400)],
+    ],
+)
+def test_malformed_run_summary_exits_1(dataset_dir, run_log, tmp_path, capsys, edit, needle):
+    # the summary is outside input: each reader refuses a malformed one,
+    # whether or not it matches the log
+    log = tmp_path / "run.jsonl"
+    shutil.copy(run_log, log)
+    meta = json.loads(run_log.with_suffix(".json").read_text())
+    meta["summary"] = edit(meta["summary"])
+    log.with_suffix(".json").write_text(json.dumps(meta))
+    for args in (
+        ["estimate", "--model", "2f"],
+        ["classify"],
+        ["report", "--model", "one-hop", "--out-csv", str(tmp_path / "c.csv")],
+    ):
+        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(log)])
+        _assert_clean_error(code, capsys, f"run manifest {log.with_suffix('.json')}: {needle}")
+
+
+def _analysis_outputs(ds, log, model, tmp_path, capsys) -> dict:
+    """stdout of estimate (``model`` and one-hop) and classify, and report's CSV and SVG."""
+    def stdout(args):
+        assert main(args + ["--dataset", str(ds), "--losses", str(log)]) == 0, args
+        return capsys.readouterr().out
+
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    stdout(["report", "--model", model, "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+    return {
+        "estimate": stdout(["estimate", "--model", model]),
+        "estimate one-hop": stdout(["estimate", "--model", "one-hop"]),
+        "classify": stdout(["classify"]),
+        "report.csv": csv_path.read_bytes(),
+        "report.svg": svg_path.read_bytes(),
+    }
+
+
+def _drop_summary(log):
+    meta_path = log.with_suffix(".json")
+    meta = json.loads(meta_path.read_text())
+    del meta["summary"]
+    meta_path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("model", ["recurrent", "2f", "independent"])
+@pytest.mark.parametrize("spec", ["trained", "chance", "two-point:0.01,0.99,0.5"])
+def test_outputs_same_with_and_without_summary(tmp_path, capsys, model, spec):
+    ds, log = tmp_path / "ds", tmp_path / "run.jsonl"
+    assert main(GOLDEN_GEN_ARGS + ["--out", str(ds)]) == 0
+    assert main(["simulate", "--dataset", str(ds), "--model", model, "--reliability", spec,
+                 "--seed", "1", "--param-count", "5000", "--out", str(log)]) == 0
+    capsys.readouterr()
+    summarized = _analysis_outputs(ds, log, model, tmp_path, capsys)
+    _drop_summary(log)
+    assert _analysis_outputs(ds, log, model, tmp_path, capsys) == summarized
+
+
+def test_stale_summary_ignored(tmp_path, capsys):
+    # one edited record makes the summary stale: the readers must fold the
+    # log again, and so give what a log without a summary gives
+    ds, log = tmp_path / "ds", tmp_path / "run.jsonl"
+    assert main(GOLDEN_GEN_ARGS + ["--out", str(ds)]) == 0
+    assert main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "5000",
+                 "--out", str(log)]) == 0
+    capsys.readouterr()
+    before = _analysis_outputs(ds, log, "2f", tmp_path, capsys)
+    lines = log.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines)
+             if '"heldout_r"' in line and '"two_hop"' in line)
+    row = json.loads(lines[i])
+    row["logprob_nats"] = row["logprob_nats"] - 20.0
+    lines[i] = json.dumps(row, sort_keys=True) + "\n"
+    log.write_text("".join(lines))
+    stale = _analysis_outputs(ds, log, "2f", tmp_path, capsys)
+    _drop_summary(log)
+    fresh = _analysis_outputs(ds, log, "2f", tmp_path, capsys)
+    assert stale == fresh
+    # the edit reaches every output but the one-hop estimate
+    assert {name for name in fresh if fresh[name] != before[name]} == {
+        "estimate", "classify", "report.csv", "report.svg"}
+
+
+def test_positive_logprob_outside_selection_exits_1(dataset_dir, tmp_path, capsys):
+    # every group folds in one pass, so a positive one-hop logprob stops a
+    # two-hop estimate too
+    rows = [
+        {"qid": "1h:0:mother", "split": "train", "kind": "one_hop", "logprob_nats": 0.5},
+        {"qid": "2h:0:mother:boss", "split": "train", "kind": "two_hop", "logprob_nats": -0.5},
+    ]
+    log = tmp_path / "bad.jsonl"
+    log.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code = main(["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f",
+                 "--force"])
+    _assert_clean_error(code, capsys, "positive logprob for 1h:0:mother: 0.5")
+
+
+def test_report_reads_each_run_manifest_once(dataset_dir, run_log, tmp_path, capsys, monkeypatch):
+    logs = [tmp_path / f"run{i}.jsonl" for i in range(3)]
+    for log in logs:
+        shutil.copy(run_log, log)
+        shutil.copy(run_log.with_suffix(".json"), log.with_suffix(".json"))
+    calls = {"run manifest": 0, "dataset manifest": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_read_run_meta", counted("run manifest", cli._read_run_meta))
+    monkeypatch.setattr(cli, "_manifest_sha256", counted("dataset manifest", cli._manifest_sha256))
+    assert main(["report", "--dataset", str(dataset_dir), "--losses", *map(str, logs),
+                 "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")]) == 0
+    assert calls == {"run manifest": 3, "dataset manifest": 1}
+
+
 def test_validate_qid_join(dataset_dir, tmp_path, capsys):
     # A qid matches a question only if it is that question's qid character
     # for character: int() reads 007, +7, 1_0, " 7" and "٧", but none names e1 7.
@@ -845,6 +1013,7 @@ def test_cot_log_refused_by_estimators(tmp_path, capsys):
                  "--out", str(log)]) == 0
     assert main(["validate"] + args) == 0
     capsys.readouterr()
+    assert "summary" not in json.loads(log.with_suffix(".json").read_text())
     for command in (
         ["estimate", "--model", "2f"],
         ["classify"],
@@ -878,9 +1047,15 @@ def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
                 commands["estimate", model, spec] = [
                     "estimate", *data, "--losses", str(log), "--model", model]
         log = tmp_path / f"r{relations}-2f-trained.jsonl"
+        # a copy without its run manifest, so that estimate folds the log itself
+        bare = tmp_path / f"r{relations}-bare.jsonl"
+        commands["estimate", "no summary"] = [
+            "estimate", *data, "--losses", str(bare), "--model", "2f", "--force"]
         commands["classify"] = ["classify", *data, "--losses", str(log)]
         commands["validate"] = ["validate", *data, "--losses", str(log)]
         for name, argv in commands.items():
+            if name == ("estimate", "no summary"):
+                shutil.copy(log, bare)
             tracemalloc.start()
             try:
                 assert main(argv) == 0, name

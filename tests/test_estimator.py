@@ -16,10 +16,10 @@ from twohop import (
     effective_loss_two_function,
 )
 from twohop.entropy import LN2
+from twohop.logs import SUMMARY_GROUPS, summarize
 from twohop.estimator import (
     Branch,
     EstimatorError,
-    aggregate_groups,
     merge_aggregates,
     oracle_invert_recurrent,
     oracle_two_function_loss,
@@ -29,6 +29,10 @@ from twohop.estimator import (
 
 def _records(losses, split="train", kind="one_hop"):
     return [LossRecord(f"q{i}", split, kind, -x) for i, x in enumerate(losses)]
+
+
+def _matches(record, split=None, kind=None):
+    return split in (None, record[1]) and kind in (None, record[2])
 
 
 class TestAggregation:
@@ -69,18 +73,27 @@ class TestAggregation:
         st.sampled_from([-0.0, -5e-324]) | st.floats(-1e150, 0.0),
     ), max_size=40))
     def test_groups_equal_single_selections(self, rows):
+        # logs.summarize folds every group in one pass; each must equal its
+        # own selection's aggregate
         records = [(f"q{i}", split, kind, x) for i, (split, kind, x) in enumerate(rows)]
-        groups = sorted({split for split, kind, _ in rows if kind == "two_hop"})
-
-        def group(split, kind):
-            return split if kind == "two_hop" else None
-
-        expected = {g: aggregate_losses(records, split=g, kind="two_hop") for g in groups}
-        assert aggregate_groups(records, group, groups) == expected
-        assert aggregate_groups(map(LossRecord._make, records), group, groups) == expected
+        selections = {
+            "one_hop": {"kind": "one_hop"},
+            "two_hop": {"kind": "two_hop"},
+            **{f"two_hop/{split}": {"split": split, "kind": "two_hop"}
+               for split in ["train", "heldout_r", "heldout_full"]},
+        }
+        expected = {
+            name: aggregate_losses(records, **selection)
+            for name, selection in selections.items()
+            if any(_matches(r, **selection) for r in records)
+        }
+        for rows_in in (records, map(LossRecord._make, records)):
+            groups = summarize(rows_in)
+            assert set(groups) == set(SUMMARY_GROUPS)
+            assert {name: acc.result() for name, acc in groups.items() if acc.count} == expected
         cot = ("c", "train", "two_hop_cot", -1.0)
         with pytest.raises(EstimatorError, match="two_hop_cot"):
-            aggregate_groups(records + [cot], group, groups)
+            summarize(records + [cot])
 
     def test_merge_equals_single_pass(self):
         rng = random.Random(1)
