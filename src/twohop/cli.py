@@ -217,9 +217,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_for(config, groups: dict, kind: ModelKind | None):
+def _group(groups: dict, name: str, losses: Path) -> estimator.AggregateLoss:
+    """The aggregate of group ``name``; an empty group raises EstimatorError naming the log."""
+    if not groups[name].count:
+        raise estimator.EstimatorError(f"{losses}: no records in group {name}")
+    return groups[name].result()
+
+
+def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):
     # the kind of the task's questions
-    agg = groups["one_hop" if kind is None else "two_hop"].result()
+    agg = _group(groups, "one_hop" if kind is None else "two_hop", losses)
     return estimator.content_estimate(config, kind, agg), agg
 
 
@@ -228,10 +235,10 @@ def _manifest_config(dataset_dir: Path):
 
 
 def _cmd_estimate(args) -> int:
-    dataset_dir = Path(args.dataset)
-    _, groups = _read_log(_manifest_sha256(dataset_dir), Path(args.losses), args.force)
+    dataset_dir, losses = Path(args.dataset), Path(args.losses)
+    _, groups = _read_log(_manifest_sha256(dataset_dir), losses, args.force)
     config, kind = _manifest_config(dataset_dir), MODELS[args.model]
-    est, agg = _estimate_for(config, groups, kind)
+    est, agg = _estimate_for(config, groups, kind, losses)
     payload = est.to_dict()
     payload["baseline_bits"] = entropy_mod.baseline_content(config, kind)
     payload["mean_loss_bits"] = agg.mean_loss_bits
@@ -241,12 +248,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    dataset_dir = Path(args.dataset)
-    _, groups = _read_log(_manifest_sha256(dataset_dir), Path(args.losses), args.force)
+    dataset_dir, losses = Path(args.dataset), Path(args.losses)
+    _, groups = _read_log(_manifest_sha256(dataset_dir), losses, args.force)
     split_set, world = worldgen.load_dataset(dataset_dir)
     baselines = generalization.uniform_baselines(split_set, world.config)
     aggregates = {
-        kind: groups[f"two_hop/{kind}"].result()
+        kind: _group(groups, f"two_hop/{kind}", losses)
         for kind in worldgen.HOLDOUT_KINDS
         if kind in baselines
     }
@@ -270,7 +277,7 @@ def _cmd_report(args) -> int:
     points = []
     for losses in map(Path, args.losses):
         run_meta, groups = _read_log(dataset_sha, losses, args.force)
-        est, _ = _estimate_for(config, groups, kind)
+        est, _ = _estimate_for(config, groups, kind, losses)
         label, params = _point_meta(losses, run_meta)
         points.append(
             report.CapacityPoint(
@@ -309,6 +316,17 @@ def _count(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"count must be an integer >= 0, got {text!r}")
+    return value
+
+
+def _param_count(text: str) -> int:
+    """A model's parameter count: an integer > 0 that a float holds, as report needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 0 < value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"param count must be an integer > 0, got {text!r}")
     return value
 
 
@@ -357,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reliability", default="trained", help=RELIABILITY_FORMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default="run")
-    p.add_argument("--param-count", type=int, default=None)
+    p.add_argument("--param-count", type=_param_count, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .entropy import LN2, ModelKind, dataset_entropy, task_name
 from .worldgen import WorldConfig
@@ -64,40 +64,15 @@ class LossAccumulator:
         return AggregateLoss(self.mean, self.m2 / self.count, self.count)
 
 
-def aggregate_losses(
-    records: Iterable,
-    split: str | None = None,
-    kind: str | None = None,
-    predicate: Optional[Callable] = None,
-) -> AggregateLoss:
-    """Single-pass Welford mean/variance of loss = -logprob over matching records.
+def aggregate_losses(records: Iterable) -> AggregateLoss:
+    """Single-pass Welford mean/variance of loss = -logprob over every record.
 
-    A record is any ``(qid, split, kind, logprob_nats)`` tuple; ``predicate`` gets it whole.
+    A record is any ``(qid, split, kind, logprob_nats)`` tuple.
     """
     acc = LossAccumulator()
-    for rec in records:
-        qid, rec_split, rec_kind, x = rec
-        if split is not None and rec_split != split:
-            continue
-        if kind is not None and rec_kind != kind:
-            continue
-        if predicate is not None and not predicate(rec):
-            continue
+    for qid, _, _, x in records:
         acc.add(qid, x)
     return acc.result()
-
-
-def merge_aggregates(a: AggregateLoss, b: AggregateLoss) -> AggregateLoss:
-    """Combine two partial aggregates (commutative up to float rounding)."""
-    count = a.count + b.count
-    delta = b.mean_loss_nats - a.mean_loss_nats
-    mean = a.mean_loss_nats + delta * b.count / count
-    m2 = (
-        a.var_loss_nats * a.count
-        + b.var_loss_nats * b.count
-        + delta * delta * a.count * b.count / count
-    )
-    return AggregateLoss(mean, m2 / count, count)
 
 
 class Branch(str, Enum):
@@ -194,82 +169,6 @@ def effective_loss_two_function(
         u=math.sqrt(product),
         q_tilde=q,
     )
-
-
-def _check_q_range(q: float, n: int, slack: float = 1e-9) -> float:
-    """Validate q against [1/n, 1], absorbing float rounding at the endpoints."""
-    lo = 1.0 / n
-    if q < lo - slack * lo or q > 1.0 + slack:
-        raise EstimatorError(f"q = {q} outside [1/{n}, 1]")
-    return min(1.0, max(lo, q))
-
-
-def oracle_invert_recurrent(q: float, n: int, tol: float = 1e-12) -> float:
-    """Bisection solve of q = u^2 + (1-u)/n on [1/n, 1], independent of the closed form."""
-    q = _check_q_range(q, n)
-
-    def residual(u: float) -> float:
-        return u * u + (1.0 - u) / n - q
-
-    lo, hi = 1.0 / n, 1.0
-    # residual is increasing in u on [1/n, 1]; bisect down to float resolution,
-    # which leaves the residual far below tol even where the slope is flat
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    u = 0.5 * (lo + hi)
-    if abs(residual(u)) > tol:
-        raise EstimatorError(f"bisection failed to reach residual {tol} at q={q}")
-    return u
-
-
-def oracle_two_function_loss(q: float, n: int) -> tuple[float, float, float]:
-    """Grid-plus-refinement search for the conservative hop split.
-
-    Scans p1 over its feasible range (p2 = (q - (1-p1)/n)/p1 within
-    [1/n, 1]) and refines around the feasible point of minimal joint
-    probability, i.e. maximal summed loss. Returns (p1, p2, summed loss).
-    """
-    inv_n = 1.0 / n
-    q = _check_q_range(q, n)
-    feas_eps = 1e-9
-
-    def p2_of(p1: float) -> float:
-        return (q - (1.0 - p1) / n) / p1
-
-    def summed_loss(p1: float) -> float | None:
-        p2 = p2_of(p1)
-        if p2 < inv_n - feas_eps or p2 > 1.0 + feas_eps:
-            return None
-        p2 = min(1.0, max(inv_n, p2))
-        return -math.log(p1) - math.log(p2)
-
-    lo, hi = inv_n, 1.0
-    best_p1 = None
-    grid = 64
-    for _ in range(14):
-        step = (hi - lo) / grid
-        best_val = None
-        best_idx = None
-        for i in range(grid + 1):
-            p1 = lo + i * step
-            val = summed_loss(p1)
-            if val is not None and (best_val is None or val > best_val):
-                best_val, best_idx = val, i
-        if best_idx is None:
-            raise EstimatorError(f"no feasible hop split for q = {q}")
-        best_p1 = lo + best_idx * step
-        lo = max(inv_n, best_p1 - step)
-        hi = min(1.0, best_p1 + step)
-        if hi - lo < 1e-15:
-            break
-    p2 = min(1.0, max(inv_n, p2_of(best_p1)))
-    return best_p1, p2, -math.log(best_p1) - math.log(p2)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ the producer). Records join back to the dataset through qids.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
@@ -14,14 +15,31 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .estimator import EstimatorError, LossAccumulator
-from .worldgen import (
-    SPLITS,
-    _ROW_ENCODER,
-    DatasetIOError,
-    QuestionKind,
-    _decode_row,
-    load_dataset,
-)
+from .worldgen import SPLITS, DatasetIOError, QuestionKind, load_dataset
+
+
+# A loss-log row has the bytes that json.dumps(row, sort_keys=True) gives
+# it. Rows are written as f-strings that give those bytes; the encoder below,
+# which has the same settings, writes the numbers an f-string cannot. Rows
+# are read through _decode_row.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _decode_row(line: str):
+    """Decode one JSONL line to the value json.loads(line) gives, or raise its error."""
+    # The C scanner parses one value at index 0 and reports where it ended,
+    # skipping no whitespace and ignoring what follows. Its value is
+    # json.loads's only when it ends exactly at the line's end (before the
+    # newline). Any other line (padding, \r\n, extra data, no value at 0)
+    # goes to json.loads, so every line decodes to the same value, or fails
+    # with the same error, as json.loads(line).
+    end = len(line) - 1 if line.endswith("\n") else len(line)
+    try:
+        value, stop = _scan_value(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    return value if stop == end else json.loads(line)
 
 
 class LossRecord(NamedTuple):
@@ -160,7 +178,7 @@ def summary_from_json(summary, where: str) -> tuple[str, dict[str, LossAccumulat
 
     ``summary`` is outside input: anything but an object holding a string
     ``log_sha256`` and every group of SUMMARY_GROUPS, each with an integer
-    ``count`` >= 0 and a finite ``mean`` and ``m2``, raises DatasetIOError
+    ``count`` >= 0 and a finite ``mean`` and ``m2`` >= 0, raises DatasetIOError
     naming ``where``.
     """
     if type(summary) is not dict:
@@ -183,6 +201,8 @@ def summary_from_json(summary, where: str) -> tuple[str, dict[str, LossAccumulat
             raise DatasetIOError(f"{where}: summary group {name!r}: count must be an integer >= 0")
         if not (_finite_number(mean) and _finite_number(m2)):
             raise DatasetIOError(f"{where}: summary group {name!r}: mean and m2 must be finite")
+        if mean < 0 or m2 < 0:  # a loss is -logprob >= 0, and so are its mean and m2
+            raise DatasetIOError(f"{where}: summary group {name!r}: mean and m2 must be >= 0")
         acc = groups[name] = LossAccumulator()
         acc.count, acc.mean, acc.m2 = count, float(mean), float(m2)
     return log_sha256, groups

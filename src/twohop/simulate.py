@@ -178,25 +178,6 @@ def _targets(world: World) -> list[int]:
     return [e for e1, start in rows for e in (*facts[start : start + n_relations], e1)]
 
 
-def simulate_one_hop_prob(world: World, profile: ReliabilityProfile, e1: int, a: str) -> float:
-    """Probability of the correct one-hop answer under the profile's model."""
-    cfg = world.config
-    return profile.answer_prob(e1, len(cfg.relations), cfg.attributes.index(a), e1)
-
-
-def simulate_two_hop_prob(
-    world: World,
-    profile: ReliabilityProfile,
-    e1: int,
-    r: str,
-    a: str,
-) -> float:
-    """Probability of the correct two-hop answer."""
-    cfg = world.config
-    e2 = world.relation_target(e1, r)  # ConfigError, a ValueError, for a non-relation
-    return profile.answer_prob(e1, cfg.relations.index(r), cfg.attributes.index(a), e2)
-
-
 def loss_records(
     world: World,
     profile: ReliabilityProfile,

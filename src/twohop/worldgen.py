@@ -634,29 +634,9 @@ def build_splits(
 
 # --- persistence ---------------------------------------------------------
 
-# Every JSONL row of a dataset or loss log has the bytes that json.dumps(row,
-# sort_keys=True) gives it. Rows are written as f-strings that give those
-# bytes; the encoder below, which has the same settings, writes the numbers
-# an f-string cannot. Loss-log rows are read through the codec. Dataset files
-# are never decoded, only compared with the lines their manifest gives.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
-_scan_value = json.JSONDecoder().scan_once
-
-
-def _decode_row(line: str):
-    """Decode one JSONL line to the value json.loads(line) gives, or raise its error."""
-    # The C scanner parses one value at index 0 and reports where it ended,
-    # skipping no whitespace and ignoring what follows. Its value is
-    # json.loads's only when it ends exactly at the line's end (before the
-    # newline). Any other line (padding, \r\n, extra data, no value at 0)
-    # goes to json.loads, so every line decodes to the same value, or fails
-    # with the same error, as json.loads(line).
-    end = len(line) - 1 if line.endswith("\n") else len(line)
-    try:
-        value, stop = _scan_value(line, 0)
-    except StopIteration:
-        return json.loads(line)
-    return value if stop == end else json.loads(line)
+# Every JSONL row of a dataset has the bytes that json.dumps(row,
+# sort_keys=True) gives it, written as an f-string. Dataset files are never
+# decoded, only compared with the lines their manifest gives.
 
 
 def sha256_file(path: Path, chunk_size: int = 1 << 16) -> str:

@@ -9,13 +9,13 @@ from contextlib import contextmanager
 
 import pytest
 
+from oracles import oracle_invert_recurrent, oracle_two_function_loss
 from twohop import (
     HOLDOUT_KINDS,
     ModelKind,
     PresenceFlags,
     ReliabilityProfile,
     WorldConfig,
-    aggregate_losses,
     allocate_budget,
     baseline_content,
     bits_per_parameter,
@@ -26,16 +26,16 @@ from twohop import (
     effective_loss_recurrent,
     effective_loss_two_function,
     evaluate_holdouts,
-    generate_loss_log,
     generate_world,
     ground_truth_content,
     loss_impact_ratio,
+    loss_records,
     name_selection_entropy,
     persist_dataset,
     predict_generalization,
+    summarize,
     uniform_baselines,
 )
-from twohop.estimator import oracle_invert_recurrent, oracle_two_function_loss
 from twohop.report import CapacityPoint, capacity_table, scaling_plot
 from twohop.worldgen import sha256_file
 
@@ -50,14 +50,10 @@ def criterion(number: int, description: str):
     print(f"criterion {number} ({description}): PASS")
 
 
-def _two_hop(rec) -> bool:
-    return rec.kind in ("two_hop", "two_hop_cot")
-
-
 def _estimate_bits(world, split_set, kind, profile) -> float:
-    records = generate_loss_log(world, profile, split_set)
-    agg = aggregate_losses(records, predicate=_two_hop)
-    return content_estimate(world.config, kind, agg).content_bits
+    # the fold and group every CLI reader takes its two-hop aggregate from
+    groups = summarize(loss_records(world, profile, split_set))
+    return content_estimate(world.config, kind, groups["two_hop"].result()).content_bits
 
 
 def test_criterion_1_signature_table():
@@ -191,11 +187,9 @@ def test_criterion_7_signature_closed_loop(desk_world, desk_holdout_splits):
         }
         for kind, label in expected.items():
             profile = ReliabilityProfile.trained(desk_world, desk_holdout_splits, kind)
-            records = generate_loss_log(desk_world, profile, desk_holdout_splits)
-            aggregates = {
-                holdout: aggregate_losses(records, split=holdout, predicate=_two_hop)
-                for holdout in HOLDOUT_KINDS
-            }
+            groups = summarize(loss_records(desk_world, profile, desk_holdout_splits))
+            aggregates = {holdout: groups[f"two_hop/{holdout}"].result()
+                          for holdout in HOLDOUT_KINDS}
             signature = evaluate_holdouts(aggregates, baselines)
             assert classify_algorithm(signature).value == label
             if kind is ModelKind.TWO_FUNCTION:

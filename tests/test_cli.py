@@ -229,6 +229,22 @@ def test_gen_negative_count_is_usage_error(tmp_path, capsys, option, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "count", ["0", "-5", "abc", "1.5", pytest.param(str(10**400), id="1e400")]
+)
+def test_simulate_param_count_not_positive_is_usage_error(dataset_dir, tmp_path, capsys, count):
+    # report refuses such a count in the run manifest, so simulate must not write one
+    log = tmp_path / "run.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--dataset", str(dataset_dir), "--model", "2f", "--param-count", count,
+              "--out", str(log)])
+    assert exc.value.code == 2
+    assert f"argument --param-count: param count must be an integer > 0, got {count!r}" in (
+        capsys.readouterr().err
+    )
+    assert not log.exists() and not log.with_suffix(".json").exists()
+
+
 def test_report(dataset_dir, run_log, tmp_path, capsys):
     csv_path = tmp_path / "capacity.csv"
     svg_path = tmp_path / "capacity.svg"
@@ -851,6 +867,9 @@ def _summary_with(change):
         *[(_summary_with(lambda s, k=k, v=v: s["groups"]["two_hop"].update({k: v})),
            "summary group 'two_hop': mean and m2 must be finite")
           for k in ("mean", "m2") for v in (float("nan"), float("inf"), "0.5", None, 10**400)],
+        *[(_summary_with(lambda s, g=g, k=k, v=v: s["groups"][g].update({k: v})),
+           f"summary group {g!r}: mean and m2 must be >= 0")
+          for g, v in (("one_hop", -3.0), ("two_hop", -5e-324)) for k in ("mean", "m2")],
     ],
 )
 def test_malformed_run_summary_exits_1(dataset_dir, run_log, tmp_path, capsys, edit, needle):
@@ -944,6 +963,38 @@ def test_positive_logprob_outside_selection_exits_1(dataset_dir, tmp_path, capsy
     code = main(["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f",
                  "--force"])
     _assert_clean_error(code, capsys, "positive logprob for 1h:0:mother: 0.5")
+
+
+def test_empty_group_names_log_and_group(dataset_dir, run_log, tmp_path, capsys):
+    rows = run_log.read_text().splitlines(keepends=True)
+    cases = [
+        (["classify"], '"heldout_full"', "two_hop/heldout_full"),
+        (["estimate", "--model", "one-hop"], '"one_hop"', "one_hop"),
+    ]
+    for args, dropped, group in cases:
+        log = tmp_path / "partial.jsonl"
+        log.write_text("".join(row for row in rows if dropped not in row))
+        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(log), "--force"])
+        _assert_clean_error(code, capsys, f"error: {log}: no records in group {group}\n")
+
+
+@pytest.mark.parametrize("model", ["independent", "2f"])
+def test_classify_ignores_row_order(tmp_path, capsys, model):
+    # chance-level holdouts folded in reverse order miss their baselines by
+    # rounding alone, which must not flip a holdout to generalizing
+    ds, log, reversed_log = tmp_path / "ds", tmp_path / "run.jsonl", tmp_path / "reversed.jsonl"
+    assert main(["gen", "--profiles", "80", "--seed", "4", "--out", str(ds)]) == 0
+    assert main(["simulate", "--dataset", str(ds), "--model", model, "--out", str(log)]) == 0
+    reversed_log.write_text("".join(reversed(log.read_text().splitlines(keepends=True))))
+    capsys.readouterr()
+    signatures = []
+    for losses in (log, reversed_log):
+        assert main(["classify", "--dataset", str(ds), "--losses", str(losses), "--force"]) == 0
+        signatures.append(json.loads(capsys.readouterr().out))
+    forward, backward = signatures
+    assert forward["deltas_bits"] != backward["deltas_bits"]  # the orders do round apart
+    assert backward["inferred"] == forward["inferred"] == model
+    assert backward["generalizes"] == forward["generalizes"]
 
 
 def test_report_reads_each_run_manifest_once(dataset_dir, run_log, tmp_path, capsys, monkeypatch):

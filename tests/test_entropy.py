@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from twohop import (
     ModelKind,
     WorldConfig,
-    attribute_entropy,
     baseline_content,
     dataset_entropy,
     name_selection_entropy,
 )
 from twohop.entropy import (
     NameEntropyApproximationWarning,
+    attribute_entropy,
     exact_name_selection_entropy,
     strict_two_function_total_bits,
     uniform_guess_loss_bits,

@@ -5,30 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohop import (
-    LossRecord,
-    ModelKind,
-    aggregate_losses,
-    bits_per_parameter,
-    content_estimate,
-    dataset_entropy,
-    effective_loss_recurrent,
-    effective_loss_two_function,
-)
-from twohop.entropy import LN2
-from twohop.logs import SUMMARY_GROUPS, summarize
+from oracles import oracle_invert_recurrent, oracle_two_function_loss
+from twohop.entropy import LN2, ModelKind, dataset_entropy
 from twohop.estimator import (
     Branch,
     EstimatorError,
-    merge_aggregates,
-    oracle_invert_recurrent,
-    oracle_two_function_loss,
+    aggregate_losses,
+    bits_per_parameter,
+    content_estimate,
+    effective_loss_recurrent,
+    effective_loss_two_function,
     two_function_threshold,
 )
+from twohop.logs import SUMMARY_GROUPS, LossRecord, summarize
 
 
-def _records(losses, split="train", kind="one_hop"):
-    return [LossRecord(f"q{i}", split, kind, -x) for i, x in enumerate(losses)]
+def _records(losses):
+    return [LossRecord(f"q{i}", "train", "one_hop", -x) for i, x in enumerate(losses)]
 
 
 def _matches(record, split=None, kind=None):
@@ -51,15 +44,9 @@ class TestAggregation:
         assert abs(agg.mean_loss_nats - 2.0) < 3 * se_mean
         assert abs(agg.var_loss_nats - 0.25) < 3 * 0.25 * math.sqrt(2 / len(losses))
 
-    def test_filters(self):
-        recs = _records([1.0], kind="one_hop") + _records([3.0], split="heldout_r", kind="two_hop")
-        assert aggregate_losses(recs, split="heldout_r").mean_loss_nats == 3.0
-        assert aggregate_losses(recs, kind="one_hop").mean_loss_nats == 1.0
-        assert aggregate_losses(recs, predicate=lambda r: r.kind == "two_hop").count == 1
-
     def test_empty_selection_rejected(self):
         with pytest.raises(EstimatorError):
-            aggregate_losses(_records([1.0]), split="nope")
+            aggregate_losses([])
 
     def test_positive_logprob_rejected(self):
         with pytest.raises(EstimatorError):
@@ -83,7 +70,7 @@ class TestAggregation:
                for split in ["train", "heldout_r", "heldout_full"]},
         }
         expected = {
-            name: aggregate_losses(records, **selection)
+            name: aggregate_losses(r for r in records if _matches(r, **selection))
             for name, selection in selections.items()
             if any(_matches(r, **selection) for r in records)
         }
@@ -94,16 +81,6 @@ class TestAggregation:
         cot = ("c", "train", "two_hop_cot", -1.0)
         with pytest.raises(EstimatorError, match="two_hop_cot"):
             summarize(records + [cot])
-
-    def test_merge_equals_single_pass(self):
-        rng = random.Random(1)
-        a = [rng.expovariate(1.0) for _ in range(1000)]
-        b = [rng.expovariate(0.5) for _ in range(500)]
-        merged = merge_aggregates(aggregate_losses(_records(a)), aggregate_losses(_records(b)))
-        whole = aggregate_losses(_records(a + b))
-        assert merged.count == whole.count
-        assert merged.mean_loss_nats == pytest.approx(whole.mean_loss_nats, rel=1e-12)
-        assert merged.var_loss_nats == pytest.approx(whole.var_loss_nats, rel=1e-9)
 
 
 class TestRecurrentInversion:

@@ -2,22 +2,21 @@ import math
 
 import pytest
 
-from twohop import (
-    HOLDOUT_KINDS,
-    LossRecord,
-    ModelKind,
+from twohop.entropy import LN2, ModelKind
+from twohop.estimator import aggregate_losses
+from twohop.generalization import (
+    EvaluationError,
+    GeneralizationSignature,
     PresenceFlags,
     TrainIndex,
-    aggregate_losses,
-    build_splits,
     classify_algorithm,
     evaluate_holdouts,
     predict_generalization,
     presence_flags,
     uniform_baselines,
 )
-from twohop.entropy import LN2
-from twohop.generalization import EvaluationError, GeneralizationSignature
+from twohop.logs import LossRecord
+from twohop.worldgen import HOLDOUT_KINDS, build_splits
 
 
 def _flags(pairs: bool, full: bool) -> PresenceFlags:
@@ -98,8 +97,8 @@ class TestPresenceScan:
             presence_flags(index, 10**6, "mother", "birth city")
 
 
-def _agg(mean_bits: float, kind="two_hop"):
-    return aggregate_losses([LossRecord("q", "s", kind, -mean_bits * LN2)], kind=kind)
+def _agg(mean_bits: float):
+    return aggregate_losses([LossRecord("q", "s", "two_hop", -mean_bits * LN2)])
 
 
 class TestEvaluation:
@@ -125,6 +124,19 @@ class TestEvaluation:
         aggregates = {k: _agg(1.0) for k in HOLDOUT_KINDS}
         sig = evaluate_holdouts(aggregates, baselines)
         assert classify_algorithm(sig) is ModelKind.RECURRENT
+
+    def test_rounding_delta_is_zero(self):
+        # a chance-level holdout folded in another order than its baseline
+        # misses it by a few ulps: that is no generalization, while a millionth
+        # of the baseline is
+        baselines = {k: 9.0 for k in HOLDOUT_KINDS}
+        aggregates = {k: _agg(9.0 * (1 - 1e-15)) for k in HOLDOUT_KINDS}
+        sig = evaluate_holdouts(aggregates, baselines)
+        assert all(d > 0.0 for d in sig.deltas.values())
+        assert classify_algorithm(sig) is ModelKind.INDEPENDENT
+        aggregates["heldout_full"] = _agg(9.0 * (1 - 1e-6))
+        sig = evaluate_holdouts(aggregates, baselines)
+        assert classify_algorithm(sig) is ModelKind.TWO_FUNCTION
 
     def test_partial_pattern_is_inconsistent(self):
         baselines = {k: 9.0 for k in HOLDOUT_KINDS}

@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohop import (
+from twohop.entropy import ModelKind
+from twohop.logs import (
     LossRecord,
-    ModelKind,
-    ReliabilityProfile,
-    build_splits,
-    generate_loss_log,
-    persist_dataset,
+    _decode_row,
     read_loss_log,
+    stream_loss_log,
     validate_loss_log,
     write_loss_log,
 )
-from twohop.logs import stream_loss_log
-from twohop.worldgen import SPLITS, DatasetIOError
+from twohop.simulate import ReliabilityProfile, generate_loss_log
+from twohop.worldgen import SPLITS, DatasetIOError, build_splits, persist_dataset
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +116,40 @@ def test_loss_log_lines_are_encoder_bytes(records):
     rows = ({"qid": r.qid, "split": r.split, "kind": r.kind, "logprob_nats": r.logprob_nats}
             for r in records)
     assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """A json.dumps value with optional padding, trailing data and line ending."""
+    body = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()))
+    lead = draw(st.sampled_from(["", " ", "\t", "\ufeff"]))
+    tail = draw(st.sampled_from(["", " ", "\r", "x", ",", " {}", ", {\"b\": 2}", "]"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return lead + body + tail + ending
+
+
+BAD_LINES = ["{} {}\n", '{"a": 1}, {"b": 2}\n', "\n", "", " \t\n", '{"x": [1\n', "2]}\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=jsonl_lines() | st.sampled_from(BAD_LINES) | st.text(max_size=20))
+def test_decode_row_matches_json_loads(line):
+    # json.loads is the reference: same value (compared through its exact
+    # serialization, so NaN, -0.0, int/float and key order all count) or the
+    # same JSONDecodeError.
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as got:
+            _decode_row(line)
+        assert str(got.value) == str(exc)
+        return
+    assert json.dumps(_decode_row(line)) == json.dumps(expected)

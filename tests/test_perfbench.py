@@ -18,9 +18,9 @@ from twohop import (
     build_splits,
     generate_world,
     ground_truth_content,
-    load_dataset,
     persist_dataset,
 )
+from twohop.worldgen import load_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -2,30 +2,29 @@ import json
 
 import pytest
 
-from twohop import (
-    ModelKind,
+from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
+from twohop.generalization import TrainIndex, presence_flags
+from twohop.simulate import (
     ReliabilityProfile,
-    WorldConfig,
     allocate_budget,
-    build_splits,
-    dataset_entropy,
     generate_loss_log,
-    generate_world,
     ground_truth_content,
     loss_impact_ratio,
-    name_selection_entropy,
-    simulate_two_hop_prob,
 )
-from twohop.simulate import simulate_one_hop_prob
-from twohop.worldgen import question_lines
+from twohop.worldgen import WorldConfig, build_splits, generate_world, question_lines
 
 
 def _question(split_set, key):
-    """(e1, r, a) of a two-hop key, with r and a as names."""
-    space = split_set.space
-    e1, r, a = space.unpack(key)
-    assert r < space.n_relations
-    return e1, space.relations[r], space.attributes[a]
+    """(e1, r, a) of a two-hop key, on config indices."""
+    e1, r, a = split_set.space.unpack(key)
+    assert r < split_set.space.n_relations
+    return e1, r, a
+
+
+def _two_hop_prob(world, profile, e1, r, a):
+    """``profile.answer_prob`` of the two-hop question (e1, r, a), on config indices."""
+    # facts[e1·|A| + r] is relation r's target of e1
+    return profile.answer_prob(e1, r, a, world.facts[e1 * len(world.config.attributes) + r])
 
 
 @pytest.fixture(scope="module")
@@ -52,31 +51,27 @@ def _flat_profile(world, kind, p1, p2):
 class TestMixture:
     def test_perfect_hops(self, tiny_world):
         profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.RECURRENT, 1.0)
-        assert simulate_two_hop_prob(tiny_world, profile, 0, "mother", "mother") == 1.0
+        assert _two_hop_prob(tiny_world, profile, 0, 0, 0) == 1.0
 
     def test_worked_mixture(self, tiny_world):
         # p1=0.8, p2=0.5 over 1000 entities: 0.4 + 0.2/1000
         profile = _flat_profile(tiny_world, ModelKind.TWO_FUNCTION, 0.8, 0.5)
-        q = simulate_two_hop_prob(tiny_world, profile, 0, "mother", "mother")
+        q = _two_hop_prob(tiny_world, profile, 0, 0, 0)
         assert q == pytest.approx(0.4002, rel=1e-12)
 
     def test_chance_everywhere(self, tiny_world):
         profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.RECURRENT, None)
-        q = simulate_two_hop_prob(tiny_world, profile, 0, "mother", "mother")
+        q = _two_hop_prob(tiny_world, profile, 0, 0, 0)
         # chance squared plus the first-hop miss fallback lands back near chance
         n = tiny_world.config.n_profiles
         assert q == pytest.approx((1 / n) ** 2 + (1 - 1 / n) / n, rel=1e-12)
 
     def test_independent_reads_the_memo(self, tiny_world):
         profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.INDEPENDENT, 0.7)
-        assert simulate_two_hop_prob(tiny_world, profile, 0, "mother", "mother") == 0.7
-        # and answers one-hop questions at chance: it stores two-hop answers only
-        assert simulate_one_hop_prob(tiny_world, profile, 0, "birth city") == 0.1
-
-    def test_first_hop_must_be_relation(self, tiny_world):
-        profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.RECURRENT, 1.0)
-        with pytest.raises(ValueError):
-            simulate_two_hop_prob(tiny_world, profile, 0, "birth city", "mother")
+        assert _two_hop_prob(tiny_world, profile, 0, 0, 0) == 0.7
+        # and answers one-hop questions (r = |R|, e2 = e1) at chance: it
+        # stores two-hop answers only
+        assert profile.answer_prob(0, 1, 1, 0) == 0.1
 
     def test_homogeneous_floors_at_chance(self, tiny_world):
         profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.RECURRENT, 0.0001)
@@ -96,36 +91,34 @@ class TestTrainedProfiles:
     def test_recurrent_answers_everything(self, micro_world, holdout_setup):
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.RECURRENT)
         e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_full"][0])
-        q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
+        q = _two_hop_prob(micro_world, profile, e1, r, a)
         assert q == 1.0
 
     def test_two_function_matches_pair_presence(self, micro_world, holdout_setup):
-        from twohop import TrainIndex, presence_flags
-
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.TWO_FUNCTION)
-        index = TrainIndex(micro_world, holdout_setup)
+        index, space = TrainIndex(micro_world, holdout_setup), holdout_setup.space
         # per item: perfect iff both hop pairs still occur in train two-hops
         for key in holdout_setup.heldout["heldout_full"]:
             e1, r, a = _question(holdout_setup, key)
-            flags = presence_flags(index, e1, r, a)
-            q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
+            flags = presence_flags(index, e1, space.relations[r], space.attributes[a])
+            q = _two_hop_prob(micro_world, profile, e1, r, a)
             if flags.both_pairs_present:
                 assert q == 1.0
             else:
                 assert q < 1.0
         e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_r"][0])
-        q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
-        assert q == 1.0 / micro_world.config.pool_size(a)
+        q = _two_hop_prob(micro_world, profile, e1, r, a)
+        assert q == 1.0 / micro_world.config.pool_size(space.attributes[a])
 
     def test_independent_answers_train_only(self, micro_world, holdout_setup):
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.INDEPENDENT)
         e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_full"][0])
-        q = simulate_two_hop_prob(micro_world, profile, e1, r, a)
-        assert q == 1.0 / micro_world.config.pool_size(a)
+        q = _two_hop_prob(micro_world, profile, e1, r, a)
         space = holdout_setup.space
+        assert q == 1.0 / micro_world.config.pool_size(space.attributes[a])
         trained_key = next(k for k in holdout_setup.train if space.unpack(k)[1] < space.n_relations)
         e1, r, a = _question(holdout_setup, trained_key)
-        assert simulate_two_hop_prob(micro_world, profile, e1, r, a) == 1.0
+        assert _two_hop_prob(micro_world, profile, e1, r, a) == 1.0
 
 
 class TestGroundTruth:

@@ -11,27 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohop import (
-    HOLDOUT_KINDS,
-    WorldConfig,
-    build_splits,
-    generate_world,
-    load_dataset,
-    persist_dataset,
-    profile_lines,
-    question_lines,
-)
 from twohop.worldgen import (
     DEFAULT_PROPERTIES,
     DEFAULT_RELATIONS,
+    HOLDOUT_KINDS,
     ConfigError,
     DatasetIOError,
     HashMismatchError,
     KeySpace,
     QuestionKind,
-    _decode_row,
+    WorldConfig,
     _sample_components,
+    build_splits,
+    generate_world,
+    load_dataset,
     one_hop_qid,
+    persist_dataset,
+    profile_lines,
+    question_lines,
     two_hop_qid,
 )
 
@@ -439,39 +436,3 @@ def test_question_lines_are_encoder_bytes(world, cot):
     assert _world_bytes(loaded_world) == _world_bytes(world)
     assert list(question_lines(loaded_world, loaded_ss)) == lines
 
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=12,
-)
-
-
-@st.composite
-def jsonl_lines(draw):
-    """A json.dumps value with optional padding, trailing data and line ending."""
-    body = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()))
-    lead = draw(st.sampled_from(["", " ", "\t", "\ufeff"]))
-    tail = draw(st.sampled_from(["", " ", "\r", "x", ",", " {}", ", {\"b\": 2}", "]"]))
-    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
-    return lead + body + tail + ending
-
-
-BAD_LINES = ["{} {}\n", '{"a": 1}, {"b": 2}\n', "\n", "", " \t\n", '{"x": [1\n', "2]}\n"]
-
-
-@settings(max_examples=400, deadline=None)
-@given(line=jsonl_lines() | st.sampled_from(BAD_LINES) | st.text(max_size=20))
-def test_decode_row_matches_json_loads(line):
-    # json.loads is the reference: same value (compared through its exact
-    # serialization, so NaN, -0.0, int/float and key order all count) or the
-    # same JSONDecodeError.
-    try:
-        expected = json.loads(line)
-    except json.JSONDecodeError as exc:
-        with pytest.raises(json.JSONDecodeError) as got:
-            _decode_row(line)
-        assert str(got.value) == str(exc)
-        return
-    assert json.dumps(_decode_row(line)) == json.dumps(expected)
