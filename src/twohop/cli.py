@@ -33,17 +33,6 @@ def _property_specs(count: int) -> tuple[tuple[str, int], ...]:
     return tuple(props)
 
 
-def _sha256(path: Path, what: str) -> str:
-    try:
-        return worldgen.sha256_file(path)
-    except OSError as exc:
-        raise worldgen.DatasetIOError(f"cannot read {what}: {exc}") from exc
-
-
-def _manifest_sha256(dataset_dir: Path) -> str:
-    return _sha256(Path(dataset_dir) / "manifest.json", "manifest")
-
-
 def _read_run_meta(losses: Path) -> dict | None:
     """The run manifest next to a loss log, or None when there is none."""
     run_meta_path = Path(losses).with_suffix(".json")
@@ -88,7 +77,7 @@ def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
     if "summary" in run_meta:
         where = f"run manifest {losses.with_suffix('.json')}"
         log_sha, groups = logs.summary_from_json(run_meta["summary"], where)
-        if log_sha == _sha256(losses, "loss log"):
+        if log_sha == worldgen.sha256_file(losses):
             return run_meta, groups
     return run_meta, logs.summarize(rec for _, rec in logs._loss_rows(losses))
 
@@ -188,7 +177,8 @@ def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
 
 
 def _cmd_simulate(args) -> int:
-    split_set, world = worldgen.load_dataset(Path(args.dataset))
+    dataset_dir = Path(args.dataset)
+    split_set, world = worldgen.load_dataset(dataset_dir)
     kind = ModelKind(args.model)
     if args.reliability == "trained":
         profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
@@ -206,7 +196,7 @@ def _cmd_simulate(args) -> int:
         "param_count": args.param_count,
         "model_kind": kind.value,
         "reliability": args.reliability,
-        "dataset_manifest_sha256": _manifest_sha256(Path(args.dataset)),
+        "dataset_manifest_sha256": worldgen.load_manifest(dataset_dir)[1],
     }
     if groups is not None:
         run_meta["summary"] = logs.summary_to_json(groups, worldgen.sha256_file(out))
@@ -230,14 +220,11 @@ def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):
     return estimator.content_estimate(config, kind, agg), agg
 
 
-def _manifest_config(dataset_dir: Path):
-    return worldgen.WorldConfig.from_dict(worldgen.load_manifest(dataset_dir)["config"])
-
-
 def _cmd_estimate(args) -> int:
     dataset_dir, losses = Path(args.dataset), Path(args.losses)
-    _, groups = _read_log(_manifest_sha256(dataset_dir), losses, args.force)
-    config, kind = _manifest_config(dataset_dir), MODELS[args.model]
+    manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
+    _, groups = _read_log(dataset_sha, losses, args.force)
+    config, kind = worldgen.WorldConfig.from_dict(manifest["config"]), MODELS[args.model]
     est, agg = _estimate_for(config, groups, kind, losses)
     payload = est.to_dict()
     payload["baseline_bits"] = entropy_mod.baseline_content(config, kind)
@@ -249,8 +236,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_classify(args) -> int:
     dataset_dir, losses = Path(args.dataset), Path(args.losses)
-    _, groups = _read_log(_manifest_sha256(dataset_dir), losses, args.force)
-    split_set, world = worldgen.load_dataset(dataset_dir)
+    manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
+    _, groups = _read_log(dataset_sha, losses, args.force)
+    split_set, world = worldgen.replay_dataset(dataset_dir, manifest)
     baselines = generalization.uniform_baselines(split_set, world.config)
     aggregates = {
         kind: _group(groups, f"two_hop/{kind}", losses)
@@ -270,10 +258,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    dataset_dir = Path(args.dataset)
-    config, kind = _manifest_config(dataset_dir), MODELS[args.model]
+    manifest, dataset_sha = worldgen.load_manifest(Path(args.dataset))
+    config, kind = worldgen.WorldConfig.from_dict(manifest["config"]), MODELS[args.model]
     baseline = entropy_mod.baseline_content(config, kind)
-    dataset_sha = _manifest_sha256(dataset_dir)
     points = []
     for losses in map(Path, args.losses):
         run_meta, groups = _read_log(dataset_sha, losses, args.force)
@@ -297,7 +284,7 @@ def _cmd_report(args) -> int:
     Path(args.out_csv).write_text(csv_text, encoding="utf-8")
     outputs = {"csv": str(args.out_csv)}
     if args.out_svg:
-        svg = report.scaling_plot(csv_text, capacity_slopes=tuple(args.slope))
+        svg = report.scaling_plot(csv_text, capacity_slopes=tuple(args.slope or [2.0]))
         Path(args.out_svg).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out_svg).write_text(svg, encoding="utf-8")
         outputs["svg"] = str(args.out_svg)
@@ -375,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reliability", default="trained", help=RELIABILITY_FORMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default="run")
-    p.add_argument("--param-count", type=_param_count, default=None)
+    p.add_argument("--param-count", type=_param_count, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -415,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "slope", None) is None and args.command == "report":
-        args.slope = [2.0]
     try:
         return args.func(args)
     except (

@@ -15,7 +15,6 @@ import json
 import math
 import random
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -428,30 +427,6 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
             )
 
 
-class _Product(Sequence):
-    """The tuples of ``itertools.product(*pools)``, built only when indexed.
-
-    ``random.sample`` draws the same elements from it as from the list of
-    those tuples, since it reads a population only through len() and indexing.
-    """
-
-    def __init__(self, *pools: Sequence):
-        self.pools = pools
-        self.size = math.prod(map(len, pools))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, index: int) -> tuple:
-        if not 0 <= index < self.size:
-            raise IndexError(index)
-        values = []
-        for pool in reversed(self.pools):
-            index, i = divmod(index, len(pool))
-            values.append(pool[i])
-        return tuple(reversed(values))
-
-
 # The fields of each holdout kind's components: an entity (e), a relation
 # (r) or an attribute (a).
 _COMPONENT_FIELDS = {
@@ -477,11 +452,20 @@ def _sample_components(
         frac = fractions.get(kind, 0.0)
         if not 0.0 <= frac < 1.0:
             raise ConfigError(f"holdout fraction for {kind} must be in [0, 1)")
-        pop = _Product(*(range(sizes[field_]) for field_ in _COMPONENT_FIELDS[kind]))
-        k = math.ceil(frac * len(pop)) if frac > 0 else 0
-        if k >= len(pop):
+        radices = [sizes[field_] for field_ in _COMPONENT_FIELDS[kind]]
+        size = math.prod(radices)
+        k = math.ceil(frac * size) if frac > 0 else 0
+        if k >= size:
             raise ConfigError(f"holdout fraction for {kind} would exhaust its population")
-        components[kind] = set(rng.sample(pop, k))
+        # index i of the population is the i-th tuple of itertools.product over
+        # the fields' ranges: its fields are i's digits in mixed radix
+        components[kind] = set()
+        for index in rng.sample(range(size), k):
+            digits = []
+            for radix in reversed(radices):
+                index, digit = divmod(index, radix)
+                digits.append(digit)
+            components[kind].add(tuple(reversed(digits)))
     return components
 
 
@@ -685,11 +669,12 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     return manifest
 
 
-def load_manifest(path: Path) -> dict:
+def load_manifest(path: Path) -> tuple[dict, str]:
+    """The dataset manifest at ``path`` and the sha256 of its bytes, from one read."""
     try:
-        with open(Path(path) / "manifest.json", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+        data = (Path(path) / "manifest.json").read_bytes()
+        manifest = json.loads(data.decode("utf-8"))
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise DatasetIOError(f"cannot read manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DatasetIOError("manifest is not a JSON object")
@@ -700,7 +685,7 @@ def load_manifest(path: Path) -> dict:
     files = manifest["files"]
     if not isinstance(files, dict) or any(type(sha) is not str for sha in files.values()):
         raise DatasetIOError("manifest files must map file names to sha256 strings")
-    return manifest
+    return manifest, hashlib.sha256(data).hexdigest()
 
 
 def _verify_files(path: Path, manifest: Mapping) -> None:
@@ -763,27 +748,20 @@ def _require_lines(path: Path, expected: Iterable[str], row: str, name_row) -> N
             raise DatasetIOError(f"{path}:{lineno}: not the canonical row of {name_row(want)}")
 
 
-def load_dataset(path: Path) -> tuple[SplitSet, World]:
-    """Load a persisted dataset, verifying file hashes against the manifest.
+def replay_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
+    """The splits and world that ``manifest``, the dataset's at ``path``, defines.
 
-    Both data files are derived from the manifest, not decoded. The world is
-    ``generate_world`` of its config, and each profiles.jsonl line must be
-    the one ``profile_lines`` writes. The splits are replayed from its
-    ``split_params`` and must give its ``holdout_components``; each qa.jsonl
-    line must then be the one ``question_lines`` writes. The first line that
-    differs, a missing line or an extra one raises DatasetIOError naming
-    ``path:line``.
+    The world is ``generate_world`` of the config, and the splits are
+    replayed from ``split_params`` and must give ``holdout_components``. The
+    only file read is profiles.jsonl, whose rows are counted: a config that
+    claims more profiles than the file has rows is refused before the world
+    is built, so a replay never builds more profiles than the file holds.
+    Neither data file is compared with its lines; ``load_dataset`` does that.
+    ``holdout_components`` is taken out of ``manifest``.
     """
-    path = Path(path)
-    manifest = load_manifest(path)
-    _verify_files(path, manifest)
-
     config = WorldConfig.from_dict(manifest["config"])
     fractions, mix_ratio, seed, cot = _split_params(manifest)
-    # the world is built before its lines are compared, so a config that
-    # claims more profiles than the file has lines is refused first: a load
-    # never builds more profiles than its hashed file holds
-    profiles_path = path / "profiles.jsonl"
+    profiles_path = Path(path) / "profiles.jsonl"
     with open(profiles_path, "rb") as f:
         rows = sum(1 for _ in f)
     if rows < config.n_profiles:
@@ -791,13 +769,6 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
             f"{profiles_path}:{rows + 1}: missing profile row ({config.n_profiles} expected)"
         )
     world = generate_world(config)
-    _require_lines(
-        profiles_path,
-        profile_lines(world),
-        "profile",
-        lambda want: f"profile {json.loads(want)['id']}",
-    )
-
     # held as text during the replay, so that two copies of the components
     # are not held at once
     components = json.dumps(manifest.pop("holdout_components"), sort_keys=True)
@@ -807,6 +778,28 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
         raise DatasetIOError(f"manifest split_params: {exc}") from None
     if json.dumps(split_set.holdout_manifest, sort_keys=True) != components:
         raise DatasetIOError("manifest holdout_components differ from those its split_params give")
+    return split_set, world
+
+
+def load_dataset(path: Path) -> tuple[SplitSet, World]:
+    """Load a persisted dataset, verifying file hashes against the manifest.
+
+    Both data files are derived from the manifest, not decoded: after the
+    hashes, ``replay_dataset`` gives the world and splits, and each
+    profiles.jsonl and qa.jsonl line must then be the one ``profile_lines``
+    and ``question_lines`` write. The first line that differs, a missing
+    line or an extra one raises DatasetIOError naming ``path:line``.
+    """
+    path = Path(path)
+    manifest, _ = load_manifest(path)
+    _verify_files(path, manifest)
+    split_set, world = replay_dataset(path, manifest)
+    _require_lines(
+        path / "profiles.jsonl",
+        profile_lines(world),
+        "profile",
+        lambda want: f"profile {json.loads(want)['id']}",
+    )
     _require_lines(
         path / "qa.jsonl",
         question_lines(world, split_set),

@@ -7,7 +7,7 @@ import xml.dom.minidom
 
 import pytest
 
-from twohop import cli
+from twohop import cli, worldgen
 from twohop.cli import build_parser, main
 from twohop.logs import SUMMARY_GROUPS
 
@@ -205,14 +205,16 @@ def test_loss_row_logprob_not_a_float_exits_1(dataset_dir, tmp_path, capsys, val
 )
 def test_simulate_invalid_reliability_exits_1(dataset_dir, tmp_path, capsys, spec):
     code = main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
-                 "--reliability", spec, "--out", str(tmp_path / "run.jsonl")])
+                 "--reliability", spec, "--param-count", "5000",
+                 "--out", str(tmp_path / "run.jsonl")])
     _assert_clean_error(code, capsys, "must be")
 
 
 @pytest.mark.parametrize("spec", ["abc", "budget:abc", "budget:", "0.5x"])
 def test_simulate_reliability_spec_form_exits_1(dataset_dir, tmp_path, capsys, spec):
     code = main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
-                 "--reliability", spec, "--out", str(tmp_path / "run.jsonl")])
+                 "--reliability", spec, "--param-count", "5000",
+                 "--out", str(tmp_path / "run.jsonl")])
     forms = "trained | chance | VALUE | budget:BITS | two-point:LO,HI,FRAC"
     _assert_clean_error(code, capsys, f"reliability {spec!r} must be {forms}")
 
@@ -227,6 +229,16 @@ def test_gen_negative_count_is_usage_error(tmp_path, capsys, option, count):
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def test_simulate_without_param_count_is_usage_error(dataset_dir, tmp_path, capsys):
+    # every report refuses a run manifest without a parameter count
+    log = tmp_path / "run.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--dataset", str(dataset_dir), "--model", "2f", "--out", str(log)])
+    assert exc.value.code == 2
+    assert "required: --param-count" in capsys.readouterr().err
+    assert not log.exists() and not log.with_suffix(".json").exists()
 
 
 @pytest.mark.parametrize(
@@ -318,7 +330,8 @@ def test_report_slope_not_finite_positive_is_usage_error(dataset_dir, run_log, t
                                   "two-point:", "two-point:low,0.9,0.5"])
 def test_simulate_two_point_spec_form_exits_1(dataset_dir, tmp_path, capsys, spec):
     code = main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
-                 "--reliability", spec, "--out", str(tmp_path / "run.jsonl")])
+                 "--reliability", spec, "--param-count", "5000",
+                 "--out", str(tmp_path / "run.jsonl")])
     _assert_clean_error(code, capsys, f"reliability {spec!r} must be two-point:LO,HI,FRAC")
 
 
@@ -458,13 +471,14 @@ def test_golden_bytes(tmp_path, capsys):
     for model, log_sha in GOLDEN_TRAINED_LOGS.items():
         log = tmp_path / f"{model}.jsonl"
         args = ["simulate", "--dataset", str(tmp_path / "none"), "--model", model,
-                "--reliability", "trained", "--out", str(log)]
+                "--reliability", "trained", "--param-count", "5000", "--out", str(log)]
         assert main(args) == 0
         assert _sha256(log) == log_sha, model
     for (model, spec), log_sha in GOLDEN_SPEC_LOGS.items():
         log = tmp_path / "spec.jsonl"
         args = ["simulate", "--dataset", str(tmp_path / "none"), "--model", model,
-                "--reliability", spec, "--seed", "1", "--out", str(log)]
+                "--reliability", spec, "--seed", "1", "--param-count", "5000",
+                "--out", str(log)]
         assert main(args) == 0
         assert _sha256(log) == log_sha, (model, spec)
 
@@ -735,6 +749,7 @@ def _extra_profile(manifest, out):
         ("simulate", _holdout_components_not_replayed, "holdout_components"),
         ("simulate", _fourth_profile_bad_byte, "profiles.jsonl:4:"),
         ("simulate", _more_profiles_than_rows, "profiles.jsonl:101: missing profile row"),
+        ("classify", _more_profiles_than_rows, "profiles.jsonl:101: missing profile row"),
         ("simulate", _drop_last_profile, "profiles.jsonl:100:"),
         ("simulate", _extra_profile, "profiles.jsonl:101:"),
         ("simulate", _second_profile_with("id_not_index", id=5), "profiles.jsonl:2:"),
@@ -759,7 +774,7 @@ def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, comm
     args = {
         "classify": ["--losses", str(run_log), "--force"],
         "estimate": ["--losses", str(run_log), "--model", "2f", "--force"],
-        "simulate": ["--model", "2f", "--out", str(tmp_path / "run.jsonl")],
+        "simulate": ["--model", "2f", "--param-count", "5000", "--out", str(tmp_path / "run.jsonl")],
         "validate": ["--losses", str(run_log)],
     }[command]
     _assert_clean_error(main([command, "--dataset", str(edited)] + args), capsys, needle)
@@ -808,6 +823,26 @@ def test_entropy_invalid_config_exits_1(dataset_dir, tmp_path, capsys, change, n
     _assert_clean_error(code, capsys, needle)
 
 
+@pytest.mark.parametrize("edit", ["stale_hash", "rehashed", "deleted"])
+def test_classify_reads_no_question_file(dataset_dir, run_log, tmp_path, capsys, edit):
+    # classify replays the splits from the manifest, so qa.jsonl is never read
+    def edit_qa(manifest, out):
+        qa = out / "qa.jsonl"
+        if edit == "deleted":
+            qa.unlink()
+            return
+        qa.write_text("not a question\n")
+        if edit == "rehashed":
+            manifest["files"]["qa.jsonl"] = _sha256(qa)
+
+    edited = _edited_copy(dataset_dir, tmp_path, edit_qa)
+    outputs = []
+    for ds in (dataset_dir, edited):
+        assert main(["classify", "--dataset", str(ds), "--losses", str(run_log), "--force"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_malformed_question_row_exits_1(dataset_dir, tmp_path, capsys):
     def break_third_row(manifest, out):
         qa = out / "qa.jsonl"
@@ -819,7 +854,7 @@ def test_malformed_question_row_exits_1(dataset_dir, tmp_path, capsys):
         manifest["files"]["qa.jsonl"] = _sha256(qa)
 
     edited = _edited_copy(dataset_dir, tmp_path, break_third_row)
-    code = main(["simulate", "--dataset", str(edited), "--model", "2f",
+    code = main(["simulate", "--dataset", str(edited), "--model", "2f", "--param-count", "5000",
                  "--out", str(tmp_path / "run.jsonl")])
     _assert_clean_error(code, capsys, "qa.jsonl:3:")
 
@@ -984,7 +1019,8 @@ def test_classify_ignores_row_order(tmp_path, capsys, model):
     # rounding alone, which must not flip a holdout to generalizing
     ds, log, reversed_log = tmp_path / "ds", tmp_path / "run.jsonl", tmp_path / "reversed.jsonl"
     assert main(["gen", "--profiles", "80", "--seed", "4", "--out", str(ds)]) == 0
-    assert main(["simulate", "--dataset", str(ds), "--model", model, "--out", str(log)]) == 0
+    assert main(["simulate", "--dataset", str(ds), "--model", model, "--param-count", "5000",
+                 "--out", str(log)]) == 0
     reversed_log.write_text("".join(reversed(log.read_text().splitlines(keepends=True))))
     capsys.readouterr()
     signatures = []
@@ -1011,10 +1047,16 @@ def test_report_reads_each_run_manifest_once(dataset_dir, run_log, tmp_path, cap
         return wrapper
 
     monkeypatch.setattr(cli, "_read_run_meta", counted("run manifest", cli._read_run_meta))
-    monkeypatch.setattr(cli, "_manifest_sha256", counted("dataset manifest", cli._manifest_sha256))
+    monkeypatch.setattr(worldgen, "load_manifest",
+                        counted("dataset manifest", worldgen.load_manifest))
     assert main(["report", "--dataset", str(dataset_dir), "--losses", *map(str, logs),
                  "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")]) == 0
     assert calls == {"run manifest": 3, "dataset manifest": 1}
+    # estimate and classify hash and parse the dataset manifest in one read too
+    for args in (["estimate", "--model", "2f"], ["classify"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(args + ["--dataset", str(dataset_dir), "--losses", str(logs[0])]) == 0
+        assert calls == {"run manifest": 1, "dataset manifest": 1}, args
 
 
 def test_validate_qid_join(dataset_dir, tmp_path, capsys):
@@ -1094,7 +1136,8 @@ def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
             for spec in ("trained", "two-point:0.01,0.99,0.5"):
                 log = tmp_path / f"r{relations}-{model}-{spec.split(':')[0]}.jsonl"
                 commands["simulate", model, spec] = [
-                    "simulate", *data, "--model", model, "--reliability", spec, "--out", str(log)]
+                    "simulate", *data, "--model", model, "--reliability", spec,
+                    "--param-count", "5000", "--out", str(log)]
                 commands["estimate", model, spec] = [
                     "estimate", *data, "--losses", str(log), "--model", model]
         log = tmp_path / f"r{relations}-2f-trained.jsonl"
