@@ -256,7 +256,6 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     split_set, _ = load_dataset(dataset_dir)
     totals = split_set.counts()
     space, table = split_set.space, split_set.table
-    kinds = [space.two_hop_kind.value] * space.n_relations + ["one_hop"]  # by relation index
 
     diag = LogDiagnostics(n_records=0)
     seen = bytearray(len(table))  # 1 where a known question's record was read
@@ -275,7 +274,7 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
         else:
             repeat = seen[key]
             seen[key] = 1
-            split, kind = SPLITS[code - 1], kinds[space.unpack(key)[1]]
+            split, kind = SPLITS[code - 1], space.entries[key % space.per_entity].kind
             if rec_split != split or rec_kind != kind:
                 diag.mislabeled.append((lineno, qid, split, kind))
         if repeat:

@@ -17,7 +17,7 @@ from typing import Iterator
 from .entropy import ModelKind, dataset_entropy
 from .generalization import TrainIndex, train_two_hops
 from .logs import LossRecord
-from .worldgen import QuestionKind, SplitSet, World, WorldConfig, one_hop_qid, two_hop_qid
+from .worldgen import SplitSet, World, WorldConfig
 
 
 @dataclass(slots=True)
@@ -185,19 +185,14 @@ def loss_records(
 ) -> Iterator[tuple[str, str, str, float]]:
     """Yield (qid, split, kind, ln q of the simulated answer) per question, in file order."""
     space = split_set.space
-    relations, attributes = space.relations, space.attributes
-    n_attrs, one_hop = space.n_attributes, space.n_relations
-    one_hop_kind, two_hop_kind = QuestionKind.ONE_HOP.value, space.two_hop_kind.value
+    entries, per_entity, n_attrs = space.entries, space.per_entity, space.n_attributes
     prob, targets = profile.answer_prob, _targets(world)
     for split, keys in split_set.splits():
         for key in keys:
-            head, a = divmod(key, n_attrs)  # key = (e1·(|R|+1) + r)·|A| + a
-            e1, r = divmod(head, one_hop + 1)
-            x = math.log(prob(e1, r, a, targets[head]))
-            if r == one_hop:
-                yield one_hop_qid(e1, attributes[a]), split, one_hop_kind, x
-            else:
-                yield two_hop_qid(e1, relations[r], attributes[a]), split, two_hop_kind, x
+            e1, rest = divmod(key, per_entity)
+            r, a, head, tail, kind = entries[rest]
+            x = math.log(prob(e1, r, a, targets[key // n_attrs]))  # key // |A| = e1·(|R|+1) + r
+            yield f"{head}{e1}{tail}", split, kind, x
 
 
 def generate_loss_log(

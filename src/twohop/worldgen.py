@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 HOLDOUT_KINDS = (
     "heldout_e1",
@@ -225,14 +225,25 @@ class World:
         return f"{slug}_{value}"
 
 
+class QuestionEntry(NamedTuple):
+    """The (r, a) part of a question; its qid is ``qid_head + str(e1) + qid_tail``."""
+
+    r_index: int
+    a_index: int
+    qid_head: str
+    qid_tail: str
+    kind: str
+
+
 class KeySpace:
     """Packs each question (e1, r, a) of a world into one int, its key.
 
     ``key = (e1 * (|R| + 1) + r_index) * |A| + a_index``, where ``r_index``
     is the relation's place in the config and a one-hop question takes
     ``r_index = |R|``. Keys run over ``range(size)`` in (e1, r, a) order,
-    the order in which ``build_splits`` visits questions. A key holds no
-    kind: every two-hop question of a dataset has ``two_hop_kind``.
+    the order in which ``build_splits`` visits questions. The entry table,
+    ``entries[key % per_entity]``, alone defines each question's qid and
+    kind; ``key_of_qid`` is its inverse.
     """
 
     def __init__(self, config: WorldConfig, cot: bool):
@@ -247,6 +258,16 @@ class KeySpace:
         self.relation_index = {r: i for i, r in enumerate(self.relations)}
         self.attribute_index = {a: i for i, a in enumerate(self.attributes)}
         self.typecode = typecode(self.size)
+        # names hold no ':' (WorldConfig.validate), so qid.split(":", 2) inverts the table
+        self.entries, self._entry_of = [], {}
+        for r in range(self.n_relations + 1):
+            for a, a_name in enumerate(self.attributes):
+                if r < self.n_relations:
+                    head, tail, kind = "2h", f"{self.relations[r]}:{a_name}", self.two_hop_kind
+                else:
+                    head, tail, kind = "1h", a_name, QuestionKind.ONE_HOP
+                self._entry_of[head, tail] = len(self.entries)
+                self.entries.append(QuestionEntry(r, a, f"{head}:", f":{tail}", kind.value))
 
     def pack(self, e1: int, r_index: int, a_index: int) -> int:
         return (e1 * (self.n_relations + 1) + r_index) * self.n_attributes + a_index
@@ -260,22 +281,13 @@ class KeySpace:
     def key_of_qid(self, qid: str) -> int | None:
         """The key whose qid is exactly ``qid``, or None.
 
-        Attribute names hold no ':' (``WorldConfig.validate``), so splitting
-        on it recovers the fields of any qid of this space. The names must
-        match exactly, so the qid rebuilt from the key equals ``qid`` only
-        when the entity field is ``str(e1)``: a field that ``int()`` reads
-        but that is not the canonical decimal (``007``, ``+7``, ``1_0``,
-        `` 7``) matches nothing.
+        The entity field must be ``str(e1)`` of an entity of the space: a
+        field that ``int()`` reads but that is not the canonical decimal
+        (``007``, ``+7``, ``1_0``, `` 7``) matches nothing.
         """
-        fields = qid.split(":")
-        if len(fields) == 3 and fields[0] == "1h":
-            r_index = self.n_relations
-        elif len(fields) == 4 and fields[0] == "2h":
-            r_index = self.relation_index.get(fields[2])
-        else:
-            return None
-        a_index = self.attribute_index.get(fields[-1])
-        if r_index is None or a_index is None:
+        fields = qid.split(":", 2)
+        rest = self._entry_of.get((fields[0], fields[2])) if len(fields) == 3 else None
+        if rest is None:
             return None
         try:
             e1 = int(fields[1])
@@ -283,7 +295,7 @@ class KeySpace:
             return None
         if not 0 <= e1 < self.n_profiles or str(e1) != fields[1]:
             return None
-        return self.pack(e1, r_index, a_index)
+        return e1 * self.per_entity + rest
 
 
 # Split names in file order; a split table stores 1 + a split's index here.
@@ -341,14 +353,6 @@ def generate_world(config: WorldConfig) -> World:
     return World(config, profiles, facts)
 
 
-def one_hop_qid(e1: int, a: str) -> str:
-    return f"1h:{e1}:{a}"
-
-
-def two_hop_qid(e1: int, r: str, a: str) -> str:
-    return f"2h:{e1}:{r}:{a}"
-
-
 def profile_lines(world: World) -> Iterator[str]:
     """Each profiles.jsonl line of ``world``, in id order.
 
@@ -390,24 +394,24 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
     # into one escaped string; entity names are ASCII letters, digits and spaces
     rels = [json.dumps(r)[1:-1] for r in cfg.relations]
     attrs = [json.dumps(a)[1:-1] for a in cfg.attributes]
+    entries = [(r, a, *(json.dumps(t)[1:-1] for t in texts)) for r, a, *texts in space.entries]
     # a property's answer is its escaped prefix and the value index
     prefixes = [""] * n_rel
     prefixes += (json.dumps(world.value_string(p, ""))[1:-1] for p in cfg.property_names)
     names = [world.entity_name(e) for e in range(cfg.n_profiles)]
     facts = world.facts.tolist()
-    kind = space.two_hop_kind.value
     cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
     for split, keys in split_set.splits():
         for key in keys:
             e1, rest = divmod(key, per_entity)
-            r, a = divmod(rest, n_attrs)
+            r, a, head, tail, kind = entries[rest]
             name, a_name = names[e1], attrs[a]
             if r == n_rel:
                 value = facts[e1 * n_attrs + a]
                 answer = names[value] if a < n_rel else f"{prefixes[a]}{value}"
                 yield (
                     f'{{"a": "{a_name}", "answer": "{answer}", "e1": {e1}, "e2": null, '
-                    f'"kind": "one_hop", "qid": "1h:{e1}:{a_name}", "r": null, '
+                    f'"kind": "{kind}", "qid": "{head}{e1}{tail}", "r": null, '
                     f'"split": "{split}", "text": "What was {name}\'s {a_name}? {answer}"}}\n'
                 )
                 continue
@@ -422,7 +426,7 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
                 text += answer
             yield (
                 f'{{"a": "{a_name}", "answer": "{answer}", "e1": {e1}, "e2": {e2}, '
-                f'"kind": "{kind}", "qid": "2h:{e1}:{r_name}:{a_name}", "r": "{r_name}", '
+                f'"kind": "{kind}", "qid": "{head}{e1}{tail}", "r": "{r_name}", '
                 f'"split": "{split}", "text": "{text}"}}\n'
             )
 

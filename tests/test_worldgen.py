@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twohop.entropy import ModelKind
+from twohop.simulate import ReliabilityProfile, loss_records
 from twohop.worldgen import (
     DEFAULT_PROPERTIES,
     DEFAULT_RELATIONS,
@@ -25,11 +27,9 @@ from twohop.worldgen import (
     build_splits,
     generate_world,
     load_dataset,
-    one_hop_qid,
     persist_dataset,
     profile_lines,
     question_lines,
-    two_hop_qid,
 )
 
 
@@ -151,22 +151,20 @@ def _rows(world, cot=False):
 
 class TestRendering:
     def test_one_hop_template(self, micro_world):
-        qid = one_hop_qid(0, "birth city")
-        row = _rows(micro_world)[qid]
+        row = _rows(micro_world)["1h:0:birth city"]
         name = micro_world.entity_name(0)
         assert row["text"] == f"What was {name}'s birth city? {row['answer']}"
-        assert qid == "1h:0:birth city"
         assert row["e2"] is None
 
     def test_two_hop_template(self, micro_world):
-        row = _rows(micro_world)[two_hop_qid(0, "mother", "birth city")]
+        row = _rows(micro_world)["2h:0:mother:birth city"]
         name = micro_world.entity_name(0)
         assert row["text"] == f"What was {name}'s mother's birth city? {row['answer']}"
         assert row["e2"] == micro_world.relation_target(0, "mother")
         assert row["answer"] == _answer(micro_world, row["e2"], "birth city")
 
     def test_cot_template(self, micro_world):
-        row = _rows(micro_world, cot=True)[two_hop_qid(0, "boss", "birth city")]
+        row = _rows(micro_world, cot=True)["2h:0:boss:birth city"]
         assert row["kind"] == QuestionKind.TWO_HOP_COT.value
         name = micro_world.entity_name(0)
         e2_name = micro_world.entity_name(row["e2"])
@@ -183,12 +181,12 @@ class TestRendering:
         father = micro_cfg.attributes.index("father")
         world.facts[5 * len(micro_cfg.attributes) + father] = 5
         name = world.entity_name(5)
-        qid = two_hop_qid(5, "father", "birth city")
-        assert f"{name}'s father was {name}." in _rows(world, cot=True)[qid]["text"]
+        row = _rows(world, cot=True)["2h:5:father:birth city"]
+        assert f"{name}'s father was {name}." in row["text"]
 
     def test_relation_answer_is_a_name(self, micro_world):
         target = micro_world.relation_target(1, "mother")
-        answer = _rows(micro_world)[one_hop_qid(1, "mother")]["answer"]
+        answer = _rows(micro_world)["1h:1:mother"]["answer"]
         assert answer == micro_world.entity_name(target)
 
     def test_bad_queries(self, micro_world):
@@ -212,7 +210,7 @@ class TestRendering:
         for key in _all_keys(ss):
             assert space.pack(*space.unpack(key)) == key
             ((e1, r, a),) = _questions(ss, [key])
-            qid = one_hop_qid(e1, a) if r is None else two_hop_qid(e1, r, a)
+            qid = f"1h:{e1}:{a}" if r is None else f"2h:{e1}:{r}:{a}"
             assert space.key_of_qid(qid) == key
 
 
@@ -370,12 +368,12 @@ def _reference_row(world, split_set, split, key):
     kind = QuestionKind.ONE_HOP if r is None else split_set.space.two_hop_kind
     name = world.entity_name(e1)
     if r is None:
-        qid = one_hop_qid(e1, a)
+        qid = f"1h:{e1}:{a}"
         e2 = None
         answer = _answer(world, e1, a)
         text = f"What was {name}'s {a}? {answer}"
     else:
-        qid = two_hop_qid(e1, r, a)
+        qid = f"2h:{e1}:{r}:{a}"
         e2 = world.relation_target(e1, r)
         answer = _answer(world, e2, a)
         text = f"What was {name}'s {r}'s {a}? "
@@ -426,10 +424,17 @@ def test_question_lines_are_encoder_bytes(world, cot):
     ss = build_splits(world, fractions, mix_ratio=3, seed=1, cot=cot)
     lines = list(question_lines(world, ss))
     assert len(lines) == sum(ss.counts().values())
+    # the loss log carries each question's qid and kind, and the qid leads
+    # back to the question's key
+    profile = ReliabilityProfile.homogeneous(cfg, ModelKind.RECURRENT, None)
+    records = loss_records(world, profile, ss)
     questions = ((split, key) for split, keys in ss.splits() for key in keys)
-    for (split, key), line in zip(questions, lines):
+    for (split, key), line, record in zip_longest(questions, lines, records):
         assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
-        assert line == json.dumps(_reference_row(world, ss, split, key), sort_keys=True) + "\n"
+        row = _reference_row(world, ss, split, key)
+        assert line == json.dumps(row, sort_keys=True) + "\n"
+        assert record[:3] == (row["qid"], split, row["kind"])
+        assert ss.space.key_of_qid(row["qid"]) == key
     with tempfile.TemporaryDirectory() as tmp:
         persist_dataset(ss, world, tmp)
         loaded_ss, loaded_world = load_dataset(tmp)
