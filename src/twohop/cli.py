@@ -41,7 +41,7 @@ def _read_run_meta(losses: Path) -> dict | None:
     try:
         with open(run_meta_path, encoding="utf-8") as f:
             run_meta = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise worldgen.DatasetIOError(f"cannot read run manifest {run_meta_path}: {exc}") from exc
     if not isinstance(run_meta, dict):
         raise worldgen.DatasetIOError(f"run manifest {run_meta_path} is not a JSON object")
@@ -178,7 +178,9 @@ def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
 
 def _cmd_simulate(args) -> int:
     dataset_dir = Path(args.dataset)
-    split_set, world = worldgen.load_dataset(dataset_dir)
+    # the log is bound to the sha256 of the manifest bytes that were verified
+    manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
+    split_set, world = worldgen.verify_dataset(dataset_dir, manifest)
     kind = ModelKind(args.model)
     if args.reliability == "trained":
         profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
@@ -196,7 +198,7 @@ def _cmd_simulate(args) -> int:
         "param_count": args.param_count,
         "model_kind": kind.value,
         "reliability": args.reliability,
-        "dataset_manifest_sha256": worldgen.load_manifest(dataset_dir)[1],
+        "dataset_manifest_sha256": dataset_sha,
     }
     if groups is not None:
         run_meta["summary"] = logs.summary_to_json(groups, worldgen.sha256_file(out))
@@ -240,11 +242,14 @@ def _cmd_classify(args) -> int:
     _, groups = _read_log(dataset_sha, losses, args.force)
     split_set, world = worldgen.replay_dataset(dataset_dir, manifest)
     baselines = generalization.uniform_baselines(split_set, world.config)
-    aggregates = {
-        kind: _group(groups, f"two_hop/{kind}", losses)
-        for kind in worldgen.HOLDOUT_KINDS
-        if kind in baselines
-    }
+    empty = [kind for kind in worldgen.HOLDOUT_KINDS if kind not in baselines]
+    if empty:
+        # an empty split has no delta: without heldout_full, 2f and independent sign alike
+        raise generalization.EvaluationError(
+            f"dataset {dataset_dir} has empty holdout splits {empty}; "
+            f"classify needs questions in every holdout split"
+        )
+    aggregates = {kind: _group(groups, f"two_hop/{kind}", losses) for kind in baselines}
     signature = generalization.evaluate_holdouts(aggregates, baselines)
     kind = generalization.classify_algorithm(signature)
     _emit({**signature.to_dict(), "inferred": kind.value if kind else "inconsistent"})

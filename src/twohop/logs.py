@@ -75,14 +75,16 @@ def write_loss_log(records, path: Path) -> None:
 def _loss_rows(path: Path):
     """Yield (line number, (qid, split, kind, logprob_nats)) for each non-blank line of a loss log.
 
-    A line that is not a record raises DatasetIOError naming ``path:line``.
+    A line that is not a record, or not UTF-8, raises DatasetIOError naming
+    ``path:line``. Lines end at ``\\n``, as JSON Lines defines them.
     """
     try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
+        with open(path, "rb") as f:
+            for lineno, raw in enumerate(f, 1):
                 try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
                     d = _decode_row(line)
                     qid, split, kind, x = d["qid"], d["split"], d["kind"], d["logprob_nats"]
                     # readers hash and compare these as strings

@@ -93,12 +93,7 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def scaling_plot(
-    csv_text: str,
-    capacity_slopes: tuple[float, ...] = (2.0,),
-    width: int = 720,
-    height: int = 540,
-) -> str:
+def scaling_plot(csv_text: str, capacity_slopes: tuple[float, ...] = (2.0,)) -> str:
     """Render content vs parameter count as SVG with three reference curves.
 
     X is log-scaled parameter count, Y is content in bits. References:
@@ -123,7 +118,7 @@ def scaling_plot(
     y_values = [p.content_bits for p in points] + [entropy, baseline, 0.0]
     y_lo = min(y_values)
     y_hi = max(y_values) * 1.05 + 1.0
-    margin = 60.0
+    width, height, margin = 720, 540, 60.0
 
     def sx(params: float) -> float:
         t = (math.log10(params) - x_lo) / (x_hi - x_lo)

@@ -627,10 +627,10 @@ def build_splits(
 # decoded, only compared with the lines their manifest gives.
 
 
-def sha256_file(path: Path, chunk_size: int = 1 << 16) -> str:
+def sha256_file(path: Path) -> str:
     hasher = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(chunk_size), b""):
+        for chunk in iter(lambda: f.read(1 << 16), b""):
             hasher.update(chunk)
     return hasher.hexdigest()
 
@@ -786,16 +786,22 @@ def replay_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
 
 
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
-    """Load a persisted dataset, verifying file hashes against the manifest.
+    """Load a persisted dataset: ``load_manifest``, then ``verify_dataset``."""
+    manifest, _ = load_manifest(path)
+    return verify_dataset(path, manifest)
 
-    Both data files are derived from the manifest, not decoded: after the
-    hashes, ``replay_dataset`` gives the world and splits, and each
-    profiles.jsonl and qa.jsonl line must then be the one ``profile_lines``
-    and ``question_lines`` write. The first line that differs, a missing
-    line or an extra one raises DatasetIOError naming ``path:line``.
+
+def verify_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
+    """The splits and world of the dataset at ``path``, verified against ``manifest``.
+
+    ``manifest`` is ``load_manifest``'s. Both data files are derived from
+    it, not decoded: after the file hashes, ``replay_dataset`` gives the
+    world and splits, and each profiles.jsonl and qa.jsonl line must then be
+    the one ``profile_lines`` and ``question_lines`` write. The first line
+    that differs, a missing line or an extra one raises DatasetIOError
+    naming ``path:line``.
     """
     path = Path(path)
-    manifest, _ = load_manifest(path)
     _verify_files(path, manifest)
     split_set, world = replay_dataset(path, manifest)
     _require_lines(

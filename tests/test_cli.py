@@ -119,6 +119,21 @@ def test_classify(dataset_dir, run_log, capsys):
     assert payload["generalizes"]["heldout_r"] is False
 
 
+def test_classify_empty_holdout_names_dataset(tmp_path, capsys):
+    # a world this small leaves heldout_e2a and heldout_full empty; without
+    # heldout_full, 2f and independent give the same signature
+    ds, log = tmp_path / "small", tmp_path / "run.jsonl"
+    assert main(["gen", "--profiles", "8", "--relations", "2", "--properties", "1",
+                 "--seed", "1", "--out", str(ds)]) == 0
+    assert main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "100",
+                 "--out", str(log)]) == 0
+    capsys.readouterr()
+    code = main(["classify", "--dataset", str(ds), "--losses", str(log)])
+    _assert_clean_error(
+        code, capsys, f"dataset {ds} has empty holdout splits ['heldout_e2a', 'heldout_full']"
+    )
+
+
 def test_validate(dataset_dir, run_log, capsys):
     assert main(["validate", "--dataset", str(dataset_dir), "--losses", str(run_log)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -175,6 +190,18 @@ def test_loss_row_non_string_key_exits_1(dataset_dir, tmp_path, capsys, field):
     for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
         code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
+
+
+def test_loss_row_not_utf8_exits_1(dataset_dir, run_log, tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    shutil.copy(run_log, log)
+    shutil.copy(run_log.with_suffix(".json"), log.with_suffix(".json"))
+    lines = len(log.read_bytes().splitlines())
+    with open(log, "ab") as f:
+        f.write(b"\xff\xfe\n")
+    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(log)])
+        _assert_clean_error(code, capsys, f"{log}:{lines + 1}: malformed record: 'utf-8' codec")
 
 
 # a finite JSON number that a float holds: not past its range, not NaN or
@@ -872,9 +899,12 @@ def test_validate_tampered_dataset_exits_1(dataset_dir, run_log, tmp_path, capsy
 def test_run_manifest_not_object_exits_1(dataset_dir, run_log, tmp_path, capsys):
     log = tmp_path / "run.jsonl"
     shutil.copy(run_log, log)
+    args = ["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f"]
     log.with_suffix(".json").write_text("[]\n")
-    code = main(["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f"])
-    _assert_clean_error(code, capsys, "not a JSON object")
+    _assert_clean_error(main(args), capsys, "not a JSON object")
+    # nor is a file that is not UTF-8
+    log.with_suffix(".json").write_bytes(run_log.with_suffix(".json").read_bytes() + b"\xff")
+    _assert_clean_error(main(args), capsys, f"cannot read run manifest {log.with_suffix('.json')}:")
 
 
 def _summary_with(change):
@@ -1057,6 +1087,13 @@ def test_report_reads_each_run_manifest_once(dataset_dir, run_log, tmp_path, cap
         calls.update(dict.fromkeys(calls, 0))
         assert main(args + ["--dataset", str(dataset_dir), "--losses", str(logs[0])]) == 0
         assert calls == {"run manifest": 1, "dataset manifest": 1}, args
+    # simulate binds its log to the manifest bytes it verified, from one read
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                 "--param-count", "5000", "--out", str(tmp_path / "sim.jsonl")]) == 0
+    assert calls == {"run manifest": 0, "dataset manifest": 1}
+    sim_meta = json.loads((tmp_path / "sim.json").read_text())
+    assert sim_meta["dataset_manifest_sha256"] == _sha256(dataset_dir / "manifest.json")
 
 
 def test_validate_qid_join(dataset_dir, tmp_path, capsys):
