@@ -794,12 +794,13 @@ def load_dataset(path: Path) -> tuple[SplitSet, World]:
 def verify_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
     """The splits and world of the dataset at ``path``, verified against ``manifest``.
 
-    ``manifest`` is ``load_manifest``'s. Both data files are derived from
-    it, not decoded: after the file hashes, ``replay_dataset`` gives the
-    world and splits, and each profiles.jsonl and qa.jsonl line must then be
-    the one ``profile_lines`` and ``question_lines`` write. The first line
-    that differs, a missing line or an extra one raises DatasetIOError
-    naming ``path:line``.
+    ``manifest`` is ``load_manifest``'s, and loses ``holdout_components``
+    to ``replay_dataset``. Both data files are derived from it, not decoded:
+    after the file hashes, ``replay_dataset`` gives the world and splits,
+    and each profiles.jsonl and qa.jsonl line must then be the one
+    ``profile_lines`` and ``question_lines`` write. The first line that
+    differs, a missing line or an extra one raises DatasetIOError naming
+    ``path:line``.
     """
     path = Path(path)
     _verify_files(path, manifest)
