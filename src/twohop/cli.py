@@ -188,11 +188,12 @@ def _cmd_simulate(args) -> int:
         profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    records = simulate.loss_records(world, profile, split_set)
+    # a run manifest describes a complete log: an interrupted run leaves none
+    out.with_suffix(".json").unlink(missing_ok=True)
     # a chain-of-thought log gets no summary: no estimator reads its losses
     cot = split_set.space.two_hop_kind is worldgen.QuestionKind.TWO_HOP_COT
     groups = None if cot else logs.new_groups()
-    count = logs.stream_loss_log(records if cot else logs.folded(records, groups), out)
+    count = simulate.write_log(world, profile, split_set, out, groups)
     run_meta = {
         "label": args.label,
         "param_count": args.param_count,

@@ -19,9 +19,9 @@ from .worldgen import SPLITS, DatasetIOError, QuestionKind, load_dataset
 
 
 # A loss-log row has the bytes that json.dumps(row, sort_keys=True) gives
-# it. Rows are written as f-strings that give those bytes; the encoder below,
-# which has the same settings, writes the numbers an f-string cannot. Rows
-# are read through _decode_row.
+# it. Every row is written from the f-strings of row_head and row_tail,
+# which give those bytes; the encoder below, which has the same settings,
+# writes the numbers an f-string cannot. Rows are read through _decode_row.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 _scan_value = json.JSONDecoder().scan_once
 
@@ -49,21 +49,30 @@ class LossRecord(NamedTuple):
     logprob_nats: float
 
 
-def stream_loss_log(records: Iterable[tuple[str, str, str, float]], path: Path) -> int:
-    """Write each record as it arrives; return how many were written.
+def row_head(kind: str, x: float, qid_head: str) -> str:
+    """A row's text up to the end of ``qid_head``, the part of its qid before the entity.
 
-    A row is the line ``json.dumps(row, sort_keys=True)`` writes, built as
-    one f-string: a finite float's JSON is its repr, and any other number
-    goes through the encoder (``NaN``, ``Infinity``).
+    The row is the line ``json.dumps(row, sort_keys=True)`` writes: a finite
+    float's JSON is its repr, and any other number goes through the encoder
+    (``NaN``, ``Infinity``). JSON escapes a string one character at a time,
+    so a qid's text is its head's, its entity's and its tail's (``row_tail``).
     """
-    count, encode = 0, _ROW_ENCODER.encode
+    number = repr(x) if type(x) is float and isfinite(x) else _ROW_ENCODER.encode(x)
+    qid_head = _json_str(qid_head)[:-1]
+    return f'{{"kind": {_json_str(kind)}, "logprob_nats": {number}, "qid": {qid_head}'
+
+
+def row_tail(qid_tail: str, split: str) -> str:
+    """A row's text after its qid's entity, from ``qid_tail`` to the newline."""
+    return f'{_json_str(qid_tail)[1:]}, "split": {_json_str(split)}}}\n'
+
+
+def stream_loss_log(records: Iterable[tuple[str, str, str, float]], path: Path) -> int:
+    """Write each ``(qid, split, kind, logprob_nats)`` record as it arrives; return the count."""
+    count = 0
     with open(path, "w", encoding="utf-8") as f:
         for qid, split, kind, x in records:
-            number = repr(x) if type(x) is float and isfinite(x) else encode(x)
-            f.write(
-                f'{{"kind": {_json_str(kind)}, "logprob_nats": {number}, '
-                f'"qid": {_json_str(qid)}, "split": {_json_str(split)}}}\n'
-            )
+            f.write(row_head(kind, x, qid) + row_tail("", split))
             count += 1
     return count
 
@@ -113,35 +122,50 @@ def read_loss_log(path: Path) -> list[LossRecord]:
 SUMMARY_GROUPS = ("one_hop", "two_hop", *(f"two_hop/{split}" for split in SPLITS))
 
 
+def _refuse_cot(qid: str, x: float) -> None:
+    raise EstimatorError(
+        f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
+    )
+
+
+def group_adds(groups: dict[str, LossAccumulator], kind: str, split: str) -> tuple:
+    """The ``add(qid, logprob_nats)`` of each group that a row of ``kind`` and ``split`` joins.
+
+    ``groups`` maps each name in SUMMARY_GROUPS to its accumulator. A
+    one_hop row joins ``one_hop``; a two_hop row joins ``two_hop`` and, when
+    its split is one of SPLITS, ``two_hop/SPLIT``; a row of another kind
+    joins none. A ``two_hop_cot`` row raises EstimatorError instead: no
+    estimator inverts chain-of-thought losses yet, and the latent-model
+    inversion does not describe them.
+    """
+    if kind == QuestionKind.TWO_HOP.value:
+        two_hop = groups["two_hop"].add
+        return (two_hop, groups[f"two_hop/{split}"].add) if split in SPLITS else (two_hop,)
+    if kind == QuestionKind.ONE_HOP.value:
+        return (groups["one_hop"].add,)
+    return (_refuse_cot,) if kind == QuestionKind.TWO_HOP_COT.value else ()
+
+
 def folded(
     rows: Iterable[tuple[str, str, str, float]], groups: dict[str, LossAccumulator]
 ) -> Iterator[tuple[str, str, str, float]]:
     """Yield each ``(qid, split, kind, logprob_nats)`` row after adding it to ``groups``.
 
-    ``groups`` maps each name in SUMMARY_GROUPS to its accumulator. A
-    one_hop row joins ``one_hop``; a two_hop row joins ``two_hop`` and, when
-    its split is one of SPLITS, ``two_hop/SPLIT``; a row of another kind
-    joins none. A group sees its rows in their order in ``rows``. A
-    positive logprob in a row that joins a group raises EstimatorError, and
-    so does a ``two_hop_cot`` row: no estimator inverts chain-of-thought
-    losses yet, and the latent-model inversion does not describe them.
+    A row joins the groups of ``group_adds``, and a group sees its rows in
+    their order in ``rows``. A positive logprob in a row that joins a group
+    raises EstimatorError.
     """
-    one_hop, two_hop = groups["one_hop"], groups["two_hop"]
-    by_split = {split: groups[f"two_hop/{split}"] for split in SPLITS}
-    cot = QuestionKind.TWO_HOP_COT.value
+    # the groups of every kind and split a dataset writes, looked up once
+    routes = {
+        (kind.value, split): group_adds(groups, kind.value, split)
+        for kind in QuestionKind
+        for split in SPLITS
+    }
     for row in rows:
         qid, split, kind, x = row
-        if kind == "two_hop":
-            two_hop.add(qid, x)
-            acc = by_split.get(split)
-            if acc is not None:
-                acc.add(qid, x)
-        elif kind == "one_hop":
-            one_hop.add(qid, x)
-        elif kind == cot:
-            raise EstimatorError(
-                f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
-            )
+        adds = routes.get((kind, split))
+        for add in group_adds(groups, kind, split) if adds is None else adds:
+            add(qid, x)
         yield row
 
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator
 
 from .entropy import ModelKind, dataset_entropy
+from .estimator import LossAccumulator
 from .generalization import TrainIndex, train_two_hops
-from .logs import LossRecord
-from .worldgen import SplitSet, World, WorldConfig
+from .logs import LossRecord, group_adds, row_head, row_tail
+from .worldgen import KeySpace, SplitSet, World, WorldConfig
 
 
 @dataclass(slots=True)
@@ -150,7 +153,8 @@ class ReliabilityProfile:
         relation r's target of e1. For composing models, a first-hop miss
         falls back to a uniform guess over |N| entities, the fallback both
         inversions assume. A question that needs an unlearned unit is
-        answered at chance 1/|V_a|.
+        answered at chance 1/|V_a|. This is the reference for ``LossTable``,
+        which gives the log of it for every question of a run.
         """
         n_relations, n_attrs = len(self.config.relations), len(self.chance)
         if self.memo is not None:  # the memo model stores two-hop answers only
@@ -171,11 +175,78 @@ def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
     return units * len(config.relations) if model_kind is ModelKind.INDEPENDENT else units
 
 
-def _targets(world: World) -> list[int]:
-    """``targets[e1·(|R|+1) + r]``: relation r's target of e1, and e1 itself at r = |R|."""
-    n_relations, facts = len(world.config.relations), world.facts.tolist()
-    rows = enumerate(range(0, len(facts), len(world.config.attributes)))
-    return [e for e1, start in rows for e in (*facts[start : start + n_relations], e1)]
+class LossTable:
+    """The log-prob and row text of every question one profile answers, built once per run.
+
+    A question's answer depends on its entry ``(r, a)``, the part
+    ``rest = key % per_entity`` of its key, and on at most two unit flags,
+    so a run needs at most four log-probs per entry. For a key with
+    ``q, a = divmod(key, |A|)``, where ``q = e1·(|R|+1) + r``, the flag index
+    is ``f = lead[q] + flags[base[q] + a]``:
+
+    - a composing model's two-hop question: twice the flag of its first-hop
+      unit ``e1·|A| + r`` plus the flag of its second-hop unit ``e2·|A| + a``;
+    - its one-hop question: the flag of unit ``e1·|A| + a``, as its first hop
+      is certain;
+    - the memo's two-hop question: the flag of its unit; its one-hop question
+      is answered at chance whatever the flag.
+
+    ``cells[rest][f]`` is ``(ln q, row head)``: the log of the probability
+    that ``answer_prob`` gives, and the loss-log row's text up to the entity
+    of its qid (``logs.row_head``).
+    """
+
+    def __init__(self, world: World, profile: ReliabilityProfile, space: KeySpace):
+        n_profiles, n_relations, n_attrs = space.n_profiles, space.n_relations, space.n_attributes
+        if profile.memo is None:
+            first, second = profile.hop1, profile.hop2
+            if profile.facts is not None:  # recurrent: one table for both hops
+                first = second = profile.facts
+            facts = world.facts
+            self.base = array(space.typecode, (
+                e * n_attrs
+                for e1, start in enumerate(range(0, len(facts), n_attrs))
+                for e in (*facts[start : start + n_relations], e1)  # a one-hop e2 is e1
+            ))
+            self.lead = bytearray(
+                2 * flag
+                for start in range(0, len(first.flags), n_attrs)
+                for flag in (*first.flags[start : start + n_relations], 0)
+            )
+        else:
+            first, second = None, profile.memo
+            # a one-hop question reads its entity's first memo unit, and ignores it
+            self.base = array(space.typecode, (
+                (e1 * n_relations + r % n_relations) * n_attrs
+                for e1 in range(n_profiles)
+                for r in range(n_relations + 1)
+            ))
+            self.lead = bytearray(len(self.base))
+        self.flags, self.space = second.flags, space
+        chance, cells = profile.chance, {}
+
+        def cell(kind: str, head: str, a: int, p1: float | None, p2: float | None):
+            # the expressions of answer_prob
+            q = chance[a] if p1 is None or p2 is None else p1 * p2 + (1.0 - p1) / n_profiles
+            x = math.log(q)
+            text = row_head(kind, x, head)
+            return cells.setdefault(text, (x, text))  # one object per distinct row head
+
+        self.cells = []
+        for r, a, head, _, kind in space.entries:
+            one_hop = r == n_relations
+            hop1 = (1.0, 1.0) if first is None or one_hop else (first.low[r], first.high[r])
+            hop2 = (None, None) if first is None and one_hop else (second.low[a], second.high[a])
+            self.cells.append([cell(kind, head, a, p1, p2) for p1 in hop1 for p2 in hop2])
+
+    def lookup(self, keys) -> Iterator[tuple[int, int, tuple[float, str]]]:
+        """``(e1, rest, cells[rest][f])`` of each key, in order."""
+        cells, lead, base, flags = self.cells, self.lead, self.base, self.flags
+        per_entity, n_attrs = self.space.per_entity, self.space.n_attributes
+        for key in keys:
+            q, a = divmod(key, n_attrs)
+            e1, rest = divmod(key, per_entity)
+            yield e1, rest, cells[rest][lead[q] + flags[base[q] + a]]
 
 
 def loss_records(
@@ -184,15 +255,43 @@ def loss_records(
     split_set: SplitSet,
 ) -> Iterator[tuple[str, str, str, float]]:
     """Yield (qid, split, kind, ln q of the simulated answer) per question, in file order."""
-    space = split_set.space
-    entries, per_entity, n_attrs = space.entries, space.per_entity, space.n_attributes
-    prob, targets = profile.answer_prob, _targets(world)
+    table, entries = LossTable(world, profile, split_set.space), split_set.space.entries
     for split, keys in split_set.splits():
-        for key in keys:
-            e1, rest = divmod(key, per_entity)
-            r, a, head, tail, kind = entries[rest]
-            x = math.log(prob(e1, r, a, targets[key // n_attrs]))  # key // |A| = e1·(|R|+1) + r
+        for e1, rest, (x, _) in table.lookup(keys):
+            _, _, head, tail, kind = entries[rest]
             yield f"{head}{e1}{tail}", split, kind, x
+
+
+def write_log(
+    world: World,
+    profile: ReliabilityProfile,
+    split_set: SplitSet,
+    path: Path,
+    groups: dict[str, LossAccumulator] | None,
+) -> int:
+    """Write ``loss_records``' rows to ``path``, one ``write`` per row; return the count.
+
+    A row is its table cell's head, ``str(e1)`` and ``logs.row_tail``'s text.
+    When ``groups`` is given, each row is then added to the groups of
+    ``logs.group_adds``, in file order.
+    """
+    table, entries = LossTable(world, profile, split_set.space), split_set.space.entries
+    names = [str(e1) for e1 in range(world.config.n_profiles)]  # once per entity, not per row
+    count = 0
+    with open(path, "w", encoding="utf-8") as f:
+        write = f.write
+        for split, keys in split_set.splits():
+            tails = [row_tail(entry.qid_tail, split) for entry in entries]
+            adds = [group_adds(groups, kind, split) if groups else () for *_, kind in entries]
+            for e1, rest, (x, head) in table.lookup(keys):
+                name = names[e1]
+                write(head + name + tails[rest])
+                _, _, qid_head, qid_tail, _ = entries[rest]
+                qid = qid_head + name + qid_tail
+                for add in adds[rest]:
+                    add(qid, x)
+            count += len(keys)
+    return count
 
 
 def generate_loss_log(

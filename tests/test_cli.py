@@ -7,7 +7,7 @@ import xml.dom.minidom
 
 import pytest
 
-from twohop import cli, worldgen
+from twohop import cli, logs, simulate, worldgen
 from twohop.cli import build_parser, main
 from twohop.logs import SUMMARY_GROUPS
 
@@ -989,6 +989,56 @@ def test_outputs_same_with_and_without_summary(tmp_path, capsys, model, spec):
     summarized = _analysis_outputs(ds, log, model, tmp_path, capsys)
     _drop_summary(log)
     assert _analysis_outputs(ds, log, model, tmp_path, capsys) == summarized
+
+
+@pytest.mark.parametrize("model", ["recurrent", "2f", "independent"])
+@pytest.mark.parametrize("spec", ["trained", "chance", "two-point:0.01,0.99,0.5"])
+def test_summary_is_the_fold_of_the_log(dataset_dir, tmp_path, capsys, model, spec):
+    # simulate folds each row as it writes it: every group's Welford state is
+    # bit for bit the one logs.summarize gives over the written log
+    log = tmp_path / "run.jsonl"
+    assert main(["simulate", "--dataset", str(dataset_dir), "--model", model, "--reliability",
+                 spec, "--seed", "1", "--param-count", "5000", "--out", str(log)]) == 0
+    summary = json.loads(log.with_suffix(".json").read_text())["summary"]
+    assert summary["log_sha256"] == _sha256(log)
+    groups = logs.summarize(record for _, record in logs._loss_rows(log))
+    assert summary["groups"] == {
+        name: {"count": acc.count, "mean": acc.mean, "m2": acc.m2} for name, acc in groups.items()
+    }
+
+
+@pytest.mark.parametrize("interrupt", [OSError("No space left on device"), KeyboardInterrupt()])
+def test_interrupted_simulate_leaves_no_run_manifest(dataset_dir, tmp_path, capsys, monkeypatch,
+                                                     interrupt):
+    # a run that stops partway must not leave the run manifest of an earlier
+    # run next to its partial log: the readers would trust it
+    log = tmp_path / "run.jsonl"
+    args = ["simulate", "--dataset", str(dataset_dir), "--model", "2f", "--param-count", "5000",
+            "--out", str(log)]
+    assert main(args) == 0
+    lookup, written = simulate.LossTable.lookup, 0
+
+    def interrupted(self, keys):
+        nonlocal written
+        for row in lookup(self, keys):
+            if written == 360:
+                raise interrupt
+            written += 1
+            yield row
+
+    monkeypatch.setattr(simulate.LossTable, "lookup", interrupted)
+    if isinstance(interrupt, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["--reliability", "0.7"])
+    else:
+        _assert_clean_error(main(args + ["--reliability", "0.7"]), capsys, "No space left")
+    monkeypatch.undo()
+    assert len(log.read_text().splitlines()) == 360
+    assert not log.with_suffix(".json").exists()
+    data = ["--dataset", str(dataset_dir), "--losses", str(log)]
+    for command in (["estimate", "--model", "2f"], ["classify"],
+                    ["report", "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")]):
+        _assert_clean_error(main(command + data), capsys, "no run manifest")
 
 
 def test_stale_summary_ignored(tmp_path, capsys):

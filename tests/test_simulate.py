@@ -1,17 +1,34 @@
 import json
+import math
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twohop.cli import main
 from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
 from twohop.generalization import TrainIndex, presence_flags
+from twohop.logs import _loss_rows
 from twohop.simulate import (
+    LossTable,
     ReliabilityProfile,
     allocate_budget,
     generate_loss_log,
     ground_truth_content,
     loss_impact_ratio,
+    loss_records,
 )
-from twohop.worldgen import WorldConfig, build_splits, generate_world, question_lines
+from twohop.worldgen import (
+    HOLDOUT_KINDS,
+    WorldConfig,
+    build_splits,
+    generate_world,
+    persist_dataset,
+    question_lines,
+)
 
 
 def _question(split_set, key):
@@ -160,6 +177,66 @@ class TestLossLog:
         assert generate_loss_log(micro_world, profile, ss) == generate_loss_log(
             micro_world, profile, ss
         )
+
+
+# simulate --reliability SPEC and the profile it builds, for a world, its splits and a seed
+PROFILES = {
+    "trained": lambda world, ss, kind, seed: ReliabilityProfile.trained(world, ss, kind),
+    "chance": lambda world, ss, kind, seed: ReliabilityProfile.homogeneous(
+        world.config, kind, None),
+    "0.7": lambda world, ss, kind, seed: ReliabilityProfile.homogeneous(world.config, kind, 0.7),
+    "budget:40": lambda world, ss, kind, seed: allocate_budget(kind, 40.0, world.config),
+    "two-point:0.01,0.99,0.5": lambda world, ss, kind, seed: ReliabilityProfile.two_point(
+        world.config, kind, 0.01, 0.99, 0.5, seed),
+}
+
+
+@st.composite
+def table_worlds(draw):
+    """A small world with property pools below, equal to and above |N|, and names to escape."""
+    n = draw(st.integers(2, 8))
+    names = draw(st.lists(st.text(st.sampled_from('ab"\\\u00e9\u2028\U0001f600'), min_size=1,
+                                  max_size=3), min_size=4, max_size=6, unique=True))
+    n_relations = len(names) - 3
+    pools = (draw(st.integers(1, n - 1)), n, draw(st.integers(n + 1, 2 * n + 3)))
+    cfg = WorldConfig(n_profiles=n, first_names=3, middle_names=3, last_names=3,
+                      relations=tuple(names[:n_relations]),
+                      properties=tuple(zip(names[n_relations:], pools)),
+                      seed=draw(st.integers(0, 5)))
+    return generate_world(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=table_worlds(), kind=st.sampled_from(list(ModelKind)),
+       spec=st.sampled_from(sorted(PROFILES)), cot=st.booleans(), seed=st.integers(0, 3))
+def test_table_is_answer_prob(world, kind, spec, cot, seed):
+    # every key's table entry is ln answer_prob exactly, and the lines that
+    # simulate writes read back as loss_records' tuples, in order
+    fractions = dict.fromkeys(HOLDOUT_KINDS, 0.2)
+    if len(world.config.relations) == 1:
+        del fractions["heldout_r"]  # one relation cannot be held out
+    ss = build_splits(world, fractions, mix_ratio=3, seed=seed, cot=cot)
+    profile = PROFILES[spec](world, ss, kind, seed)
+    space = ss.space
+    keys = range(space.size)
+    for key, found in zip_longest(keys, LossTable(world, profile, space).lookup(keys)):
+        e1, rest, (x, _) = found
+        assert (e1, rest) == divmod(key, space.per_entity)
+        _, r, a = space.unpack(key)
+        e2 = e1 if r == space.n_relations else world.facts[e1 * space.n_attributes + r]
+        assert x == math.log(profile.answer_prob(e1, r, a, e2)), key
+    with tempfile.TemporaryDirectory() as tmp:
+        ds, log = Path(tmp) / "ds", Path(tmp) / "run.jsonl"
+        persist_dataset(ss, world, ds)
+        assert main(["simulate", "--dataset", str(ds), "--model", kind.value, "--reliability",
+                     spec, "--seed", str(seed), "--param-count", "5000", "--out", str(log)]) == 0
+        rows = [record for _, record in _loss_rows(log)]
+        text = log.read_text(encoding="utf-8")
+    records = list(loss_records(world, profile, ss))
+    assert rows == records
+    fields = ("qid", "split", "kind", "logprob_nats")
+    assert text == "".join(json.dumps(dict(zip(fields, record)), sort_keys=True) + "\n"
+                           for record in records)
 
 
 class TestBudget:
