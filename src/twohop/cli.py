@@ -176,8 +176,21 @@ def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
     return simulate.ReliabilityProfile.homogeneous(config, kind, value)
 
 
+def _check_simulate_out(out: Path, dataset_dir: Path) -> None:
+    """Refuse an ``--out`` whose log or run manifest would overwrite the other or the dataset."""
+    run_meta_path = out.with_suffix(".json")
+    if run_meta_path == out:
+        raise ValueError(f"--out {out} ends in .json: its run manifest would overwrite the log")
+    for name in ("manifest.json", "profiles.jsonl", "qa.jsonl"):
+        target = (dataset_dir / name).resolve()
+        for what, path in (("loss log", out), ("run manifest", run_meta_path)):
+            if path.resolve() == target:
+                raise ValueError(f"--out {out}: its {what} {path} would overwrite the dataset's {name}")
+
+
 def _cmd_simulate(args) -> int:
-    dataset_dir = Path(args.dataset)
+    dataset_dir, out = Path(args.dataset), Path(args.out)
+    _check_simulate_out(out, dataset_dir)
     # the log is bound to the sha256 of the manifest bytes that were verified
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
     split_set, world = worldgen.verify_dataset(dataset_dir, manifest)
@@ -186,7 +199,6 @@ def _cmd_simulate(args) -> int:
         profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
     else:
         profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # a run manifest describes a complete log: an interrupted run leaves none
     out.with_suffix(".json").unlink(missing_ok=True)

@@ -17,10 +17,10 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 HOLDOUT_KINDS = (
     "heldout_e1",
@@ -386,49 +386,72 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
 
     A line is ``json.dumps(row, sort_keys=True) + "\\n"`` for the question's
     row: its key (qid, kind, e1, r, a, split) plus e2, answer and text from
-    the templates. It is one f-string over names JSON-escaped once per call.
+    the templates. Each ``KeySpace.entries`` entry's fixed text is
+    JSON-escaped once per call into pieces, and a line is one f-string over
+    its entry's pieces, its split and its entities' ids, names and answer.
     """
     cfg, space = world.config, split_set.space
     n_rel, n_attrs, per_entity = space.n_relations, space.n_attributes, space.per_entity
+    names = [world.entity_name(e) for e in range(cfg.n_profiles)]
+    ids = [str(e) for e in range(cfg.n_profiles)]
+    facts = world.facts
+    cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
+
     # ensure_ascii escapes each character on its own, so escaped pieces splice
     # into one escaped string; entity names are ASCII letters, digits and spaces
-    rels = [json.dumps(r)[1:-1] for r in cfg.relations]
-    attrs = [json.dumps(a)[1:-1] for a in cfg.attributes]
-    entries = [(r, a, *(json.dumps(t)[1:-1] for t in texts)) for r, a, *texts in space.entries]
-    # a property's answer is its escaped prefix and the value index
-    prefixes = [""] * n_rel
-    prefixes += (json.dumps(world.value_string(p, ""))[1:-1] for p in cfg.property_names)
-    names = [world.entity_name(e) for e in range(cfg.n_profiles)]
-    facts = world.facts.tolist()
-    cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
+    def escaped(text: str) -> str:
+        return json.dumps(text)[1:-1]
+
+    # Per entry: the relation whose target answers (None for one-hop, where
+    # e1 does), the attribute, the names an answer indexes (None for a
+    # property, whose answer is its escaped prefix and the value index), and
+    # the text around the per-row values; the last two pieces are the
+    # chain-of-thought trace's.
+    entries = []
+    for r, a, head, tail, kind in space.entries:
+        a_name = escaped(cfg.attributes[a])
+        prefix = "" if a < n_rel else escaped(world.value_string(cfg.attributes[a], ""))
+        if r == n_rel:
+            hop, r_name, r_field, ask = None, "", "null", f"'s {a_name}? {prefix}"
+        else:
+            hop, r_name = r, escaped(cfg.relations[r])
+            r_field, ask = f'"{r_name}"', f"'s {r_name}'s {a_name}? " + ("" if cot else prefix)
+        entries.append((
+            hop,
+            a,
+            names if a < n_rel else None,
+            f'{{"a": "{a_name}", "answer": "{prefix}',
+            f', "kind": "{kind}", "qid": "{escaped(head)}',
+            f'{escaped(tail)}", "r": {r_field}, "split": "',
+            ask,
+            f"'s {r_name} was ",
+            f"'s {a_name} was {prefix}",
+        ))
     for split, keys in split_set.splits():
+        split_text = f'{split}", "text": "What was '
         for key in keys:
             e1, rest = divmod(key, per_entity)
-            r, a, head, tail, kind = entries[rest]
-            name, a_name = names[e1], attrs[a]
-            if r == n_rel:
-                value = facts[e1 * n_attrs + a]
-                answer = names[value] if a < n_rel else f"{prefixes[a]}{value}"
-                yield (
-                    f'{{"a": "{a_name}", "answer": "{answer}", "e1": {e1}, "e2": null, '
-                    f'"kind": "{kind}", "qid": "{head}{e1}{tail}", "r": null, '
-                    f'"split": "{split}", "text": "What was {name}\'s {a_name}? {answer}"}}\n'
-                )
-                continue
-            r_name, e2 = rels[r], facts[e1 * n_attrs + r]
-            value = facts[e2 * n_attrs + a]
-            answer = names[value] if a < n_rel else f"{prefixes[a]}{value}"
-            text = f"What was {name}'s {r_name}'s {a_name}? "
-            if cot:
-                e2_name = names[e2]
-                text += f"{name}'s {r_name} was {e2_name}. {e2_name}'s {a_name} was {answer}."
+            hop, a, answers, lead, kind_qid, tail_split, ask, r_was, a_was = entries[rest]
+            name, eid = names[e1], ids[e1]
+            if hop is None:
+                answerer, e2_id = e1, "null"
             else:
-                text += answer
-            yield (
-                f'{{"a": "{a_name}", "answer": "{answer}", "e1": {e1}, "e2": {e2}, '
-                f'"kind": "{kind}", "qid": "{head}{e1}{tail}", "r": "{r_name}", '
-                f'"split": "{split}", "text": "{text}"}}\n'
-            )
+                answerer = facts[e1 * n_attrs + hop]
+                e2_id = ids[answerer]
+            answer = facts[answerer * n_attrs + a]
+            if answers is not None:
+                answer = answers[answer]
+            if cot and hop is not None:
+                e2_name = names[answerer]
+                yield (
+                    f'{lead}{answer}", "e1": {eid}, "e2": {e2_id}{kind_qid}{eid}{tail_split}'
+                    f'{split_text}{name}{ask}{name}{r_was}{e2_name}. {e2_name}{a_was}{answer}."}}\n'
+                )
+            else:
+                yield (
+                    f'{lead}{answer}", "e1": {eid}, "e2": {e2_id}{kind_qid}{eid}{tail_split}'
+                    f'{split_text}{name}{ask}{answer}"}}\n'
+                )
 
 
 # The fields of each holdout kind's components: an entity (e), a relation
@@ -729,18 +752,42 @@ def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
     return fractions, mix_ratio, seed, cot
 
 
-def _require_lines(path: Path, expected: Iterable[str], row: str, name_row) -> None:
-    """Require the file at ``path`` to be exactly the ``expected`` lines, in order.
+# The byte compare's chunk, in bytes: capped in bytes rather than lines, so
+# that what a compare holds at once does not grow with a dataset's questions.
+_COMPARE_BYTES = 1 << 14
 
-    The first line that differs raises DatasetIOError naming ``path:line``
-    and ``name_row(expected line)``, as does a missing line (with the number
-    of ``row`` rows expected) or an extra one.
+
+def _require_lines(path: Path, lines: Callable[[], Iterable[str]], row: str, name_row) -> None:
+    """Require the file at ``path`` to be exactly the lines ``lines()`` gives, in order.
+
+    The file's bytes are compared with the lines, joined and ASCII-encoded,
+    in chunks of about ``_COMPARE_BYTES``. Only a file that differs is read
+    again, line by line against a fresh ``lines()``: the first line that
+    differs raises DatasetIOError naming ``path:line`` and ``name_row(expected
+    line)``, as does a missing line (with the number of ``row`` rows
+    expected) or an extra one.
     """
+    # the lines are ASCII (JSON with ensure_ascii), so a file with their bytes
+    # reads back as exactly those lines; any other file fails the line loop
+    with open(path, "rb") as f:
+        chunk, size = [], 0
+        for line in lines():
+            chunk.append(line)
+            size += len(line)
+            if size >= _COMPARE_BYTES:
+                data = "".join(chunk).encode("ascii")
+                if f.read(len(data)) != data:
+                    break
+                chunk, size = [], 0
+        else:
+            data = "".join(chunk).encode("ascii")
+            if f.read(len(data)) == data and not f.read(1):
+                return
     # line ends are kept as written and undecodable bytes become U+FFFD, so a
     # \r\n or a bad byte differs from the expected line instead of passing or
     # failing unnamed
     with open(path, encoding="utf-8", errors="replace", newline="") as f:
-        pairs = enumerate(zip_longest(f, expected), 1)
+        pairs = enumerate(zip_longest(f, lines()), 1)
         for lineno, (line, want) in pairs:
             if line == want:
                 continue
@@ -807,13 +854,13 @@ def verify_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
     split_set, world = replay_dataset(path, manifest)
     _require_lines(
         path / "profiles.jsonl",
-        profile_lines(world),
+        partial(profile_lines, world),
         "profile",
         lambda want: f"profile {json.loads(want)['id']}",
     )
     _require_lines(
         path / "qa.jsonl",
-        question_lines(world, split_set),
+        partial(question_lines, world, split_set),
         "question",
         lambda want: repr(json.loads(want)["qid"]),
     )

@@ -374,6 +374,42 @@ def test_outputs_create_missing_directories(dataset_dir, tmp_path, capsys):
     assert svg_path.read_text().startswith("<svg")
 
 
+def _file_bytes(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_simulate_out_ending_in_json_exits_1(dataset_dir, tmp_path, capsys):
+    # the run manifest is the log's path with suffix .json: here the log itself
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset_dir, ds)
+    out = tmp_path / "run.json"
+    out.write_text("kept\n")
+    before = _file_bytes(tmp_path)
+    code = main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "5",
+                 "--out", str(out)])
+    _assert_clean_error(code, capsys, f"--out {out} ends in .json")
+    assert _file_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "out, name",
+    [
+        ("manifest.jsonl", "manifest.json"),  # the run manifest's path
+        ("qa.jsonl", "qa.jsonl"),
+        ("profiles.jsonl", "profiles.jsonl"),
+        ("sub/../manifest.txt", "manifest.json"),
+    ],
+)
+def test_simulate_out_over_dataset_exits_1(dataset_dir, tmp_path, capsys, out, name):
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset_dir, ds)
+    before = _file_bytes(tmp_path)
+    code = main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "5",
+                 "--out", str(ds / out)])
+    _assert_clean_error(code, capsys, f"would overwrite the dataset's {name}")
+    assert _file_bytes(tmp_path) == before
+
+
 # Every option each subcommand takes, so that adding or removing one is a
 # deliberate edit here. A setting with one value in use is a constant in the
 # code, not an option.
@@ -805,6 +841,75 @@ def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, comm
         "validate": ["--losses", str(run_log)],
     }[command]
     _assert_clean_error(main([command, "--dataset", str(edited)] + args), capsys, needle)
+
+
+def _line_of(data, offset):
+    """The 1-based number of the line that holds byte ``offset`` of ``data``."""
+    return data.count(b"\n", 0, offset) + 1
+
+
+def _byte_changed(where):
+    """An edit that changes the byte at offset ``where(data)``: that byte's line differs."""
+
+    def edit(data):
+        offset = where(data)
+        new = b"y" if data[offset:offset + 1] == b"x" else b"x"
+        return data[:offset] + new + data[offset + 1:], _line_of(data, offset)
+
+    return edit
+
+
+def _mid_line_end(data):
+    return data.index(b"\n", len(data) // 2)
+
+
+def _line_end_as(ending):
+    """An edit that ends the middle line with ``ending`` instead of a newline."""
+
+    def edit(data):
+        offset = _mid_line_end(data)
+        return data[:offset] + ending + data[offset + 1:], _line_of(data, offset)
+
+    return edit
+
+
+# Byte-level faults in qa.jsonl, at and away from 16 KiB boundaries: each
+# edit gives the new bytes and the number of the line the loader must name,
+# or None for an extra row after the last line.
+QA_BYTE_EDITS = {
+    "byte_before_16384": _byte_changed(lambda data: 16383),
+    "byte_at_16384": _byte_changed(lambda data: 16384),
+    "byte_mid_file": _byte_changed(lambda data: len(data) // 2),
+    "no_final_newline": lambda data: (data[:-1], data.count(b"\n")),
+    "extra_blank_line": lambda data: (data + b"\n", None),
+    "crlf_mid_file": _line_end_as(b"\r\n"),
+    "lone_cr_mid_file": _line_end_as(b"\r"),
+    "bad_byte_last_line": lambda data: (data[:-10] + b"\xff" + data[-9:], data.count(b"\n")),
+    "cut_mid_line": lambda data: (data[:_mid_line_end(data) - 5], _line_of(data, _mid_line_end(data))),
+}
+
+
+@pytest.mark.parametrize("edit", QA_BYTE_EDITS.values(), ids=QA_BYTE_EDITS)
+def test_question_file_byte_faults_named(dataset_dir, tmp_path, capsys, edit):
+    original = (dataset_dir / "qa.jsonl").read_bytes()
+    assert len(original) > 2 * 16384
+    lines = original.splitlines(keepends=True)
+    data, lineno = edit(original)
+
+    def write_qa(manifest, out):
+        (out / "qa.jsonl").write_bytes(data)
+        manifest["files"]["qa.jsonl"] = _sha256(out / "qa.jsonl")
+
+    edited = _edited_copy(dataset_dir, tmp_path, write_qa)
+    qa = edited / "qa.jsonl"
+    if lineno is None:
+        fault = f"{len(lines) + 1}: extra row"
+    else:
+        fault = f"{lineno}: not the canonical row of {json.loads(lines[lineno - 1])['qid']!r}"
+    code = main(["simulate", "--dataset", str(edited), "--model", "2f", "--param-count", "5000",
+                 "--out", str(tmp_path / "run.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {qa}:{fault}\n"
 
 
 @pytest.mark.parametrize(

@@ -405,11 +405,12 @@ def named_worlds(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(world=named_worlds(), cot=st.booleans())
-def test_question_lines_are_encoder_bytes(world, cot):
+@given(world=named_worlds(), cot=st.booleans(), mix_ratio=st.sampled_from((0, 1, 3)))
+def test_question_lines_are_encoder_bytes(world, cot, mix_ratio):
     # a line is the encoder's bytes for the row the templates give, a profile
     # line the encoder's bytes for the profile's row, and gen then load gives
-    # the same world and questions back
+    # the same world and questions back; mix ratio 0 leaves train no two-hop
+    # row, and 1 alternates one-hop rows with single two-hop rows
     cfg = world.config
     for e, line in zip_longest(range(cfg.n_profiles), profile_lines(world)):
         first, rest = divmod(world.profiles[e], cfg.middle_names * cfg.last_names)
@@ -421,7 +422,7 @@ def test_question_lines_are_encoder_bytes(world, cot):
     fractions = dict.fromkeys(HOLDOUT_KINDS, 0.2)
     if len(world.config.relations) == 1:
         del fractions["heldout_r"]  # one relation cannot be held out
-    ss = build_splits(world, fractions, mix_ratio=3, seed=1, cot=cot)
+    ss = build_splits(world, fractions, mix_ratio=mix_ratio, seed=1, cot=cot)
     lines = list(question_lines(world, ss))
     assert len(lines) == sum(ss.counts().values())
     # the loss log carries each question's qid and kind, and the qid leads
