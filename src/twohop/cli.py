@@ -176,12 +176,16 @@ def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
     return simulate.ReliabilityProfile.homogeneous(config, kind, value)
 
 
+# The files of a dataset directory, which no command's output may overwrite
+DATASET_FILES = ("manifest.json", "profiles.jsonl", "qa.jsonl")
+
+
 def _check_simulate_out(out: Path, dataset_dir: Path) -> None:
     """Refuse an ``--out`` whose log or run manifest would overwrite the other or the dataset."""
     run_meta_path = out.with_suffix(".json")
     if run_meta_path == out:
         raise ValueError(f"--out {out} ends in .json: its run manifest would overwrite the log")
-    for name in ("manifest.json", "profiles.jsonl", "qa.jsonl"):
+    for name in DATASET_FILES:
         target = (dataset_dir / name).resolve()
         for what, path in (("loss log", out), ("run manifest", run_meta_path)):
             if path.resolve() == target:
@@ -275,7 +279,27 @@ def _cmd_validate(args) -> int:
     return 1 if diag.has_violations else 0
 
 
+def _check_report_out(outputs: dict[str, Path], dataset_dir: Path, losses: list[Path]) -> None:
+    """Refuse an output path (by option) that would overwrite an input or an earlier output.
+
+    The inputs are the dataset's files, each loss log and each log's run manifest.
+    """
+    taken = {(dataset_dir / name).resolve(): f"the dataset's {name}" for name in DATASET_FILES}
+    for log in losses:
+        taken[log.resolve()] = f"the loss log {log}"
+        taken[log.with_suffix(".json").resolve()] = f"the run manifest of {log}"
+    for option, out in outputs.items():
+        target = out.resolve()
+        if target in taken:
+            raise ValueError(f"{option} {out} would overwrite {taken[target]}")
+        taken[target] = f"the {option} output"
+
+
 def _cmd_report(args) -> int:
+    outputs = {"--out-csv": Path(args.out_csv)}
+    if args.out_svg:
+        outputs["--out-svg"] = Path(args.out_svg)
+    _check_report_out(outputs, Path(args.dataset), list(map(Path, args.losses)))
     manifest, dataset_sha = worldgen.load_manifest(Path(args.dataset))
     config, kind = worldgen.WorldConfig.from_dict(manifest["config"]), MODELS[args.model]
     baseline = entropy_mod.baseline_content(config, kind)

@@ -8,8 +8,10 @@ the producer). Records join back to the dataset through qids.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
+from json.scanner import NUMBER_RE
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -19,11 +21,16 @@ from .worldgen import SPLITS, DatasetIOError, QuestionKind, load_dataset
 
 
 # A loss-log row has the bytes that json.dumps(row, sort_keys=True) gives
-# it. Every row is written from the f-strings of row_head and row_tail,
-# which give those bytes; the encoder below, which has the same settings,
-# writes the numbers an f-string cannot. Rows are read through _decode_row.
+# it. Every row is written from the f-strings of row_lead, row_qid_head and
+# row_tail around its number and its qid's entity, which give those bytes;
+# the encoder below, which has the same settings, writes the numbers an
+# f-string cannot. Rows are read through _decode_record, or matched against
+# the same pieces by validate_loss_log.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 _scan_value = json.JSONDecoder().scan_once
+# A whole JSON number token, the decoder's grammar; in a bytes pattern \d is
+# an ASCII digit, as JSON requires
+_number_token = re.compile(NUMBER_RE.pattern.encode()).fullmatch
 
 
 def _decode_row(line: str):
@@ -49,8 +56,18 @@ class LossRecord(NamedTuple):
     logprob_nats: float
 
 
+def row_lead(kind: str) -> str:
+    """A row's text before its number."""
+    return f'{{"kind": {_json_str(kind)}, "logprob_nats": '
+
+
+def row_qid_head(qid_head: str) -> str:
+    """A row's text from its number to the end of ``qid_head``, the part of its qid before the entity."""
+    return f', "qid": {_json_str(qid_head)[:-1]}'
+
+
 def row_head(kind: str, x: float, qid_head: str) -> str:
-    """A row's text up to the end of ``qid_head``, the part of its qid before the entity.
+    """A row's text up to the end of ``qid_head``: ``row_lead``, the number and ``row_qid_head``.
 
     The row is the line ``json.dumps(row, sort_keys=True)`` writes: a finite
     float's JSON is its repr, and any other number goes through the encoder
@@ -58,8 +75,7 @@ def row_head(kind: str, x: float, qid_head: str) -> str:
     so a qid's text is its head's, its entity's and its tail's (``row_tail``).
     """
     number = repr(x) if type(x) is float and isfinite(x) else _ROW_ENCODER.encode(x)
-    qid_head = _json_str(qid_head)[:-1]
-    return f'{{"kind": {_json_str(kind)}, "logprob_nats": {number}, "qid": {qid_head}'
+    return row_lead(kind) + number + row_qid_head(qid_head)
 
 
 def row_tail(qid_tail: str, split: str) -> str:
@@ -81,34 +97,45 @@ def write_loss_log(records, path: Path) -> None:
     stream_loss_log(records, path)
 
 
+def _decode_record(path: Path, lineno: int, raw: bytes) -> tuple[str, str, str, float] | None:
+    """The (qid, split, kind, logprob_nats) of line ``lineno`` of a loss log, or None if blank.
+
+    A line that is not a record, or not UTF-8, raises DatasetIOError naming
+    ``path:lineno``.
+    """
+    try:
+        line = raw.decode("utf-8")
+        if not line.strip():
+            return None
+        d = _decode_row(line)
+        qid, split, kind, x = d["qid"], d["split"], d["kind"], d["logprob_nats"]
+        # readers hash and compare these as strings
+        if type(qid) is not str or type(split) is not str or type(kind) is not str:
+            raise TypeError("qid, split and kind must be strings")
+        if type(x) is not float:
+            # a JSON number: not a string, and not true, which float() reads as 1.0
+            if type(x) is not int:
+                raise TypeError("logprob_nats must be a JSON number")
+            x = float(x)  # OverflowError past the float range
+        if not isfinite(x):  # the decoder reads NaN, Infinity and -Infinity
+            raise ValueError(f"logprob_nats must be finite, got {x}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetIOError(f"{path}:{lineno}: malformed record: {exc}") from exc
+    return qid, split, kind, x
+
+
 def _loss_rows(path: Path):
     """Yield (line number, (qid, split, kind, logprob_nats)) for each non-blank line of a loss log.
 
-    A line that is not a record, or not UTF-8, raises DatasetIOError naming
-    ``path:line``. Lines end at ``\\n``, as JSON Lines defines them.
+    Each line goes through ``_decode_record``. Lines end at ``\\n``, as JSON
+    Lines defines them.
     """
     try:
         with open(path, "rb") as f:
             for lineno, raw in enumerate(f, 1):
-                try:
-                    line = raw.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    d = _decode_row(line)
-                    qid, split, kind, x = d["qid"], d["split"], d["kind"], d["logprob_nats"]
-                    # readers hash and compare these as strings
-                    if type(qid) is not str or type(split) is not str or type(kind) is not str:
-                        raise TypeError("qid, split and kind must be strings")
-                    if type(x) is not float:
-                        # a JSON number: not a string, and not true, which float() reads as 1.0
-                        if type(x) is not int:
-                            raise TypeError("logprob_nats must be a JSON number")
-                        x = float(x)  # OverflowError past the float range
-                    if not isfinite(x):  # the decoder reads NaN, Infinity and -Infinity
-                        raise ValueError(f"logprob_nats must be finite, got {x}")
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise DatasetIOError(f"{path}:{lineno}: malformed record: {exc}") from exc
-                yield lineno, (qid, split, kind, x)
+                record = _decode_record(path, lineno, raw)
+                if record is not None:
+                    yield lineno, record
     except OSError as exc:
         raise DatasetIOError(f"cannot read loss log: {exc}") from exc
 
@@ -278,16 +305,29 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     A record joins its question through the key its qid names and the
     dataset's split table. A record is mislabeled when its split or kind is
     not its question's.
+
+    The log is read in one pass that walks the dataset's questions in file
+    order. A line that is the row of the next question, written from the
+    row pieces around any finite JSON number (as ``simulate`` writes it),
+    is that question's record; any other line is decoded and joined through
+    its qid. Either way a line gives the same findings.
     """
     split_set, _ = load_dataset(dataset_dir)
     totals = split_set.counts()
     space, table = split_set.space, split_set.table
+    entries, per_entity = space.entries, space.per_entity
 
     diag = LogDiagnostics(n_records=0)
     seen = bytearray(len(table))  # 1 where a known question's record was read
     unknown_seen: set[str] = set()
     covered = dict.fromkeys(totals, 0)
-    for lineno, (qid, rec_split, rec_kind, x) in _loss_rows(log_path):
+
+    def join(lineno: int, raw: bytes) -> None:
+        """Decode a line and join its record through its qid."""
+        record = _decode_record(log_path, lineno, raw)
+        if record is None:
+            return
+        qid, rec_split, rec_kind, x = record
         diag.n_records += 1
         if x > 0:
             diag.positive_logprobs.append((lineno, qid))
@@ -300,13 +340,53 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
         else:
             repeat = seen[key]
             seen[key] = 1
-            split, kind = SPLITS[code - 1], space.entries[key % space.per_entity].kind
+            split, kind = SPLITS[code - 1], entries[key % per_entity].kind
             if rec_split != split or rec_kind != kind:
                 diag.mislabeled.append((lineno, qid, split, kind))
         if repeat:
             diag.duplicate_qids.append(qid)
         elif code:
             covered[split] += 1
+
+    # the row pieces of each entry, and of each entity's id; rows are ASCII
+    ids = [str(e1).encode() for e1 in range(space.n_profiles)]
+    leads = [row_lead(entry.kind).encode() for entry in entries]
+    qid_heads = [row_qid_head(entry.qid_head).encode() for entry in entries]
+    matched = 0
+    try:
+        with open(log_path, "rb") as f:
+            lines = enumerate(f, 1)
+            for split, keys in split_set.splits():
+                tails = [row_tail(entry.qid_tail, split).encode() for entry in entries]
+                newly_covered = 0
+                for key in keys:
+                    e1, rest = divmod(key, per_entity)
+                    lead, end = leads[rest], qid_heads[rest] + ids[e1] + tails[rest]
+                    for lineno, raw in lines:
+                        if raw.endswith(end) and raw.startswith(lead):
+                            number = raw[len(lead) : len(raw) - len(end)]
+                            if _number_token(number) and isfinite(x := float(number)):
+                                break
+                        join(lineno, raw)
+                    else:
+                        break  # the log ended
+                    # the line decodes to this question's qid, split and kind
+                    matched += 1
+                    if x > 0 or seen[key]:
+                        qid = f"{entries[rest].qid_head}{e1}{entries[rest].qid_tail}"
+                        if x > 0:
+                            diag.positive_logprobs.append((lineno, qid))
+                        if seen[key]:
+                            diag.duplicate_qids.append(qid)
+                            continue
+                    seen[key] = 1
+                    newly_covered += 1
+                covered[split] += newly_covered
+            for lineno, raw in lines:  # the lines after the last question's row
+                join(lineno, raw)
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read loss log: {exc}") from exc
+    diag.n_records += matched
 
     for split, total in totals.items():
         if total:  # an empty split has no coverage to report

@@ -1,13 +1,15 @@
-"""Numerical oracles for the closed-form effective-loss inversions.
+"""Reference implementations that the tests hold the toolkit's fast paths to.
 
-Each solves the same equation as ``twohop.estimator``'s closed forms by a
-search that shares no algebra with them, so the tests can check one
-against the other.
+The numerical oracles solve the same equations as ``twohop.estimator``'s
+closed forms by a search that shares no algebra with them.
+``reference_validate`` joins a loss log one decoded line at a time.
 """
 
 import math
 
 from twohop.estimator import EstimatorError
+from twohop.logs import LogDiagnostics, _loss_rows
+from twohop.worldgen import SPLITS, load_dataset
 
 
 def _check_q_range(q: float, n: int, slack: float = 1e-9) -> float:
@@ -84,3 +86,42 @@ def oracle_two_function_loss(q: float, n: int) -> tuple[float, float, float]:
             break
     p2 = min(1.0, max(inv_n, p2_of(best_p1)))
     return best_p1, p2, -math.log(best_p1) - math.log(p2)
+
+
+def reference_validate(log_path, dataset_dir) -> LogDiagnostics:
+    """``validate_loss_log`` as a per-line join: every line decoded and joined through its qid."""
+    split_set, _ = load_dataset(dataset_dir)
+    totals = split_set.counts()
+    space, table = split_set.space, split_set.table
+
+    diag = LogDiagnostics(n_records=0)
+    seen = bytearray(len(table))
+    unknown_seen = set()
+    covered = dict.fromkeys(totals, 0)
+    for lineno, (qid, rec_split, rec_kind, x) in _loss_rows(log_path):
+        diag.n_records += 1
+        if x > 0:
+            diag.positive_logprobs.append((lineno, qid))
+        key = space.key_of_qid(qid)
+        code = 0 if key is None else table[key]
+        if not code:
+            diag.unknown_qids.append(qid)
+            repeat = qid in unknown_seen
+            unknown_seen.add(qid)
+        else:
+            repeat = seen[key]
+            seen[key] = 1
+            split, kind = SPLITS[code - 1], space.entries[key % space.per_entity].kind
+            if rec_split != split or rec_kind != kind:
+                diag.mislabeled.append((lineno, qid, split, kind))
+        if repeat:
+            diag.duplicate_qids.append(qid)
+        elif code:
+            covered[split] += 1
+
+    for split, total in totals.items():
+        if total:
+            diag.coverage[split] = covered[split] / total
+            if not covered[split]:
+                diag.missing_splits.append(split)
+    return diag

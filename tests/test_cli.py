@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import random
 import shutil
 import tracemalloc
 import xml.dom.minidom
@@ -407,6 +408,37 @@ def test_simulate_out_over_dataset_exits_1(dataset_dir, tmp_path, capsys, out, n
     code = main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "5",
                  "--out", str(ds / out)])
     _assert_clean_error(code, capsys, f"would overwrite the dataset's {name}")
+    assert _file_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "csv, svg, needle",
+    [
+        ("runs/a.jsonl", None, "--out-csv {tmp}/runs/a.jsonl would overwrite the loss log"),
+        ("runs/b.jsonl", None, "would overwrite the loss log {tmp}/runs/b.jsonl"),
+        ("out.csv", "runs/a.json", "--out-svg {tmp}/runs/a.json would overwrite the run manifest"),
+        ("runs/sub/../b.json", None, "would overwrite the run manifest of {tmp}/runs/b.jsonl"),
+        ("ds/manifest.json", None, "would overwrite the dataset's manifest.json"),
+        ("out.csv", "ds/qa.jsonl", "would overwrite the dataset's qa.jsonl"),
+        ("ds/x/../profiles.jsonl", None, "would overwrite the dataset's profiles.jsonl"),
+        ("out.csv", "out.csv", "--out-svg {tmp}/out.csv would overwrite the --out-csv output"),
+    ],
+)
+def test_report_out_over_inputs_exits_1(dataset_dir, run_log, tmp_path, capsys, csv, svg, needle):
+    # two logs, each with its run manifest, and an existing CSV that a
+    # refused report must leave as it was
+    ds, runs = tmp_path / "ds", tmp_path / "runs"
+    shutil.copytree(dataset_dir, ds)
+    runs.mkdir()
+    for name in ("a", "b"):
+        shutil.copy(run_log, runs / f"{name}.jsonl")
+        shutil.copy(run_log.with_suffix(".json"), runs / f"{name}.json")
+    (tmp_path / "out.csv").write_text("kept\n")
+    before = _file_bytes(tmp_path)
+    argv = ["report", "--dataset", str(ds), "--losses", str(runs / "a.jsonl"), str(runs / "b.jsonl"),
+            "--model", "2f", "--out-csv", str(tmp_path / csv)]
+    code = main(argv + (["--out-svg", str(tmp_path / svg)] if svg else []))
+    _assert_clean_error(code, capsys, needle.format(tmp=tmp_path))
     assert _file_bytes(tmp_path) == before
 
 
@@ -1337,11 +1369,18 @@ def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
         bare = tmp_path / f"r{relations}-bare.jsonl"
         commands["estimate", "no summary"] = [
             "estimate", *data, "--losses", str(bare), "--model", "2f", "--force"]
+        # a row-shuffled copy, whose rows validate joins one decoded line at a time
+        shuffled = tmp_path / f"r{relations}-shuffled.jsonl"
         commands["classify"] = ["classify", *data, "--losses", str(log)]
         commands["validate"] = ["validate", *data, "--losses", str(log)]
+        commands["validate", "shuffled"] = ["validate", *data, "--losses", str(shuffled)]
         for name, argv in commands.items():
             if name == ("estimate", "no summary"):
                 shutil.copy(log, bare)
+            if name == ("validate", "shuffled"):
+                rows = log.read_bytes().splitlines(keepends=True)
+                random.Random(relations).shuffle(rows)
+                shuffled.write_bytes(b"".join(rows))
             tracemalloc.start()
             try:
                 assert main(argv) == 0, name

@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_validate
+from test_worldgen import named_worlds
 
 from twohop.entropy import ModelKind
 from twohop.logs import (
@@ -16,8 +19,14 @@ from twohop.logs import (
     validate_loss_log,
     write_loss_log,
 )
-from twohop.simulate import ReliabilityProfile, generate_loss_log
-from twohop.worldgen import SPLITS, DatasetIOError, build_splits, persist_dataset
+from twohop.simulate import ReliabilityProfile, generate_loss_log, write_log
+from twohop.worldgen import (
+    HOLDOUT_KINDS,
+    SPLITS,
+    DatasetIOError,
+    build_splits,
+    persist_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +162,101 @@ def test_decode_row_matches_json_loads(line):
         assert str(got.value) == str(exc)
         return
     assert json.dumps(_decode_row(line)) == json.dumps(expected)
+
+
+# Numbers for a row: positive, non-canonical, past the float range, not
+# finite, padded, and the forms float() reads but JSON does not
+ROW_NUMBERS = [b"0.5", b"1", b"-1", b"-0", b"-0.50", b"1e400", b"-1e-400", b"NaN", b" -0.5",
+               b"-0.5 ", b"+0.5", b"-01", b"-.5", b"-5.", b"-1_0", b"-Infinity", b"-1" + b"0" * 400]
+_NUMBER_FIELD = re.compile(rb'(\{"kind": [^,]*, "logprob_nats": )(.*?)(, "qid": )', re.S)
+
+# (name, drawn argument) of one edit of a log; an index picks a line modulo
+# the line count, and each edit applies to the lines the earlier ones left
+log_edits = st.one_of(
+    st.tuples(st.just("number"), st.tuples(st.integers(0), st.sampled_from(ROW_NUMBERS))),
+    st.tuples(st.just("split"), st.tuples(st.integers(0), st.sampled_from((*SPLITS, "test")))),
+    st.tuples(st.just("kind"), st.tuples(
+        st.integers(0), st.sampled_from(("one_hop", "two_hop", "two_hop_cot", "")))),
+    st.tuples(st.just("qid"), st.tuples(
+        st.integers(0), st.sampled_from(("1", "0", "5", "6", "007", "-1", "")))),
+    st.tuples(st.sampled_from(["swap", "duplicate"]), st.tuples(st.integers(0), st.integers(0))),
+    st.tuples(st.sampled_from(["drop", "blank", "crlf"]), st.integers(0)),
+    st.tuples(st.just("0xff"), st.tuples(st.integers(0), st.integers(0))),
+    st.tuples(st.just("no final newline"), st.none()),
+)
+
+
+def _edit_log(lines: list[bytes], name: str, arg) -> None:
+    """Apply one edit of ``log_edits`` to a log's lines, in place."""
+    if not lines:
+        return
+    i = (arg[0] if isinstance(arg, tuple) else arg or 0) % len(lines)
+    if name == "number":
+        lines[i] = _NUMBER_FIELD.sub(lambda m: m[1] + arg[1] + m[3], lines[i], count=1)
+    elif name in ("split", "kind", "qid"):
+        try:
+            row = json.loads(lines[i])
+        except ValueError:  # an earlier edit left no row to edit
+            return
+        if name == "qid":
+            head, _, tail = row["qid"].split(":", 2)
+            row["qid"] = f"{head}:{arg[1]}:{tail}"
+        else:
+            row[name] = arg[1]
+        lines[i] = json.dumps(row, sort_keys=True).encode() + b"\n"
+    elif name == "swap":
+        j = arg[1] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif name == "duplicate":
+        lines.insert(arg[1] % (len(lines) + 1), lines[i])
+    elif name == "drop":
+        del lines[i]
+    elif name == "blank":
+        lines.insert(i, b"\n")
+    elif name == "crlf":
+        lines[i] = lines[i].removesuffix(b"\n") + b"\r\n"
+    elif name == "0xff":
+        j = arg[1] % len(lines[i])
+        lines[i] = lines[i][:j] + b"\xff" + lines[i][j + 1 :]
+    else:
+        lines[-1] = lines[-1].removesuffix(b"\n")
+
+
+def _validated(log: Path, dataset: Path, validate):
+    try:
+        return validate(log, dataset).to_dict()
+    except DatasetIOError as exc:
+        return f"DatasetIOError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    world=named_worlds(),
+    cot=st.booleans(),
+    mix_ratio=st.sampled_from((0, 3)),
+    model=st.sampled_from(ModelKind),
+    trained=st.booleans(),
+    edits=st.lists(log_edits, max_size=3),
+)
+def test_validate_matches_per_line_join(world, cot, mix_ratio, model, trained, edits):
+    # a simulate log, edited, gives validate's findings (or its error) as the
+    # reference that decodes every line and joins it through its qid; the
+    # worlds' attribute names need JSON escapes, so rows do too
+    fractions = dict.fromkeys(HOLDOUT_KINDS, 0.2)
+    if len(world.config.relations) == 1:
+        del fractions["heldout_r"]  # one relation cannot be held out
+    ss = build_splits(world, fractions, mix_ratio=mix_ratio, seed=1, cot=cot)
+    if trained:
+        profile = ReliabilityProfile.trained(world, ss, model)
+    else:
+        profile = ReliabilityProfile.two_point(world.config, model, 0.01, 0.99, 0.5, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, log = Path(tmp) / "ds", Path(tmp) / "run.jsonl"
+        persist_dataset(ss, world, dataset)
+        write_log(world, profile, ss, log, None)
+        lines = log.read_bytes().splitlines(keepends=True)
+        for name, arg in edits:
+            _edit_log(lines, name, arg)
+        log.write_bytes(b"".join(lines))
+        expected = _validated(log, dataset, reference_validate)
+        assert _validated(log, dataset, validate_loss_log) == expected
