@@ -180,15 +180,29 @@ def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
 DATASET_FILES = ("manifest.json", "profiles.jsonl", "qa.jsonl")
 
 
+def _identities(path: Path) -> tuple:
+    """The names of the file at ``path``: its resolved path and, if it exists, its inode.
+
+    An inode is ``(st_dev, st_ino)``. Two paths that share a name are one
+    file: the same path after ``..`` and symbolic links, or hard links.
+    """
+    try:
+        stat = path.stat()
+    except OSError:  # no file there (yet)
+        return (path.resolve(),)
+    return path.resolve(), (stat.st_dev, stat.st_ino)
+
+
 def _check_simulate_out(out: Path, dataset_dir: Path) -> None:
     """Refuse an ``--out`` whose log or run manifest would overwrite the other or the dataset."""
     run_meta_path = out.with_suffix(".json")
     if run_meta_path == out:
         raise ValueError(f"--out {out} ends in .json: its run manifest would overwrite the log")
+    outputs = (("loss log", out), ("run manifest", run_meta_path))
     for name in DATASET_FILES:
-        target = (dataset_dir / name).resolve()
-        for what, path in (("loss log", out), ("run manifest", run_meta_path)):
-            if path.resolve() == target:
+        target = set(_identities(dataset_dir / name))
+        for what, path in outputs:
+            if not target.isdisjoint(_identities(path)):
                 raise ValueError(f"--out {out}: its {what} {path} would overwrite the dataset's {name}")
 
 
@@ -282,17 +296,20 @@ def _cmd_validate(args) -> int:
 def _check_report_out(outputs: dict[str, Path], dataset_dir: Path, losses: list[Path]) -> None:
     """Refuse an output path (by option) that would overwrite an input or an earlier output.
 
-    The inputs are the dataset's files, each loss log and each log's run manifest.
+    The inputs are the dataset's files, each loss log and each log's run
+    manifest; paths are compared by ``_identities``.
     """
-    taken = {(dataset_dir / name).resolve(): f"the dataset's {name}" for name in DATASET_FILES}
+    named = [(dataset_dir / name, f"the dataset's {name}") for name in DATASET_FILES]
     for log in losses:
-        taken[log.resolve()] = f"the loss log {log}"
-        taken[log.with_suffix(".json").resolve()] = f"the run manifest of {log}"
+        named.append((log, f"the loss log {log}"))
+        named.append((log.with_suffix(".json"), f"the run manifest of {log}"))
+    taken = {identity: what for path, what in named for identity in _identities(path)}
     for option, out in outputs.items():
-        target = out.resolve()
-        if target in taken:
-            raise ValueError(f"{option} {out} would overwrite {taken[target]}")
-        taken[target] = f"the {option} output"
+        identities = _identities(out)
+        for identity in identities:
+            if identity in taken:
+                raise ValueError(f"{option} {out} would overwrite {taken[identity]}")
+        taken.update(dict.fromkeys(identities, f"the {option} output"))
 
 
 def _cmd_report(args) -> int:

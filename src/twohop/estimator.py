@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from itertools import islice
+from typing import Callable, Iterable
 
 from .entropy import LN2, ModelKind, dataset_entropy, task_name
 from .worldgen import WorldConfig
@@ -39,8 +40,13 @@ class AggregateLoss:
         return self.count * self.mean_loss_nats / LN2
 
 
+# A fold's buffer holds at most this many records, so that its memory is
+# capped in rows, not in questions
+FOLD_ROWS = 1 << 8
+
+
 class LossAccumulator:
-    """Welford mean/variance of loss = -logprob over the records added, one at a time."""
+    """Welford mean/variance of loss = -logprob over the records folded in, in order."""
 
     __slots__ = ("count", "mean", "m2")
 
@@ -49,14 +55,27 @@ class LossAccumulator:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add(self, qid: str, logprob_nats: float) -> None:
-        if logprob_nats > 0:
-            raise EstimatorError(f"positive logprob for {qid}: {logprob_nats}")
-        loss = -logprob_nats
-        self.count += 1
-        delta = loss - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (loss - self.mean)
+    def extend(self, logprobs: Iterable[float], qid_of: Callable[[int], str]) -> None:
+        """Fold each logprob in order, one Welford update per value on local variables.
+
+        ``qid_of(i)`` names the record of the i-th logprob. A positive
+        logprob raises EstimatorError naming its record; the values before
+        it stay folded.
+        """
+        # a float count divides as the int does, exactly, below 2**53 records
+        start, mean, m2 = self.count, self.mean, self.m2
+        count = float(start)
+        try:
+            for x in logprobs:
+                if x > 0.0:
+                    raise EstimatorError(f"positive logprob for {qid_of(int(count) - start)}: {x}")
+                loss = -x
+                count += 1.0
+                delta = loss - mean
+                mean += delta / count
+                m2 += delta * (loss - mean)
+        finally:
+            self.count, self.mean, self.m2 = int(count), mean, m2
 
     def result(self) -> AggregateLoss:
         if self.count == 0:
@@ -67,11 +86,13 @@ class LossAccumulator:
 def aggregate_losses(records: Iterable) -> AggregateLoss:
     """Single-pass Welford mean/variance of loss = -logprob over every record.
 
-    A record is any ``(qid, split, kind, logprob_nats)`` tuple.
+    A record is any ``(qid, split, kind, logprob_nats)`` tuple; the records
+    are folded ``FOLD_ROWS`` at a time.
     """
     acc = LossAccumulator()
-    for qid, _, _, x in records:
-        acc.add(qid, x)
+    records = iter(records)
+    while chunk := list(islice(records, FOLD_ROWS)):
+        acc.extend([record[3] for record in chunk], lambda i: chunk[i][0])
     return acc.result()
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .entropy import ModelKind
 from .estimator import AggregateLoss, aggregate_losses
-from .worldgen import _TRAIN, HOLDOUT_KINDS, SplitSet, World, WorldConfig
+from .worldgen import _IS_TRAIN, _TRAIN, HOLDOUT_KINDS, SplitSet, World, WorldConfig
 
 
 class EvaluationError(ValueError):
@@ -44,7 +44,7 @@ class GeneralizationSignature:
 
 
 class TrainIndex:
-    """What the train split's two-hop questions contain, from one scan of its keys.
+    """What the train split's two-hop questions contain, from the split table.
 
     ``hop1`` and ``hop2`` hold one flag per fact unit ``e·|A| + a``: a set
     flag marks a fact asked as the first hop of a train two-hop question, or
@@ -53,19 +53,23 @@ class TrainIndex:
     """
 
     def __init__(self, world: World, split_set: SplitSet):
-        self.space, self.table, self.facts = split_set.space, split_set.table, world.facts
-        n_rel, n_attrs = self.space.n_relations, self.space.n_attributes
-        units = self.space.n_profiles * n_attrs
-        hop1, hop2 = bytearray(units), bytearray(units)
-        facts = world.facts.tolist()
-        for key in split_set.train:
-            head, a = divmod(key, n_attrs)  # head = e1·(|R|+1) + r
-            e1, r = divmod(head, n_rel + 1)
-            if r != n_rel:
-                first = e1 * n_attrs + r
-                hop1[first] = 1
-                hop2[facts[first] * n_attrs + a] = 1
-        self.hop1, self.hop2 = hop1, hop2
+        space, table, facts = split_set.space, split_set.table, world.facts
+        self.space, self.table, self.facts = space, table, facts
+        n_rel, n_attrs = space.n_relations, space.n_attributes
+        hop1 = bytearray(space.n_profiles * n_attrs)
+        # e2's hop2 flags as an int, one byte per attribute: the OR of the
+        # train flags of the (e1, r) rows whose target is e2
+        hop2 = [0] * space.n_profiles
+        for e1, start in enumerate(range(0, space.size, space.per_entity)):
+            flags = table[start : start + n_rel * n_attrs].translate(_IS_TRAIN)
+            for r in range(n_rel):
+                row = flags[r * n_attrs : (r + 1) * n_attrs]
+                if 1 in row:
+                    unit = e1 * n_attrs + r
+                    hop1[unit] = 1
+                    hop2[facts[unit]] |= int.from_bytes(row, "big")
+        self.hop1 = hop1
+        self.hop2 = bytearray().join(row.to_bytes(n_attrs, "big") for row in hop2)
 
 
 def train_two_hops(split_set: SplitSet) -> bytearray:
@@ -74,10 +78,6 @@ def train_two_hops(split_set: SplitSet) -> bytearray:
     n = space.n_relations * space.n_attributes
     rows = (split_set.table[start : start + n] for start in range(0, space.size, space.per_entity))
     return bytearray().join(rows).translate(_IS_TRAIN)
-
-
-# bytes.translate table: train's split code to 1, every other byte to 0
-_IS_TRAIN = bytes(code == _TRAIN for code in range(256))
 
 
 def presence_flags(index: TrainIndex, e1: int, r: str, a: str) -> PresenceFlags:

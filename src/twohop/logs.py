@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import NUMBER_RE
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .estimator import EstimatorError, LossAccumulator
+from .estimator import FOLD_ROWS, EstimatorError, LossAccumulator
 from .worldgen import SPLITS, DatasetIOError, QuestionKind, load_dataset
 
 
@@ -149,51 +150,26 @@ def read_loss_log(path: Path) -> list[LossRecord]:
 SUMMARY_GROUPS = ("one_hop", "two_hop", *(f"two_hop/{split}" for split in SPLITS))
 
 
-def _refuse_cot(qid: str, x: float) -> None:
-    raise EstimatorError(
-        f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
-    )
+def group_names(kind: str, split: str) -> tuple[str, ...] | None:
+    """The names of the groups that a row of ``kind`` and ``split`` joins, or None.
 
-
-def group_adds(groups: dict[str, LossAccumulator], kind: str, split: str) -> tuple:
-    """The ``add(qid, logprob_nats)`` of each group that a row of ``kind`` and ``split`` joins.
-
-    ``groups`` maps each name in SUMMARY_GROUPS to its accumulator. A
-    one_hop row joins ``one_hop``; a two_hop row joins ``two_hop`` and, when
-    its split is one of SPLITS, ``two_hop/SPLIT``; a row of another kind
-    joins none. A ``two_hop_cot`` row raises EstimatorError instead: no
-    estimator inverts chain-of-thought losses yet, and the latent-model
-    inversion does not describe them.
+    A one_hop row joins ``one_hop``; a two_hop row joins ``two_hop`` and,
+    when its split is one of SPLITS, ``two_hop/SPLIT``; a row of another
+    kind joins none. A ``two_hop_cot`` row gives None: a fold refuses it
+    (``refused_cot``), since no estimator inverts chain-of-thought losses
+    yet and the latent-model inversion does not describe them.
     """
     if kind == QuestionKind.TWO_HOP.value:
-        two_hop = groups["two_hop"].add
-        return (two_hop, groups[f"two_hop/{split}"].add) if split in SPLITS else (two_hop,)
+        return ("two_hop", f"two_hop/{split}") if split in SPLITS else ("two_hop",)
     if kind == QuestionKind.ONE_HOP.value:
-        return (groups["one_hop"].add,)
-    return (_refuse_cot,) if kind == QuestionKind.TWO_HOP_COT.value else ()
+        return ("one_hop",)
+    return None if kind == QuestionKind.TWO_HOP_COT.value else ()
 
 
-def folded(
-    rows: Iterable[tuple[str, str, str, float]], groups: dict[str, LossAccumulator]
-) -> Iterator[tuple[str, str, str, float]]:
-    """Yield each ``(qid, split, kind, logprob_nats)`` row after adding it to ``groups``.
-
-    A row joins the groups of ``group_adds``, and a group sees its rows in
-    their order in ``rows``. A positive logprob in a row that joins a group
-    raises EstimatorError.
-    """
-    # the groups of every kind and split a dataset writes, looked up once
-    routes = {
-        (kind.value, split): group_adds(groups, kind.value, split)
-        for kind in QuestionKind
-        for split in SPLITS
-    }
-    for row in rows:
-        qid, split, kind, x = row
-        adds = routes.get((kind, split))
-        for add in group_adds(groups, kind, split) if adds is None else adds:
-            add(qid, x)
-        yield row
+def refused_cot(qid: str) -> EstimatorError:
+    return EstimatorError(
+        f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
+    )
 
 
 def new_groups() -> dict[str, LossAccumulator]:
@@ -201,10 +177,40 @@ def new_groups() -> dict[str, LossAccumulator]:
 
 
 def summarize(rows: Iterable[tuple[str, str, str, float]]) -> dict[str, LossAccumulator]:
-    """Fold every row into SUMMARY_GROUPS' accumulators in one pass (see ``folded``)."""
+    """Fold every ``(qid, split, kind, logprob_nats)`` row into SUMMARY_GROUPS' accumulators.
+
+    A row joins the groups of ``group_names``, and each group folds its rows
+    in their order in ``rows``, ``FOLD_ROWS`` rows at a time. The first row
+    that no fold takes raises EstimatorError: a ``two_hop_cot`` row, or a
+    positive logprob in a row that joins a group.
+    """
     groups = new_groups()
-    for _ in folded(rows, groups):
-        pass
+    buffers = {name: [] for name in SUMMARY_GROUPS}  # each group's rows, not folded yet
+
+    def appends(kind: str, split: str) -> tuple | None:
+        names = group_names(kind, split)
+        return None if names is None else tuple(buffers[name].append for name in names)
+
+    # the appends of every kind and split a dataset writes, found once
+    known = {
+        (kind.value, split): appends(kind.value, split)
+        for kind in QuestionKind
+        for split in SPLITS
+    }
+    rows = iter(rows)
+    while chunk := list(islice(rows, FOLD_ROWS)):
+        for row in chunk:
+            qid, split, kind, x = row
+            adds = known.get((kind, split)) or appends(kind, split)
+            if adds is None:
+                raise refused_cot(qid)
+            for add in adds:
+                add(row)
+            if adds and x > 0:
+                break  # the fold below stops at this row, the first it cannot take
+        for name, buffer in buffers.items():
+            groups[name].extend([row[3] for row in buffer], lambda i, buffer=buffer: buffer[i][0])
+            buffer.clear()
     return groups
 
 
@@ -373,7 +379,7 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
                     # the line decodes to this question's qid, split and kind
                     matched += 1
                     if x > 0 or seen[key]:
-                        qid = f"{entries[rest].qid_head}{e1}{entries[rest].qid_tail}"
+                        qid = space.qid(key)
                         if x > 0:
                             diag.positive_logprobs.append((lineno, qid))
                         if seen[key]:

@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Iterator
 
 from .entropy import ModelKind, dataset_entropy
-from .estimator import LossAccumulator
+from .estimator import FOLD_ROWS, LossAccumulator
 from .generalization import TrainIndex, train_two_hops
-from .logs import LossRecord, group_adds, row_head, row_tail
+from .logs import LossRecord, group_names, refused_cot, row_head, row_tail
 from .worldgen import KeySpace, SplitSet, World, WorldConfig
 
 
@@ -272,24 +272,44 @@ def write_log(
     """Write ``loss_records``' rows to ``path``, one ``write`` per row; return the count.
 
     A row is its table cell's head, ``str(e1)`` and ``logs.row_tail``'s text.
-    When ``groups`` is given, each row is then added to the groups of
-    ``logs.group_adds``, in file order.
+    When ``groups`` is given, each row's logprob also joins the groups of
+    ``logs.group_names``, in file order: the keys go in chunks of
+    ``estimator.FOLD_ROWS``, and once a chunk's rows are written each group
+    folds its logprobs with one ``LossAccumulator.extend``. A row that no
+    fold takes (a positive logprob, or a ``two_hop_cot`` row) raises
+    EstimatorError once it is written and before the next row is: a split
+    whose table may give one goes one row at a time.
     """
-    table, entries = LossTable(world, profile, split_set.space), split_set.space.entries
+    space = split_set.space
+    table, entries = LossTable(world, profile, space), space.entries
     names = [str(e1) for e1 in range(world.config.n_profiles)]  # once per entity, not per row
     count = 0
     with open(path, "w", encoding="utf-8") as f:
         write = f.write
         for split, keys in split_set.splits():
             tails = [row_tail(entry.qid_tail, split) for entry in entries]
-            adds = [group_adds(groups, kind, split) if groups else () for *_, kind in entries]
-            for e1, rest, (x, head) in table.lookup(keys):
-                name = names[e1]
-                write(head + name + tails[rest])
-                _, _, qid_head, qid_tail, _ = entries[rest]
-                qid = qid_head + name + qid_tail
-                for add in adds[rest]:
-                    add(qid, x)
+            routes = [group_names(kind, split) if groups else () for *_, kind in entries]
+            buffers = {route: [] for route in routes}  # each route's logprobs, not folded yet
+            appends = [buffers[route].append for route in routes]
+            foldable = all(
+                route is not None and all(x <= 0 for x, _ in cells)
+                for route, cells in zip(routes, table.cells)
+                if route != ()
+            )
+            step = FOLD_ROWS if foldable else 1
+            for start in range(0, len(keys), step):
+                chunk = keys[start : start + step]
+                for e1, rest, (x, head) in table.lookup(chunk):
+                    write(head + names[e1] + tails[rest])
+                    appends[rest](x)
+                # only a one-row chunk can hold a row that no fold takes (see step)
+                qid_of = lambda _: space.qid(chunk[0])
+                for route, buffer in buffers.items():
+                    if route is None and buffer:
+                        raise refused_cot(qid_of(0))
+                    for name in route or ():
+                        groups[name].extend(buffer, qid_of)
+                    buffer.clear()
             count += len(keys)
     return count
 

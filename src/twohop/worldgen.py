@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from itertools import zip_longest
+from itertools import chain, compress, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -278,6 +278,11 @@ class KeySpace:
         r_index, a_index = divmod(rest, self.n_attributes)
         return e1, r_index, a_index
 
+    def qid(self, key: int) -> str:
+        """The qid of ``key``: its entry's ``qid_head``, ``str(e1)`` and ``qid_tail``."""
+        e1, rest = divmod(key, self.per_entity)
+        return f"{self.entries[rest].qid_head}{e1}{self.entries[rest].qid_tail}"
+
     def key_of_qid(self, qid: str) -> int | None:
         """The key whose qid is exactly ``qid``, or None.
 
@@ -301,6 +306,10 @@ class KeySpace:
 # Split names in file order; a split table stores 1 + a split's index here.
 SPLITS = ("train",) + HOLDOUT_KINDS
 _TRAIN = 1
+# bytes.translate tables that map a split code to 1 when it is train's
+# (_IS_TRAIN) or a held-out split's (_IS_HELDOUT), and any other byte to 0
+_IS_TRAIN = bytes(code == _TRAIN for code in range(256))
+_IS_HELDOUT = bytes(code > _TRAIN for code in range(256))
 
 
 class SplitSet:
@@ -309,23 +318,31 @@ class SplitSet:
     Each split is an ``array`` of packed keys in file order: ``train`` and
     ``heldout[kind]``. ``table`` has one byte per key of ``space``: 1 + the
     index in ``SPLITS`` of the split holding that question, or 0 when the
-    dataset has no such question.
+    dataset has no such question. The train stream is built by
+    ``make_train()`` the first time it is read, so a reader of the held-out
+    sets and the table alone never builds it.
     """
 
     def __init__(
         self,
         space: KeySpace,
-        keys: Mapping[str, array],
+        heldout: Mapping[str, array],
         table: bytearray,
         holdout_manifest: dict[str, list],
         params: dict,
+        make_train: Callable[[], array],
     ):
         self.space = space
         self.table = table
-        self.train = keys["train"]
-        self.heldout = {kind: keys[kind] for kind in HOLDOUT_KINDS}
+        self.heldout = {kind: heldout[kind] for kind in HOLDOUT_KINDS}
         self.holdout_manifest = holdout_manifest
         self.params = params
+        self._make_train = make_train
+
+    @cached_property
+    def train(self) -> array:
+        make_train, self._make_train = self._make_train, None  # what it holds goes with it
+        return make_train()
 
     def splits(self) -> Iterator[tuple[str, array]]:
         """Every split's (name, keys) in file order: train, then HOLDOUT_KINDS order."""
@@ -593,54 +610,82 @@ def build_splits(
 
     space = KeySpace(cfg, cot)
     table = split_table(world, space, components, mix_ratio)
-    keys = {split: array(space.typecode) for split in SPLITS}
-    train_two_hop = array(space.typecode)
+    heldout = {kind: array(space.typecode) for kind in HOLDOUT_KINDS}
     two_hop_keys = space.n_relations * space.n_attributes
     for start in range(0, space.size, space.per_entity):
-        for key in range(start, start + two_hop_keys):
-            code = table[key]
-            if code == _TRAIN:
-                train_two_hop.append(key)
-            elif code:
-                keys[SPLITS[code - 1]].append(key)
-
-    one_hop = array(space.typecode, (
-        space.pack(e1, space.n_relations, a)
-        for e1 in range(cfg.n_profiles)
-        for a in range(space.n_attributes)
-    ))
-    if mix_ratio == 0:
-        train = one_hop
-    else:
-        # shuffle draws depend only on the length, so arrays shuffle as lists do
-        rng.shuffle(train_two_hop)
-        rng.shuffle(one_hop)
-        # One one-hop key after each run of mix_ratio two-hop keys while both
-        # last, then the rest of each. The keys are moved in place, back to
-        # front, so no second copy of the train stream is held.
-        train, n_two = train_two_hop, len(train_two_hop)
-        taken = min(n_two // mix_ratio, len(one_hop))
-        train.extend(one_hop)  # one_hop[taken:] is now in place
-        # the two-hop keys after the last run move taken places right, back
-        # to front in runs of at most taken keys: each run's copy stays small
-        # and no run lands on a key not yet moved
-        tail = mix_ratio * taken
-        for end in range(n_two, tail, -taken) if taken else ():
-            start = max(end - taken, tail)
-            train[start + taken : end + taken] = train[start:end]
-        for i in reversed(range(taken)):
-            start = i * (mix_ratio + 1)
-            train[start : start + mix_ratio] = train[i * mix_ratio : (i + 1) * mix_ratio]
-            train[start + mix_ratio] = one_hop[i]
-    keys["train"] = train
-
+        end = start + two_hop_keys
+        for key in compress(range(start, end), table[start:end].translate(_IS_HELDOUT)):
+            heldout[SPLITS[table[key] - 1]].append(key)
     params = {
         "seed": seed,
         "mix_ratio": mix_ratio,
         "holdout_fractions": {k: holdout_fractions.get(k, 0.0) for k in HOLDOUT_KINDS},
         "cot": cot,
     }
-    return SplitSet(space, keys, table, manifest, params)
+    # the train shuffle is the last use of rng, so it waits until train is read
+    make_train = partial(_train_stream, space, table, mix_ratio, rng)
+    return SplitSet(space, heldout, table, manifest, params, make_train)
+
+
+def _train_stream(space: KeySpace, table: bytearray, mix_ratio: int, rng: random.Random) -> array:
+    """The train stream of ``build_splits``: its keys in file order, drawn from ``rng``.
+
+    One one-hop key follows each run of ``mix_ratio`` two-hop keys while
+    both last, then the rest of each; each kind is shuffled first.
+    ``mix_ratio`` 0 keeps the one-hop keys only, unshuffled.
+    """
+    two_hop_keys = space.n_relations * space.n_attributes
+    starts = range(0, space.size, space.per_entity)
+    one_hop = array(space.typecode, chain.from_iterable(
+        range(start + two_hop_keys, start + space.per_entity) for start in starts
+    ))
+    if mix_ratio == 0:
+        return one_hop
+    train = array(space.typecode)
+    for start in starts:
+        end = start + two_hop_keys
+        train.extend(compress(range(start, end), table[start:end].translate(_IS_TRAIN)))
+    _shuffle(train, rng)
+    _shuffle(one_hop, rng)
+    # The keys are moved in place, back to front, so no second copy of the
+    # train stream is held.
+    n_two = len(train)
+    taken = min(n_two // mix_ratio, len(one_hop))
+    train.extend(one_hop)  # one_hop[taken:] is now in place
+    # the two-hop keys after the last run move taken places right, back
+    # to front in runs of at most taken keys: each run's copy stays small
+    # and no run lands on a key not yet moved
+    tail = mix_ratio * taken
+    for end in range(n_two, tail, -taken) if taken else ():
+        start = max(end - taken, tail)
+        train[start + taken : end + taken] = train[start:end]
+    for i in reversed(range(taken)):
+        start = i * (mix_ratio + 1)
+        train[start : start + mix_ratio] = train[i * mix_ratio : (i + 1) * mix_ratio]
+        train[start + mix_ratio] = one_hop[i]
+    return train
+
+
+def _shuffle(keys: array, rng: random.Random) -> None:
+    """Shuffle ``keys`` in place as ``rng.shuffle(keys)`` does: same permutation, same draws.
+
+    ``random.Random.shuffle`` swaps each ``keys[i]``, from the last down to
+    ``keys[1]``, with ``keys[j]``, where ``j`` is the first of the draws
+    ``rng.getrandbits(k)``, ``k = (i + 1).bit_length()``, that is at most
+    ``i``. Here the same draws are made one run of equal ``k`` at a time,
+    with no Python-level call per key.
+    """
+    getrandbits = rng.getrandbits
+    i = len(keys) - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        low = 1 << (k - 1)  # the smallest i + 1 with k bits
+        for i in range(i, low - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            keys[i], keys[j] = keys[j], keys[i]
+        i = low - 2
 
 
 # --- persistence ---------------------------------------------------------

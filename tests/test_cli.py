@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import shutil
 import tracemalloc
@@ -8,7 +9,7 @@ import xml.dom.minidom
 
 import pytest
 
-from twohop import cli, logs, simulate, worldgen
+from twohop import cli, estimator, logs, simulate, worldgen
 from twohop.cli import build_parser, main
 from twohop.logs import SUMMARY_GROUPS
 
@@ -399,11 +400,17 @@ def test_simulate_out_ending_in_json_exits_1(dataset_dir, tmp_path, capsys):
         ("qa.jsonl", "qa.jsonl"),
         ("profiles.jsonl", "profiles.jsonl"),
         ("sub/../manifest.txt", "manifest.json"),
+        # hard links to the dataset's files, made below: another name for the same file
+        ("../runs/b.jsonl", "qa.jsonl"),
+        ("../runs/c.jsonl", "manifest.json"),  # its run manifest's path
     ],
 )
 def test_simulate_out_over_dataset_exits_1(dataset_dir, tmp_path, capsys, out, name):
-    ds = tmp_path / "ds"
+    ds, runs = tmp_path / "ds", tmp_path / "runs"
     shutil.copytree(dataset_dir, ds)
+    runs.mkdir()
+    os.link(ds / "qa.jsonl", runs / "b.jsonl")
+    os.link(ds / "manifest.json", runs / "c.json")
     before = _file_bytes(tmp_path)
     code = main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "5",
                  "--out", str(ds / out)])
@@ -422,18 +429,27 @@ def test_simulate_out_over_dataset_exits_1(dataset_dir, tmp_path, capsys, out, n
         ("out.csv", "ds/qa.jsonl", "would overwrite the dataset's qa.jsonl"),
         ("ds/x/../profiles.jsonl", None, "would overwrite the dataset's profiles.jsonl"),
         ("out.csv", "out.csv", "--out-svg {tmp}/out.csv would overwrite the --out-csv output"),
+        # hard links to the inputs and to out.csv, made below
+        ("links/a.csv", None, "--out-csv {tmp}/links/a.csv would overwrite the loss log"),
+        ("out.csv", "links/b.svg", "--out-svg {tmp}/links/b.svg would overwrite the run manifest"),
+        ("links/qa.csv", None, "would overwrite the dataset's qa.jsonl"),
+        ("out.csv", "links/out.svg", "--out-svg {tmp}/links/out.svg would overwrite the --out-csv output"),
     ],
 )
 def test_report_out_over_inputs_exits_1(dataset_dir, run_log, tmp_path, capsys, csv, svg, needle):
-    # two logs, each with its run manifest, and an existing CSV that a
-    # refused report must leave as it was
-    ds, runs = tmp_path / "ds", tmp_path / "runs"
+    # two logs, each with its run manifest, an existing CSV that a refused
+    # report must leave as it was, and hard links to some of them
+    ds, runs, links = tmp_path / "ds", tmp_path / "runs", tmp_path / "links"
     shutil.copytree(dataset_dir, ds)
     runs.mkdir()
     for name in ("a", "b"):
         shutil.copy(run_log, runs / f"{name}.jsonl")
         shutil.copy(run_log.with_suffix(".json"), runs / f"{name}.json")
     (tmp_path / "out.csv").write_text("kept\n")
+    links.mkdir()
+    for link, target in (("a.csv", runs / "a.jsonl"), ("b.svg", runs / "b.json"),
+                         ("qa.csv", ds / "qa.jsonl"), ("out.svg", tmp_path / "out.csv")):
+        os.link(target, links / link)
     before = _file_bytes(tmp_path)
     argv = ["report", "--dataset", str(ds), "--losses", str(runs / "a.jsonl"), str(runs / "b.jsonl"),
             "--model", "2f", "--out-csv", str(tmp_path / csv)]
@@ -1128,20 +1144,63 @@ def test_outputs_same_with_and_without_summary(tmp_path, capsys, model, spec):
     assert _analysis_outputs(ds, log, model, tmp_path, capsys) == summarized
 
 
+@pytest.fixture(scope="module")
+def mix0_dataset_dir(tmp_path_factory):
+    # no train two-hop rows, and held-out splits longer than a fold's buffer
+    out = tmp_path_factory.mktemp("cli_mix0_ds")
+    assert main(GEN_ARGS + ["--properties", "2", "--mix-ratio", "0", "--holdout-frac", "0.3",
+                            "--out", str(out)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("model", ["recurrent", "2f", "independent"])
-@pytest.mark.parametrize("spec", ["trained", "chance", "two-point:0.01,0.99,0.5"])
-def test_summary_is_the_fold_of_the_log(dataset_dir, tmp_path, capsys, model, spec):
-    # simulate folds each row as it writes it: every group's Welford state is
-    # bit for bit the one logs.summarize gives over the written log
-    log = tmp_path / "run.jsonl"
-    assert main(["simulate", "--dataset", str(dataset_dir), "--model", model, "--reliability",
-                 spec, "--seed", "1", "--param-count", "5000", "--out", str(log)]) == 0
-    summary = json.loads(log.with_suffix(".json").read_text())["summary"]
-    assert summary["log_sha256"] == _sha256(log)
-    groups = logs.summarize(record for _, record in logs._loss_rows(log))
-    assert summary["groups"] == {
-        name: {"count": acc.count, "mean": acc.mean, "m2": acc.m2} for name, acc in groups.items()
-    }
+@pytest.mark.parametrize(
+    "spec", ["trained", "chance", "two-point:0.01,0.99,0.5", "0.7", "budget:5000"])
+def test_summary_is_the_fold_of_the_log(dataset_dir, mix0_dataset_dir, tmp_path, capsys, model,
+                                        spec):
+    # simulate folds the rows it writes in chunks of estimator.FOLD_ROWS: every
+    # group's Welford state is bit for bit the one logs.summarize gives over
+    # the written log, across chunk ends and on a dataset without train
+    # two-hop rows
+    for ds in (dataset_dir, mix0_dataset_dir):
+        counts = json.loads((ds / "manifest.json").read_text())["counts"]
+        assert max(counts.values()) > estimator.FOLD_ROWS
+        log = tmp_path / f"{ds.name}.jsonl"
+        assert main(["simulate", "--dataset", str(ds), "--model", model, "--reliability",
+                     spec, "--seed", "1", "--param-count", "5000", "--out", str(log)]) == 0
+        summary = json.loads(log.with_suffix(".json").read_text())["summary"]
+        assert summary["log_sha256"] == _sha256(log)
+        groups = logs.summarize(record for _, record in logs._loss_rows(log))
+        assert summary["groups"] == {
+            name: {"count": acc.count, "mean": acc.mean, "m2": acc.m2}
+            for name, acc in groups.items()
+        }
+    # the mix ratio 0 log has held-out two-hop rows and no train ones
+    assert groups["two_hop"].count > estimator.FOLD_ROWS
+    assert groups["two_hop/train"].count == 0
+
+
+def test_classify_never_shuffles(tmp_path, capsys, monkeypatch):
+    # classify reads the held-out keys and the split table, never the train
+    # stream, so the train shuffle is never drawn
+    ds = tmp_path / "ds"
+    assert main(GOLDEN_GEN_ARGS + ["--out", str(ds)]) == 0
+    for model in GOLDEN_TRAINED_LOGS:
+        assert main(["simulate", "--dataset", str(ds), "--model", model, "--param-count", "5000",
+                     "--out", str(tmp_path / f"{model}.jsonl")]) == 0
+    capsys.readouterr()
+
+    def no_shuffle(keys, rng):
+        raise AssertionError("the train stream was shuffled")
+
+    monkeypatch.setattr(worldgen, "_shuffle", no_shuffle)
+    for model in GOLDEN_TRAINED_LOGS:
+        on_log = ["--dataset", str(ds), "--losses", str(tmp_path / f"{model}.jsonl")]
+        assert main(["classify", *on_log]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_OUTPUTS["classify", model]
+        with pytest.raises(AssertionError, match="shuffled"):  # a command that reads train
+            main(["validate", *on_log])
 
 
 @pytest.mark.parametrize("interrupt", [OSError("No space left on device"), KeyboardInterrupt()])

@@ -9,6 +9,7 @@ from oracles import oracle_invert_recurrent, oracle_two_function_loss
 from twohop.entropy import LN2, ModelKind, dataset_entropy
 from twohop.estimator import (
     Branch,
+    FOLD_ROWS,
     EstimatorError,
     aggregate_losses,
     bits_per_parameter,
@@ -81,6 +82,18 @@ class TestAggregation:
         cot = ("c", "train", "two_hop_cot", -1.0)
         with pytest.raises(EstimatorError, match="two_hop_cot"):
             summarize(records + [cot])
+
+    @pytest.mark.parametrize("offset", [0, FOLD_ROWS - 2, FOLD_ROWS - 1])
+    @pytest.mark.parametrize("last_kind, last_x", [("one_hop", 0.5), ("two_hop_cot", -1.0)])
+    def test_summarize_names_the_first_row_it_cannot_fold(self, offset, last_kind, last_x):
+        # the groups fold their buffers one after another, yet the error
+        # names the first row, in row order, that no fold takes
+        rows = [(f"p{i}", "train", "one_hop", -1.0) for i in range(offset)]
+        rows += [("a", "heldout_r", "two_hop", 0.25), ("c", "train", last_kind, last_x)]
+        with pytest.raises(EstimatorError, match="^positive logprob for a: 0.25$"):
+            summarize(rows)
+        with pytest.raises(EstimatorError, match="^c is a two_hop_cot record"):
+            summarize(rows[:offset] + [("c", "train", "two_hop_cot", -1.0), rows[offset]])
 
 
 class TestRecurrentInversion:

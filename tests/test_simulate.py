@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from twohop.cli import main
 from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
 from twohop.generalization import TrainIndex, presence_flags
-from twohop.logs import _loss_rows
+from twohop.estimator import FOLD_ROWS, EstimatorError
+from twohop.logs import _loss_rows, new_groups, row_head
 from twohop.simulate import (
     LossTable,
     ReliabilityProfile,
@@ -20,6 +21,7 @@ from twohop.simulate import (
     ground_truth_content,
     loss_impact_ratio,
     loss_records,
+    write_log,
 )
 from twohop.worldgen import (
     HOLDOUT_KINDS,
@@ -237,6 +239,39 @@ def test_table_is_answer_prob(world, kind, spec, cot, seed):
     fields = ("qid", "split", "kind", "logprob_nats")
     assert text == "".join(json.dumps(dict(zip(fields, record)), sort_keys=True) + "\n"
                            for record in records)
+
+
+@pytest.mark.parametrize("cot", [False, True])
+def test_log_stops_at_the_first_row_no_fold_takes(tmp_path, monkeypatch, cot):
+    # a row that the summary cannot take (a two_hop_cot row, or a positive
+    # logprob) raises once it is written, and no later row is written; at
+    # mix ratio 0 the first such row comes after the 600 one-hop train rows
+    world = generate_world(WorldConfig(
+        n_profiles=200, relations=("mother", "boss"), properties=(("birth city", 10),), seed=2))
+    ss = build_splits(world, {"heldout_full": 0.1}, mix_ratio=0, seed=1, cot=cot)
+    profile = ReliabilityProfile.homogeneous(world.config, ModelKind.TWO_FUNCTION, 0.7)
+    if not cot:  # the two-hop rows of one entry get a positive logprob
+        init, rest = LossTable.__init__, 0
+
+        def positive(self, *args):
+            init(self, *args)
+            _, _, qid_head, _, kind = ss.space.entries[rest]
+            self.cells[rest] = [(0.5, row_head(kind, 0.5, qid_head))] * len(self.cells[rest])
+
+        monkeypatch.setattr(LossTable, "__init__", positive)
+    every_row = tmp_path / "all.jsonl"
+    write_log(world, profile, ss, every_row, None)  # nothing folded, nothing refused
+    lines = every_row.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines)
+                 if '"two_hop_cot"' in line or '"logprob_nats": 0.5' in line)
+    assert first > FOLD_ROWS
+    qid = json.loads(lines[first])["qid"]
+    log = tmp_path / "run.jsonl"
+    with pytest.raises(EstimatorError) as exc:
+        write_log(world, profile, ss, log, new_groups())
+    assert str(exc.value) == (f"{qid} is a two_hop_cot record; chain-of-thought logs have no "
+                              f"estimator yet" if cot else f"positive logprob for {qid}: 0.5")
+    assert log.read_text() == "".join(lines[: first + 1])
 
 
 class TestBudget:

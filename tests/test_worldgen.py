@@ -24,6 +24,7 @@ from twohop.worldgen import (
     QuestionKind,
     WorldConfig,
     _sample_components,
+    _shuffle,
     build_splits,
     generate_world,
     load_dataset,
@@ -261,6 +262,23 @@ class TestSplits:
                 taken += 1
         expected.extend(one[taken:])
         assert list(ss.train) == expected
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**64))
+    @pytest.mark.parametrize("typecode", ["I", "Q"])
+    def test_shuffle_is_random_shuffle(self, typecode, seed):
+        # the train shuffle draws what random.Random.shuffle draws: the same
+        # permutation and the same generator state after it, across the
+        # ends of the runs of equal bit length (2, 4, ..., 2**16)
+        base = 1 << 40 if typecode == "Q" else 0  # Q keys past what I holds
+        for n in (*range(301), (1 << 16) + 3):
+            keys = array(typecode, range(base, base + n))
+            expected, reference = list(keys), random.Random(seed)
+            reference.shuffle(expected)
+            rng = random.Random(seed)
+            _shuffle(keys, rng)
+            assert list(keys) == expected, n
+            assert rng.getstate() == reference.getstate(), n
 
     def test_heldout_relation_removes_it_from_train_two_hops(self, micro_world):
         ss = build_splits(micro_world, {"heldout_r": 0.34}, mix_ratio=10, seed=2)
