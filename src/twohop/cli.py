@@ -211,28 +211,29 @@ def _cmd_simulate(args) -> int:
     _check_simulate_out(out, dataset_dir)
     # the log is bound to the sha256 of the manifest bytes that were verified
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
-    split_set, world = worldgen.verify_dataset(dataset_dir, manifest)
-    kind = ModelKind(args.model)
-    if args.reliability == "trained":
-        profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
-    else:
-        profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # a run manifest describes a complete log: an interrupted run leaves none
-    out.with_suffix(".json").unlink(missing_ok=True)
-    # a chain-of-thought log gets no summary: no estimator reads its losses
-    cot = split_set.space.two_hop_kind is worldgen.QuestionKind.TWO_HOP_COT
-    groups = None if cot else logs.new_groups()
-    count = simulate.write_log(world, profile, split_set, out, groups)
-    run_meta = {
-        "label": args.label,
-        "param_count": args.param_count,
-        "model_kind": kind.value,
-        "reliability": args.reliability,
-        "dataset_manifest_sha256": dataset_sha,
-    }
-    if groups is not None:
-        run_meta["summary"] = logs.summary_to_json(groups, worldgen.sha256_file(out))
+    # the data files are checked as the log is written; a fault leaves no run manifest
+    with worldgen.checked_dataset(dataset_dir, manifest) as (split_set, world):
+        kind = ModelKind(args.model)
+        if args.reliability == "trained":
+            profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
+        else:
+            profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        # a run manifest describes a complete log: an interrupted run leaves none
+        out.with_suffix(".json").unlink(missing_ok=True)
+        # a chain-of-thought log gets no summary: no estimator reads its losses
+        cot = split_set.space.two_hop_kind is worldgen.QuestionKind.TWO_HOP_COT
+        groups = None if cot else logs.new_groups()
+        count = simulate.write_log(world, profile, split_set, out, groups)
+        run_meta = {
+            "label": args.label,
+            "param_count": args.param_count,
+            "model_kind": kind.value,
+            "reliability": args.reliability,
+            "dataset_manifest_sha256": dataset_sha,
+        }
+        if groups is not None:
+            run_meta["summary"] = logs.summary_to_json(groups, worldgen.sha256_file(out))
     with open(out.with_suffix(".json"), "w", encoding="utf-8") as f:
         json.dump(run_meta, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -126,19 +126,6 @@ def dataset_entropy(config: WorldConfig, model_kind: ModelKind | None) -> Entrop
     )
 
 
-def strict_two_function_total_bits(config: WorldConfig) -> float:
-    """Two-function entropy counting only relations in the first pass.
-
-    The as-written formula doubles the full attribute sum even though first
-    hops can only be relations; this variant is reported for comparison.
-    """
-    name_bits = name_selection_entropy(config.n_profiles, config.name_space_size)
-    relation_bits = config.n_profiles * sum(
-        attribute_entropy(config.pool_size(r)) for r in config.relations
-    )
-    return name_bits + relation_bits + _fact_bits_per_pass(config)
-
-
 def uniform_guess_loss_bits(config: WorldConfig, model_kind: ModelKind | None) -> float:
     """Total loss of guessing uniformly over each answer pool, in bits.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .entropy import ModelKind
 from .estimator import AggregateLoss, aggregate_losses
-from .worldgen import _IS_TRAIN, _TRAIN, HOLDOUT_KINDS, SplitSet, World, WorldConfig
+from .worldgen import _IS_TRAIN, HOLDOUT_KINDS, SplitSet, World, WorldConfig
 
 
 class EvaluationError(ValueError):
@@ -78,24 +78,6 @@ def train_two_hops(split_set: SplitSet) -> bytearray:
     n = space.n_relations * space.n_attributes
     rows = (split_set.table[start : start + n] for start in range(0, space.size, space.per_entity))
     return bytearray().join(rows).translate(_IS_TRAIN)
-
-
-def presence_flags(index: TrainIndex, e1: int, r: str, a: str) -> PresenceFlags:
-    """Exact membership flags for the two-hop question (e1, r, a)."""
-    space = index.space
-    if not 0 <= e1 < space.n_profiles:
-        raise EvaluationError(f"unknown entity: {e1}")
-    r_index, a_index = space.relation_index.get(r), space.attribute_index.get(a)
-    if r_index is None or a_index is None:
-        raise EvaluationError(f"no two-hop question asks {r!r} then {a!r}")
-    first = e1 * space.n_attributes + r_index
-    second = index.facts[first] * space.n_attributes + a_index
-    return PresenceFlags(
-        facts_one_hop_present=True,  # split_table puts every one-hop question in train
-        first_hop_pair_present=bool(index.hop1[first]),
-        second_hop_pair_present=bool(index.hop2[second]),
-        full_question_present=index.table[space.pack(e1, r_index, a_index)] == _TRAIN,
-    )
 
 
 def predict_generalization(model_kind: ModelKind, flags: PresenceFlags) -> bool:

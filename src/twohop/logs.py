@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .estimator import FOLD_ROWS, EstimatorError, LossAccumulator
-from .worldgen import SPLITS, DatasetIOError, QuestionKind, load_dataset
+from .worldgen import SPLITS, DatasetIOError, QuestionKind, SplitSet, checked_dataset, load_manifest
 
 
 # A loss-log row has the bytes that json.dumps(row, sort_keys=True) gives
@@ -305,20 +305,33 @@ class LogDiagnostics:
         }
 
 
+# How far past the question that validate's walk awaits a joined line may
+# name one for the walk to go on after it: a dropped row costs one join
+RESYNC_ROWS = 16
+
+
 def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     """Report unknown/duplicate qids, positive logprobs, mislabeled records and per-split coverage.
 
     A record joins its question through the key its qid names and the
     dataset's split table. A record is mislabeled when its split or kind is
-    not its question's.
+    not its question's. The dataset's data files are compared with its
+    manifest (``checked_dataset``) while the log is read.
 
     The log is read in one pass that walks the dataset's questions in file
     order. A line that is the row of the next question, written from the
     row pieces around any finite JSON number (as ``simulate`` writes it),
     is that question's record; any other line is decoded and joined through
-    its qid. Either way a line gives the same findings.
+    its qid, and when that names one of the next ``RESYNC_ROWS`` questions,
+    the walk goes on after it. Either way a line gives the same findings.
     """
-    split_set, _ = load_dataset(dataset_dir)
+    manifest, _ = load_manifest(dataset_dir)
+    with checked_dataset(dataset_dir, manifest) as (split_set, _):
+        return _walk_log(log_path, split_set)
+
+
+def _walk_log(log_path: Path, split_set: SplitSet) -> LogDiagnostics:
+    """``validate_loss_log``'s findings for the log at ``log_path`` against ``split_set``."""
     totals = split_set.counts()
     space, table = split_set.space, split_set.table
     entries, per_entity = space.entries, space.per_entity
@@ -328,11 +341,11 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     unknown_seen: set[str] = set()
     covered = dict.fromkeys(totals, 0)
 
-    def join(lineno: int, raw: bytes) -> None:
-        """Decode a line and join its record through its qid."""
+    def join(lineno: int, raw: bytes) -> int | None:
+        """Decode a line and join its record through its qid; return the key the qid names, if any."""
         record = _decode_record(log_path, lineno, raw)
         if record is None:
-            return
+            return None
         qid, rec_split, rec_kind, x = record
         diag.n_records += 1
         if x > 0:
@@ -353,19 +366,33 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
             diag.duplicate_qids.append(qid)
         elif code:
             covered[split] += 1
+        return key
+
+    order = list(split_set.splits())
+
+    def resync(key: int | None, s: int, i: int) -> tuple[int, int] | None:
+        """The split and place after ``key`` if it is within RESYNC_ROWS of place i of split s."""
+        budget = RESYNC_ROWS
+        for t in range(s, len(order)):
+            window = order[t][1][i : i + budget]
+            if key in window:
+                return t, i + window.index(key) + 1
+            budget, i = budget - len(window), 0
+        return None
 
     # the row pieces of each entry, and of each entity's id; rows are ASCII
     ids = [str(e1).encode() for e1 in range(space.n_profiles)]
     leads = [row_lead(entry.kind).encode() for entry in entries]
     qid_heads = [row_qid_head(entry.qid_head).encode() for entry in entries]
-    matched = 0
+    matched, s, start = 0, 0, 0  # the walk awaits place ``start`` of split ``s``
     try:
         with open(log_path, "rb") as f:
             lines = enumerate(f, 1)
-            for split, keys in split_set.splits():
+            while s < len(order):
+                split, keys = order[s]
                 tails = [row_tail(entry.qid_tail, split).encode() for entry in entries]
-                newly_covered = 0
-                for key in keys:
+                newly_covered, resume = 0, None
+                for i, key in enumerate(memoryview(keys)[start:], start):
                     e1, rest = divmod(key, per_entity)
                     lead, end = leads[rest], qid_heads[rest] + ids[e1] + tails[rest]
                     for lineno, raw in lines:
@@ -373,9 +400,12 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
                             number = raw[len(lead) : len(raw) - len(end)]
                             if _number_token(number) and isfinite(x := float(number)):
                                 break
-                        join(lineno, raw)
+                        if resume := resync(join(lineno, raw), s, i):
+                            break
                     else:
-                        break  # the log ended
+                        resume = len(order), 0  # the log ended
+                    if resume:
+                        break
                     # the line decodes to this question's qid, split and kind
                     matched += 1
                     if x > 0 or seen[key]:
@@ -388,6 +418,7 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
                     seen[key] = 1
                     newly_covered += 1
                 covered[split] += newly_covered
+                s, start = resume or (s + 1, 0)
             for lineno, raw in lines:  # the lines after the last question's row
                 join(lineno, raw)
     except OSError as exc:

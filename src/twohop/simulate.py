@@ -146,28 +146,6 @@ class ReliabilityProfile:
         hop1, hop2 = ReliabilityTable(*levels, index.hop1), ReliabilityTable(*levels, index.hop2)
         return cls(model_kind, cfg, hop1=hop1, hop2=hop2)
 
-    def answer_prob(self, e1: int, r: int, a: int, e2: int) -> float:
-        """Probability of the correct answer to question (e1, r, a), on config indices.
-
-        ``r = |R|`` is the one-hop question, with ``e2 = e1``; otherwise e2 is
-        relation r's target of e1. For composing models, a first-hop miss
-        falls back to a uniform guess over |N| entities, the fallback both
-        inversions assume. A question that needs an unlearned unit is
-        answered at chance 1/|V_a|. This is the reference for ``LossTable``,
-        which gives the log of it for every question of a run.
-        """
-        n_relations, n_attrs = len(self.config.relations), len(self.chance)
-        if self.memo is not None:  # the memo model stores two-hop answers only
-            p1 = 1.0
-            p2 = None if r == n_relations else self.memo[(e1 * n_relations + r) * n_attrs + a]
-        else:
-            first, second = (self.hop1, self.hop2) if self.facts is None else (self.facts,) * 2
-            p1 = 1.0 if r == n_relations else first[e1 * n_attrs + r]
-            p2 = second[e2 * n_attrs + a]
-        if p1 is None or p2 is None:
-            return self.chance[a]
-        return p1 * p2 + (1.0 - p1) / self.config.n_profiles
-
 
 def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
     """Units in one table of the model: facts for composing models, questions for the memo."""
@@ -191,9 +169,12 @@ class LossTable:
     - the memo's two-hop question: the flag of its unit; its one-hop question
       is answered at chance whatever the flag.
 
-    ``cells[rest][f]`` is ``(ln q, row head)``: the log of the probability
-    that ``answer_prob`` gives, and the loss-log row's text up to the entity
-    of its qid (``logs.row_head``).
+    ``cells[rest][f]`` is ``(ln q, row head)``: the log of the probability of
+    the correct answer, and the loss-log row's text up to the entity of its
+    qid (``logs.row_head``). A composing model that misses the first hop
+    guesses uniformly over |N| entities, the fallback both inversions
+    assume, so ``q = p1·p2 + (1 − p1)/|N|``; a question that needs an
+    unlearned unit is answered at chance 1/|V_a|.
     """
 
     def __init__(self, world: World, profile: ReliabilityProfile, space: KeySpace):
@@ -226,7 +207,6 @@ class LossTable:
         chance, cells = profile.chance, {}
 
         def cell(kind: str, head: str, a: int, p1: float | None, p2: float | None):
-            # the expressions of answer_prob
             q = chance[a] if p1 is None or p2 is None else p1 * p2 + (1.0 - p1) / n_profiles
             x = math.log(q)
             text = row_head(kind, x, head)

@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 from array import array
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -214,12 +216,6 @@ class World:
     def entity_name(self, e: int) -> str:
         return "F{} M{} L{}".format(*self.name_indices(e))
 
-    def relation_target(self, e1: int, relation: str) -> int:
-        relations = self.config.relations
-        if relation not in relations:
-            raise ConfigError(f"unknown relation: {relation!r}")
-        return self.facts[e1 * len(self.config.attributes) + relations.index(relation)]
-
     def value_string(self, prop: str, value: int) -> str:
         slug = prop.replace(" ", "_")
         return f"{slug}_{value}"
@@ -255,8 +251,6 @@ class KeySpace:
         self.per_entity = (self.n_relations + 1) * self.n_attributes
         self.size = self.n_profiles * self.per_entity
         self.two_hop_kind = QuestionKind.TWO_HOP_COT if cot else QuestionKind.TWO_HOP
-        self.relation_index = {r: i for i, r in enumerate(self.relations)}
-        self.attribute_index = {a: i for i, a in enumerate(self.attributes)}
         self.typecode = typecode(self.size)
         # names hold no ':' (WorldConfig.validate), so qid.split(":", 2) inverts the table
         self.entries, self._entry_of = [], {}
@@ -268,15 +262,6 @@ class KeySpace:
                     head, tail, kind = "1h", a_name, QuestionKind.ONE_HOP
                 self._entry_of[head, tail] = len(self.entries)
                 self.entries.append(QuestionEntry(r, a, f"{head}:", f":{tail}", kind.value))
-
-    def pack(self, e1: int, r_index: int, a_index: int) -> int:
-        return (e1 * (self.n_relations + 1) + r_index) * self.n_attributes + a_index
-
-    def unpack(self, key: int) -> tuple[int, int, int]:
-        """``(e1, r_index, a_index)`` of a key; ``r_index == n_relations`` for one-hop."""
-        e1, rest = divmod(key, self.per_entity)
-        r_index, a_index = divmod(rest, self.n_attributes)
-        return e1, r_index, a_index
 
     def qid(self, key: int) -> str:
         """The qid of ``key``: its entry's ``qid_head``, ``str(e1)`` and ``qid_tail``."""
@@ -852,7 +837,7 @@ def replay_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
     only file read is profiles.jsonl, whose rows are counted: a config that
     claims more profiles than the file has rows is refused before the world
     is built, so a replay never builds more profiles than the file holds.
-    Neither data file is compared with its lines; ``load_dataset`` does that.
+    Neither data file is compared with its lines; ``checked_dataset`` does that.
     ``holdout_components`` is taken out of ``manifest``.
     """
     config = WorldConfig.from_dict(manifest["config"])
@@ -878,35 +863,69 @@ def replay_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
 
 
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
-    """Load a persisted dataset: ``load_manifest``, then ``verify_dataset``."""
+    """Load a persisted dataset: ``load_manifest``, then ``checked_dataset`` entered and left."""
     manifest, _ = load_manifest(path)
-    return verify_dataset(path, manifest)
+    with checked_dataset(path, manifest) as loaded:
+        return loaded
 
 
-def verify_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
-    """The splits and world of the dataset at ``path``, verified against ``manifest``.
+@contextmanager
+def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, World]]:
+    """The splits and world of the dataset at ``path``; its data files are checked as the body runs.
 
-    ``manifest`` is ``load_manifest``'s, and loses ``holdout_components``
-    to ``replay_dataset``. Both data files are derived from it, not decoded:
-    after the file hashes, ``replay_dataset`` gives the world and splits,
-    and each profiles.jsonl and qa.jsonl line must then be the one
-    ``profile_lines`` and ``question_lines`` write. The first line that
-    differs, a missing line or an extra one raises DatasetIOError naming
-    ``path:line``.
+    ``manifest`` is ``load_manifest``'s, and loses ``holdout_components`` to
+    ``replay_dataset``. The file hashes, the replay and the train stream come
+    first, in this process. A forked child then requires each profiles.jsonl
+    and qa.jsonl line to be the one ``profile_lines`` and ``question_lines``
+    write, and leaves by ``os._exit``: it never returns into the caller.
+    When the body ends, the child is reaped first. Its fault (the first line
+    that differs, a missing line or an extra one, named ``path:line``) is
+    raised as a DatasetIOError in place of any Exception of the body, as a
+    check made first would have been. Any other exit of the body
+    (KeyboardInterrupt) kills the child and goes on once it is reaped.
     """
     path = Path(path)
     _verify_files(path, manifest)
     split_set, world = replay_dataset(path, manifest)
-    _require_lines(
-        path / "profiles.jsonl",
-        partial(profile_lines, world),
-        "profile",
-        lambda want: f"profile {json.loads(want)['id']}",
-    )
-    _require_lines(
-        path / "qa.jsonl",
-        partial(question_lines, world, split_set),
-        "question",
-        lambda want: repr(json.loads(want)["qid"]),
-    )
-    return split_set, world
+    split_set.train  # built here, and not once more in the child
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1  # any way out but a check that passed
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    _require_lines(path / "profiles.jsonl", partial(profile_lines, world),
+                                   "profile", lambda want: f"profile {json.loads(want)['id']}")
+                    _require_lines(path / "qa.jsonl", partial(question_lines, world, split_set),
+                                   "question", lambda want: repr(json.loads(want)["qid"]))
+                    status = 0
+                except Exception as exc:
+                    pipe.write(str(exc).encode("utf-8", "surrogatepass"))
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        yield split_set, world
+    except Exception:
+        _reap_check(pid, read_end)  # the child's fault, if any, in place of the body's
+        raise
+    except BaseException:  # an interrupt: the check is not waited for
+        import signal  # here, not at the top: its import costs every command about 1 ms
+        os.kill(pid, signal.SIGKILL)
+        with suppress(DatasetIOError):
+            _reap_check(pid, read_end)
+        raise
+    _reap_check(pid, read_end)
+
+
+def _reap_check(pid: int, read_end: int) -> None:
+    """Reap the check in child ``pid``; raise the fault it sent through ``read_end``, if any."""
+    try:
+        with open(read_end, "rb") as pipe:
+            message = pipe.read().decode("utf-8", "surrogatepass")
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise DatasetIOError(message or f"the data-file check died (status {status})") from None

@@ -3,13 +3,93 @@
 The numerical oracles solve the same equations as ``twohop.estimator``'s
 closed forms by a search that shares no algebra with them.
 ``reference_validate`` joins a loss log one decoded line at a time.
+``answer_prob``, ``pack``, ``unpack``, ``relation_target`` and
+``presence_flags`` evaluate one question, key or fact directly, where the
+toolkit reads tables; ``strict_two_function_total_bits`` is an entropy
+variant that only tests compare against.
 """
 
 import math
 
+from twohop.entropy import _fact_bits_per_pass, attribute_entropy, name_selection_entropy
 from twohop.estimator import EstimatorError
+from twohop.generalization import EvaluationError, PresenceFlags
 from twohop.logs import LogDiagnostics, _loss_rows
-from twohop.worldgen import SPLITS, load_dataset
+from twohop.worldgen import _TRAIN, SPLITS, ConfigError, load_dataset
+
+
+def answer_prob(profile, e1: int, r: int, a: int, e2: int) -> float:
+    """Probability of the correct answer to question (e1, r, a) under ``profile``, on config indices.
+
+    ``r = |R|`` is the one-hop question, with ``e2 = e1``; otherwise e2 is
+    relation r's target of e1. For composing models, a first-hop miss
+    falls back to a uniform guess over |N| entities, the fallback both
+    inversions assume. A question that needs an unlearned unit is
+    answered at chance 1/|V_a|. This is the reference for ``LossTable``,
+    which gives the log of it for every question of a run.
+    """
+    n_relations, n_attrs = len(profile.config.relations), len(profile.chance)
+    if profile.memo is not None:  # the memo model stores two-hop answers only
+        p1 = 1.0
+        p2 = None if r == n_relations else profile.memo[(e1 * n_relations + r) * n_attrs + a]
+    else:
+        first, second = (profile.hop1, profile.hop2) if profile.facts is None else (profile.facts,) * 2
+        p1 = 1.0 if r == n_relations else first[e1 * n_attrs + r]
+        p2 = second[e2 * n_attrs + a]
+    if p1 is None or p2 is None:
+        return profile.chance[a]
+    return p1 * p2 + (1.0 - p1) / profile.config.n_profiles
+
+
+def pack(space, e1: int, r_index: int, a_index: int) -> int:
+    """The key of question (e1, r_index, a_index) in ``space``; ``unpack`` is its inverse."""
+    return (e1 * (space.n_relations + 1) + r_index) * space.n_attributes + a_index
+
+
+def unpack(space, key: int) -> tuple[int, int, int]:
+    """``(e1, r_index, a_index)`` of a key of ``space``; ``r_index == n_relations`` for one-hop."""
+    e1, rest = divmod(key, space.per_entity)
+    r_index, a_index = divmod(rest, space.n_attributes)
+    return e1, r_index, a_index
+
+
+def relation_target(world, e1: int, relation: str) -> int:
+    """The entity that ``relation`` of entity e1 names in ``world``."""
+    relations = world.config.relations
+    if relation not in relations:
+        raise ConfigError(f"unknown relation: {relation!r}")
+    return world.facts[e1 * len(world.config.attributes) + relations.index(relation)]
+
+
+def presence_flags(index, e1: int, r: str, a: str) -> PresenceFlags:
+    """Exact membership flags for the two-hop question (e1, r, a), from a ``TrainIndex``."""
+    space = index.space
+    if not 0 <= e1 < space.n_profiles:
+        raise EvaluationError(f"unknown entity: {e1}")
+    if r not in space.relations or a not in space.attributes:
+        raise EvaluationError(f"no two-hop question asks {r!r} then {a!r}")
+    r_index, a_index = space.relations.index(r), space.attributes.index(a)
+    first = e1 * space.n_attributes + r_index
+    second = index.facts[first] * space.n_attributes + a_index
+    return PresenceFlags(
+        facts_one_hop_present=True,  # split_table puts every one-hop question in train
+        first_hop_pair_present=bool(index.hop1[first]),
+        second_hop_pair_present=bool(index.hop2[second]),
+        full_question_present=index.table[pack(space, e1, r_index, a_index)] == _TRAIN,
+    )
+
+
+def strict_two_function_total_bits(config) -> float:
+    """Two-function entropy counting only relations in the first pass.
+
+    The as-written formula doubles the full attribute sum even though first
+    hops can only be relations; this variant is reported for comparison.
+    """
+    name_bits = name_selection_entropy(config.n_profiles, config.name_space_size)
+    relation_bits = config.n_profiles * sum(
+        attribute_entropy(config.pool_size(r)) for r in config.relations
+    )
+    return name_bits + relation_bits + _fact_bits_per_pass(config)
 
 
 def _check_q_range(q: float, n: int, slack: float = 1e-9) -> float:

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import oracle_invert_recurrent, oracle_two_function_loss
+from oracles import oracle_invert_recurrent, oracle_two_function_loss, relation_target, unpack
 from twohop import (
     HOLDOUT_KINDS,
     ModelKind,
@@ -246,12 +246,12 @@ def test_criterion_9_dataset_contracts(tmp_path):
         violations = 0
         one_hop = 0
         for key in split_set.train:
-            e1, r_index, a_index = space.unpack(key)
+            e1, r_index, a_index = unpack(space, key)
             if r_index == space.n_relations:
                 one_hop += 1
                 continue
             r, a = cfg.relations[r_index], cfg.attributes[a_index]
-            e2 = world.relation_target(e1, r)
+            e2 = relation_target(world, e1, r)
             if (
                 (e1,) in comp["heldout_e1"]
                 or (r,) in comp["heldout_r"]

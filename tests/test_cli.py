@@ -960,6 +960,72 @@ def test_question_file_byte_faults_named(dataset_dir, tmp_path, capsys, edit):
     assert capsys.readouterr().err == f"error: {qa}:{fault}\n"
 
 
+def _byte_faulty_copy(dataset_dir, tmp_path, edit=QA_BYTE_EDITS["byte_mid_file"]):
+    """A copy of the dataset whose qa.jsonl has ``edit`` under a matching hash, and its error line."""
+    original = (dataset_dir / "qa.jsonl").read_bytes()
+    lines = original.splitlines(keepends=True)
+    data, lineno = edit(original)
+
+    def write_qa(manifest, out):
+        (out / "qa.jsonl").write_bytes(data)
+        manifest["files"]["qa.jsonl"] = _sha256(out / "qa.jsonl")
+
+    edited = _edited_copy(dataset_dir, tmp_path, write_qa)
+    if lineno is None:
+        fault = f"{len(lines) + 1}: extra row"
+    else:
+        fault = f"{lineno}: not the canonical row of {json.loads(lines[lineno - 1])['qid']!r}"
+    return edited, f"error: {edited / 'qa.jsonl'}:{fault}\n"
+
+
+def _assert_no_child():
+    # every data-file check's child has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("edit", QA_BYTE_EDITS.values(), ids=QA_BYTE_EDITS)
+def test_validate_question_file_byte_faults_named(dataset_dir, run_log, tmp_path, capsys, edit):
+    edited, error = _byte_faulty_copy(dataset_dir, tmp_path, edit)
+    code = main(["validate", "--dataset", str(edited), "--losses", str(run_log)])
+    assert code == 1
+    assert capsys.readouterr() == ("", error)
+    _assert_no_child()
+
+
+def test_byte_fault_outranks_the_commands_own_errors(dataset_dir, tmp_path, capsys):
+    # the data files are checked while the command works, and a fault there
+    # is the error a check made before that work would have given
+    bad_log = tmp_path / "bad.jsonl"
+    bad_log.write_text("not json\n")
+    simulate_args = ["simulate", "--model", "2f", "--param-count", "5000", "--reliability", "1.5",
+                     "--out", str(tmp_path / "run.jsonl"), "--dataset"]
+    validate_args = ["validate", "--losses", str(bad_log), "--dataset"]
+    _assert_clean_error(main(simulate_args + [str(dataset_dir)]), capsys, "reliability must be in")
+    _assert_clean_error(main(validate_args + [str(dataset_dir)]), capsys, "malformed record")
+    edited, error = _byte_faulty_copy(dataset_dir, tmp_path)
+    for args in (simulate_args, validate_args):
+        assert main(args + [str(edited)]) == 1
+        assert capsys.readouterr() == ("", error)
+    _assert_no_child()
+
+
+def test_byte_fault_leaves_no_run_manifest(dataset_dir, tmp_path, capfd):
+    # captured on the file descriptors, so that anything the check's child
+    # wrote would show: a fault prints one error line and nothing else
+    log = tmp_path / "run.jsonl"
+    args = ["simulate", "--model", "2f", "--param-count", "5000", "--out", str(log), "--dataset"]
+    assert main(args + [str(dataset_dir)]) == 0
+    _assert_no_child()
+    assert log.with_suffix(".json").exists()
+    capfd.readouterr()
+    edited, error = _byte_faulty_copy(dataset_dir, tmp_path)
+    assert main(args + [str(edited)]) == 1
+    assert capfd.readouterr() == ("", error)
+    assert not log.with_suffix(".json").exists()
+    _assert_no_child()
+
+
 @pytest.mark.parametrize(
     "text, needle",
     [("not json", "Expecting value"), ("[1, 2]", "must be a JSON object"),
@@ -1212,6 +1278,7 @@ def test_interrupted_simulate_leaves_no_run_manifest(dataset_dir, tmp_path, caps
     args = ["simulate", "--dataset", str(dataset_dir), "--model", "2f", "--param-count", "5000",
             "--out", str(log)]
     assert main(args) == 0
+    _assert_no_child()
     lookup, written = simulate.LossTable.lookup, 0
 
     def interrupted(self, keys):
@@ -1228,6 +1295,7 @@ def test_interrupted_simulate_leaves_no_run_manifest(dataset_dir, tmp_path, caps
             main(args + ["--reliability", "0.7"])
     else:
         _assert_clean_error(main(args + ["--reliability", "0.7"]), capsys, "No space left")
+    _assert_no_child()
     monkeypatch.undo()
     assert len(log.read_text().splitlines()) == 360
     assert not log.with_suffix(".json").exists()

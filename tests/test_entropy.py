@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import strict_two_function_total_bits
 
 from twohop import (
     ModelKind,
@@ -15,7 +16,6 @@ from twohop.entropy import (
     NameEntropyApproximationWarning,
     attribute_entropy,
     exact_name_selection_entropy,
-    strict_two_function_total_bits,
     uniform_guess_loss_bits,
 )
 

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from oracles import presence_flags, unpack
 
 from twohop.entropy import LN2, ModelKind
 from twohop.estimator import aggregate_losses
@@ -12,7 +13,6 @@ from twohop.generalization import (
     classify_algorithm,
     evaluate_holdouts,
     predict_generalization,
-    presence_flags,
     uniform_baselines,
 )
 from twohop.logs import LossRecord
@@ -63,7 +63,7 @@ def _two_hop_questions(split_set, keys):
     """(e1, r, a) of each two-hop key, with r and a as names."""
     space = split_set.space
     for key in keys:
-        e1, r, a = space.unpack(key)
+        e1, r, a = unpack(space, key)
         if r < space.n_relations:
             yield e1, space.relations[r], space.attributes[a]
 
@@ -163,7 +163,7 @@ class TestBaselines:
         keys = ss.heldout["heldout_e1"]
         attributes = micro_world.config.attributes
         expected = sum(
-            math.log2(micro_world.config.pool_size(attributes[ss.space.unpack(key)[2]]))
+            math.log2(micro_world.config.pool_size(attributes[unpack(ss.space, key)[2]]))
             for key in keys
         ) / len(keys)
         assert baselines["heldout_e1"] == pytest.approx(expected, rel=1e-12)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import reference_validate
 from test_worldgen import named_worlds
 
+from twohop import logs
 from twohop.entropy import ModelKind
 from twohop.logs import (
     LossRecord,
@@ -103,6 +104,38 @@ def test_partial_coverage(dataset, tmp_path):
     assert diag.coverage["heldout_full"] == pytest.approx(len(kept) / len(heldout))
     assert "train" in diag.missing_splits
     assert not diag.has_violations  # coverage gaps are reported, not violations
+
+
+def _gap_at_middle(ss):
+    return len(ss.train) // 2
+
+
+def _gap_at_train_end(ss):
+    return len(ss.train) - 1
+
+
+@pytest.mark.parametrize("where", [_gap_at_middle, _gap_at_train_end], ids=["middle", "train_end"])
+@pytest.mark.parametrize("dropped", [1, 3])
+def test_validate_resyncs_after_dropped_rows(dataset, tmp_path, monkeypatch, where, dropped):
+    # the walk goes on after the row that follows a gap, so only that row is
+    # decoded, wherever the gap is and however many rows follow it
+    path, ss, records = dataset
+    log = tmp_path / "gap.jsonl"
+    start = where(ss)
+    write_loss_log(records[:start] + records[start + dropped :], log)
+    decode, decoded = logs._decode_record, 0
+
+    def counted(*args):
+        nonlocal decoded
+        decoded += 1
+        return decode(*args)
+
+    monkeypatch.setattr(logs, "_decode_record", counted)
+    diag = validate_loss_log(log, path)
+    monkeypatch.undo()
+    assert decoded == 1
+    assert len(records) - start - dropped > 20  # rows after the gap, each matched
+    assert diag.to_dict() == reference_validate(log, path).to_dict()
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,

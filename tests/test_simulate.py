@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import answer_prob, presence_flags, unpack
 
 from twohop.cli import main
 from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
-from twohop.generalization import TrainIndex, presence_flags
+from twohop.generalization import TrainIndex
 from twohop.estimator import FOLD_ROWS, EstimatorError
 from twohop.logs import _loss_rows, new_groups, row_head
 from twohop.simulate import (
@@ -35,7 +36,7 @@ from twohop.worldgen import (
 
 def _question(split_set, key):
     """(e1, r, a) of a two-hop key, on config indices."""
-    e1, r, a = split_set.space.unpack(key)
+    e1, r, a = unpack(split_set.space, key)
     assert r < split_set.space.n_relations
     return e1, r, a
 
@@ -43,7 +44,7 @@ def _question(split_set, key):
 def _two_hop_prob(world, profile, e1, r, a):
     """``profile.answer_prob`` of the two-hop question (e1, r, a), on config indices."""
     # facts[e1·|A| + r] is relation r's target of e1
-    return profile.answer_prob(e1, r, a, world.facts[e1 * len(world.config.attributes) + r])
+    return answer_prob(profile, e1, r, a, world.facts[e1 * len(world.config.attributes) + r])
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +91,7 @@ class TestMixture:
         assert _two_hop_prob(tiny_world, profile, 0, 0, 0) == 0.7
         # and answers one-hop questions (r = |R|, e2 = e1) at chance: it
         # stores two-hop answers only
-        assert profile.answer_prob(0, 1, 1, 0) == 0.1
+        assert answer_prob(profile, 0, 1, 1, 0) == 0.1
 
     def test_homogeneous_floors_at_chance(self, tiny_world):
         profile = ReliabilityProfile.homogeneous(tiny_world.config, ModelKind.RECURRENT, 0.0001)
@@ -135,7 +136,7 @@ class TestTrainedProfiles:
         q = _two_hop_prob(micro_world, profile, e1, r, a)
         space = holdout_setup.space
         assert q == 1.0 / micro_world.config.pool_size(space.attributes[a])
-        trained_key = next(k for k in holdout_setup.train if space.unpack(k)[1] < space.n_relations)
+        trained_key = next(k for k in holdout_setup.train if unpack(space, k)[1] < space.n_relations)
         e1, r, a = _question(holdout_setup, trained_key)
         assert _two_hop_prob(micro_world, profile, e1, r, a) == 1.0
 
@@ -224,9 +225,9 @@ def test_table_is_answer_prob(world, kind, spec, cot, seed):
     for key, found in zip_longest(keys, LossTable(world, profile, space).lookup(keys)):
         e1, rest, (x, _) = found
         assert (e1, rest) == divmod(key, space.per_entity)
-        _, r, a = space.unpack(key)
+        _, r, a = unpack(space, key)
         e2 = e1 if r == space.n_relations else world.facts[e1 * space.n_attributes + r]
-        assert x == math.log(profile.answer_prob(e1, r, a, e2)), key
+        assert x == math.log(answer_prob(profile, e1, r, a, e2)), key
     with tempfile.TemporaryDirectory() as tmp:
         ds, log = Path(tmp) / "ds", Path(tmp) / "run.jsonl"
         persist_dataset(ss, world, ds)

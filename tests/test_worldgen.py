@@ -10,6 +10,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pack, relation_target, unpack
 
 from twohop.entropy import ModelKind
 from twohop.simulate import ReliabilityProfile, loss_records
@@ -48,7 +49,7 @@ def _questions(split_set, keys):
     """(e1, r, a) of each key, with r and a as names and r None for one-hop."""
     space = split_set.space
     for key in keys:
-        e1, r, a = space.unpack(key)
+        e1, r, a = unpack(space, key)
         yield e1, space.relations[r] if r < space.n_relations else None, space.attributes[a]
 
 
@@ -138,7 +139,7 @@ class TestWorldGeneration:
         hits = sum(
             1
             for e in range(cfg.n_profiles)
-            if w.relation_target(w.relation_target(e, "parent"), "child") == e
+            if relation_target(w, relation_target(w, e, "parent"), "child") == e
         )
         # Binomial(1000, 1/1000): mean 1, sd ~1; anything under 7 is unremarkable
         assert hits <= 7
@@ -161,7 +162,7 @@ class TestRendering:
         row = _rows(micro_world)["2h:0:mother:birth city"]
         name = micro_world.entity_name(0)
         assert row["text"] == f"What was {name}'s mother's birth city? {row['answer']}"
-        assert row["e2"] == micro_world.relation_target(0, "mother")
+        assert row["e2"] == relation_target(micro_world, 0, "mother")
         assert row["answer"] == _answer(micro_world, row["e2"], "birth city")
 
     def test_cot_template(self, micro_world):
@@ -186,7 +187,7 @@ class TestRendering:
         assert f"{name}'s father was {name}." in row["text"]
 
     def test_relation_answer_is_a_name(self, micro_world):
-        target = micro_world.relation_target(1, "mother")
+        target = relation_target(micro_world, 1, "mother")
         answer = _rows(micro_world)["1h:1:mother"]["answer"]
         assert answer == micro_world.entity_name(target)
 
@@ -199,7 +200,7 @@ class TestRendering:
                     "2h:0:birth city", "2h:0:birth city:mother"):
             assert space.key_of_qid(qid) is None, qid
         with pytest.raises(ValueError):
-            micro_world.relation_target(0, "birth city")
+            relation_target(micro_world, 0, "birth city")
 
     def test_item_is_its_key(self, micro_world):
         # a question stores only its key; e2, answer and text are rendered.
@@ -209,7 +210,7 @@ class TestRendering:
         for _, keys in ss.splits():
             assert type(keys) is array and keys.typecode == space.typecode
         for key in _all_keys(ss):
-            assert space.pack(*space.unpack(key)) == key
+            assert pack(space, *unpack(space, key)) == key
             ((e1, r, a),) = _questions(ss, [key])
             qid = f"1h:{e1}:{a}" if r is None else f"2h:{e1}:{r}:{a}"
             assert space.key_of_qid(qid) == key
@@ -249,7 +250,7 @@ class TestSplits:
         space = ss.space
         rng = random.Random(3)
         _sample_components(micro_world, fractions, rng)
-        one_hop_key = lambda key: space.unpack(key)[1] == space.n_relations
+        one_hop_key = lambda key: unpack(space, key)[1] == space.n_relations
         two = [k for k in range(space.size) if ss.table[k] == 1 and not one_hop_key(k)]
         one = [k for k in range(space.size) if one_hop_key(k)]
         rng.shuffle(two)
@@ -308,7 +309,7 @@ class TestSplits:
         for (e1, r, a), line in zip(questions, question_lines(micro_world, ss)):
             if r is None:
                 continue
-            e2 = micro_world.relation_target(e1, r)
+            e2 = relation_target(micro_world, e1, r)
             row = json.loads(line)
             assert row["e2"] == e2
             assert row["answer"] == _answer(micro_world, e2, a)
@@ -376,7 +377,7 @@ class TestPersistence:
 def _answer(world, entity, attribute):
     """The rendered answer of the one-hop fact (entity, attribute)."""
     if attribute in world.config.relations:
-        return world.entity_name(world.relation_target(entity, attribute))
+        return world.entity_name(relation_target(world, entity, attribute))
     return world.value_string(attribute, _fact(world, entity, attribute))
 
 
@@ -392,7 +393,7 @@ def _reference_row(world, split_set, split, key):
         text = f"What was {name}'s {a}? {answer}"
     else:
         qid = f"2h:{e1}:{r}:{a}"
-        e2 = world.relation_target(e1, r)
+        e2 = relation_target(world, e1, r)
         answer = _answer(world, e2, a)
         text = f"What was {name}'s {r}'s {a}? "
         if kind is QuestionKind.TWO_HOP:
