@@ -1,7 +1,8 @@
 """Command-line entry points: gen, entropy, simulate, estimate, classify, report, validate.
 
 Every subcommand prints its result as JSON on stdout. Exit status is 0 on
-success, 1 on a validation or data failure, 2 on a usage error.
+success, 1 on a validation or data failure, 2 on a usage error. A command
+imports the modules it uses when it runs, so that each pays only for its own.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import entropy as entropy_mod
-from . import estimator, generalization, logs, report, simulate, worldgen
+from . import worldgen
 from .entropy import ModelKind
 
 # --model's values for estimate and report: one-hop is the task without a model kind
@@ -71,6 +72,7 @@ def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
     accumulators come from its ``summary`` when that records the log's
     sha256, and from one pass over the log otherwise.
     """
+    from . import logs
     run_meta = _read_run_meta(losses)
     _check_binding(dataset_sha, losses, run_meta, force)
     run_meta = run_meta or {}
@@ -159,6 +161,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
+    from . import simulate
     if spec == "chance":
         return simulate.ReliabilityProfile.homogeneous(config, kind, None)
     if spec.startswith("two-point:"):
@@ -207,6 +210,7 @@ def _check_simulate_out(out: Path, dataset_dir: Path) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import logs, simulate
     dataset_dir, out = Path(args.dataset), Path(args.out)
     _check_simulate_out(out, dataset_dir)
     # the log is bound to the sha256 of the manifest bytes that were verified
@@ -243,12 +247,14 @@ def _cmd_simulate(args) -> int:
 
 def _group(groups: dict, name: str, losses: Path) -> estimator.AggregateLoss:
     """The aggregate of group ``name``; an empty group raises EstimatorError naming the log."""
+    from . import estimator
     if not groups[name].count:
         raise estimator.EstimatorError(f"{losses}: no records in group {name}")
     return groups[name].result()
 
 
 def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):
+    from . import estimator
     # the kind of the task's questions
     agg = _group(groups, "one_hop" if kind is None else "two_hop", losses)
     return estimator.content_estimate(config, kind, agg), agg
@@ -269,6 +275,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import generalization
     dataset_dir, losses = Path(args.dataset), Path(args.losses)
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
     _, groups = _read_log(dataset_sha, losses, args.force)
@@ -289,6 +296,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import logs
     diag = logs.validate_loss_log(Path(args.losses), Path(args.dataset))
     _emit(diag.to_dict())
     return 1 if diag.has_violations else 0
@@ -314,6 +322,7 @@ def _check_report_out(outputs: dict[str, Path], dataset_dir: Path, losses: list[
 
 
 def _cmd_report(args) -> int:
+    from . import estimator, report
     outputs = {"--out-csv": Path(args.out_csv)}
     if args.out_svg:
         outputs["--out-svg"] = Path(args.out_svg)
@@ -464,14 +473,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        worldgen.ConfigError,
-        worldgen.DatasetIOError,
-        estimator.EstimatorError,
-        generalization.EvaluationError,
-        OSError,
-        ValueError,
-    ) as exc:
+    # ConfigError, EstimatorError and EvaluationError are ValueErrors: the
+    # tuple names no class of a module that the command may not have loaded
+    except (worldgen.DatasetIOError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -742,15 +742,19 @@ def load_manifest(path: Path) -> tuple[dict, str]:
     files = manifest["files"]
     if not isinstance(files, dict) or any(type(sha) is not str for sha in files.values()):
         raise DatasetIOError("manifest files must map file names to sha256 strings")
+    # no other name: a checked dataset hashes both data files, and only files of its directory
+    if files.keys() != {"profiles.jsonl", "qa.jsonl"}:
+        raise DatasetIOError(
+            f"manifest files must name exactly profiles.jsonl and qa.jsonl, got {sorted(files)}"
+        )
     return manifest, hashlib.sha256(data).hexdigest()
 
 
-def _verify_files(path: Path, manifest: Mapping) -> None:
-    """Check each dataset file against the sha256 its manifest records."""
-    for name, expected in manifest["files"].items():
-        actual = sha256_file(Path(path) / name)
-        if actual != expected:
-            raise HashMismatchError(f"{name}: expected {expected}, got {actual}")
+def _require_hash(name: str, manifest: Mapping, actual: str) -> None:
+    """Require ``actual`` to be the sha256 that ``manifest`` records for data file ``name``."""
+    expected = manifest["files"][name]
+    if actual != expected:
+        raise HashMismatchError(f"{name}: expected {expected}, got {actual}")
 
 
 def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
@@ -787,7 +791,9 @@ def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
 _COMPARE_BYTES = 1 << 14
 
 
-def _require_lines(path: Path, lines: Callable[[], Iterable[str]], row: str, name_row) -> None:
+def _require_lines(
+    path: Path, lines: Callable[[], Iterable[str]], row: str, name_row, hasher=None
+) -> None:
     """Require the file at ``path`` to be exactly the lines ``lines()`` gives, in order.
 
     The file's bytes are compared with the lines, joined and ASCII-encoded,
@@ -795,24 +801,37 @@ def _require_lines(path: Path, lines: Callable[[], Iterable[str]], row: str, nam
     again, line by line against a fresh ``lines()``: the first line that
     differs raises DatasetIOError naming ``path:line`` and ``name_row(expected
     line)``, as does a missing line (with the number of ``row`` rows
-    expected) or an extra one.
+    expected) or an extra one. A ``hasher`` (a ``hashlib`` object) is updated
+    with the bytes of the first read, which goes on to the end of the file
+    even when they differ early, before any fault is raised.
     """
     # the lines are ASCII (JSON with ensure_ascii), so a file with their bytes
     # reads back as exactly those lines; any other file fails the line loop
     with open(path, "rb") as f:
-        chunk, size = [], 0
+
+        def read(size: int) -> bytes:
+            data = f.read(size)
+            if hasher is not None:
+                hasher.update(data)
+            return data
+
+        same, chunk, size = False, [], 0
         for line in lines():
             chunk.append(line)
             size += len(line)
             if size >= _COMPARE_BYTES:
                 data = "".join(chunk).encode("ascii")
-                if f.read(len(data)) != data:
+                if read(len(data)) != data:
                     break
                 chunk, size = [], 0
         else:
             data = "".join(chunk).encode("ascii")
-            if f.read(len(data)) == data and not f.read(1):
-                return
+            same = read(len(data)) == data and not read(1)
+        if hasher is not None:
+            while read(1 << 16):
+                pass
+    if same:
+        return
     # line ends are kept as written and undecodable bytes become U+FFFD, so a
     # \r\n or a bad byte differs from the expected line instead of passing or
     # failing unnamed
@@ -863,7 +882,11 @@ def replay_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
 
 
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
-    """Load a persisted dataset: ``load_manifest``, then ``checked_dataset`` entered and left."""
+    """Load a persisted dataset: ``load_manifest``, then ``checked_dataset`` entered and left.
+
+    Both data files are hashed and compared in full, with the faults and
+    fault order of ``checked_dataset``: a stale hash raises HashMismatchError.
+    """
     manifest, _ = load_manifest(path)
     with checked_dataset(path, manifest) as loaded:
         return loaded
@@ -874,19 +897,30 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
     """The splits and world of the dataset at ``path``; its data files are checked as the body runs.
 
     ``manifest`` is ``load_manifest``'s, and loses ``holdout_components`` to
-    ``replay_dataset``. The file hashes, the replay and the train stream come
-    first, in this process. A forked child then requires each profiles.jsonl
-    and qa.jsonl line to be the one ``profile_lines`` and ``question_lines``
-    write, and leaves by ``os._exit``: it never returns into the caller.
-    When the body ends, the child is reaped first. Its fault (the first line
-    that differs, a missing line or an extra one, named ``path:line``) is
-    raised as a DatasetIOError in place of any Exception of the body, as a
-    check made first would have been. Any other exit of the body
-    (KeyboardInterrupt) kills the child and goes on once it is reaped.
+    ``replay_dataset``. The profiles.jsonl hash, the replay and the train
+    stream come first, in this process. A forked child then requires each
+    profiles.jsonl and qa.jsonl line to be the one ``profile_lines`` and
+    ``question_lines`` write, hashes qa.jsonl from the bytes of its compare,
+    and leaves by ``os._exit``: it never returns into the caller.
+
+    A fault is raised in the order of a check that hashed both files first:
+    a stale profiles.jsonl hash, then a stale qa.jsonl hash (HashMismatchError
+    both), then a replay fault, then the first line that differs, is missing
+    or is extra, named ``path:line`` (DatasetIOError), in profiles.jsonl and
+    then in qa.jsonl. So a replay fault hashes qa.jsonl here before it is
+    raised, and the child hashes qa.jsonl before it sends a line fault. When
+    the body ends, the child is reaped first. Its fault, of the class it was
+    raised as, replaces any Exception of the body, as a check made first
+    would have. Any other exit of the body (KeyboardInterrupt) kills the
+    child and goes on once it is reaped.
     """
     path = Path(path)
-    _verify_files(path, manifest)
-    split_set, world = replay_dataset(path, manifest)
+    _require_hash("profiles.jsonl", manifest, sha256_file(path / "profiles.jsonl"))
+    try:
+        split_set, world = replay_dataset(path, manifest)
+    except Exception:
+        _require_hash("qa.jsonl", manifest, sha256_file(path / "qa.jsonl"))
+        raise
     split_set.train  # built here, and not once more in the child
     read_end, write_end = os.pipe()
     pid = os.fork()
@@ -896,13 +930,11 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 try:
-                    _require_lines(path / "profiles.jsonl", partial(profile_lines, world),
-                                   "profile", lambda want: f"profile {json.loads(want)['id']}")
-                    _require_lines(path / "qa.jsonl", partial(question_lines, world, split_set),
-                                   "question", lambda want: repr(json.loads(want)["qid"]))
+                    _check_data_files(path, manifest, split_set, world)
                     status = 0
                 except Exception as exc:
-                    pipe.write(str(exc).encode("utf-8", "surrogatepass"))
+                    import pickle  # here, not at the top: only a fault pays for its import
+                    pipe.write(pickle.dumps(exc))
         finally:
             os._exit(status)
     os.close(write_end)
@@ -914,18 +946,39 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
     except BaseException:  # an interrupt: the check is not waited for
         import signal  # here, not at the top: its import costs every command about 1 ms
         os.kill(pid, signal.SIGKILL)
-        with suppress(DatasetIOError):
+        with suppress(Exception):
             _reap_check(pid, read_end)
         raise
     _reap_check(pid, read_end)
+
+
+def _check_data_files(path: Path, manifest: Mapping, split_set: SplitSet, world: World) -> None:
+    """``checked_dataset``'s check of both data files' lines and of qa.jsonl's hash."""
+    try:
+        _require_lines(path / "profiles.jsonl", partial(profile_lines, world),
+                       "profile", lambda want: f"profile {json.loads(want)['id']}")
+    except DatasetIOError:
+        _require_hash("qa.jsonl", manifest, sha256_file(path / "qa.jsonl"))
+        raise
+    hasher = hashlib.sha256()
+    try:
+        _require_lines(path / "qa.jsonl", partial(question_lines, world, split_set),
+                       "question", lambda want: repr(json.loads(want)["qid"]), hasher)
+    except DatasetIOError:
+        _require_hash("qa.jsonl", manifest, hasher.hexdigest())
+        raise
+    _require_hash("qa.jsonl", manifest, hasher.hexdigest())
 
 
 def _reap_check(pid: int, read_end: int) -> None:
     """Reap the check in child ``pid``; raise the fault it sent through ``read_end``, if any."""
     try:
         with open(read_end, "rb") as pipe:
-            message = pipe.read().decode("utf-8", "surrogatepass")
+            fault = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
+    if fault and os.waitstatus_to_exitcode(status) == 1:  # a fault the child sent in full
+        import pickle
+        raise pickle.loads(fault) from None
     if status:
-        raise DatasetIOError(message or f"the data-file check died (status {status})") from None
+        raise DatasetIOError(f"the data-file check died (status {status})")

@@ -1,14 +1,19 @@
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
+import twohop
 from twohop import cli, estimator, logs, simulate, worldgen
 from twohop.cli import build_parser, main
 from twohop.logs import SUMMARY_GROUPS
@@ -659,6 +664,18 @@ def _files_as_list(manifest, out):
     manifest["files"] = []
 
 
+def _files_empty(manifest, out):
+    manifest["files"] = {}
+
+
+def _files_outside_dataset(manifest, out):
+    # the same bytes, hashed through a path out of the dataset directory
+    sha = manifest["files"].pop("qa.jsonl")
+    manifest["files"][os.path.relpath(out.parent / "outside" / "qa.jsonl", out)] = sha
+    (out.parent / "outside").mkdir()
+    shutil.copy(out / "qa.jsonl", out.parent / "outside")
+
+
 def _drop_first_names(manifest, out):
     del manifest["config"]["first_names"]
 
@@ -822,6 +839,8 @@ def _extra_profile(manifest, out):
     [
         ("classify", _drop_files, "files"),
         ("validate", _files_as_list, "files"),
+        ("validate", _files_empty, "files"),
+        ("validate", _files_outside_dataset, "files"),
         ("estimate", _drop_first_names, "first_names"),
         ("estimate", _string_n_profiles, "n_profiles"),
         ("simulate", _drop_first_names, "first_names"),
@@ -1023,6 +1042,45 @@ def test_byte_fault_leaves_no_run_manifest(dataset_dir, tmp_path, capfd):
     assert main(args + [str(edited)]) == 1
     assert capfd.readouterr() == ("", error)
     assert not log.with_suffix(".json").exists()
+    _assert_no_child()
+
+
+STALE_SHA = "0" * 64
+
+
+def _stale_profiles_hash(manifest, out):
+    manifest["files"]["profiles.jsonl"] = STALE_SHA
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_split_params_with("seed_string", "seed", lambda seed: str(seed)), "qa.jsonl"),
+        (_holdout_components_not_replayed, "qa.jsonl"),
+        (_second_profile_with("id_not_index", id=5), "qa.jsonl"),
+        (_stale_profiles_hash, "profiles.jsonl"),
+        (_third_question_wrong_qid, "qa.jsonl"),
+    ],
+    ids=["split_params", "holdout_components", "profile_line", "profiles_hash", "question_line"],
+)
+def test_stale_hash_outranks_other_faults(dataset_dir, run_log, tmp_path, capsys, edit, named):
+    # a dataset with a stale qa.jsonl hash and one more fault: a stale hash is
+    # named ahead of any replay or line fault, and profiles.jsonl's ahead of qa.jsonl's
+    def edit_and_stale(manifest, out):
+        edit(manifest, out)
+        manifest["files"]["qa.jsonl"] = STALE_SHA
+
+    edited = _edited_copy(dataset_dir, tmp_path, edit_and_stale)
+    error = f"{named}: expected {STALE_SHA}, got {_sha256(edited / named)}"
+    for args in (["simulate", "--model", "2f", "--param-count", "5000",
+                  "--out", str(tmp_path / "run.jsonl")],
+                 ["validate", "--losses", str(run_log)]):
+        assert main(args + ["--dataset", str(edited)]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        _assert_no_child()
+    with pytest.raises(worldgen.HashMismatchError) as raised:
+        worldgen.load_dataset(edited)
+    assert str(raised.value) == error
     _assert_no_child()
 
 
@@ -1375,6 +1433,74 @@ def test_classify_ignores_row_order(tmp_path, capsys, model):
     assert forward["deltas_bits"] != backward["deltas_bits"]  # the orders do round apart
     assert backward["inferred"] == forward["inferred"] == model
     assert backward["generalizes"] == forward["generalizes"]
+
+
+def _modules_after(code, *args):
+    """The twohop modules a fresh interpreter has loaded once it has run ``code`` with ``args``."""
+    hook = (
+        "import atexit, json, sys\n"
+        "atexit.register(lambda: print(json.dumps(sorted(name for name in sys.modules"
+        " if name.partition('.')[0] == 'twohop')), file=sys.stderr))\n"
+    )
+    src = str(Path(twohop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", hook + code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {name.removeprefix("twohop.") for name in json.loads(done.stderr.splitlines()[-1])}
+
+
+def test_each_command_loads_only_its_modules(dataset_dir, run_log, tmp_path):
+    # as `python -m twohop.cli`: cli runs as __main__, so only the package and
+    # the modules the command imported are listed
+    cli_main = "import runpy; runpy.run_module('twohop.cli', run_name='__main__')"
+    logged = ["--dataset", str(dataset_dir), "--losses", str(run_log)]
+    commands = {
+        "gen": GEN_ARGS + ["--out", str(tmp_path / "ds")],
+        "simulate": ["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                     "--param-count", "5000", "--out", str(tmp_path / "run.jsonl")],
+        "estimate": ["estimate", *logged, "--model", "2f"],
+        "classify": ["classify", *logged],
+        "validate": ["validate", *logged],
+        "report": ["report", *logged, "--model", "2f", "--out-csv", str(tmp_path / "c.csv"),
+                   "--out-svg", str(tmp_path / "c.svg")],
+    }
+    common = {"twohop", "entropy", "worldgen"}  # the parser's choices and defaults
+    reads_a_log = common | {"estimator", "logs"}
+    assert {command: _modules_after(cli_main, *args) for command, args in commands.items()} == {
+        "gen": common,
+        "simulate": reads_a_log | {"generalization", "simulate"},
+        "estimate": reads_a_log,
+        "classify": reads_a_log | {"generalization"},
+        "validate": reads_a_log,
+        "report": reads_a_log | {"report"},
+    }
+    assert _modules_after("import twohop") == {"twohop"}
+
+
+def test_package_names_resolve_to_their_modules():
+    # the names `import twohop` exports, each loaded from its module on first use
+    exports = {
+        "entropy": ["ModelKind", "baseline_content", "dataset_entropy", "name_selection_entropy"],
+        "estimator": ["bits_per_parameter", "content_estimate", "effective_loss_recurrent",
+                      "effective_loss_two_function"],
+        "generalization": ["PresenceFlags", "classify_algorithm", "evaluate_holdouts",
+                           "predict_generalization", "uniform_baselines"],
+        "logs": ["summarize"],
+        "simulate": ["ReliabilityProfile", "allocate_budget", "ground_truth_content",
+                     "loss_impact_ratio", "loss_records"],
+        "worldgen": ["HOLDOUT_KINDS", "WorldConfig", "build_splits", "generate_world",
+                     "persist_dataset"],
+    }
+    assert twohop.__all__ == sorted([*exports, *(name for names in exports.values() for name in names)])
+    for module_name, names in exports.items():
+        module = importlib.import_module(f"twohop.{module_name}")
+        assert getattr(twohop, module_name) is module
+        for name in names:
+            assert getattr(twohop, name) is getattr(module, name), name
+    assert set(twohop.__all__) <= set(dir(twohop))
+    with pytest.raises(AttributeError):
+        twohop.report_card
 
 
 def test_report_reads_each_run_manifest_once(dataset_dir, run_log, tmp_path, capsys, monkeypatch):
