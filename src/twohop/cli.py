@@ -66,13 +66,13 @@ def _check_binding(dataset_sha: str, losses: Path, run_meta: dict | None, force:
 
 
 def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
-    """A loss log's run manifest ({} when there is none) and its SUMMARY_GROUPS accumulators.
+    """A loss log's run manifest ({} when there is none) and its SUMMARY_GROUPS aggregates.
 
     The run manifest must pass the dataset binding check first. The
-    accumulators come from its ``summary`` when that records the log's
+    aggregates come from its ``summary`` when that records the log's
     sha256, and from one pass over the log otherwise.
     """
-    from . import logs
+    from . import estimator, logs
     run_meta = _read_run_meta(losses)
     _check_binding(dataset_sha, losses, run_meta, force)
     run_meta = run_meta or {}
@@ -81,7 +81,11 @@ def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
         log_sha, groups = logs.summary_from_json(run_meta["summary"], where)
         if log_sha == worldgen.sha256_file(losses):
             return run_meta, groups
-    return run_meta, logs.summarize(rec for _, rec in logs._loss_rows(losses))
+    groups = logs.summarize(rec for _, rec in logs._loss_rows(losses))
+    try:
+        return run_meta, logs.results(groups)
+    except estimator.EstimatorError as exc:
+        raise estimator.EstimatorError(f"{losses}: {exc}") from None
 
 
 def _point_meta(losses: Path, run_meta: dict) -> tuple[str, int]:
@@ -225,10 +229,7 @@ def _cmd_simulate(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         # a run manifest describes a complete log: an interrupted run leaves none
         out.with_suffix(".json").unlink(missing_ok=True)
-        # a chain-of-thought log gets no summary: no estimator reads its losses
-        cot = split_set.space.two_hop_kind is worldgen.QuestionKind.TWO_HOP_COT
-        groups = None if cot else logs.new_groups()
-        count = simulate.write_log(world, profile, split_set, out, groups)
+        count, groups = simulate.write_log(world, profile, split_set, out)
         run_meta = {
             "label": args.label,
             "param_count": args.param_count,
@@ -250,7 +251,7 @@ def _group(groups: dict, name: str, losses: Path) -> estimator.AggregateLoss:
     from . import estimator
     if not groups[name].count:
         raise estimator.EstimatorError(f"{losses}: no records in group {name}")
-    return groups[name].result()
+    return groups[name]
 
 
 def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):

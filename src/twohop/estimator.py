@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .entropy import LN2, ModelKind, dataset_entropy, task_name
 from .worldgen import WorldConfig
@@ -40,59 +39,62 @@ class AggregateLoss:
         return self.count * self.mean_loss_nats / LN2
 
 
-# A fold's buffer holds at most this many records, so that its memory is
-# capped in rows, not in questions
-FOLD_ROWS = 1 << 8
+# Every finite double is an integer multiple of 2**-1074, the least subnormal
+_SCALE = 1074
 
 
 class LossAccumulator:
-    """Welford mean/variance of loss = -logprob over the records folded in, in order."""
+    """Exact count, sum and sum of squares of loss = -logprob over the records added.
 
-    __slots__ = ("count", "mean", "m2")
+    ``total`` is Σ loss · 2**1074 and ``squares`` Σ loss² · 2**2148, both
+    Python ints, so they hold every finite double exactly. ``result()``
+    rounds the mean and the variance once, so the records give the same
+    bits in any order.
+    """
+
+    __slots__ = ("count", "total", "squares")
 
     def __init__(self):
         self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+        self.total = 0
+        self.squares = 0
 
-    def extend(self, logprobs: Iterable[float], qid_of: Callable[[int], str]) -> None:
-        """Fold each logprob in order, one Welford update per value on local variables.
-
-        ``qid_of(i)`` names the record of the i-th logprob. A positive
-        logprob raises EstimatorError naming its record; the values before
-        it stay folded.
-        """
-        # a float count divides as the int does, exactly, below 2**53 records
-        start, mean, m2 = self.count, self.mean, self.m2
-        count = float(start)
-        try:
-            for x in logprobs:
-                if x > 0.0:
-                    raise EstimatorError(f"positive logprob for {qid_of(int(count) - start)}: {x}")
-                loss = -x
-                count += 1.0
-                delta = loss - mean
-                mean += delta / count
-                m2 += delta * (loss - mean)
-        finally:
-            self.count, self.mean, self.m2 = int(count), mean, m2
+    def add(self, logprob: float, count: int = 1) -> None:
+        """Add ``count`` records of the finite ``logprob``."""
+        # logprob is num / 2**k with k <= 1074, so the shifts are exact
+        num, den = logprob.as_integer_ratio()
+        shift = _SCALE + 1 - den.bit_length()
+        self.count += count
+        self.total -= count * num << shift
+        self.squares += count * num * num << 2 * shift
 
     def result(self) -> AggregateLoss:
-        if self.count == 0:
+        """The mean and variance, each one correctly rounded int/int division."""
+        n = self.count
+        if n == 0:
             raise EstimatorError("no records match the selection")
-        return AggregateLoss(self.mean, self.m2 / self.count, self.count)
+        try:
+            mean = self.total / (n << _SCALE)
+            var = (n * self.squares - self.total * self.total) / (n * n << 2 * _SCALE)
+        except OverflowError:
+            raise EstimatorError("its loss mean or variance is too large for a float") from None
+        return AggregateLoss(mean, var, n)
+
+
+def refused_positive(qid: str, logprob: float) -> EstimatorError:
+    return EstimatorError(f"positive logprob for {qid}: {logprob}")
 
 
 def aggregate_losses(records: Iterable) -> AggregateLoss:
-    """Single-pass Welford mean/variance of loss = -logprob over every record.
+    """Exact mean/variance of loss = -logprob over every ``(qid, split, kind, logprob_nats)`` record.
 
-    A record is any ``(qid, split, kind, logprob_nats)`` tuple; the records
-    are folded ``FOLD_ROWS`` at a time.
+    The first positive logprob raises EstimatorError naming its record.
     """
     acc = LossAccumulator()
-    records = iter(records)
-    while chunk := list(islice(records, FOLD_ROWS)):
-        acc.extend([record[3] for record in chunk], lambda i: chunk[i][0])
+    for qid, _, _, x in records:
+        if x > 0:
+            raise refused_positive(qid, x)
+        acc.add(x)
     return acc.result()
 
 

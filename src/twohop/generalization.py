@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .entropy import ModelKind
-from .estimator import AggregateLoss, aggregate_losses
+from .estimator import AggregateLoss, LossAccumulator
 from .worldgen import _IS_TRAIN, HOLDOUT_KINDS, SplitSet, World, WorldConfig
 
 
@@ -95,27 +95,26 @@ def predict_generalization(model_kind: ModelKind, flags: PresenceFlags) -> bool:
 
 
 def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, float]:
-    """Per-holdout uniform-guessing loss in bits.
+    """Per-holdout uniform-guessing loss in bits: the exact mean of each held-out key's chance loss.
 
-    Built by aggregating synthetic uniform losses item by item in key order,
-    so that it matches the observed aggregate of a log in file order bit for
-    bit.
+    A chance-level log's holdout group holds the same losses, so its mean
+    is the same bits whatever the order of the log's rows.
     """
     baselines = {}
     space = split_set.space
+    n_attrs = space.n_attributes
     for kind in HOLDOUT_KINDS:
         keys = split_set.heldout[kind]
         if not keys:
             continue
-        # log(1/pool), not -log(pool): bitwise identical to a simulated
-        # uniform guess, so chance-level deltas cancel exactly. Questions
-        # share their attribute's record; key % |A| is a key's attribute index.
-        by_attribute = [
-            (f"uniform:{a}", kind, space.two_hop_kind.value, math.log(1.0 / config.pool_size(a)))
-            for a in space.attributes
-        ]
-        uniform = [by_attribute[key % space.n_attributes] for key in keys]
-        baselines[kind] = aggregate_losses(uniform).mean_loss_bits
+        counts = [0] * n_attrs  # held-out keys per attribute; key % |A| is a key's attribute
+        for key in keys:
+            counts[key % n_attrs] += 1
+        acc = LossAccumulator()
+        for a, count in zip(space.attributes, counts):
+            # log(1/pool), not -log(pool): bitwise a simulated uniform guess's logprob
+            acc.add(math.log(1.0 / config.pool_size(a)), count)
+        baselines[kind] = acc.result().mean_loss_bits
     return baselines
 
 
@@ -137,12 +136,12 @@ def evaluate_holdouts(
             continue
         delta = baselines[kind] - aggregates[kind].mean_loss_bits
         deltas[kind] = delta
-        # A delta within 1e-9 of the baseline counts as zero. The observed
-        # mean is folded in log order and the baseline in key order, so a
-        # chance-level holdout differs from its baseline by rounding alone:
-        # Welford's relative error stays below about 4e-10 up to millions of
-        # questions, while one learned question in a million moves the delta
-        # by 1e-6 of the baseline.
+        # A delta within 1e-9 of the baseline counts as zero. A chance-level
+        # holdout of a log equals its baseline exactly, since both are exact
+        # sums rounded once; the tolerance only matters for aggregates from
+        # elsewhere, such as a summary written by another tool, whose rounding
+        # may differ. One learned question in a million moves the delta by
+        # 1e-6 of the baseline.
         generalizes[kind] = delta > 1e-9 * baselines[kind]
     return GeneralizationSignature(generalizes, deltas)
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import NUMBER_RE
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .estimator import FOLD_ROWS, EstimatorError, LossAccumulator
+from .estimator import AggregateLoss, EstimatorError, LossAccumulator, refused_positive
 from .worldgen import SPLITS, DatasetIOError, QuestionKind, SplitSet, checked_dataset, load_manifest
 
 
@@ -84,7 +83,7 @@ def row_tail(qid_tail: str, split: str) -> str:
     return f'{_json_str(qid_tail)[1:]}, "split": {_json_str(split)}}}\n'
 
 
-def stream_loss_log(records: Iterable[tuple[str, str, str, float]], path: Path) -> int:
+def write_loss_log(records: Iterable[tuple[str, str, str, float]], path: Path) -> int:
     """Write each ``(qid, split, kind, logprob_nats)`` record as it arrives; return the count."""
     count = 0
     with open(path, "w", encoding="utf-8") as f:
@@ -92,10 +91,6 @@ def stream_loss_log(records: Iterable[tuple[str, str, str, float]], path: Path) 
             f.write(row_head(kind, x, qid) + row_tail("", split))
             count += 1
     return count
-
-
-def write_loss_log(records, path: Path) -> None:
-    stream_loss_log(records, path)
 
 
 def _decode_record(path: Path, lineno: int, raw: bytes) -> tuple[str, str, str, float] | None:
@@ -177,50 +172,57 @@ def new_groups() -> dict[str, LossAccumulator]:
 
 
 def summarize(rows: Iterable[tuple[str, str, str, float]]) -> dict[str, LossAccumulator]:
-    """Fold every ``(qid, split, kind, logprob_nats)`` row into SUMMARY_GROUPS' accumulators.
+    """Add every ``(qid, split, kind, logprob_nats)`` row to SUMMARY_GROUPS' accumulators.
 
-    A row joins the groups of ``group_names``, and each group folds its rows
-    in their order in ``rows``, ``FOLD_ROWS`` rows at a time. The first row
-    that no fold takes raises EstimatorError: a ``two_hop_cot`` row, or a
+    A row joins the groups of ``group_names``. The first row, in row order,
+    that no group takes raises EstimatorError: a ``two_hop_cot`` row, or a
     positive logprob in a row that joins a group.
     """
     groups = new_groups()
-    buffers = {name: [] for name in SUMMARY_GROUPS}  # each group's rows, not folded yet
 
-    def appends(kind: str, split: str) -> tuple | None:
+    def adds(kind: str, split: str) -> tuple | None:
         names = group_names(kind, split)
-        return None if names is None else tuple(buffers[name].append for name in names)
+        return None if names is None else tuple(groups[name].add for name in names)
 
-    # the appends of every kind and split a dataset writes, found once
+    # the adds of every kind and split a dataset writes, found once
     known = {
-        (kind.value, split): appends(kind.value, split)
+        (kind.value, split): adds(kind.value, split)
         for kind in QuestionKind
         for split in SPLITS
     }
-    rows = iter(rows)
-    while chunk := list(islice(rows, FOLD_ROWS)):
-        for row in chunk:
-            qid, split, kind, x = row
-            adds = known.get((kind, split)) or appends(kind, split)
-            if adds is None:
-                raise refused_cot(qid)
-            for add in adds:
-                add(row)
-            if adds and x > 0:
-                break  # the fold below stops at this row, the first it cannot take
-        for name, buffer in buffers.items():
-            groups[name].extend([row[3] for row in buffer], lambda i, buffer=buffer: buffer[i][0])
-            buffer.clear()
+    for qid, split, kind, x in rows:
+        row_adds = known.get((kind, split)) or adds(kind, split)
+        if row_adds is None:
+            raise refused_cot(qid)
+        if row_adds and x > 0:
+            raise refused_positive(qid, x)
+        for add in row_adds:
+            add(x)
     return groups
 
 
+def results(groups: dict[str, LossAccumulator]) -> dict[str, AggregateLoss]:
+    """Each group's ``result()``, and zeros for an empty group.
+
+    A group whose mean or variance a float cannot hold raises
+    EstimatorError naming the group.
+    """
+    aggregates = {}
+    for name, acc in groups.items():
+        try:
+            aggregates[name] = acc.result() if acc.count else AggregateLoss(0.0, 0.0, 0)
+        except EstimatorError as exc:
+            raise EstimatorError(f"group {name}: {exc}") from None
+    return aggregates
+
+
 def summary_to_json(groups: dict[str, LossAccumulator], log_sha256: str) -> dict:
-    """A run manifest's ``summary``: the log's sha256 and each group's raw Welford state."""
+    """A run manifest's ``summary``: the log's sha256 and each group's ``results`` entry."""
     return {
         "log_sha256": log_sha256,
         "groups": {
-            name: {"count": acc.count, "mean": acc.mean, "m2": acc.m2}
-            for name, acc in groups.items()
+            name: {"count": agg.count, "mean": agg.mean_loss_nats, "var": agg.var_loss_nats}
+            for name, agg in results(groups).items()
         },
     }
 
@@ -232,12 +234,12 @@ def _finite_number(value) -> bool:
         return False
 
 
-def summary_from_json(summary, where: str) -> tuple[str, dict[str, LossAccumulator]]:
-    """The log sha256 and accumulators that ``summary_to_json`` wrote.
+def summary_from_json(summary, where: str) -> tuple[str, dict[str, AggregateLoss]]:
+    """The log sha256 and group aggregates that ``summary_to_json`` wrote.
 
     ``summary`` is outside input: anything but an object holding a string
     ``log_sha256`` and every group of SUMMARY_GROUPS, each with an integer
-    ``count`` >= 0 and a finite ``mean`` and ``m2`` >= 0, raises DatasetIOError
+    ``count`` >= 0 and a finite ``mean`` and ``var`` >= 0, raises DatasetIOError
     naming ``where``.
     """
     if type(summary) is not dict:
@@ -254,16 +256,15 @@ def summary_from_json(summary, where: str) -> tuple[str, dict[str, LossAccumulat
         state = recorded[name]
         if type(state) is not dict:
             raise DatasetIOError(f"{where}: summary group {name!r} must be a JSON object")
-        count, mean, m2 = state.get("count"), state.get("mean"), state.get("m2")
+        count, mean, var = state.get("count"), state.get("mean"), state.get("var")
         # type(), not isinstance(): a JSON true must not pass as the integer 1
         if type(count) is not int or count < 0:
             raise DatasetIOError(f"{where}: summary group {name!r}: count must be an integer >= 0")
-        if not (_finite_number(mean) and _finite_number(m2)):
-            raise DatasetIOError(f"{where}: summary group {name!r}: mean and m2 must be finite")
-        if mean < 0 or m2 < 0:  # a loss is -logprob >= 0, and so are its mean and m2
-            raise DatasetIOError(f"{where}: summary group {name!r}: mean and m2 must be >= 0")
-        acc = groups[name] = LossAccumulator()
-        acc.count, acc.mean, acc.m2 = count, float(mean), float(m2)
+        if not (_finite_number(mean) and _finite_number(var)):
+            raise DatasetIOError(f"{where}: summary group {name!r}: mean and var must be finite")
+        if mean < 0 or var < 0:  # a loss is -logprob >= 0, and so are its mean and variance
+            raise DatasetIOError(f"{where}: summary group {name!r}: mean and var must be >= 0")
+        groups[name] = AggregateLoss(float(mean), float(var), count)
     return log_sha256, groups
 
 

@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Iterator
 
 from .entropy import ModelKind, dataset_entropy
-from .estimator import FOLD_ROWS, LossAccumulator
+from .estimator import LossAccumulator, refused_positive
 from .generalization import TrainIndex, train_two_hops
-from .logs import LossRecord, group_names, refused_cot, row_head, row_tail
-from .worldgen import KeySpace, SplitSet, World, WorldConfig
+from .logs import LossRecord, group_names, new_groups, row_head, row_tail
+from .worldgen import KeySpace, QuestionKind, SplitSet, World, WorldConfig
 
 
 @dataclass(slots=True)
@@ -169,9 +169,10 @@ class LossTable:
     - the memo's two-hop question: the flag of its unit; its one-hop question
       is answered at chance whatever the flag.
 
-    ``cells[rest][f]`` is ``(ln q, row head)``: the log of the probability of
-    the correct answer, and the loss-log row's text up to the entity of its
-    qid (``logs.row_head``). A composing model that misses the first hop
+    ``cells[rest][f]`` is ``(ln q, row head, i)``: the log of the probability
+    of the correct answer, the loss-log row's text up to the entity of its
+    qid (``logs.row_head``), and the cell's place in ``values``, which holds
+    ``(ln q, kind)`` once per distinct row head. A composing model that misses the first hop
     guesses uniformly over |N| entities, the fallback both inversions
     assume, so ``q = p1·p2 + (1 − p1)/|N|``; a question that needs an
     unlearned unit is answered at chance 1/|V_a|.
@@ -204,13 +205,16 @@ class LossTable:
             ))
             self.lead = bytearray(len(self.base))
         self.flags, self.space = second.flags, space
-        chance, cells = profile.chance, {}
+        chance, cells, self.values = profile.chance, {}, []
 
         def cell(kind: str, head: str, a: int, p1: float | None, p2: float | None):
             q = chance[a] if p1 is None or p2 is None else p1 * p2 + (1.0 - p1) / n_profiles
             x = math.log(q)
             text = row_head(kind, x, head)
-            return cells.setdefault(text, (x, text))  # one object per distinct row head
+            if text not in cells:  # one object per distinct row head
+                cells[text] = x, text, len(self.values)
+                self.values.append((x, kind))
+            return cells[text]
 
         self.cells = []
         for r, a, head, _, kind in space.entries:
@@ -237,7 +241,7 @@ def loss_records(
     """Yield (qid, split, kind, ln q of the simulated answer) per question, in file order."""
     table, entries = LossTable(world, profile, split_set.space), split_set.space.entries
     for split, keys in split_set.splits():
-        for e1, rest, (x, _) in table.lookup(keys):
+        for e1, rest, (x, _, _) in table.lookup(keys):
             _, _, head, tail, kind = entries[rest]
             yield f"{head}{e1}{tail}", split, kind, x
 
@@ -247,51 +251,42 @@ def write_log(
     profile: ReliabilityProfile,
     split_set: SplitSet,
     path: Path,
-    groups: dict[str, LossAccumulator] | None,
-) -> int:
-    """Write ``loss_records``' rows to ``path``, one ``write`` per row; return the count.
+) -> tuple[int, dict[str, LossAccumulator] | None]:
+    """Write ``loss_records``' rows to ``path``, one ``write`` per row; return the count and groups.
 
     A row is its table cell's head, ``str(e1)`` and ``logs.row_tail``'s text.
-    When ``groups`` is given, each row's logprob also joins the groups of
-    ``logs.group_names``, in file order: the keys go in chunks of
-    ``estimator.FOLD_ROWS``, and once a chunk's rows are written each group
-    folds its logprobs with one ``LossAccumulator.extend``. A row that no
-    fold takes (a positive logprob, or a ``two_hop_cot`` row) raises
-    EstimatorError once it is written and before the next row is: a split
-    whose table may give one goes one row at a time.
+    The groups are ``logs.new_groups()`` holding every row, or None for a
+    chain-of-thought space, whose losses no estimator reads. Each split's
+    rows are counted per table cell; once the split is written, each cell
+    that holds rows is added to the groups of ``logs.group_names`` with its
+    count. A cell with a positive logprob then raises EstimatorError naming
+    the split's first row that has one.
     """
     space = split_set.space
     table, entries = LossTable(world, profile, space), space.entries
+    groups = None if space.two_hop_kind is QuestionKind.TWO_HOP_COT else new_groups()
     names = [str(e1) for e1 in range(world.config.n_profiles)]  # once per entity, not per row
     count = 0
     with open(path, "w", encoding="utf-8") as f:
         write = f.write
         for split, keys in split_set.splits():
             tails = [row_tail(entry.qid_tail, split) for entry in entries]
-            routes = [group_names(kind, split) if groups else () for *_, kind in entries]
-            buffers = {route: [] for route in routes}  # each route's logprobs, not folded yet
-            appends = [buffers[route].append for route in routes]
-            foldable = all(
-                route is not None and all(x <= 0 for x, _ in cells)
-                for route, cells in zip(routes, table.cells)
-                if route != ()
-            )
-            step = FOLD_ROWS if foldable else 1
-            for start in range(0, len(keys), step):
-                chunk = keys[start : start + step]
-                for e1, rest, (x, head) in table.lookup(chunk):
-                    write(head + names[e1] + tails[rest])
-                    appends[rest](x)
-                # only a one-row chunk can hold a row that no fold takes (see step)
-                qid_of = lambda _: space.qid(chunk[0])
-                for route, buffer in buffers.items():
-                    if route is None and buffer:
-                        raise refused_cot(qid_of(0))
-                    for name in route or ():
-                        groups[name].extend(buffer, qid_of)
-                    buffer.clear()
+            rows = [0] * len(table.values)  # the split's rows per cell
+            for e1, rest, (_, head, i) in table.lookup(keys):
+                write(head + names[e1] + tails[rest])
+                rows[i] += 1
             count += len(keys)
-    return count
+            if groups is None:
+                continue
+            # q <= 1 for reliabilities in [0, 1], so no cell is positive but a faulty one
+            if any(n and x > 0 for (x, _), n in zip(table.values, rows)):
+                key, x = next((key, cell[0]) for key, (_, _, cell) in zip(keys, table.lookup(keys))
+                              if cell[0] > 0)
+                raise refused_positive(space.qid(key), x)
+            for (x, kind), n in zip(table.values, rows):
+                for name in group_names(kind, split) if n else ():
+                    groups[name].add(x, n)
+    return count, groups
 
 
 def generate_loss_log(

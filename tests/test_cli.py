@@ -12,6 +12,8 @@ import xml.dom.minidom
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twohop
 from twohop import cli, estimator, logs, simulate, worldgen
@@ -1207,11 +1209,14 @@ def _summary_with(change):
            "summary group 'two_hop': count must be an integer >= 0")
           for v in (-1, 1.5, True, "3", None)],
         *[(_summary_with(lambda s, k=k, v=v: s["groups"]["two_hop"].update({k: v})),
-           "summary group 'two_hop': mean and m2 must be finite")
-          for k in ("mean", "m2") for v in (float("nan"), float("inf"), "0.5", None, 10**400)],
+           "summary group 'two_hop': mean and var must be finite")
+          for k in ("mean", "var") for v in (float("nan"), float("inf"), "0.5", None, 10**400)],
         *[(_summary_with(lambda s, g=g, k=k, v=v: s["groups"][g].update({k: v})),
-           f"summary group {g!r}: mean and m2 must be >= 0")
-          for g, v in (("one_hop", -3.0), ("two_hop", -5e-324)) for k in ("mean", "m2")],
+           f"summary group {g!r}: mean and var must be >= 0")
+          for g, v in (("one_hop", -3.0), ("two_hop", -5e-324)) for k in ("mean", "var")],
+        # the format before exact sums: a Welford m2 in place of var
+        (_summary_with(lambda s: [g.update(m2=g.pop("var")) for g in s["groups"].values()]),
+         "summary group 'one_hop': mean and var must be finite"),
     ],
 )
 def test_malformed_run_summary_exits_1(dataset_dir, run_log, tmp_path, capsys, edit, needle):
@@ -1270,7 +1275,7 @@ def test_outputs_same_with_and_without_summary(tmp_path, capsys, model, spec):
 
 @pytest.fixture(scope="module")
 def mix0_dataset_dir(tmp_path_factory):
-    # no train two-hop rows, and held-out splits longer than a fold's buffer
+    # no train two-hop rows
     out = tmp_path_factory.mktemp("cli_mix0_ds")
     assert main(GEN_ARGS + ["--properties", "2", "--mix-ratio", "0", "--holdout-frac", "0.3",
                             "--out", str(out)]) == 0
@@ -1282,26 +1287,33 @@ def mix0_dataset_dir(tmp_path_factory):
     "spec", ["trained", "chance", "two-point:0.01,0.99,0.5", "0.7", "budget:5000"])
 def test_summary_is_the_fold_of_the_log(dataset_dir, mix0_dataset_dir, tmp_path, capsys, model,
                                         spec):
-    # simulate folds the rows it writes in chunks of estimator.FOLD_ROWS: every
-    # group's Welford state is bit for bit the one logs.summarize gives over
-    # the written log, across chunk ends and on a dataset without train
-    # two-hop rows
+    # simulate sums each group from its rows per table cell and
+    # logs.summarize row by row; both sums are exact and rounded once, so
+    # every group's count, mean and var are bit for bit the same for the
+    # written log in any row order, also on a dataset without train two-hop rows
+    written = []
     for ds in (dataset_dir, mix0_dataset_dir):
-        counts = json.loads((ds / "manifest.json").read_text())["counts"]
-        assert max(counts.values()) > estimator.FOLD_ROWS
         log = tmp_path / f"{ds.name}.jsonl"
         assert main(["simulate", "--dataset", str(ds), "--model", model, "--reliability",
                      spec, "--seed", "1", "--param-count", "5000", "--out", str(log)]) == 0
         summary = json.loads(log.with_suffix(".json").read_text())["summary"]
         assert summary["log_sha256"] == _sha256(log)
-        groups = logs.summarize(record for _, record in logs._loss_rows(log))
-        assert summary["groups"] == {
-            name: {"count": acc.count, "mean": acc.mean, "m2": acc.m2}
-            for name, acc in groups.items()
-        }
+        written.append((summary, [record for _, record in logs._loss_rows(log)]))
+    capsys.readouterr()
     # the mix ratio 0 log has held-out two-hop rows and no train ones
-    assert groups["two_hop"].count > estimator.FOLD_ROWS
-    assert groups["two_hop/train"].count == 0
+    assert summary["groups"]["two_hop"]["count"] > 0
+    assert summary["groups"]["two_hop/train"]["count"] == 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def refold_in_any_order(seed):
+        for summary, rows in written:
+            rows = rows[:]
+            random.Random(seed).shuffle(rows)
+            refold = logs.summary_to_json(logs.summarize(rows), summary["log_sha256"])
+            assert json.dumps(refold, sort_keys=True) == json.dumps(summary, sort_keys=True)
+
+    refold_in_any_order()
 
 
 def test_classify_never_shuffles(tmp_path, capsys, monkeypatch):
@@ -1415,24 +1427,47 @@ def test_empty_group_names_log_and_group(dataset_dir, run_log, tmp_path, capsys)
         _assert_clean_error(code, capsys, f"error: {log}: no records in group {group}\n")
 
 
-@pytest.mark.parametrize("model", ["independent", "2f"])
-def test_classify_ignores_row_order(tmp_path, capsys, model):
-    # chance-level holdouts folded in reverse order miss their baselines by
-    # rounding alone, which must not flip a holdout to generalizing
-    ds, log, reversed_log = tmp_path / "ds", tmp_path / "run.jsonl", tmp_path / "reversed.jsonl"
+@pytest.mark.parametrize("model, spec", [("independent", "trained"), ("2f", "trained"),
+                                         ("independent", "chance")])
+def test_classify_ignores_row_order(tmp_path, capsys, model, spec):
+    # a holdout's mean and its baseline are exact sums rounded once: a log
+    # refolded after a row shuffle gives the summary's deltas, and every
+    # chance-level holdout's delta is exactly 0.0
+    ds, log, shuffled = tmp_path / "ds", tmp_path / "run.jsonl", tmp_path / "shuffled.jsonl"
     assert main(["gen", "--profiles", "80", "--seed", "4", "--out", str(ds)]) == 0
-    assert main(["simulate", "--dataset", str(ds), "--model", model, "--param-count", "5000",
-                 "--out", str(log)]) == 0
-    reversed_log.write_text("".join(reversed(log.read_text().splitlines(keepends=True))))
+    assert main(["simulate", "--dataset", str(ds), "--model", model, "--reliability", spec,
+                 "--param-count", "5000", "--out", str(log)]) == 0
+    rows = log.read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(rows)
+    shuffled.write_text("".join(rows))
     capsys.readouterr()
     signatures = []
-    for losses in (log, reversed_log):
+    for losses in (log, shuffled):
         assert main(["classify", "--dataset", str(ds), "--losses", str(losses), "--force"]) == 0
         signatures.append(json.loads(capsys.readouterr().out))
-    forward, backward = signatures
-    assert forward["deltas_bits"] != backward["deltas_bits"]  # the orders do round apart
-    assert backward["inferred"] == forward["inferred"] == model
-    assert backward["generalizes"] == forward["generalizes"]
+    summarized, refolded = signatures
+    assert refolded == summarized
+    assert summarized["inferred"] == model
+    generalizing = {"heldout_full"} if model == "2f" else set()
+    assert {k for k, v in summarized["generalizes"].items() if v} == generalizing
+    assert all(delta == 0.0 for k, delta in summarized["deltas_bits"].items()
+               if k not in generalizing)
+
+
+def test_huge_loss_exits_1(dataset_dir, tmp_path, capsys):
+    # a finite loss whose square a float cannot hold: the group's exact
+    # variance is too large for a float, so the refold exits 1 naming it
+    log = tmp_path / "huge.jsonl"
+    args = ["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f",
+            "--force"]
+    for huge in (-1e200, -1e308):
+        rows = [
+            {"qid": "2h:0:mother:boss", "split": "train", "kind": "two_hop", "logprob_nats": huge},
+            {"qid": "2h:1:mother:boss", "split": "train", "kind": "two_hop", "logprob_nats": -0.5},
+        ]
+        log.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        _assert_clean_error(main(args), capsys, f"error: {log}: group two_hop: its loss mean or "
+                                                f"variance is too large for a float\n")
 
 
 def _modules_after(code, *args):

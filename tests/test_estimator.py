@@ -9,7 +9,6 @@ from oracles import oracle_invert_recurrent, oracle_two_function_loss
 from twohop.entropy import LN2, ModelKind, dataset_entropy
 from twohop.estimator import (
     Branch,
-    FOLD_ROWS,
     EstimatorError,
     aggregate_losses,
     bits_per_parameter,
@@ -57,11 +56,11 @@ class TestAggregation:
     @given(rows=st.lists(st.tuples(
         st.sampled_from(["train", "heldout_r", "heldout_full"]),
         st.sampled_from(["one_hop", "two_hop"]),
-        # bounded so that Welford's squares stay finite and a NaN cannot break ==
+        # bounded so that the variance stays finite and a NaN cannot break ==
         st.sampled_from([-0.0, -5e-324]) | st.floats(-1e150, 0.0),
     ), max_size=40))
     def test_groups_equal_single_selections(self, rows):
-        # logs.summarize folds every group in one pass; each must equal its
+        # logs.summarize adds to every group in one pass; each must equal its
         # own selection's aggregate
         records = [(f"q{i}", split, kind, x) for i, (split, kind, x) in enumerate(rows)]
         selections = {
@@ -83,11 +82,10 @@ class TestAggregation:
         with pytest.raises(EstimatorError, match="two_hop_cot"):
             summarize(records + [cot])
 
-    @pytest.mark.parametrize("offset", [0, FOLD_ROWS - 2, FOLD_ROWS - 1])
+    @pytest.mark.parametrize("offset", [0, 254, 255])
     @pytest.mark.parametrize("last_kind, last_x", [("one_hop", 0.5), ("two_hop_cot", -1.0)])
     def test_summarize_names_the_first_row_it_cannot_fold(self, offset, last_kind, last_x):
-        # the groups fold their buffers one after another, yet the error
-        # names the first row, in row order, that no fold takes
+        # the error names the first row, in row order, that no group takes
         rows = [(f"p{i}", "train", "one_hop", -1.0) for i in range(offset)]
         rows += [("a", "heldout_r", "two_hop", 0.25), ("c", "train", last_kind, last_x)]
         with pytest.raises(EstimatorError, match="^positive logprob for a: 0.25$"):

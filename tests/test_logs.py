@@ -16,7 +16,6 @@ from twohop.logs import (
     LossRecord,
     _decode_row,
     read_loss_log,
-    stream_loss_log,
     validate_loss_log,
     write_loss_log,
 )
@@ -153,7 +152,7 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e3
 def test_loss_log_lines_are_encoder_bytes(records):
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "run.jsonl"
-        assert stream_loss_log(records, log) == len(records)
+        assert write_loss_log(records, log) == len(records)
         text = log.read_text(encoding="utf-8")
     rows = ({"qid": r.qid, "split": r.split, "kind": r.kind, "logprob_nats": r.logprob_nats}
             for r in records)
@@ -286,7 +285,7 @@ def test_validate_matches_per_line_join(world, cot, mix_ratio, model, trained, e
     with tempfile.TemporaryDirectory() as tmp:
         dataset, log = Path(tmp) / "ds", Path(tmp) / "run.jsonl"
         persist_dataset(ss, world, dataset)
-        write_log(world, profile, ss, log, None)
+        write_log(world, profile, ss, log)
         lines = log.read_bytes().splitlines(keepends=True)
         for name, arg in edits:
             _edit_log(lines, name, arg)

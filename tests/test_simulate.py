@@ -12,8 +12,8 @@ from oracles import answer_prob, presence_flags, unpack
 from twohop.cli import main
 from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
 from twohop.generalization import TrainIndex
-from twohop.estimator import FOLD_ROWS, EstimatorError
-from twohop.logs import _loss_rows, new_groups, row_head
+from twohop.estimator import EstimatorError
+from twohop.logs import _loss_rows, row_head, write_loss_log
 from twohop.simulate import (
     LossTable,
     ReliabilityProfile,
@@ -223,7 +223,7 @@ def test_table_is_answer_prob(world, kind, spec, cot, seed):
     space = ss.space
     keys = range(space.size)
     for key, found in zip_longest(keys, LossTable(world, profile, space).lookup(keys)):
-        e1, rest, (x, _) = found
+        e1, rest, (x, _, _) = found
         assert (e1, rest) == divmod(key, space.per_entity)
         _, r, a = unpack(space, key)
         e2 = e1 if r == space.n_relations else world.facts[e1 * space.n_attributes + r]
@@ -243,36 +243,44 @@ def test_table_is_answer_prob(world, kind, spec, cot, seed):
 
 
 @pytest.mark.parametrize("cot", [False, True])
-def test_log_stops_at_the_first_row_no_fold_takes(tmp_path, monkeypatch, cot):
-    # a row that the summary cannot take (a two_hop_cot row, or a positive
-    # logprob) raises once it is written, and no later row is written; at
-    # mix ratio 0 the first such row comes after the 600 one-hop train rows
+def test_log_stops_after_the_split_of_a_positive_cell(tmp_path, monkeypatch, cot):
+    # no profile gives a positive cell (q <= 1), so a faulty table stands in
+    # for one: its first positive row is named once its split is written,
+    # and no later split is written. A chain-of-thought space gets no
+    # groups, so nothing is refused; at mix ratio 0 the first positive row
+    # comes after the 600 one-hop train rows
     world = generate_world(WorldConfig(
         n_profiles=200, relations=("mother", "boss"), properties=(("birth city", 10),), seed=2))
-    ss = build_splits(world, {"heldout_full": 0.1}, mix_ratio=0, seed=1, cot=cot)
+    fractions = {"heldout_e1": 0.1, "heldout_full": 0.1}
+    ss = build_splits(world, fractions, mix_ratio=0, seed=1, cot=cot)
     profile = ReliabilityProfile.homogeneous(world.config, ModelKind.TWO_FUNCTION, 0.7)
-    if not cot:  # the two-hop rows of one entry get a positive logprob
-        init, rest = LossTable.__init__, 0
+    init, rest = LossTable.__init__, 0  # the two-hop rows of one entry get a positive logprob
 
-        def positive(self, *args):
-            init(self, *args)
-            _, _, qid_head, _, kind = ss.space.entries[rest]
-            self.cells[rest] = [(0.5, row_head(kind, 0.5, qid_head))] * len(self.cells[rest])
+    def positive(self, *args):
+        init(self, *args)
+        _, _, qid_head, _, kind = ss.space.entries[rest]
+        cell = 0.5, row_head(kind, 0.5, qid_head), len(self.values)
+        self.values.append((0.5, kind))
+        self.cells[rest] = [cell] * len(self.cells[rest])
 
-        monkeypatch.setattr(LossTable, "__init__", positive)
+    monkeypatch.setattr(LossTable, "__init__", positive)
     every_row = tmp_path / "all.jsonl"
-    write_log(world, profile, ss, every_row, None)  # nothing folded, nothing refused
+    write_loss_log(loss_records(world, profile, ss), every_row)
     lines = every_row.read_text().splitlines(keepends=True)
-    first = next(i for i, line in enumerate(lines)
-                 if '"two_hop_cot"' in line or '"logprob_nats": 0.5' in line)
-    assert first > FOLD_ROWS
-    qid = json.loads(lines[first])["qid"]
+    first = next(i for i, line in enumerate(lines) if '"logprob_nats": 0.5' in line)
+    assert first >= 600
+    split = json.loads(lines[first])["split"]
+    end = max(i for i, line in enumerate(lines) if json.loads(line)["split"] == split) + 1
+    assert end < len(lines)  # a later split is not written
     log = tmp_path / "run.jsonl"
+    if cot:
+        assert write_log(world, profile, ss, log) == (len(lines), None)
+        assert log.read_text() == "".join(lines)
+        return
     with pytest.raises(EstimatorError) as exc:
-        write_log(world, profile, ss, log, new_groups())
-    assert str(exc.value) == (f"{qid} is a two_hop_cot record; chain-of-thought logs have no "
-                              f"estimator yet" if cot else f"positive logprob for {qid}: 0.5")
-    assert log.read_text() == "".join(lines[: first + 1])
+        write_log(world, profile, ss, log)
+    assert str(exc.value) == f"positive logprob for {json.loads(lines[first])['qid']}: 0.5"
+    assert log.read_text() == "".join(lines[:end])
 
 
 class TestBudget:
