@@ -132,12 +132,7 @@ def uniform_guess_loss_bits(config: WorldConfig, model_kind: ModelKind | None) -
     Summed over the same fact passes the matching entropy counts: one pass
     of per-fact losses log2 |V_a|, times the model's multiplier.
     """
-    per_pass = sum(
-        attribute_entropy(config.pool_size(a))
-        for _ in range(config.n_profiles)
-        for a in config.attributes
-    )
-    return _multiplier(config, model_kind) * per_pass
+    return _multiplier(config, model_kind) * _fact_bits_per_pass(config)
 
 
 def baseline_content(config: WorldConfig, model_kind: ModelKind | None) -> float:

@@ -558,16 +558,16 @@ GOLDEN_SPEC_LOGS = {
 # (command, model): sha256 of the command's stdout, or of report's CSV and SVG;
 # built by _golden_outputs
 GOLDEN_OUTPUTS = {
-    ("entropy", "one-hop"): "37c711d7aad8846fe3ed8e9910eb036f456f8b75f2f64e18d2ebdaf261bd343d",
-    ("entropy", "recurrent"): "46a156dce299e29cf050fa1b0d237f07399cd65f6c2fe7457619739fd7d4b84e",
-    ("entropy", "2f"): "963be95f337b0457f064247d0b681ed5b64465603f242e122ba52665c0874be2",
-    ("entropy", "independent"): "f7d9174c25426b6bd2cac9ae15a2a2515ac782db3ff669a67b800036c472364a",
-    ("estimate", "one-hop"): "cc338ade0bee663775fb8387e7a7be53688aabd966ce5be7aebee5dfac64a838",
-    ("estimate", "recurrent"): "e0496df1636e613ad9aa32d71e8cad27ac3b35308522da19ae63b191f84f6f37",
-    ("estimate", "2f"): "a32494fec387b8c9e2cad82664cc9417103af2ad13c86b442ee14f2437ce8546",
-    ("estimate", "independent"): "e0446ceaf242e056ad8e85b3b18a9bf2eb270645469016fc594b58db4e68d006",
-    ("classify", "recurrent"): "385f05e8dee294db591ec8ca3f4749c788f7189a84479c36de45024d68451569",
-    ("classify", "2f"): "52242a9e4e157707ccf8bca4663237435a21120b194c61bab7114dfb74422703",
+    ("entropy", "one-hop"): "30ee9be77e68c258c3289eb78ba0e4df8e755b1d6cffd7ac3e4cbcbe682397ef",
+    ("entropy", "recurrent"): "f461a3c54048467a6744c17c40f7d2a6acc174e04872c5d8646a281d73e5ba60",
+    ("entropy", "2f"): "7531de1f257932136202de71219fcfc1989d7cf81e5ecd0cda749e3b69aef555",
+    ("entropy", "independent"): "7db16f43086af83dacd05fa0c855d39bfa3a0f476f94cd557fb2231195dc7564",
+    ("estimate", "one-hop"): "0733e65a44e1b0900c9182fb4c94bd6d88b0d59d267c988b6bb74f5eb5e4a1c1",
+    ("estimate", "recurrent"): "72c195b11cfb192cd8fe522791c75236c309f2b7e823b950460ba49587a0d2d2",
+    ("estimate", "2f"): "d8dbb5cd55e5ce8134386b8d45524f0140af30c0edfe3f10f63c1a914f3fbf7b",
+    ("estimate", "independent"): "3e0d9f0841a0169d8cbce1e98babeaeb7de2550f5ca0de60ba6d530075c33130",
+    ("classify", "recurrent"): "38dfc5b024b5413ec632e455f31a315337c7336add7517badb7be4770ff80563",
+    ("classify", "2f"): "ec34720b2bb580cdd0407402a6db11d87a5d59f4711c5b8a0152ddf62dd7e268",
     ("classify", "independent"): "8bef80d8233923c8c82edbda51ba8e976bd97a0f232517b72f0c37e49561ebe6",
     ("report.csv", "recurrent"): "9c4379b38a0a33654709cd6d8308dd47f1521ebaf7236587007b3102bb9fed0a",
     ("report.csv", "2f"): "371fbce80f2b1d1867067360dd09079d414390de41171f0707eaed97a1054423",
