@@ -172,10 +172,10 @@ class LossTable:
     ``cells[rest][f]`` is ``(ln q, row head, i)``: the log of the probability
     of the correct answer, the loss-log row's text up to the entity of its
     qid (``logs.row_head``), and the cell's place in ``values``, which holds
-    ``(ln q, kind)`` once per distinct row head. A composing model that misses the first hop
-    guesses uniformly over |N| entities, the fallback both inversions
-    assume, so ``q = p1·p2 + (1 − p1)/|N|``; a question that needs an
-    unlearned unit is answered at chance 1/|V_a|.
+    ``(ln q, kind)`` once per distinct row head. A composing model that
+    misses the first hop guesses uniformly over |N| entities, the fallback
+    both inversions assume, so ``q = p1·p2 + (1 − p1)/|N|``; a question
+    that needs an unlearned unit is answered at chance 1/|V_a|.
     """
 
     def __init__(self, world: World, profile: ReliabilityProfile, space: KeySpace):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twohop
-from twohop import cli, estimator, logs, simulate, worldgen
+from twohop import cli, logs, simulate, worldgen
 from twohop.cli import build_parser, main
 from twohop.logs import SUMMARY_GROUPS
 
@@ -1427,12 +1427,8 @@ def test_empty_group_names_log_and_group(dataset_dir, run_log, tmp_path, capsys)
         _assert_clean_error(code, capsys, f"error: {log}: no records in group {group}\n")
 
 
-@pytest.mark.parametrize("model, spec", [("independent", "trained"), ("2f", "trained"),
-                                         ("independent", "chance")])
-def test_classify_ignores_row_order(tmp_path, capsys, model, spec):
-    # a holdout's mean and its baseline are exact sums rounded once: a log
-    # refolded after a row shuffle gives the summary's deltas, and every
-    # chance-level holdout's delta is exactly 0.0
+def _classify_summarized_and_shuffled(tmp_path, capsys, model, spec) -> list[dict]:
+    """classify's output on a simulated log (from its summary), then on its rows shuffled (refolded)."""
     ds, log, shuffled = tmp_path / "ds", tmp_path / "run.jsonl", tmp_path / "shuffled.jsonl"
     assert main(["gen", "--profiles", "80", "--seed", "4", "--out", str(ds)]) == 0
     assert main(["simulate", "--dataset", str(ds), "--model", model, "--reliability", spec,
@@ -1445,13 +1441,29 @@ def test_classify_ignores_row_order(tmp_path, capsys, model, spec):
     for losses in (log, shuffled):
         assert main(["classify", "--dataset", str(ds), "--losses", str(losses), "--force"]) == 0
         signatures.append(json.loads(capsys.readouterr().out))
-    summarized, refolded = signatures
+    return signatures
+
+
+@pytest.mark.parametrize("model", ["independent", "2f"])
+def test_classify_ignores_row_order(tmp_path, capsys, model):
+    # a holdout's mean and its baseline are exact sums rounded once: a log
+    # refolded after a row shuffle gives the summary's deltas, and each
+    # chance-level holdout's delta is exactly 0.0
+    summarized, refolded = _classify_summarized_and_shuffled(tmp_path, capsys, model, "trained")
     assert refolded == summarized
     assert summarized["inferred"] == model
     generalizing = {"heldout_full"} if model == "2f" else set()
     assert {k for k, v in summarized["generalizes"].items() if v} == generalizing
     assert all(delta == 0.0 for k, delta in summarized["deltas_bits"].items()
                if k not in generalizing)
+
+
+def test_shuffled_chance_log_has_zero_deltas(tmp_path, capsys):
+    # every answer of an independent chance log is its attribute's uniform
+    # guess, so each holdout equals its baseline bit for bit in any row order
+    for signature in _classify_summarized_and_shuffled(tmp_path, capsys, "independent", "chance"):
+        assert set(signature["deltas_bits"].values()) == {0.0}
+        assert signature["inferred"] == "independent"
 
 
 def test_huge_loss_exits_1(dataset_dir, tmp_path, capsys):
