@@ -271,7 +271,7 @@ def test_log_stops_after_the_split_of_a_positive_cell(tmp_path, monkeypatch, cot
     assert first >= 600
     split = json.loads(lines[first])["split"]
     end = max(i for i, line in enumerate(lines) if json.loads(line)["split"] == split) + 1
-    assert end < len(lines)  # a later split is not written
+    assert end < len(lines)  # a later split, which the refused log must lack
     log = tmp_path / "run.jsonl"
     if cot:
         assert write_log(world, profile, ss, log) == (len(lines), None)
