@@ -15,12 +15,14 @@ import json
 import math
 import os
 import random
+import sys
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from itertools import chain, compress, zip_longest
+from itertools import compress, count, repeat, zip_longest
+from operator import floordiv, mod
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -132,9 +134,10 @@ class WorldConfig:
         names = list(self.relations) + list(self.property_names)
         if len(set(names)) != len(names):
             raise ConfigError("relation and property names must be unique and disjoint")
+        # a name space of at most sys.maxsize has a len() to sample from, and
         # every name index and value then fits a "Q" array
-        if self.name_space_size > 1 << 64:
-            raise ConfigError(f"name space {self.name_space_size} larger than 2**64")
+        if self.name_space_size > sys.maxsize:
+            raise ConfigError(f"name space {self.name_space_size} larger than {sys.maxsize}")
         for name, size in self.properties:
             if not 1 <= size <= 1 << 64:
                 raise ConfigError(f"value pool for {name!r} must be in [1, 2**64]")
@@ -295,6 +298,11 @@ _TRAIN = 1
 # (_IS_TRAIN) or a held-out split's (_IS_HELDOUT), and any other byte to 0
 _IS_TRAIN = bytes(code == _TRAIN for code in range(256))
 _IS_HELDOUT = bytes(code > _TRAIN for code in range(256))
+# The size, in bytes, of a chunk of a data file as written and as compared,
+# and of a span of a split table that one pass copies: capped in bytes rather
+# than lines or entities, so that what a pass holds at once does not grow
+# with a dataset's questions.
+_CHUNK_BYTES = 1 << 14
 
 
 class SplitSet:
@@ -348,11 +356,32 @@ def generate_world(config: WorldConfig) -> World:
     # the names without replacement, then the values in fact order
     profiles = array(typecode(names), rng.sample(range(names), config.n_profiles))
     pools = [config.n_profiles] * len(config.relations) + [size for _, size in config.properties]
-    facts = array(
-        typecode(max(pools, default=0)),
-        (rng.randrange(pool) for _ in range(config.n_profiles) for pool in pools),
-    )
+    facts = array(typecode(max(pools)), _randranges(rng, pools, config.n_profiles))
     return World(config, profiles, facts)
+
+
+def _randranges(rng: random.Random, pools: list[int], times: int) -> Iterator[int]:
+    """``rng.randrange(pool)`` for each pool of ``pools`` in turn, ``times`` over: same values, same draws.
+
+    ``randrange(pool)`` returns the first of the draws ``rng.getrandbits(k)``,
+    ``k = pool.bit_length()``, that is below ``pool``. Here the same draws
+    are made with no Python-level call per value but the draw itself; only a
+    rejected first draw calls ``redraw``.
+    """
+    getrandbits = rng.getrandbits
+
+    def redraw(pool: int, k: int) -> int:
+        value = getrandbits(k)
+        while value >= pool:
+            value = getrandbits(k)
+        return value
+
+    bits = [(pool, pool.bit_length()) for pool in pools]
+    return (
+        value if (value := getrandbits(k)) < pool else redraw(pool, k)
+        for _ in range(times)
+        for pool, k in bits
+    )
 
 
 def profile_lines(world: World) -> Iterator[str]:
@@ -360,27 +389,32 @@ def profile_lines(world: World) -> Iterator[str]:
 
     A line is ``json.dumps(row, sort_keys=True) + "\\n"`` for the profile's
     row: its id, its name indices, and its relation targets and property
-    values keyed by name. It is one f-string over names JSON-escaped once
-    per call, in the sorted order the encoder writes keys in.
+    values keyed by name. It is one ``%``-format string per call, over names
+    JSON-escaped in the sorted order the encoder writes keys in, applied to
+    the columns of the row's integers.
     """
     cfg = world.config
     n_attrs = len(cfg.attributes)
-    # (attribute index, escaped name) of the relations, then of the properties,
-    # each in the sorted order the encoder writes keys in
-    relations, properties = (
-        [(cfg.attributes.index(name), json.dumps(name)) for name in sorted(names)]
-        for names in (cfg.relations, cfg.property_names)
+    # the attributes in the order the encoder writes them: properties, then
+    # relations, each sorted by name; a '%' in a name is escaped as '%%'
+    properties, relations = sorted(cfg.property_names), sorted(cfg.relations)
+
+    def fields(names: list[str]) -> str:
+        return ", ".join(json.dumps(name).replace("%", "%%") + ": %d" for name in names)
+
+    row = (
+        '{"first": %d, "id": %d, "last": %d, "middle": %d, '
+        f'"properties": {{{fields(properties)}}}, "relations": {{{fields(relations)}}}}}\n'
     )
-    facts = world.facts.tolist()
-    for e in range(cfg.n_profiles):
-        first, middle, last = world.name_indices(e)
-        start = e * n_attrs
-        rels = ", ".join([f"{name}: {facts[start + a]}" for a, name in relations])
-        props = ", ".join([f"{name}: {facts[start + a]}" for a, name in properties])
-        yield (
-            f'{{"first": {first}, "id": {e}, "last": {last}, "middle": {middle}, '
-            f'"properties": {{{props}}}, "relations": {{{rels}}}}}\n'
-        )
+    profiles, below_last = world.profiles, repeat(cfg.last_names)
+    columns = (
+        map(floordiv, profiles, repeat(cfg.middle_names * cfg.last_names)),
+        range(cfg.n_profiles),
+        map(mod, profiles, below_last),
+        map(mod, map(floordiv, profiles, below_last), repeat(cfg.middle_names)),
+        *(world.facts[cfg.attributes.index(name) :: n_attrs] for name in properties + relations),
+    )
+    return map(row.__mod__, zip(*columns))
 
 
 def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
@@ -508,58 +542,62 @@ def split_table(
     components hold e1, r, e2, a, (e1, r), (e2, a) or (e1, r, a). Any other
     two-hop question is train, or absent (0) when ``mix_ratio`` is 0. Every
     one-hop question is train. ``sets`` takes ``_sample_components``' form.
+
+    The table is one entity's rows repeated, with the held-out relations'
+    blocks and the held-out attributes' cells already coded. The other
+    kinds are patched in, in cascade order, each on only the cells that no
+    earlier kind holds: the held-out e1s' blocks, then the blocks and cells
+    whose target is a held-out e2 or an (e2, a) target, then the (e1, r)
+    blocks, then the (e1, r, a) cells. A block or cell that is still train
+    (or 0) is one that no earlier kind holds.
     """
+    code = _SPLIT_CODE
+    n_profiles, n_attrs, per_entity = space.n_profiles, space.n_attributes, space.per_entity
     e1s, rs, e2s, held_a = (
         {value for (value,) in sets[kind]}
         for kind in ("heldout_e1", "heldout_r", "heldout_e2", "heldout_a")
     )
-    e1r = sets["heldout_e1r"]
     e2a: dict[int, list[int]] = {}
     for e2, a in sets["heldout_e2a"]:
         e2a.setdefault(e2, []).append(a)
-    full: dict[tuple[int, int], list[int]] = {}
-    for e1, r_index, a in sets["heldout_full"]:
-        full.setdefault((e1, r_index), []).append(a)
-    code = _SPLIT_CODE
-
-    n_attrs = space.n_attributes
     train = _TRAIN if mix_ratio else 0
 
     def row(fill: int) -> bytes:
         return bytes(code["heldout_a"] if a in held_a else fill for a in range(n_attrs))
 
-    whole = {
-        kind: bytes([code[kind]]) * n_attrs for kind in ("heldout_e1", "heldout_r", "heldout_e2")
-    }
-    plain_row, e1r_row = row(train), row(code["heldout_e1r"])
-    one_hop_row = bytes([_TRAIN]) * n_attrs
-    table = bytearray(space.size)
+    def block(kind: str) -> bytes:
+        return bytes([code[kind]]) * n_attrs
+
+    plain_row, e1r_row, e2_block = row(train), row(code["heldout_e1r"]), block("heldout_e2")
+    entity = b"".join(block("heldout_r") if r in rs else plain_row for r in range(space.n_relations))
+    table = bytearray(entity + bytes([_TRAIN]) * n_attrs) * n_profiles
+    two_hop = bytes([code["heldout_e1"]]) * len(entity)
+    for e1 in e1s:
+        table[e1 * per_entity : e1 * per_entity + len(two_hop)] = two_hop
+
     facts = world.facts
-    for e1 in range(space.n_profiles):
-        start = e1 * space.per_entity
-        for r_index in range(space.n_relations):
-            e2 = facts[e1 * n_attrs + r_index]
+    targets = e2s | e2a.keys()
+    for r in range(space.n_relations):
+        if r in rs:
+            continue
+        for e1 in compress(range(n_profiles), map(targets.__contains__, facts[r::n_attrs])):
             if e1 in e1s:
-                block = whole["heldout_e1"]
-            elif r_index in rs:
-                block = whole["heldout_r"]
-            elif e2 in e2s:
-                block = whole["heldout_e2"]
-            elif (e1, r_index) in e1r:
-                block = e1r_row
-            else:
-                block = plain_row
-                if e2 in e2a or (e1, r_index) in full:
-                    block = bytearray(block)
-                    # (e2, a) before (e1, r, a); heldout_a already took its attributes
-                    for kind, attrs in (("heldout_e2a", e2a.get(e2, ())),
-                                        ("heldout_full", full.get((e1, r_index), ()))):
-                        for a in attrs:
-                            if block[a] == train:
-                                block[a] = code[kind]
-            table[start : start + n_attrs] = block
-            start += n_attrs
-        table[start : start + n_attrs] = one_hop_row
+                continue
+            e2, start = facts[e1 * n_attrs + r], e1 * per_entity + r * n_attrs
+            if e2 in e2s:
+                table[start : start + n_attrs] = e2_block
+                continue
+            for a in e2a[e2]:
+                if table[start + a] == train:
+                    table[start + a] = code["heldout_e2a"]
+    for e1, r in sets["heldout_e1r"]:
+        if e1 not in e1s and r not in rs and facts[e1 * n_attrs + r] not in e2s:
+            start = e1 * per_entity + r * n_attrs
+            table[start : start + n_attrs] = e1r_row  # over any (e2, a) cell
+    for e1, r, a in sets["heldout_full"]:
+        key = e1 * per_entity + r * n_attrs + a
+        if table[key] == train:
+            table[key] = code["heldout_full"]
     return table
 
 
@@ -596,10 +634,8 @@ def build_splits(
     space = KeySpace(cfg, cot)
     table = split_table(world, space, components, mix_ratio)
     heldout = {kind: array(space.typecode) for kind in HOLDOUT_KINDS}
-    two_hop_keys = space.n_relations * space.n_attributes
-    for start in range(0, space.size, space.per_entity):
-        end = start + two_hop_keys
-        for key in compress(range(start, end), table[start:end].translate(_IS_HELDOUT)):
+    for start, cells in _spans(space, table):
+        for key in compress(count(start), cells.translate(_IS_HELDOUT)):
             heldout[SPLITS[table[key] - 1]].append(key)
     params = {
         "seed": seed,
@@ -612,6 +648,17 @@ def build_splits(
     return SplitSet(space, heldout, table, manifest, params, make_train)
 
 
+def _spans(space: KeySpace, table: bytearray) -> Iterator[tuple[int, bytearray]]:
+    """``(start, table[start:end])`` for spans of whole entities of about ``_CHUNK_BYTES`` keys.
+
+    A pass over a span's copy, not the whole table's, holds memory that
+    does not grow with the dataset's questions.
+    """
+    span = space.per_entity * max(1, _CHUNK_BYTES // space.per_entity)
+    for start in range(0, space.size, span):
+        yield start, table[start : start + span]
+
+
 def _train_stream(space: KeySpace, table: bytearray, mix_ratio: int, rng: random.Random) -> array:
     """The train stream of ``build_splits``: its keys in file order, drawn from ``rng``.
 
@@ -619,17 +666,21 @@ def _train_stream(space: KeySpace, table: bytearray, mix_ratio: int, rng: random
     both last, then the rest of each; each kind is shuffled first.
     ``mix_ratio`` 0 keeps the one-hop keys only, unshuffled.
     """
-    two_hop_keys = space.n_relations * space.n_attributes
-    starts = range(0, space.size, space.per_entity)
-    one_hop = array(space.typecode, chain.from_iterable(
-        range(start + two_hop_keys, start + space.per_entity) for start in starts
-    ))
+    per_entity, n_attrs = space.per_entity, space.n_attributes
+    two_hop_keys = per_entity - n_attrs
+    # one column of one-hop keys, attribute a's, at a time
+    one_hop = array(space.typecode, [0]) * (space.n_profiles * n_attrs)
+    for a in range(n_attrs):
+        one_hop[a::n_attrs] = array(space.typecode, range(two_hop_keys + a, space.size, per_entity))
     if mix_ratio == 0:
         return one_hop
+    # train's two-hop keys: its cells less each entity's one-hop cells
     train = array(space.typecode)
-    for start in starts:
-        end = start + two_hop_keys
-        train.extend(compress(range(start, end), table[start:end].translate(_IS_TRAIN)))
+    for start, cells in _spans(space, table):
+        is_train = cells.translate(_IS_TRAIN)
+        for column in range(two_hop_keys, per_entity):
+            is_train[column::per_entity] = bytes(len(cells) // per_entity)
+        train.extend(compress(count(start), is_train))
     _shuffle(train, rng)
     _shuffle(one_hop, rng)
     # The keys are moved in place, back to front, so no second copy of the
@@ -698,12 +749,14 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    profiles_path = path / "profiles.jsonl"
-    with open(profiles_path, "w", encoding="utf-8") as f:
-        f.writelines(profile_lines(world))
-    qa_path = path / "qa.jsonl"
-    with open(qa_path, "w", encoding="utf-8") as f:
-        f.writelines(question_lines(world, split_set))
+    def write(name: str, lines: Iterable[str]) -> str:
+        """Write ``lines`` to data file ``name``; the sha256 of the bytes written."""
+        hasher = hashlib.sha256()
+        with open(path / name, "wb") as f:
+            for chunk in _ascii_chunks(lines):
+                f.write(chunk)
+                hasher.update(chunk)
+        return hasher.hexdigest()
 
     manifest = {
         "config": world.config.to_dict(),
@@ -712,8 +765,8 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
         "counts": split_set.counts(),
         "holdout_components": split_set.holdout_manifest,
         "files": {
-            "profiles.jsonl": sha256_file(profiles_path),
-            "qa.jsonl": sha256_file(qa_path),
+            "profiles.jsonl": write("profiles.jsonl", profile_lines(world)),
+            "qa.jsonl": write("qa.jsonl", question_lines(world, split_set)),
         },
     }
     digest = hashlib.sha256(
@@ -786,9 +839,17 @@ def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
     return fractions, mix_ratio, seed, cot
 
 
-# The byte compare's chunk, in bytes: capped in bytes rather than lines, so
-# that what a compare holds at once does not grow with a dataset's questions.
-_COMPARE_BYTES = 1 << 14
+def _ascii_chunks(lines: Iterable[str]) -> Iterator[bytes]:
+    """``lines`` joined and ASCII-encoded, in chunks of whole lines of about ``_CHUNK_BYTES``."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= _CHUNK_BYTES:
+            yield "".join(chunk).encode("ascii")
+            chunk, size = [], 0
+    if chunk:
+        yield "".join(chunk).encode("ascii")
 
 
 def _require_lines(
@@ -796,14 +857,14 @@ def _require_lines(
 ) -> None:
     """Require the file at ``path`` to be exactly the lines ``lines()`` gives, in order.
 
-    The file's bytes are compared with the lines, joined and ASCII-encoded,
-    in chunks of about ``_COMPARE_BYTES``. Only a file that differs is read
-    again, line by line against a fresh ``lines()``: the first line that
-    differs raises DatasetIOError naming ``path:line`` and ``name_row(expected
-    line)``, as does a missing line (with the number of ``row`` rows
-    expected) or an extra one. A ``hasher`` (a ``hashlib`` object) is updated
-    with the bytes of the first read, which goes on to the end of the file
-    even when they differ early, before any fault is raised.
+    The file's bytes are compared with the lines' ``_ascii_chunks``. Only a
+    file that differs is read again, line by line against a fresh
+    ``lines()``: the first line that differs raises DatasetIOError naming
+    ``path:line`` and ``name_row(expected line)``, as does a missing line
+    (with the number of ``row`` rows expected) or an extra one. A ``hasher``
+    (a ``hashlib`` object) is updated with the bytes of the first read,
+    which goes on to the end of the file even when they differ early,
+    before any fault is raised.
     """
     # the lines are ASCII (JSON with ensure_ascii), so a file with their bytes
     # reads back as exactly those lines; any other file fails the line loop
@@ -815,18 +876,7 @@ def _require_lines(
                 hasher.update(data)
             return data
 
-        same, chunk, size = False, [], 0
-        for line in lines():
-            chunk.append(line)
-            size += len(line)
-            if size >= _COMPARE_BYTES:
-                data = "".join(chunk).encode("ascii")
-                if read(len(data)) != data:
-                    break
-                chunk, size = [], 0
-        else:
-            data = "".join(chunk).encode("ascii")
-            same = read(len(data)) == data and not read(1)
+        same = all(read(len(data)) == data for data in _ascii_chunks(lines())) and not read(1)
         if hasher is not None:
             while read(1 << 16):
                 pass

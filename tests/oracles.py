@@ -6,16 +6,119 @@ closed forms by a search that shares no algebra with them.
 ``answer_prob``, ``pack``, ``unpack``, ``relation_target`` and
 ``presence_flags`` evaluate one question, key or fact directly, where the
 toolkit reads tables; ``strict_two_function_total_bits`` is an entropy
-variant that only tests compare against.
+variant that only tests compare against. ``reference_world`` draws a world
+through ``random.Random``'s own methods, ``reference_split_table`` assigns
+splits one ``(e1, r)`` block at a time, and ``reference_train_stream``
+shuffles and interleaves lists.
 """
 
 import math
+import random
+from array import array
 
 from twohop.entropy import _fact_bits_per_pass, attribute_entropy, name_selection_entropy
 from twohop.estimator import EstimatorError
 from twohop.generalization import EvaluationError, PresenceFlags
 from twohop.logs import LogDiagnostics, _loss_rows
-from twohop.worldgen import _TRAIN, SPLITS, ConfigError, load_dataset
+from twohop.worldgen import _SPLIT_CODE, _TRAIN, SPLITS, ConfigError, World, load_dataset
+
+
+def reference_world(config) -> World:
+    """``generate_world``: the names by ``rng.sample``, then each fact by ``rng.randrange``."""
+    config.validate()
+    rng = random.Random(config.seed)
+    names = config.name_space_size
+    profiles = array("Q", rng.sample(range(names), config.n_profiles))
+    pools = [config.n_profiles] * len(config.relations) + [size for _, size in config.properties]
+    facts = array("Q", (rng.randrange(pool) for _ in range(config.n_profiles) for pool in pools))
+    return World(config, profiles, facts)
+
+
+def reference_split_table(world, space, sets, mix_ratio: int) -> bytearray:
+    """``split_table`` as a per-pair cascade: each ``(e1, r)`` block tested against every set.
+
+    The holdout cascade: a two-hop question (e1, r, a), with e2 the target
+    of (e1, r), goes to the first holdout set in HOLDOUT_KINDS order whose
+    components hold e1, r, e2, a, (e1, r), (e2, a) or (e1, r, a). Any other
+    two-hop question is train, or absent (0) when ``mix_ratio`` is 0. Every
+    one-hop question is train. ``sets`` takes ``_sample_components``' form.
+    """
+    e1s, rs, e2s, held_a = (
+        {value for (value,) in sets[kind]}
+        for kind in ("heldout_e1", "heldout_r", "heldout_e2", "heldout_a")
+    )
+    e1r = sets["heldout_e1r"]
+    e2a = {}
+    for e2, a in sets["heldout_e2a"]:
+        e2a.setdefault(e2, []).append(a)
+    full = {}
+    for e1, r_index, a in sets["heldout_full"]:
+        full.setdefault((e1, r_index), []).append(a)
+    code = _SPLIT_CODE
+
+    n_attrs = space.n_attributes
+    train = _TRAIN if mix_ratio else 0
+
+    def row(fill: int) -> bytes:
+        return bytes(code["heldout_a"] if a in held_a else fill for a in range(n_attrs))
+
+    whole = {
+        kind: bytes([code[kind]]) * n_attrs for kind in ("heldout_e1", "heldout_r", "heldout_e2")
+    }
+    plain_row, e1r_row = row(train), row(code["heldout_e1r"])
+    one_hop_row = bytes([_TRAIN]) * n_attrs
+    table = bytearray(space.size)
+    facts = world.facts
+    for e1 in range(space.n_profiles):
+        start = e1 * space.per_entity
+        for r_index in range(space.n_relations):
+            e2 = facts[e1 * n_attrs + r_index]
+            if e1 in e1s:
+                block = whole["heldout_e1"]
+            elif r_index in rs:
+                block = whole["heldout_r"]
+            elif e2 in e2s:
+                block = whole["heldout_e2"]
+            elif (e1, r_index) in e1r:
+                block = e1r_row
+            else:
+                block = plain_row
+                if e2 in e2a or (e1, r_index) in full:
+                    block = bytearray(block)
+                    # (e2, a) before (e1, r, a); heldout_a already took its attributes
+                    for kind, attrs in (("heldout_e2a", e2a.get(e2, ())),
+                                        ("heldout_full", full.get((e1, r_index), ()))):
+                        for a in attrs:
+                            if block[a] == train:
+                                block[a] = code[kind]
+            table[start : start + n_attrs] = block
+            start += n_attrs
+        table[start : start + n_attrs] = one_hop_row
+    return table
+
+
+def reference_train_stream(space, table, mix_ratio: int, rng) -> list[int]:
+    """The train stream over split ``table``, by ``rng.shuffle`` and an append loop.
+
+    The two-hop train keys and the one-hop keys are each shuffled, and one
+    one-hop key follows every ``mix_ratio`` two-hop keys while both last;
+    ``mix_ratio`` 0 keeps the one-hop keys only, unshuffled.
+    """
+    one_hop_key = lambda key: unpack(space, key)[1] == space.n_relations
+    two = [k for k in range(space.size) if table[k] == _TRAIN and not one_hop_key(k)]
+    one = [k for k in range(space.size) if one_hop_key(k)]
+    if mix_ratio == 0:
+        return one
+    rng.shuffle(two)
+    rng.shuffle(one)
+    expected, taken = [], 0
+    for i, key in enumerate(two):
+        expected.append(key)
+        if (i + 1) % mix_ratio == 0 and taken < len(one):
+            expected.append(one[taken])
+            taken += 1
+    expected.extend(one[taken:])
+    return expected
 
 
 def answer_prob(profile, e1: int, r: int, a: int, e2: int) -> float:

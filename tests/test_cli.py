@@ -686,6 +686,16 @@ def _string_n_profiles(manifest, out):
     manifest["config"]["n_profiles"] = "30"
 
 
+# name pools whose product, 2**63, is one past sys.maxsize: too large for
+# len(range(...)), which sampling the names takes
+HUGE_NAME_POOLS = (1 << 32, 1 << 31, 1)
+
+
+def _huge_name_space(manifest, out):
+    config = manifest["config"]
+    config["first_names"], config["middle_names"], config["last_names"] = HUGE_NAME_POOLS
+
+
 def _drop_second_profile_first(manifest, out):
     profiles = out / "profiles.jsonl"
     lines = profiles.read_text().splitlines(keepends=True)
@@ -845,6 +855,9 @@ def _extra_profile(manifest, out):
         ("validate", _files_outside_dataset, "files"),
         ("estimate", _drop_first_names, "first_names"),
         ("estimate", _string_n_profiles, "n_profiles"),
+        ("simulate", _huge_name_space, "name space"),
+        ("classify", _huge_name_space, "name space"),
+        ("validate", _huge_name_space, "name space"),
         ("simulate", _drop_first_names, "first_names"),
         ("simulate", _drop_second_profile_first, "profiles.jsonl:2:"),
         ("simulate", _drop_third_question_text, "qa.jsonl:3:"),
@@ -1102,6 +1115,32 @@ def test_gen_without_relations_exits_1(tmp_path, capsys):
     code = main(["gen", "--profiles", "20", "--relations", "0", "--holdout-frac", "0",
                  "--out", str(tmp_path / "ds")])
     _assert_clean_error(code, capsys, "relations must not be empty")
+
+
+# dataset_sha256 of perfbench's three shapes, (profiles, relations,
+# properties), under its gen options: a change to the world's draws or to
+# the holdout cascade at that scale changes them
+BENCHMARK_SHAPES = {
+    (400, 17, 4): "95cdedf05938e6040654630ded83a8d19d49ae93aefd958762b71914b051e7de",
+    (12000, 2, 2): "72ea8e6a4acd1a807972f5410e354e21fe43aab693179f784689a92759dcd345",
+    (150, 17, 4): "0039dd98c38fda3d5ed46f05fab0c88ef928d3df5f752f5d76c37377f119b0b9",
+}
+
+
+@pytest.mark.parametrize("profiles, relations, properties", BENCHMARK_SHAPES)
+def test_benchmark_shapes_are_pinned(tmp_path, capsys, profiles, relations, properties):
+    out = tmp_path / "ds"
+    assert main(["gen", "--profiles", str(profiles), "--relations", str(relations),
+                 "--properties", str(properties), "--holdout-frac", "0.01", "--mix-ratio", "10",
+                 "--seed", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dataset_sha256"] == BENCHMARK_SHAPES[profiles, relations, properties]
+
+
+def test_gen_with_huge_name_space_exits_1(tmp_path, capsys):
+    code = main(["gen", "--profiles", "2", "--relations", "1", "--properties", "1",
+                 "--name-pools", *map(str, HUGE_NAME_POOLS), "--out", str(tmp_path / "ds")])
+    _assert_clean_error(code, capsys, f"name space {1 << 63} larger than {sys.maxsize}")
 
 
 def test_entropy_config_missing_key_exits_1(dataset_dir, tmp_path, capsys):

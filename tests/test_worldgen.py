@@ -5,12 +5,19 @@ import random
 import tempfile
 import tracemalloc
 from array import array
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pack, relation_target, unpack
+from oracles import (
+    pack,
+    reference_split_table,
+    reference_train_stream,
+    reference_world,
+    relation_target,
+    unpack,
+)
 
 from twohop.entropy import ModelKind
 from twohop.simulate import ReliabilityProfile, loss_records
@@ -18,12 +25,14 @@ from twohop.worldgen import (
     DEFAULT_PROPERTIES,
     DEFAULT_RELATIONS,
     HOLDOUT_KINDS,
+    SPLITS,
     ConfigError,
     DatasetIOError,
     HashMismatchError,
     KeySpace,
     QuestionKind,
     WorldConfig,
+    _COMPONENT_FIELDS,
     _sample_components,
     _shuffle,
     build_splits,
@@ -32,6 +41,7 @@ from twohop.worldgen import (
     persist_dataset,
     profile_lines,
     question_lines,
+    split_table,
 )
 
 
@@ -247,22 +257,9 @@ class TestSplits:
         # 10, and no one-hop key fits between two-hop runs at 2000
         fractions = {"heldout_full": 0.1}
         ss = build_splits(micro_world, fractions, mix_ratio=mix_ratio, seed=3)
-        space = ss.space
         rng = random.Random(3)
         _sample_components(micro_world, fractions, rng)
-        one_hop_key = lambda key: unpack(space, key)[1] == space.n_relations
-        two = [k for k in range(space.size) if ss.table[k] == 1 and not one_hop_key(k)]
-        one = [k for k in range(space.size) if one_hop_key(k)]
-        rng.shuffle(two)
-        rng.shuffle(one)
-        expected, taken = [], 0
-        for i, key in enumerate(two):
-            expected.append(key)
-            if (i + 1) % mix_ratio == 0 and taken < len(one):
-                expected.append(one[taken])
-                taken += 1
-        expected.extend(one[taken:])
-        assert list(ss.train) == expected
+        assert list(ss.train) == reference_train_stream(ss.space, ss.table, mix_ratio, rng)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**64))
@@ -406,9 +403,10 @@ def _reference_row(world, split_set, split, key):
 
 
 # Attribute names with what JSON must escape or may pass through: quotes,
-# backslashes, control characters, spaces and non-ASCII text. ':' separates
-# qid fields, so no name holds one.
-name_chars = st.sampled_from('"\\ \n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+# backslashes, control characters, spaces and non-ASCII text, and the '%'
+# that a profile line's format string escapes. ':' separates qid fields, so
+# no name holds one.
+name_chars = st.sampled_from('"\\ %\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
 name_chars |= st.characters(blacklist_characters=":")
 
 
@@ -461,3 +459,74 @@ def test_question_lines_are_encoder_bytes(world, cot, mix_ratio):
     assert _world_bytes(loaded_world) == _world_bytes(world)
     assert list(question_lines(loaded_world, loaded_ss)) == lines
 
+
+
+@st.composite
+def pooled_configs(draw, max_profiles=40, min_relations=1):
+    """Configs with value pools below, at and above |N|, and past 2**32 and 2**64.
+
+    A pool of 2**k rejects about half of its draws, and a pool past 2**32
+    draws more than one 32-bit word per value. The name space is |N| itself
+    in some draws, and far above it in others.
+    """
+    n = draw(st.integers(min_relations, max_profiles))
+    pools = (1, 2, max(n - 1, 1), n, n + 1, 1 << 16, (1 << 32) + 1, 1 << 64)
+    first, middle = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    last = -(-n // (first * middle)) + draw(st.sampled_from((0, 1, 7, 1 << 20)))
+    return WorldConfig(
+        n_profiles=n,
+        first_names=first,
+        middle_names=middle,
+        last_names=last,
+        relations=DEFAULT_RELATIONS[: draw(st.integers(min_relations, 3))],
+        properties=tuple(
+            (f"p{i}", pool) for i, pool in enumerate(draw(st.lists(st.sampled_from(pools), max_size=4)))
+        ),
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=pooled_configs())
+def test_generate_world_is_reference(config):
+    # the fact draws are rng.randrange's, value for value
+    world, reference = generate_world(config), reference_world(config)
+    assert world.profiles.tolist() == reference.profiles.tolist()
+    assert world.facts.tolist() == reference.facts.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), mix_ratio=st.sampled_from((0, 1, 10)), cot=st.booleans())
+def test_split_table_is_reference(data, mix_ratio, cot):
+    # every holdout kind holds components, and they overlap: a world of at
+    # most 6 entities repeats targets and loops them back to their source,
+    # and heldout_r holds every relation but one in some draws
+    config = data.draw(pooled_configs(max_profiles=6, min_relations=2))
+    world, space = generate_world(config), KeySpace(config, cot)
+    fields = {"e": range(config.n_profiles), "r": range(len(config.relations)),
+              "a": range(len(config.attributes))}
+    sets = {}
+    for kind in HOLDOUT_KINDS:
+        population = list(product(*(fields[field_] for field_ in _COMPONENT_FIELDS[kind])))
+        sets[kind] = data.draw(
+            st.sets(st.sampled_from(population), min_size=1, max_size=len(population) - 1), kind
+        )
+    table = split_table(world, space, sets, mix_ratio)
+    assert table == reference_split_table(world, space, sets, mix_ratio)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=pooled_configs(max_profiles=12, min_relations=2), fraction=st.floats(0.01, 0.5),
+       mix_ratio=st.sampled_from((0, 1, 3)), cot=st.booleans(), seed=st.integers(0, 2**64))
+def test_build_splits_is_reference(config, fraction, mix_ratio, cot, seed):
+    # the table, each held-out split and the train stream are those of the
+    # per-pair cascade, read key by key
+    world = generate_world(config)
+    fractions = dict.fromkeys(HOLDOUT_KINDS, fraction)
+    ss = build_splits(world, fractions, mix_ratio, seed, cot)
+    rng = random.Random(seed)
+    table = reference_split_table(world, ss.space, _sample_components(world, fractions, rng), mix_ratio)
+    assert ss.table == table
+    for code, kind in enumerate(SPLITS[1:], 2):
+        assert ss.heldout[kind].tolist() == [key for key, c in enumerate(table) if c == code]
+    assert ss.train.tolist() == reference_train_stream(ss.space, table, mix_ratio, rng)
