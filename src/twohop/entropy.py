@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .worldgen import WorldConfig
 
@@ -40,8 +40,7 @@ class NameEntropyApproximationWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     name_bits: float
     fact_bits_per_pass: float
     multiplier: int

@@ -10,9 +10,8 @@ independent numerical oracles in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .entropy import LN2, ModelKind, dataset_entropy, task_name
 from .worldgen import WorldConfig
@@ -22,8 +21,7 @@ class EstimatorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AggregateLoss:
+class AggregateLoss(NamedTuple):
     """Mean/variance/count summary of per-question losses, in nats."""
 
     mean_loss_nats: float
@@ -104,8 +102,7 @@ class Branch(str, Enum):
     CLAMPED = "clamped"
 
 
-@dataclass(frozen=True)
-class EffectiveLoss:
+class EffectiveLoss(NamedTuple):
     """Per-hop (recurrent) or summed (two-function) loss imputed from two-hop loss."""
 
     per_hop_loss_nats: float | None
@@ -194,8 +191,7 @@ def effective_loss_two_function(
     )
 
 
-@dataclass(frozen=True)
-class ContentEstimate:
+class ContentEstimate(NamedTuple):
     entropy_bits: float
     total_loss_bits: float
     content_bits: float

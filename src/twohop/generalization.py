@@ -9,7 +9,7 @@ composition to every holdout (all facts stay present as one-hop questions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .entropy import ModelKind
 from .estimator import AggregateLoss, LossAccumulator
@@ -20,8 +20,7 @@ class EvaluationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PresenceFlags:
+class PresenceFlags(NamedTuple):
     """What parts of a two-hop question the training data contains."""
 
     facts_one_hop_present: bool
@@ -34,8 +33,7 @@ class PresenceFlags:
         return self.first_hop_pair_present and self.second_hop_pair_present
 
 
-@dataclass(frozen=True)
-class GeneralizationSignature:
+class GeneralizationSignature(NamedTuple):
     generalizes: dict[str, bool]
     deltas: dict[str, float]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import NUMBER_RE
 from math import isfinite
@@ -268,19 +267,22 @@ def summary_from_json(summary, where: str) -> tuple[str, dict[str, AggregateLoss
     return log_sha256, groups
 
 
-@dataclass
 class LogDiagnostics:
     """Validation findings for a loss log against its dataset."""
 
-    n_records: int
-    unknown_qids: list[str] = field(default_factory=list)
-    duplicate_qids: list[str] = field(default_factory=list)
-    positive_logprobs: list[tuple[int, str]] = field(default_factory=list)
-    # (line, qid, split, kind) of each record whose split or kind is not its
-    # question's, with the question's split and kind
-    mislabeled: list[tuple[int, str, str, str]] = field(default_factory=list)
-    missing_splits: list[str] = field(default_factory=list)
-    coverage: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("n_records", "unknown_qids", "duplicate_qids", "positive_logprobs", "mislabeled",
+                 "missing_splits", "coverage")
+
+    def __init__(self, n_records: int):
+        self.n_records = n_records
+        self.unknown_qids: list[str] = []
+        self.duplicate_qids: list[str] = []
+        self.positive_logprobs: list[tuple[int, str]] = []
+        # (line, qid, split, kind) of each record whose split or kind is not its
+        # question's, with the question's split and kind
+        self.mislabeled: list[tuple[int, str, str, str]] = []
+        self.missing_splits: list[str] = []
+        self.coverage: dict[str, float] = {}
 
     @property
     def has_violations(self) -> bool:

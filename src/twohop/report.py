@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 CSV_COLUMNS = [
     "label",
@@ -24,8 +24,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class CapacityPoint:
+class CapacityPoint(NamedTuple):
     label: str
     param_count: int
     model_kind: str

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -23,7 +22,6 @@ from .logs import LossRecord, group_names, new_groups, row_head, row_tail
 from .worldgen import KeySpace, QuestionKind, SplitSet, World, WorldConfig
 
 
-@dataclass(slots=True)
 class ReliabilityTable:
     """One role's reliabilities: two levels per attribute and one flag per unit.
 
@@ -32,9 +30,11 @@ class ReliabilityTable:
     unit unlearned: a question that needs it is answered at chance.
     """
 
-    low: tuple[float | None, ...]
-    high: tuple[float | None, ...]
-    flags: bytearray
+    __slots__ = ("low", "high", "flags")
+
+    def __init__(self, low: tuple[float | None, ...], high: tuple[float | None, ...],
+                 flags: bytearray):
+        self.low, self.high, self.flags = low, high, flags
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -43,7 +43,6 @@ class ReliabilityTable:
         return (self.high if self.flags[unit] else self.low)[unit % len(self.low)]
 
 
-@dataclass
 class ReliabilityProfile:
     """Per-unit retrieval probabilities for one computational model.
 
@@ -55,17 +54,21 @@ class ReliabilityProfile:
     order. A role the model lacks is None.
     """
 
-    model_kind: ModelKind
-    config: WorldConfig
-    facts: ReliabilityTable | None = None
-    hop1: ReliabilityTable | None = None
-    hop2: ReliabilityTable | None = None
-    memo: ReliabilityTable | None = None
-    # 1/|V_a| per attribute index: the answer to a question at chance
-    chance: tuple[float, ...] = field(init=False, repr=False)
+    __slots__ = ("model_kind", "config", "facts", "hop1", "hop2", "memo", "chance")
 
-    def __post_init__(self):
-        self.chance = tuple(1.0 / self.config.pool_size(a) for a in self.config.attributes)
+    def __init__(
+        self,
+        model_kind: ModelKind,
+        config: WorldConfig,
+        facts: ReliabilityTable | None = None,
+        hop1: ReliabilityTable | None = None,
+        hop2: ReliabilityTable | None = None,
+        memo: ReliabilityTable | None = None,
+    ):
+        self.model_kind, self.config = model_kind, config
+        self.facts, self.hop1, self.hop2, self.memo = facts, hop1, hop2, memo
+        # 1/|V_a| per attribute index: the answer to a question at chance
+        self.chance = tuple(1.0 / config.pool_size(a) for a in config.attributes)
 
     @classmethod
     def homogeneous(

@@ -18,7 +18,6 @@ import random
 import sys
 from array import array
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import compress, count, repeat, zip_longest
@@ -85,10 +84,7 @@ class QuestionKind(str, Enum):
     TWO_HOP_COT = "two_hop_cot"
 
 
-@dataclass(frozen=True)
-class WorldConfig:
-    """Parameters of a generated world: entity count, name pools, attributes."""
-
+class _ConfigFields(NamedTuple):
     n_profiles: int
     first_names: int = DEFAULT_NAME_POOLS[0]
     middle_names: int = DEFAULT_NAME_POOLS[1]
@@ -96,6 +92,14 @@ class WorldConfig:
     relations: tuple[str, ...] = DEFAULT_RELATIONS
     properties: tuple[tuple[str, int], ...] = DEFAULT_PROPERTIES
     seed: int = 0
+
+
+class WorldConfig(_ConfigFields):
+    """Parameters of a generated world: entity count, name pools, attributes.
+
+    The fields are a NamedTuple's, so ``_replace`` gives a changed copy.
+    This subclass adds a ``__dict__``, which holds the cached name tuples.
+    """
 
     @property
     def name_space_size(self) -> int:
@@ -197,8 +201,7 @@ def typecode(bound: int) -> str:
     return "I" if bound <= 1 << (8 * array("I").itemsize) else "Q"
 
 
-@dataclass
-class World:
+class World(NamedTuple):
     """Ground truth: each entity's name and its value of each attribute.
 
     ``profiles[e]`` is entity e's packed name index, ``(first·|M| + middle)·|L|

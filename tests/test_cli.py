@@ -1564,6 +1564,39 @@ def test_each_command_loads_only_its_modules(dataset_dir, run_log, tmp_path):
     assert _modules_after("import twohop") == {"twohop"}
 
 
+def test_no_command_imports_dataclasses(dataset_dir, run_log, tmp_path):
+    # dataclasses imports inspect, ast and dis, about 5 ms of a command's
+    # start-up. pytest has loaded it here, so each command runs in a fresh
+    # interpreter, which prints which of the two it loaded as it exits
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads((dataset_dir / "manifest.json").read_text())["config"]))
+    logged = ["--dataset", str(dataset_dir), "--losses", str(run_log)]
+    commands = {
+        "gen": GEN_ARGS + ["--out", str(tmp_path / "ds")],
+        "entropy": ["entropy", "--config", str(config), "--task", "two-hop", "--model", "2f"],
+        "simulate": ["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                     "--param-count", "5000", "--out", str(tmp_path / "run.jsonl")],
+        "estimate": ["estimate", *logged, "--model", "2f"],
+        "classify": ["classify", *logged],
+        "validate": ["validate", *logged],
+        "report": ["report", *logged, "--model", "2f", "--out-csv", str(tmp_path / "c.csv"),
+                   "--out-svg", str(tmp_path / "c.svg")],
+    }
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted({'dataclasses', 'inspect'} & set(sys.modules)),"
+        " file=sys.stderr))\n"
+        "runpy.run_module('twohop.cli', run_name='__main__')\n"
+    )
+    src = str(Path(twohop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for command, args in commands.items():
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == "[]", command
+
+
 def test_package_names_resolve_to_their_modules():
     # the names `import twohop` exports, each loaded from its module on first use
     exports = {

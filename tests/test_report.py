@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -94,6 +93,6 @@ class TestPlot:
 
     @pytest.mark.parametrize("field", ["entropy_bits", "baseline_bits"])
     def test_mixed_reference_levels_rejected(self, field):
-        odd = dataclasses.replace(_point("b", 10**5, kind="recurrent"), **{field: 1.0})
+        odd = _point("b", 10**5, kind="recurrent")._replace(**{field: 1.0})
         with pytest.raises(ValueError, match="disagree"):
             scaling_plot(capacity_table([_point("a", 10**4), odd]))

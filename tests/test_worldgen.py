@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -78,7 +77,7 @@ class TestWorldGeneration:
         assert _world_bytes(again) == _world_bytes(micro_world)
 
     def test_different_seed_differs(self, micro_cfg, micro_world):
-        other = generate_world(dataclasses.replace(micro_cfg, seed=micro_cfg.seed + 1))
+        other = generate_world(micro_cfg._replace(seed=micro_cfg.seed + 1))
         assert _world_bytes(other) != _world_bytes(micro_world)
 
     def test_names_unique(self, micro_world):
