@@ -20,7 +20,7 @@ from array import array
 from contextlib import contextmanager, suppress
 from enum import Enum
 from functools import cached_property, partial
-from itertools import compress, count, repeat, zip_longest
+from itertools import compress, count, repeat
 from operator import floordiv, mod
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -756,7 +756,7 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
         """Write ``lines`` to data file ``name``; the sha256 of the bytes written."""
         hasher = hashlib.sha256()
         with open(path / name, "wb") as f:
-            for chunk in _ascii_chunks(lines):
+            for _, chunk in _ascii_chunks(lines):
                 f.write(chunk)
                 hasher.update(chunk)
         return hasher.hexdigest()
@@ -842,63 +842,60 @@ def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
     return fractions, mix_ratio, seed, cot
 
 
-def _ascii_chunks(lines: Iterable[str]) -> Iterator[bytes]:
-    """``lines`` joined and ASCII-encoded, in chunks of whole lines of about ``_CHUNK_BYTES``."""
+def _ascii_chunks(lines: Iterable[str]) -> Iterator[tuple[int, bytes]]:
+    """``lines`` joined and ASCII-encoded, in chunks of whole lines of about ``_CHUNK_BYTES``.
+
+    Each chunk comes as ``(number of lines, bytes)``.
+    """
     chunk, size = [], 0
     for line in lines:
         chunk.append(line)
         size += len(line)
         if size >= _CHUNK_BYTES:
-            yield "".join(chunk).encode("ascii")
+            yield len(chunk), "".join(chunk).encode("ascii")
             chunk, size = [], 0
     if chunk:
-        yield "".join(chunk).encode("ascii")
+        yield len(chunk), "".join(chunk).encode("ascii")
 
 
-def _require_lines(
-    path: Path, lines: Callable[[], Iterable[str]], row: str, name_row, hasher=None
-) -> None:
-    """Require the file at ``path`` to be exactly the lines ``lines()`` gives, in order.
+def _first_fault(path: Path, lines: Iterable[str], row: str, name_row, hasher=None):
+    """The DatasetIOError of the file at ``path`` if it is not exactly ``lines``, in order; else None.
 
-    The file's bytes are compared with the lines' ``_ascii_chunks``. Only a
-    file that differs is read again, line by line against a fresh
-    ``lines()``: the first line that differs raises DatasetIOError naming
-    ``path:line`` and ``name_row(expected line)``, as does a missing line
-    (with the number of ``row`` rows expected) or an extra one. A ``hasher``
-    (a ``hashlib`` object) is updated with the bytes of the first read,
-    which goes on to the end of the file even when they differ early,
-    before any fault is raised.
+    The file is read once, in binary, and compared with the lines'
+    ``_ascii_chunks``. The first byte that differs names its line of
+    ``lines`` as ``path:line``: a file that ends at the start of that line
+    misses it (with the number of ``row`` rows expected), bytes after the
+    last line are an extra row, and any other difference is not the
+    canonical row of ``name_row(expected line)``. A ``hasher`` (a
+    ``hashlib`` object) is updated with every byte of the file.
     """
-    # the lines are ASCII (JSON with ensure_ascii), so a file with their bytes
-    # reads back as exactly those lines; any other file fails the line loop
+    # the lines are ASCII (JSON with ensure_ascii), so a \r, a \r\n or a byte
+    # that is not UTF-8 differs from them like any other byte
+    chunks = _ascii_chunks(lines)
+    lineno, fault = 1, None
     with open(path, "rb") as f:
-
-        def read(size: int) -> bytes:
-            data = f.read(size)
+        for n, data in chunks:
+            got = f.read(len(data))
             if hasher is not None:
-                hasher.update(data)
-            return data
-
-        same = all(read(len(data)) == data for data in _ascii_chunks(lines())) and not read(1)
+                hasher.update(got)
+            if got != data:  # a chunk that matches costs one compare, and no search
+                at = len(os.path.commonprefix((got, data)))
+                start = data.rfind(b"\n", 0, at) + 1
+                lineno += data.count(b"\n", 0, at)
+                if at == start == len(got):
+                    total = lineno - 1 + data.count(b"\n", at) + sum(n for n, _ in chunks)
+                    fault = f"missing {row} row ({total} expected)"
+                else:
+                    want = data[start:data.index(b"\n", at) + 1].decode("ascii")
+                    fault = f"not the canonical row of {name_row(want)}"
+                break
+            lineno += n
+        if fault is None and f.peek(1):  # peeked, so the hash below still reads it
+            fault = "extra row"
         if hasher is not None:
-            while read(1 << 16):
-                pass
-    if same:
-        return
-    # line ends are kept as written and undecodable bytes become U+FFFD, so a
-    # \r\n or a bad byte differs from the expected line instead of passing or
-    # failing unnamed
-    with open(path, encoding="utf-8", errors="replace", newline="") as f:
-        pairs = enumerate(zip_longest(f, lines()), 1)
-        for lineno, (line, want) in pairs:
-            if line == want:
-                continue
-            if line is None:
-                total = lineno + sum(1 for _ in pairs)
-                raise DatasetIOError(f"{path}:{lineno}: missing {row} row ({total} expected)")
-            if want is None:
-                raise DatasetIOError(f"{path}:{lineno}: extra row")
-            raise DatasetIOError(f"{path}:{lineno}: not the canonical row of {name_row(want)}")
+            for got in iter(partial(f.read, 1 << 16), b""):
+                hasher.update(got)
+    return None if fault is None else DatasetIOError(f"{path}:{lineno}: {fault}")
 
 
 def replay_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
@@ -937,8 +934,9 @@ def replay_dataset(path: Path, manifest: dict) -> tuple[SplitSet, World]:
 def load_dataset(path: Path) -> tuple[SplitSet, World]:
     """Load a persisted dataset: ``load_manifest``, then ``checked_dataset`` entered and left.
 
-    Both data files are hashed and compared in full, with the faults and
-    fault order of ``checked_dataset``: a stale hash raises HashMismatchError.
+    Both data files are hashed and compared in full, each read once in
+    ``checked_dataset``'s child, and a fault is the one ``checked_dataset``
+    ranks first: a stale hash raises HashMismatchError.
     """
     manifest, _ = load_manifest(path)
     with checked_dataset(path, manifest) as loaded:
@@ -951,17 +949,18 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
 
     ``manifest`` is ``load_manifest``'s, and loses ``holdout_components`` to
     ``replay_dataset``. The profiles.jsonl hash, the replay and the train
-    stream come first, in this process. A forked child then requires each
-    profiles.jsonl and qa.jsonl line to be the one ``profile_lines`` and
-    ``question_lines`` write, hashes qa.jsonl from the bytes of its compare,
-    and leaves by ``os._exit``: it never returns into the caller.
+    stream come first, in this process. A forked child then reads each data
+    file once, in ``_check_data_files``: it compares profiles.jsonl and
+    qa.jsonl with the lines ``profile_lines`` and ``question_lines`` write,
+    hashes qa.jsonl from the same bytes, and leaves by ``os._exit``: it
+    never returns into the caller.
 
     A fault is raised in the order of a check that hashed both files first:
     a stale profiles.jsonl hash, then a stale qa.jsonl hash (HashMismatchError
     both), then a replay fault, then the first line that differs, is missing
     or is extra, named ``path:line`` (DatasetIOError), in profiles.jsonl and
     then in qa.jsonl. So a replay fault hashes qa.jsonl here before it is
-    raised, and the child hashes qa.jsonl before it sends a line fault. When
+    raised; ``_check_data_files`` ranks the child's faults. When
     the body ends, the child is reaped first. Its fault, of the class it was
     raised as, replaces any Exception of the body, as a check made first
     would have. Any other exit of the body (KeyboardInterrupt) kills the
@@ -1006,21 +1005,20 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
 
 
 def _check_data_files(path: Path, manifest: Mapping, split_set: SplitSet, world: World) -> None:
-    """``checked_dataset``'s check of both data files' lines and of qa.jsonl's hash."""
-    try:
-        _require_lines(path / "profiles.jsonl", partial(profile_lines, world),
-                       "profile", lambda want: f"profile {json.loads(want)['id']}")
-    except DatasetIOError:
-        _require_hash("qa.jsonl", manifest, sha256_file(path / "qa.jsonl"))
-        raise
+    """``checked_dataset``'s check of both data files' lines and of qa.jsonl's hash.
+
+    Both files are compared before any fault is raised, so the faults rank
+    as ``checked_dataset`` gives them: a stale qa.jsonl hash, then the first
+    line fault of profiles.jsonl, then that of qa.jsonl.
+    """
     hasher = hashlib.sha256()
-    try:
-        _require_lines(path / "qa.jsonl", partial(question_lines, world, split_set),
-                       "question", lambda want: repr(json.loads(want)["qid"]), hasher)
-    except DatasetIOError:
-        _require_hash("qa.jsonl", manifest, hasher.hexdigest())
-        raise
+    profiles = _first_fault(path / "profiles.jsonl", profile_lines(world), "profile",
+                            lambda want: f"profile {json.loads(want)['id']}")
+    questions = _first_fault(path / "qa.jsonl", question_lines(world, split_set), "question",
+                             lambda want: repr(json.loads(want)["qid"]), hasher)
     _require_hash("qa.jsonl", manifest, hasher.hexdigest())
+    if profiles or questions:
+        raise profiles or questions
 
 
 def _reap_check(pid: int, read_end: int) -> None:

@@ -9,12 +9,14 @@ toolkit reads tables; ``strict_two_function_total_bits`` is an entropy
 variant that only tests compare against. ``reference_world`` draws a world
 through ``random.Random``'s own methods, ``reference_split_table`` assigns
 splits one ``(e1, r)`` block at a time, and ``reference_train_stream``
-shuffles and interleaves lists.
+shuffles and interleaves lists. ``reference_first_fault`` names a data
+file's first bad line from a decoded line-by-line walk.
 """
 
 import math
 import random
 from array import array
+from itertools import zip_longest
 
 from twohop.entropy import _fact_bits_per_pass, attribute_entropy, name_selection_entropy
 from twohop.estimator import EstimatorError
@@ -308,3 +310,25 @@ def reference_validate(log_path, dataset_dir) -> LogDiagnostics:
             if not covered[split]:
                 diag.missing_splits.append(split)
     return diag
+
+
+def reference_first_fault(path, lines, row: str, name_row) -> str | None:
+    """The message naming the first line of the file at ``path`` that is not ``lines``' line, or None.
+
+    The file is decoded one line at a time and walked beside ``lines``.
+    Line ends are kept as written and undecodable bytes become U+FFFD, so a
+    ``\\r\\n`` or a bad byte differs from the expected line instead of passing
+    or failing unnamed.
+    """
+    with open(path, encoding="utf-8", errors="replace", newline="") as f:
+        pairs = enumerate(zip_longest(f, lines), 1)
+        for lineno, (line, want) in pairs:
+            if line == want:
+                continue
+            if line is None:
+                total = lineno + sum(1 for _ in pairs)
+                return f"{path}:{lineno}: missing {row} row ({total} expected)"
+            if want is None:
+                return f"{path}:{lineno}: extra row"
+            return f"{path}:{lineno}: not the canonical row of {name_row(want)}"
+    return None

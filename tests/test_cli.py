@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import importlib
 import json
@@ -763,6 +764,12 @@ def _drop_last_question(manifest, out):
     manifest["files"]["qa.jsonl"] = _sha256(qa)
 
 
+def _line_fault_in_both_files(manifest, out):
+    # both hashes refreshed: the profiles.jsonl fault comes first in file order
+    _drop_second_profile_first(manifest, out)
+    _drop_third_question_text(manifest, out)
+
+
 def _third_question_moved(manifest, out):
     row = json.loads((out / "qa.jsonl").read_text().splitlines()[2])
     assert row["split"] == "train"
@@ -860,6 +867,7 @@ def _extra_profile(manifest, out):
         ("validate", _huge_name_space, "name space"),
         ("simulate", _drop_first_names, "first_names"),
         ("simulate", _drop_second_profile_first, "profiles.jsonl:2:"),
+        ("simulate", _line_fault_in_both_files, "profiles.jsonl:2:"),
         ("simulate", _drop_third_question_text, "qa.jsonl:3:"),
         ("simulate", _third_question_as_list, "qa.jsonl:3:"),
         ("validate", _third_question_three_hop, "qa.jsonl:3:"),
@@ -875,7 +883,7 @@ def _extra_profile(manifest, out):
         ("validate", _third_question_wrong_qid, "qa.jsonl:3:"),
         ("simulate", _third_question_repeats_second, "qa.jsonl:3:"),
         ("validate", _third_question_repeats_second, "qa.jsonl:3:"),
-        ("simulate", _drop_last_question, "qa.jsonl:1600: missing question row"),
+        ("simulate", _drop_last_question, "qa.jsonl:1600: missing question row (1600 expected)"),
         ("simulate", _third_question_moved, "qa.jsonl:3:"),
         ("simulate", _third_question_cot, "qa.jsonl:3:"),
         ("simulate", _holdout_components_as_list, "holdout_components"),
@@ -896,7 +904,7 @@ def _extra_profile(manifest, out):
         ("simulate", _more_profiles_than_rows, "profiles.jsonl:101: missing profile row"),
         ("classify", _more_profiles_than_rows, "profiles.jsonl:101: missing profile row"),
         ("simulate", _drop_last_profile, "profiles.jsonl:100:"),
-        ("simulate", _extra_profile, "profiles.jsonl:101:"),
+        ("simulate", _extra_profile, "profiles.jsonl:101: extra row"),
         ("simulate", _second_profile_with("id_not_index", id=5), "profiles.jsonl:2:"),
         ("simulate", _second_profile_with("relations_as_list", relations=[0, 0, 0]),
          "profiles.jsonl:2:"),
@@ -1595,6 +1603,21 @@ def test_no_command_imports_dataclasses(dataset_dir, run_log, tmp_path):
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stderr.splitlines()[-1] == "[]", command
+
+
+def test_toolkit_imports_only_the_standard_library():
+    # zero runtime dependencies: every import in the package, at the top or
+    # inside a function, names a standard-library module or twohop itself
+    names = set()
+    for source in Path(twohop.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: twohop's own
+                names.add(node.module)
+    assert {"hashlib", "json", "pickle"} <= names
+    allowed = sys.stdlib_module_names | {"twohop"}
+    assert sorted(name for name in names if name.partition(".")[0] not in allowed) == []
 
 
 def test_package_names_resolve_to_their_modules():

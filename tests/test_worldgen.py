@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     pack,
+    reference_first_fault,
     reference_split_table,
     reference_train_stream,
     reference_world,
@@ -31,7 +33,9 @@ from twohop.worldgen import (
     KeySpace,
     QuestionKind,
     WorldConfig,
+    _CHUNK_BYTES,
     _COMPONENT_FIELDS,
+    _first_fault,
     _sample_components,
     _shuffle,
     build_splits,
@@ -458,6 +462,55 @@ def test_question_lines_are_encoder_bytes(world, cot, mix_ratio):
     assert _world_bytes(loaded_world) == _world_bytes(world)
     assert list(question_lines(loaded_world, loaded_ss)) == lines
 
+
+# Edits of a data file: each takes the file's bytes, an offset in them, a
+# byte value and the slice of the line that holds the offset, and gives the
+# edited bytes.
+FILE_EDITS = {
+    "none": lambda data, i, b, line: data,
+    "flip": lambda data, i, b, line: data[:i] + bytes([data[i] ^ (b or 1)]) + data[i + 1:],
+    "insert": lambda data, i, b, line: data[:i] + bytes([b]) + data[i:],
+    "delete": lambda data, i, b, line: data[:i] + data[i + 1:],
+    "truncate": lambda data, i, b, line: data[:i],
+    "truncate_at_line": lambda data, i, b, line: data[:line.start],
+    "append": lambda data, i, b, line: data + bytes([b]) * (i % 3 + 1),
+    "lone_cr": lambda data, i, b, line: data[:i] + b"\r" + data[i:],
+    "crlf": lambda data, i, b, line: data[:line.stop - 1] + b"\r" + data[line.stop - 1:],
+    "bad_byte": lambda data, i, b, line: data[:i] + b"\xff" + data[i + 1:],
+    "drop_line": lambda data, i, b, line: data[:line.start] + data[line.stop:],
+    "repeat_line": lambda data, i, b, line: data[:line.stop] + data[line],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), n_lines=st.integers(150, 400),
+       edit=st.sampled_from(sorted(FILE_EDITS)), where=st.integers(0, 2**32),
+       value=st.integers(0, 255), hashed=st.booleans())
+def test_first_fault_names_the_decoded_walks_line(seed, n_lines, edit, where, value, hashed):
+    # the fault named from the first differing byte is the one a decoded
+    # line-by-line walk names, on files of several chunks under byte and line
+    # edits, and the hasher sees every byte of the edited file
+    rng = random.Random(seed)
+    lines = [json.dumps({"id": i, "pad": "x" * rng.randrange(100, 500)}) + "\n"
+             for i in range(n_lines)]
+    original = "".join(lines).encode("ascii")
+    assert len(original) > _CHUNK_BYTES
+    i = where % len(original)
+    line = slice(original.rfind(b"\n", 0, i) + 1, original.index(b"\n", i) + 1)
+    data = FILE_EDITS[edit](original, i, value, line)
+    hasher = hashlib.sha256() if hashed else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/data.jsonl"
+        with open(path, "wb") as f:
+            f.write(data)
+        fault = _first_fault(path, iter(lines), "test", repr, hasher)
+        expected = reference_first_fault(path, iter(lines), "test", repr)
+    assert (str(fault) if fault else None) == expected
+    assert fault is None or isinstance(fault, DatasetIOError)
+    if edit == "none":
+        assert fault is None
+    if hashed:
+        assert hasher.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 @st.composite
