@@ -17,7 +17,7 @@ from . import entropy as entropy_mod
 from . import worldgen
 from .entropy import ModelKind
 
-# --model's values for estimate and report: one-hop is the task without a model kind
+# --model's values for entropy, estimate and report: one-hop is the task without a model kind
 MODELS = {"one-hop": None, **{kind.value: kind for kind in ModelKind}}
 RELIABILITY_FORMS = "trained | chance | VALUE | budget:BITS | two-point:LO,HI,FRAC"
 
@@ -151,13 +151,7 @@ def _read_config(path: str) -> worldgen.WorldConfig:
 
 
 def _cmd_entropy(args) -> int:
-    config = _read_config(args.config)
-    kind = None
-    if args.task == "two-hop":
-        if not args.model:
-            print("error: two-hop entropy requires --model", file=sys.stderr)
-            return 2
-        kind = ModelKind(args.model)
+    config, kind = _read_config(args.config), MODELS[args.model]
     payload = entropy_mod.dataset_entropy(config, kind).to_dict()
     payload["baseline_bits"] = entropy_mod.baseline_content(config, kind)
     _emit(payload)
@@ -200,23 +194,32 @@ def _identities(path: Path) -> tuple:
     return path.resolve(), (stat.st_dev, stat.st_ino)
 
 
-def _check_simulate_out(out: Path, dataset_dir: Path) -> None:
-    """Refuse an ``--out`` whose log or run manifest would overwrite the other or the dataset."""
-    run_meta_path = out.with_suffix(".json")
-    if run_meta_path == out:
-        raise ValueError(f"--out {out} ends in .json: its run manifest would overwrite the log")
-    outputs = (("loss log", out), ("run manifest", run_meta_path))
-    for name in DATASET_FILES:
-        target = set(_identities(dataset_dir / name))
-        for what, path in outputs:
-            if not target.isdisjoint(_identities(path)):
-                raise ValueError(f"--out {out}: its {what} {path} would overwrite the dataset's {name}")
+def _check_outputs(outputs: dict[str, Path], dataset_dir: Path, losses: list[Path]) -> None:
+    """Refuse an output path (by its name) that would overwrite an input or an earlier output.
+
+    The inputs are the dataset's files, each loss log and each log's run
+    manifest; paths are compared by ``_identities``.
+    """
+    named = [(dataset_dir / name, f"the dataset's {name}") for name in DATASET_FILES]
+    for log in losses:
+        named.append((log, f"the loss log {log}"))
+        named.append((log.with_suffix(".json"), f"the run manifest of {log}"))
+    taken = {identity: what for path, what in named for identity in _identities(path)}
+    for option, out in outputs.items():
+        identities = _identities(out)
+        for identity in identities:
+            if identity in taken:
+                raise ValueError(f"{option} {out} would overwrite {taken[identity]}")
+        taken.update(dict.fromkeys(identities, f"the {option} output"))
 
 
 def _cmd_simulate(args) -> int:
     from . import logs, simulate
     dataset_dir, out = Path(args.dataset), Path(args.out)
-    _check_simulate_out(out, dataset_dir)
+    run_meta_path = out.with_suffix(".json")
+    if run_meta_path == out:
+        raise ValueError(f"--out {out} ends in .json: its run manifest would overwrite the log")
+    _check_outputs({"--out": out, "--out's run manifest": run_meta_path}, dataset_dir, [])
     # the log is bound to the sha256 of the manifest bytes that were verified
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
     # the data files are checked as the log is written; a fault leaves no run manifest
@@ -228,7 +231,7 @@ def _cmd_simulate(args) -> int:
             profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
         out.parent.mkdir(parents=True, exist_ok=True)
         # a run manifest describes a complete log: an interrupted run leaves none
-        out.with_suffix(".json").unlink(missing_ok=True)
+        run_meta_path.unlink(missing_ok=True)
         count, groups = simulate.write_log(world, profile, split_set, out)
         run_meta = {
             "label": args.label,
@@ -239,7 +242,7 @@ def _cmd_simulate(args) -> int:
         }
         if groups is not None:
             run_meta["summary"] = logs.summary_to_json(groups, worldgen.sha256_file(out))
-    with open(out.with_suffix(".json"), "w", encoding="utf-8") as f:
+    with open(run_meta_path, "w", encoding="utf-8") as f:
         json.dump(run_meta, f, indent=2, sort_keys=True)
         f.write("\n")
     _emit({"records": count, "out": str(out)})
@@ -303,31 +306,12 @@ def _cmd_validate(args) -> int:
     return 1 if diag.has_violations else 0
 
 
-def _check_report_out(outputs: dict[str, Path], dataset_dir: Path, losses: list[Path]) -> None:
-    """Refuse an output path (by option) that would overwrite an input or an earlier output.
-
-    The inputs are the dataset's files, each loss log and each log's run
-    manifest; paths are compared by ``_identities``.
-    """
-    named = [(dataset_dir / name, f"the dataset's {name}") for name in DATASET_FILES]
-    for log in losses:
-        named.append((log, f"the loss log {log}"))
-        named.append((log.with_suffix(".json"), f"the run manifest of {log}"))
-    taken = {identity: what for path, what in named for identity in _identities(path)}
-    for option, out in outputs.items():
-        identities = _identities(out)
-        for identity in identities:
-            if identity in taken:
-                raise ValueError(f"{option} {out} would overwrite {taken[identity]}")
-        taken.update(dict.fromkeys(identities, f"the {option} output"))
-
-
 def _cmd_report(args) -> int:
     from . import estimator, report
     outputs = {"--out-csv": Path(args.out_csv)}
     if args.out_svg:
         outputs["--out-svg"] = Path(args.out_svg)
-    _check_report_out(outputs, Path(args.dataset), list(map(Path, args.losses)))
+    _check_outputs(outputs, Path(args.dataset), list(map(Path, args.losses)))
     manifest, dataset_sha = worldgen.load_manifest(Path(args.dataset))
     config, kind = worldgen.WorldConfig.from_dict(manifest["config"]), MODELS[args.model]
     baseline = entropy_mod.baseline_content(config, kind)
@@ -422,13 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="closed-form dataset entropy for a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--task", choices=("one-hop", "two-hop"), required=True)
-    p.add_argument("--model", choices=("recurrent", "2f", "independent"))
+    p.add_argument("--model", choices=MODELS, required=True)
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("simulate", help="produce a loss log from an exact model simulator")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", choices=("recurrent", "2f", "independent"), required=True)
+    p.add_argument("--model", choices=[kind.value for kind in ModelKind], required=True)
     p.add_argument("--reliability", default="trained", help=RELIABILITY_FORMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default="run")

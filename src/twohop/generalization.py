@@ -4,6 +4,8 @@ Each computational model predicts a distinct pattern of which holdout sets
 a model can still answer: independent memorization generalizes to nothing,
 two-function composition only to excluded complete questions, and recurrent
 composition to every holdout (all facts stay present as one-hop questions).
+``predict_generalization`` states these rules, and the signatures that
+``classify_algorithm`` tells apart are derived from it.
 """
 
 from __future__ import annotations
@@ -144,17 +146,35 @@ def evaluate_holdouts(
     return GeneralizationSignature(generalizes, deltas)
 
 
+# The holdout sets that take out of train, besides each question itself, its
+# first-hop pair (e1, r) or its second-hop pair (e2, a) in that hop's role
+_FIRST_HOP_HELD = ("heldout_e1", "heldout_r", "heldout_e1r")
+_SECOND_HOP_HELD = ("heldout_e2", "heldout_a", "heldout_e2a")
+
+
+def predicted_signature(model_kind: ModelKind) -> dict[str, bool]:
+    """Whether the model generalizes to each holdout set.
+
+    That is ``predict_generalization`` on what the set takes out of train.
+    """
+    return {
+        kind: predict_generalization(
+            model_kind,
+            PresenceFlags(
+                facts_one_hop_present=True,
+                first_hop_pair_present=kind not in _FIRST_HOP_HELD,
+                second_hop_pair_present=kind not in _SECOND_HOP_HELD,
+                full_question_present=False,
+            ),
+        )
+        for kind in HOLDOUT_KINDS
+    }
+
+
 def classify_algorithm(signature: GeneralizationSignature) -> ModelKind | None:
-    """The model whose exact holdout signature this is; None for a partial match."""
+    """The model whose predicted holdout signature this is; None when no model's is."""
     missing = [k for k in HOLDOUT_KINDS if k not in signature.generalizes]
     if missing:
         raise EvaluationError(f"signature incomplete, missing: {missing}")
-    flags = signature.generalizes
-    if not any(flags.values()):
-        return ModelKind.INDEPENDENT
-    if all(flags.values()):
-        return ModelKind.RECURRENT
-    if flags["heldout_full"] and not any(v for k, v in flags.items() if k != "heldout_full"):
-        return ModelKind.TWO_FUNCTION
-    return None
-
+    matches = (kind for kind in ModelKind if predicted_signature(kind) == signature.generalizes)
+    return next(matches, None)

@@ -11,18 +11,6 @@ import io
 import math
 from typing import NamedTuple
 
-CSV_COLUMNS = [
-    "label",
-    "param_count",
-    "model_kind",
-    "task",
-    "entropy_bits",
-    "total_loss_bits",
-    "content_bits",
-    "bits_per_param",
-    "baseline_bits",
-]
-
 
 class CapacityPoint(NamedTuple):
     label: str
@@ -36,6 +24,11 @@ class CapacityPoint(NamedTuple):
     baseline_bits: float
 
 
+CSV_COLUMNS = CapacityPoint._fields
+# each column from entropy_bits on is a number of bits, written at 6 decimal places
+_BITS = CSV_COLUMNS.index("entropy_bits")
+
+
 def capacity_table(points: list[CapacityPoint]) -> str:
     """CSV sorted by (model_kind, param_count), floats at 6 decimal places."""
     if not points:
@@ -44,40 +37,16 @@ def capacity_table(points: list[CapacityPoint]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for p in sorted(points, key=lambda p: (p.model_kind, p.param_count, p.label)):
-        writer.writerow(
-            [
-                p.label,
-                p.param_count,
-                p.model_kind,
-                p.task,
-                f"{p.entropy_bits:.6f}",
-                f"{p.total_loss_bits:.6f}",
-                f"{p.content_bits:.6f}",
-                f"{p.bits_per_param:.6f}",
-                f"{p.baseline_bits:.6f}",
-            ]
-        )
+        writer.writerow([*p[:_BITS], *(f"{bits:.6f}" for bits in p[_BITS:])])
     return buf.getvalue()
 
 
 def parse_capacity_table(text: str) -> list[CapacityPoint]:
-    reader = csv.DictReader(io.StringIO(text))
-    points = []
-    for row in reader:
-        points.append(
-            CapacityPoint(
-                label=row["label"],
-                param_count=int(row["param_count"]),
-                model_kind=row["model_kind"],
-                task=row["task"],
-                entropy_bits=float(row["entropy_bits"]),
-                total_loss_bits=float(row["total_loss_bits"]),
-                content_bits=float(row["content_bits"]),
-                bits_per_param=float(row["bits_per_param"]),
-                baseline_bits=float(row["baseline_bits"]),
-            )
-        )
-    return points
+    return [
+        CapacityPoint(row["label"], int(row["param_count"]), row["model_kind"], row["task"],
+                      *(float(row[name]) for name in CSV_COLUMNS[_BITS:]))
+        for row in csv.DictReader(io.StringIO(text))
+    ]
 
 
 _SERIES_COLORS = ["#1f6fb2", "#c2452d", "#3a8f3a", "#8456b0", "#b08a2e"]

@@ -15,7 +15,7 @@ from array import array
 from pathlib import Path
 from typing import Iterator
 
-from .entropy import ModelKind, dataset_entropy
+from .entropy import ModelKind, _multiplier, dataset_entropy
 from .estimator import LossAccumulator, refused_positive
 from .generalization import TrainIndex, train_two_hops
 from .logs import LossRecord, group_names, new_groups, row_head, row_tail
@@ -328,8 +328,9 @@ def allocate_budget(
     """
     if not budget_bits >= 0:  # also rejects NaN
         raise ValueError(f"budget must be >= 0, got {budget_bits}")
-    roles = 2 if model_kind is ModelKind.TWO_FUNCTION else 1
-    share = budget_bits / (roles * _role_units(config, model_kind))
+    # the stored units: one per (entity, attribute) in each of the entropy's fact passes
+    units = _multiplier(config, model_kind) * config.n_profiles * len(config.attributes)
+    share = budget_bits / units
     levels = tuple(
         2.0 ** -max(0.0, math.log2(config.pool_size(a)) - share) for a in config.attributes
     )

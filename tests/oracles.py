@@ -11,6 +11,7 @@ through ``random.Random``'s own methods, ``reference_split_table`` assigns
 splits one ``(e1, r)`` block at a time, and ``reference_train_stream``
 shuffles and interleaves lists. ``reference_first_fault`` names a data
 file's first bad line from a decoded line-by-line walk.
+``reference_classify`` names a model from three hand-written holdout patterns.
 """
 
 import math
@@ -18,11 +19,12 @@ import random
 from array import array
 from itertools import zip_longest
 
-from twohop.entropy import _fact_bits_per_pass, attribute_entropy, name_selection_entropy
+from twohop.entropy import ModelKind, _fact_bits_per_pass, attribute_entropy, name_selection_entropy
 from twohop.estimator import EstimatorError
 from twohop.generalization import EvaluationError, PresenceFlags
 from twohop.logs import LogDiagnostics, _loss_rows
-from twohop.worldgen import _SPLIT_CODE, _TRAIN, SPLITS, ConfigError, World, load_dataset
+from twohop.worldgen import (_SPLIT_CODE, _TRAIN, HOLDOUT_KINDS, SPLITS, ConfigError, World,
+                             load_dataset)
 
 
 def reference_world(config) -> World:
@@ -182,6 +184,25 @@ def presence_flags(index, e1: int, r: str, a: str) -> PresenceFlags:
         second_hop_pair_present=bool(index.hop2[second]),
         full_question_present=index.table[pack(space, e1, r_index, a_index)] == _TRAIN,
     )
+
+
+def reference_classify(signature) -> ModelKind | None:
+    """The model whose holdout pattern ``signature.generalizes`` is, written out per model.
+
+    Independent memorization generalizes to no holdout set, two-function
+    composition to ``heldout_full`` alone, recurrent composition to all.
+    """
+    missing = [k for k in HOLDOUT_KINDS if k not in signature.generalizes]
+    if missing:
+        raise EvaluationError(f"signature incomplete, missing: {missing}")
+    flags = signature.generalizes
+    if not any(flags.values()):
+        return ModelKind.INDEPENDENT
+    if all(flags.values()):
+        return ModelKind.RECURRENT
+    if flags["heldout_full"] and not any(v for k, v in flags.items() if k != "heldout_full"):
+        return ModelKind.TWO_FUNCTION
+    return None
 
 
 def strict_two_function_total_bits(config) -> float:

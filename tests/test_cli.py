@@ -5,6 +5,8 @@ import importlib
 import json
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -76,12 +78,15 @@ def test_entropy_command(dataset_dir, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     manifest = json.loads((dataset_dir / "manifest.json").read_text())
     cfg_path.write_text(json.dumps(manifest["config"]))
-    assert main(["entropy", "--config", str(cfg_path), "--task", "two-hop", "--model", "2f"]) == 0
+    assert main(["entropy", "--config", str(cfg_path), "--model", "2f"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["multiplier"] == 2
     assert payload["total_bits"] > payload["baseline_bits"]
-    # two-hop without a model kind is a usage error
-    assert main(["entropy", "--config", str(cfg_path), "--task", "two-hop"]) == 2
+    # --model is required, and --task is no option
+    for argv in ([], ["--task", "two-hop", "--model", "2f"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--config", str(cfg_path), *argv])
+        assert exc.value.code == 2
 
 
 def test_simulate_writes_run_metadata(run_log):
@@ -472,7 +477,7 @@ def test_report_out_over_inputs_exits_1(dataset_dir, run_log, tmp_path, capsys, 
 SUBCOMMAND_OPTIONS = {
     "gen": {"--profiles", "--relations", "--properties", "--name-pools", "--mix-ratio",
             "--holdout-frac", "--cot", "--seed", "--out"},
-    "entropy": {"--config", "--task", "--model"},
+    "entropy": {"--config", "--model"},
     "simulate": {"--dataset", "--model", "--reliability", "--seed", "--label", "--param-count",
                  "--out"},
     "estimate": {"--dataset", "--losses", "--model", "--force"},
@@ -489,6 +494,28 @@ def test_subcommand_options_pinned():
         for name, parser in sub.choices.items()
     }
     assert options == SUBCOMMAND_OPTIONS
+
+
+def test_readme_walkthrough_parses_and_reads_what_it_writes():
+    # each `twohop` command of README's CLI walkthrough, its `\` continuations
+    # joined and each `<(...)` replaced by a path
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = re.sub(r"""<\((?:[^()'"]|'[^']*'|"[^"]*")*\)""", "config.json", block.replace("\\\n", " "))
+    assert "<(" not in block
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("twohop ")]
+    parser, written = build_parser(), set()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        losses = getattr(args, "losses", [])
+        inputs = [args.dataset] if hasattr(args, "dataset") else []
+        inputs += [losses] if isinstance(losses, str) else losses
+        for path in inputs:
+            assert Path(path) in written, f"{args.command} reads {path}, which no earlier step writes"
+        if hasattr(args, "out"):
+            written.add(Path(args.out))
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(sub.choices)
 
 
 def test_usage_errors():
@@ -618,13 +645,12 @@ def _golden_outputs(tmp_path, capsys) -> dict:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(json.loads((ds / "manifest.json").read_text())["config"]))
     shas = {("entropy", "one-hop"): stdout_sha(["entropy", "--config", str(config),
-                                                "--task", "one-hop"])}
+                                                "--model", "one-hop"])}
     for model in GOLDEN_TRAINED_LOGS:
         log = tmp_path / f"{model}.jsonl"
         stdout_sha(["simulate", "--dataset", str(ds), "--model", model, "--label",
                     f"trained-{model}", "--param-count", "5000", "--out", str(log)])
-        shas["entropy", model] = stdout_sha(["entropy", "--config", str(config),
-                                             "--task", "two-hop", "--model", model])
+        shas["entropy", model] = stdout_sha(["entropy", "--config", str(config), "--model", model])
         on_log = ["--dataset", str(ds), "--losses", str(log)]
         shas["estimate", model] = stdout_sha(["estimate", *on_log, "--model", model])
         shas["classify", model] = stdout_sha(["classify", *on_log])
@@ -1115,7 +1141,7 @@ def test_stale_hash_outranks_other_faults(dataset_dir, run_log, tmp_path, capsys
 def test_entropy_config_not_an_object_exits_1(tmp_path, capsys, text, needle):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(text)
-    code = main(["entropy", "--config", str(cfg_path), "--task", "one-hop"])
+    code = main(["entropy", "--config", str(cfg_path), "--model", "one-hop"])
     _assert_clean_error(code, capsys, f"config {cfg_path}: {needle}")
 
 
@@ -1156,7 +1182,7 @@ def test_entropy_config_missing_key_exits_1(dataset_dir, tmp_path, capsys):
     del config["first_names"]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    code = main(["entropy", "--config", str(cfg_path), "--task", "one-hop"])
+    code = main(["entropy", "--config", str(cfg_path), "--model", "one-hop"])
     _assert_clean_error(code, capsys, "first_names")
 
 
@@ -1172,7 +1198,7 @@ def test_entropy_invalid_config_exits_1(dataset_dir, tmp_path, capsys, change, n
     config = json.loads((dataset_dir / "manifest.json").read_text())["config"]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**config, **change}))
-    code = main(["entropy", "--config", str(cfg_path), "--task", "one-hop"])
+    code = main(["entropy", "--config", str(cfg_path), "--model", "one-hop"])
     _assert_clean_error(code, capsys, needle)
 
 
@@ -1581,7 +1607,7 @@ def test_no_command_imports_dataclasses(dataset_dir, run_log, tmp_path):
     logged = ["--dataset", str(dataset_dir), "--losses", str(run_log)]
     commands = {
         "gen": GEN_ARGS + ["--out", str(tmp_path / "ds")],
-        "entropy": ["entropy", "--config", str(config), "--task", "two-hop", "--model", "2f"],
+        "entropy": ["entropy", "--config", str(config), "--model", "2f"],
         "simulate": ["simulate", "--dataset", str(dataset_dir), "--model", "2f",
                      "--param-count", "5000", "--out", str(tmp_path / "run.jsonl")],
         "estimate": ["estimate", *logged, "--model", "2f"],
@@ -1735,9 +1761,15 @@ def test_cot_log_refused_by_estimators(tmp_path, capsys):
 
 
 # Traced peak growth per added question of simulate and estimate (each model,
-# trained and two-point), classify and validate, in bytes: at most 15 B
-# measured on the packed-key store, with 2x headroom. Holding an object per
-# question costs hundreds.
+# trained and two-point), classify and validate, in bytes. Holding an object
+# per question costs hundreds. Part of what the bound sees is not per
+# question: the manifest's holdout_components list heldout_full's triples,
+# 5% of the two-hop questions at this --holdout-frac, so the manifest grows
+# from 3.1 to 13.8 KB between the two worlds. Alone, load_manifest's peak
+# grows 17.6 B and replay_dataset's 30.8 B per added question. The commands
+# read less (at most about 26 B, simulate) because each small-world peak
+# also holds fixed allocations: validate reads about 12 B only because
+# checked_dataset's 64 KiB profiles-hash buffer raises its r=2 peak.
 BYTES_PER_QUESTION = 30
 
 

@@ -1,7 +1,8 @@
 import math
+from itertools import product
 
 import pytest
-from oracles import presence_flags, unpack
+from oracles import presence_flags, reference_classify, unpack
 
 from twohop.entropy import LN2, ModelKind
 from twohop.estimator import aggregate_losses
@@ -91,6 +92,23 @@ class TestPresenceScan:
             assert not flags.first_hop_pair_present
             assert not flags.full_question_present
 
+    def test_holdout_sets_take_what_the_predicted_signature_assumes(self, micro_world):
+        # predicted_signature reads each set as taking its question and a
+        # first-hop or second-hop pair out of train: check that on every key
+        fractions = dict.fromkeys(HOLDOUT_KINDS, 0.02)
+        ss = build_splits(micro_world, fractions, mix_ratio=10, seed=8)
+        index = TrainIndex(micro_world, ss)
+        for kind in HOLDOUT_KINDS:
+            questions = list(_two_hop_questions(ss, ss.heldout[kind]))
+            assert questions, kind
+            for e1, r, a in questions:
+                flags = presence_flags(index, e1, r, a)
+                assert not flags.full_question_present, kind
+                if kind in ("heldout_e1", "heldout_r", "heldout_e1r"):
+                    assert not flags.first_hop_pair_present, kind
+                if kind in ("heldout_e2", "heldout_a", "heldout_e2a"):
+                    assert not flags.second_hop_pair_present, kind
+
     def test_unknown_entity_rejected(self, setup):
         _, index = setup
         with pytest.raises(EvaluationError):
@@ -149,6 +167,15 @@ class TestEvaluation:
         baselines = {k: 9.0 for k in HOLDOUT_KINDS}
         with pytest.raises(EvaluationError):
             evaluate_holdouts({}, baselines)
+
+    def test_classify_matches_reference_on_every_signature(self):
+        seen = set()
+        for bits in product((False, True), repeat=len(HOLDOUT_KINDS)):
+            sig = GeneralizationSignature(dict(zip(HOLDOUT_KINDS, bits)), {})
+            kind = classify_algorithm(sig)
+            assert kind is reference_classify(sig), bits
+            seen.add(kind)
+        assert seen == {*ModelKind, None}
 
     def test_incomplete_signature_rejected(self):
         sig = GeneralizationSignature({"heldout_full": True}, {"heldout_full": 1.0})
