@@ -98,8 +98,7 @@ def _point_meta(losses: Path, run_meta: dict) -> tuple[str, int]:
     where = f"run manifest {losses.with_suffix('.json')}"
     if "label" in run_meta and type(label) is not str:
         raise worldgen.DatasetIOError(f"{where}: label must be a string, got {label!r}")
-    # type(), not isinstance(): a JSON true must not pass as the integer 1
-    if type(params) is not int or params <= 0 or params > sys.float_info.max:
+    if not _param_count_ok(params):
         raise worldgen.DatasetIOError(
             f"{where}: param_count must be an integer > 0 that a float holds"
         )
@@ -158,8 +157,12 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _parse_reliability(spec: str, config, kind: ModelKind, seed: int):
+def _parse_reliability(spec: str, world, split_set, kind: ModelKind, seed: int):
+    """The reliability profile that ``spec``, one of RELIABILITY_FORMS, names."""
     from . import simulate
+    if spec == "trained":
+        return simulate.ReliabilityProfile.trained(world, split_set, kind)
+    config = world.config
     if spec == "chance":
         return simulate.ReliabilityProfile.homogeneous(config, kind, None)
     if spec.startswith("two-point:"):
@@ -225,10 +228,7 @@ def _cmd_simulate(args) -> int:
     # the data files are checked as the log is written; a fault leaves no run manifest
     with worldgen.checked_dataset(dataset_dir, manifest) as (split_set, world):
         kind = ModelKind(args.model)
-        if args.reliability == "trained":
-            profile = simulate.ReliabilityProfile.trained(world, split_set, kind)
-        else:
-            profile = _parse_reliability(args.reliability, world.config, kind, args.seed)
+        profile = _parse_reliability(args.reliability, world, split_set, kind, args.seed)
         out.parent.mkdir(parents=True, exist_ok=True)
         # a run manifest describes a complete log: an interrupted run leaves none
         run_meta_path.unlink(missing_ok=True)
@@ -261,7 +261,10 @@ def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):
     from . import estimator
     # the kind of the task's questions
     agg = _group(groups, "one_hop" if kind is None else "two_hop", losses)
-    return estimator.content_estimate(config, kind, agg), agg
+    try:
+        return estimator.content_estimate(config, kind, agg), agg
+    except estimator.EstimatorError as exc:
+        raise estimator.EstimatorError(f"{losses}: {exc}") from None
 
 
 def _cmd_estimate(args) -> int:
@@ -349,37 +352,28 @@ def _cmd_report(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """A number of relations or properties: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be an integer >= 0, got {text!r}")
-    return value
+def _param_count_ok(value) -> bool:
+    """Whether ``value`` is a parameter count: an integer > 0 that a float holds."""
+    # type(), not isinstance(): a JSON true must not pass as the integer 1
+    return type(value) is int and 0 < value <= sys.float_info.max
 
 
-def _param_count(text: str) -> int:
-    """A model's parameter count: an integer > 0 that a float holds, as report needs."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 0 < value <= sys.float_info.max:
-        raise argparse.ArgumentTypeError(f"param count must be an integer > 0, got {text!r}")
-    return value
+def _option(parse, ok, rule: str):
+    """An argparse type: ``parse(text)`` if ``ok`` holds for it; else ``{rule}, got {text!r}``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return convert
 
 
-def _slope(text: str) -> float:
-    """A capacity slope: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"slope must be a finite number > 0, got {text!r}")
-    return value
+_count = _option(int, lambda value: value >= 0, "count must be an integer >= 0")
+_param_count = _option(int, _param_count_ok, "param count must be an integer > 0")
+_slope = _option(float, lambda value: 0.0 < value < math.inf, "slope must be a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(e.g. add 1.6 for the observed line)")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", default=None)
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true", help="skip the dataset binding check")
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -220,6 +220,9 @@ def content_estimate(
     the two-hop losses otherwise.
     """
     n = config.n_profiles
+    if model_kind in (ModelKind.RECURRENT, ModelKind.TWO_FUNCTION) and n < 2:
+        raise EstimatorError(f"the recurrent and two-function inversions need at least 2 "
+                             f"profiles; the dataset has {n}")
     fact_count = n * len(config.attributes)
     branch = None
     if model_kind is ModelKind.RECURRENT:

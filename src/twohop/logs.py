@@ -322,11 +322,11 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     manifest (``checked_dataset``) while the log is read.
 
     The log is read in one pass that walks the dataset's questions in file
-    order. A line that is the row of the next question, written from the
-    row pieces around any finite JSON number (as ``simulate`` writes it),
-    is that question's record; any other line is decoded and joined through
-    its qid, and when that names one of the next ``RESYNC_ROWS`` questions,
-    the walk goes on after it. Either way a line gives the same findings.
+    order. The first row of the next question, written from the row pieces
+    around a finite JSON number <= 0 (as ``simulate`` writes it), is that
+    question's record, with no finding. Any other line is decoded and joined
+    through its qid, which alone names findings, and when that names one of
+    the next ``RESYNC_ROWS`` questions, the walk goes on after it.
     """
     manifest, _ = load_manifest(dataset_dir)
     with checked_dataset(dataset_dir, manifest) as (split_set, _):
@@ -387,46 +387,39 @@ def _walk_log(log_path: Path, split_set: SplitSet) -> LogDiagnostics:
     ids = [str(e1).encode() for e1 in range(space.n_profiles)]
     leads = [row_lead(entry.kind).encode() for entry in entries]
     qid_heads = [row_qid_head(entry.qid_head).encode() for entry in entries]
-    matched, s, start = 0, 0, 0  # the walk awaits place ``start`` of split ``s``
+    s, start = 0, 0  # the walk awaits place ``start`` of split ``s``
     try:
         with open(log_path, "rb") as f:
             lines = enumerate(f, 1)
             while s < len(order):
                 split, keys = order[s]
                 tails = [row_tail(entry.qid_tail, split).encode() for entry in entries]
-                newly_covered, resume = 0, None
+                matched, resume = 0, None
                 for i, key in enumerate(memoryview(keys)[start:], start):
                     e1, rest = divmod(key, per_entity)
                     lead, end = leads[rest], qid_heads[rest] + ids[e1] + tails[rest]
                     for lineno, raw in lines:
-                        if raw.endswith(end) and raw.startswith(lead):
+                        if raw.endswith(end) and raw.startswith(lead) and not seen[key]:
                             number = raw[len(lead) : len(raw) - len(end)]
-                            if _number_token(number) and isfinite(x := float(number)):
+                            if _number_token(number) and isfinite(x := float(number)) and x <= 0:
                                 break
+                        # any other line, a positive or repeated record included, is joined
                         if resume := resync(join(lineno, raw), s, i):
                             break
                     else:
                         resume = len(order), 0  # the log ended
                     if resume:
                         break
-                    # the line decodes to this question's qid, split and kind
-                    matched += 1
-                    if x > 0 or seen[key]:
-                        qid = space.qid(key)
-                        if x > 0:
-                            diag.positive_logprobs.append((lineno, qid))
-                        if seen[key]:
-                            diag.duplicate_qids.append(qid)
-                            continue
+                    # the line is this question's first record, with no finding
                     seen[key] = 1
-                    newly_covered += 1
-                covered[split] += newly_covered
+                    matched += 1
+                covered[split] += matched
+                diag.n_records += matched
                 s, start = resume or (s + 1, 0)
             for lineno, raw in lines:  # the lines after the last question's row
                 join(lineno, raw)
     except OSError as exc:
         raise DatasetIOError(f"cannot read loss log: {exc}") from exc
-    diag.n_records += matched
 
     for split, total in totals.items():
         if total:  # an empty split has no coverage to report

@@ -15,7 +15,7 @@ import xml.dom.minidom
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twohop
@@ -375,6 +375,128 @@ def test_simulate_two_point_spec_form_exits_1(dataset_dir, tmp_path, capsys, spe
                  "--reliability", spec, "--param-count", "5000",
                  "--out", str(tmp_path / "run.jsonl")])
     _assert_clean_error(code, capsys, f"reliability {spec!r} must be two-point:LO,HI,FRAC")
+
+
+# Each numeric option's rule, stated apart from cli: (parse, accepts, refusal text)
+NUMERIC_OPTION_RULES = {
+    "--relations": (int, lambda value: value >= 0, "count must be an integer >= 0"),
+    "--properties": (int, lambda value: value >= 0, "count must be an integer >= 0"),
+    "--param-count": (int, lambda value: 0 < value <= sys.float_info.max,
+                      "param count must be an integer > 0"),
+    "--slope": (float, lambda value: 0 < value < float("inf"), "slope must be a finite number > 0"),
+}
+_PAD = st.sampled_from(["", " ", "\t", "\n", "\u3000"])
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "0.0", "-0.0", "5e-324", "1e400", "-1e400", "inf",
+                     "-inf", "nan", "Infinity", str(2**1024), "1_0", "0x10", "1.", ".5", "+3",
+                     "\u0663", ""]),
+    st.integers(-3, 12).map(str),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.floats(-0.5, 1.5).map(repr),
+)
+_NUMBER_TEXT = st.builds("{}{}{}".format, _PAD, _NUMBER, _PAD)
+_SEPARATOR = st.sampled_from([",", ", ", ";", " ", ",,", ":", ""])
+_RELIABILITY_SPEC = st.one_of(
+    st.builds("{}{}{}".format, _PAD, st.sampled_from(["trained", "chance", "Trained", "train"]),
+              _PAD),
+    _NUMBER_TEXT,
+    st.builds("{}{}".format, st.sampled_from(["budget:", "budget: ", "budget", "Budget:"]),
+              _NUMBER_TEXT),
+    st.builds("{}{}".format,
+              st.sampled_from(["two-point:", "two-point: ", "two-point", "2-point:"]),
+              st.builds(lambda sep, numbers: sep.join(numbers), _SEPARATOR,
+                        st.lists(_NUMBER_TEXT, max_size=4))),
+    st.text(max_size=20),
+)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def test_input_rules_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
+    # every --reliability string and numeric option text exits 0, 1 or 2
+    # with no traceback, and a numeric text that breaks its rule exits 2
+    # naming the rule
+    gen = ["gen", "--profiles", "2", "--name-pools", "4", "4", "4", "--holdout-frac", "0",
+           "--out", str(tmp_path / "ds")]
+    commands = {
+        "--relations": gen,
+        "--properties": gen,
+        "--param-count": ["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                          "--reliability", "chance", "--out", str(tmp_path / "run.jsonl")],
+        "--slope": ["report", "--dataset", str(dataset_dir), "--losses", str(run_log),
+                    "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv"),
+                    "--out-svg", str(tmp_path / "capacity.svg")],
+    }
+
+    def run(argv) -> tuple[int, str]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err
+        # a refusal that is not argparse's is one error line
+        assert code != 1 or (err.startswith("error: ") and err.count("\n") == 1)
+        return code, err
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=_RELIABILITY_SPEC, kind=st.sampled_from(simulate.ModelKind))
+    def fuzz_reliability(spec, kind):
+        code, _ = run(["simulate", "--dataset", str(dataset_dir), "--model", kind.value,
+                       "--param-count", "5000", "--out", str(tmp_path / "run.jsonl"),
+                       f"--reliability={spec}"])
+        assert code in (0, 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(option=st.sampled_from(list(NUMERIC_OPTION_RULES)),
+           text=_NUMBER_TEXT | st.text(max_size=8))
+    def fuzz_numeric(option, text):
+        parse, accepts, rule = NUMERIC_OPTION_RULES[option]
+        value = _parsed(parse, text)
+        accepted = value is not None and accepts(value)
+        # a valid count sizes the world that gen builds
+        assume(not (accepted and commands[option] is gen and value > 12))
+        code, err = run([*commands[option], f"{option}={text}"])
+        if accepted:
+            assert code in (0, 1)
+        else:
+            assert code == 2 and f"argument {option}: {rule}, got {text!r}" in err
+
+    fuzz_reliability()
+    fuzz_numeric()
+
+
+@pytest.fixture(scope="module")
+def one_profile_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one_profile")
+    assert main(["gen", "--profiles", "1", "--relations", "1", "--properties", "0",
+                 "--holdout-frac", "0", "--out", str(out / "ds")]) == 0
+    assert main(["simulate", "--dataset", str(out / "ds"), "--model", "2f",
+                 "--param-count", "100", "--out", str(out / "run.jsonl")]) == 0
+    return out / "run.jsonl"
+
+
+@pytest.mark.parametrize("model", list(cli.MODELS))
+@pytest.mark.parametrize("command", ["estimate", "report"])
+def test_one_profile_dataset_refuses_only_the_inversions(one_profile_log, capsys, command, model):
+    # q = u^2 + (1-u)/n has no inverse at n = 1, where every answer is right by chance
+    argv = [command, "--dataset", str(one_profile_log.parent / "ds"),
+            "--losses", str(one_profile_log), "--model", model]
+    if command == "report":
+        argv += ["--out-csv", str(one_profile_log.with_name(f"{model}.csv"))]
+    code = main(argv)
+    if model in ("recurrent", "2f"):
+        refusal = ("the recurrent and two-function inversions need at least 2 profiles; "
+                   "the dataset has 1")
+        _assert_clean_error(code, capsys, f"error: {one_profile_log}: {refusal}\n")
+    else:
+        assert code == 0 and capsys.readouterr().err == ""
 
 
 def test_outputs_create_missing_directories(dataset_dir, tmp_path, capsys):
