@@ -34,51 +34,38 @@ def _property_specs(count: int) -> tuple[tuple[str, int], ...]:
     return tuple(props)
 
 
-def _read_run_meta(losses: Path) -> dict | None:
-    """The run manifest next to a loss log, or None when there is none."""
-    run_meta_path = Path(losses).with_suffix(".json")
-    if not run_meta_path.exists():
-        return None
-    try:
-        with open(run_meta_path, encoding="utf-8") as f:
-            run_meta = json.load(f)
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise worldgen.DatasetIOError(f"cannot read run manifest {run_meta_path}: {exc}") from exc
-    if not isinstance(run_meta, dict):
-        raise worldgen.DatasetIOError(f"run manifest {run_meta_path} is not a JSON object")
-    return run_meta
-
-
-def _check_binding(dataset_sha: str, losses: Path, run_meta: dict | None, force: bool) -> None:
-    if run_meta is None:
-        if force:
-            return
-        raise worldgen.DatasetIOError(
-            f"no run manifest at {Path(losses).with_suffix('.json')}; "
-            f"pass --force to skip the dataset binding check"
-        )
-    recorded = run_meta.get("dataset_manifest_sha256")
-    if recorded != dataset_sha and not force:
-        raise worldgen.DatasetIOError(
-            f"loss log was produced against a different dataset "
-            f"(manifest sha256 {recorded} != {dataset_sha}); pass --force to override"
-        )
-
-
 def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
     """A loss log's run manifest ({} when there is none) and its SUMMARY_GROUPS aggregates.
 
-    The run manifest must pass the dataset binding check first. The
-    aggregates come from its ``summary`` when that records the log's
-    sha256, and from one pass over the log otherwise.
+    The run manifest, a JSON object read once, must exist and record the
+    dataset's manifest sha256 in ``dataset_manifest_sha256``, unless
+    ``force``. The aggregates come from its ``summary`` when that records
+    the log's sha256, and from one pass over the log otherwise.
     """
     from . import estimator, logs
-    run_meta = _read_run_meta(losses)
-    _check_binding(dataset_sha, losses, run_meta, force)
-    run_meta = run_meta or {}
+    path = losses.with_suffix(".json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            run_meta = json.load(f)
+    except (FileNotFoundError, NotADirectoryError):  # no run manifest
+        if not force:
+            raise worldgen.DatasetIOError(
+                f"no run manifest at {path}; pass --force to skip the dataset binding check"
+            ) from None
+        run_meta = {}
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise worldgen.DatasetIOError(f"cannot read run manifest {path}: {exc}") from exc
+    else:
+        if not isinstance(run_meta, dict):
+            raise worldgen.DatasetIOError(f"run manifest {path} is not a JSON object")
+        recorded = run_meta.get("dataset_manifest_sha256")
+        if recorded != dataset_sha and not force:
+            raise worldgen.DatasetIOError(
+                f"loss log was produced against a different dataset "
+                f"(manifest sha256 {recorded} != {dataset_sha}); pass --force to override"
+            )
     if "summary" in run_meta:
-        where = f"run manifest {losses.with_suffix('.json')}"
-        log_sha, groups = logs.summary_from_json(run_meta["summary"], where)
+        log_sha, groups = logs.summary_from_json(run_meta["summary"], f"run manifest {path}")
         if log_sha == worldgen.sha256_file(losses):
             return run_meta, groups
     groups = logs.summarize(rec for _, rec in logs._loss_rows(losses))
@@ -220,8 +207,7 @@ def _cmd_simulate(args) -> int:
     from . import logs, simulate
     dataset_dir, out = Path(args.dataset), Path(args.out)
     run_meta_path = out.with_suffix(".json")
-    if run_meta_path == out:
-        raise ValueError(f"--out {out} ends in .json: its run manifest would overwrite the log")
+    # an --out ending in .json is its own run manifest, and is refused as such
     _check_outputs({"--out": out, "--out's run manifest": run_meta_path}, dataset_dir, [])
     # the log is bound to the sha256 of the manifest bytes that were verified
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)

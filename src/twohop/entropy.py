@@ -96,7 +96,7 @@ def attribute_entropy(value_pool_size: int) -> float:
 
 
 def _fact_bits_per_pass(config: WorldConfig) -> float:
-    per_entity = sum(attribute_entropy(config.pool_size(a)) for a in config.attributes)
+    per_entity = sum(attribute_entropy(pool) for pool in config.pools)
     return config.n_profiles * per_entity
 
 

@@ -32,10 +32,6 @@ class AggregateLoss(NamedTuple):
     def mean_loss_bits(self) -> float:
         return self.mean_loss_nats / LN2
 
-    @property
-    def total_loss_bits(self) -> float:
-        return self.count * self.mean_loss_nats / LN2
-
 
 # Every finite double is an integer multiple of 2**-1074, the least subnormal
 _SCALE = 1074

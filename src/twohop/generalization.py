@@ -111,9 +111,9 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
         for key in keys:
             counts[key % n_attrs] += 1
         acc = LossAccumulator()
-        for a, count in zip(space.attributes, counts):
+        for pool, count in zip(config.pools, counts):
             # log(1/pool), not -log(pool): bitwise a simulated uniform guess's logprob
-            acc.add(math.log(1.0 / config.pool_size(a)), count)
+            acc.add(math.log(1.0 / pool), count)
         baselines[kind] = acc.result().mean_loss_bits
     return baselines
 

@@ -68,7 +68,7 @@ class ReliabilityProfile:
         self.model_kind, self.config = model_kind, config
         self.facts, self.hop1, self.hop2, self.memo = facts, hop1, hop2, memo
         # 1/|V_a| per attribute index: the answer to a question at chance
-        self.chance = tuple(1.0 / config.pool_size(a) for a in config.attributes)
+        self.chance = tuple(1.0 / pool for pool in config.pools)
 
     @classmethod
     def homogeneous(
@@ -81,7 +81,7 @@ class ReliabilityProfile:
         if reliability is not None and not 0.0 <= reliability <= 1.0:
             raise ValueError(f"reliability must be in [0, 1], got {reliability}")
         floor = 0.0 if reliability is None else reliability
-        levels = tuple(max(1.0 / config.pool_size(a), floor) for a in config.attributes)
+        levels = tuple(max(1.0 / pool, floor) for pool in config.pools)
         return cls._build(config, model_kind, levels, levels)
 
     @classmethod
@@ -102,9 +102,8 @@ class ReliabilityProfile:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         rng = random.Random(seed)
-        pools = [config.pool_size(a) for a in config.attributes]
-        low = tuple(max(1.0 / pool, p_low) for pool in pools)
-        high = tuple(max(1.0 / pool, p_high) for pool in pools)
+        low = tuple(max(1.0 / pool, p_low) for pool in config.pools)
+        high = tuple(max(1.0 / pool, p_high) for pool in config.pools)
         return cls._build(config, model_kind, low, high, lambda: rng.random() < frac_high)
 
     @classmethod
@@ -178,7 +177,8 @@ class LossTable:
     ``(ln q, kind)`` once per distinct row head. A composing model that
     misses the first hop guesses uniformly over |N| entities, the fallback
     both inversions assume, so ``q = p1·p2 + (1 − p1)/|N|``; a question
-    that needs an unlearned unit is answered at chance 1/|V_a|.
+    that needs an unlearned unit is answered at chance 1/|V_a|. A cell with
+    ``ln q > 0`` raises EstimatorError naming its entry (``2h:E1:R:A``).
     """
 
     def __init__(self, world: World, profile: ReliabilityProfile, space: KeySpace):
@@ -210,9 +210,11 @@ class LossTable:
         self.flags, self.space = second.flags, space
         chance, cells, self.values = profile.chance, {}, []
 
-        def cell(kind: str, head: str, a: int, p1: float | None, p2: float | None):
+        def cell(kind: str, head: str, tail: str, a: int, p1: float | None, p2: float | None):
             q = chance[a] if p1 is None or p2 is None else p1 * p2 + (1.0 - p1) / n_profiles
             x = math.log(q)
+            if x > 0:  # q <= 1 for levels in [0, 1], so only a faulty profile gets here
+                raise refused_positive(f"{head}E1{tail}", x)
             text = row_head(kind, x, head)
             if text not in cells:  # one object per distinct row head
                 cells[text] = x, text, len(self.values)
@@ -220,11 +222,11 @@ class LossTable:
             return cells[text]
 
         self.cells = []
-        for r, a, head, _, kind in space.entries:
+        for r, a, head, tail, kind in space.entries:
             one_hop = r == n_relations
             hop1 = (1.0, 1.0) if first is None or one_hop else (first.low[r], first.high[r])
             hop2 = (None, None) if first is None and one_hop else (second.low[a], second.high[a])
-            self.cells.append([cell(kind, head, a, p1, p2) for p1 in hop1 for p2 in hop2])
+            self.cells.append([cell(kind, head, tail, a, p1, p2) for p1 in hop1 for p2 in hop2])
 
     def lookup(self, keys) -> Iterator[tuple[int, int, tuple[float, str]]]:
         """``(e1, rest, cells[rest][f])`` of each key, in order."""
@@ -262,8 +264,8 @@ def write_log(
     chain-of-thought space, whose losses no estimator reads. Each split's
     rows are counted per table cell; once the split is written, each cell
     that holds rows is added to the groups of ``logs.group_names`` with its
-    count. A cell with a positive logprob then raises EstimatorError naming
-    the split's first row that has one.
+    count. A profile with a positive cell is refused by ``LossTable``
+    before the file is opened.
     """
     space = split_set.space
     table, entries = LossTable(world, profile, space), space.entries
@@ -279,14 +281,7 @@ def write_log(
                 write(head + names[e1] + tails[rest])
                 rows[i] += 1
             count += len(keys)
-            if groups is None:
-                continue
-            # q <= 1 for reliabilities in [0, 1], so no cell is positive but a faulty one
-            if any(n and x > 0 for (x, _), n in zip(table.values, rows)):
-                key, x = next((key, cell[0]) for key, (_, _, cell) in zip(keys, table.lookup(keys))
-                              if cell[0] > 0)
-                raise refused_positive(space.qid(key), x)
-            for (x, kind), n in zip(table.values, rows):
+            for (x, kind), n in zip(table.values, rows) if groups is not None else ():
                 for name in group_names(kind, split) if n else ():
                     groups[name].add(x, n)
     return count, groups
@@ -331,9 +326,7 @@ def allocate_budget(
     # the stored units: one per (entity, attribute) in each of the entropy's fact passes
     units = _multiplier(config, model_kind) * config.n_profiles * len(config.attributes)
     share = budget_bits / units
-    levels = tuple(
-        2.0 ** -max(0.0, math.log2(config.pool_size(a)) - share) for a in config.attributes
-    )
+    levels = tuple(2.0 ** -max(0.0, math.log2(pool) - share) for pool in config.pools)
     return ReliabilityProfile._build(config, model_kind, levels, levels)
 
 

@@ -98,7 +98,7 @@ class WorldConfig(_ConfigFields):
     """Parameters of a generated world: entity count, name pools, attributes.
 
     The fields are a NamedTuple's, so ``_replace`` gives a changed copy.
-    This subclass adds a ``__dict__``, which holds the cached name tuples.
+    This subclass adds a ``__dict__``, which holds the cached name and pool tuples.
     """
 
     @property
@@ -114,14 +114,10 @@ class WorldConfig(_ConfigFields):
         """All attributes: relations first, then properties."""
         return tuple(self.relations) + self.property_names
 
-    def pool_size(self, attribute: str) -> int:
-        """Answer-pool size of an attribute: |N| for relations, |V_a| for properties."""
-        if attribute in self.relations:
-            return self.n_profiles
-        for name, size in self.properties:
-            if name == attribute:
-                return size
-        raise ConfigError(f"unknown attribute: {attribute!r}")
+    @cached_property
+    def pools(self) -> tuple[int, ...]:
+        """Answer-pool sizes in ``attributes`` order: |N| per relation, then each |V_a|."""
+        return (self.n_profiles,) * len(self.relations) + tuple(size for _, size in self.properties)
 
     def validate(self) -> None:
         if self.n_profiles < 1:
@@ -269,11 +265,6 @@ class KeySpace:
                 self._entry_of[head, tail] = len(self.entries)
                 self.entries.append(QuestionEntry(r, a, f"{head}:", f":{tail}", kind.value))
 
-    def qid(self, key: int) -> str:
-        """The qid of ``key``: its entry's ``qid_head``, ``str(e1)`` and ``qid_tail``."""
-        e1, rest = divmod(key, self.per_entity)
-        return f"{self.entries[rest].qid_head}{e1}{self.entries[rest].qid_tail}"
-
     def key_of_qid(self, qid: str) -> int | None:
         """The key whose qid is exactly ``qid``, or None.
 
@@ -358,12 +349,11 @@ def generate_world(config: WorldConfig) -> World:
     names = config.name_space_size
     # the names without replacement, then the values in fact order
     profiles = array(typecode(names), rng.sample(range(names), config.n_profiles))
-    pools = [config.n_profiles] * len(config.relations) + [size for _, size in config.properties]
-    facts = array(typecode(max(pools)), _randranges(rng, pools, config.n_profiles))
+    facts = array(typecode(max(config.pools)), _randranges(rng, config.pools, config.n_profiles))
     return World(config, profiles, facts)
 
 
-def _randranges(rng: random.Random, pools: list[int], times: int) -> Iterator[int]:
+def _randranges(rng: random.Random, pools: tuple[int, ...], times: int) -> Iterator[int]:
     """``rng.randrange(pool)`` for each pool of ``pools`` in turn, ``times`` over: same values, same draws.
 
     ``randrange(pool)`` returns the first of the draws ``rng.getrandbits(k)``,

@@ -212,8 +212,9 @@ def strict_two_function_total_bits(config) -> float:
     hops can only be relations; this variant is reported for comparison.
     """
     name_bits = name_selection_entropy(config.n_profiles, config.name_space_size)
+    # a relation's answer pool is the n_profiles entities
     relation_bits = config.n_profiles * sum(
-        attribute_entropy(config.pool_size(r)) for r in config.relations
+        attribute_entropy(config.n_profiles) for _ in config.relations
     )
     return name_bits + relation_bits + _fact_bits_per_pass(config)
 

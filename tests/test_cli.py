@@ -3,6 +3,7 @@ import ast
 import hashlib
 import importlib
 import json
+import math
 import os
 import random
 import re
@@ -418,6 +419,19 @@ def _parsed(parse, text):
         return None
 
 
+def _run_fuzzed(argv, capsys) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr: 0, 1 or 2, no traceback, and one line for 1."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    # a refusal that is not argparse's is one error line
+    assert code != 1 or (err.startswith("error: ") and err.count("\n") == 1)
+    return code, err
+
+
 def test_input_rules_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
     # every --reliability string and numeric option text exits 0, 1 or 2
     # with no traceback, and a numeric text that breaks its rule exits 2
@@ -435,15 +449,7 @@ def test_input_rules_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
     }
 
     def run(argv) -> tuple[int, str]:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2) and "Traceback" not in err
-        # a refusal that is not argparse's is one error line
-        assert code != 1 or (err.startswith("error: ") and err.count("\n") == 1)
-        return code, err
+        return _run_fuzzed(argv, capsys)
 
     @settings(max_examples=50, deadline=None)
     @given(spec=_RELIABILITY_SPEC, kind=st.sampled_from(simulate.ModelKind))
@@ -470,6 +476,71 @@ def test_input_rules_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
 
     fuzz_reliability()
     fuzz_numeric()
+
+
+# Where a run manifest holds what estimate, classify and report read of it;
+# () is the run manifest itself
+RUN_MANIFEST_FIELDS = [
+    (), ("dataset_manifest_sha256",), ("label",), ("param_count",), ("summary",),
+    ("summary", "log_sha256"), ("summary", "groups"),
+    *(("summary", "groups", name) for name in SUMMARY_GROUPS),
+    *(("summary", "groups", name, field) for name in SUMMARY_GROUPS
+      for field in ("count", "mean", "var")),
+]
+DROPPED = object()
+_FIELD_VALUES = st.sampled_from([DROPPED, None, True, "x", [], {}, 2**70, 10**400, -0.0, math.nan])
+
+
+def test_run_manifests_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
+    # a run manifest that is missing, has a field dropped or of another
+    # type, or is cut short gives estimate, classify and report exit 0 or
+    # 1, no traceback, and one error line on exit 1
+    log = tmp_path / "run.jsonl"
+    shutil.copy(run_log, log)
+    raw = run_log.with_suffix(".json").read_bytes()
+    data = ["--dataset", str(dataset_dir), "--losses", str(log)]
+    commands = (["estimate", *data, "--model", "2f"], ["classify", *data],
+                ["report", *data, "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")])
+
+    def write(field, value) -> None:
+        path = log.with_suffix(".json")
+        if field == () and value is DROPPED:
+            path.unlink(missing_ok=True)
+            return
+        run_meta = {"": json.loads(raw)}
+        *parents, key = ("", *field)
+        holder = run_meta
+        for name in parents:
+            holder = holder[name]
+        if value is DROPPED:
+            del holder[key]
+        else:
+            holder[key] = value
+        path.write_text(json.dumps(run_meta[""]), encoding="utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=st.sampled_from(RUN_MANIFEST_FIELDS), value=_FIELD_VALUES,
+           cut=st.none() | st.integers(0, len(raw.rstrip()) - 1), force=st.booleans())
+    def fuzz(field, value, cut, force):
+        if cut is None:
+            write(field, value)
+        else:
+            log.with_suffix(".json").write_bytes(raw[:cut])
+        expected = None  # the refusal that the run manifest alone decides
+        if cut is not None:  # no proper prefix of a JSON object is JSON
+            expected = "cannot read run manifest"
+        elif field == () and value is DROPPED:
+            expected = None if force else "no run manifest"
+        elif field == () and type(value) is not dict:
+            expected = "not a JSON object"
+        elif field in ((), ("dataset_manifest_sha256",)) and not force:
+            expected = "different dataset"
+        for argv in commands:
+            code, err = _run_fuzzed(argv + ["--force"] * force, capsys)
+            assert code in (0, 1), argv
+            assert expected is None or (code == 1 and expected in err), (argv, err)
+
+    fuzz()
 
 
 @pytest.fixture(scope="module")
@@ -524,7 +595,7 @@ def test_simulate_out_ending_in_json_exits_1(dataset_dir, tmp_path, capsys):
     before = _file_bytes(tmp_path)
     code = main(["simulate", "--dataset", str(ds), "--model", "2f", "--param-count", "5",
                  "--out", str(out)])
-    _assert_clean_error(code, capsys, f"--out {out} ends in .json")
+    _assert_clean_error(code, capsys, f"--out's run manifest {out} would overwrite the --out output")
     assert _file_bytes(tmp_path) == before
 
 
@@ -1806,7 +1877,7 @@ def test_report_reads_each_run_manifest_once(dataset_dir, run_log, tmp_path, cap
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "_read_run_meta", counted("run manifest", cli._read_run_meta))
+    monkeypatch.setattr(cli, "_read_log", counted("run manifest", cli._read_log))
     monkeypatch.setattr(worldgen, "load_manifest",
                         counted("dataset manifest", worldgen.load_manifest))
     assert main(["report", "--dataset", str(dataset_dir), "--losses", *map(str, logs),
@@ -1883,26 +1954,35 @@ def test_cot_log_refused_by_estimators(tmp_path, capsys):
 
 
 # Traced peak growth per added question of simulate and estimate (each model,
-# trained and two-point), classify and validate, in bytes. Holding an object
-# per question costs hundreds. Part of what the bound sees is not per
-# question: the manifest's holdout_components list heldout_full's triples,
-# 5% of the two-hop questions at this --holdout-frac, so the manifest grows
-# from 3.1 to 13.8 KB between the two worlds. Alone, load_manifest's peak
-# grows 17.6 B and replay_dataset's 30.8 B per added question. The commands
-# read less (at most about 26 B, simulate) because each small-world peak
-# also holds fixed allocations: validate reads about 12 B only because
-# checked_dataset's 64 KiB profiles-hash buffer raises its r=2 peak.
-BYTES_PER_QUESTION = 30
+# trained and two-point), classify and validate, in bytes, less the growth of
+# load_manifest's own peak. Holding an object per question costs hundreds.
+# The manifest is subtracted because its holdout_components list
+# heldout_full's triples, 5% of the two-hop questions at this --holdout-frac:
+# it grows from 3.1 to 13.8 KB between the two worlds, and load_manifest's
+# peak alone grows 17.1 B per added question. Less that, the commands grow
+# at most about 8.5 B (simulate), and estimate and in-order validate read
+# below 0, since each small-world peak also holds fixed allocations.
+BYTES_PER_QUESTION = 12
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
-    peaks, questions = {}, {}
+    peaks, questions, manifest_peaks = {}, {}, {}
     for relations in (2, 8):
         ds = tmp_path / f"r{relations}"
         assert main(["gen", "--profiles", "40", "--relations", str(relations), "--properties", "2",
                      "--name-pools", "100", "100", "100", "--holdout-frac", "0.05", "--seed", "2",
                      "--out", str(ds)]) == 0
         questions[relations] = sum(json.loads(capsys.readouterr().out)["counts"].values())
+        _, manifest_peaks[relations] = _traced_peak(worldgen.load_manifest, ds)
         data = ["--dataset", str(ds)]
         commands = {}
         for model in ("recurrent", "2f", "independent"):
@@ -1930,14 +2010,11 @@ def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
                 rows = log.read_bytes().splitlines(keepends=True)
                 random.Random(relations).shuffle(rows)
                 shuffled.write_bytes(b"".join(rows))
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0, name
-                peaks[name, relations] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peaks[name, relations] = _traced_peak(main, argv)
+            assert code == 0, name
             capsys.readouterr()
     added = questions[8] - questions[2]
     assert added > 3000
-    growth = {name: (peaks[name, 8] - peaks[name, 2]) / added for name in commands}
+    manifest = manifest_peaks[8] - manifest_peaks[2]
+    growth = {name: (peaks[name, 8] - peaks[name, 2] - manifest) / added for name in commands}
     assert max(growth.values()) <= BYTES_PER_QUESTION, growth

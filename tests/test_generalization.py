@@ -188,11 +188,8 @@ class TestBaselines:
         ss = build_splits(micro_world, {"heldout_e1": 0.02}, mix_ratio=10, seed=8)
         baselines = uniform_baselines(ss, micro_world.config)
         keys = ss.heldout["heldout_e1"]
-        attributes = micro_world.config.attributes
-        expected = sum(
-            math.log2(micro_world.config.pool_size(attributes[unpack(ss.space, key)[2]]))
-            for key in keys
-        ) / len(keys)
+        pools = micro_world.config.pools
+        expected = sum(math.log2(pools[unpack(ss.space, key)[2]]) for key in keys) / len(keys)
         assert baselines["heldout_e1"] == pytest.approx(expected, rel=1e-12)
         assert set(baselines) == {"heldout_e1"}
 

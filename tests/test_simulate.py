@@ -13,7 +13,7 @@ from twohop.cli import main
 from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
 from twohop.generalization import TrainIndex
 from twohop.estimator import EstimatorError
-from twohop.logs import _loss_rows, row_head, write_loss_log
+from twohop.logs import _loss_rows
 from twohop.simulate import (
     LossTable,
     ReliabilityProfile,
@@ -128,14 +128,14 @@ class TestTrainedProfiles:
                 assert q < 1.0
         e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_r"][0])
         q = _two_hop_prob(micro_world, profile, e1, r, a)
-        assert q == 1.0 / micro_world.config.pool_size(space.attributes[a])
+        assert q == 1.0 / micro_world.config.pools[a]
 
     def test_independent_answers_train_only(self, micro_world, holdout_setup):
         profile = ReliabilityProfile.trained(micro_world, holdout_setup, ModelKind.INDEPENDENT)
         e1, r, a = _question(holdout_setup, holdout_setup.heldout["heldout_full"][0])
         q = _two_hop_prob(micro_world, profile, e1, r, a)
         space = holdout_setup.space
-        assert q == 1.0 / micro_world.config.pool_size(space.attributes[a])
+        assert q == 1.0 / micro_world.config.pools[a]
         trained_key = next(k for k in holdout_setup.train if unpack(space, k)[1] < space.n_relations)
         e1, r, a = _question(holdout_setup, trained_key)
         assert _two_hop_prob(micro_world, profile, e1, r, a) == 1.0
@@ -242,45 +242,22 @@ def test_table_is_answer_prob(world, kind, spec, cot, seed):
                            for record in records)
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
 @pytest.mark.parametrize("cot", [False, True])
-def test_log_stops_after_the_split_of_a_positive_cell(tmp_path, monkeypatch, cot):
-    # no profile gives a positive cell (q <= 1), so a faulty table stands in
-    # for one: its first positive row is named once its split is written,
-    # and no later split is written. A chain-of-thought space gets no
-    # groups, so nothing is refused; at mix ratio 0 the first positive row
-    # comes after the 600 one-hop train rows
+def test_positive_cell_is_refused_before_the_log_exists(tmp_path, kind, cot):
+    # no constructor gives a level above 1 (q <= 1), so _build, past their
+    # checks, stands in for a faulty profile: the table refuses the first
+    # positive cell by its entry, and write_log opens no file
     world = generate_world(WorldConfig(
-        n_profiles=200, relations=("mother", "boss"), properties=(("birth city", 10),), seed=2))
-    fractions = {"heldout_e1": 0.1, "heldout_full": 0.1}
-    ss = build_splits(world, fractions, mix_ratio=0, seed=1, cot=cot)
-    profile = ReliabilityProfile.homogeneous(world.config, ModelKind.TWO_FUNCTION, 0.7)
-    init, rest = LossTable.__init__, 0  # the two-hop rows of one entry get a positive logprob
-
-    def positive(self, *args):
-        init(self, *args)
-        _, _, qid_head, _, kind = ss.space.entries[rest]
-        cell = 0.5, row_head(kind, 0.5, qid_head), len(self.values)
-        self.values.append((0.5, kind))
-        self.cells[rest] = [cell] * len(self.cells[rest])
-
-    monkeypatch.setattr(LossTable, "__init__", positive)
-    every_row = tmp_path / "all.jsonl"
-    write_loss_log(loss_records(world, profile, ss), every_row)
-    lines = every_row.read_text().splitlines(keepends=True)
-    first = next(i for i, line in enumerate(lines) if '"logprob_nats": 0.5' in line)
-    assert first >= 600
-    split = json.loads(lines[first])["split"]
-    end = max(i for i, line in enumerate(lines) if json.loads(line)["split"] == split) + 1
-    assert end < len(lines)  # a later split, which the refused log must lack
+        n_profiles=20, relations=("mother", "boss"), properties=(("birth city", 10),), seed=2))
+    ss = build_splits(world, {"heldout_e1": 0.1, "heldout_full": 0.1}, mix_ratio=1, seed=1, cot=cot)
+    levels = (1.0, 1.5, 0.5)  # mother, boss, birth city
+    profile = ReliabilityProfile._build(world.config, kind, levels, levels)
     log = tmp_path / "run.jsonl"
-    if cot:
-        assert write_log(world, profile, ss, log) == (len(lines), None)
-        assert log.read_text() == "".join(lines)
-        return
     with pytest.raises(EstimatorError) as exc:
         write_log(world, profile, ss, log)
-    assert str(exc.value) == f"positive logprob for {json.loads(lines[first])['qid']}: 0.5"
-    assert log.read_text() == "".join(lines[:end])
+    assert str(exc.value) == f"positive logprob for 2h:E1:mother:boss: {math.log(1.5)}"
+    assert not log.exists()
 
 
 class TestBudget:

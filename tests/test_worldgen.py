@@ -116,11 +116,10 @@ class TestWorldGeneration:
         with pytest.raises(ConfigError, match=key):
             WorldConfig.from_dict({**data, key: value})
 
-    def test_pool_sizes(self, micro_cfg):
-        assert micro_cfg.pool_size("mother") == micro_cfg.n_profiles
-        assert micro_cfg.pool_size("birth city") == 10
-        with pytest.raises(ConfigError):
-            micro_cfg.pool_size("shoe size")
+    def test_pools(self, micro_cfg):
+        pools = dict(zip(micro_cfg.attributes, micro_cfg.pools, strict=True))
+        assert pools["mother"] == micro_cfg.n_profiles
+        assert pools["birth city"] == 10
 
     def test_world_is_fact_sized(self):
         # what a world keeps is a few bytes per (entity, attribute) fact: its
@@ -545,6 +544,22 @@ def test_generate_world_is_reference(config):
     world, reference = generate_world(config), reference_world(config)
     assert world.profiles.tolist() == reference.profiles.tolist()
     assert world.facts.tolist() == reference.facts.tolist()
+
+
+def _reference_pools(config) -> list[int]:
+    """The answer pools as ``reference_world`` draws from them: |N| per relation, then each |V_a|."""
+    return [config.n_profiles] * len(config.relations) + [size for _, size in config.properties]
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=pooled_configs(), n_profiles=st.integers(1, 50))
+def test_pools_are_the_answer_pools(config, n_profiles):
+    assert list(config.pools) == _reference_pools(config)
+    # the cache lives in each instance's __dict__: a changed copy reports its own |N|
+    copy = config._replace(n_profiles=n_profiles)
+    assert copy.n_profiles == n_profiles
+    assert list(copy.pools) == _reference_pools(copy)
+    assert list(config.pools) == _reference_pools(config)
 
 
 @settings(max_examples=80, deadline=None)
