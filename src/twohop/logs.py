@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import NUMBER_RE
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .estimator import AggregateLoss, EstimatorError, LossAccumulator, refused_positive
-from .worldgen import SPLITS, DatasetIOError, QuestionKind, SplitSet, checked_dataset, load_manifest
+from .worldgen import (_CHUNK_BYTES, SPLITS, DatasetIOError, QuestionKind, SplitSet,
+                       checked_dataset, load_manifest)
 
 
 # A loss-log row has the bytes that json.dumps(row, sort_keys=True) gives
@@ -27,9 +30,10 @@ from .worldgen import SPLITS, DatasetIOError, QuestionKind, SplitSet, checked_da
 # the same pieces by validate_loss_log.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 _scan_value = json.JSONDecoder().scan_once
-# A whole JSON number token, the decoder's grammar; in a bytes pattern \d is
-# an ASCII digit, as JSON requires
-_number_token = re.compile(NUMBER_RE.pattern.encode()).fullmatch
+# Each row's number field; its one group is a whole JSON number token, NUMBER_RE with
+# its groups made non-capturing (with re.ASCII, \d is an ASCII digit, as JSON requires)
+_number_fields = re.compile('"logprob_nats": (%s), "qid": "' % re.sub(
+    r"\((?!\?)", "(?:", NUMBER_RE.pattern), re.ASCII).findall
 
 
 def _decode_row(line: str):
@@ -322,11 +326,11 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     manifest (``checked_dataset``) while the log is read.
 
     The log is read in one pass that walks the dataset's questions in file
-    order. The first row of the next question, written from the row pieces
-    around a finite JSON number <= 0 (as ``simulate`` writes it), is that
-    question's record, with no finding. Any other line is decoded and joined
-    through its qid, which alone names findings, and when that names one of
-    the next ``RESYNC_ROWS`` questions, the walk goes on after it.
+    order, a block at a time. The first row of the next question, written from
+    the row pieces around a finite JSON number <= 0 (as ``simulate`` writes
+    it), is that question's record, with no finding. Any other line is decoded
+    and joined through its qid, which alone names findings, and when that
+    names one of the next ``RESYNC_ROWS`` questions, the walk goes on after it.
     """
     manifest, _ = load_manifest(dataset_dir)
     with checked_dataset(dataset_dir, manifest) as (split_set, _):
@@ -383,44 +387,78 @@ def _walk_log(log_path: Path, split_set: SplitSet) -> LogDiagnostics:
             budget, i = budget - len(window), 0
         return None
 
-    # the row pieces of each entry, and of each entity's id; rows are ASCII
-    ids = [str(e1).encode() for e1 in range(space.n_profiles)]
-    leads = [row_lead(entry.kind).encode() for entry in entries]
-    qid_heads = [row_qid_head(entry.qid_head).encode() for entry in entries]
+    # The row pieces of each entry (one object per distinct piece) and entity id. Text
+    # compared is latin-1, one character per byte, so an ASCII piece matches only its bytes.
+    ids = [str(e1) for e1 in range(space.n_profiles)]
+    leads = [sys.intern(row_lead(entry.kind)) for entry in entries]
+    qid_heads = [sys.intern(row_qid_head(entry.qid_head)) for entry in entries]
+    # a row's longest length but its tail: lead, qid head, id and a float's repr (24)
+    widest = max(map(len, leads)) + max(map(len, qid_heads)) + len(ids[-1]) + 24
+
+    def first_records(block, text: str, tails: list[str]) -> bool:
+        """Whether the lines ``text`` are the first records of ``block``'s questions: none
+        read yet, and the rows written around one number token each, finite and <= 0."""
+        tokens = _number_fields(text)
+        rows = [f"{leads[rest]}{token}{qid_heads[rest]}{ids[key // per_entity]}{tails[rest]}"
+                for key, token in zip(block, tokens) for rest in (key % per_entity,)]
+        # only a joined record (diag.n_records until the walk ends) marks a later question read
+        if len(tokens) != len(block) or "".join(rows) != text or (
+                diag.n_records and any(map(seen.__getitem__, block))):
+            return False
+        numbers = list(map(float, set(tokens)))  # a log holds few distinct numbers
+        return max(numbers) <= 0 and min(numbers) > -inf
+
     s, start = 0, 0  # the walk awaits place ``start`` of split ``s``
+    lineno, held, matched = 0, [], 0  # the last line walked, lines read past it, rows taken
     try:
         with open(log_path, "rb") as f:
-            lines = enumerate(f, 1)
             while s < len(order):
                 split, keys = order[s]
-                tails = [row_tail(entry.qid_tail, split).encode() for entry in entries]
-                matched, resume = 0, None
-                for i, key in enumerate(memoryview(keys)[start:], start):
-                    e1, rest = divmod(key, per_entity)
-                    lead, end = leads[rest], qid_heads[rest] + ids[e1] + tails[rest]
-                    for lineno, raw in lines:
-                        if raw.endswith(end) and raw.startswith(lead) and not seen[key]:
-                            number = raw[len(lead) : len(raw) - len(end)]
-                            if _number_token(number) and isfinite(x := float(number)) and x <= 0:
+                tails = [row_tail(entry.qid_tail, split) for entry in entries]
+                row_bytes = widest + max(map(len, tails))
+                per_block, resume = max(1, _CHUNK_BYTES // row_bytes), None
+                while start < len(keys) and not resume:
+                    block = keys[start : start + per_block]
+                    n = len(block)
+                    if len(held) < n:  # up to a block's bytes, and at most one line more
+                        held += f.readlines((per_block - len(held)) * row_bytes)
+                    if first_records(block, b"".join(held[:n]).decode("latin-1"), tails):
+                        for key in block:
+                            seen[key] = 1
+                        covered[split] += n
+                        matched += n
+                        lineno, start = lineno + n, start + n
+                        del held[:n]
+                        continue
+                    # any other block is walked one line at a time from its first
+                    walked, lines = lineno, enumerate(chain(held, f), lineno + 1)
+                    for i in range(start, start + n):
+                        e1, rest = divmod(keys[i], per_entity)
+                        lead = leads[rest].encode()
+                        end = (qid_heads[rest] + ids[e1] + tails[rest]).encode()
+                        for lineno, raw in lines:
+                            # the awaited row is a block of one; any other line is joined
+                            if raw.startswith(lead) and raw.endswith(end) and first_records(
+                                    keys[i : i + 1], raw.decode("latin-1"), tails):
                                 break
-                        # any other line, a positive or repeated record included, is joined
-                        if resume := resync(join(lineno, raw), s, i):
+                            if resume := resync(join(lineno, raw), s, i):
+                                break
+                        else:
+                            resume = len(order), 0  # the log ended
+                        if resume:
                             break
-                    else:
-                        resume = len(order), 0  # the log ended
-                    if resume:
-                        break
-                    # the line is this question's first record, with no finding
-                    seen[key] = 1
-                    matched += 1
-                covered[split] += matched
-                diag.n_records += matched
+                        seen[keys[i]] = 1
+                        covered[split] += 1
+                        matched += 1
+                    del held[: lineno - walked]
+                    start += n
                 s, start = resume or (s + 1, 0)
-            for lineno, raw in lines:  # the lines after the last question's row
+            for lineno, raw in enumerate(chain(held, f), lineno + 1):  # after the last question
                 join(lineno, raw)
     except OSError as exc:
         raise DatasetIOError(f"cannot read loss log: {exc}") from exc
 
+    diag.n_records += matched
     for split, total in totals.items():
         if total:  # an empty split has no coverage to report
             diag.coverage[split] = covered[split] / total

@@ -19,7 +19,7 @@ from .entropy import ModelKind, _multiplier, dataset_entropy
 from .estimator import LossAccumulator, refused_positive
 from .generalization import TrainIndex, train_two_hops
 from .logs import LossRecord, group_names, new_groups, row_head, row_tail
-from .worldgen import KeySpace, QuestionKind, SplitSet, World, WorldConfig
+from .worldgen import _CHUNK_BYTES, KeySpace, QuestionKind, SplitSet, World, WorldConfig
 
 
 class ReliabilityTable:
@@ -171,10 +171,10 @@ class LossTable:
     - the memo's two-hop question: the flag of its unit; its one-hop question
       is answered at chance whatever the flag.
 
-    ``cells[rest][f]`` is ``(ln q, row head, i)``: the log of the probability
-    of the correct answer, the loss-log row's text up to the entity of its
-    qid (``logs.row_head``), and the cell's place in ``values``, which holds
-    ``(ln q, kind)`` once per distinct row head. A composing model that
+    A key's cell is ``4·rest + f`` (``cells_of``). ``heads[cell]`` is its row's
+    text up to its qid's entity (``logs.row_head``), and ``cells[cell]`` its place
+    in ``values``, which holds ``(ln q, kind)`` once per distinct head: the log of
+    the probability of the correct answer, and the kind. A composing model that
     misses the first hop guesses uniformly over |N| entities, the fallback
     both inversions assume, so ``q = p1·p2 + (1 − p1)/|N|``; a question
     that needs an unlearned unit is answered at chance 1/|V_a|. A cell with
@@ -208,7 +208,7 @@ class LossTable:
             ))
             self.lead = bytearray(len(self.base))
         self.flags, self.space = second.flags, space
-        chance, cells, self.values = profile.chance, {}, []
+        chance, places, self.values = profile.chance, {}, []
 
         def cell(kind: str, head: str, tail: str, a: int, p1: float | None, p2: float | None):
             q = chance[a] if p1 is None or p2 is None else p1 * p2 + (1.0 - p1) / n_profiles
@@ -216,26 +216,25 @@ class LossTable:
             if x > 0:  # q <= 1 for levels in [0, 1], so only a faulty profile gets here
                 raise refused_positive(f"{head}E1{tail}", x)
             text = row_head(kind, x, head)
-            if text not in cells:  # one object per distinct row head
-                cells[text] = x, text, len(self.values)
+            if text not in places:  # one object per distinct row head
+                places[text] = text, len(self.values)
                 self.values.append((x, kind))
-            return cells[text]
+            return places[text]
 
-        self.cells = []
+        pairs = []  # each cell's row head and place in values
         for r, a, head, tail, kind in space.entries:
             one_hop = r == n_relations
             hop1 = (1.0, 1.0) if first is None or one_hop else (first.low[r], first.high[r])
             hop2 = (None, None) if first is None and one_hop else (second.low[a], second.high[a])
-            self.cells.append([cell(kind, head, tail, a, p1, p2) for p1 in hop1 for p2 in hop2])
+            pairs += [cell(kind, head, tail, a, p1, p2) for p1 in hop1 for p2 in hop2]
+        self.heads, self.cells = zip(*pairs)
 
-    def lookup(self, keys) -> Iterator[tuple[int, int, tuple[float, str]]]:
-        """``(e1, rest, cells[rest][f])`` of each key, in order."""
-        cells, lead, base, flags = self.cells, self.lead, self.base, self.flags
+    def cells_of(self, keys) -> list[int]:
+        """Each key's cell, ``4·rest + f``, in order."""
+        lead, base, flags = self.lead, self.base, self.flags
         per_entity, n_attrs = self.space.per_entity, self.space.n_attributes
-        for key in keys:
-            q, a = divmod(key, n_attrs)
-            e1, rest = divmod(key, per_entity)
-            yield e1, rest, cells[rest][lead[q] + flags[base[q] + a]]
+        return [4 * (key % per_entity) + lead[q := key // n_attrs] + flags[base[q] + key % n_attrs]
+                for key in keys]
 
 
 def loss_records(
@@ -244,11 +243,12 @@ def loss_records(
     split_set: SplitSet,
 ) -> Iterator[tuple[str, str, str, float]]:
     """Yield (qid, split, kind, ln q of the simulated answer) per question, in file order."""
-    table, entries = LossTable(world, profile, split_set.space), split_set.space.entries
+    table, space = LossTable(world, profile, split_set.space), split_set.space
     for split, keys in split_set.splits():
-        for e1, rest, (x, _, _) in table.lookup(keys):
-            _, _, head, tail, kind = entries[rest]
-            yield f"{head}{e1}{tail}", split, kind, x
+        for key, cell in zip(keys, table.cells_of(keys)):
+            _, _, head, tail, kind = space.entries[cell // 4]
+            x, _ = table.values[table.cells[cell]]
+            yield f"{head}{key // space.per_entity}{tail}", split, kind, x
 
 
 def write_log(
@@ -257,29 +257,36 @@ def write_log(
     split_set: SplitSet,
     path: Path,
 ) -> tuple[int, dict[str, LossAccumulator] | None]:
-    """Write ``loss_records``' rows to ``path``, one ``write`` per row; return the count and groups.
+    """Write ``loss_records``' rows to ``path``, one ``write`` per block; return the count and groups.
 
-    A row is its table cell's head, ``str(e1)`` and ``logs.row_tail``'s text.
-    The groups are ``logs.new_groups()`` holding every row, or None for a
-    chain-of-thought space, whose losses no estimator reads. Each split's
-    rows are counted per table cell; once the split is written, each cell
-    that holds rows is added to the groups of ``logs.group_names`` with its
-    count. A profile with a positive cell is refused by ``LossTable``
-    before the file is opened.
+    A row is its cell's head (``LossTable.heads``), ``str(e1)`` and
+    ``logs.row_tail``'s text; a block is a split's next rows, as many as fit
+    in ``_CHUNK_BYTES`` at the longest of each. The groups are
+    ``logs.new_groups()`` holding every row, or None for a chain-of-thought
+    space, whose losses no estimator reads. Each split's rows are counted per
+    value of the table, and once the split is written each value that holds
+    rows is added to the groups of ``logs.group_names`` with its count. A
+    profile with a positive cell is refused by ``LossTable`` before the file
+    is opened.
     """
     space = split_set.space
-    table, entries = LossTable(world, profile, space), space.entries
+    table, per_entity = LossTable(world, profile, space), space.per_entity
     groups = None if space.two_hop_kind is QuestionKind.TWO_HOP_COT else new_groups()
     names = [str(e1) for e1 in range(world.config.n_profiles)]  # once per entity, not per row
+    heads, places = table.heads, table.cells
     count = 0
     with open(path, "w", encoding="utf-8") as f:
-        write = f.write
         for split, keys in split_set.splits():
-            tails = [row_tail(entry.qid_tail, split) for entry in entries]
-            rows = [0] * len(table.values)  # the split's rows per cell
-            for e1, rest, (_, head, i) in table.lookup(keys):
-                write(head + names[e1] + tails[rest])
-                rows[i] += 1
+            tails = [tail for entry in space.entries for tail in [row_tail(entry.qid_tail, split)] * 4]
+            widest = max(map(len, heads)) + len(names[-1]) + max(map(len, tails))
+            rows = [0] * len(table.values)  # the split's rows per value
+            for start in range(0, len(keys), per_block := max(1, _CHUNK_BYTES // widest)):
+                block = keys[start : start + per_block]
+                cells = table.cells_of(block)
+                f.write("".join([f"{heads[cell]}{names[key // per_entity]}{tails[cell]}"
+                                 for key, cell in zip(block, cells)]))
+                for cell in cells:
+                    rows[places[cell]] += 1
             count += len(keys)
             for (x, kind), n in zip(table.values, rows) if groups is not None else ():
                 for name in group_names(kind, split) if n else ():

@@ -20,8 +20,8 @@ from array import array
 from contextlib import contextmanager, suppress
 from enum import Enum
 from functools import cached_property, partial
-from itertools import compress, count, repeat
-from operator import floordiv, mod
+from itertools import compress, count, islice, repeat
+from operator import floordiv, mod, mul
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -377,14 +377,15 @@ def _randranges(rng: random.Random, pools: tuple[int, ...], times: int) -> Itera
     )
 
 
-def profile_lines(world: World) -> Iterator[str]:
-    """Each profiles.jsonl line of ``world``, in id order.
+def profile_lines(world: World) -> Iterator[tuple[int, bytes]]:
+    """profiles.jsonl's lines for ``world``, in id order, as ``(number of lines, bytes)`` blocks.
 
     A line is ``json.dumps(row, sort_keys=True) + "\\n"`` for the profile's
     row: its id, its name indices, and its relation targets and property
     values keyed by name. It is one ``%``-format string per call, over names
     JSON-escaped in the sorted order the encoder writes keys in, applied to
-    the columns of the row's integers.
+    the columns of the row's integers. A block holds as many lines as fit in
+    ``_CHUNK_BYTES`` bytes at the widest row (each column's largest value).
     """
     cfg = world.config
     n_attrs = len(cfg.attributes)
@@ -407,17 +408,25 @@ def profile_lines(world: World) -> Iterator[str]:
         map(mod, map(floordiv, profiles, below_last), repeat(cfg.middle_names)),
         *(world.facts[cfg.attributes.index(name) :: n_attrs] for name in properties + relations),
     )
-    return map(row.__mod__, zip(*columns))
+    pools = dict(zip(cfg.attributes, cfg.pools))
+    widest = row % (cfg.first_names - 1, cfg.n_profiles - 1, cfg.last_names - 1,
+                    cfg.middle_names - 1, *(pools[name] - 1 for name in properties + relations))
+    lines, n = map(row.__mod__, zip(*columns)), max(1, _CHUNK_BYTES // len(widest))
+    while block := list(islice(lines, n)):
+        yield len(block), "".join(block).encode("ascii")
 
 
-def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
-    """Each qa.jsonl line of ``split_set``, in file order.
+def question_lines(world: World, split_set: SplitSet) -> Iterator[tuple[int, bytes]]:
+    """qa.jsonl's lines for ``split_set``, in file order, as ``(number of lines, bytes)`` blocks.
 
     A line is ``json.dumps(row, sort_keys=True) + "\\n"`` for the question's
     row: its key (qid, kind, e1, r, a, split) plus e2, answer and text from
     the templates. Each ``KeySpace.entries`` entry's fixed text is
     JSON-escaped once per call into pieces, and a line is one f-string over
     its entry's pieces, its split and its entities' ids, names and answer.
+    Two tables of integers and id references, indexed by ``(e1, r) = key //
+    |A|``, give where the answering entity's facts begin and e2's JSON. A
+    block is a split's next lines, about ``_CHUNK_BYTES`` by the last row size.
     """
     cfg, space = world.config, split_set.space
     n_rel, n_attrs, per_entity = space.n_relations, space.n_attributes, space.per_entity
@@ -425,62 +434,63 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[str]:
     ids = [str(e) for e in range(cfg.n_profiles)]
     facts = world.facts
     cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
+    # per (e1, r), with r = |R| for one-hop: the start of the facts of r's
+    # target, or of e1's own, and e2's JSON, its id or null
+    hops = n_rel + 1
+    answer_rows = array(typecode(len(facts)), [0]) * (cfg.n_profiles * hops)
+    answer_rows[n_rel::hops] = array(answer_rows.typecode, range(0, len(facts), n_attrs))
+    e2_fields = ["null"] * len(answer_rows)
+    for r in range(n_rel):
+        answer_rows[r::hops] = array(answer_rows.typecode, map(mul, facts[r::n_attrs], repeat(n_attrs)))
+        e2_fields[r::hops] = map(ids.__getitem__, facts[r::n_attrs])
 
     # ensure_ascii escapes each character on its own, so escaped pieces splice
     # into one escaped string; entity names are ASCII letters, digits and spaces
     def escaped(text: str) -> str:
         return json.dumps(text)[1:-1]
 
-    # Per entry: the relation whose target answers (None for one-hop, where
-    # e1 does), the attribute, the names an answer indexes (None for a
-    # property, whose answer is its escaped prefix and the value index), and
-    # the text around the per-row values; the last two pieces are the
-    # chain-of-thought trace's.
+    # Per entry: the text around the per-row values, up to the split; the trace's two
+    # pieces (empty but in a chain-of-thought two-hop row) and the row's end; what an
+    # answer's value indexes (names, or a property's value itself); and the attribute.
     entries = []
     for r, a, head, tail, kind in space.entries:
         a_name = escaped(cfg.attributes[a])
         prefix = "" if a < n_rel else escaped(world.value_string(cfg.attributes[a], ""))
+        r_was = a_was = ""
         if r == n_rel:
-            hop, r_name, r_field, ask = None, "", "null", f"'s {a_name}? {prefix}"
+            r_field, ask = "null", f"'s {a_name}? {prefix}"
         else:
-            hop, r_name = r, escaped(cfg.relations[r])
+            r_name = escaped(cfg.relations[r])
             r_field, ask = f'"{r_name}"', f"'s {r_name}'s {a_name}? " + ("" if cot else prefix)
+            if cot:
+                r_was, a_was = f"'s {r_name} was ", f"'s {a_name} was {prefix}"
         entries.append((
-            hop,
-            a,
-            names if a < n_rel else None,
-            f'{{"a": "{a_name}", "answer": "{prefix}',
-            f', "kind": "{kind}", "qid": "{escaped(head)}',
-            f'{escaped(tail)}", "r": {r_field}, "split": "',
-            ask,
-            f"'s {r_name} was ",
-            f"'s {a_name} was {prefix}",
+            f'{{"a": "{a_name}", "answer": "{prefix}', f', "kind": "{kind}", "qid": "{escaped(head)}',
+            f'{escaped(tail)}", "r": {r_field}, "split": "', ask,
+            r_was, a_was, '."}\n' if r_was else '"}\n',
+            names if a < n_rel else range(cfg.pools[a]), a,
         ))
+    n = _CHUNK_BYTES >> 8  # rows in the first block, at a guess of 256 bytes each
     for split, keys in split_set.splits():
-        split_text = f'{split}", "text": "What was '
-        for key in keys:
-            e1, rest = divmod(key, per_entity)
-            hop, a, answers, lead, kind_qid, tail_split, ask, r_was, a_was = entries[rest]
-            name, eid = names[e1], ids[e1]
-            if hop is None:
-                answerer, e2_id = e1, "null"
-            else:
-                answerer = facts[e1 * n_attrs + hop]
-                e2_id = ids[answerer]
-            answer = facts[answerer * n_attrs + a]
-            if answers is not None:
-                answer = answers[answer]
-            if cot and hop is not None:
-                e2_name = names[answerer]
-                yield (
-                    f'{lead}{answer}", "e1": {eid}, "e2": {e2_id}{kind_qid}{eid}{tail_split}'
-                    f'{split_text}{name}{ask}{name}{r_was}{e2_name}. {e2_name}{a_was}{answer}."}}\n'
-                )
-            else:
-                yield (
-                    f'{lead}{answer}", "e1": {eid}, "e2": {e2_id}{kind_qid}{eid}{tail_split}'
-                    f'{split_text}{name}{ask}{answer}"}}\n'
-                )
+        pieces = [(lead, kind_qid, f'{tail}{split}", "text": "What was ', *rest)
+                  for lead, kind_qid, tail, *rest in entries]
+        start = 0
+        while start < len(keys):
+            lines = []
+            append = lines.append
+            for key in keys[start : start + n]:
+                e1, q = key // per_entity, key // n_attrs
+                lead, kind_qid, tail, ask, r_was, a_was, end, answers, a = pieces[key % per_entity]
+                answer, eid = answers[facts[answer_rows[q] + a]], ids[e1]
+                if r_was:
+                    e2_name = names[answer_rows[q] // n_attrs]
+                    ask = f"{ask}{names[e1]}{r_was}{e2_name}. {e2_name}{a_was}"
+                append(f'{lead}{answer}", "e1": {eid}, "e2": {e2_fields[q]}{kind_qid}{eid}{tail}'
+                       f"{names[e1]}{ask}{answer}{end}")
+            data = "".join(lines).encode("ascii")
+            yield len(lines), data
+            start += n
+            n = max(1, _CHUNK_BYTES * len(lines) // len(data))
 
 
 # The fields of each holdout kind's components: an entity (e), a relation
@@ -742,13 +752,13 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    def write(name: str, lines: Iterable[str]) -> str:
-        """Write ``lines`` to data file ``name``; the sha256 of the bytes written."""
+    def write(name: str, blocks: Iterable[tuple[int, bytes]]) -> str:
+        """Write the lines of ``blocks`` to data file ``name``; the sha256 of the bytes written."""
         hasher = hashlib.sha256()
         with open(path / name, "wb") as f:
-            for _, chunk in _ascii_chunks(lines):
-                f.write(chunk)
-                hasher.update(chunk)
+            for _, data in blocks:
+                f.write(data)
+                hasher.update(data)
         return hasher.hexdigest()
 
     manifest = {
@@ -832,48 +842,33 @@ def _split_params(manifest: Mapping) -> tuple[dict, int, int, bool]:
     return fractions, mix_ratio, seed, cot
 
 
-def _ascii_chunks(lines: Iterable[str]) -> Iterator[tuple[int, bytes]]:
-    """``lines`` joined and ASCII-encoded, in chunks of whole lines of about ``_CHUNK_BYTES``.
+def _first_fault(path: Path, blocks: Iterable[tuple[int, bytes]], row: str, name_row, hasher=None):
+    """The DatasetIOError of the file at ``path`` if it is not exactly ``blocks``' lines; else None.
 
-    Each chunk comes as ``(number of lines, bytes)``.
-    """
-    chunk, size = [], 0
-    for line in lines:
-        chunk.append(line)
-        size += len(line)
-        if size >= _CHUNK_BYTES:
-            yield len(chunk), "".join(chunk).encode("ascii")
-            chunk, size = [], 0
-    if chunk:
-        yield len(chunk), "".join(chunk).encode("ascii")
-
-
-def _first_fault(path: Path, lines: Iterable[str], row: str, name_row, hasher=None):
-    """The DatasetIOError of the file at ``path`` if it is not exactly ``lines``, in order; else None.
-
-    The file is read once, in binary, and compared with the lines'
-    ``_ascii_chunks``. The first byte that differs names its line of
-    ``lines`` as ``path:line``: a file that ends at the start of that line
-    misses it (with the number of ``row`` rows expected), bytes after the
-    last line are an extra row, and any other difference is not the
-    canonical row of ``name_row(expected line)``. A ``hasher`` (a
-    ``hashlib`` object) is updated with every byte of the file.
+    ``blocks`` are ``(number of lines, bytes)``, as ``profile_lines`` and
+    ``question_lines`` give them. The file is read once, in binary, and
+    compared with each block's bytes. The first byte that
+    differs names its expected line as ``path:line``: a file that ends at
+    the start of that line misses it (with the number of ``row`` rows
+    expected), bytes after the last line are an extra row, and any other
+    difference is not the canonical row of ``name_row(expected line)``. A
+    ``hasher`` (a ``hashlib`` object) is updated with every byte of the file.
     """
     # the lines are ASCII (JSON with ensure_ascii), so a \r, a \r\n or a byte
     # that is not UTF-8 differs from them like any other byte
-    chunks = _ascii_chunks(lines)
+    blocks = iter(blocks)
     lineno, fault = 1, None
     with open(path, "rb") as f:
-        for n, data in chunks:
+        for n, data in blocks:
             got = f.read(len(data))
             if hasher is not None:
                 hasher.update(got)
-            if got != data:  # a chunk that matches costs one compare, and no search
+            if got != data:  # a block that matches costs one compare, and no search
                 at = len(os.path.commonprefix((got, data)))
                 start = data.rfind(b"\n", 0, at) + 1
                 lineno += data.count(b"\n", 0, at)
                 if at == start == len(got):
-                    total = lineno - 1 + data.count(b"\n", at) + sum(n for n, _ in chunks)
+                    total = lineno - 1 + data.count(b"\n", at) + sum(n for n, _ in blocks)
                     fault = f"missing {row} row ({total} expected)"
                 else:
                     want = data[start:data.index(b"\n", at) + 1].decode("ascii")

@@ -12,6 +12,8 @@ splits one ``(e1, r)`` block at a time, and ``reference_train_stream``
 shuffles and interleaves lists. ``reference_first_fault`` names a data
 file's first bad line from a decoded line-by-line walk.
 ``reference_classify`` names a model from three hand-written holdout patterns.
+``block_lines`` reads the data-file blocks that the toolkit renders one line
+at a time.
 """
 
 import math
@@ -354,3 +356,12 @@ def reference_first_fault(path, lines, row: str, name_row) -> str | None:
                 return f"{path}:{lineno}: extra row"
             return f"{path}:{lineno}: not the canonical row of {name_row(want)}"
     return None
+
+
+def block_lines(blocks):
+    """Each line of ``(number of lines, bytes)`` blocks, as text; each block's count is checked."""
+    for n, data in blocks:
+        # JSON escapes every control character, so only \n ends a rendered line
+        lines = data.decode("ascii").splitlines(keepends=True)
+        assert len(lines) == n and data.endswith(b"\n"), (n, data[-80:])
+        yield from lines

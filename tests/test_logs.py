@@ -2,10 +2,12 @@ import json
 import math
 import re
 import tempfile
+from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_validate
 from test_worldgen import named_worlds
@@ -105,22 +107,53 @@ def test_partial_coverage(dataset, tmp_path):
     assert not diag.has_violations  # coverage gaps are reported, not violations
 
 
-def _gap_at_middle(ss):
+@pytest.fixture(scope="module")
+def block_starts(dataset, tmp_path_factory):
+    """The first row of each block of rows that validate's walk takes in one step, on a clean log."""
+    path, _, records = dataset
+    log = tmp_path_factory.mktemp("blocks") / "run.jsonl"
+    write_loss_log(records, log)
+    fields, sizes = logs._number_fields, []
+
+    def counted(text):
+        tokens = fields(text)
+        sizes.append(len(tokens))
+        return tokens
+
+    with mock.patch.object(logs, "_number_fields", counted):
+        assert not validate_loss_log(log, path).has_violations
+    assert sum(sizes) == len(records) and len(sizes) > 4  # every row, in several blocks
+    return list(accumulate(sizes, initial=0))[:-1]
+
+
+def _gap_at_middle(ss, starts):
     return len(ss.train) // 2
 
 
-def _gap_at_train_end(ss):
+def _gap_at_train_end(ss, starts):
     return len(ss.train) - 1
 
 
-@pytest.mark.parametrize("where", [_gap_at_middle, _gap_at_train_end], ids=["middle", "train_end"])
+def _gap_at_block_first(ss, starts):
+    return starts[2]
+
+
+def _gap_at_block_last(ss, starts):
+    return starts[2] - 1
+
+
+@pytest.mark.parametrize("where", [_gap_at_middle, _gap_at_train_end, _gap_at_block_first,
+                                   _gap_at_block_last],
+                         ids=["middle", "train_end", "block_first", "block_last"])
 @pytest.mark.parametrize("dropped", [1, 3])
-def test_validate_resyncs_after_dropped_rows(dataset, tmp_path, monkeypatch, where, dropped):
+def test_validate_resyncs_after_dropped_rows(dataset, block_starts, tmp_path, monkeypatch, where,
+                                             dropped):
     # the walk goes on after the row that follows a gap, so only that row is
-    # decoded, wherever the gap is and however many rows follow it
+    # decoded, wherever the gap is, a block's edge included, and however many
+    # rows follow it
     path, ss, records = dataset
     log = tmp_path / "gap.jsonl"
-    start = where(ss)
+    start = where(ss, block_starts)
     write_loss_log(records[:start] + records[start + dropped :], log)
     decode, decoded = logs._decode_record, 0
 
@@ -292,3 +325,69 @@ def test_validate_matches_per_line_join(world, cot, mix_ratio, model, trained, e
         log.write_bytes(b"".join(lines))
         expected = _validated(log, dataset, reference_validate)
         assert _validated(log, dataset, validate_loss_log) == expected
+
+
+# The rows of a log of several walk blocks that an edit lands on: a block's
+# first, middle or last row, or a split's first or last row
+BLOCK_EDGES = ("block_first", "block_middle", "block_last", "split_first", "split_last")
+# Number tokens that simulate never writes but that are valid, finite and <= 0
+UNWRITTEN_NUMBERS = (b"-0.50", b"-1E-5", b"-0")
+block_edits = st.one_of(
+    st.tuples(st.just("number"), st.sampled_from((b"0.5", *UNWRITTEN_NUMBERS, b"1e999", b"-1e999"))),
+    # with, or a copy of, the row two blocks away
+    st.tuples(st.sampled_from(("swap", "copy")), st.sampled_from((-2, 2))),
+    st.tuples(st.sampled_from(("drop", "duplicate", "blank")), st.none()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edit=block_edits, where=st.sampled_from(BLOCK_EDGES), pick=st.integers(0))
+@example(edit=("number", b"0.5"), where="block_first", pick=1)
+@example(edit=("number", b"0.5"), where="block_last", pick=1)
+@example(edit=("number", b"0.5"), where="block_middle", pick=2)
+@example(edit=("number", b"0.5"), where="split_first", pick=1)
+@example(edit=("number", b"0.5"), where="split_last", pick=0)
+@example(edit=("swap", 2), where="block_last", pick=0)
+@example(edit=("swap", -2), where="block_first", pick=3)
+@example(edit=("copy", 2), where="block_middle", pick=0)
+@example(edit=("number", b"-0.50"), where="block_middle", pick=1)
+@example(edit=("number", b"-1E-5"), where="block_first", pick=2)
+@example(edit=("number", b"-0"), where="block_last", pick=2)
+@example(edit=("number", b"1e999"), where="block_middle", pick=3)
+@example(edit=("number", b"-1e999"), where="split_first", pick=2)
+def test_validate_matches_per_line_join_at_block_edges(dataset, block_starts, edit, where, pick):
+    # an edit at a walk block's edge, or one that moves a row to another
+    # block, gives the per-line join's findings (or its error); a valid
+    # number that simulate never writes is taken in the block's one step
+    path, ss, records = dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "run.jsonl"
+        write_loss_log(records, log)
+        lines = log.read_bytes().splitlines(keepends=True)
+        ends = [start - 1 for start in block_starts[1:]] + [len(lines) - 1]
+        split_starts = list(accumulate((n for n in ss.counts().values() if n), initial=0))[:-1]
+        rows = {
+            "block_first": block_starts,
+            "block_middle": [(start + end) // 2 for start, end in zip(block_starts, ends)],
+            "block_last": ends,
+            "split_first": split_starts,
+            "split_last": [start - 1 for start in split_starts[1:]] + [len(lines) - 1],
+        }[where]
+        i = rows[pick % len(rows)]
+        name, arg = edit
+        if name in ("swap", "copy"):
+            block = max(b for b, start in enumerate(block_starts) if start <= i)
+            j = block_starts[(block + arg) % len(block_starts)] + i - block_starts[block]
+            j = min(j, len(lines) - 1)
+            if name == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(i, lines[j])
+        else:  # a duplicate follows its row
+            _edit_log(lines, name, {"number": (i, arg), "duplicate": (i, i + 1)}.get(name, i))
+        log.write_bytes(b"".join(lines))
+        expected = _validated(log, path, reference_validate)
+        with mock.patch.object(logs, "_decode_record", wraps=logs._decode_record) as decode:
+            assert _validated(log, path, validate_loss_log) == expected
+    if edit[1] in UNWRITTEN_NUMBERS:
+        assert not expected["has_violations"] and decode.call_count == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import answer_prob, presence_flags, unpack
+from oracles import answer_prob, block_lines, presence_flags, unpack
 
 from twohop.cli import main
 from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
@@ -167,7 +167,7 @@ class TestLossLog:
         ss = build_splits(micro_world, {"heldout_full": 0.02}, mix_ratio=10, seed=6)
         profile = ReliabilityProfile.homogeneous(micro_world.config, ModelKind.RECURRENT, 0.9)
         records = generate_loss_log(micro_world, profile, ss)
-        qids = [json.loads(line)["qid"] for line in question_lines(micro_world, ss)]
+        qids = [json.loads(line)["qid"] for line in block_lines(question_lines(micro_world, ss))]
         assert len(records) == len(qids) == sum(ss.counts().values())
         assert [r.qid for r in records] == qids
         assert all(r.logprob_nats <= 0 for r in records)
@@ -222,9 +222,11 @@ def test_table_is_answer_prob(world, kind, spec, cot, seed):
     profile = PROFILES[spec](world, ss, kind, seed)
     space = ss.space
     keys = range(space.size)
-    for key, found in zip_longest(keys, LossTable(world, profile, space).lookup(keys)):
-        e1, rest, (x, _, _) = found
-        assert (e1, rest) == divmod(key, space.per_entity)
+    table = LossTable(world, profile, space)
+    for key, cell in zip_longest(keys, table.cells_of(keys)):
+        e1, rest = divmod(key, space.per_entity)
+        x, _ = table.values[table.cells[cell]]
+        assert cell // 4 == rest
         _, r, a = unpack(space, key)
         e2 = e1 if r == space.n_relations else world.facts[e1 * space.n_attributes + r]
         assert x == math.log(answer_prob(profile, e1, r, a, e2)), key

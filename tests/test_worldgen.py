@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    block_lines,
     pack,
     reference_first_fault,
     reference_split_table,
@@ -160,7 +161,7 @@ class TestWorldGeneration:
 def _rows(world, cot=False):
     """Every question's qa.jsonl row, decoded, by qid."""
     ss = build_splits(world, {}, mix_ratio=10, seed=1, cot=cot)
-    return {row["qid"]: row for row in map(json.loads, question_lines(world, ss))}
+    return {row["qid"]: row for row in map(json.loads, block_lines(question_lines(world, ss)))}
 
 
 class TestRendering:
@@ -305,7 +306,7 @@ class TestSplits:
     def test_two_hop_answer_consistency(self, micro_world):
         ss = build_splits(micro_world, {"heldout_full": 0.01}, mix_ratio=10, seed=2)
         questions = _questions(ss, _all_keys(ss)[:500])
-        for (e1, r, a), line in zip(questions, question_lines(micro_world, ss)):
+        for (e1, r, a), line in zip(questions, block_lines(question_lines(micro_world, ss))):
             if r is None:
                 continue
             e2 = relation_target(micro_world, e1, r)
@@ -324,7 +325,7 @@ class TestSplits:
     def test_cot_flag(self, micro_world):
         ss = build_splits(micro_world, {}, mix_ratio=10, seed=1, cot=True)
         assert ss.space.two_hop_kind is QuestionKind.TWO_HOP_COT
-        kinds = {json.loads(line)["kind"] for line in question_lines(micro_world, ss)}
+        kinds = {json.loads(line)["kind"] for line in block_lines(question_lines(micro_world, ss))}
         assert kinds == {QuestionKind.ONE_HOP.value, QuestionKind.TWO_HOP_COT.value}
 
 
@@ -334,8 +335,8 @@ class TestPersistence:
         manifest = persist_dataset(ss, micro_world, tmp_path)
         loaded_ss, loaded_world = load_dataset(tmp_path)
         assert _world_bytes(loaded_world) == _world_bytes(micro_world)
-        lines = list(question_lines(micro_world, ss))
-        assert list(question_lines(loaded_world, loaded_ss)) == lines
+        lines = list(block_lines(question_lines(micro_world, ss)))
+        assert list(block_lines(question_lines(loaded_world, loaded_ss))) == lines
         assert (tmp_path / "qa.jsonl").read_text().splitlines(keepends=True) == lines
         assert manifest["counts"]["train"] == len(ss.train)
         assert loaded_ss.params["mix_ratio"] == 10
@@ -431,7 +432,7 @@ def test_question_lines_are_encoder_bytes(world, cot, mix_ratio):
     # the same world and questions back; mix ratio 0 leaves train no two-hop
     # row, and 1 alternates one-hop rows with single two-hop rows
     cfg = world.config
-    for e, line in zip_longest(range(cfg.n_profiles), profile_lines(world)):
+    for e, line in zip_longest(range(cfg.n_profiles), block_lines(profile_lines(world))):
         first, rest = divmod(world.profiles[e], cfg.middle_names * cfg.last_names)
         middle, last = divmod(rest, cfg.last_names)
         row = {"id": e, "first": first, "middle": middle, "last": last,
@@ -442,7 +443,7 @@ def test_question_lines_are_encoder_bytes(world, cot, mix_ratio):
     if len(world.config.relations) == 1:
         del fractions["heldout_r"]  # one relation cannot be held out
     ss = build_splits(world, fractions, mix_ratio=mix_ratio, seed=1, cot=cot)
-    lines = list(question_lines(world, ss))
+    lines = list(block_lines(question_lines(world, ss)))
     assert len(lines) == sum(ss.counts().values())
     # the loss log carries each question's qid and kind, and the qid leads
     # back to the question's key
@@ -459,7 +460,7 @@ def test_question_lines_are_encoder_bytes(world, cot, mix_ratio):
         persist_dataset(ss, world, tmp)
         loaded_ss, loaded_world = load_dataset(tmp)
     assert _world_bytes(loaded_world) == _world_bytes(world)
-    assert list(question_lines(loaded_world, loaded_ss)) == lines
+    assert list(block_lines(question_lines(loaded_world, loaded_ss))) == lines
 
 
 # Edits of a data file: each takes the file's bytes, an offset in them, a
@@ -479,6 +480,14 @@ FILE_EDITS = {
     "drop_line": lambda data, i, b, line: data[:line.start] + data[line.stop:],
     "repeat_line": lambda data, i, b, line: data[:line.stop] + data[line],
 }
+
+
+def _blocks(lines, rng):
+    """``lines`` as ``(number of lines, bytes)`` blocks of 1 to 40 lines each."""
+    starts = range(0, len(lines), 40)
+    cuts = sorted({0, len(lines), *rng.sample(range(1, len(lines)), len(lines) // 20), *starts})
+    for start, end in zip(cuts, cuts[1:]):
+        yield end - start, "".join(lines[start:end]).encode("ascii")
 
 
 @settings(max_examples=300, deadline=None)
@@ -502,7 +511,7 @@ def test_first_fault_names_the_decoded_walks_line(seed, n_lines, edit, where, va
         path = f"{tmp}/data.jsonl"
         with open(path, "wb") as f:
             f.write(data)
-        fault = _first_fault(path, iter(lines), "test", repr, hasher)
+        fault = _first_fault(path, _blocks(lines, rng), "test", repr, hasher)
         expected = reference_first_fault(path, iter(lines), "test", repr)
     assert (str(fault) if fault else None) == expected
     assert fault is None or isinstance(fault, DatasetIOError)
