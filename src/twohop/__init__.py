@@ -9,8 +9,7 @@ import importlib
 
 _EXPORTS = {
     "entropy": ("ModelKind", "baseline_content", "dataset_entropy", "name_selection_entropy"),
-    "estimator": ("bits_per_parameter", "content_estimate", "effective_loss_recurrent",
-                  "effective_loss_two_function"),
+    "estimator": ("bits_per_parameter", "content_estimate"),
     "generalization": ("PresenceFlags", "classify_algorithm", "evaluate_holdouts",
                        "predict_generalization", "uniform_baselines"),
     "logs": ("summarize",),

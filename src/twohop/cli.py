@@ -34,15 +34,16 @@ def _property_specs(count: int) -> tuple[tuple[str, int], ...]:
     return tuple(props)
 
 
-def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
+def _read_log(manifest: dict, dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
     """A loss log's run manifest ({} when there is none) and its SUMMARY_GROUPS aggregates.
 
     The run manifest, a JSON object read once, must exist and record the
     dataset's manifest sha256 in ``dataset_manifest_sha256``, unless
     ``force``. The aggregates come from its ``summary`` when that records
-    the log's sha256, and from one pass over the log otherwise.
+    the log's sha256, and otherwise from ``logs.fold_log`` against the world
+    of the dataset ``manifest``'s config.
     """
-    from . import estimator, logs
+    from . import logs
     path = losses.with_suffix(".json")
     try:
         with open(path, encoding="utf-8") as f:
@@ -68,11 +69,8 @@ def _read_log(dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
         log_sha, groups = logs.summary_from_json(run_meta["summary"], f"run manifest {path}")
         if log_sha == worldgen.sha256_file(losses):
             return run_meta, groups
-    groups = logs.summarize(rec for _, rec in logs._loss_rows(losses))
-    try:
-        return run_meta, logs.results(groups)
-    except estimator.EstimatorError as exc:
-        raise estimator.EstimatorError(f"{losses}: {exc}") from None
+    world = worldgen.generate_world(worldgen.WorldConfig.from_dict(manifest["config"]))
+    return run_meta, logs.results(logs.fold_log(losses, world))
 
 
 def _point_meta(losses: Path, run_meta: dict) -> tuple[str, int]:
@@ -244,19 +242,18 @@ def _group(groups: dict, name: str, losses: Path) -> estimator.AggregateLoss:
 
 
 def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):
+    """The content estimate under ``kind``, and the aggregate of the task's questions."""
     from . import estimator
-    # the kind of the task's questions
-    agg = _group(groups, "one_hop" if kind is None else "two_hop", losses)
-    try:
-        return estimator.content_estimate(config, kind, agg), agg
-    except estimator.EstimatorError as exc:
-        raise estimator.EstimatorError(f"{losses}: {exc}") from None
+    task = _group(groups, "one_hop" if kind is None else "two_hop", losses)
+    # the questions that read one unit each: independent's two-hop ones, else the one-hop ones
+    reads = task if kind in (None, ModelKind.INDEPENDENT) else _group(groups, "one_hop", losses)
+    return estimator.content_estimate(config, kind, reads, groups["hop1"]), task
 
 
 def _cmd_estimate(args) -> int:
     dataset_dir, losses = Path(args.dataset), Path(args.losses)
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
-    _, groups = _read_log(dataset_sha, losses, args.force)
+    _, groups = _read_log(manifest, dataset_sha, losses, args.force)
     config, kind = worldgen.WorldConfig.from_dict(manifest["config"]), MODELS[args.model]
     est, agg = _estimate_for(config, groups, kind, losses)
     payload = est.to_dict()
@@ -271,7 +268,7 @@ def _cmd_classify(args) -> int:
     from . import generalization
     dataset_dir, losses = Path(args.dataset), Path(args.losses)
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
-    _, groups = _read_log(dataset_sha, losses, args.force)
+    _, groups = _read_log(manifest, dataset_sha, losses, args.force)
     split_set, world = worldgen.replay_dataset(dataset_dir, manifest)
     baselines = generalization.uniform_baselines(split_set, world.config)
     empty = [kind for kind in worldgen.HOLDOUT_KINDS if kind not in baselines]
@@ -306,7 +303,7 @@ def _cmd_report(args) -> int:
     baseline = entropy_mod.baseline_content(config, kind)
     points = []
     for losses in map(Path, args.losses):
-        run_meta, groups = _read_log(dataset_sha, losses, args.force)
+        run_meta, groups = _read_log(manifest, dataset_sha, losses, args.force)
         est, _ = _estimate_for(config, groups, kind, losses)
         label, params = _point_meta(losses, run_meta)
         points.append(

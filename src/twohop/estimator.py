@@ -1,19 +1,17 @@
-"""Loss aggregation and information-content lower bounds.
+"""Loss aggregation and information-content lower bounds, one stored unit at a time.
 
-Observed two-hop losses are converted to per-hop "effective losses" by
-inverting the composition mixture q = p1*p2 + (1-p1)/n, either for a single
-reused fact function (recurrent) or for a pair of hop functions with a
-shared budget (two-function). Both closed forms are validated against
-independent numerical oracles in the test suite.
+A fact unit is read off its one-hop question and a memo unit off its
+two-hop question; a two-function first hop (e1, r) inverts its two-hop
+answers q = u1·u2 + (1 − u1)/n, a search oracle in the tests checks how.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
+from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .entropy import LN2, ModelKind, dataset_entropy, task_name
+from .entropy import LN2, ModelKind, attribute_entropy, dataset_entropy, task_name
 from .worldgen import WorldConfig
 
 
@@ -22,10 +20,9 @@ class EstimatorError(ValueError):
 
 
 class AggregateLoss(NamedTuple):
-    """Mean/variance/count summary of per-question losses, in nats."""
+    """Mean/count summary of per-question losses, in nats."""
 
     mean_loss_nats: float
-    var_loss_nats: float
     count: int
 
     @property
@@ -38,41 +35,32 @@ _SCALE = 1074
 
 
 class LossAccumulator:
-    """Exact count, sum and sum of squares of loss = -logprob over the records added.
+    """Exact count and sum of loss = -logprob over the records added.
 
-    ``total`` is Σ loss · 2**1074 and ``squares`` Σ loss² · 2**2148, both
-    Python ints, so they hold every finite double exactly. ``result()``
-    rounds the mean and the variance once, so the records give the same
-    bits in any order.
+    ``total`` is Σ loss · 2**1074, a Python int, so it holds every finite
+    double exactly. ``result()`` rounds the mean once, so the records give
+    the same bits in any order.
     """
 
-    __slots__ = ("count", "total", "squares")
+    __slots__ = ("count", "total")
 
     def __init__(self):
         self.count = 0
         self.total = 0
-        self.squares = 0
 
     def add(self, logprob: float, count: int = 1) -> None:
         """Add ``count`` records of the finite ``logprob``."""
-        # logprob is num / 2**k with k <= 1074, so the shifts are exact
+        # logprob is num / 2**k with k <= 1074, so the shift is exact
         num, den = logprob.as_integer_ratio()
         shift = _SCALE + 1 - den.bit_length()
         self.count += count
         self.total -= count * num << shift
-        self.squares += count * num * num << 2 * shift
 
     def result(self) -> AggregateLoss:
-        """The mean and variance, each one correctly rounded int/int division."""
-        n = self.count
-        if n == 0:
+        """The mean, one correctly rounded int/int division: finite, as the records are."""
+        if self.count == 0:
             raise EstimatorError("no records match the selection")
-        try:
-            mean = self.total / (n << _SCALE)
-            var = (n * self.squares - self.total * self.total) / (n * n << 2 * _SCALE)
-        except OverflowError:
-            raise EstimatorError("its loss mean or variance is too large for a float") from None
-        return AggregateLoss(mean, var, n)
+        return AggregateLoss(self.total / (self.count << _SCALE), self.count)
 
 
 def refused_positive(qid: str, logprob: float) -> EstimatorError:
@@ -80,7 +68,7 @@ def refused_positive(qid: str, logprob: float) -> EstimatorError:
 
 
 def aggregate_losses(records: Iterable) -> AggregateLoss:
-    """Exact mean/variance of loss = -logprob over every ``(qid, split, kind, logprob_nats)`` record.
+    """Exact mean of loss = -logprob over every ``(qid, split, kind, logprob_nats)`` record.
 
     The first positive logprob raises EstimatorError naming its record.
     """
@@ -92,99 +80,35 @@ def aggregate_losses(records: Iterable) -> AggregateLoss:
     return acc.result()
 
 
-class Branch(str, Enum):
-    ABOVE_THRESHOLD = "above_threshold"
-    BELOW_THRESHOLD = "below_threshold"
-    CLAMPED = "clamped"
+def first_hop_reading(x_two_hop: float, x_one_hop: float, n: int) -> float:
+    """The first-hop reliability that one two-hop answer shows, or inf when it shows none.
 
-
-class EffectiveLoss(NamedTuple):
-    """Per-hop (recurrent) or summed (two-function) loss imputed from two-hop loss."""
-
-    per_hop_loss_nats: float | None
-    summed_loss_nats: float | None
-    branch: Branch
-    u: float
-    q_tilde: float
-
-
-def _q_tilde(mean_loss_nats: float, var_loss_nats: float, n: int) -> tuple[float, bool]:
-    """Two-hop probability exp(-mean) * (1 + Var/2), clamped to [1/n, 1]."""
-    if mean_loss_nats < -1e-12:
-        raise EstimatorError("mean loss must be >= 0")
-    mean_loss_nats = max(0.0, mean_loss_nats)
-    if var_loss_nats < 0:
-        raise EstimatorError("loss variance must be >= 0")
-    q = math.exp(-mean_loss_nats) * (1.0 + var_loss_nats / 2.0)
-    clamped = not (1.0 / n <= q <= 1.0)
-    return min(1.0, max(1.0 / n, q)), clamped
-
-
-def two_function_threshold(n: int) -> float:
-    """Two-hop probability at which both hop budgets hit their bounds: 2/n - 1/n^2."""
-    return 2.0 / n - 1.0 / (n * n)
-
-
-def effective_loss_recurrent(mean_loss_nats: float, n: int) -> EffectiveLoss:
-    """Invert q = u^2 + (1-u)/n for the per-hop probability of a reused fact map.
-
-    Takes the root that maps q=1 to u=1 and fixes the chance level q=1/n at
-    u=1/n. q is exp(-mean) with no variance factor: only the two-function
-    inversion applies one.
+    ``x_two_hop`` is the logprob of a two-hop question (e1, r, a) with a
+    relation a, and ``x_one_hop`` that of the one-hop question (e2, a) of
+    its second hop. With q and u2 their exps, it inverts q = u1·u2 + (1 −
+    u1)/n: u1 = (q − 1/n) / (u2 − 1/n). An exp is off its probability by at
+    most (16 + 4·|logprob|)·2**-53, relative: a few roundings of the
+    probability, about |logprob| of its log, one of the exp. q is taken at
+    its low end and u2 at its high end, so the reading is at most u1; a u2
+    whose low end is at chance 1/n (exp(log(1/n)) may round above it) shows nothing.
     """
-    if n < 2:
-        raise EstimatorError("n must be >= 2")
-    q, clamped = _q_tilde(mean_loss_nats, 0.0, n)
-    disc = 1.0 - 4.0 * n * (1.0 - n * q)
-    u = (1.0 + math.sqrt(disc)) / (2.0 * n)
-    u = min(1.0, max(1.0 / n, u))
-    branch = Branch.CLAMPED if clamped else (
-        Branch.ABOVE_THRESHOLD if q > two_function_threshold(n) else Branch.BELOW_THRESHOLD
-    )
-    # 0.0 - log(1.0) is 0.0 where -log(1.0) is -0.0
-    return EffectiveLoss(
-        per_hop_loss_nats=0.0 - math.log(u),
-        summed_loss_nats=None,
-        branch=branch,
-        u=u,
-        q_tilde=q,
-    )
+    q_low, u2_low, u2_high = (math.exp(x) * (1.0 + side * (8.0 + 2.0 * abs(x)) * 2.0**-52)
+                              for x, side in ((x_two_hop, -1), (x_one_hop, -1), (x_one_hop, 1)))
+    if u2_low <= 1.0 / n:
+        return math.inf
+    return (q_low - 1.0 / n) / (u2_high - 1.0 / n)
 
 
-def effective_loss_two_function(
-    mean_loss_nats: float,
-    var_loss_nats: float = 0.0,
-    n: int = 2,
-) -> EffectiveLoss:
-    """Summed hop loss for a pair of hop functions with a shared budget.
+def first_hop_group(readings: Iterable[float], n: int) -> LossAccumulator:
+    """One group of first-hop unit losses: −ln of each unit's least reading, in any order.
 
-    The conservative feasible split minimizes the joint hop probability:
-    above the threshold q* = 2/n - 1/n^2 the second hop saturates at 1,
-    below it the first hop is pinned at the chance floor 1/n. q carries the
-    second-order factor (1 + Var/2).
+    A least ``first_hop_reading`` is clamped to [1/n, 1]; inf, where no
+    question shows the unit, is chance 1/n.
     """
-    if n < 2:
-        raise EstimatorError("n must be >= 2")
-    q, clamped = _q_tilde(mean_loss_nats, var_loss_nats, n)
-    inv_n = 1.0 / n
-    if q > two_function_threshold(n):
-        p1 = (q - inv_n) / (1.0 - inv_n)
-        p2 = 1.0
-        branch = Branch.ABOVE_THRESHOLD
-    else:
-        p1 = inv_n
-        p2 = (q - inv_n * (1.0 - inv_n)) / p1
-        branch = Branch.BELOW_THRESHOLD
-    if clamped:
-        branch = Branch.CLAMPED
-    product = p1 * p2
-    return EffectiveLoss(
-        per_hop_loss_nats=None,
-        summed_loss_nats=0.0 - math.log(product),
-        branch=branch,
-        u=math.sqrt(product),
-        q_tilde=q,
-    )
+    acc = LossAccumulator()
+    for u, count in Counter(readings).items():
+        acc.add(math.log(1.0 / n if u == math.inf else min(1.0, max(1.0 / n, u))), count)
+    return acc
 
 
 class ContentEstimate(NamedTuple):
@@ -193,54 +117,41 @@ class ContentEstimate(NamedTuple):
     content_bits: float
     model_kind: ModelKind | None
     fact_count: int
-    branch: Branch | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "entropy_bits": self.entropy_bits,
-            "total_loss_bits": self.total_loss_bits,
-            "content_bits": self.content_bits,
-            "task": task_name(self.model_kind),
-            "model_kind": self.model_kind.value if self.model_kind else None,
-            "fact_count": self.fact_count,
-            "branch": self.branch.value if self.branch else None,
-        }
+        return {**self._asdict(), "task": task_name(self.model_kind),
+                "model_kind": self.model_kind.value if self.model_kind else None}
 
 
 def content_estimate(
-    config: WorldConfig, model_kind: ModelKind | None, aggregate: AggregateLoss
+    config: WorldConfig,
+    model_kind: ModelKind | None,
+    aggregate: AggregateLoss,
+    hop1: AggregateLoss | None = None,
 ) -> ContentEstimate:
-    """Lower-bound content: dataset entropy minus total (effective) loss in bits.
+    """Lower-bound content: the model's entropy minus the loss of every unit it stores, in bits.
 
-    ``aggregate`` summarizes the one-hop losses when ``model_kind`` is None,
-    the two-hop losses otherwise.
+    ``aggregate`` is the loss of the questions that read one unit each: the
+    two-hop questions for independent's memo, the one-hop questions
+    otherwise (the one-hop task, recurrent's one table and two-function's
+    second hop). ``hop1`` is two-function's ``first_hop_group`` over the
+    units (e1, r); a first hop to a property, which no question reads,
+    counts at chance. ``fact_count`` is the number of units stored.
     """
-    n = config.n_profiles
-    if model_kind in (ModelKind.RECURRENT, ModelKind.TWO_FUNCTION) and n < 2:
-        raise EstimatorError(f"the recurrent and two-function inversions need at least 2 "
-                             f"profiles; the dataset has {n}")
-    fact_count = n * len(config.attributes)
-    branch = None
-    if model_kind is ModelKind.RECURRENT:
-        eff = effective_loss_recurrent(aggregate.mean_loss_nats, n)
-        loss_bits = fact_count * eff.per_hop_loss_nats / LN2
-        branch = eff.branch
-    elif model_kind is ModelKind.TWO_FUNCTION:
-        eff = effective_loss_two_function(aggregate.mean_loss_nats, aggregate.var_loss_nats, n)
-        loss_bits = fact_count * eff.summed_loss_nats / LN2
-        branch = eff.branch
-    else:
-        if model_kind is ModelKind.INDEPENDENT:  # one unit per two-hop question
-            fact_count *= len(config.relations)
-        loss_bits = fact_count * aggregate.mean_loss_bits
-    entropy_bits = dataset_entropy(config, model_kind).total_bits
+    n, reads = config.n_profiles, config.n_profiles * len(config.attributes)
+    if model_kind is ModelKind.INDEPENDENT:  # one unit per two-hop question
+        reads *= len(config.relations)
+    loss_bits = reads * aggregate.mean_loss_bits
+    if model_kind is ModelKind.TWO_FUNCTION:
+        unread = sum(map(attribute_entropy, config.pools[len(config.relations):]))
+        loss_bits += n * len(config.relations) * hop1.mean_loss_bits + n * unread
+    entropy = dataset_entropy(config, model_kind)
     return ContentEstimate(
-        entropy_bits=entropy_bits,
+        entropy_bits=entropy.total_bits,
         total_loss_bits=loss_bits,
-        content_bits=entropy_bits - loss_bits,
+        content_bits=entropy.total_bits - loss_bits,
         model_kind=model_kind,
-        fact_count=fact_count,
-        branch=branch,
+        fact_count=entropy.multiplier * n * len(config.attributes),
     )
 
 

@@ -10,16 +10,18 @@ from __future__ import annotations
 import json
 import re
 import sys
+from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import NUMBER_RE
-from math import inf, isfinite
+from math import inf, isfinite, log
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .estimator import AggregateLoss, EstimatorError, LossAccumulator, refused_positive
-from .worldgen import (_CHUNK_BYTES, SPLITS, DatasetIOError, QuestionKind, SplitSet,
-                       checked_dataset, load_manifest)
+from .estimator import (AggregateLoss, EstimatorError, LossAccumulator, first_hop_group,
+                        first_hop_reading, refused_positive)
+from .worldgen import (_CHUNK_BYTES, SPLITS, DatasetIOError, KeySpace, QuestionKind, SplitSet,
+                       World, checked_dataset, load_manifest)
 
 
 # A loss-log row has the bytes that json.dumps(row, sort_keys=True) gives
@@ -143,9 +145,11 @@ def read_loss_log(path: Path) -> list[LossRecord]:
     return [LossRecord._make(rec) for _, rec in _loss_rows(path)]
 
 
-# The accumulators a loss log folds into: one per kind, and one per split of
-# the two-hop records
-SUMMARY_GROUPS = ("one_hop", "two_hop", *(f"two_hop/{split}" for split in SPLITS))
+# The accumulators a loss log's rows fold into: one per kind, and one per
+# split of the two-hop records
+ROW_GROUPS = ("one_hop", "two_hop", *(f"two_hop/{split}" for split in SPLITS))
+# A summary's groups: the rows' and the first-hop units' (estimator.first_hop_group)
+SUMMARY_GROUPS = (*ROW_GROUPS, "hop1")
 
 
 def group_names(kind: str, split: str) -> tuple[str, ...] | None:
@@ -153,9 +157,9 @@ def group_names(kind: str, split: str) -> tuple[str, ...] | None:
 
     A one_hop row joins ``one_hop``; a two_hop row joins ``two_hop`` and,
     when its split is one of SPLITS, ``two_hop/SPLIT``; a row of another
-    kind joins none. A ``two_hop_cot`` row gives None: a fold refuses it
-    (``refused_cot``), since no estimator inverts chain-of-thought losses
-    yet and the latent-model inversion does not describe them.
+    kind joins none. A ``two_hop_cot`` row gives None: a fold refuses it,
+    since no estimator reads chain-of-thought losses yet and the latent
+    model's per-unit rule does not describe them.
     """
     if kind == QuestionKind.TWO_HOP.value:
         return ("two_hop", f"two_hop/{split}") if split in SPLITS else ("two_hop",)
@@ -164,39 +168,25 @@ def group_names(kind: str, split: str) -> tuple[str, ...] | None:
     return None if kind == QuestionKind.TWO_HOP_COT.value else ()
 
 
-def refused_cot(qid: str) -> EstimatorError:
-    return EstimatorError(
-        f"{qid} is a two_hop_cot record; chain-of-thought logs have no estimator yet"
-    )
-
-
-def new_groups() -> dict[str, LossAccumulator]:
-    return {name: LossAccumulator() for name in SUMMARY_GROUPS}
-
-
 def summarize(rows: Iterable[tuple[str, str, str, float]]) -> dict[str, LossAccumulator]:
-    """Add every ``(qid, split, kind, logprob_nats)`` row to SUMMARY_GROUPS' accumulators.
+    """Add every ``(qid, split, kind, logprob_nats)`` row to ROW_GROUPS' accumulators.
 
     A row joins the groups of ``group_names``. The first row, in row order,
     that no group takes raises EstimatorError: a ``two_hop_cot`` row, or a
     positive logprob in a row that joins a group.
     """
-    groups = new_groups()
-
-    def adds(kind: str, split: str) -> tuple | None:
-        names = group_names(kind, split)
-        return None if names is None else tuple(groups[name].add for name in names)
-
-    # the adds of every kind and split a dataset writes, found once
-    known = {
-        (kind.value, split): adds(kind.value, split)
-        for kind in QuestionKind
-        for split in SPLITS
-    }
+    groups = {name: LossAccumulator() for name in ROW_GROUPS}
+    # the adds of each kind and split that a dataset without chain of thought writes, found once
+    known = {(kind.value, split): tuple(groups[name].add for name in group_names(kind.value, split))
+             for kind in (QuestionKind.ONE_HOP, QuestionKind.TWO_HOP) for split in SPLITS}
     for qid, split, kind, x in rows:
-        row_adds = known.get((kind, split)) or adds(kind, split)
+        row_adds = known.get((kind, split))
         if row_adds is None:
-            raise refused_cot(qid)
+            names = group_names(kind, split)
+            if names is None:
+                raise EstimatorError(f"{qid} is a two_hop_cot record; "
+                                     f"chain-of-thought logs have no estimator yet")
+            row_adds = tuple(groups[name].add for name in names)
         if row_adds and x > 0:
             raise refused_positive(qid, x)
         for add in row_adds:
@@ -204,29 +194,56 @@ def summarize(rows: Iterable[tuple[str, str, str, float]]) -> dict[str, LossAccu
     return groups
 
 
-def results(groups: dict[str, LossAccumulator]) -> dict[str, AggregateLoss]:
-    """Each group's ``result()``, and zeros for an empty group.
+def fold_log(path: Path, world: World) -> dict[str, LossAccumulator]:
+    """SUMMARY_GROUPS' accumulators of the loss log at ``path``, joined to ``world`` in two passes.
 
-    A group whose mean or variance a float cannot hold raises
-    EstimatorError naming the group.
+    A row's question is the one its qid names (``KeySpace.key_of_qid``). The
+    first pass is ``summarize``'s, and keeps the highest logprob of each
+    one-hop question (e, a) with a relation a. The second keeps, for each
+    unit (e1, r), the least ``first_hop_reading`` of its two-hop questions
+    (e1, r, a) with a relation a, against the kept (e2, a) of the world's
+    target e2 of (e1, r). Each pass holds n·|R| floats.
     """
-    aggregates = {}
-    for name, acc in groups.items():
-        try:
-            aggregates[name] = acc.result() if acc.count else AggregateLoss(0.0, 0.0, 0)
-        except EstimatorError as exc:
-            raise EstimatorError(f"group {name}: {exc}") from None
-    return aggregates
+    space = KeySpace(world.config, cot=False)
+    n, n_relations, n_attrs = space.n_profiles, space.n_relations, space.n_attributes
+    second = array("d", [log(1.0 / n)]) * (n * n_relations)  # no row: at chance
+    readings = array("d", [inf]) * (n * n_relations)
+
+    def joined(head: str):
+        """Each row, and its question's (e1·(|R| + 1) + r, a) if the qid starts ``head``, a < |R|."""
+        for _, row in _loss_rows(path):
+            key = space.key_of_qid(row[0]) if row[0].startswith(head) else None
+            yield row, None if key is None or key % n_attrs >= n_relations else divmod(key, n_attrs)
+
+    def first_pass():
+        for row, question in joined("1h:"):
+            yield row
+            if question:  # q = e·(|R| + 1) + |R|
+                i = question[0] // (n_relations + 1) * n_relations + question[1]
+                second[i] = max(second[i], row[3])
+
+    groups = summarize(first_pass())
+    for (_, _, _, x), question in joined("2h:"):
+        if question:
+            (e1, r), a = divmod(question[0], n_relations + 1), question[1]
+            i, e2 = e1 * n_relations + r, world.facts[e1 * n_attrs + r]
+            readings[i] = min(readings[i], first_hop_reading(x, second[e2 * n_relations + a], n))
+    groups["hop1"] = first_hop_group(readings, n)
+    return groups
+
+
+def results(groups: dict[str, LossAccumulator]) -> dict[str, AggregateLoss]:
+    """Each group's ``result()``, and zeros for an empty group."""
+    return {name: acc.result() if acc.count else AggregateLoss(0.0, 0)
+            for name, acc in groups.items()}
 
 
 def summary_to_json(groups: dict[str, LossAccumulator], log_sha256: str) -> dict:
     """A run manifest's ``summary``: the log's sha256 and each group's ``results`` entry."""
     return {
         "log_sha256": log_sha256,
-        "groups": {
-            name: {"count": agg.count, "mean": agg.mean_loss_nats, "var": agg.var_loss_nats}
-            for name, agg in results(groups).items()
-        },
+        "groups": {name: {"count": agg.count, "mean": agg.mean_loss_nats}
+                   for name, agg in results(groups).items()},
     }
 
 
@@ -242,8 +259,8 @@ def summary_from_json(summary, where: str) -> tuple[str, dict[str, AggregateLoss
 
     ``summary`` is outside input: anything but an object holding a string
     ``log_sha256`` and every group of SUMMARY_GROUPS, each with an integer
-    ``count`` >= 0 and a finite ``mean`` and ``var`` >= 0, raises DatasetIOError
-    naming ``where``.
+    ``count`` >= 0 and a finite ``mean`` >= 0, raises DatasetIOError naming
+    ``where``. A summary written before the ``hop1`` group lacks it.
     """
     if type(summary) is not dict:
         raise DatasetIOError(f"{where}: summary must be a JSON object")
@@ -259,15 +276,13 @@ def summary_from_json(summary, where: str) -> tuple[str, dict[str, AggregateLoss
         state = recorded[name]
         if type(state) is not dict:
             raise DatasetIOError(f"{where}: summary group {name!r} must be a JSON object")
-        count, mean, var = state.get("count"), state.get("mean"), state.get("var")
+        count, mean = state.get("count"), state.get("mean")
         # type(), not isinstance(): a JSON true must not pass as the integer 1
         if type(count) is not int or count < 0:
             raise DatasetIOError(f"{where}: summary group {name!r}: count must be an integer >= 0")
-        if not (_finite_number(mean) and _finite_number(var)):
-            raise DatasetIOError(f"{where}: summary group {name!r}: mean and var must be finite")
-        if mean < 0 or var < 0:  # a loss is -logprob >= 0, and so are its mean and variance
-            raise DatasetIOError(f"{where}: summary group {name!r}: mean and var must be >= 0")
-        groups[name] = AggregateLoss(float(mean), float(var), count)
+        if not (_finite_number(mean) and mean >= 0):  # a loss is -logprob >= 0, and so is a mean
+            raise DatasetIOError(f"{where}: summary group {name!r}: mean must be a number >= 0")
+        groups[name] = AggregateLoss(float(mean), count)
     return log_sha256, groups
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
 from .entropy import ModelKind, _multiplier, dataset_entropy
-from .estimator import LossAccumulator, refused_positive
+from .estimator import LossAccumulator, first_hop_group, first_hop_reading, refused_positive
 from .generalization import TrainIndex, train_two_hops
-from .logs import LossRecord, group_names, new_groups, row_head, row_tail
+from .logs import ROW_GROUPS, LossRecord, group_names, row_head, row_tail
 from .worldgen import _CHUNK_BYTES, KeySpace, QuestionKind, SplitSet, World, WorldConfig
 
 
@@ -155,6 +156,13 @@ def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
     return units * len(config.relations) if model_kind is ModelKind.INDEPENDENT else units
 
 
+# A question's code (lead + flag, 0 to 3) as its bit of a mask, and an absent one's (4 and up,
+# from _ABSENT: split code 0) as none; _MASKS holds each mask's codes
+_ONE_HOT = bytes(1 << code if code < 4 else 0 for code in range(256))
+_ABSENT = bytes([4]) + bytes(255)
+_MASKS = [[code for code in range(4) if mask >> code & 1] for mask in range(16)]
+
+
 class LossTable:
     """The log-prob and row text of every question one profile answers, built once per run.
 
@@ -176,7 +184,7 @@ class LossTable:
     in ``values``, which holds ``(ln q, kind)`` once per distinct head: the log of
     the probability of the correct answer, and the kind. A composing model that
     misses the first hop guesses uniformly over |N| entities, the fallback
-    both inversions assume, so ``q = p1·p2 + (1 − p1)/|N|``; a question
+    the first-hop reading assumes, so ``q = p1·p2 + (1 − p1)/|N|``; a question
     that needs an unlearned unit is answered at chance 1/|V_a|. A cell with
     ``ln q > 0`` raises EstimatorError naming its entry (``2h:E1:R:A``).
     """
@@ -236,6 +244,38 @@ class LossTable:
         return [4 * (key % per_entity) + lead[q := key // n_attrs] + flags[base[q] + key % n_attrs]
                 for key in keys]
 
+    def first_hop_readings(self, split_set: SplitSet) -> Iterator[float]:
+        """Each unit (e1, r)'s least ``first_hop_reading`` over its rows, r by r.
+
+        Its rows are its questions (e1, r, a) with a relation a that the split
+        table holds. Such a question's cell is ``4·rest + code``, with ``code =
+        lead[q] + flags[base[q] + a]``, and the one-hop question (e2, a) of its
+        second hop has cell ``4·rest' + code % 2`` (a memo's one-hop answer is
+        at chance whatever its flag): (r, a) reads one value per code. Per r,
+        a unit's codes are a bitmask per distinct four values; its least is looked up.
+        """
+        space, n = self.space, self.space.n_profiles
+        n_relations, n_attrs = space.n_relations, space.n_attributes
+        x = [self.values[place][0] for place in self.cells]  # each cell's logprob
+        for r in range(n_relations):
+            leads = int.from_bytes(self.lead[r :: n_relations + 1], "big")
+            rows = [base // n_attrs for base in self.base[r :: n_relations + 1]]  # of flags[a::|A|]
+            masks = {}
+            for a in range(n_relations):
+                flags = bytes(map(self.flags[a::n_attrs].__getitem__, rows))
+                absent = split_set.table[r * n_attrs + a :: space.per_entity].translate(_ABSENT)
+                codes = leads | int.from_bytes(flags, "big") | int.from_bytes(absent, "big")
+                values = tuple(first_hop_reading(x[4 * (r * n_attrs + a) + code],
+                                                 x[4 * (n_relations * n_attrs + a) + code % 2], n)
+                               for code in range(4))
+                bits = int.from_bytes(codes.to_bytes(n, "big").translate(_ONE_HOT), "big")
+                masks[values] = masks.get(values, 0) | bits
+            columns = []  # per distinct four values: each unit's least of them
+            for values, bits in masks.items():
+                least = [min(map(values.__getitem__, codes), default=math.inf) for codes in _MASKS]
+                columns.append(map(least.__getitem__, bits.to_bytes(n, "big")))
+            yield from map(min, repeat(math.inf), *columns)
+
 
 def loss_records(
     world: World,
@@ -262,16 +302,17 @@ def write_log(
     A row is its cell's head (``LossTable.heads``), ``str(e1)`` and
     ``logs.row_tail``'s text; a block is a split's next rows, as many as fit
     in ``_CHUNK_BYTES`` at the longest of each. The groups are
-    ``logs.new_groups()`` holding every row, or None for a chain-of-thought
-    space, whose losses no estimator reads. Each split's rows are counted per
-    value of the table, and once the split is written each value that holds
-    rows is added to the groups of ``logs.group_names`` with its count. A
-    profile with a positive cell is refused by ``LossTable`` before the file
-    is opened.
+    ``logs.ROW_GROUPS`` holding every row, and ``hop1`` from the table's
+    ``first_hop_readings``; or None for a chain-of-thought space, whose
+    losses no estimator reads. Each split's rows are counted per value of
+    the table, and once the split is written each value that holds rows is
+    added to the groups of ``logs.group_names`` with its count. A profile
+    with a positive cell is refused by ``LossTable`` before the file is opened.
     """
     space = split_set.space
     table, per_entity = LossTable(world, profile, space), space.per_entity
-    groups = None if space.two_hop_kind is QuestionKind.TWO_HOP_COT else new_groups()
+    cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
+    groups = None if cot else {name: LossAccumulator() for name in ROW_GROUPS}
     names = [str(e1) for e1 in range(world.config.n_profiles)]  # once per entity, not per row
     heads, places = table.heads, table.cells
     count = 0
@@ -291,6 +332,8 @@ def write_log(
             for (x, kind), n in zip(table.values, rows) if groups is not None else ():
                 for name in group_names(kind, split) if n else ():
                     groups[name].add(x, n)
+    if groups is not None:
+        groups["hop1"] = first_hop_group(table.first_hop_readings(split_set), space.n_profiles)
     return count, groups
 
 
@@ -304,7 +347,10 @@ def generate_loss_log(
 
 
 def ground_truth_content(world: World, profile: ReliabilityProfile) -> float:
-    """Exact content in bits: model-kind entropy minus the loss of every stored unit."""
+    """Exact content in bits: model-kind entropy minus the loss of every unit that questions read.
+
+    That is every stored unit but a two-function first hop to a property, which counts at chance.
+    """
     cfg = world.config
     n_attrs = len(cfg.attributes)
     loss = 0.0
@@ -314,8 +360,9 @@ def ground_truth_content(world: World, profile: ReliabilityProfile) -> float:
         for a, chance in enumerate(profile.chance):
             flags = table.flags[a::n_attrs]
             high = flags.count(1)
+            unread = table is profile.hop1 and a >= len(cfg.relations)
             for count, p in ((high, table.high[a]), (len(flags) - high, table.low[a])):
-                loss -= count * math.log2(chance if p is None else p)
+                loss -= count * math.log2(chance if p is None or unread else p)
     return dataset_entropy(cfg, profile.model_kind).total_bits - loss
 
 

@@ -1,7 +1,8 @@
 """Reference implementations that the tests hold the toolkit's fast paths to.
 
-The numerical oracles solve the same equations as ``twohop.estimator``'s
-closed forms by a search that shares no algebra with them.
+The numerical oracles solve the same equation as
+``twohop.estimator.first_hop_reading`` by a search that shares no algebra
+with it, and ``read_unit_content`` counts a log's content unit by unit.
 ``reference_validate`` joins a loss log one decoded line at a time.
 ``answer_prob``, ``pack``, ``unpack``, ``relation_target`` and
 ``presence_flags`` evaluate one question, key or fact directly, where the
@@ -21,7 +22,8 @@ import random
 from array import array
 from itertools import zip_longest
 
-from twohop.entropy import ModelKind, _fact_bits_per_pass, attribute_entropy, name_selection_entropy
+from twohop.entropy import (ModelKind, _fact_bits_per_pass, attribute_entropy, dataset_entropy,
+                            name_selection_entropy)
 from twohop.estimator import EstimatorError
 from twohop.generalization import EvaluationError, PresenceFlags
 from twohop.logs import LogDiagnostics, _loss_rows
@@ -132,8 +134,8 @@ def answer_prob(profile, e1: int, r: int, a: int, e2: int) -> float:
 
     ``r = |R|`` is the one-hop question, with ``e2 = e1``; otherwise e2 is
     relation r's target of e1. For composing models, a first-hop miss
-    falls back to a uniform guess over |N| entities, the fallback both
-    inversions assume. A question that needs an unlearned unit is
+    falls back to a uniform guess over |N| entities, the fallback the
+    first-hop reading assumes. A question that needs an unlearned unit is
     answered at chance 1/|V_a|. This is the reference for ``LossTable``,
     which gives the log of it for every question of a run.
     """
@@ -221,24 +223,23 @@ def strict_two_function_total_bits(config) -> float:
     return name_bits + relation_bits + _fact_bits_per_pass(config)
 
 
-def _check_q_range(q: float, n: int, slack: float = 1e-9) -> float:
-    """Validate q against [1/n, 1], absorbing float rounding at the endpoints."""
-    lo = 1.0 / n
-    if q < lo - slack * lo or q > 1.0 + slack:
-        raise EstimatorError(f"q = {q} outside [1/{n}, 1]")
-    return min(1.0, max(lo, q))
+def _check_q_range(q: float, u2: float, n: int, slack: float = 1e-9) -> float:
+    """Validate q against the range [u2/n + (1 - 1/n)/n, u2] of q = u*u2 + (1-u)/n on u in [1/n, 1]."""
+    lo, hi = u2 / n + (1.0 - 1.0 / n) / n, u2
+    if q < lo - slack * lo or q > hi + slack:
+        raise EstimatorError(f"q = {q} outside [{lo}, {hi}]")
+    return min(hi, max(lo, q))
 
 
-def oracle_invert_recurrent(q: float, n: int, tol: float = 1e-12) -> float:
-    """Bisection solve of q = u^2 + (1-u)/n on [1/n, 1], independent of the closed form."""
-    q = _check_q_range(q, n)
+def oracle_invert_first_hop(q: float, u2: float, n: int, tol: float = 1e-12) -> float:
+    """Bisection solve of q = u*u2 + (1-u)/n on [1/n, 1] for u2 > 1/n, independent of the closed form."""
+    q = _check_q_range(q, u2, n)
 
     def residual(u: float) -> float:
-        return u * u + (1.0 - u) / n - q
+        return u * u2 + (1.0 - u) / n - q
 
     lo, hi = 1.0 / n, 1.0
-    # residual is increasing in u on [1/n, 1]; bisect down to float resolution,
-    # which leaves the residual far below tol even where the slope is flat
+    # residual is increasing in u when u2 > 1/n; bisect down to float resolution
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if residual(mid) < 0:
@@ -253,48 +254,56 @@ def oracle_invert_recurrent(q: float, n: int, tol: float = 1e-12) -> float:
     return u
 
 
-def oracle_two_function_loss(q: float, n: int) -> tuple[float, float, float]:
-    """Grid-plus-refinement search for the conservative hop split.
+def oracle_first_hop_loss(q: float, u2: float, n: int) -> float:
+    """Grid-plus-refinement search for the first-hop loss -ln u that composes to q with u2.
 
-    Scans p1 over its feasible range (p2 = (q - (1-p1)/n)/p1 within
-    [1/n, 1]) and refines around the feasible point of minimal joint
-    probability, i.e. maximal summed loss. Returns (p1, p2, summed loss).
+    Scans u over [1/n, 1] for the least |u*u2 + (1-u)/n - q| and refines
+    around the best grid point.
     """
-    inv_n = 1.0 / n
-    q = _check_q_range(q, n)
-    feas_eps = 1e-9
-
-    def p2_of(p1: float) -> float:
-        return (q - (1.0 - p1) / n) / p1
-
-    def summed_loss(p1: float) -> float | None:
-        p2 = p2_of(p1)
-        if p2 < inv_n - feas_eps or p2 > 1.0 + feas_eps:
-            return None
-        p2 = min(1.0, max(inv_n, p2))
-        return -math.log(p1) - math.log(p2)
-
-    lo, hi = inv_n, 1.0
-    best_p1 = None
-    grid = 64
-    for _ in range(14):
+    q = _check_q_range(q, u2, n)
+    lo, hi, grid = 1.0 / n, 1.0, 64
+    best = lo
+    for _ in range(40):
         step = (hi - lo) / grid
-        best_val = None
-        best_idx = None
-        for i in range(grid + 1):
-            p1 = lo + i * step
-            val = summed_loss(p1)
-            if val is not None and (best_val is None or val > best_val):
-                best_val, best_idx = val, i
-        if best_idx is None:
-            raise EstimatorError(f"no feasible hop split for q = {q}")
-        best_p1 = lo + best_idx * step
-        lo = max(inv_n, best_p1 - step)
-        hi = min(1.0, best_p1 + step)
+        best = min((lo + i * step for i in range(grid + 1)),
+                   key=lambda u: abs(u * u2 + (1.0 - u) / n - q))
+        lo, hi = max(1.0 / n, best - step), min(1.0, best + step)
         if hi - lo < 1e-15:
             break
-    p2 = min(1.0, max(inv_n, p2_of(best_p1)))
-    return best_p1, p2, -math.log(best_p1) - math.log(p2)
+    return -math.log(best)
+
+
+def read_unit_content(world, profile, split_set) -> float:
+    """Exact content in bits of the units some loss of ``split_set``'s log depends on.
+
+    It is ``ground_truth_content`` with each unit that no answer depends on
+    counted at chance: a memo unit whose question the dataset lacks, a
+    two-function first hop to a property, and a first hop (e1, r) none of
+    whose questions (e1, r, a) with a relation a is in the dataset with a
+    second hop (e2, a) above chance 1/n; each answer is ``answer_prob``'s.
+    """
+    cfg, space = world.config, split_set.space
+    n, n_relations, n_attrs = cfg.n_profiles, len(cfg.relations), len(cfg.attributes)
+    loss = 0.0
+    for e1 in range(n):
+        for a in range(n_attrs):
+            for r in range(n_relations):
+                e2 = world.facts[e1 * n_attrs + r]
+                question = split_set.table[pack(space, e1, r, a)]
+                if profile.memo is not None:  # a memo unit per two-hop question
+                    q = answer_prob(profile, e1, r, a, e2) if question else profile.chance[a]
+                    loss -= math.log2(q)
+                elif profile.hop1 is not None and a == 0:  # the first hop (e1, r), once
+                    p1 = profile.hop1[e1 * n_attrs + r]
+                    seen = any(split_set.table[pack(space, e1, r, b)]
+                               and (profile.hop2[e2 * n_attrs + b] or 0.0) > 1.0 / n
+                               for b in range(n_relations))
+                    loss -= math.log2(p1 if seen and p1 is not None else 1.0 / n)
+            if profile.memo is None:  # the one-hop question reads (e1, a) of the one table
+                loss -= math.log2(answer_prob(profile, e1, n_relations, a, e1))
+    if profile.hop1 is not None:  # the first hops to properties, at chance
+        loss += n * sum(math.log2(pool) for pool in cfg.pools[n_relations:])
+    return dataset_entropy(cfg, profile.model_kind).total_bits - loss
 
 
 def reference_validate(log_path, dataset_dir) -> LogDiagnostics:

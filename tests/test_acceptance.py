@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import oracle_invert_recurrent, oracle_two_function_loss, relation_target, unpack
+from oracles import oracle_first_hop_loss, oracle_invert_first_hop, relation_target, unpack
 from twohop import (
     HOLDOUT_KINDS,
     ModelKind,
@@ -23,8 +23,6 @@ from twohop import (
     classify_algorithm,
     content_estimate,
     dataset_entropy,
-    effective_loss_recurrent,
-    effective_loss_two_function,
     evaluate_holdouts,
     generate_world,
     ground_truth_content,
@@ -36,7 +34,10 @@ from twohop import (
     summarize,
     uniform_baselines,
 )
+from twohop.estimator import first_hop_group, first_hop_reading
+from twohop.logs import results
 from twohop.report import CapacityPoint, capacity_table, scaling_plot
+from twohop.simulate import write_log
 from twohop.worldgen import sha256_file
 
 
@@ -50,10 +51,18 @@ def criterion(number: int, description: str):
     print(f"criterion {number} ({description}): PASS")
 
 
-def _estimate_bits(world, split_set, kind, profile) -> float:
-    # the fold and group every CLI reader takes its two-hop aggregate from
-    groups = summarize(loss_records(world, profile, split_set))
-    return content_estimate(world.config, kind, groups["two_hop"].result()).content_bits
+def _estimate_bits(world, split_set, kind, profile, log) -> float:
+    # the groups of the summary that simulate writes beside the log at ``log``
+    _, groups = write_log(world, profile, split_set, log)
+    aggregates = results(groups)
+    reads = aggregates["two_hop" if kind is ModelKind.INDEPENDENT else "one_hop"]
+    return content_estimate(world.config, kind, reads, aggregates["hop1"]).content_bits
+
+
+def _first_hop_loss(q: float, u2: float, n: int) -> float:
+    """The loss of a unit whose one question composes to q with second hop u2."""
+    reading = first_hop_reading(math.log(q), math.log(u2), n)
+    return first_hop_group([reading], n).result().mean_loss_nats
 
 
 def test_criterion_1_signature_table():
@@ -80,48 +89,44 @@ def test_criterion_1_signature_table():
             assert predict_generalization(kind, flags) is expected, (kind, pairs, full)
 
 
-def test_criterion_2_recurrent_inversion_round_trip():
-    """Forward-compose then invert recovers the per-hop probability."""
-    with criterion(2, "recurrent inversion round trip"):
+def test_criterion_2_first_hop_inversion_round_trip():
+    """Forward-compose then invert recovers the first-hop probability."""
+    with criterion(2, "first-hop inversion round trip"):
         worst = 0.0
         for n in (10, 100, 1000, 10_000):
-            for u in (1.0 / n, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0):
-                if u < 1.0 / n:
-                    continue  # below the chance floor: not producible by the model
-                q = u * u + (1.0 - u) / n
-                eff = effective_loss_recurrent(-math.log(q), n)
-                worst = max(worst, abs(eff.u - u))
-                assert abs(oracle_invert_recurrent(q, n) - u) <= 1e-9
+            for u2 in (1.0, 0.5):
+                for u in (1.0 / n, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0):
+                    if u < 1.0 / n:
+                        continue  # below the chance floor: not producible by the model
+                    q = u * u2 + (1.0 - u) / n
+                    worst = max(worst, abs(first_hop_reading(math.log(q), math.log(u2), n) - u))
+                    assert abs(oracle_invert_first_hop(q, u2, n) - u) <= 1e-9
         assert worst <= 1e-9, worst
 
 
-def test_criterion_3_two_function_oracle_agreement():
-    """Closed-form hop split matches the constrained-search oracle."""
-    with criterion(3, "conservative hop-split closed form vs search"):
+def test_criterion_3_first_hop_oracle_agreement():
+    """The per-unit first-hop loss matches the search oracle across q."""
+    with criterion(3, "per-unit first-hop loss vs search"):
         for n in (100, 1000):
-            lo = 1.0 / n
-            for i in range(200):
-                q = lo + (1.0 - lo) * i / 199
-                eff = effective_loss_two_function(-math.log(q), 0.0, n)
-                _, _, oracle = oracle_two_function_loss(q, n)
-                err = abs(eff.summed_loss_nats - oracle) / max(1.0, abs(oracle))
-                assert err <= 1e-6, (n, q, err)
-            q_star = 2.0 / n - 1.0 / (n * n)
-            above = effective_loss_two_function(-math.log(q_star * (1 + 1e-12)), 0.0, n)
-            below = effective_loss_two_function(-math.log(q_star * (1 - 1e-12)), 0.0, n)
-            assert abs(above.summed_loss_nats - math.log(n)) <= 1e-9
-            assert abs(below.summed_loss_nats - math.log(n)) <= 1e-9
-            assert abs(above.summed_loss_nats - below.summed_loss_nats) <= 1e-9
+            for u2 in (1.0, 0.5):
+                lo = u2 / n + (1.0 - 1.0 / n) / n  # q at u = 1/n
+                for i in range(200):
+                    q = lo + (u2 - lo) * i / 199
+                    loss, oracle = _first_hop_loss(q, u2, n), oracle_first_hop_loss(q, u2, n)
+                    err = abs(loss - oracle) / max(1.0, abs(oracle))
+                    assert err <= 1e-6, (n, u2, q, err)
 
 
 def test_criterion_4_chance_fixed_points():
-    """Chance-level two-hop loss maps to chance-level hop losses."""
+    """Chance-level answers map to chance-level first-hop losses."""
     with criterion(4, "chance fixed points"):
         for n in (10, 100, 1000, 10_000):
-            rec = effective_loss_recurrent(math.log(n), n)
-            two = effective_loss_two_function(math.log(n), 0.0, n)
-            assert abs(rec.per_hop_loss_nats - math.log(n)) <= 1e-12 * math.log(n)
-            assert abs(two.summed_loss_nats - 2 * math.log(n)) <= 1e-12 * math.log(n)
+            for q, u2 in ((1.0 / n, 1.0), (1.0 / n, 1.0 / n), (1.0, 1.0 / n)):
+                # at chance: the question itself, or its second hop, which then shows nothing
+                assert abs(_first_hop_loss(q, u2, n) - math.log(n)) <= 1e-12 * math.log(n)
+            assert first_hop_group([], n).count == 0
+            unseen = first_hop_group([math.inf] * 3, n).result()
+            assert abs(unseen.mean_loss_nats - math.log(n)) <= 1e-12 * math.log(n)
 
 
 def test_criterion_5_entropy_ordering_and_baseline():
@@ -155,24 +160,25 @@ def test_criterion_5_entropy_ordering_and_baseline():
                 assert abs(baseline_content(cfg, kind) - name) <= 1e-6
 
 
-def test_criterion_6_closed_loop_capacity(desk_world, desk_splits):
+def test_criterion_6_closed_loop_capacity(desk_world, desk_splits, tmp_path):
     """Simulated losses estimate back to the simulator's exact content."""
     kinds = (ModelKind.RECURRENT, ModelKind.TWO_FUNCTION, ModelKind.INDEPENDENT)
+    log = tmp_path / "run.jsonl"
     with criterion(6, "closed-loop capacity recovery"):
         for kind in kinds:
             for level in (None, 0.25, 0.5, 0.9, 1.0):
                 profile = ReliabilityProfile.homogeneous(desk_world.config, kind, level)
-                est = _estimate_bits(desk_world, desk_splits, kind, profile)
+                est = _estimate_bits(desk_world, desk_splits, kind, profile, log)
                 truth = ground_truth_content(desk_world, profile)
-                assert abs(est - truth) <= 0.005 * max(1.0, abs(truth)), (kind, level)
+                assert abs(est - truth) <= 1e-9 * max(1.0, abs(truth)), (kind, level)
         for kind in kinds:
             profile = ReliabilityProfile.two_point(
                 desk_world.config, kind, 0.3, 0.9, 0.5, seed=17
             )
-            est = _estimate_bits(desk_world, desk_splits, kind, profile)
+            est = _estimate_bits(desk_world, desk_splits, kind, profile, log)
             truth = ground_truth_content(desk_world, profile)
             entropy = dataset_entropy(desk_world.config, kind).total_bits
-            assert abs(est - truth) <= 0.10 * max(1.0, abs(truth)), kind
+            assert abs(est - truth) <= 1e-9 * max(1.0, abs(truth)), kind
             assert est <= entropy + 1e-6
 
 
@@ -198,7 +204,7 @@ def test_criterion_7_signature_closed_loop(desk_world, desk_holdout_splits):
                 }
 
 
-def test_criterion_8_trap_regime(trap_cfg):
+def test_criterion_8_trap_regime(trap_cfg, tmp_path):
     """Loss-weight arithmetic plus a budget sweep tracking the memo entropy."""
     with criterion(8, "trap-regime arithmetic and budget sweep"):
         assert loss_impact_ratio(10, 4) == 2.5
@@ -212,7 +218,7 @@ def test_criterion_8_trap_regime(trap_cfg):
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             budget = frac * fact_bits
             profile = allocate_budget(kind, budget, trap_cfg)
-            est = _estimate_bits(world, split_set, kind, profile)
+            est = _estimate_bits(world, split_set, kind, profile, tmp_path / "run.jsonl")
             predicted = name + min(budget, fact_bits)
             assert abs(est - predicted) <= 0.005 * max(1.0, predicted), frac
             assert est <= entropy + 1e-6
