@@ -778,19 +778,19 @@ GOLDEN_OUTPUTS = {
     ("entropy", "recurrent"): "f461a3c54048467a6744c17c40f7d2a6acc174e04872c5d8646a281d73e5ba60",
     ("entropy", "2f"): "7531de1f257932136202de71219fcfc1989d7cf81e5ecd0cda749e3b69aef555",
     ("entropy", "independent"): "7db16f43086af83dacd05fa0c855d39bfa3a0f476f94cd557fb2231195dc7564",
-    ("estimate", "one-hop"): "0733e65a44e1b0900c9182fb4c94bd6d88b0d59d267c988b6bb74f5eb5e4a1c1",
-    ("estimate", "recurrent"): "72c195b11cfb192cd8fe522791c75236c309f2b7e823b950460ba49587a0d2d2",
-    ("estimate", "2f"): "d8dbb5cd55e5ce8134386b8d45524f0140af30c0edfe3f10f63c1a914f3fbf7b",
-    ("estimate", "independent"): "3e0d9f0841a0169d8cbce1e98babeaeb7de2550f5ca0de60ba6d530075c33130",
+    ("estimate", "one-hop"): "79c68cee17f32a406711a954554cc2d18d4b217abee9e47dfa4325a25fe327eb",
+    ("estimate", "recurrent"): "a9cb3baa5a0dc60657085ca605b9a078c78ffb2cf1375f67828cddf3dc7a3d3e",
+    ("estimate", "2f"): "eeefff3c419c9aca4a5ab44564618af27793b314515dad8def472cbd6aac78b1",
+    ("estimate", "independent"): "9f9bd283961eeedbd0823733ca0eff190a855f8e1488398441c86379b268dab7",
     ("classify", "recurrent"): "38dfc5b024b5413ec632e455f31a315337c7336add7517badb7be4770ff80563",
     ("classify", "2f"): "ec34720b2bb580cdd0407402a6db11d87a5d59f4711c5b8a0152ddf62dd7e268",
     ("classify", "independent"): "8bef80d8233923c8c82edbda51ba8e976bd97a0f232517b72f0c37e49561ebe6",
     ("report.csv", "recurrent"): "9c4379b38a0a33654709cd6d8308dd47f1521ebaf7236587007b3102bb9fed0a",
-    ("report.csv", "2f"): "371fbce80f2b1d1867067360dd09079d414390de41171f0707eaed97a1054423",
+    ("report.csv", "2f"): "277e651d08d310b418e41f585ad9929a3a4cfe40b1546435f0c254948287000b",
     ("report.csv", "independent"):
         "6f82713ce0743da453b8fe7f8961b1812f2f3bfb7ded6777317d66da938f1364",
     ("report.svg", "recurrent"): "3827bc33d47942dadca8c36c7388adc0e8539a49a4220ac1ce6eab37031984f8",
-    ("report.svg", "2f"): "97a3e7c538e07dce23a2b68425221e1cddf8557346aae44c413f26965ba68d39",
+    ("report.svg", "2f"): "c880f85248cd910b0b6851c8c2088a29d88c38638de5c51792f7fb39eb5f349b",
     ("report.svg", "independent"):
         "7060d7bd094cbaf26bd9243e2ac25a35d9774685ff35e832a1ca187803e3a01d",
 }
