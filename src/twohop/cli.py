@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache, partial
 from pathlib import Path
 
 from . import entropy as entropy_mod
@@ -34,42 +35,43 @@ def _property_specs(count: int) -> tuple[tuple[str, int], ...]:
     return tuple(props)
 
 
-def _read_log(manifest: dict, dataset_sha: str, losses: Path, force: bool) -> tuple[dict, dict]:
+def _read_log(dataset_sha: str, losses: Path, replay) -> tuple[dict, dict]:
     """A loss log's run manifest ({} when there is none) and its SUMMARY_GROUPS aggregates.
 
-    The run manifest, a JSON object read once, must exist and record the
-    dataset's manifest sha256 in ``dataset_manifest_sha256``, unless
-    ``force``. The aggregates come from its ``summary`` when that records
-    the log's sha256, and otherwise from ``logs.fold_log`` against the world
-    of the dataset ``manifest``'s config.
+    The run manifest is a JSON object, read once; one that records another
+    dataset's manifest sha256 in ``dataset_manifest_sha256`` is refused. The
+    aggregates are its ``summary``'s when it records this dataset's sha256
+    and the summary records the log's. Otherwise ``logs.require_complete``
+    must find the log complete against the dataset's ``replay()`` (its split
+    set and world), and they are ``logs.fold_log``'s; a chain-of-thought
+    dataset's log is refused, as no estimator reads its losses yet.
     """
-    from . import logs
+    from . import estimator, logs
     path = losses.with_suffix(".json")
     try:
         with open(path, encoding="utf-8") as f:
             run_meta = json.load(f)
     except (FileNotFoundError, NotADirectoryError):  # no run manifest
-        if not force:
-            raise worldgen.DatasetIOError(
-                f"no run manifest at {path}; pass --force to skip the dataset binding check"
-            ) from None
         run_meta = {}
     except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise worldgen.DatasetIOError(f"cannot read run manifest {path}: {exc}") from exc
-    else:
-        if not isinstance(run_meta, dict):
-            raise worldgen.DatasetIOError(f"run manifest {path} is not a JSON object")
-        recorded = run_meta.get("dataset_manifest_sha256")
-        if recorded != dataset_sha and not force:
-            raise worldgen.DatasetIOError(
-                f"loss log was produced against a different dataset "
-                f"(manifest sha256 {recorded} != {dataset_sha}); pass --force to override"
-            )
+    if not isinstance(run_meta, dict):
+        raise worldgen.DatasetIOError(f"run manifest {path} is not a JSON object")
+    bound = "dataset_manifest_sha256" in run_meta
+    if bound and run_meta["dataset_manifest_sha256"] != dataset_sha:
+        raise worldgen.DatasetIOError(
+            f"loss log was produced against a different dataset "
+            f"(manifest sha256 {run_meta['dataset_manifest_sha256']} != {dataset_sha})"
+        )
     if "summary" in run_meta:
         log_sha, groups = logs.summary_from_json(run_meta["summary"], f"run manifest {path}")
-        if log_sha == worldgen.sha256_file(losses):
+        if bound and log_sha == worldgen.sha256_file(losses):
             return run_meta, groups
-    world = worldgen.generate_world(worldgen.WorldConfig.from_dict(manifest["config"]))
+    split_set, world = replay()
+    if split_set.params["cot"]:
+        raise estimator.EstimatorError(f"{losses}: chain-of-thought (two_hop_cot) logs "
+                                       f"have no estimator yet")
+    logs.require_complete(losses, split_set)
     return run_meta, logs.results(logs.fold_log(losses, world))
 
 
@@ -253,7 +255,7 @@ def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):
 def _cmd_estimate(args) -> int:
     dataset_dir, losses = Path(args.dataset), Path(args.losses)
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
-    _, groups = _read_log(manifest, dataset_sha, losses, args.force)
+    _, groups = _read_log(dataset_sha, losses, partial(worldgen.replay_dataset, dataset_dir, manifest))
     config, kind = worldgen.WorldConfig.from_dict(manifest["config"]), MODELS[args.model]
     est, agg = _estimate_for(config, groups, kind, losses)
     payload = est.to_dict()
@@ -268,8 +270,10 @@ def _cmd_classify(args) -> int:
     from . import generalization
     dataset_dir, losses = Path(args.dataset), Path(args.losses)
     manifest, dataset_sha = worldgen.load_manifest(dataset_dir)
-    _, groups = _read_log(manifest, dataset_sha, losses, args.force)
-    split_set, world = worldgen.replay_dataset(dataset_dir, manifest)
+    # one replay, for the fold (if any) and the baselines
+    replay = cache(partial(worldgen.replay_dataset, dataset_dir, manifest))
+    _, groups = _read_log(dataset_sha, losses, replay)
+    split_set, world = replay()
     baselines = generalization.uniform_baselines(split_set, world.config)
     empty = [kind for kind in worldgen.HOLDOUT_KINDS if kind not in baselines]
     if empty:
@@ -301,9 +305,10 @@ def _cmd_report(args) -> int:
     manifest, dataset_sha = worldgen.load_manifest(Path(args.dataset))
     config, kind = worldgen.WorldConfig.from_dict(manifest["config"]), MODELS[args.model]
     baseline = entropy_mod.baseline_content(config, kind)
-    points = []
+    # one replay, for every log that is folded
+    replay, points = cache(partial(worldgen.replay_dataset, Path(args.dataset), manifest)), []
     for losses in map(Path, args.losses):
-        run_meta, groups = _read_log(manifest, dataset_sha, losses, args.force)
+        run_meta, groups = _read_log(dataset_sha, losses, replay)
         est, _ = _estimate_for(config, groups, kind, losses)
         label, params = _point_meta(losses, run_meta)
         points.append(
@@ -400,13 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", required=True)
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--force", action="store_true", help="skip the dataset binding check")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("classify", help="holdout generalization signature and algorithm")
     p.add_argument("--dataset", required=True)
     p.add_argument("--losses", required=True)
-    p.add_argument("--force", action="store_true", help="skip the dataset binding check")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("validate", help="check a loss log against its dataset")
@@ -423,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(e.g. add 1.6 for the observed line)")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", default=None)
-    p.add_argument("--force", action="store_true", help="skip the dataset binding check")
     p.set_defaults(func=_cmd_report)
 
     return parser

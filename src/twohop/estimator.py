@@ -63,10 +63,6 @@ class LossAccumulator:
         return AggregateLoss(self.total / (self.count << _SCALE), self.count)
 
 
-def refused_positive(qid: str, logprob: float) -> EstimatorError:
-    return EstimatorError(f"positive logprob for {qid}: {logprob}")
-
-
 def aggregate_losses(records: Iterable) -> AggregateLoss:
     """Exact mean of loss = -logprob over every ``(qid, split, kind, logprob_nats)`` record.
 
@@ -75,7 +71,7 @@ def aggregate_losses(records: Iterable) -> AggregateLoss:
     acc = LossAccumulator()
     for qid, _, _, x in records:
         if x > 0:
-            raise refused_positive(qid, x)
+            raise EstimatorError(f"positive logprob for {qid}: {x}")
         acc.add(x)
     return acc.result()
 
@@ -137,10 +133,15 @@ def content_estimate(
     second hop). ``hop1`` is two-function's ``first_hop_group`` over the
     units (e1, r); a first hop to a property, which no question reads,
     counts at chance. ``fact_count`` is the number of units stored.
+    An independent ``aggregate`` of fewer questions than memo units (no train
+    two-hops) raises EstimatorError: its mean is not every unit's.
     """
     n, reads = config.n_profiles, config.n_profiles * len(config.attributes)
     if model_kind is ModelKind.INDEPENDENT:  # one unit per two-hop question
         reads *= len(config.relations)
+        if aggregate.count < reads:
+            raise EstimatorError(f"the independent estimate reads every memo unit's two-hop "
+                                 f"question: {aggregate.count} of {reads} are in the log")
     loss_bits = reads * aggregate.mean_loss_bits
     if model_kind is ModelKind.TWO_FUNCTION:
         unread = sum(map(attribute_entropy, config.pools[len(config.relations):]))

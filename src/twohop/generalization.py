@@ -54,7 +54,6 @@ class TrainIndex:
 
     def __init__(self, world: World, split_set: SplitSet):
         space, table, facts = split_set.space, split_set.table, world.facts
-        self.space, self.table, self.facts = space, table, facts
         n_rel, n_attrs = space.n_relations, space.n_attributes
         hop1 = bytearray(space.n_profiles * n_attrs)
         # e2's hop2 flags as an int, one byte per attribute: the OR of the

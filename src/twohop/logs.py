@@ -18,8 +18,7 @@ from math import inf, isfinite, log
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .estimator import (AggregateLoss, EstimatorError, LossAccumulator, first_hop_group,
-                        first_hop_reading, refused_positive)
+from .estimator import AggregateLoss, LossAccumulator, first_hop_group, first_hop_reading
 from .worldgen import (_CHUNK_BYTES, SPLITS, DatasetIOError, KeySpace, QuestionKind, SplitSet,
                        World, checked_dataset, load_manifest)
 
@@ -152,50 +151,30 @@ ROW_GROUPS = ("one_hop", "two_hop", *(f"two_hop/{split}" for split in SPLITS))
 SUMMARY_GROUPS = (*ROW_GROUPS, "hop1")
 
 
-def group_names(kind: str, split: str) -> tuple[str, ...] | None:
-    """The names of the groups that a row of ``kind`` and ``split`` joins, or None.
-
-    A one_hop row joins ``one_hop``; a two_hop row joins ``two_hop`` and,
-    when its split is one of SPLITS, ``two_hop/SPLIT``; a row of another
-    kind joins none. A ``two_hop_cot`` row gives None: a fold refuses it,
-    since no estimator reads chain-of-thought losses yet and the latent
-    model's per-unit rule does not describe them.
-    """
+def group_names(kind: str, split: str) -> tuple[str, ...]:
+    """The groups a ``kind`` row of ``split`` joins: ``one_hop``, or ``two_hop`` and ``two_hop/SPLIT``."""
     if kind == QuestionKind.TWO_HOP.value:
-        return ("two_hop", f"two_hop/{split}") if split in SPLITS else ("two_hop",)
-    if kind == QuestionKind.ONE_HOP.value:
-        return ("one_hop",)
-    return None if kind == QuestionKind.TWO_HOP_COT.value else ()
+        return "two_hop", f"two_hop/{split}"
+    return ("one_hop",)
 
 
 def summarize(rows: Iterable[tuple[str, str, str, float]]) -> dict[str, LossAccumulator]:
     """Add every ``(qid, split, kind, logprob_nats)`` row to ROW_GROUPS' accumulators.
 
-    A row joins the groups of ``group_names``. The first row, in row order,
-    that no group takes raises EstimatorError: a ``two_hop_cot`` row, or a
-    positive logprob in a row that joins a group.
+    A row joins the groups of ``group_names``. The rows are a complete log's
+    (``require_complete``) or a simulator's, so each row's kind and split are a question's.
     """
     groups = {name: LossAccumulator() for name in ROW_GROUPS}
-    # the adds of each kind and split that a dataset without chain of thought writes, found once
-    known = {(kind.value, split): tuple(groups[name].add for name in group_names(kind.value, split))
-             for kind in (QuestionKind.ONE_HOP, QuestionKind.TWO_HOP) for split in SPLITS}
-    for qid, split, kind, x in rows:
-        row_adds = known.get((kind, split))
-        if row_adds is None:
-            names = group_names(kind, split)
-            if names is None:
-                raise EstimatorError(f"{qid} is a two_hop_cot record; "
-                                     f"chain-of-thought logs have no estimator yet")
-            row_adds = tuple(groups[name].add for name in names)
-        if row_adds and x > 0:
-            raise refused_positive(qid, x)
-        for add in row_adds:
+    adds = {(kind.value, split): tuple(groups[name].add for name in group_names(kind.value, split))
+            for kind in (QuestionKind.ONE_HOP, QuestionKind.TWO_HOP) for split in SPLITS}
+    for _, split, kind, x in rows:
+        for add in adds[kind, split]:
             add(x)
     return groups
 
 
 def fold_log(path: Path, world: World) -> dict[str, LossAccumulator]:
-    """SUMMARY_GROUPS' accumulators of the loss log at ``path``, joined to ``world`` in two passes.
+    """SUMMARY_GROUPS' accumulators of the complete loss log at ``path``, joined to ``world``.
 
     A row's question is the one its qid names (``KeySpace.key_of_qid``). The
     first pass is ``summarize``'s, and keeps the highest logprob of each
@@ -212,8 +191,8 @@ def fold_log(path: Path, world: World) -> dict[str, LossAccumulator]:
     def joined(head: str):
         """Each row, and its question's (e1·(|R| + 1) + r, a) if the qid starts ``head``, a < |R|."""
         for _, row in _loss_rows(path):
-            key = space.key_of_qid(row[0]) if row[0].startswith(head) else None
-            yield row, None if key is None or key % n_attrs >= n_relations else divmod(key, n_attrs)
+            q, a = divmod(space.key_of_qid(row[0]), n_attrs) if row[0].startswith(head) else (0, n_attrs)
+            yield row, (q, a) if a < n_relations else None
 
     def first_pass():
         for row, question in joined("1h:"):
@@ -350,6 +329,22 @@ def validate_loss_log(log_path: Path, dataset_dir: Path) -> LogDiagnostics:
     manifest, _ = load_manifest(dataset_dir)
     with checked_dataset(dataset_dir, manifest) as (split_set, _):
         return _walk_log(log_path, split_set)
+
+
+def require_complete(log_path: Path, split_set: SplitSet) -> None:
+    """Refuse, with DatasetIOError, a log that ``_walk_log`` does not find complete.
+
+    A complete log has no finding and coverage 1.0 in every non-empty split:
+    one record per question of ``split_set``, each with a logprob <= 0.
+    """
+    diag = _walk_log(log_path, split_set)
+    short = ", ".join(f"{split} {c!r}" for split, c in diag.coverage.items() if c != 1.0)
+    if diag.has_violations or short:
+        raise DatasetIOError(
+            f"loss log {log_path} is not complete: {len(diag.unknown_qids)} unknown, "
+            f"{len(diag.duplicate_qids)} duplicate, {len(diag.mislabeled)} mislabeled and "
+            f"{len(diag.positive_logprobs)} positive records; coverage {short or '1.0'}"
+        )
 
 
 def _walk_log(log_path: Path, split_set: SplitSet) -> LogDiagnostics:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .entropy import ModelKind, _multiplier, dataset_entropy
-from .estimator import LossAccumulator, first_hop_group, first_hop_reading, refused_positive
+from .estimator import EstimatorError, LossAccumulator, first_hop_group, first_hop_reading
 from .generalization import TrainIndex, train_two_hops
 from .logs import ROW_GROUPS, LossRecord, group_names, row_head, row_tail
 from .worldgen import _CHUNK_BYTES, KeySpace, QuestionKind, SplitSet, World, WorldConfig
@@ -222,7 +222,7 @@ class LossTable:
             q = chance[a] if p1 is None or p2 is None else p1 * p2 + (1.0 - p1) / n_profiles
             x = math.log(q)
             if x > 0:  # q <= 1 for levels in [0, 1], so only a faulty profile gets here
-                raise refused_positive(f"{head}E1{tail}", x)
+                raise EstimatorError(f"positive logprob for {head}E1{tail}: {x}")
             text = row_head(kind, x, head)
             if text not in places:  # one object per distinct row head
                 places[text] = text, len(self.values)

@@ -172,21 +172,21 @@ def relation_target(world, e1: int, relation: str) -> int:
     return world.facts[e1 * len(world.config.attributes) + relations.index(relation)]
 
 
-def presence_flags(index, e1: int, r: str, a: str) -> PresenceFlags:
-    """Exact membership flags for the two-hop question (e1, r, a), from a ``TrainIndex``."""
-    space = index.space
+def presence_flags(world, split_set, index, e1: int, r: str, a: str) -> PresenceFlags:
+    """Exact membership flags for the two-hop question (e1, r, a), from ``split_set``'s ``TrainIndex``."""
+    space = split_set.space
     if not 0 <= e1 < space.n_profiles:
         raise EvaluationError(f"unknown entity: {e1}")
     if r not in space.relations or a not in space.attributes:
         raise EvaluationError(f"no two-hop question asks {r!r} then {a!r}")
     r_index, a_index = space.relations.index(r), space.attributes.index(a)
     first = e1 * space.n_attributes + r_index
-    second = index.facts[first] * space.n_attributes + a_index
+    second = world.facts[first] * space.n_attributes + a_index
     return PresenceFlags(
         facts_one_hop_present=True,  # split_table puts every one-hop question in train
         first_hop_pair_present=bool(index.hop1[first]),
         second_hop_pair_present=bool(index.hop2[second]),
-        full_question_present=index.table[pack(space, e1, r_index, a_index)] == _TRAIN,
+        full_question_present=split_set.table[pack(space, e1, r_index, a_index)] == _TRAIN,
     )
 
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -116,14 +117,22 @@ def test_estimate(dataset_dir, run_log, capsys):
     assert payload["baseline_bits"] < payload["content_bits"] <= payload["entropy_bits"]
 
 
-def test_estimate_binding_check(run_log, tmp_path, capsys):
-    other = tmp_path / "other"
+@pytest.mark.parametrize("command", [["estimate", "--model", "2f"], ["classify"],
+                                     ["report", "--model", "2f", "--out-csv", "capacity.csv"]],
+                         ids=["estimate", "classify", "report"])
+def test_estimate_binding_check(run_log, tmp_path, capsys, monkeypatch, command):
+    # a run manifest that names another dataset is refused, with no
+    # override, and the same log without its run manifest is not complete
+    # against that dataset
+    monkeypatch.chdir(tmp_path)
+    other, bare = tmp_path / "other", tmp_path / "bare.jsonl"
     assert main(GEN_ARGS[:2] + ["120"] + GEN_ARGS[3:] + ["--out", str(other)]) == 0
     capsys.readouterr()
-    args = ["estimate", "--dataset", str(other), "--losses", str(run_log), "--model", "2f"]
-    assert main(args) == 1
-    assert "different dataset" in capsys.readouterr().err
-    assert main(args + ["--force"]) == 0
+    shutil.copy(run_log, bare)
+    for losses, needle in ((run_log, "different dataset"), (bare, f"loss log {bare} is not complete")):
+        code = main(command + ["--dataset", str(other), "--losses", str(losses)])
+        _assert_clean_error(code, capsys, needle)
+    assert not (tmp_path / "capacity.csv").exists()
 
 
 def test_classify(dataset_dir, run_log, capsys):
@@ -192,7 +201,7 @@ def test_validate_row_without_split_exits_1(dataset_dir, tmp_path, capsys):
     # validate parses rows as estimate does, so both reject the same log
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"qid": "q", "kind": "one_hop", "logprob_nats": -0.5}\n')
-    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+    for args in (["validate"], ["estimate", "--model", "2f"]):
         code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record: 'split'")
 
@@ -203,7 +212,7 @@ def test_loss_row_non_string_key_exits_1(dataset_dir, tmp_path, capsys, field):
     row[field] = [1]
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(row) + "\n")
-    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+    for args in (["validate"], ["estimate", "--model", "2f"]):
         code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
 
@@ -215,7 +224,7 @@ def test_loss_row_not_utf8_exits_1(dataset_dir, run_log, tmp_path, capsys):
     lines = len(log.read_bytes().splitlines())
     with open(log, "ab") as f:
         f.write(b"\xff\xfe\n")
-    for args in (["validate"], ["estimate", "--model", "2f", "--force"]):
+    for args in (["validate"], ["estimate", "--model", "2f"]):
         code = main(args + ["--dataset", str(dataset_dir), "--losses", str(log)])
         _assert_clean_error(code, capsys, f"{log}:{lines + 1}: malformed record: 'utf-8' codec")
 
@@ -233,9 +242,9 @@ def test_loss_row_logprob_not_a_float_exits_1(dataset_dir, tmp_path, capsys, val
     bad.write_text(json.dumps(row) + "\n")
     for args in (
         ["validate"],
-        ["estimate", "--model", "2f", "--force"],
-        ["classify", "--force"],
-        ["report", "--model", "2f", "--force", "--out-csv", str(tmp_path / "c.csv")],
+        ["estimate", "--model", "2f"],
+        ["classify"],
+        ["report", "--model", "2f", "--out-csv", str(tmp_path / "c.csv")],
     ):
         code = main(args + ["--dataset", str(dataset_dir), "--losses", str(bad)])
         _assert_clean_error(code, capsys, "bad.jsonl:1: malformed record")
@@ -494,7 +503,8 @@ _FIELD_VALUES = st.sampled_from([DROPPED, None, True, "x", [], {}, 2**70, 10**40
 def test_run_manifests_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
     # a run manifest that is missing, has a field dropped or of another
     # type, or is cut short gives estimate, classify and report exit 0 or
-    # 1, no traceback, and one error line on exit 1
+    # 1, no traceback, and one error line on exit 1; one without a dataset
+    # binding leaves the complete log to be folded
     log = tmp_path / "run.jsonl"
     shutil.copy(run_log, log)
     raw = run_log.with_suffix(".json").read_bytes()
@@ -520,8 +530,8 @@ def test_run_manifests_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
 
     @settings(max_examples=100, deadline=None)
     @given(field=st.sampled_from(RUN_MANIFEST_FIELDS), value=_FIELD_VALUES,
-           cut=st.none() | st.integers(0, len(raw.rstrip()) - 1), force=st.booleans())
-    def fuzz(field, value, cut, force):
+           cut=st.none() | st.integers(0, len(raw.rstrip()) - 1))
+    def fuzz(field, value, cut):
         if cut is None:
             write(field, value)
         else:
@@ -529,14 +539,12 @@ def test_run_manifests_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
         expected = None  # the refusal that the run manifest alone decides
         if cut is not None:  # no proper prefix of a JSON object is JSON
             expected = "cannot read run manifest"
-        elif field == () and value is DROPPED:
-            expected = None if force else "no run manifest"
-        elif field == () and type(value) is not dict:
+        elif field == () and value is not DROPPED and type(value) is not dict:
             expected = "not a JSON object"
-        elif field in ((), ("dataset_manifest_sha256",)) and not force:
+        elif field == ("dataset_manifest_sha256",) and value is not DROPPED:
             expected = "different dataset"
         for argv in commands:
-            code, err = _run_fuzzed(argv + ["--force"] * force, capsys)
+            code, err = _run_fuzzed(argv, capsys)
             assert code in (0, 1), argv
             assert expected is None or (code == 1 and expected in err), (argv, err)
 
@@ -668,10 +676,10 @@ SUBCOMMAND_OPTIONS = {
     "entropy": {"--config", "--model"},
     "simulate": {"--dataset", "--model", "--reliability", "--seed", "--label", "--param-count",
                  "--out"},
-    "estimate": {"--dataset", "--losses", "--model", "--force"},
-    "classify": {"--dataset", "--losses", "--force"},
+    "estimate": {"--dataset", "--losses", "--model"},
+    "classify": {"--dataset", "--losses"},
     "validate": {"--dataset", "--losses"},
-    "report": {"--dataset", "--losses", "--model", "--slope", "--out-csv", "--out-svg", "--force"},
+    "report": {"--dataset", "--losses", "--model", "--slope", "--out-csv", "--out-svg"},
 }
 
 
@@ -1138,9 +1146,12 @@ def _extra_profile(manifest, out):
 )
 def test_malformed_manifest_exits_1(dataset_dir, run_log, tmp_path, capsys, command, edit, needle):
     edited = _edited_copy(dataset_dir, tmp_path, edit)
+    # a copy without its run manifest, bound to no dataset: the readers replay the edited one
+    bare = tmp_path / "bare.jsonl"
+    shutil.copy(run_log, bare)
     args = {
-        "classify": ["--losses", str(run_log), "--force"],
-        "estimate": ["--losses", str(run_log), "--model", "2f", "--force"],
+        "classify": ["--losses", str(bare)],
+        "estimate": ["--losses", str(bare), "--model", "2f"],
         "simulate": ["--model", "2f", "--param-count", "5000", "--out", str(tmp_path / "run.jsonl")],
         "validate": ["--losses", str(run_log)],
     }[command]
@@ -1392,7 +1403,8 @@ def test_entropy_invalid_config_exits_1(dataset_dir, tmp_path, capsys, change, n
 
 @pytest.mark.parametrize("edit", ["stale_hash", "rehashed", "deleted"])
 def test_classify_reads_no_question_file(dataset_dir, run_log, tmp_path, capsys, edit):
-    # classify replays the splits from the manifest, so qa.jsonl is never read
+    # classify replays the splits from the manifest, so qa.jsonl is never
+    # read, also when it folds a log that its run manifest binds to no dataset
     def edit_qa(manifest, out):
         qa = out / "qa.jsonl"
         if edit == "deleted":
@@ -1403,9 +1415,11 @@ def test_classify_reads_no_question_file(dataset_dir, run_log, tmp_path, capsys,
             manifest["files"]["qa.jsonl"] = _sha256(qa)
 
     edited = _edited_copy(dataset_dir, tmp_path, edit_qa)
+    bare = tmp_path / "bare.jsonl"
+    shutil.copy(run_log, bare)
     outputs = []
-    for ds in (dataset_dir, edited):
-        assert main(["classify", "--dataset", str(ds), "--losses", str(run_log), "--force"]) == 0
+    for ds, losses in ((dataset_dir, run_log), (edited, bare)):
+        assert main(["classify", "--dataset", str(ds), "--losses", str(losses)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
@@ -1531,6 +1545,11 @@ def test_outputs_same_with_and_without_summary(tmp_path, capsys, model, spec):
     summarized = _analysis_outputs(ds, log, model, tmp_path, capsys)
     _drop_summary(log)
     assert _analysis_outputs(ds, log, model, tmp_path, capsys) == summarized
+    # the walk and the fold take the rows in any order
+    rows = log.read_text().splitlines(keepends=True)
+    random.Random(3).shuffle(rows)
+    log.write_text("".join(rows))
+    assert _analysis_outputs(ds, log, model, tmp_path, capsys) == summarized
 
 
 @pytest.fixture(scope="module")
@@ -1544,20 +1563,23 @@ def golden_dataset_dir(tmp_path_factory):
 @pytest.mark.parametrize("spec", ["trained", "chance", "two-point:0.01,0.99,0.5"])
 def test_estimates_same_from_a_bare_log(golden_dataset_dir, tmp_path, capsys, model, spec):
     # the fallback's join gives the bits of simulate's summary: a copy of the
-    # log without its run manifest estimates alike under --force
-    log, bare = tmp_path / "run.jsonl", tmp_path / "bare.jsonl"
+    # log without its run manifest, which validate's walk finds complete,
+    # estimates and classifies alike, and so does a copy with its rows shuffled
+    log, bare, shuffled = tmp_path / "run.jsonl", tmp_path / "bare.jsonl", tmp_path / "shuffled.jsonl"
     assert main(["simulate", "--dataset", str(golden_dataset_dir), "--model", model,
                  "--reliability", spec, "--seed", "1", "--param-count", "5000",
                  "--out", str(log)]) == 0
     shutil.copy(log, bare)
+    rows = log.read_text().splitlines(keepends=True)
+    random.Random(2).shuffle(rows)
+    shuffled.write_text("".join(rows))
     capsys.readouterr()
-    for hypothesis in ("2f", "recurrent"):
+    for command in (["estimate", "--model", "2f"], ["estimate", "--model", "recurrent"], ["classify"]):
         stdout = []
-        for losses, force in ((log, []), (bare, ["--force"])):
-            assert main(["estimate", "--dataset", str(golden_dataset_dir), "--losses", str(losses),
-                         "--model", hypothesis, *force]) == 0
+        for losses in (log, bare, shuffled):
+            assert main(command + ["--dataset", str(golden_dataset_dir), "--losses", str(losses)]) == 0
             stdout.append(capsys.readouterr().out)
-        assert stdout[0] == stdout[1], (hypothesis, stdout)
+        assert stdout[0] == stdout[1] == stdout[2], (command, stdout)
 
 
 @pytest.fixture(scope="module")
@@ -1665,7 +1687,68 @@ def test_interrupted_simulate_leaves_no_run_manifest(dataset_dir, tmp_path, caps
     data = ["--dataset", str(dataset_dir), "--losses", str(log)]
     for command in (["estimate", "--model", "2f"], ["classify"],
                     ["report", "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")]):
-        _assert_clean_error(main(command + data), capsys, "no run manifest")
+        _assert_clean_error(main(command + data), capsys, f"loss log {log} is not complete")
+
+
+@pytest.fixture(scope="module")
+def two_point_run(tmp_path_factory):
+    """An 80-profile dataset and a 2f two-point log of it, with its run manifest."""
+    out = tmp_path_factory.mktemp("two_point")
+    ds, log = out / "ds", out / "run.jsonl"
+    assert main(["gen", "--profiles", "80", "--seed", "4", "--out", str(ds)]) == 0
+    assert main(["simulate", "--dataset", str(ds), "--model", "2f", "--reliability",
+                 "two-point:0.01,0.99,0.5", "--param-count", "5000", "--out", str(log)]) == 0
+    return ds, log
+
+
+@pytest.mark.parametrize("dropped", ["two_hop", "one_hop and two_hop"])
+def test_truncated_log_refused_naming_its_coverage(two_point_run, tmp_path, capsys, dropped):
+    # a log that lost every row of the dropped kinds with a loss of at least
+    # 1 nat, next to the whole log's run manifest: validate finds no
+    # violation in what is left, and the readers refuse it, naming the
+    # coverage that validate reports for each short split
+    ds, run_log = two_point_run
+    log = tmp_path / "truncated.jsonl"
+    rows = run_log.read_text().splitlines(keepends=True)
+    kept = [line for line in rows if json.loads(line)["logprob_nats"] > -1.0
+            or json.loads(line)["kind"] not in dropped.split(" and ")]
+    assert 0 < len(kept) < len(rows)
+    log.write_text("".join(kept))
+    shutil.copy(run_log.with_suffix(".json"), log.with_suffix(".json"))
+    data = ["--dataset", str(ds), "--losses", str(log)]
+    assert main(["validate", *data]) == 0
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["has_violations"] is False and diag["n_records"] == len(kept)
+    coverage = diag["coverage"]  # printed with sorted keys: SPLITS gives file order
+    short = ", ".join(f"{split} {coverage[split]!r}" for split in worldgen.SPLITS
+                      if coverage.get(split, 1.0) != 1.0)
+    assert short
+    csv_path = tmp_path / "capacity.csv"
+    for command in (["estimate", "--model", "2f"], ["classify"],
+                    ["report", "--model", "2f", "--out-csv", str(csv_path)]):
+        assert main(command + data) == 1
+        assert capsys.readouterr() == ("", f"error: loss log {log} is not complete: 0 unknown, "
+                                           f"0 duplicate, 0 mislabeled and 0 positive records; "
+                                           f"coverage {short}\n")
+    assert not csv_path.exists()
+
+
+def test_unbound_run_manifest_gives_label_and_param_count(dataset_dir, run_log, tmp_path,
+                                                           capsys):
+    # an outside producer's run manifest may give report a label and a
+    # parameter count without binding the log to a dataset: the complete log
+    # is then walked and folded, and reports the summarised log's bits
+    log, csv_path = tmp_path / "outside.jsonl", tmp_path / "capacity.csv"
+    shutil.copy(run_log, log)
+    log.with_suffix(".json").write_text(json.dumps({"label": "outside", "param_count": 5000}))
+    tables = []
+    for losses in (run_log, log):
+        assert main(["report", "--dataset", str(dataset_dir), "--losses", str(losses),
+                     "--model", "2f", "--out-csv", str(csv_path)]) == 0
+        tables.append(csv_path.read_text())
+    capsys.readouterr()
+    assert tables[1] == tables[0].replace("trained-2f,", "outside,")
+    assert tables[1].splitlines()[1].startswith("outside,5000,2f,")
 
 
 def test_stale_summary_ignored(tmp_path, capsys):
@@ -1698,30 +1781,68 @@ def test_stale_summary_ignored(tmp_path, capsys):
         "estimate", "classify", "report.csv", "report.svg"}
 
 
-def test_positive_logprob_outside_selection_exits_1(dataset_dir, tmp_path, capsys):
-    # every group folds in one pass, so a positive one-hop logprob stops a
-    # two-hop estimate too
-    rows = [
-        {"qid": "1h:0:mother", "split": "train", "kind": "one_hop", "logprob_nats": 0.5},
-        {"qid": "2h:0:mother:boss", "split": "train", "kind": "two_hop", "logprob_nats": -0.5},
-    ]
+def _edited_rows(run_log, log, edit) -> None:
+    """Write to ``log`` (with no run manifest) ``edit(rows)``, of the rows of ``run_log``."""
+    rows = [json.loads(line) for line in run_log.read_text().splitlines()]
+    log.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in edit(rows)))
+
+
+def test_positive_logprob_outside_selection_exits_1(dataset_dir, run_log, tmp_path, capsys):
+    # a complete log with one positive one-hop logprob is not complete, so
+    # it stops a two-hop estimate too
     log = tmp_path / "bad.jsonl"
-    log.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    code = main(["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f",
-                 "--force"])
-    _assert_clean_error(code, capsys, "positive logprob for 1h:0:mother: 0.5")
+    positive = "1h:0:mother"
+    _edited_rows(run_log, log, lambda rows: [
+        {**row, "logprob_nats": 0.5} if row["qid"] == positive else row for row in rows])
+    code = main(["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "2f"])
+    _assert_clean_error(code, capsys, f"loss log {log} is not complete: 0 unknown, 0 duplicate, "
+                                      f"0 mislabeled and 1 positive records; coverage 1.0\n")
+
+
+def _duplicate_first_row(rows):
+    return rows[:1] + rows
+
+
+def _relabel_first_row(rows):
+    return [{**rows[0], "split": "heldout_full"}] + rows[1:]
+
+
+def _add_unknown_row(rows):
+    return rows + [{**rows[-1], "qid": "2h:0:nobody:birth city"}]
+
+
+@pytest.mark.parametrize("edit, finding", [(_duplicate_first_row, "1 duplicate"),
+                                           (_relabel_first_row, "1 mislabeled"),
+                                           (_add_unknown_row, "1 unknown")])
+def test_complete_log_with_a_finding_is_refused(dataset_dir, run_log, tmp_path, capsys, edit,
+                                                finding):
+    # every question keeps its one record, so coverage stays 1.0, but any
+    # finding of validate's walk stops the readers
+    log = tmp_path / "edited.jsonl"
+    _edited_rows(run_log, log, edit)
+    data = ["--dataset", str(dataset_dir), "--losses", str(log)]
+    assert main(["validate", *data]) == 1
+    assert set(json.loads(capsys.readouterr().out)["coverage"].values()) == {1.0}
+    for command in (["estimate", "--model", "2f"], ["classify"],
+                    ["report", "--model", "2f", "--out-csv", str(tmp_path / "capacity.csv")]):
+        code = main(command + data)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: loss log {log} is not complete: "), command
+        assert finding in err and err.endswith(" records; coverage 1.0\n") and err.count("\n") == 1
 
 
 def test_empty_group_names_log_and_group(dataset_dir, run_log, tmp_path, capsys):
-    rows = run_log.read_text().splitlines(keepends=True)
-    cases = [
-        (["classify"], '"heldout_full"', "two_hop/heldout_full"),
-        (["estimate", "--model", "one-hop"], '"one_hop"', "one_hop"),
-    ]
-    for args, dropped, group in cases:
-        log = tmp_path / "partial.jsonl"
-        log.write_text("".join(row for row in rows if dropped not in row))
-        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(log), "--force"])
+    # a summary that binds its log is taken as it is: one with an empty group
+    # that the output needs is refused naming the log and the group
+    log = tmp_path / "run.jsonl"
+    shutil.copy(run_log, log)
+    meta = json.loads(run_log.with_suffix(".json").read_text())
+    for args, group in ((["classify"], "two_hop/heldout_full"),
+                        (["estimate", "--model", "one-hop"], "one_hop")):
+        groups = {**meta["summary"]["groups"], group: {"count": 0, "mean": 0.0}}
+        log.with_suffix(".json").write_text(json.dumps(
+            {**meta, "summary": {**meta["summary"], "groups": groups}}))
+        code = main(args + ["--dataset", str(dataset_dir), "--losses", str(log)])
         _assert_clean_error(code, capsys, f"error: {log}: no records in group {group}\n")
 
 
@@ -1737,7 +1858,7 @@ def _classify_summarized_and_shuffled(tmp_path, capsys, model, spec) -> list[dic
     capsys.readouterr()
     signatures = []
     for losses in (log, shuffled):
-        assert main(["classify", "--dataset", str(ds), "--losses", str(losses), "--force"]) == 0
+        assert main(["classify", "--dataset", str(ds), "--losses", str(losses)]) == 0
         signatures.append(json.loads(capsys.readouterr().out))
     return signatures
 
@@ -1764,21 +1885,18 @@ def test_shuffled_chance_log_has_zero_deltas(tmp_path, capsys):
         assert signature["inferred"] == "independent"
 
 
-def test_huge_loss_folds_exactly(dataset_dir, tmp_path, capsys):
-    # a loss near the float range sums exactly: the refolded mean is the one
-    # correctly rounded quotient, and its estimate is finite
+def test_huge_loss_folds_exactly(dataset_dir, run_log, tmp_path, capsys):
+    # a loss near the float range sums exactly: the refolded mean of a
+    # complete log whose every two-hop loss is huge is that loss
     log = tmp_path / "huge.jsonl"
-    args = ["estimate", "--dataset", str(dataset_dir), "--losses", str(log),
-            "--model", "independent", "--force"]
+    args = ["estimate", "--dataset", str(dataset_dir), "--losses", str(log), "--model", "independent"]
+    two_hops = sum(json.loads(line)["kind"] == "two_hop" for line in run_log.read_text().splitlines())
     for huge in (-1e200, -1.7e308):
-        rows = [
-            {"qid": "2h:0:mother:boss", "split": "train", "kind": "two_hop", "logprob_nats": huge},
-            {"qid": "2h:1:mother:boss", "split": "train", "kind": "two_hop", "logprob_nats": huge},
-        ]
-        log.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        _edited_rows(run_log, log, lambda rows: [
+            {**row, "logprob_nats": huge} if row["kind"] == "two_hop" else row for row in rows])
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["question_count"] == 2
+        assert payload["question_count"] == two_hops
         assert payload["mean_loss_bits"] == -huge / math.log(2)
 
 
@@ -1999,7 +2117,13 @@ BYTES_PER_QUESTION = 12
 
 
 def _traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory that tracemalloc traced while it ran."""
+    """``fn(*args)`` and the peak of the memory that tracemalloc traced while it ran.
+
+    The heap is collected first, as a fresh process starts with no garbage:
+    what an earlier command left for the collector would otherwise set the
+    phase of the collections that run inside ``fn``.
+    """
+    gc.collect()
     tracemalloc.start()
     try:
         return fn(*args), tracemalloc.get_traced_memory()[1]
@@ -2027,10 +2151,10 @@ def test_memory_grows_with_facts_not_questions(tmp_path, capsys):
                 commands["estimate", model, spec] = [
                     "estimate", *data, "--losses", str(log), "--model", model]
         log = tmp_path / f"r{relations}-2f-trained.jsonl"
-        # a copy without its run manifest, so that estimate folds the log itself
+        # a copy without its run manifest, so that estimate walks and folds the log itself
         bare = tmp_path / f"r{relations}-bare.jsonl"
         commands["estimate", "no summary"] = [
-            "estimate", *data, "--losses", str(bare), "--model", "2f", "--force"]
+            "estimate", *data, "--losses", str(bare), "--model", "2f"]
         # a row-shuffled copy, whose rows validate joins one decoded line at a time
         shuffled = tmp_path / f"r{relations}-shuffled.jsonl"
         commands["classify"] = ["classify", *data, "--losses", str(log)]

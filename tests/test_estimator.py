@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_invert_first_hop, read_unit_content
@@ -78,20 +78,6 @@ class TestAggregation:
             groups = summarize(rows_in)
             assert set(groups) == set(ROW_GROUPS)
             assert {name: acc.result() for name, acc in groups.items() if acc.count} == expected
-        cot = ("c", "train", "two_hop_cot", -1.0)
-        with pytest.raises(EstimatorError, match="two_hop_cot"):
-            summarize(records + [cot])
-
-    @pytest.mark.parametrize("offset", [0, 254, 255])
-    @pytest.mark.parametrize("last_kind, last_x", [("one_hop", 0.5), ("two_hop_cot", -1.0)])
-    def test_summarize_names_the_first_row_it_cannot_fold(self, offset, last_kind, last_x):
-        # the error names the first row, in row order, that no group takes
-        rows = [(f"p{i}", "train", "one_hop", -1.0) for i in range(offset)]
-        rows += [("a", "heldout_r", "two_hop", 0.25), ("c", "train", last_kind, last_x)]
-        with pytest.raises(EstimatorError, match="^positive logprob for a: 0.25$"):
-            summarize(rows)
-        with pytest.raises(EstimatorError, match="^c is a two_hop_cot record"):
-            summarize(rows[:offset] + [("c", "train", "two_hop_cot", -1.0), rows[offset]])
 
 
 class TestFirstHopReading:
@@ -167,8 +153,7 @@ def test_estimate_is_a_lower_bound(n, relations, pools, kind, spec, holdout, mix
     # read-unit truth, and equals the content of the units that some answer
     # depends on; the fallback fold of the written log gives the summary's groups.
     # Independent's estimate spreads its two-hop mean over every memo unit, so
-    # it holds only when every two-hop question is in the log: mix ratio > 0
-    assume(mix_ratio or kind is not ModelKind.INDEPENDENT)
+    # it is refused when a two-hop question is not in the log: at mix ratio 0
     sizes = {"below": max(1, n // 2), "equal": n, "above": 3 * n}
     cfg = WorldConfig(n_profiles=n, first_names=100, middle_names=100, last_names=100,
                       relations=tuple(f"r{i}" for i in range(relations)),
@@ -185,6 +170,12 @@ def test_estimate_is_a_lower_bound(n, relations, pools, kind, spec, holdout, mix
         aggregates = results(groups)
         assert results(fold_log(log, world)) == aggregates
     reads = aggregates["two_hop" if kind is ModelKind.INDEPENDENT else "one_hop"]
+    units = n * len(cfg.attributes) * relations
+    if kind is ModelKind.INDEPENDENT and reads.count < units:
+        assert mix_ratio == 0
+        with pytest.raises(EstimatorError, match=f": {reads.count} of {units} are in the log$"):
+            content_estimate(cfg, kind, reads)
+        return
     estimate = content_estimate(cfg, kind, reads, aggregates["hop1"]).content_bits
     truth = ground_truth_content(world, profile)
     assert estimate <= truth + 1e-9 * abs(truth)
@@ -207,7 +198,7 @@ class TestContentEstimate:
         assert bits_per_parameter(est.content_bits, 1500) == pytest.approx(1.4146, abs=1e-4)
 
     def test_zero_loss_recovers_entropy(self, micro_cfg):
-        agg = aggregate_losses(_records([0.0] * 5))
+        agg = aggregate_losses(_records([0.0] * 1200))  # a record per memo unit
         # two-function's first hops to the property (pool 10) are read by no question
         unread = micro_cfg.n_profiles * math.log2(10)
         for kind in ModelKind:
@@ -220,10 +211,18 @@ class TestContentEstimate:
     def test_zero_loss_is_positive_zero(self, micro_cfg):
         # a perfect model's loss prints as 0.0, not -0.0
         assert math.copysign(1.0, first_hop_group([1.0], 100).result().mean_loss_nats) == 1.0
-        agg = aggregate_losses(_records([0.0] * 5))
+        agg = aggregate_losses(_records([0.0] * 1200))
         for kind in (None, ModelKind.RECURRENT, ModelKind.INDEPENDENT):
             est = content_estimate(micro_cfg, kind, agg)
             assert math.copysign(1.0, est.total_loss_bits) == 1.0, kind
+
+    def test_independent_needs_every_memo_unit(self, micro_cfg):
+        # 100 profiles, 4 attributes and 3 relations: 1200 memo units, one per
+        # two-hop question; a log without some of them reads no mean of all
+        agg = aggregate_losses(_records([0.0] * 1199))
+        with pytest.raises(EstimatorError, match="1199 of 1200 are in the log"):
+            content_estimate(micro_cfg, ModelKind.INDEPENDENT, agg)
+        assert content_estimate(micro_cfg, ModelKind.RECURRENT, agg).content_bits > 0
 
     def test_bits_per_parameter_guards(self):
         assert bits_per_parameter(0.0, 10) == 0.0

@@ -70,25 +70,25 @@ def _two_hop_questions(split_set, keys):
 
 
 class TestPresenceScan:
-    def test_train_items_fully_present(self, setup):
+    def test_train_items_fully_present(self, setup, micro_world):
         ss, index = setup
         for e1, r, a in _two_hop_questions(ss, ss.train[:200]):
-            flags = presence_flags(index, e1, r, a)
+            flags = presence_flags(micro_world, ss, index, e1, r, a)
             assert flags.full_question_present
             assert flags.both_pairs_present
             assert flags.facts_one_hop_present
 
-    def test_full_holdout_lacks_exact_question(self, setup):
+    def test_full_holdout_lacks_exact_question(self, setup, micro_world):
         ss, index = setup
         for e1, r, a in _two_hop_questions(ss, ss.heldout["heldout_full"]):
-            flags = presence_flags(index, e1, r, a)
+            flags = presence_flags(micro_world, ss, index, e1, r, a)
             assert not flags.full_question_present
             assert flags.facts_one_hop_present  # one-hop facts are never excluded
 
-    def test_pair_holdout_lacks_first_pair(self, setup):
+    def test_pair_holdout_lacks_first_pair(self, setup, micro_world):
         ss, index = setup
         for e1, r, a in _two_hop_questions(ss, ss.heldout["heldout_e1r"]):
-            flags = presence_flags(index, e1, r, a)
+            flags = presence_flags(micro_world, ss, index, e1, r, a)
             assert not flags.first_hop_pair_present
             assert not flags.full_question_present
 
@@ -102,17 +102,17 @@ class TestPresenceScan:
             questions = list(_two_hop_questions(ss, ss.heldout[kind]))
             assert questions, kind
             for e1, r, a in questions:
-                flags = presence_flags(index, e1, r, a)
+                flags = presence_flags(micro_world, ss, index, e1, r, a)
                 assert not flags.full_question_present, kind
                 if kind in ("heldout_e1", "heldout_r", "heldout_e1r"):
                     assert not flags.first_hop_pair_present, kind
                 if kind in ("heldout_e2", "heldout_a", "heldout_e2a"):
                     assert not flags.second_hop_pair_present, kind
 
-    def test_unknown_entity_rejected(self, setup):
-        _, index = setup
+    def test_unknown_entity_rejected(self, setup, micro_world):
+        ss, index = setup
         with pytest.raises(EvaluationError):
-            presence_flags(index, 10**6, "mother", "birth city")
+            presence_flags(micro_world, ss, index, 10**6, "mother", "birth city")
 
 
 def _agg(mean_bits: float):

@@ -120,7 +120,7 @@ class TestTrainedProfiles:
         # per item: perfect iff both hop pairs still occur in train two-hops
         for key in holdout_setup.heldout["heldout_full"]:
             e1, r, a = _question(holdout_setup, key)
-            flags = presence_flags(index, e1, space.relations[r], space.attributes[a])
+            flags = presence_flags(micro_world, holdout_setup, index, e1, space.relations[r], space.attributes[a])
             q = _two_hop_prob(micro_world, profile, e1, r, a)
             if flags.both_pairs_present:
                 assert q == 1.0
