@@ -72,7 +72,7 @@ def _read_log(dataset_sha: str, losses: Path, replay) -> tuple[dict, dict]:
         raise estimator.EstimatorError(f"{losses}: chain-of-thought (two_hop_cot) logs "
                                        f"have no estimator yet")
     logs.require_complete(losses, split_set)
-    return run_meta, logs.results(logs.fold_log(losses, world))
+    return run_meta, logs.results(logs.fold_log(losses, world, split_set.space))
 
 
 def _point_meta(losses: Path, run_meta: dict) -> tuple[str, int]:
@@ -218,7 +218,7 @@ def _cmd_simulate(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         # a run manifest describes a complete log: an interrupted run leaves none
         run_meta_path.unlink(missing_ok=True)
-        count, groups = simulate.write_log(world, profile, split_set, out)
+        log_sha256, groups = simulate.write_log(world, profile, split_set, out)
         run_meta = {
             "label": args.label,
             "param_count": args.param_count,
@@ -227,11 +227,11 @@ def _cmd_simulate(args) -> int:
             "dataset_manifest_sha256": dataset_sha,
         }
         if groups is not None:
-            run_meta["summary"] = logs.summary_to_json(groups, worldgen.sha256_file(out))
+            run_meta["summary"] = logs.summary_to_json(groups, log_sha256)
     with open(run_meta_path, "w", encoding="utf-8") as f:
         json.dump(run_meta, f, indent=2, sort_keys=True)
         f.write("\n")
-    _emit({"records": count, "out": str(out)})
+    _emit({"records": sum(split_set.counts().values()), "out": str(out)})
     return 0
 
 

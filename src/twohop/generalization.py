@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .entropy import ModelKind
 from .estimator import AggregateLoss, LossAccumulator
-from .worldgen import _IS_TRAIN, HOLDOUT_KINDS, SplitSet, World, WorldConfig
+from .worldgen import _IS_TRAIN, _SPLIT_CODE, HOLDOUT_KINDS, SplitSet, World, WorldConfig
 
 
 class EvaluationError(ValueError):
@@ -100,17 +100,16 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
     is the same bits whatever the order of the log's rows.
     """
     baselines = {}
-    space = split_set.space
-    n_attrs = space.n_attributes
-    for kind in HOLDOUT_KINDS:
-        keys = split_set.heldout[kind]
-        if not keys:
+    n_attrs = split_set.space.n_attributes
+    # held-out keys per attribute and holdout set: the attribute's column of
+    # the split table (key % |A| is a key's attribute) holds one code per key
+    columns = (split_set.table[a::n_attrs] for a in range(n_attrs))
+    counts = zip(*([column.count(_SPLIT_CODE[kind]) for kind in HOLDOUT_KINDS] for column in columns))
+    for kind, per_attribute in zip(HOLDOUT_KINDS, counts):
+        if not any(per_attribute):
             continue
-        counts = [0] * n_attrs  # held-out keys per attribute; key % |A| is a key's attribute
-        for key in keys:
-            counts[key % n_attrs] += 1
         acc = LossAccumulator()
-        for pool, count in zip(config.pools, counts):
+        for pool, count in zip(config.pools, per_attribute):
             # log(1/pool), not -log(pool): bitwise a simulated uniform guess's logprob
             acc.add(math.log(1.0 / pool), count)
         baselines[kind] = acc.result().mean_loss_bits

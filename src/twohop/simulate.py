@@ -20,7 +20,7 @@ from .entropy import ModelKind, _multiplier, dataset_entropy
 from .estimator import EstimatorError, LossAccumulator, first_hop_group, first_hop_reading
 from .generalization import TrainIndex, train_two_hops
 from .logs import ROW_GROUPS, LossRecord, group_names, row_head, row_tail
-from .worldgen import _CHUNK_BYTES, KeySpace, QuestionKind, SplitSet, World, WorldConfig
+from .worldgen import _CHUNK_BYTES, KeySpace, QuestionKind, SplitSet, World, WorldConfig, write_blocks
 
 
 class ReliabilityTable:
@@ -156,11 +156,8 @@ def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
     return units * len(config.relations) if model_kind is ModelKind.INDEPENDENT else units
 
 
-# A question's code (lead + flag, 0 to 3) as its bit of a mask, and an absent one's (4 and up,
-# from _ABSENT: split code 0) as none; _MASKS holds each mask's codes
-_ONE_HOT = bytes(1 << code if code < 4 else 0 for code in range(256))
+# A question's code is lead + flag (0 to 3), plus 4 when the dataset lacks it (split code 0)
 _ABSENT = bytes([4]) + bytes(255)
-_MASKS = [[code for code in range(4) if mask >> code & 1] for mask in range(16)]
 
 
 class LossTable:
@@ -252,7 +249,8 @@ class LossTable:
         lead[q] + flags[base[q] + a]``, and the one-hop question (e2, a) of its
         second hop has cell ``4·rest' + code % 2`` (a memo's one-hop answer is
         at chance whatever its flag): (r, a) reads one value per code. Per r,
-        a unit's codes are a bitmask per distinct four values; its least is looked up.
+        each a is a column of the units' readings, inf where the question is
+        absent, and a unit's least is the least of its row across the columns.
         """
         space, n = self.space, self.space.n_profiles
         n_relations, n_attrs = space.n_relations, space.n_attributes
@@ -260,20 +258,15 @@ class LossTable:
         for r in range(n_relations):
             leads = int.from_bytes(self.lead[r :: n_relations + 1], "big")
             rows = [base // n_attrs for base in self.base[r :: n_relations + 1]]  # of flags[a::|A|]
-            masks = {}
+            columns = []
             for a in range(n_relations):
                 flags = bytes(map(self.flags[a::n_attrs].__getitem__, rows))
                 absent = split_set.table[r * n_attrs + a :: space.per_entity].translate(_ABSENT)
                 codes = leads | int.from_bytes(flags, "big") | int.from_bytes(absent, "big")
-                values = tuple(first_hop_reading(x[4 * (r * n_attrs + a) + code],
-                                                 x[4 * (n_relations * n_attrs + a) + code % 2], n)
-                               for code in range(4))
-                bits = int.from_bytes(codes.to_bytes(n, "big").translate(_ONE_HOT), "big")
-                masks[values] = masks.get(values, 0) | bits
-            columns = []  # per distinct four values: each unit's least of them
-            for values, bits in masks.items():
-                least = [min(map(values.__getitem__, codes), default=math.inf) for codes in _MASKS]
-                columns.append(map(least.__getitem__, bits.to_bytes(n, "big")))
+                values = [first_hop_reading(x[4 * (r * n_attrs + a) + code],
+                                            x[4 * (n_relations * n_attrs + a) + code % 2], n)
+                          for code in range(4)] + [math.inf] * 4
+                columns.append(map(values.__getitem__, codes.to_bytes(n, "big")))
             yield from map(min, repeat(math.inf), *columns)
 
 
@@ -296,18 +289,20 @@ def write_log(
     profile: ReliabilityProfile,
     split_set: SplitSet,
     path: Path,
-) -> tuple[int, dict[str, LossAccumulator] | None]:
-    """Write ``loss_records``' rows to ``path``, one ``write`` per block; return the count and groups.
+) -> tuple[str, dict[str, LossAccumulator] | None]:
+    """Write ``loss_records``' rows to ``path`` a block at a time; return the log's sha256 and groups.
 
     A row is its cell's head (``LossTable.heads``), ``str(e1)`` and
     ``logs.row_tail``'s text; a block is a split's next rows, as many as fit
-    in ``_CHUNK_BYTES`` at the longest of each. The groups are
-    ``logs.ROW_GROUPS`` holding every row, and ``hop1`` from the table's
-    ``first_hop_readings``; or None for a chain-of-thought space, whose
-    losses no estimator reads. Each split's rows are counted per value of
-    the table, and once the split is written each value that holds rows is
-    added to the groups of ``logs.group_names`` with its count. A profile
-    with a positive cell is refused by ``LossTable`` before the file is opened.
+    in ``_CHUNK_BYTES`` at the longest of each, written and hashed by
+    ``worldgen.write_blocks``, so the hash needs no second read of the log.
+    The groups are ``logs.ROW_GROUPS`` holding every row, and ``hop1`` from
+    the table's ``first_hop_readings``; or None for a chain-of-thought
+    space, whose losses no estimator reads. Each split's rows are counted
+    per value of the table, and once the split is written each value that
+    holds rows is added to the groups of ``logs.group_names`` with its
+    count. A profile with a positive cell is refused by ``LossTable``
+    before the file is opened.
     """
     space = split_set.space
     table, per_entity = LossTable(world, profile, space), space.per_entity
@@ -315,8 +310,8 @@ def write_log(
     groups = None if cot else {name: LossAccumulator() for name in ROW_GROUPS}
     names = [str(e1) for e1 in range(world.config.n_profiles)]  # once per entity, not per row
     heads, places = table.heads, table.cells
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
+
+    def blocks() -> Iterator[tuple[int, bytes]]:
         for split, keys in split_set.splits():
             tails = [tail for entry in space.entries for tail in [row_tail(entry.qid_tail, split)] * 4]
             widest = max(map(len, heads)) + len(names[-1]) + max(map(len, tails))
@@ -324,17 +319,18 @@ def write_log(
             for start in range(0, len(keys), per_block := max(1, _CHUNK_BYTES // widest)):
                 block = keys[start : start + per_block]
                 cells = table.cells_of(block)
-                f.write("".join([f"{heads[cell]}{names[key // per_entity]}{tails[cell]}"
-                                 for key, cell in zip(block, cells)]))
+                yield len(block), "".join([f"{heads[cell]}{names[key // per_entity]}{tails[cell]}"
+                                           for key, cell in zip(block, cells)]).encode("utf-8")
                 for cell in cells:
                     rows[places[cell]] += 1
-            count += len(keys)
             for (x, kind), n in zip(table.values, rows) if groups is not None else ():
                 for name in group_names(kind, split) if n else ():
                     groups[name].add(x, n)
+
+    log_sha256 = write_blocks(path, blocks())
     if groups is not None:
         groups["hop1"] = first_hop_group(table.first_hop_readings(split_set), space.n_profiles)
-    return count, groups
+    return log_sha256, groups
 
 
 def generate_loss_log(

@@ -742,6 +742,16 @@ def sha256_file(path: Path) -> str:
     return hasher.hexdigest()
 
 
+def write_blocks(path: Path, blocks: Iterable[tuple[int, bytes]]) -> str:
+    """Write the lines of ``blocks`` to ``path``; the sha256 of the bytes written."""
+    hasher = hashlib.sha256()
+    with open(path, "wb") as f:
+        for _, data in blocks:
+            f.write(data)
+            hasher.update(data)
+    return hasher.hexdigest()
+
+
 def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     """Write profiles.jsonl, qa.jsonl, and manifest.json; return the manifest.
 
@@ -751,16 +761,6 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-
-    def write(name: str, blocks: Iterable[tuple[int, bytes]]) -> str:
-        """Write the lines of ``blocks`` to data file ``name``; the sha256 of the bytes written."""
-        hasher = hashlib.sha256()
-        with open(path / name, "wb") as f:
-            for _, data in blocks:
-                f.write(data)
-                hasher.update(data)
-        return hasher.hexdigest()
-
     manifest = {
         "config": world.config.to_dict(),
         "seed": world.config.seed,
@@ -768,8 +768,8 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
         "counts": split_set.counts(),
         "holdout_components": split_set.holdout_manifest,
         "files": {
-            "profiles.jsonl": write("profiles.jsonl", profile_lines(world)),
-            "qa.jsonl": write("qa.jsonl", question_lines(world, split_set)),
+            "profiles.jsonl": write_blocks(path / "profiles.jsonl", profile_lines(world)),
+            "qa.jsonl": write_blocks(path / "qa.jsonl", question_lines(world, split_set)),
         },
     }
     digest = hashlib.sha256(

@@ -1690,6 +1690,26 @@ def test_interrupted_simulate_leaves_no_run_manifest(dataset_dir, tmp_path, caps
         _assert_clean_error(main(command + data), capsys, f"loss log {log} is not complete")
 
 
+def test_simulate_hashes_its_log_as_written(dataset_dir, tmp_path, capsys, monkeypatch):
+    # the summary's log_sha256 comes from the blocks write_log writes: the
+    # log is never read back to hash it
+    hashed, sha256_file = [], worldgen.sha256_file
+
+    def recorded(path):
+        hashed.append(Path(path).resolve())
+        return sha256_file(path)
+
+    monkeypatch.setattr(worldgen, "sha256_file", recorded)
+    log = tmp_path / "run.jsonl"
+    for model in ("recurrent", "2f", "independent"):
+        assert main(["simulate", "--dataset", str(dataset_dir), "--model", model,
+                     "--param-count", "5000", "--out", str(log)]) == 0
+        summary = json.loads(log.with_suffix(".json").read_text())["summary"]
+        assert summary["log_sha256"] == _sha256(log)
+    capsys.readouterr()
+    assert hashed and log.resolve() not in hashed
+
+
 @pytest.fixture(scope="module")
 def two_point_run(tmp_path_factory):
     """An 80-profile dataset and a 2f two-point log of it, with its run manifest."""
