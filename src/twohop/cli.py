@@ -72,7 +72,7 @@ def _read_log(dataset_sha: str, losses: Path, replay) -> tuple[dict, dict]:
         raise estimator.EstimatorError(f"{losses}: chain-of-thought (two_hop_cot) logs "
                                        f"have no estimator yet")
     logs.require_complete(losses, split_set)
-    return run_meta, logs.results(logs.fold_log(losses, world, split_set.space))
+    return run_meta, logs.results(logs.fold_log(losses, world))
 
 
 def _point_meta(losses: Path, run_meta: dict) -> tuple[str, int]:

@@ -101,11 +101,9 @@ def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, flo
     """
     baselines = {}
     n_attrs = split_set.space.n_attributes
-    # held-out keys per attribute and holdout set: the attribute's column of
-    # the split table (key % |A| is a key's attribute) holds one code per key
-    columns = (split_set.table[a::n_attrs] for a in range(n_attrs))
-    counts = zip(*([column.count(_SPLIT_CODE[kind]) for kind in HOLDOUT_KINDS] for column in columns))
-    for kind, per_attribute in zip(HOLDOUT_KINDS, counts):
+    for kind in HOLDOUT_KINDS:
+        # key % |A| is a key's attribute: held-out keys per attribute
+        per_attribute = [split_set.table[a::n_attrs].count(_SPLIT_CODE[kind]) for a in range(n_attrs)]
         if not any(per_attribute):
             continue
         acc = LossAccumulator()

@@ -173,18 +173,17 @@ def summarize(rows: Iterable[tuple[str, str, str, float]]) -> dict[str, LossAccu
     return groups
 
 
-def fold_log(path: Path, world: World, space: KeySpace | None = None) -> dict[str, LossAccumulator]:
+def fold_log(path: Path, world: World) -> dict[str, LossAccumulator]:
     """SUMMARY_GROUPS' accumulators of the complete loss log at ``path``, joined to ``world``.
 
-    A row's question is the one its qid names (``KeySpace.key_of_qid``) in
-    ``space``, the replayed split set's; by default, ``world``'s key space
-    without chain of thought. The first pass is ``summarize``'s, and keeps
-    the highest logprob of each one-hop question (e, a) with a relation a.
-    The second keeps, for each unit (e1, r), the least ``first_hop_reading``
-    of its two-hop questions (e1, r, a) with a relation a, against the kept
-    (e2, a) of the world's target e2 of (e1, r). Each pass holds n·|R| floats.
+    A row's question is the one its qid names (``KeySpace.key_of_qid``). The
+    first pass is ``summarize``'s, and keeps the highest logprob of each
+    one-hop question (e, a) with a relation a. The second keeps, for each
+    unit (e1, r), the least ``first_hop_reading`` of its two-hop questions
+    (e1, r, a) with a relation a, against the kept (e2, a) of the world's
+    target e2 of (e1, r). Each pass holds n·|R| floats.
     """
-    space = space or KeySpace(world.config, cot=False)
+    space = KeySpace(world.config, cot=False)
     n, n_relations, n_attrs = space.n_profiles, space.n_relations, space.n_attributes
     second = array("d", [log(1.0 / n)]) * (n * n_relations)  # no row: at chance
     readings = array("d", [inf]) * (n * n_relations)

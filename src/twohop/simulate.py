@@ -311,7 +311,7 @@ def write_log(
     names = [str(e1) for e1 in range(world.config.n_profiles)]  # once per entity, not per row
     heads, places = table.heads, table.cells
 
-    def blocks() -> Iterator[tuple[int, bytes]]:
+    def blocks() -> Iterator[bytes]:
         for split, keys in split_set.splits():
             tails = [tail for entry in space.entries for tail in [row_tail(entry.qid_tail, split)] * 4]
             widest = max(map(len, heads)) + len(names[-1]) + max(map(len, tails))
@@ -319,8 +319,8 @@ def write_log(
             for start in range(0, len(keys), per_block := max(1, _CHUNK_BYTES // widest)):
                 block = keys[start : start + per_block]
                 cells = table.cells_of(block)
-                yield len(block), "".join([f"{heads[cell]}{names[key // per_entity]}{tails[cell]}"
-                                           for key, cell in zip(block, cells)]).encode("utf-8")
+                yield "".join([f"{heads[cell]}{names[key // per_entity]}{tails[cell]}"
+                               for key, cell in zip(block, cells)]).encode("utf-8")
                 for cell in cells:
                     rows[places[cell]] += 1
             for (x, kind), n in zip(table.values, rows) if groups is not None else ():

@@ -742,11 +742,11 @@ def sha256_file(path: Path) -> str:
     return hasher.hexdigest()
 
 
-def write_blocks(path: Path, blocks: Iterable[tuple[int, bytes]]) -> str:
-    """Write the lines of ``blocks`` to ``path``; the sha256 of the bytes written."""
+def write_blocks(path: Path, blocks: Iterable[bytes]) -> str:
+    """Write ``blocks`` to ``path``; the sha256 of the bytes written."""
     hasher = hashlib.sha256()
     with open(path, "wb") as f:
-        for _, data in blocks:
+        for data in blocks:
             f.write(data)
             hasher.update(data)
     return hasher.hexdigest()
@@ -768,8 +768,10 @@ def persist_dataset(split_set: SplitSet, world: World, path: Path) -> dict:
         "counts": split_set.counts(),
         "holdout_components": split_set.holdout_manifest,
         "files": {
-            "profiles.jsonl": write_blocks(path / "profiles.jsonl", profile_lines(world)),
-            "qa.jsonl": write_blocks(path / "qa.jsonl", question_lines(world, split_set)),
+            "profiles.jsonl": write_blocks(path / "profiles.jsonl",
+                                           (data for _, data in profile_lines(world))),
+            "qa.jsonl": write_blocks(path / "qa.jsonl",
+                                     (data for _, data in question_lines(world, split_set))),
         },
     }
     digest = hashlib.sha256(
