@@ -119,8 +119,9 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         cot=(args.cot == "answers"),
     )
-    manifest = worldgen.persist_dataset(split_set, world, Path(args.out))
-    _emit(manifest)
+    worldgen.persist_dataset(split_set, world, Path(args.out))
+    # the manifest file holds the text _emit would print: print it, not a second encoding
+    sys.stdout.write((Path(args.out) / "manifest.json").read_text(encoding="utf-8"))
     return 0
 
 

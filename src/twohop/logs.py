@@ -31,10 +31,10 @@ from .worldgen import (_CHUNK_BYTES, SPLITS, DatasetIOError, KeySpace, QuestionK
 # the same pieces by validate_loss_log.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 _scan_value = json.JSONDecoder().scan_once
-# Each row's number field; its one group is a whole JSON number token, NUMBER_RE with
-# its groups made non-capturing (with re.ASCII, \d is an ASCII digit, as JSON requires)
-_number_fields = re.compile('"logprob_nats": (%s), "qid": "' % re.sub(
-    r"\((?!\?)", "(?:", NUMBER_RE.pattern), re.ASCII).findall
+# Each row's number field, as the text between its key and the qid; whether that text
+# is one JSON number token (with re.ASCII, \d is an ASCII digit, as JSON requires)
+_number_fields = re.compile(r'"logprob_nats": ([^,\n]*), "qid": "').findall
+_is_number = re.compile(NUMBER_RE.pattern, re.ASCII).fullmatch
 
 
 def _decode_row(line: str):
@@ -409,13 +409,14 @@ def _walk_log(log_path: Path, split_set: SplitSet) -> LogDiagnostics:
         """Whether the lines ``text`` are the first records of ``block``'s questions: none
         read yet, and the rows written around one number token each, finite and <= 0."""
         tokens = _number_fields(text)
+        distinct = set(tokens)  # a log holds few distinct numbers
         rows = [f"{leads[rest]}{token}{qid_heads[rest]}{ids[key // per_entity]}{tails[rest]}"
                 for key, token in zip(block, tokens) for rest in (key % per_entity,)]
         # only a joined record (diag.n_records until the walk ends) marks a later question read
-        if len(tokens) != len(block) or "".join(rows) != text or (
+        if len(tokens) != len(block) or "".join(rows) != text or not all(map(_is_number, distinct)) or (
                 diag.n_records and any(map(seen.__getitem__, block))):
             return False
-        numbers = list(map(float, set(tokens)))  # a log holds few distinct numbers
+        numbers = list(map(float, distinct))
         return max(numbers) <= 0 and min(numbers) > -inf
 
     s, start = 0, 0  # the walk awaits place ``start`` of split ``s``

@@ -13,6 +13,7 @@ import math
 import random
 from array import array
 from itertools import repeat
+from operator import floordiv
 from pathlib import Path
 from typing import Iterator
 
@@ -20,7 +21,8 @@ from .entropy import ModelKind, _multiplier, dataset_entropy
 from .estimator import EstimatorError, LossAccumulator, first_hop_group, first_hop_reading
 from .generalization import TrainIndex, train_two_hops
 from .logs import ROW_GROUPS, LossRecord, group_names, row_head, row_tail
-from .worldgen import _CHUNK_BYTES, KeySpace, QuestionKind, SplitSet, World, WorldConfig, write_blocks
+from .worldgen import (_CHUNK_BYTES, KeySpace, QuestionKind, SplitSet, World, WorldConfig, answer_rows,
+                       write_blocks)
 
 
 class ReliabilityTable:
@@ -158,6 +160,8 @@ def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
 
 # A question's code is lead + flag (0 to 3), plus 4 when the dataset lacks it (split code 0)
 _ABSENT = bytes([4]) + bytes(255)
+# A first-hop flag, 0 or 1, as its row's lead, 0 or 2
+_LEAD = bytes([0, 2]) + bytes(254)
 
 
 class LossTable:
@@ -167,7 +171,8 @@ class LossTable:
     ``rest = key % per_entity`` of its key, and on at most two unit flags,
     so a run needs at most four log-probs per entry. For a key with
     ``q, a = divmod(key, |A|)``, where ``q = e1·(|R|+1) + r``, the flag index
-    is ``f = lead[q] + flags[base[q] + a]``:
+    is ``f = lead[q] + flags[base[q] + a]`` (a composing model's ``base`` is
+    ``worldgen.answer_rows``; each table is built a relation column at a time):
 
     - a composing model's two-hop question: twice the flag of its first-hop
       unit ``e1·|A| + r`` plus the flag of its second-hop unit ``e2·|A| + a``;
@@ -188,30 +193,23 @@ class LossTable:
 
     def __init__(self, world: World, profile: ReliabilityProfile, space: KeySpace):
         n_profiles, n_relations, n_attrs = space.n_profiles, space.n_relations, space.n_attributes
+        hops = n_relations + 1
+        self.lead = bytearray(n_profiles * hops)  # a one-hop row's first hop is certain: lead 0
         if profile.memo is None:
             first, second = profile.hop1, profile.hop2
             if profile.facts is not None:  # recurrent: one table for both hops
                 first = second = profile.facts
-            facts = world.facts
-            self.base = array(space.typecode, (
-                e * n_attrs
-                for e1, start in enumerate(range(0, len(facts), n_attrs))
-                for e in (*facts[start : start + n_relations], e1)  # a one-hop e2 is e1
-            ))
-            self.lead = bytearray(
-                2 * flag
-                for start in range(0, len(first.flags), n_attrs)
-                for flag in (*first.flags[start : start + n_relations], 0)
-            )
+            self.base = answer_rows(world)
+            for r in range(n_relations):
+                self.lead[r::hops] = first.flags[r::n_attrs].translate(_LEAD)
         else:
             first, second = None, profile.memo
-            # a one-hop question reads its entity's first memo unit, and ignores it
-            self.base = array(space.typecode, (
-                (e1 * n_relations + r % n_relations) * n_attrs
-                for e1 in range(n_profiles)
-                for r in range(n_relations + 1)
-            ))
-            self.lead = bytearray(len(self.base))
+            # row (e1, r)'s units start at (e1·|R| + r)·|A|; a one-hop row reads e1's first, unused
+            memo_row = n_relations * n_attrs
+            self.base = array(space.typecode, [0]) * (n_profiles * hops)
+            for r in range(hops):
+                start = r % n_relations * n_attrs
+                self.base[r::hops] = array(space.typecode, range(start, n_profiles * memo_row, memo_row))
         self.flags, self.space = second.flags, space
         chance, places, self.values = profile.chance, {}, []
 
@@ -257,7 +255,7 @@ class LossTable:
         x = [self.values[place][0] for place in self.cells]  # each cell's logprob
         for r in range(n_relations):
             leads = int.from_bytes(self.lead[r :: n_relations + 1], "big")
-            rows = [base // n_attrs for base in self.base[r :: n_relations + 1]]  # of flags[a::|A|]
+            rows = list(map(floordiv, self.base[r :: n_relations + 1], repeat(n_attrs)))  # of flags[a::|A|]
             columns = []
             for a in range(n_relations):
                 flags = bytes(map(self.flags[a::n_attrs].__getitem__, rows))

@@ -416,6 +416,21 @@ def profile_lines(world: World) -> Iterator[tuple[int, bytes]]:
         yield len(block), "".join(block).encode("ascii")
 
 
+def answer_rows(world: World) -> array:
+    """``e2·|A|`` per row ``q = e1·(|R| + 1) + r``: where the row's answers begin in ``world.facts``.
+
+    e2 is the target of e1's relation r, or e1 itself in the one-hop row
+    ``r = |R|``. The table is built one relation column at a time.
+    """
+    cfg, facts = world.config, world.facts
+    n_rel, n_attrs = len(cfg.relations), len(cfg.attributes)
+    rows = array(typecode(len(facts)), [0]) * (cfg.n_profiles * (n_rel + 1))
+    rows[n_rel :: n_rel + 1] = array(rows.typecode, range(0, len(facts), n_attrs))
+    for r in range(n_rel):
+        rows[r :: n_rel + 1] = array(rows.typecode, map(mul, facts[r::n_attrs], repeat(n_attrs)))
+    return rows
+
+
 def question_lines(world: World, split_set: SplitSet) -> Iterator[tuple[int, bytes]]:
     """qa.jsonl's lines for ``split_set``, in file order, as ``(number of lines, bytes)`` blocks.
 
@@ -424,25 +439,19 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[tuple[int, byt
     the templates. Each ``KeySpace.entries`` entry's fixed text is
     JSON-escaped once per call into pieces, and a line is one f-string over
     its entry's pieces, its split and its entities' ids, names and answer.
-    Two tables of integers and id references, indexed by ``(e1, r) = key //
-    |A|``, give where the answering entity's facts begin and e2's JSON. A
-    block is a split's next lines, about ``_CHUNK_BYTES`` by the last row size.
+    Two tables indexed by ``(e1, r) = key // |A|`` give where the answering
+    entity's facts begin (``answer_rows``) and e2's JSON. A block is a
+    split's next lines, about ``_CHUNK_BYTES`` by the last row size.
     """
     cfg, space = world.config, split_set.space
     n_rel, n_attrs, per_entity = space.n_relations, space.n_attributes, space.per_entity
     names = [world.entity_name(e) for e in range(cfg.n_profiles)]
     ids = [str(e) for e in range(cfg.n_profiles)]
-    facts = world.facts
+    facts, rows = world.facts, answer_rows(world)
     cot = space.two_hop_kind is QuestionKind.TWO_HOP_COT
-    # per (e1, r), with r = |R| for one-hop: the start of the facts of r's
-    # target, or of e1's own, and e2's JSON, its id or null
-    hops = n_rel + 1
-    answer_rows = array(typecode(len(facts)), [0]) * (cfg.n_profiles * hops)
-    answer_rows[n_rel::hops] = array(answer_rows.typecode, range(0, len(facts), n_attrs))
-    e2_fields = ["null"] * len(answer_rows)
-    for r in range(n_rel):
-        answer_rows[r::hops] = array(answer_rows.typecode, map(mul, facts[r::n_attrs], repeat(n_attrs)))
-        e2_fields[r::hops] = map(ids.__getitem__, facts[r::n_attrs])
+    # per (e1, r): e2's JSON, its id, or null for a one-hop row
+    e2_fields = list(map(ids.__getitem__, map(floordiv, rows, repeat(n_attrs))))
+    e2_fields[n_rel :: n_rel + 1] = ["null"] * cfg.n_profiles
 
     # ensure_ascii escapes each character on its own, so escaped pieces splice
     # into one escaped string; entity names are ASCII letters, digits and spaces
@@ -481,9 +490,9 @@ def question_lines(world: World, split_set: SplitSet) -> Iterator[tuple[int, byt
             for key in keys[start : start + n]:
                 e1, q = key // per_entity, key // n_attrs
                 lead, kind_qid, tail, ask, r_was, a_was, end, answers, a = pieces[key % per_entity]
-                answer, eid = answers[facts[answer_rows[q] + a]], ids[e1]
+                answer, eid = answers[facts[rows[q] + a]], ids[e1]
                 if r_was:
-                    e2_name = names[answer_rows[q] // n_attrs]
+                    e2_name = names[rows[q] // n_attrs]
                     ask = f"{ask}{names[e1]}{r_was}{e2_name}. {e2_name}{a_was}"
                 append(f'{lead}{answer}", "e1": {eid}, "e2": {e2_fields[q]}{kind_qid}{eid}{tail}'
                        f"{names[e1]}{ask}{answer}{end}")

@@ -6,7 +6,8 @@ with it, and ``read_unit_content`` counts a log's content unit by unit.
 ``reference_validate`` joins a loss log one decoded line at a time.
 ``answer_prob``, ``pack``, ``unpack``, ``relation_target`` and
 ``presence_flags`` evaluate one question, key or fact directly, where the
-toolkit reads tables; ``strict_two_function_total_bits`` is an entropy
+toolkit reads tables, and ``reference_loss_table`` builds the answer-row
+table and ``LossTable``'s row tables one ``(e1, r)`` row at a time; ``strict_two_function_total_bits`` is an entropy
 variant that only tests compare against. ``reference_world`` draws a world
 through ``random.Random``'s own methods, ``reference_split_table`` assigns
 splits one ``(e1, r)`` block at a time, and ``reference_train_stream``
@@ -150,6 +151,33 @@ def answer_prob(profile, e1: int, r: int, a: int, e2: int) -> float:
     if p1 is None or p2 is None:
         return profile.chance[a]
     return p1 * p2 + (1.0 - p1) / profile.config.n_profiles
+
+
+def reference_loss_table(world, profile, space) -> tuple[list[int], list[int], list[int]]:
+    """The answer-row table and ``LossTable``'s ``base`` and ``lead``, one ``(e1, r)`` row at a time.
+
+    Row ``e1·(|R| + 1) + r`` is answered by e2, the target of e1's relation
+    r, or by e1 itself in the one-hop row ``r = |R|``; the answer-row table
+    holds ``e2·|A|``. So does a composing model's ``base``, and its ``lead``
+    is twice the flag of the first-hop unit ``e1·|A| + r`` (0 for one-hop).
+    The memo's row reads its units from ``(e1·|R| + r)·|A|``, a one-hop row
+    from its entity's first, and its lead is 0.
+    """
+    n_relations, n_attrs = space.n_relations, space.n_attributes
+    first = profile.hop1 if profile.facts is None else profile.facts
+    rows, base, lead = [], [], []
+    for e1 in range(space.n_profiles):
+        for r in range(n_relations + 1):
+            one_hop = r == n_relations
+            e2 = e1 if one_hop else world.facts[e1 * n_attrs + r]
+            rows.append(e2 * n_attrs)
+            if profile.memo is None:
+                base.append(e2 * n_attrs)
+                lead.append(0 if one_hop else 2 * first.flags[e1 * n_attrs + r])
+            else:
+                base.append((e1 * n_relations + (0 if one_hop else r)) * n_attrs)
+                lead.append(0)
+    return rows, base, lead
 
 
 def pack(space, e1: int, r_index: int, a_index: int) -> int:

@@ -17,7 +17,7 @@ import xml.dom.minidom
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twohop
@@ -429,15 +429,20 @@ def _parsed(parse, text):
 
 
 def _run_fuzzed(argv, capsys) -> tuple[int, str]:
-    """``main(argv)``'s exit code and stderr: 0, 1 or 2, no traceback, and one line for 1."""
+    """``main(argv)``'s exit code and stderr: 0, 1 or 2, no traceback, and one line for 1.
+
+    ``validate`` also exits 1, with no error line, on a log with findings.
+    """
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
-    # a refusal that is not argparse's is one error line
-    assert code != 1 or (err.startswith("error: ") and err.count("\n") == 1)
+    if code == 1 and argv[0] == "validate" and not err:
+        assert json.loads(out)["has_violations"]
+    else:  # a refusal that is not argparse's is one error line
+        assert code != 1 or (err.startswith("error: ") and err.count("\n") == 1)
     return code, err
 
 
@@ -500,6 +505,20 @@ DROPPED = object()
 _FIELD_VALUES = st.sampled_from([DROPPED, None, True, "x", [], {}, 2**70, 10**400, -0.0, math.nan])
 
 
+def _edited_json(raw: bytes, field: tuple, value) -> str:
+    """The JSON text ``raw`` with ``value`` at ``field``, a path of keys, or with it dropped."""
+    data = {"": json.loads(raw)}
+    *parents, key = ("", *field)
+    holder = data
+    for name in parents:
+        holder = holder[name]
+    if value is DROPPED:
+        del holder[key]
+    else:
+        holder[key] = value
+    return json.dumps(data[""])
+
+
 def test_run_manifests_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
     # a run manifest that is missing, has a field dropped or of another
     # type, or is cut short gives estimate, classify and report exit 0 or
@@ -516,17 +535,8 @@ def test_run_manifests_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
         path = log.with_suffix(".json")
         if field == () and value is DROPPED:
             path.unlink(missing_ok=True)
-            return
-        run_meta = {"": json.loads(raw)}
-        *parents, key = ("", *field)
-        holder = run_meta
-        for name in parents:
-            holder = holder[name]
-        if value is DROPPED:
-            del holder[key]
         else:
-            holder[key] = value
-        path.write_text(json.dumps(run_meta[""]), encoding="utf-8")
+            path.write_text(_edited_json(raw, field, value), encoding="utf-8")
 
     @settings(max_examples=100, deadline=None)
     @given(field=st.sampled_from(RUN_MANIFEST_FIELDS), value=_FIELD_VALUES,
@@ -547,6 +557,172 @@ def test_run_manifests_under_fuzz(dataset_dir, run_log, tmp_path, capsys):
             code, err = _run_fuzzed(argv, capsys)
             assert code in (0, 1), argv
             assert expected is None or (code == 1 and expected in err), (argv, err)
+
+    fuzz()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A six-profile dataset and a complete 2f log of it with no run manifest."""
+    out = tmp_path_factory.mktemp("small_run")
+    assert main(["gen", "--profiles", "6", "--relations", "2", "--properties", "1",
+                 "--name-pools", "4", "4", "4", "--mix-ratio", "2", "--holdout-frac", "0.2",
+                 "--seed", "3", "--out", str(out / "ds")]) == 0
+    assert main(["simulate", "--dataset", str(out / "ds"), "--model", "2f", "--reliability",
+                 "two-point:0.1,0.9,0.5", "--param-count", "100", "--out", str(out / "run.jsonl")]) == 0
+    (out / "run.json").unlink()
+    return out / "ds", out / "run.jsonl"
+
+
+def _commands(dataset: Path, log: Path, tmp_path: Path) -> list[list[str]]:
+    """simulate, and each command that reads ``log``, against ``dataset``."""
+    data = ["--dataset", str(dataset), "--losses", str(log)]
+    return [["simulate", "--dataset", str(dataset), "--model", "recurrent", "--param-count", "5",
+             "--out", str(tmp_path / "out.jsonl")],
+            ["validate", *data], ["estimate", *data, "--model", "2f"], ["classify", *data],
+            ["report", *data, "--model", "recurrent", "--out-csv", str(tmp_path / "c.csv")]]
+
+
+# Where a dataset manifest holds what the commands read of it; () is the manifest itself
+DATASET_MANIFEST_FIELDS = [
+    (), ("config",), *(("config", key) for key in worldgen._CONFIG_INT_KEYS),
+    ("config", "relations"), ("config", "properties"),
+    ("files",), ("files", "profiles.jsonl"), ("files", "qa.jsonl"),
+    ("holdout_components",), *(("holdout_components", kind) for kind in worldgen.HOLDOUT_KINDS),
+    ("split_params",), *(("split_params", key) for key in ("seed", "mix_ratio", "cot")),
+    ("split_params", "holdout_fractions"),
+    *(("split_params", "holdout_fractions", kind) for kind in worldgen.HOLDOUT_KINDS),
+]
+_SMALL_VALUES = _FIELD_VALUES | st.integers(-1, 8) | st.sampled_from([0.5, 0.99, [[0]], ["x"]])
+
+
+def test_dataset_manifests_under_fuzz(small_run, tmp_path, capsys):
+    # a dataset manifest with a field dropped or of another value, or cut
+    # short, gives every command exit 0 or 1 with no traceback; a manifest
+    # that is not JSON is refused by each
+    dataset, log = small_run
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset, ds)
+    raw = (dataset / "manifest.json").read_bytes()
+    commands = _commands(ds, log, tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(DATASET_MANIFEST_FIELDS), value=_SMALL_VALUES,
+           cut=st.none() | st.integers(0, len(raw.rstrip()) - 1))
+    def fuzz(field, value, cut):
+        if cut is not None:
+            (ds / "manifest.json").write_bytes(raw[:cut])
+        elif field == () and value is DROPPED:
+            (ds / "manifest.json").unlink()
+        else:
+            (ds / "manifest.json").write_text(_edited_json(raw, field, value), encoding="utf-8")
+        for argv in commands:
+            code, err = _run_fuzzed(argv, capsys)
+            assert code in (0, 1), argv
+            assert cut is None or "cannot read manifest" in err, (argv, err)
+
+    fuzz()
+
+
+_CONFIG = {"n_profiles": 6, "first_names": 4, "middle_names": 4, "last_names": 4,
+           "relations": ["mother", "boss"], "properties": [["birth city", 10]], "seed": 3}
+_CONFIG_FIELDS = [(), *((key,) for key in _CONFIG), ("properties", 0), ("properties", 0, 1)]
+
+
+def test_entropy_configs_under_fuzz(tmp_path, capsys):
+    # an entropy --config file with a field dropped or of another value,
+    # cut short, or of any bytes, exits 0 or 1 with no traceback
+    path, raw = tmp_path / "config.json", json.dumps(_CONFIG).encode()
+
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(_CONFIG_FIELDS), value=_SMALL_VALUES,
+           data=st.none() | st.integers(0, len(raw) - 1).map(lambda cut: raw[:cut])
+           | st.binary(max_size=40), model=st.sampled_from(list(cli.MODELS)))
+    def fuzz(field, value, data, model):
+        if data is None:
+            data = b"" if field == () and value is DROPPED else _edited_json(raw, field, value).encode()
+        path.write_bytes(data)
+        code, _ = _run_fuzzed(["entropy", "--config", str(path), "--model", model], capsys)
+        assert code in (0, 1)
+
+    fuzz()
+
+
+# Edits of a file's lines: each takes the lines (bytes, each with its newline), a
+# place in them and some bytes, and gives the edited lines
+LINE_EDITS = {
+    "replace": lambda lines, i, data: lines[:i] + [data] + lines[i + 1 :],
+    "insert": lambda lines, i, data: lines[:i] + [data] + lines[i:],
+    "drop": lambda lines, i, data: lines[:i] + lines[i + 1 :],
+    "repeat": lambda lines, i, data: lines[: i + 1] + lines[i:],
+    "cut": lambda lines, i, data: lines[:i] + [lines[i][: len(data)]],
+}
+_LINE_BYTES = st.binary(max_size=30) | st.sampled_from([b"", b"\n", b"\r\n", b"{}\n", b"[]\n", b"\xff\n"])
+
+
+def _edit_lines(raw: bytes, edit: str, i: int, data: bytes) -> bytes:
+    lines = raw.splitlines(keepends=True)
+    return b"".join(LINE_EDITS[edit](lines, i % len(lines), data))
+
+
+def test_data_file_lines_under_fuzz(small_run, tmp_path, capsys):
+    # a data file with a line edited gives every command exit 0 or 1 with no
+    # traceback; simulate and validate refuse it, by its hash or, with the
+    # manifest's hash made to match, by the first line that differs
+    dataset, log = small_run
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset, ds)
+    raw = {name: (dataset / name).read_bytes() for name in ("manifest.json", "profiles.jsonl", "qa.jsonl")}
+    commands = _commands(ds, log, tmp_path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["profiles.jsonl", "qa.jsonl"]), edit=st.sampled_from(sorted(LINE_EDITS)),
+           i=st.integers(0, 10**4), data=_LINE_BYTES, rehash=st.booleans())
+    def fuzz(name, edit, i, data, rehash):
+        edited = _edit_lines(raw[name], edit, i, data)
+        (ds / name).write_bytes(edited)
+        manifest = raw["manifest.json"]
+        if rehash:
+            manifest = _edited_json(manifest, ("files", name), hashlib.sha256(edited).hexdigest()).encode()
+        (ds / "manifest.json").write_bytes(manifest)
+        for argv in commands:
+            code, err = _run_fuzzed(argv, capsys)
+            if argv[0] in ("simulate", "validate") and edited != raw[name]:
+                assert code == 1 and err.startswith("error: "), (argv, err)
+            assert code in (0, 1), argv
+        (ds / name).write_bytes(raw[name])
+
+    fuzz()
+
+
+_ROW_VALUES = _FIELD_VALUES | st.floats() | st.sampled_from(
+    ["one_hop", "two_hop_cot", "1h:0:mother", "2h:01:boss:boss", "2h:6:boss:mother", "heldout_e1"])
+
+
+def test_loss_log_rows_under_fuzz(small_run, tmp_path, capsys):
+    # a log with a row edited, as one field dropped or of another value, its
+    # number's text or any bytes, gives every command that reads it exit 0
+    # or 1 with no traceback
+    dataset, complete = small_run
+    log, raw = tmp_path / "run.jsonl", complete.read_bytes()
+    commands = _commands(dataset, log, tmp_path)[1:]
+    row = raw[: raw.index(b"\n") + 1]
+    number = re.search(rb'"logprob_nats": ([^,]*),', row).group(1)
+    rows = st.one_of(
+        st.builds(lambda field, value: (_edited_json(row, (field,), value) + "\n").encode(),
+                  st.sampled_from(["kind", "logprob_nats", "qid", "split"]), _ROW_VALUES),
+        _NUMBER_TEXT.map(lambda text: row.replace(number, text.encode(), 1)),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(edit=st.sampled_from(sorted(LINE_EDITS)), i=st.integers(0, 10**4), data=rows | _LINE_BYTES)
+    @example(edit="replace", i=0, data=row.replace(number, str(10**400).encode()))
+    @example(edit="insert", i=5, data=row.replace(number, b"-1e400"))
+    def fuzz(edit, i, data):
+        log.write_bytes(_edit_lines(raw, edit, i, data))
+        for argv in commands:
+            code, _ = _run_fuzzed(argv, capsys)
+            assert code in (0, 1), argv
 
     fuzz()
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import answer_prob, block_lines, presence_flags, unpack
+from oracles import answer_prob, block_lines, presence_flags, reference_loss_table, unpack
 
 from twohop.cli import main
 from twohop.entropy import ModelKind, dataset_entropy, name_selection_entropy
@@ -29,6 +29,7 @@ from twohop.worldgen import (
     WorldConfig,
     build_splits,
     generate_world,
+    answer_rows,
     persist_dataset,
     question_lines,
 )
@@ -246,6 +247,25 @@ def test_table_is_answer_prob(world, kind, spec, cot, seed):
     fields = ("qid", "split", "kind", "logprob_nats")
     assert text == "".join(json.dumps(dict(zip(fields, record)), sort_keys=True) + "\n"
                            for record in records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=table_worlds(), kind=st.sampled_from(list(ModelKind)),
+       spec=st.sampled_from(["trained", "two-point:0.01,0.99,0.5"]), cot=st.booleans(),
+       mix_ratio=st.sampled_from([0, 3]), holdouts=st.booleans(), seed=st.integers(0, 3))
+def test_row_tables_are_the_per_row_reference(world, kind, spec, cot, mix_ratio, holdouts, seed):
+    # the answer-row table and LossTable's base and lead, built a relation
+    # column at a time, are the tables built one (e1, r) row at a time
+    fractions = dict.fromkeys(HOLDOUT_KINDS, 0.2) if holdouts else {}
+    if len(world.config.relations) == 1:
+        fractions.pop("heldout_r", None)  # one relation cannot be held out
+    ss = build_splits(world, fractions, mix_ratio=mix_ratio, seed=seed, cot=cot)
+    profile = PROFILES[spec](world, ss, kind, seed)
+    table = LossTable(world, profile, ss.space)
+    rows, base, lead = reference_loss_table(world, profile, ss.space)
+    assert list(answer_rows(world)) == rows
+    assert list(table.base) == base
+    assert list(table.lead) == lead
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
