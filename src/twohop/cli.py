@@ -248,8 +248,7 @@ def _estimate_for(config, groups: dict, kind: ModelKind | None, losses: Path):
     """The content estimate under ``kind``, and the aggregate of the task's questions."""
     from . import estimator
     task = _group(groups, "one_hop" if kind is None else "two_hop", losses)
-    # the questions that read one unit each: independent's two-hop ones, else the one-hop ones
-    reads = task if kind in (None, ModelKind.INDEPENDENT) else _group(groups, "one_hop", losses)
+    reads = _group(groups, entropy_mod.SPECS[kind].reads, losses)
     return estimator.content_estimate(config, kind, reads, groups["hop1"]), task
 
 

@@ -1,10 +1,10 @@
 """Closed-form dataset entropies and uniform-guessing baselines.
 
 A dataset's entropy is the number of bits needed to encode it given the
-generation scheme: selecting the names plus one pass over all attribute
-values per entity. Two-hop datasets cost one pass under recurrent
-composition, two passes under two-function composition, and |R| passes
-under independent memorization.
+generation scheme: selecting the names plus the passes over all attribute
+values per entity that the model's tables hold (``SPECS``): one under
+recurrent composition, two under two-function composition, and |R| under
+independent memorization.
 """
 
 from __future__ import annotations
@@ -29,6 +29,43 @@ class ModelKind(str, Enum):
     RECURRENT = "recurrent"
     TWO_FUNCTION = "2f"
     INDEPENDENT = "independent"
+
+
+class ModelSpec(NamedTuple):
+    """A model's row: the tables its two hops read, and the ``PresenceFlags`` attribute it ``needs``.
+
+    A first hop of None is no lookup. One-hop questions read the second
+    hop's table, but the memo, one unit per two-hop question, answers them at chance.
+    """
+
+    hops: tuple[str | None, str]
+    needs: str
+
+    def tables(self, config: WorldConfig) -> dict[str, int]:
+        """Each stored table, in draw order, and the passes over all facts it holds: |R| for the memo."""
+        return {name: len(config.relations) if name == "memo" else 1 for name in self.hops if name}
+
+    def passes(self, config: WorldConfig) -> int:
+        """The passes over all facts that the stored tables hold: the entropy's multiplier."""
+        return sum(self.tables(config).values())
+
+    @property
+    def own_first_hop(self) -> str | None:
+        """A first-hop table that no one-hop question reads, or None; no question reads its properties."""
+        return self.hops[0] if self.hops[0] != self.hops[1] else None
+
+    @property
+    def reads(self) -> str:
+        """The group of questions that read one second-hop unit each."""
+        return "two_hop" if self.hops[1] == "memo" else "one_hop"
+
+
+SPECS = {
+    None: ModelSpec(hops=(None, "facts"), needs="facts_one_hop_present"),
+    ModelKind.RECURRENT: ModelSpec(hops=("facts", "facts"), needs="facts_one_hop_present"),
+    ModelKind.TWO_FUNCTION: ModelSpec(hops=("hop1", "hop2"), needs="both_pairs_present"),
+    ModelKind.INDEPENDENT: ModelSpec(hops=(None, "memo"), needs="full_question_present"),
+}
 
 
 def task_name(model_kind: ModelKind | None) -> str:
@@ -100,14 +137,6 @@ def _fact_bits_per_pass(config: WorldConfig) -> float:
     return config.n_profiles * per_entity
 
 
-def _multiplier(config: WorldConfig, model_kind: ModelKind | None) -> int:
-    if model_kind is None or model_kind is ModelKind.RECURRENT:
-        return 1
-    if model_kind is ModelKind.TWO_FUNCTION:
-        return 2
-    return len(config.relations)
-
-
 def dataset_entropy(config: WorldConfig, model_kind: ModelKind | None) -> EntropyReport:
     """Total dataset entropy: name selection plus the model's passes over facts.
 
@@ -115,7 +144,7 @@ def dataset_entropy(config: WorldConfig, model_kind: ModelKind | None) -> Entrop
     """
     name_bits = name_selection_entropy(config.n_profiles, config.name_space_size)
     fact_bits = _fact_bits_per_pass(config)
-    multiplier = _multiplier(config, model_kind)
+    multiplier = SPECS[model_kind].passes(config)
     return EntropyReport(
         name_bits=name_bits,
         fact_bits_per_pass=fact_bits,
@@ -131,7 +160,7 @@ def uniform_guess_loss_bits(config: WorldConfig, model_kind: ModelKind | None) -
     Summed over the same fact passes the matching entropy counts: one pass
     of per-fact losses log2 |V_a|, times the model's multiplier.
     """
-    return _multiplier(config, model_kind) * _fact_bits_per_pass(config)
+    return SPECS[model_kind].passes(config) * _fact_bits_per_pass(config)
 
 
 def baseline_content(config: WorldConfig, model_kind: ModelKind | None) -> float:

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .entropy import LN2, ModelKind, attribute_entropy, dataset_entropy, task_name
+from .entropy import LN2, SPECS, ModelKind, attribute_entropy, dataset_entropy, task_name
 from .worldgen import WorldConfig
 
 
@@ -127,23 +127,23 @@ def content_estimate(
 ) -> ContentEstimate:
     """Lower-bound content: the model's entropy minus the loss of every unit it stores, in bits.
 
-    ``aggregate`` is the loss of the questions that read one unit each: the
-    two-hop questions for independent's memo, the one-hop questions
-    otherwise (the one-hop task, recurrent's one table and two-function's
-    second hop). ``hop1`` is two-function's ``first_hop_group`` over the
-    units (e1, r); a first hop to a property, which no question reads,
-    counts at chance. ``fact_count`` is the number of units stored.
-    An independent ``aggregate`` of fewer questions than memo units (no train
-    two-hops) raises EstimatorError: its mean is not every unit's.
+    ``aggregate`` is the loss of the row's ``reads`` group (``entropy.SPECS``),
+    whose questions read one second-hop unit each, and ``hop1`` the
+    ``first_hop_group`` of the units (e1, r) of its ``own_first_hop`` table,
+    if any; a first hop to a property, which no question reads, counts at
+    chance. ``fact_count`` is the number of units stored. A two-hop
+    ``aggregate`` of fewer questions than units (no train two-hops), or no
+    ``hop1`` for a row that reads one, raises EstimatorError.
     """
-    n, reads = config.n_profiles, config.n_profiles * len(config.attributes)
-    if model_kind is ModelKind.INDEPENDENT:  # one unit per two-hop question
-        reads *= len(config.relations)
-        if aggregate.count < reads:
-            raise EstimatorError(f"the independent estimate reads every memo unit's two-hop "
-                                 f"question: {aggregate.count} of {reads} are in the log")
+    spec, n = SPECS[model_kind], config.n_profiles
+    reads = spec.tables(config)[spec.hops[1]] * n * len(config.attributes)
+    if spec.reads == "two_hop" and aggregate.count < reads:  # one unit per two-hop question
+        raise EstimatorError(f"the {model_kind.value} estimate reads every {spec.hops[1]} unit's two-hop "
+                             f"question: {aggregate.count} of {reads} are in the log")
     loss_bits = reads * aggregate.mean_loss_bits
-    if model_kind is ModelKind.TWO_FUNCTION:
+    if spec.own_first_hop:
+        if hop1 is None:
+            raise EstimatorError(f"the {model_kind.value} estimate reads the hop1 group: none was given")
         unread = sum(map(attribute_entropy, config.pools[len(config.relations):]))
         loss_bits += n * len(config.relations) * hop1.mean_loss_bits + n * unread
     entropy = dataset_entropy(config, model_kind)

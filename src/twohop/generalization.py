@@ -4,8 +4,8 @@ Each computational model predicts a distinct pattern of which holdout sets
 a model can still answer: independent memorization generalizes to nothing,
 two-function composition only to excluded complete questions, and recurrent
 composition to every holdout (all facts stay present as one-hop questions).
-``predict_generalization`` states these rules, and the signatures that
-``classify_algorithm`` tells apart are derived from it.
+Each model's row in ``entropy.SPECS`` states its rule, ``predict_generalization``
+reads it, and the signatures that ``classify_algorithm`` tells apart follow.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .entropy import ModelKind
+from .entropy import SPECS, ModelKind
 from .estimator import AggregateLoss, LossAccumulator
 from .worldgen import _IS_TRAIN, _SPLIT_CODE, HOLDOUT_KINDS, SplitSet, World, WorldConfig
 
@@ -80,17 +80,8 @@ def train_two_hops(split_set: SplitSet) -> bytearray:
 
 
 def predict_generalization(model_kind: ModelKind, flags: PresenceFlags) -> bool:
-    """Whether the model answers the question correctly, given what train contains.
-
-    Independent memorization needs the complete question; two-function
-    composition needs both pairs in their hop roles; recurrent composition
-    needs only the underlying one-hop facts.
-    """
-    if model_kind is ModelKind.INDEPENDENT:
-        return flags.full_question_present
-    if model_kind is ModelKind.TWO_FUNCTION:
-        return flags.both_pairs_present
-    return flags.facts_one_hop_present
+    """Whether the model answers the question correctly, given what train contains: its row's ``needs``."""
+    return getattr(flags, SPECS[model_kind].needs)
 
 
 def uniform_baselines(split_set: SplitSet, config: WorldConfig) -> dict[str, float]:

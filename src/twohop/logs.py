@@ -239,7 +239,7 @@ def summary_from_json(summary, where: str) -> tuple[str, dict[str, AggregateLoss
     ``summary`` is outside input: anything but an object holding a string
     ``log_sha256`` and every group of SUMMARY_GROUPS, each with an integer
     ``count`` >= 0 and a finite ``mean`` >= 0, raises DatasetIOError naming
-    ``where``. A summary written before the ``hop1`` group lacks it.
+    ``where``, so a summary written before the ``hop1`` group is refused as lacking it.
     """
     if type(summary) is not dict:
         raise DatasetIOError(f"{where}: summary must be a JSON object")

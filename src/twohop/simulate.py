@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from functools import cache, partial
 from itertools import repeat
 from operator import floordiv
 from pathlib import Path
 from typing import Iterator
 
-from .entropy import ModelKind, _multiplier, dataset_entropy
+from .entropy import SPECS, ModelKind, dataset_entropy
 from .estimator import EstimatorError, LossAccumulator, first_hop_group, first_hop_reading
 from .generalization import TrainIndex, train_two_hops
 from .logs import ROW_GROUPS, LossRecord, group_names, row_head, row_tail
@@ -49,12 +50,9 @@ class ReliabilityTable:
 class ReliabilityProfile:
     """Per-unit retrieval probabilities for one computational model.
 
-    Recurrent stores one table, ``facts``, applied to both hops; two-function
-    stores ``hop1`` and ``hop2`` (each spanning all attributes, since each
-    fact is stored once per pass); independent stores ``memo``, one unit per
-    two-hop question. A fact's unit is ``e·|A| + a`` and a memo's
-    ``(e·|R| + r)·|A| + a``, with relation and attribute indices in config
-    order. A role the model lacks is None.
+    One table per table of its row (``entropy.SPECS``), None for the others:
+    ``facts``, ``hop1`` and ``hop2`` hold a unit per fact ``e·|A| + a``, and ``memo``
+    one per two-hop question ``(e·|R| + r)·|A| + a``, indices in config order.
     """
 
     __slots__ = ("model_kind", "config", "facts", "hop1", "hop2", "memo", "chance")
@@ -107,22 +105,16 @@ class ReliabilityProfile:
         rng = random.Random(seed)
         low = tuple(max(1.0 / pool, p_low) for pool in config.pools)
         high = tuple(max(1.0 / pool, p_high) for pool in config.pools)
-        return cls._build(config, model_kind, low, high, lambda: rng.random() < frac_high)
+        return cls._build(config, model_kind, low, high,
+                          lambda _, units: bytearray(rng.random() < frac_high for _ in range(units)))
 
     @classmethod
-    def _build(cls, config: WorldConfig, model_kind: ModelKind, low, high, flag=None):
-        """One table per role of ``model_kind``, drawing ``flag()`` per unit in unit order."""
-        units = _role_units(config, model_kind)
-
-        def table() -> ReliabilityTable:
-            flags = bytearray(units) if flag is None else bytearray(flag() for _ in range(units))
-            return ReliabilityTable(low, high, flags)
-
-        if model_kind is ModelKind.RECURRENT:
-            return cls(model_kind, config, facts=table())
-        if model_kind is ModelKind.TWO_FUNCTION:
-            return cls(model_kind, config, hop1=table(), hop2=table())
-        return cls(model_kind, config, memo=table())
+    def _build(cls, config: WorldConfig, model_kind: ModelKind, low, high, flags=None):
+        """One table per table of ``model_kind``'s row, in its order, its flags ``flags(name, units)``."""
+        facts = config.n_profiles * len(config.attributes)
+        flags = flags or (lambda _, units: bytearray(units))  # none set
+        return cls(model_kind, config, **{name: ReliabilityTable(low, high, flags(name, passes * facts))
+                                          for name, passes in SPECS[model_kind].tables(config).items()})
 
     @classmethod
     def trained(
@@ -141,21 +133,12 @@ class ReliabilityProfile:
         are ``TrainIndex``'s; the memo's are the split table's train two-hops.
         """
         cfg = world.config
+        index = cache(partial(TrainIndex, world, split_set))  # built only for a model with hop tables
+        learned = {"facts": lambda units: bytearray(b"\x01") * units,
+                   "hop1": lambda _: index().hop1, "hop2": lambda _: index().hop2,
+                   "memo": lambda _: train_two_hops(split_set)}
         levels = (None,) * len(cfg.attributes), (1.0,) * len(cfg.attributes)
-        if model_kind is ModelKind.RECURRENT:
-            learned = bytearray(b"\x01") * _role_units(cfg, model_kind)
-            return cls(model_kind, cfg, facts=ReliabilityTable(*levels, learned))
-        if model_kind is ModelKind.INDEPENDENT:
-            return cls(model_kind, cfg, memo=ReliabilityTable(*levels, train_two_hops(split_set)))
-        index = TrainIndex(world, split_set)
-        hop1, hop2 = ReliabilityTable(*levels, index.hop1), ReliabilityTable(*levels, index.hop2)
-        return cls(model_kind, cfg, hop1=hop1, hop2=hop2)
-
-
-def _role_units(config: WorldConfig, model_kind: ModelKind) -> int:
-    """Units in one table of the model: facts for composing models, questions for the memo."""
-    units = config.n_profiles * len(config.attributes)
-    return units * len(config.relations) if model_kind is ModelKind.INDEPENDENT else units
+        return cls._build(cfg, model_kind, *levels, lambda name, units: learned[name](units))
 
 
 # A question's code is lead + flag (0 to 3), plus 4 when the dataset lacks it (split code 0)
@@ -195,15 +178,12 @@ class LossTable:
         n_profiles, n_relations, n_attrs = space.n_profiles, space.n_relations, space.n_attributes
         hops = n_relations + 1
         self.lead = bytearray(n_profiles * hops)  # a one-hop row's first hop is certain: lead 0
-        if profile.memo is None:
-            first, second = profile.hop1, profile.hop2
-            if profile.facts is not None:  # recurrent: one table for both hops
-                first = second = profile.facts
+        first, second = (getattr(profile, name) if name else None for name in SPECS[profile.model_kind].hops)
+        if first is not None:
             self.base = answer_rows(world)
             for r in range(n_relations):
                 self.lead[r::hops] = first.flags[r::n_attrs].translate(_LEAD)
         else:
-            first, second = None, profile.memo
             # row (e1, r)'s units start at (e1·|R| + r)·|A|; a one-hop row reads e1's first, unused
             memo_row = n_relations * n_attrs
             self.base = array(space.typecode, [0]) * (n_profiles * hops)
@@ -345,16 +325,15 @@ def ground_truth_content(world: World, profile: ReliabilityProfile) -> float:
 
     That is every stored unit but a two-function first hop to a property, which counts at chance.
     """
-    cfg = world.config
+    cfg, spec = world.config, SPECS[profile.model_kind]
     n_attrs = len(cfg.attributes)
     loss = 0.0
-    for table in (profile.facts, profile.hop1, profile.hop2, profile.memo):
-        if table is None:
-            continue
+    for name in spec.tables(cfg):
+        table = getattr(profile, name)
         for a, chance in enumerate(profile.chance):
             flags = table.flags[a::n_attrs]
             high = flags.count(1)
-            unread = table is profile.hop1 and a >= len(cfg.relations)
+            unread = name == spec.own_first_hop and a >= len(cfg.relations)
             for count, p in ((high, table.high[a]), (len(flags) - high, table.low[a])):
                 loss -= count * math.log2(chance if p is None or unread else p)
     return dataset_entropy(cfg, profile.model_kind).total_bits - loss
@@ -372,7 +351,7 @@ def allocate_budget(
     if not budget_bits >= 0:  # also rejects NaN
         raise ValueError(f"budget must be >= 0, got {budget_bits}")
     # the stored units: one per (entity, attribute) in each of the entropy's fact passes
-    units = _multiplier(config, model_kind) * config.n_profiles * len(config.attributes)
+    units = SPECS[model_kind].passes(config) * config.n_profiles * len(config.attributes)
     share = budget_bits / units
     levels = tuple(2.0 ** -max(0.0, math.log2(pool) - share) for pool in config.pools)
     return ReliabilityProfile._build(config, model_kind, levels, levels)

@@ -2187,6 +2187,22 @@ def test_toolkit_imports_only_the_standard_library():
     assert sorted(name for name in names if name.partition(".")[0] not in allowed) == []
 
 
+
+def test_models_are_named_only_in_the_spec_table():
+    # every per-model rule reads its model's row of entropy.SPECS, so no other code names a model
+    members, outside, in_table = set(twohop.ModelKind.__members__), [], []
+    for source in sorted(Path(twohop.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        table = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                 and [getattr(target, "id", None) for target in stmt.targets] == ["SPECS"]
+                 for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "ModelKind" and node.attr in members):
+                (in_table if id(node) in table else outside).append(f"{source.name}:{node.lineno} {node.attr}")
+    assert outside == []
+    assert sorted(name.split()[1] for name in in_table) == sorted(members)
+
 def test_package_names_resolve_to_their_modules():
     # the names `import twohop` exports, each loaded from its module on first use
     exports = {

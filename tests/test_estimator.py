@@ -224,6 +224,12 @@ class TestContentEstimate:
             content_estimate(micro_cfg, ModelKind.INDEPENDENT, agg)
         assert content_estimate(micro_cfg, ModelKind.RECURRENT, agg).content_bits > 0
 
+    def test_two_function_needs_its_hop1_group(self, micro_cfg):
+        # 2f's first-hop table is read off the hop1 group alone
+        agg = aggregate_losses(_records([0.0] * 400))
+        with pytest.raises(EstimatorError, match="reads the hop1 group"):
+            content_estimate(micro_cfg, ModelKind.TWO_FUNCTION, agg)
+
     def test_bits_per_parameter_guards(self):
         assert bits_per_parameter(0.0, 10) == 0.0
         with pytest.raises(EstimatorError):

@@ -199,6 +199,17 @@ PROFILES = {
 }
 
 
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_stored_units_are_the_entropy_passes(micro_world, holdout_setup, kind):
+    # every constructor stores one unit per fact in each pass its dataset entropy counts
+    cfg = micro_world.config
+    units = dataset_entropy(cfg, kind).multiplier * cfg.n_profiles * len(cfg.attributes)
+    for spec, build in PROFILES.items():
+        profile = build(micro_world, holdout_setup, kind, 3)
+        tables = (profile.facts, profile.hop1, profile.hop2, profile.memo)
+        assert sum(len(table) for table in tables if table is not None) == units, spec
+
 @st.composite
 def table_worlds(draw):
     """A small world with property pools below, equal to and above |N|, and names to escape."""
