@@ -96,9 +96,12 @@ class EntropyReport(NamedTuple):
 
 
 def name_selection_entropy(n: int, n0: int) -> float:
-    """Bits to select n names without replacement from a pool of n0: n*log2(n0).
+    """The name term for n names drawn without replacement from a pool of n0: n*log2(n0) bits.
 
-    This approximates log2 C(n0, n), which is tight for n << n0. When the
+    This is log2 of the ordered draws, n0**n, not of the sets of names,
+    log2 C(n0, n). It exceeds the latter by log2 n! plus
+    log2(n0**n / (n0*(n0-1)*...*(n0-n+1))) >= 0, so by at least log2 n! at
+    every occupancy, however small (log2 400! = 2,886 bits). When the
     occupancy n/n0 exceeds 1e-3 a warning reports the overstatement against
     the exact binomial value.
     """

@@ -951,6 +951,16 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
     hashes qa.jsonl from the same bytes, and leaves by ``os._exit``: it
     never returns into the caller.
 
+    The two run on different CPUs where the process may use two or more.
+    A forked child starts on its parent's CPU, and where the kernel does not
+    balance load across CPUs (a cpuset with ``sched_load_balance`` 0) it
+    stays there, so the check and the body would share one CPU. The parent
+    therefore keeps the lowest allowed CPU and the child takes the rest;
+    the parent gets its whole mask back once the child is reaped, however
+    the body ends. With one allowed CPU, or without
+    ``os.sched_setaffinity``, nothing is pinned, and a refused
+    ``sched_setaffinity`` is ignored: placement never fails the check.
+
     A fault is raised in the order of a check that hashed both files first:
     a stale profiles.jsonl hash, then a stale qa.jsonl hash (HashMismatchError
     both), then a replay fault, then the first line that differs, is missing
@@ -970,12 +980,16 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
         _require_hash("qa.jsonl", manifest, sha256_file(path / "qa.jsonl"))
         raise
     split_set.train  # built here, and not once more in the child
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    split = len(mask) >= 2
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1  # any way out but a check that passed
         try:
             os.close(read_end)
+            if split:
+                _run_on(mask - {min(mask)})
             with open(write_end, "wb") as pipe:
                 try:
                     _check_data_files(path, manifest, split_set, world)
@@ -986,6 +1000,8 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
         finally:
             os._exit(status)
     os.close(write_end)
+    if split:
+        _run_on({min(mask)})
     try:
         yield split_set, world
     except Exception:
@@ -997,7 +1013,17 @@ def checked_dataset(path: Path, manifest: dict) -> Iterator[tuple[SplitSet, Worl
         with suppress(Exception):
             _reap_check(pid, read_end)
         raise
-    _reap_check(pid, read_end)
+    else:
+        _reap_check(pid, read_end)
+    finally:
+        if split:
+            _run_on(mask)
+
+
+def _run_on(cpus: set[int]) -> None:
+    """Run this process on ``cpus``; a refusal is ignored, for placement only speeds the check up."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def _check_data_files(path: Path, manifest: Mapping, split_set: SplitSet, world: World) -> None:
@@ -1028,4 +1054,6 @@ def _reap_check(pid: int, read_end: int) -> None:
         import pickle
         raise pickle.loads(fault) from None
     if status:
-        raise DatasetIOError(f"the data-file check died (status {status})")
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit code {code}" if code > 0 else f"killed by signal {-code}"
+        raise DatasetIOError(f"the data-file check died ({how})")

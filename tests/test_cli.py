@@ -1,5 +1,6 @@
 import argparse
 import ast
+import errno
 import gc
 import hashlib
 import importlib
@@ -10,6 +11,7 @@ import random
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -1421,10 +1423,18 @@ def _byte_faulty_copy(dataset_dir, tmp_path, edit=QA_BYTE_EDITS["byte_mid_file"]
     return edited, f"error: {edited / 'qa.jsonl'}:{fault}\n"
 
 
+# the CPUs this process may run on, which every data-file check gives back
+START_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+needs_two_cpus = pytest.mark.skipif(len(START_CPUS or ()) < 2, reason="needs two allowed CPUs")
+
+
 def _assert_no_child():
-    # every data-file check's child has been reaped
+    # every data-file check's child has been reaped, and this process runs
+    # on the CPUs it ran on before the check
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if START_CPUS is not None:
+        assert os.sched_getaffinity(0) == START_CPUS
 
 
 @pytest.mark.parametrize("edit", QA_BYTE_EDITS.values(), ids=QA_BYTE_EDITS)
@@ -1466,6 +1476,101 @@ def test_byte_fault_leaves_no_run_manifest(dataset_dir, tmp_path, capfd):
     assert main(args + [str(edited)]) == 1
     assert capfd.readouterr() == ("", error)
     assert not log.with_suffix(".json").exists()
+    _assert_no_child()
+
+
+def _record_check_cpus(monkeypatch, record):
+    """Have the check's child write the CPUs it runs on to ``record`` before it checks."""
+    check = worldgen._check_data_files
+
+    def recorded(*args):
+        record.write_text(json.dumps(sorted(os.sched_getaffinity(0))))
+        check(*args)
+
+    monkeypatch.setattr(worldgen, "_check_data_files", recorded)
+
+
+@needs_two_cpus
+def test_check_runs_on_cpus_of_its_own(dataset_dir, tmp_path, monkeypatch):
+    # a forked child starts on its parent's CPU: the body keeps the lowest
+    # allowed CPU and the check's child takes the rest
+    record = tmp_path / "child_cpus.json"
+    _record_check_cpus(monkeypatch, record)
+    manifest, _ = worldgen.load_manifest(dataset_dir)
+    with worldgen.checked_dataset(dataset_dir, manifest):
+        body = os.sched_getaffinity(0)
+    child = set(json.loads(record.read_text()))
+    assert body == {min(START_CPUS)}
+    assert child == START_CPUS - body
+    _assert_no_child()
+
+
+@pytest.mark.skipif(START_CPUS is None, reason="no CPU affinity on this platform")
+def test_one_cpu_pins_nothing(dataset_dir, run_log, tmp_path, monkeypatch, capfd):
+    # under a one-CPU mask no process is pinned, and the outputs are those
+    # of a run on every allowed CPU
+    log, pins = tmp_path / "run.jsonl", tmp_path / "pins"
+
+    def outputs():
+        assert main(["simulate", "--dataset", str(dataset_dir), "--model", "2f",
+                     "--param-count", "5000", "--out", str(log)]) == 0
+        assert main(["validate", "--dataset", str(dataset_dir), "--losses", str(run_log)]) == 0
+        return capfd.readouterr(), log.read_bytes(), log.with_suffix(".json").read_bytes()
+
+    spread = outputs()
+    setaffinity = os.sched_setaffinity
+
+    def recorded(pid, cpus):
+        with open(pins, "a") as f:
+            f.write(f"{os.getpid()} {sorted(cpus)}\n")
+        setaffinity(pid, cpus)
+
+    setaffinity(0, {min(START_CPUS)})
+    try:
+        monkeypatch.setattr(os, "sched_setaffinity", recorded)
+        one = outputs()
+    finally:
+        setaffinity(0, START_CPUS)
+    assert not pins.exists()
+    assert one == spread
+    _assert_no_child()
+
+
+@needs_two_cpus
+def test_refused_placement_still_checks(dataset_dir, run_log, tmp_path, monkeypatch, capsys):
+    # placement only speeds the check up: the child runs the check, on the
+    # CPUs it was forked with, when it may not move
+    parent, setaffinity = os.getpid(), os.sched_setaffinity
+
+    def refused_in_child(pid, cpus):
+        if os.getpid() != parent:
+            raise OSError(errno.EINVAL, "Invalid argument")
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused_in_child)
+    record = tmp_path / "child_cpus.json"
+    _record_check_cpus(monkeypatch, record)
+    args = ["validate", "--losses", str(run_log), "--dataset"]
+    assert main(args + [str(dataset_dir)]) == 0
+    assert set(json.loads(record.read_text())) == START_CPUS
+    capsys.readouterr()
+    edited, error = _byte_faulty_copy(dataset_dir, tmp_path)
+    assert main(args + [str(edited)]) == 1
+    assert capsys.readouterr() == ("", error)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "death, named",
+    [(lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL.value}"),
+     (lambda: os._exit(3), "exit code 3")],
+    ids=["signal", "exit_code"],
+)
+def test_dead_check_is_named(dataset_dir, run_log, monkeypatch, capsys, death, named):
+    # a check that dies without sending a fault is named by its exit code or signal
+    monkeypatch.setattr(worldgen, "_check_data_files", lambda *args: death())
+    assert main(["validate", "--losses", str(run_log), "--dataset", str(dataset_dir)]) == 1
+    assert capsys.readouterr() == ("", f"error: the data-file check died ({named})\n")
     _assert_no_child()
 
 
